@@ -39,9 +39,9 @@ class ReturnBinding:
     all_spans: tuple[Span, ...] = field(default_factory=tuple)
 
 
-def compute_selector(signature: str, hash_oracle=keccak256) -> int:
+def compute_selector(signature: str) -> int:
     """First 4 bytes of keccak-256 over the canonical ASCII signature."""
-    return int.from_bytes(hash_oracle(signature.encode("ascii"))[:4], "big")
+    return int.from_bytes(keccak256(signature.encode("ascii"))[:4], "big")
 
 
 _LOCATION_WORDS = re.compile(r"\b(calldata|memory|storage|payable)\b")
@@ -156,10 +156,10 @@ def function_infos(unit: CompilationUnit) -> list[FunctionInfo]:
     return infos
 
 
-def select_target_functions(unit: CompilationUnit) -> list[FunctionInfo]:
+def select_target_functions(infos: list[FunctionInfo]) -> list[FunctionInfo]:
     """Externally callable functions whose bodies (transitively) emit Transfer."""
     return [
-        info for info in function_infos(unit)
+        info for info in infos
         if info.emits_transfer and info.visibility in EXTERNALLY_CALLABLE
     ]
 

@@ -35,17 +35,20 @@ def _parse_only(value: str | None) -> tuple[str, ...]:
     return tuple(enabled)
 
 
+_POSITIVE = click.IntRange(min=1)
+
+
 @main.command()
 @click.argument("paths", nargs=-1, type=click.Path(exists=True))
-@click.option("--timeout", default=600, show_default=True,
+@click.option("--timeout", default=600, show_default=True, type=_POSITIVE,
               help="Wall-clock seconds per contract.")
-@click.option("--loop-bound", default=3, show_default=True,
+@click.option("--loop-bound", default=3, show_default=True, type=_POSITIVE,
               help="Max visits per JUMPDEST on one path.")
-@click.option("--max-steps", default=100_000, show_default=True,
+@click.option("--max-steps", default=100_000, show_default=True, type=_POSITIVE,
               help="Symbolic step budget per function.")
-@click.option("--max-paths", default=512, show_default=True,
+@click.option("--max-paths", default=512, show_default=True, type=_POSITIVE,
               help="Path budget per function.")
-@click.option("--solver-seconds", default=10, show_default=True,
+@click.option("--solver-seconds", default=10, show_default=True, type=_POSITIVE,
               help="Per-query solver time limit.")
 @click.option("--format", "output_format", type=click.Choice(["text", "json"]),
               default="text", show_default=True)
@@ -56,7 +59,7 @@ def _parse_only(value: str | None) -> tuple[str, ...]:
 @click.option("--no-prune", is_flag=True,
               help="Debug: analyze every external function, not only "
                    "Transfer-emitting ones.")
-@click.option("--jobs", default=1, show_default=True,
+@click.option("--jobs", default=1, show_default=True, type=_POSITIVE,
               help="Parallel worker processes for batch runs.")
 def analyze(paths, timeout, loop_bound, max_steps, max_paths, solver_seconds,
             output_format, only, out, no_prune, jobs):
@@ -64,16 +67,13 @@ def analyze(paths, timeout, loop_bound, max_steps, max_paths, solver_seconds,
     if not paths:
         raise click.UsageError("no input paths given")
     config = pipeline.RunConfig(
-        input_paths=list(paths),
         timeout_seconds=timeout,
         loop_bound=loop_bound,
         max_steps=max_steps,
         max_paths=max_paths,
         solver_query_seconds=solver_seconds,
         enabled_detectors=_parse_only(only),
-        output_format=output_format,
         prune=not no_prune,
-        jobs=jobs,
     )
     reports: list[dict] = []
     if jobs > 1 and len(paths) > 1:

@@ -1,12 +1,11 @@
 """Path-constraint collection and satisfiability over 256-bit vectors.
 
-The collector is append-only; snapshots are immutable values. The default
-backend is a self-contained decision procedure: structural contradiction
+The collector is append-only; snapshots are immutable values. The solver
+is a self-contained decision procedure: structural contradiction
 detection plus equality propagation gives unsat answers, and a randomized
 concrete witness search gives sat answers. Anything it cannot decide within
 its budget is reported as ``unknown``, which callers must treat as
-"do not report" (precision first). A different backend (e.g. an SMT solver)
-can be plugged in through the same adapter surface.
+"do not report" (precision first).
 
 Negation here is structural only (eq <-> neq, ult <-> uge, ...); no semantic
 normalization is applied, so differing owner expressions never cancel.
@@ -176,12 +175,12 @@ def is_storage_direct_address(value: SymValue) -> bool:
 # --------------------------------------------------------------------------
 # solving
 
+_WITNESS_TRIES = 48
+_WITNESS_SEED = 0x5EED
+
+
 class InternalSolver:
     """Bit-vector conjunction decision procedure (structural + witness search)."""
-
-    def __init__(self, max_tries: int = 48, seed: int = 0x5EED):
-        self.max_tries = max_tries
-        self.seed = seed
 
     def solve(self, constraints: tuple[Constraint, ...], timeout_seconds: float = 10.0) -> str:
         deadline = time.monotonic() + timeout_seconds
@@ -267,8 +266,8 @@ class InternalSolver:
             {v for c in constraints for v in sym.free_vars(c.lhs) | sym.free_vars(c.rhs)},
             key=lambda v: v.name,
         )
-        rng = random.Random(self.seed)
-        for trial in range(self.max_tries):
+        rng = random.Random(_WITNESS_SEED)
+        for trial in range(_WITNESS_TRIES):
             if time.monotonic() > deadline:
                 return False
             env = self._initial_assignment(variables, rng, trial)
@@ -323,17 +322,10 @@ class InternalSolver:
         return False
 
 
-_DEFAULT_BACKEND: InternalSolver | None = None
-
-
-def get_backend() -> InternalSolver:
-    global _DEFAULT_BACKEND
-    if _DEFAULT_BACKEND is None:
-        _DEFAULT_BACKEND = InternalSolver()
-    return _DEFAULT_BACKEND
+_SOLVER = InternalSolver()
 
 
 def solve(cset: ConstraintSet, extra: tuple[Constraint, ...] = (),
           timeout_seconds: float = 10.0) -> str:
     """Satisfiability of the set's hard constraints plus ``extra``."""
-    return get_backend().solve(cset.hard() + tuple(extra), timeout_seconds)
+    return _SOLVER.solve(cset.hard() + tuple(extra), timeout_seconds)

@@ -1,4 +1,4 @@
-"""Disassembly, basic-block recovery and static CFG construction.
+"""Disassembly, basic-block recovery and dispatcher-entry discovery.
 
 0x5F always decodes as PUSH0: compilers below 0.8.20 never emit it in
 reachable code, so a version branch in the decoder buys nothing. The version
@@ -67,8 +67,6 @@ _TERMINATOR_KIND = {
 @dataclass
 class Cfg:
     blocks: list[BasicBlock]
-    static_edges: list[tuple[int, int, str]]  # (from start_pc, to start_pc, fall|taken|not-taken)
-    entry_points: dict[int, int] = field(default_factory=dict)  # selector -> pc
     block_by_pc: dict[int, BasicBlock] = field(default_factory=dict)
     instruction_by_pc: dict[int, Instruction] = field(default_factory=dict)
 
@@ -76,28 +74,29 @@ class Cfg:
         return self.block_by_pc.get(pc)
 
 
-def disassemble(code: bytes, version: Version = (0, 8, 21)) -> list[Instruction]:
-    """Decode metadata-stripped runtime bytecode into instructions."""
+def _decode(code: bytes) -> list[tuple[int, int, bytes]]:
     raw, truncated_at = _core.decode_raw(bytes(code))
     if truncated_at >= 0:
         raise TruncatedPush(f"PUSH immediate at pc {truncated_at} overruns end of code")
+    return raw
+
+
+def disassemble(code: bytes, version: Version = (0, 8, 21)) -> list[Instruction]:
+    """Decode metadata-stripped runtime bytecode into instructions."""
     return [
         Instruction(pc, byte, opcodes.mnemonic(byte), imm, idx)
-        for idx, (pc, byte, imm) in enumerate(raw)
+        for idx, (pc, byte, imm) in enumerate(_decode(code))
     ]
 
 
 def count_instructions(code: bytes) -> int:
-    raw, truncated_at = _core.decode_raw(bytes(code))
-    if truncated_at >= 0:
-        raise TruncatedPush(f"PUSH immediate at pc {truncated_at} overruns end of code")
-    return len(raw)
+    return len(_decode(code))
 
 
 def build_cfg(instrs: list[Instruction]) -> Cfg:
-    """Partition instructions into basic blocks and resolve PUSH-constant jumps."""
+    """Partition instructions into basic blocks."""
     if not instrs:
-        return Cfg([], [])
+        return Cfg([])
     leaders: set[int] = {instrs[0].pc}
     by_pc: dict[int, Instruction] = {i.pc: i for i in instrs}
     for idx, ins in enumerate(instrs):
@@ -118,27 +117,7 @@ def build_cfg(instrs: list[Instruction]) -> Cfg:
     if current:
         blocks.append(_finish_block(current))
 
-    edges: list[tuple[int, int, str]] = []
-    jumpdests = {i.pc for i in instrs if i.name == "JUMPDEST"}
-    for idx, block in enumerate(blocks):
-        last = block.instructions[-1]
-        fall_target = blocks[idx + 1].start_pc if idx + 1 < len(blocks) else None
-        if last.name == "JUMP":
-            target = _adjacent_push_target(block)
-            if target is not None and target in jumpdests:
-                edges.append((block.start_pc, target, "taken"))
-        elif last.name == "JUMPI":
-            target = _adjacent_push_target(block)
-            if target is not None and target in jumpdests:
-                edges.append((block.start_pc, target, "taken"))
-            if fall_target is not None:
-                edges.append((block.start_pc, fall_target, "not-taken"))
-        elif block.terminator == "fallthrough" and fall_target is not None:
-            edges.append((block.start_pc, fall_target, "fall"))
-    cfg = Cfg(blocks, edges)
-    cfg.block_by_pc = {b.start_pc: b for b in blocks}
-    cfg.instruction_by_pc = by_pc
-    return cfg
+    return Cfg(blocks, {b.start_pc: b for b in blocks}, by_pc)
 
 
 def _finish_block(instrs: list[Instruction]) -> BasicBlock:
@@ -148,13 +127,6 @@ def _finish_block(instrs: list[Instruction]) -> BasicBlock:
     else:
         kind = _TERMINATOR_KIND.get(last.name, "fallthrough")
     return BasicBlock(instrs[0].pc, list(instrs), kind)
-
-
-def _adjacent_push_target(block: BasicBlock) -> int | None:
-    if len(block.instructions) < 2:
-        return None
-    prev = block.instructions[-2]
-    return prev.push_value
 
 
 def find_function_entry(cfg: Cfg, selector: int) -> int | None:

@@ -33,9 +33,5 @@ class EntryNotFound(SleepscanError):
     """A target function has no resolvable dispatcher entry point."""
 
 
-class BackendUnavailable(SleepscanError):
-    """No constraint-solver backend is usable."""
-
-
 class UnlabeledContract(SleepscanError):
     """A report has no corresponding corpus label."""

@@ -38,17 +38,6 @@ class SourceMapEntry:
     file: int  # -1 for compiler-generated code
     jump_kind: str  # "i" | "o" | "-"
 
-    def contains(self, other: "SourceMapEntry | tuple[int, int, int]") -> bool:
-        if isinstance(other, SourceMapEntry):
-            o_start, o_len, o_file = other.start, other.length, other.file
-        else:
-            o_start, o_len, o_file = other
-        return (
-            self.file == o_file
-            and self.start >= o_start
-            and self.start + self.length <= o_start + o_len
-        )
-
 
 @dataclass
 class AstNode:
@@ -412,15 +401,10 @@ def _load_standard_json(path: Path) -> list[CompilationUnit]:
                 raise MissingArtifact(f"{contract_name}: no deployed bytecode")
             ast = asts.get(file_name)
             if ast is None:
-                raise NoAstAvailable(file_name)
+                raise MissingArtifact(f"no AST for source file {file_name}")
             bytecode = strip_metadata(bytes.fromhex(hex_code))
             source_map = decode_source_map(deployed.get("sourceMap", ""))
             version = resolve_version(contract.get("metadata"), sources)
             units.append(_validate(CompilationUnit(
                 contract_name, bytecode, source_map, ast, sources, version)))
     return units
-
-
-class NoAstAvailable(MissingArtifact):
-    def __init__(self, file_name: str):
-        super().__init__(f"no AST for source file {file_name}")

@@ -75,5 +75,4 @@ def event_topic(signature: str) -> int:
     return int.from_bytes(keccak256(signature.encode("ascii")), "big")
 
 
-TRANSFER_TOPIC = None  # filled below; module-level so the hot path never re-hashes
 TRANSFER_TOPIC = event_topic("Transfer(address,address,uint256)")

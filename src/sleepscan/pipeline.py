@@ -8,12 +8,12 @@ captured in the report.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from sleepscan import detectors
 from sleepscan.astview import (
-    FunctionInfo,
+    EXTERNALLY_CALLABLE,
     find_owner_return_binding,
     function_infos,
     select_target_functions,
@@ -28,20 +28,17 @@ SCHEMA_VERSION = 1
 
 @dataclass
 class RunConfig:
-    input_paths: list[str] = field(default_factory=list)
     timeout_seconds: int = 600
     loop_bound: int = 3
     max_steps: int = 100_000
     max_paths: int = 512
     solver_query_seconds: int = 10
     enabled_detectors: tuple[str, ...] = detectors.ALL_DEFECT_TYPES
-    output_format: str = "text"
     prune: bool = True
-    jobs: int = 1
 
     def __post_init__(self):
         for name in ("timeout_seconds", "loop_bound", "max_steps",
-                     "max_paths", "solver_query_seconds", "jobs"):
+                     "max_paths", "solver_query_seconds"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -54,9 +51,9 @@ def analyze_unit(unit: CompilationUnit, config: RunConfig) -> dict:
     binding = find_owner_return_binding(unit)
     all_functions = function_infos(unit)
     externally_callable = [f for f in all_functions
-                           if f.visibility in ("external", "public")]
+                           if f.visibility in EXTERNALLY_CALLABLE]
     if config.prune:
-        targets = select_target_functions(unit)
+        targets = select_target_functions(all_functions)
     else:
         targets = externally_callable
 

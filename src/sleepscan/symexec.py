@@ -618,9 +618,7 @@ def explore_function(unit: CompilationUnit, cfg: Cfg, fn: FunctionInfo,
         budget = ExplorationBudget()
     if fn.selector is None:
         raise EntryNotFound(f"{fn.name} has no selector (visibility {fn.visibility})")
-    entry_pc = cfg.entry_points.get(fn.selector)
-    if entry_pc is None:
-        entry_pc = find_function_entry(cfg, fn.selector)
+    entry_pc = find_function_entry(cfg, fn.selector)
     if entry_pc is None:
         raise EntryNotFound(f"no dispatcher entry for {fn.name} "
                             f"(selector 0x{fn.selector:08x})")

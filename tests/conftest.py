@@ -17,7 +17,7 @@ def corpus_dir(tmp_path_factory):
 @pytest.fixture(scope="session")
 def corpus_reports(corpus_dir):
     """Contract name -> analysis report for the whole corpus."""
-    config = pipeline.RunConfig(input_paths=[], timeout_seconds=120)
+    config = pipeline.RunConfig(timeout_seconds=120)
     reports = {}
     for sub in sorted(p for p in corpus_dir.iterdir() if p.is_dir()):
         for report in pipeline.analyze_path(str(sub), config):

@@ -224,7 +224,11 @@ def test_property_transfer_topic_is_the_published_constant():
 # 8. the two owner-based detectors are mutually exclusive per path record
 
 def test_owner_detectors_are_mutually_exclusive(corpus_dir):
-    from sleepscan.astview import find_owner_return_binding, select_target_functions
+    from sleepscan.astview import (
+        find_owner_return_binding,
+        function_infos,
+        select_target_functions,
+    )
     from sleepscan.disasm import build_cfg, disassemble
     from sleepscan.symexec import explore_function
 
@@ -233,7 +237,7 @@ def test_owner_detectors_are_mutually_exclusive(corpus_dir):
         unit = load_compilation(corpus_dir / name.name)
         cfg = build_cfg(disassemble(unit.runtime_bytecode, unit.compiler_version))
         binding = find_owner_return_binding(unit)
-        for fn in select_target_functions(unit):
+        for fn in select_target_functions(function_infos(unit)):
             result = explore_function(unit, cfg, fn, binding)
             for rec in result.records:
                 uf = detect_unrestricted_from(rec)

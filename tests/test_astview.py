@@ -73,7 +73,7 @@ def test_transfer_closure_through_internal_call():
     assert infos["_transfer"].emits_transfer
     assert infos["_transfer"].selector is None  # internal: no dispatcher entry
     assert not infos["pause"].emits_transfer
-    targets = select_target_functions(_unit_for(doc))
+    targets = select_target_functions(function_infos(_unit_for(doc)))
     assert [t.name for t in targets] == ["transferFrom"]
     assert targets[0].selector == KNOWN_SELECTORS["transferFrom(address,address,uint256)"]
 
@@ -87,7 +87,7 @@ def test_only_three_argument_transfer_counts():
                     [ab.emit_event("Transfer", ["a", "b", "c", "d"], SPAN)],
                     SPAN, SPAN),
     ])
-    assert select_target_functions(_unit_for(doc)) == []
+    assert select_target_functions(function_infos(_unit_for(doc))) == []
 
 
 def test_no_ast_raises():
@@ -119,5 +119,5 @@ def test_pruning_on_market_hub(corpus_dir):
     infos = function_infos(unit)
     external = [f for f in infos if f.visibility in ("external", "public")]
     assert len(external) == 20
-    targets = select_target_functions(unit)
+    targets = select_target_functions(infos)
     assert sorted(t.name for t in targets) == ["transferA", "transferB"]

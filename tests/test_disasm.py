@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import progs
 
-from sleepscan._core import BACKEND, decode_py
+from sleepscan import _core
 from sleepscan.disasm import (
     build_cfg,
     count_instructions,
@@ -49,7 +49,7 @@ def test_truncated_push_raises():
 @settings(max_examples=150)
 @given(st.binary(max_size=300))
 def test_partition_invariant(code):
-    raw, truncated_at = decode_py.decode_raw(code)
+    raw, truncated_at = _core.decode_raw(code)
     if truncated_at < 0:
         assert sum(1 + len(imm) for _, _, imm in raw) == len(code)
     else:
@@ -57,23 +57,13 @@ def test_partition_invariant(code):
         assert consumed <= truncated_at < len(code)
 
 
-@pytest.mark.skipif(BACKEND != "c", reason="compiled decoder not built")
-@settings(max_examples=200)
-@given(st.binary(max_size=400))
-def test_compiled_and_python_decoders_agree(code):
-    from sleepscan._core import _decode_c
-    assert _decode_c.decode_raw(code) == decode_py.decode_raw(code)
-
-
-def test_decoders_agree_on_random_programs():
+def test_random_programs_decode_whole():
     rng = random.Random(7)
     for _ in range(50):
         code = progs.to_bytecode(progs.random_program(rng, length=40))
-        py_out = decode_py.decode_raw(code)
-        assert py_out[1] == -1
-        if BACKEND == "c":
-            from sleepscan._core import _decode_c
-            assert _decode_c.decode_raw(code) == py_out
+        raw, truncated_at = _core.decode_raw(code)
+        assert truncated_at == -1
+        assert sum(1 + len(imm) for _, _, imm in raw) == len(code)
 
 
 def test_cfg_blocks_and_edges():
@@ -88,9 +78,7 @@ def test_cfg_blocks_and_edges():
     cfg = build_cfg(disassemble(code))
     starts = [b.start_pc for b in cfg.blocks]
     assert starts == [0, 5, 7]
-    kinds = {(a, b): kind for a, b, kind in cfg.static_edges}
-    assert kinds[(0, 7)] == "taken"
-    assert kinds[(0, 5)] == "not-taken"
+    assert cfg.block_at(0).terminator == "conditional-jump"
     assert cfg.block_at(7).terminator == "stop"
 
 

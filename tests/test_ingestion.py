@@ -62,14 +62,6 @@ def test_malformed_item_raises():
         decode_source_map("0:xyz:0:-")
 
 
-def test_entry_contains():
-    # entry.contains(span) asks whether the entry's span lies inside `span`
-    assert SourceMapEntry(10, 20, 0, "-").contains((10, 20, 0))
-    assert SourceMapEntry(12, 5, 0, "-").contains((10, 20, 0))
-    assert SourceMapEntry(10, 20, 0, "-").contains((12, 5, 0)) is False
-    assert SourceMapEntry(12, 5, 0, "-").contains((12, 5, 1)) is False  # file
-
-
 entry_strategy = st.builds(
     SourceMapEntry,
     start=st.integers(min_value=-1, max_value=4000),

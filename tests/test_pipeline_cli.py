@@ -17,7 +17,7 @@ from sleepscan.pipeline import RunConfig, analyze_path
 # RunConfig validation
 
 @pytest.mark.parametrize("field", ["timeout_seconds", "loop_bound", "max_steps",
-                                   "max_paths", "solver_query_seconds", "jobs"])
+                                   "max_paths", "solver_query_seconds"])
 def test_run_config_rejects_non_positive(field):
     with pytest.raises(ValueError, match=field):
         RunConfig(**{field: 0})
@@ -143,6 +143,15 @@ def test_cli_analyze_requires_paths(runner):
     result = runner.invoke(main, ["analyze"])
     assert result.exit_code != 0
     assert "no input paths" in result.output
+
+
+@pytest.mark.parametrize("option", ["--timeout", "--loop-bound", "--max-steps",
+                                    "--max-paths", "--solver-seconds", "--jobs"])
+def test_cli_rejects_non_positive_option(runner, corpus_dir, option):
+    result = runner.invoke(main, ["analyze", option, "0",
+                                  str(corpus_dir / "HiddenApprover")])
+    assert result.exit_code == 2
+    assert "Invalid value" in result.output
 
 
 def test_cli_all_failures_exit_nonzero(runner, tmp_path):

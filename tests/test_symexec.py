@@ -225,6 +225,14 @@ def test_no_binding_means_empty_trace():
     assert result.records[0].owner_trace == ()
 
 
+def test_span_contains():
+    # _span_contains(outer, inner) asks whether `inner` lies inside `outer`
+    assert sx._span_contains((10, 20, 0), (10, 20, 0))
+    assert sx._span_contains((10, 20, 0), (12, 5, 0))
+    assert sx._span_contains((12, 5, 0), (10, 20, 0)) is False
+    assert sx._span_contains((12, 5, 1), (12, 5, 0)) is False  # file
+
+
 # --------------------------------------------------------------------------
 # external calls and taint
 
