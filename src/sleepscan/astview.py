@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from sleepscan.errors import NoAst
 from sleepscan.ingestion import AstNode, CompilationUnit
-from sleepscan.keccak import keccak256
+from sleepscan.keccak import keccak256, keccak256_many
 
 Span = tuple[int, int, int]
 
@@ -134,26 +134,33 @@ def function_infos(unit: CompilationUnit) -> list[FunctionInfo]:
         raise NoAst(unit.contract_name)
     functions = _function_definitions(unit.ast)
     emits = _transfer_closure(functions)
-    infos = []
+    rows = []
     for idx, fn in enumerate(functions):
         name = fn.get("name", "")
         if not name:  # constructor / fallback / receive
             continue
         visibility = fn.get("visibility", "public")
         params = _parameters(fn)
-        selector = None
+        signature = None
         if visibility in EXTERNALLY_CALLABLE:
             signature = f"{name}({','.join(t for _, t in params)})"
-            selector = compute_selector(signature)
-        infos.append(FunctionInfo(
+        rows.append((idx, fn, name, visibility, params, signature))
+    # One batched pass over the distinct signatures: an interface declaration
+    # and its implementation share one hash.
+    signatures = list(dict.fromkeys(sig for *_, sig in rows if sig is not None))
+    digests = keccak256_many([s.encode("ascii") for s in signatures])
+    selectors = {s: int.from_bytes(d[:4], "big") for s, d in zip(signatures, digests)}
+    return [
+        FunctionInfo(
             name=name,
-            selector=selector,
+            selector=selectors.get(signature),
             params=params,
             src_span=fn.src_span,
             visibility=visibility,
             emits_transfer=emits[idx],
-        ))
-    return infos
+        )
+        for idx, fn, name, visibility, params, signature in rows
+    ]
 
 
 def select_target_functions(infos: list[FunctionInfo]) -> list[FunctionInfo]:

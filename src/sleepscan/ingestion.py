@@ -377,15 +377,20 @@ def _load_directory(path: Path) -> list[CompilationUnit]:
     return units
 
 
+def _json_object(value: object, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise MissingArtifact(f"{what} is not a JSON object")
+    return value
+
+
 def _load_standard_json(path: Path) -> list[CompilationUnit]:
-    doc = json.loads(path.read_text())
-    if not isinstance(doc, dict):
-        raise MissingArtifact(f"{path}: top level is not a JSON object")
-    contracts = doc.get("contracts") or {}
-    source_docs = doc.get("sources") or {}
+    doc = _json_object(json.loads(path.read_text()), f"{path}: top level")
+    contracts = _json_object(doc.get("contracts", {}), f"{path}: contracts")
+    source_docs = _json_object(doc.get("sources", {}), f"{path}: sources")
     sources: list[tuple[int, str]] = []
     asts: dict[str, AstNode] = {}
     for file_name, entry in source_docs.items():
+        entry = _json_object(entry, f"{path}: sources entry {file_name}")
         fid = entry.get("id", len(sources))
         if "content" in entry:
             sources.append((fid, entry["content"]))
@@ -393,9 +398,12 @@ def _load_standard_json(path: Path) -> list[CompilationUnit]:
             asts[file_name] = ast_from_json(entry["ast"])
     units = []
     for file_name, per_file in contracts.items():
+        per_file = _json_object(per_file, f"{path}: contracts entry {file_name}")
         for contract_name, contract in per_file.items():
-            evm = contract.get("evm", {})
-            deployed = evm.get("deployedBytecode", {})
+            contract = _json_object(contract, f"{contract_name}: contract entry")
+            evm = _json_object(contract.get("evm", {}), f"{contract_name}: evm")
+            deployed = _json_object(evm.get("deployedBytecode", {}),
+                                    f"{contract_name}: deployedBytecode")
             hex_code = (deployed.get("object") or "").removeprefix("0x")
             if not hex_code:
                 raise MissingArtifact(f"{contract_name}: no deployed bytecode")

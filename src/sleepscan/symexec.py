@@ -246,10 +246,18 @@ class Engine:
         return Var(name, sym.StorageDirect(slot, name), False)
 
     def _read_memory_word(self, state: MachineState, offset: SymValue) -> SymValue:
+        start = sym.const_value(offset)
+        key = repr(offset)
         for written_offset, value, width in reversed(state.memory):
             if width == 32 and written_offset == offset:
                 return value
-        key = repr(offset)
+            written_start = sym.const_value(written_offset)
+            if (start is not None and written_start is not None
+                    and written_start < start + 32 and start < written_start + width):
+                # A partial overwrite: the word mixes bytes of several writes.
+                # Memory only grows by appends, so its length names this version.
+                key = f"{key}@{len(state.memory)}"
+                break
         if key not in self.memory_fresh:
             self.memory_fresh[key] = Var(f"mem_{len(self.memory_fresh)}",
                                          FreshExternal("memory"))

@@ -17,6 +17,7 @@ from sleepscan.ingestion import CompilationUnit, ast_from_json, load_compilation
 KNOWN_SELECTORS = {
     "transferFrom(address,address,uint256)": 0x23B872DD,
     "safeTransferFrom(address,address,uint256)": 0x42842E0E,
+    "safeTransferFrom(address,address,uint256,bytes)": 0xB88D4FDE,
     "ownerOf(uint256)": 0x6352211E,
     "balanceOf(address)": 0x70A08231,
     "approve(address,uint256)": 0x095EA7B3,
@@ -54,6 +55,34 @@ def _contract(nodes):
 
 
 SPAN = (0, 10, 0)
+
+
+def test_function_infos_hashes_every_declaration_to_its_published_selector():
+    transfer_params = [ab.parameter("from", "address", SPAN),
+                       ab.parameter("to", "address", SPAN),
+                       ab.parameter("tokenId", "uint256", SPAN)]
+    interface = ab.contract("IERC721", SPAN, [
+        ab.function("transferFrom", "external", transfer_params, [], SPAN, SPAN),
+    ])
+    interface["contractKind"] = "interface"
+    implementation = ab.contract("C", SPAN, [
+        ab.function("transferFrom", "public", transfer_params,
+                    [ab.emit_event("Transfer", ["from", "to", "tokenId"], SPAN)], SPAN, SPAN),
+        ab.function("safeTransferFrom", "public", transfer_params, [], SPAN, SPAN),
+        ab.function("safeTransferFrom", "public",
+                    transfer_params + [ab.parameter("data", "bytes memory", SPAN)],
+                    [], SPAN, SPAN),
+    ])
+    doc = ab.source_unit((0, 1000, 0), [interface, implementation])
+    infos = function_infos(_unit_for(doc))
+    signatures = [f"{f.name}({','.join(t for _, t in f.params)})" for f in infos]
+    assert signatures == [
+        "transferFrom(address,address,uint256)",  # the interface declaration
+        "transferFrom(address,address,uint256)",  # the implementation
+        "safeTransferFrom(address,address,uint256)",
+        "safeTransferFrom(address,address,uint256,bytes)",
+    ]
+    assert [f.selector for f in infos] == [KNOWN_SELECTORS[s] for s in signatures]
 
 
 def test_transfer_closure_through_internal_call():

@@ -1,6 +1,11 @@
-"""Hash oracle tests against published keccak-256 vectors."""
+"""Hash oracle tests against published keccak-256 vectors and the reference sponge."""
 
-from sleepscan.keccak import TRANSFER_TOPIC, event_topic, keccak256
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import oracle_keccak
+
+from sleepscan.keccak import TRANSFER_TOPIC, event_topic, keccak256, keccak256_many
 
 # Published digests (independent oracles frozen into the suite).
 EMPTY_DIGEST = "c5d2460186f7233c927e7db2dcc703c0e500b653ca82273b7bfad8045d85a470"
@@ -37,3 +42,26 @@ def test_transfer_topic_constant():
 def test_event_topic_matches_published_hashes():
     assert event_topic("Transfer(address,address,uint256)") == TRANSFER_HASH
     assert event_topic("Approval(address,address,uint256)") == APPROVAL_HASH
+
+
+# --------------------------------------------------------------------------
+# differential: the batched kernel vs the one-message reference sponge
+
+RATE_EDGES = (135, 136, 137, 271, 272)  # one short of, at and past 1 and 2 blocks
+
+_messages = st.one_of(
+    st.binary(max_size=400),
+    st.sampled_from(RATE_EDGES).flatmap(lambda n: st.binary(min_size=n, max_size=n)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_messages, max_size=40))
+@example([(bytes(range(256)) * 2)[:n] for n in RATE_EDGES] + [b"", b"abc"])
+@example([b"\xff" * n for n in RATE_EDGES])
+def test_batched_kernel_matches_reference(batch):
+    assert keccak256_many(batch) == [oracle_keccak.keccak256(m) for m in batch]
+
+
+def test_empty_batch():
+    assert keccak256_many([]) == []

@@ -71,6 +71,26 @@ def test_analyze_path_isolates_broken_artifacts(tmp_path):
     assert bad_reports[0]["findings"] == []
 
 
+@pytest.mark.parametrize("doc", [
+    [],
+    {"contracts": []},
+    {"contracts": {}, "sources": [1]},
+    {"contracts": {}, "sources": {"A.sol": "x"}},
+    {"contracts": {"A.sol": "x"}},
+    {"contracts": {"A.sol": {"A": []}}},
+    {"contracts": {"A.sol": {"A": {"evm": "x"}}}},
+    {"contracts": {"A.sol": {"A": {"evm": {"deployedBytecode": 5}}}}},
+], ids=["top-level", "contracts", "sources", "source-entry", "per-file",
+        "contract", "evm", "deployed-bytecode"])
+def test_malformed_standard_json_is_one_error_report(tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    (report,) = analyze_path(str(path), RunConfig())
+    assert report["error"].startswith("MissingArtifact: ")
+    assert "is not a JSON object" in report["error"]
+    assert report["findings"] == []
+
+
 def test_no_prune_widens_the_function_set(corpus_dir):
     pruned = pipeline.analyze_path(str(corpus_dir / "MarketHub"), RunConfig())[0]
     full = pipeline.analyze_path(str(corpus_dir / "MarketHub"),

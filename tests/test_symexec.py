@@ -355,3 +355,42 @@ def test_explore_function_requires_selector():
         explore_function(unit, cfg, internal, None)
     with pytest.raises(EntryNotFound):
         explore_function(unit, cfg, FN, None)  # no dispatcher in this code
+
+
+# --------------------------------------------------------------------------
+# memory words
+
+def _mload_after(stores_hex: str) -> sym.SymValue:
+    """Top of stack after ``stores_hex`` then ``PUSH1 0 MLOAD``."""
+    engine = _engine(bytes.fromhex(stores_hex + "600051" + "00"))
+    return _run_straight_line(engine).stack[-1]
+
+
+ALIGNED_STORE = "60aa600052"  # PUSH1 AA PUSH1 0 MSTORE
+
+
+def test_aligned_read_keeps_the_stored_value():
+    assert _mload_after(ALIGNED_STORE) == Const(0xAA)
+    # writes that end before or start after the word leave it intact
+    assert _mload_after(ALIGNED_STORE + "60ff602053") == Const(0xAA)  # MSTORE8 at 32
+    assert _mload_after("60bb6020526000600052") == Const(0)  # MSTORE at 32, then at 0
+
+
+def test_mstore8_inside_the_word_makes_it_fresh():
+    value = _mload_after(ALIGNED_STORE + "60ff600053")  # PUSH1 FF PUSH1 0 MSTORE8
+    assert value != Const(0xAA)
+    assert isinstance(value, Var) and value.kind == FreshExternal("memory")
+
+
+def test_unaligned_mstore_makes_the_word_fresh():
+    value = _mload_after(ALIGNED_STORE + "60bb600152")  # PUSH1 BB PUSH1 1 MSTORE
+    assert value != Const(0xAA)
+    assert isinstance(value, Var) and value.kind == FreshExternal("memory")
+
+
+def test_partial_overwrite_symbol_differs_from_unwritten_memory():
+    engine = _engine(bytes.fromhex("600051" + ALIGNED_STORE + "60ff600053" + "600051" + "00"))
+    state = _run_straight_line(engine)
+    before, after = state.stack
+    assert before != after
+    assert isinstance(before, Var) and isinstance(after, Var)
