@@ -10,7 +10,7 @@ ERC-721 event; overloads with other arities are ignored.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from sleepscan.errors import NoAst
 from sleepscan.ingestion import AstNode, CompilationUnit
@@ -29,14 +29,6 @@ class FunctionInfo:
     src_span: Span
     visibility: str
     emits_transfer: bool
-
-
-@dataclass(frozen=True)
-class ReturnBinding:
-    function_name: str
-    return_src_span: Span  # first return, in source order
-    returned_identifier: str
-    all_spans: tuple[Span, ...] = field(default_factory=tuple)
 
 
 def compute_selector(signature: str) -> int:
@@ -171,33 +163,15 @@ def select_target_functions(infos: list[FunctionInfo]) -> list[FunctionInfo]:
     ]
 
 
-def find_owner_return_binding(unit: CompilationUnit) -> ReturnBinding | None:
-    """Span and identifier of ownerOf's return statement(s), if any.
+def find_owner_return_binding(unit: CompilationUnit) -> tuple[Span, ...]:
+    """Spans of every ``ownerOf`` return statement, sorted by position.
 
-    All return spans across every ``ownerOf`` definition (overrides included)
-    are recorded so the engine can match whichever body actually executes.
+    Overrides included, so the engine can match whichever body actually
+    executes; ``()`` when the unit has no AST or no ``ownerOf`` return.
     """
     if unit.ast is None:
-        return None
-    owner_fns = [fn for fn in _function_definitions(unit.ast) if fn.get("name") == "ownerOf"]
-    if not owner_fns:
-        return None
-    spans: list[Span] = []
-    first_identifier = None
-    for fn in owner_fns:
-        for ret in fn.find_all("Return"):
-            spans.append(ret.src_span)
-            if first_identifier is None:
-                for node in ret.walk():
-                    if node.node_kind == "Identifier":
-                        first_identifier = node.get("name", "")
-                        break
-    if not spans:
-        return None
-    spans.sort(key=lambda s: (s[2], s[0]))
-    return ReturnBinding(
-        function_name="ownerOf",
-        return_src_span=spans[0],
-        returned_identifier=first_identifier or "",
-        all_spans=tuple(spans),
-    )
+        return ()
+    spans = [ret.src_span
+             for fn in _function_definitions(unit.ast) if fn.get("name") == "ownerOf"
+             for ret in fn.find_all("Return")]
+    return tuple(sorted(spans, key=lambda s: (s[2], s[0])))

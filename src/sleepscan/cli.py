@@ -145,7 +145,7 @@ def disasm(path):
     """Debug: dump the instruction listing with source snippets."""
     for unit in load_all(path):
         click.echo(f"=== {unit.contract_name} ===")
-        instrs = disassemble(unit.runtime_bytecode, unit.compiler_version)
+        instrs = disassemble(unit.runtime_bytecode)
         click.echo(dump_listing(instrs, unit.source_map, unit.sources))
 
 

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from sleepscan import sym
-from sleepscan.sym import Const, Op, SymValue, Var
+from sleepscan.sym import Const, SymValue, Var
 
 EQ, NEQ = "eq", "neq"
 ULT, UGT, ULE, UGE = "ult", "ugt", "ule", "uge"
@@ -47,7 +47,8 @@ class Constraint:
     pc: int = -1
     src: tuple[int, int, int] | None = None
     # True for an eq-candidate decomposed out of a satisfied disjunctive
-    # guard: visible to contains(), never part of the conjunction solve() sees.
+    # guard: visible to the structural detector rules, never part of the
+    # conjunction solve() sees.
     candidate: bool = False
 
     def negated(self) -> "Constraint":
@@ -121,39 +122,8 @@ class ConstraintSet:
 
 
 # --------------------------------------------------------------------------
-# structural pattern queries
-
-@dataclass(frozen=True)
-class ConstraintPattern:
-    """Relation kind plus provenance requirements on each side.
-
-    Side predicates receive the mask-stripped expression; a match in either
-    orientation counts for symmetric relations.
-    """
-    relation: str
-    lhs_pred: "SidePredicate"
-    rhs_pred: "SidePredicate"
-
-
-SidePredicate = "callable[[SymValue], bool]"
-
-
-def contains(cset: ConstraintSet, pattern: ConstraintPattern) -> bool:
-    """Structural match over all collected constraints, candidates included.
-
-    Side predicates receive the raw expressions; helpers below peel width
-    masks themselves so the 160-bit heuristic can still see them.
-    """
-    for constraint in cset:
-        if constraint.relation != pattern.relation:
-            continue
-        if pattern.lhs_pred(constraint.lhs) and pattern.rhs_pred(constraint.rhs):
-            return True
-        if pattern.relation in _SYMMETRIC \
-                and pattern.lhs_pred(constraint.rhs) and pattern.rhs_pred(constraint.lhs):
-            return True
-    return False
-
+# provenance tests for the structural detector rules (each peels width masks
+# itself, so the 160-bit heuristic can still see them)
 
 def is_caller(value: SymValue) -> bool:
     value = sym.strip_masks(value)
@@ -173,159 +143,153 @@ def is_storage_direct_address(value: SymValue) -> bool:
 
 
 # --------------------------------------------------------------------------
-# solving
+# solving: a bit-vector conjunction decision procedure (structural unsat
+# detection plus a witness search)
 
 _WITNESS_TRIES = 48
 _WITNESS_SEED = 0x5EED
 
 
-class InternalSolver:
-    """Bit-vector conjunction decision procedure (structural + witness search)."""
-
-    def solve(self, constraints: tuple[Constraint, ...], timeout_seconds: float = 10.0) -> str:
-        deadline = time.monotonic() + timeout_seconds
-        simplified = []
-        for constraint in constraints:
-            if isinstance(constraint.lhs, Const) and isinstance(constraint.rhs, Const):
-                if not _relation_holds(constraint.relation,
-                                       constraint.lhs.value, constraint.rhs.value):
-                    return UNSAT
-                continue
-            simplified.append(constraint)
-        if self._structurally_unsat(simplified):
-            return UNSAT
-        if not simplified:
-            return SAT
-        if self._find_witness(simplified, deadline):
-            return SAT
-        return UNKNOWN
-
-    # -- unsat side ---------------------------------------------------------
-
-    def _structurally_unsat(self, constraints: list[Constraint]) -> bool:
-        for i, a in enumerate(constraints):
-            negated = a.negated()
-            for b in constraints[i + 1:]:
-                if b.relation == negated.relation and b.same_sides(negated):
-                    return True
-        return self._equality_conflict(constraints)
-
-    def _equality_conflict(self, constraints: list[Constraint]) -> bool:
-        parent: dict[SymValue, SymValue] = {}
-
-        def find(x: SymValue) -> SymValue:
-            parent.setdefault(x, x)
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x: SymValue, y: SymValue):
-            parent[find(x)] = find(y)
-
-        for c in constraints:
-            if c.relation == EQ:
-                union(c.lhs, c.rhs)
-            elif c.relation == ZERO:
-                union(c.lhs, Const(0))
-            elif c.relation == NONZERO and isinstance(c.lhs, Const):
-                pass
-        # a class holding two distinct constants is contradictory
-        const_of: dict[SymValue, int] = {}
-        for node in list(parent):
-            if isinstance(node, Const):
-                root = find(node)
-                if root in const_of and const_of[root] != node.value:
-                    return True
-                const_of[root] = node.value
-        def class_const(root: SymValue) -> int | None:
-            if root in const_of:
-                return const_of[root]
-            return root.value if isinstance(root, Const) else None
-
-        for c in constraints:
-            if c.relation == NEQ:
-                left_root, right_root = find(c.lhs), find(c.rhs)
-                if left_root == right_root:
-                    return True
-                left_const = class_const(left_root)
-                if left_const is not None and left_const == class_const(right_root):
-                    return True
-            if c.relation == NONZERO and class_const(find(c.lhs)) == 0:
-                return True
-            if c.relation == ZERO:
-                value = class_const(find(c.lhs))
-                if value is not None and value != 0:
-                    return True
-        return False
-
-    # -- sat side -----------------------------------------------------------
-
-    def _find_witness(self, constraints: list[Constraint], deadline: float) -> bool:
-        variables = sorted(
-            {v for c in constraints for v in sym.free_vars(c.lhs) | sym.free_vars(c.rhs)},
-            key=lambda v: v.name,
-        )
-        rng = random.Random(_WITNESS_SEED)
-        for trial in range(_WITNESS_TRIES):
-            if time.monotonic() > deadline:
-                return False
-            env = self._initial_assignment(variables, rng, trial)
-            for _ in range(4):  # repair passes for equality chains
-                changed = False
-                for c in constraints:
-                    if c.holds(env):
-                        continue
-                    changed |= self._repair(c, env)
-                if not changed:
-                    break
-            if all(c.holds(env) for c in constraints):
-                return True
-        return False
-
-    def _initial_assignment(self, variables, rng, trial) -> dict[Var, int]:
-        env = {}
-        for i, var in enumerate(variables):
-            if trial == 0:
-                value = i + 1  # small, pairwise distinct
-            elif trial == 1:
-                value = 0
-            else:
-                width = 160 if var.is_address else 256
-                value = rng.getrandbits(width)
-            env[var] = value
-        return env
-
-    @staticmethod
-    def _repair(constraint: Constraint, env: dict[Var, int]) -> bool:
-        lhs, rhs = constraint.lhs, constraint.rhs
-        if constraint.relation == EQ:
-            if isinstance(lhs, Var):
-                env[lhs] = sym.evaluate(rhs, env)
-                return True
-            if isinstance(rhs, Var):
-                env[rhs] = sym.evaluate(lhs, env)
-                return True
-        elif constraint.relation == ZERO and isinstance(lhs, Var):
-            env[lhs] = 0
-            return True
-        elif constraint.relation == NONZERO and isinstance(lhs, Var) and env[lhs] == 0:
-            env[lhs] = 1
-            return True
-        elif constraint.relation == NEQ:
-            if isinstance(lhs, Var):
-                env[lhs] = (sym.evaluate(rhs, env) + 1) & sym.MASK256
-                return True
-            if isinstance(rhs, Var):
-                env[rhs] = (sym.evaluate(lhs, env) + 1) & sym.MASK256
-                return True
-        return False
-
-
-_SOLVER = InternalSolver()
-
-
 def solve(cset: ConstraintSet, extra: tuple[Constraint, ...] = (),
           timeout_seconds: float = 10.0) -> str:
     """Satisfiability of the set's hard constraints plus ``extra``."""
-    return _SOLVER.solve(cset.hard() + tuple(extra), timeout_seconds)
+    deadline = time.monotonic() + timeout_seconds
+    simplified = []
+    for constraint in cset.hard() + tuple(extra):
+        if isinstance(constraint.lhs, Const) and isinstance(constraint.rhs, Const):
+            if not _relation_holds(constraint.relation,
+                                   constraint.lhs.value, constraint.rhs.value):
+                return UNSAT
+            continue
+        simplified.append(constraint)
+    if _structurally_unsat(simplified):
+        return UNSAT
+    if not simplified:
+        return SAT
+    if _find_witness(simplified, deadline):
+        return SAT
+    return UNKNOWN
+
+
+# -- unsat side -------------------------------------------------------------
+
+def _structurally_unsat(constraints: list[Constraint]) -> bool:
+    for i, a in enumerate(constraints):
+        negated = a.negated()
+        for b in constraints[i + 1:]:
+            if b.relation == negated.relation and b.same_sides(negated):
+                return True
+    return _equality_conflict(constraints)
+
+
+def _equality_conflict(constraints: list[Constraint]) -> bool:
+    parent: dict[SymValue, SymValue] = {}
+
+    def find(x: SymValue) -> SymValue:
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x: SymValue, y: SymValue):
+        parent[find(x)] = find(y)
+
+    for c in constraints:
+        if c.relation == EQ:
+            union(c.lhs, c.rhs)
+        elif c.relation == ZERO:
+            union(c.lhs, Const(0))
+    # a class holding two distinct constants is contradictory
+    const_of: dict[SymValue, int] = {}
+    for node in list(parent):
+        if isinstance(node, Const):
+            root = find(node)
+            if root in const_of and const_of[root] != node.value:
+                return True
+            const_of[root] = node.value
+
+    def class_const(root: SymValue) -> int | None:
+        if root in const_of:
+            return const_of[root]
+        return root.value if isinstance(root, Const) else None
+
+    for c in constraints:
+        if c.relation == NEQ:
+            left_root, right_root = find(c.lhs), find(c.rhs)
+            if left_root == right_root:
+                return True
+            left_const = class_const(left_root)
+            if left_const is not None and left_const == class_const(right_root):
+                return True
+        if c.relation == NONZERO and class_const(find(c.lhs)) == 0:
+            return True
+        if c.relation == ZERO:
+            value = class_const(find(c.lhs))
+            if value is not None and value != 0:
+                return True
+    return False
+
+
+# -- sat side ---------------------------------------------------------------
+
+def _find_witness(constraints: list[Constraint], deadline: float) -> bool:
+    variables = sorted(
+        {v for c in constraints for v in sym.free_vars(c.lhs) | sym.free_vars(c.rhs)},
+        key=lambda v: v.name,
+    )
+    rng = random.Random(_WITNESS_SEED)
+    for trial in range(_WITNESS_TRIES):
+        if time.monotonic() > deadline:
+            return False
+        env = _initial_assignment(variables, rng, trial)
+        for _ in range(4):  # repair passes for equality chains
+            changed = False
+            for c in constraints:
+                if c.holds(env):
+                    continue
+                changed |= _repair(c, env)
+            if not changed:
+                break
+        if all(c.holds(env) for c in constraints):
+            return True
+    return False
+
+
+def _initial_assignment(variables, rng, trial) -> dict[Var, int]:
+    env = {}
+    for i, var in enumerate(variables):
+        if trial == 0:
+            value = i + 1  # small, pairwise distinct
+        elif trial == 1:
+            value = 0
+        else:
+            width = 160 if var.is_address else 256
+            value = rng.getrandbits(width)
+        env[var] = value
+    return env
+
+
+def _repair(constraint: Constraint, env: dict[Var, int]) -> bool:
+    lhs, rhs = constraint.lhs, constraint.rhs
+    if constraint.relation == EQ:
+        if isinstance(lhs, Var):
+            env[lhs] = sym.evaluate(rhs, env)
+            return True
+        if isinstance(rhs, Var):
+            env[rhs] = sym.evaluate(lhs, env)
+            return True
+    elif constraint.relation == ZERO and isinstance(lhs, Var):
+        env[lhs] = 0
+        return True
+    elif constraint.relation == NONZERO and isinstance(lhs, Var) and env[lhs] == 0:
+        env[lhs] = 1
+        return True
+    elif constraint.relation == NEQ:
+        if isinstance(lhs, Var):
+            env[lhs] = (sym.evaluate(rhs, env) + 1) & sym.MASK256
+            return True
+        if isinstance(rhs, Var):
+            env[rhs] = (sym.evaluate(lhs, env) + 1) & sym.MASK256
+            return True
+    return False

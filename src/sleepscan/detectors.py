@@ -8,10 +8,10 @@ confidence so users can triage them the way a manual audit would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from sleepscan import constraints as con
-from sleepscan.constraints import Constraint, ConstraintPattern
+from sleepscan.constraints import Constraint
 from sleepscan.ingestion import CompilationUnit
 from sleepscan.symexec import END_EMISSION, PathRecord
 
@@ -50,18 +50,13 @@ def _eligible(rec: PathRecord) -> bool:
     return rec.end_kind == END_EMISSION
 
 
-_CALLER_VS_DIRECT_ADDRESS = ConstraintPattern(
-    relation=con.EQ,
-    lhs_pred=con.is_caller,
-    rhs_pred=con.is_storage_direct_address,
-)
-
-
 def detect_privileged_address(rec: PathRecord) -> Finding | None:
-    """Caller compared for equality against a storage-direct address."""
+    """Caller compared for equality against a storage-direct address.
+
+    Either orientation counts, and eq-candidates from disjunctive guards are
+    matched too.
+    """
     if not _eligible(rec):
-        return None
-    if not con.contains(rec.constraints, _CALLER_VS_DIRECT_ADDRESS):
         return None
     witness = tuple(
         repr(c) for c in rec.constraints
@@ -70,6 +65,8 @@ def detect_privileged_address(rec: PathRecord) -> Finding | None:
             or (con.is_caller(c.rhs) and con.is_storage_direct_address(c.lhs))
         )
     )
+    if not witness:
+        return None
     return _finding(PRIVILEGED_ADDRESS, rec, witness)
 
 
@@ -112,12 +109,13 @@ def detect_empty_transfer_event(recs: list[PathRecord]) -> Finding | None:
     """Transfer emitted with no storage write anywhere on the whole function.
 
     An early emit followed by stores is exempt: the exit-time mark covers the
-    code after the emission.
+    code after the emission, and the mark never goes back to False, so a store
+    before the emission sets it too.
     """
     for rec in recs:
         if not _eligible(rec):
             continue
-        if not rec.sstore_mark_at_emission and not rec.sstore_mark_at_exit:
+        if not rec.sstore_mark_at_exit:
             witness = (f"no SSTORE before emission at pc {rec.emission_pc} "
                        f"nor anywhere on the path",)
             return _finding(EMPTY_TRANSFER_EVENT, rec, witness)
@@ -166,15 +164,7 @@ def analyze_contract(unit: CompilationUnit, records: list[PathRecord],
 
     deduped: dict[tuple[str, str], Finding] = {}
     for finding in findings:
-        finding = Finding(
-            defect_type=finding.defect_type,
-            contract=unit.contract_name,
-            function=finding.function,
-            src_span=finding.src_span,
-            witness=finding.witness,
-            path_id=finding.path_id,
-            confidence=finding.confidence,
-        )
+        finding = replace(finding, contract=unit.contract_name)
         key = (finding.defect_type, finding.function)
         previous = deduped.get(key)
         if previous is None or previous.confidence == "low" and finding.confidence == "high":

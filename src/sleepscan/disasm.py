@@ -1,8 +1,7 @@
 """Disassembly, basic-block recovery and dispatcher-entry discovery.
 
 0x5F always decodes as PUSH0: compilers below 0.8.20 never emit it in
-reachable code, so a version branch in the decoder buys nothing. The version
-triple is still accepted for diagnostics.
+reachable code, so the decoder needs no compiler version.
 """
 
 from __future__ import annotations
@@ -11,9 +10,6 @@ from dataclasses import dataclass, field
 
 from sleepscan import _core, opcodes
 from sleepscan.errors import TruncatedPush
-
-Version = tuple[int, int, int]
-
 
 @dataclass(frozen=True)
 class Instruction:
@@ -47,11 +43,6 @@ class BasicBlock:
     instructions: list[Instruction]
     terminator: str  # jump / conditional-jump / stop / return / revert / invalid / selfdestruct / fallthrough
 
-    @property
-    def end_pc(self) -> int:
-        last = self.instructions[-1]
-        return last.pc + last.size
-
 
 _TERMINATOR_KIND = {
     "JUMP": "jump",
@@ -81,7 +72,7 @@ def _decode(code: bytes) -> list[tuple[int, int, bytes]]:
     return raw
 
 
-def disassemble(code: bytes, version: Version = (0, 8, 21)) -> list[Instruction]:
+def disassemble(code: bytes) -> list[Instruction]:
     """Decode metadata-stripped runtime bytecode into instructions."""
     return [
         Instruction(pc, byte, opcodes.mnemonic(byte), imm, idx)

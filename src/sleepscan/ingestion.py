@@ -26,8 +26,6 @@ from sleepscan.errors import (
 
 Version = tuple[int, int, int]
 
-JUMP_INTO = "i"
-JUMP_OUT = "o"
 JUMP_REGULAR = "-"
 
 
@@ -383,6 +381,12 @@ def _json_object(value: object, what: str) -> dict:
     return value
 
 
+def _json_string(value: object, what: str) -> str:
+    if not isinstance(value, str):
+        raise MissingArtifact(f"{what} is not a JSON string")
+    return value
+
+
 def _load_standard_json(path: Path) -> list[CompilationUnit]:
     doc = _json_object(json.loads(path.read_text()), f"{path}: top level")
     contracts = _json_object(doc.get("contracts", {}), f"{path}: contracts")
@@ -393,9 +397,11 @@ def _load_standard_json(path: Path) -> list[CompilationUnit]:
         entry = _json_object(entry, f"{path}: sources entry {file_name}")
         fid = entry.get("id", len(sources))
         if "content" in entry:
-            sources.append((fid, entry["content"]))
+            sources.append((fid, _json_string(entry["content"],
+                                              f"{path}: content of {file_name}")))
         if "ast" in entry:
-            asts[file_name] = ast_from_json(entry["ast"])
+            asts[file_name] = ast_from_json(
+                _json_object(entry["ast"], f"{path}: AST of {file_name}"))
     units = []
     for file_name, per_file in contracts.items():
         per_file = _json_object(per_file, f"{path}: contracts entry {file_name}")
@@ -404,15 +410,21 @@ def _load_standard_json(path: Path) -> list[CompilationUnit]:
             evm = _json_object(contract.get("evm", {}), f"{contract_name}: evm")
             deployed = _json_object(evm.get("deployedBytecode", {}),
                                     f"{contract_name}: deployedBytecode")
-            hex_code = (deployed.get("object") or "").removeprefix("0x")
+            hex_code = _json_string(deployed.get("object") or "",
+                                    f"{contract_name}: deployedBytecode.object"
+                                    ).removeprefix("0x")
             if not hex_code:
                 raise MissingArtifact(f"{contract_name}: no deployed bytecode")
             ast = asts.get(file_name)
             if ast is None:
                 raise MissingArtifact(f"no AST for source file {file_name}")
             bytecode = strip_metadata(bytes.fromhex(hex_code))
-            source_map = decode_source_map(deployed.get("sourceMap", ""))
-            version = resolve_version(contract.get("metadata"), sources)
+            source_map = decode_source_map(_json_string(
+                deployed.get("sourceMap", ""), f"{contract_name}: deployedBytecode.sourceMap"))
+            metadata = contract.get("metadata")
+            if metadata is not None:
+                _json_string(metadata, f"{contract_name}: metadata")
+            version = resolve_version(metadata, sources)
             units.append(_validate(CompilationUnit(
                 contract_name, bytecode, source_map, ast, sources, version)))
     return units

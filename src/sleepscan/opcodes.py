@@ -91,15 +91,7 @@ for _n in range(0, 5):
 
 MNEMONIC_TO_BYTE: dict[str, int] = {name: byte for byte, (name, _, _, _) in TABLE.items()}
 
-TERMINATORS = frozenset(["STOP", "RETURN", "REVERT", "INVALID", "SELFDESTRUCT"])
-
 
 def mnemonic(byte: int) -> str:
     entry = TABLE.get(byte)
     return entry[0] if entry else f"UNKNOWN_0x{byte:02X}"
-
-
-def immediate_len(byte: int) -> int:
-    if 0x60 <= byte <= 0x7F:
-        return byte - 0x5F
-    return 0

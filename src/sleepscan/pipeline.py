@@ -46,7 +46,7 @@ class RunConfig:
 def analyze_unit(unit: CompilationUnit, config: RunConfig) -> dict:
     started = time.monotonic()
     deadline = started + config.timeout_seconds
-    instrs = disassemble(unit.runtime_bytecode, unit.compiler_version)
+    instrs = disassemble(unit.runtime_bytecode)
     cfg = build_cfg(instrs)
     binding = find_owner_return_binding(unit)
     all_functions = function_infos(unit)
@@ -120,28 +120,26 @@ def _record_stats(records) -> dict:
     return stats
 
 
+def _error_report(contract: str, exc: Exception) -> dict:
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "contract": contract,
+        "error": f"{type(exc).__name__}: {exc}",
+        "findings": [],
+        "timed_out": False,
+    }
+
+
 def analyze_path(path: str, config: RunConfig) -> list[dict]:
     """All contract reports for one artifact path; errors become error reports."""
-    reports = []
     try:
         units = load_all(path)
     except (SleepscanError, OSError, ValueError) as exc:
-        return [{
-            "schema_version": SCHEMA_VERSION,
-            "contract": Path(path).stem,
-            "error": f"{type(exc).__name__}: {exc}",
-            "findings": [],
-            "timed_out": False,
-        }]
+        return [_error_report(Path(path).stem, exc)]
+    reports = []
     for unit in units:
         try:
             reports.append(analyze_unit(unit, config))
         except (SleepscanError, OSError, ValueError) as exc:
-            reports.append({
-                "schema_version": SCHEMA_VERSION,
-                "contract": unit.contract_name,
-                "error": f"{type(exc).__name__}: {exc}",
-                "findings": [],
-                "timed_out": False,
-            })
+            reports.append(_error_report(unit.contract_name, exc))
     return reports

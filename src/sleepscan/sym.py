@@ -82,13 +82,6 @@ class Op:
 
 SymValue = Const | Var | Op
 
-ZERO = Const(0)
-ONE = Const(1)
-
-
-def is_const(value: SymValue) -> bool:
-    return isinstance(value, Const)
-
 
 def const_value(value: SymValue) -> int | None:
     return value.value if isinstance(value, Const) else None

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from sleepscan import constraints as con
 from sleepscan import opcodes, sym
-from sleepscan.astview import FunctionInfo, ReturnBinding
+from sleepscan.astview import FunctionInfo
 from sleepscan.constraints import Constraint, ConstraintSet
 from sleepscan.disasm import Cfg, Instruction, find_function_entry
 from sleepscan.errors import EntryNotFound
@@ -48,19 +48,11 @@ class ExplorationBudget:
 
 
 @dataclass(frozen=True)
-class EventEmission:
-    topic0: SymValue
-    topics: tuple[SymValue, ...]
-    data: tuple[SymValue, SymValue]  # (offset, size) memory slice descriptor
-    at_pc: int
-
-
-@dataclass(frozen=True)
 class _EmissionSnapshot:
-    emission: EventEmission
+    pc: int
+    from_topic: SymValue  # the event's indexed ``from``
     constraints: ConstraintSet
     owner_trace: tuple[SymValue, ...]
-    sstore_mark: bool
     tainted: bool
     src: Span | None
 
@@ -102,9 +94,6 @@ class PathRecord:
     constraints: ConstraintSet
     owner_trace: tuple[SymValue, ...]
     from_param: SymValue | None
-    to_param: SymValue | None
-    token_param: SymValue | None
-    sstore_mark_at_emission: bool
     sstore_mark_at_exit: bool
     tainted: bool
     path_id: int
@@ -139,10 +128,6 @@ class _SlotInfo:
     type_string: str
 
     @property
-    def is_mapping(self) -> bool:
-        return self.type_string.strip().startswith("mapping")
-
-    @property
     def is_address(self) -> bool:
         return self.type_string.strip() in ("address", "address payable")
 
@@ -173,7 +158,7 @@ def storage_layout(unit: CompilationUnit) -> dict[int, _SlotInfo]:
 
 class Engine:
     def __init__(self, unit: CompilationUnit, cfg: Cfg, fn: FunctionInfo,
-                 binding: ReturnBinding | None, budget: ExplorationBudget):
+                 binding: tuple[Span, ...], budget: ExplorationBudget):
         self.unit = unit
         self.cfg = cfg
         self.fn = fn
@@ -278,8 +263,7 @@ class Engine:
         state.sstore_mark = True
 
     def on_log(self, state: MachineState, instr: Instruction, topic_count: int) -> None:
-        offset = state.stack.pop()
-        size = state.stack.pop()
+        del state.stack[-2:]  # memory offset and size: event data is not modeled
         topics = tuple(state.stack.pop() for _ in range(topic_count))
         if topic_count != 4:
             return
@@ -289,24 +273,23 @@ class Engine:
         self._commit_pending_owner(state)
         entry = self._src_entry(instr)
         src = (entry.start, entry.length, entry.file) if entry else None
-        emission = EventEmission(topic0, topics[1:], (offset, size), instr.pc)
         state.snapshots.append(_EmissionSnapshot(
-            emission=emission,
+            pc=instr.pc,
+            from_topic=topics[1],
             constraints=state.constraints,
             owner_trace=state.owner_trace,
-            sstore_mark=state.sstore_mark,
             tainted=state.tainted,
             src=src,
         ))
 
     def _in_owner_return_span(self, instr: Instruction) -> bool:
-        if self.binding is None:
+        if not self.binding:
             return False
         entry = self._src_entry(instr)
         if entry is None or entry.file < 0:
             return False
         span = (entry.start, entry.length, entry.file)
-        for ret_span in self.binding.all_spans:
+        for ret_span in self.binding:
             if _span_contains(ret_span, span):
                 return True
         return False
@@ -485,9 +468,6 @@ class Engine:
             constraints=state.constraints,
             owner_trace=state.owner_trace,
             from_param=self.param_vars.get(0),
-            to_param=self.param_vars.get(1),
-            token_param=self.param_vars.get(2),
-            sstore_mark_at_emission=state.sstore_mark,
             sstore_mark_at_exit=state.sstore_mark,
             tainted=state.tainted,
             path_id=path_id,
@@ -496,20 +476,16 @@ class Engine:
 
     def _emission_record(self, snapshot: _EmissionSnapshot, state: MachineState,
                          path_id: int, end_kind: str) -> PathRecord:
-        topics = snapshot.emission.topics
         return PathRecord(
             function=self.fn,
             end_kind=end_kind,
             constraints=snapshot.constraints,
             owner_trace=snapshot.owner_trace,
-            from_param=self.param_vars.get(0) or (topics[0] if topics else None),
-            to_param=self.param_vars.get(1) or (topics[1] if len(topics) > 1 else None),
-            token_param=self.param_vars.get(2) or (topics[2] if len(topics) > 2 else None),
-            sstore_mark_at_emission=snapshot.sstore_mark,
+            from_param=self.param_vars.get(0) or snapshot.from_topic,
             sstore_mark_at_exit=state.sstore_mark,
             tainted=snapshot.tainted,
             path_id=path_id,
-            emission_pc=snapshot.emission.at_pc,
+            emission_pc=snapshot.pc,
             emission_src=snapshot.src,
         )
 
@@ -619,7 +595,7 @@ def _span_contains(outer: Span, inner: Span) -> bool:
 
 
 def explore_function(unit: CompilationUnit, cfg: Cfg, fn: FunctionInfo,
-                     binding: ReturnBinding | None,
+                     binding: tuple[Span, ...],
                      budget: ExplorationBudget | None = None) -> ExplorationResult:
     """Explore ``fn`` from its dispatcher entry; returns all path records."""
     if budget is None:

@@ -161,13 +161,11 @@ def test_compiler_era_coverage(corpus_dir, corpus_reports):
     shanghai = corpus_reports["FreeMintableShanghai"]
     assert _types(shanghai) == [UNRESTRICTED_FROM]
     unit = load_compilation(corpus_dir / "FreeMintableShanghai")
-    names = {i.name for i in disassemble(unit.runtime_bytecode,
-                                         unit.compiler_version)}
+    names = {i.name for i in disassemble(unit.runtime_bytecode)}
     assert "PUSH0" in names  # genuinely Shanghai-era bytecode
 
     old_unit = load_compilation(corpus_dir / "FreeMintable04")
-    old_names = {i.name for i in disassemble(old_unit.runtime_bytecode,
-                                             old_unit.compiler_version)}
+    old_names = {i.name for i in disassemble(old_unit.runtime_bytecode)}
     assert "PUSH0" not in old_names and "SHR" not in old_names
 
 
@@ -235,7 +233,7 @@ def test_owner_detectors_are_mutually_exclusive(corpus_dir):
     examined = 0
     for name in corpus.build_corpus():
         unit = load_compilation(corpus_dir / name.name)
-        cfg = build_cfg(disassemble(unit.runtime_bytecode, unit.compiler_version))
+        cfg = build_cfg(disassemble(unit.runtime_bytecode))
         binding = find_owner_return_binding(unit)
         for fn in select_target_functions(function_infos(unit)):
             result = explore_function(unit, cfg, fn, binding)

@@ -127,20 +127,16 @@ def test_no_ast_raises():
 
 def test_owner_binding_collects_every_override(corpus_dir):
     unit = load_compilation(corpus_dir / "ChubbyBunny")
-    binding = find_owner_return_binding(unit)
-    assert binding is not None
-    assert binding.function_name == "ownerOf"
-    assert len(binding.all_spans) == 2
-    assert binding.return_src_span == binding.all_spans[0]
+    spans = find_owner_return_binding(unit)
+    assert len(spans) == 2
     # spans are sorted by position; both land on a return statement
-    snippets = [unit.snippet(span) for span in binding.all_spans]
+    snippets = [unit.snippet(span) for span in spans]
     assert snippets == ["return owner;", "return punkHolder;"]
-    assert binding.returned_identifier == "owner"
 
 
 def test_owner_binding_absent_without_owner_of(corpus_dir):
     unit = load_compilation(corpus_dir / "BatchAirdrop")
-    assert find_owner_return_binding(unit) is None
+    assert find_owner_return_binding(unit) == ()
 
 
 def test_pruning_on_market_hub(corpus_dir):

@@ -38,17 +38,13 @@ OWNER_B = Var("punks[...]", sym.StorageMapping(Op("sha3", (FROM, Const(2))),
 
 
 def record(*, end_kind=END_EMISSION, constraints=(), owner_trace=(),
-           from_param=FROM, mark_at_emission=True, mark_at_exit=True,
-           tainted=False, path_id=0) -> PathRecord:
+           from_param=FROM, mark_at_exit=True, tainted=False, path_id=0) -> PathRecord:
     return PathRecord(
         function=FN,
         end_kind=end_kind,
         constraints=ConstraintSet(tuple(constraints)),
         owner_trace=owner_trace,
         from_param=from_param,
-        to_param=Var("to", sym.Parameter(1), True),
-        token_param=Var("tokenId", sym.Parameter(2)),
-        sstore_mark_at_emission=mark_at_emission,
         sstore_mark_at_exit=mark_at_exit,
         tainted=tainted,
         path_id=path_id,
@@ -73,6 +69,13 @@ def test_privileged_address_fires_in_both_orientations():
 def test_privileged_address_sees_candidate_disjuncts():
     candidate = Constraint(cs.EQ, CALLER, SECRET, candidate=True)
     assert detect_privileged_address(record(constraints=[candidate])) is not None
+
+
+def test_privileged_address_matches_a_candidate_with_the_caller_on_the_right():
+    candidate = Constraint(cs.EQ, SECRET, CALLER, candidate=True)
+    assert detect_privileged_address(record(constraints=[candidate])) is not None
+    inequality = Constraint(cs.NEQ, SECRET, CALLER, candidate=True)
+    assert detect_privileged_address(record(constraints=[inequality])) is None
 
 
 def test_privileged_address_ignores_mapping_loads():
@@ -147,20 +150,18 @@ def test_owner_inconsistency_silent_when_latest_owner_guarded():
 # EmptyTransferEvent
 
 def test_empty_transfer_event_fires_without_any_store():
-    found = detect_empty_transfer_event(
-        [record(mark_at_emission=False, mark_at_exit=False)])
+    found = detect_empty_transfer_event([record(mark_at_exit=False)])
     assert found is not None and found.defect_type == EMPTY_TRANSFER_EVENT
 
 
 def test_early_emit_then_store_is_exempt():
-    assert detect_empty_transfer_event(
-        [record(mark_at_emission=False, mark_at_exit=True)]) is None
-    assert detect_empty_transfer_event([record(mark_at_emission=True)]) is None
+    # the exit-time mark covers stores on either side of the emission
+    assert detect_empty_transfer_event([record(mark_at_exit=True)]) is None
 
 
 def test_non_emission_records_never_yield_findings():
     for end_kind in (END_EXIT, END_REVERT, END_BUDGET):
-        rec = record(end_kind=end_kind, mark_at_emission=False, mark_at_exit=False,
+        rec = record(end_kind=end_kind, mark_at_exit=False,
                      owner_trace=(OWNER_B, OWNER_A),
                      constraints=[Constraint(cs.EQ, CALLER, SECRET)])
         assert detect_privileged_address(rec) is None

@@ -27,10 +27,10 @@ def test_decode_simple_add_program():
 
 
 def test_push0_decodes_regardless_of_version():
-    for version in ((0, 4, 24), (0, 8, 21)):
-        instrs = disassemble(bytes.fromhex("5f5f01"), version)
-        assert [i.name for i in instrs] == ["PUSH0", "PUSH0", "ADD"]
-        assert instrs[0].push_value == 0
+    # the decoder takes no compiler version: 0x5F is PUSH0 for every era
+    instrs = disassemble(bytes.fromhex("5f5f01"))
+    assert [i.name for i in instrs] == ["PUSH0", "PUSH0", "ADD"]
+    assert instrs[0].push_value == 0
 
 
 def test_unknown_bytes_decode_as_single_opcodes():

@@ -71,23 +71,44 @@ def test_analyze_path_isolates_broken_artifacts(tmp_path):
     assert bad_reports[0]["findings"] == []
 
 
-@pytest.mark.parametrize("doc", [
-    [],
-    {"contracts": []},
-    {"contracts": {}, "sources": [1]},
-    {"contracts": {}, "sources": {"A.sol": "x"}},
-    {"contracts": {"A.sol": "x"}},
-    {"contracts": {"A.sol": {"A": []}}},
-    {"contracts": {"A.sol": {"A": {"evm": "x"}}}},
-    {"contracts": {"A.sol": {"A": {"evm": {"deployedBytecode": 5}}}}},
+_SOURCE = {"id": 0, "content": "pragma solidity ^0.8.0;",
+           "ast": {"nodeType": "SourceUnit", "src": "0:0:0"}}
+
+
+def _one_contract(deployed=None, source=None, **contract):
+    """A standard-JSON document holding one contract, with overrides."""
+    deployed = {"object": "00", "sourceMap": "0:0:-1", **(deployed or {})}
+    return {"sources": {"A.sol": {**_SOURCE, **(source or {})}},
+            "contracts": {"A.sol": {"A": {"evm": {"deployedBytecode": deployed},
+                                          **contract}}}}
+
+
+@pytest.mark.parametrize("doc,message", [
+    ([], "is not a JSON object"),
+    ({"contracts": []}, "is not a JSON object"),
+    ({"contracts": {}, "sources": [1]}, "is not a JSON object"),
+    ({"contracts": {}, "sources": {"A.sol": "x"}}, "is not a JSON object"),
+    ({"contracts": {"A.sol": "x"}}, "is not a JSON object"),
+    ({"contracts": {"A.sol": {"A": []}}}, "is not a JSON object"),
+    ({"contracts": {"A.sol": {"A": {"evm": "x"}}}}, "is not a JSON object"),
+    ({"contracts": {"A.sol": {"A": {"evm": {"deployedBytecode": 5}}}}},
+     "is not a JSON object"),
+    (_one_contract(deployed={"object": 5}),
+     "A: deployedBytecode.object is not a JSON string"),
+    (_one_contract(deployed={"sourceMap": 5}),
+     "A: deployedBytecode.sourceMap is not a JSON string"),
+    (_one_contract(source={"ast": 5}), "AST of A.sol is not a JSON object"),
+    (_one_contract(source={"content": 5}), "content of A.sol is not a JSON string"),
+    (_one_contract(metadata=5), "A: metadata is not a JSON string"),
 ], ids=["top-level", "contracts", "sources", "source-entry", "per-file",
-        "contract", "evm", "deployed-bytecode"])
-def test_malformed_standard_json_is_one_error_report(tmp_path, doc):
+        "contract", "evm", "deployed-bytecode", "bytecode-object", "source-map",
+        "ast", "content", "metadata"])
+def test_malformed_standard_json_is_one_error_report(tmp_path, doc, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     (report,) = analyze_path(str(path), RunConfig())
     assert report["error"].startswith("MissingArtifact: ")
-    assert "is not a JSON object" in report["error"]
+    assert message in report["error"]
     assert report["findings"] == []
 
 

@@ -13,9 +13,7 @@ from sleepscan import constraints as cs
 from sleepscan import sym
 from sleepscan.constraints import (
     Constraint,
-    ConstraintPattern,
     ConstraintSet,
-    contains,
     is_caller,
     is_storage_direct_address,
     solve,
@@ -127,20 +125,6 @@ def test_hard_filters_candidates():
     cset = ConstraintSet().push(candidate).push(real)
     assert cset.hard() == (real,)
     assert len(cset) == 2
-
-
-def test_contains_matches_either_orientation():
-    cset = ConstraintSet().push(Constraint(cs.EQ, OWNER_SLOT, CALLER, candidate=True))
-    pattern = ConstraintPattern(cs.EQ, is_caller, is_storage_direct_address)
-    assert contains(cset, pattern)
-    assert not contains(cset, ConstraintPattern(cs.NEQ, is_caller,
-                                                is_storage_direct_address))
-
-
-def test_ordered_pattern_does_not_flip():
-    cset = ConstraintSet().push(Constraint(cs.ULT, P0, P1))
-    flipped = ConstraintPattern(cs.ULT, lambda v: v is P1, lambda v: v is P0)
-    assert not contains(cset, flipped)
 
 
 def test_is_storage_direct_address_heuristics():

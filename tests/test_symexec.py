@@ -10,7 +10,7 @@ import progs
 from sleepscan import constraints as cs
 from sleepscan import sym
 from sleepscan import symexec as sx
-from sleepscan.astview import FunctionInfo, ReturnBinding
+from sleepscan.astview import FunctionInfo
 from sleepscan.disasm import build_cfg, disassemble
 from sleepscan.errors import EntryNotFound
 from sleepscan.ingestion import CompilationUnit, SourceMapEntry
@@ -39,7 +39,7 @@ FN = FunctionInfo(
 GENERATED = SourceMapEntry(-1, 0, -1, "-")
 
 
-def _engine(code: bytes, binding=None, srcmap=None, ast=None,
+def _engine(code: bytes, binding=(), srcmap=None, ast=None,
             budget: ExplorationBudget | None = None) -> Engine:
     instrs = disassemble(code)
     entries = srcmap if srcmap is not None else [GENERATED] * len(instrs)
@@ -167,13 +167,10 @@ def test_emission_snapshot_and_late_store():
     kinds = [r.end_kind for r in result.records]
     assert kinds == [END_EMISSION, END_EXIT]
     emission = result.records[0]
-    assert emission.sstore_mark_at_emission is False
     assert emission.sstore_mark_at_exit is True
     assert emission.emission_pc >= 0
-    # topics fill the role of missing calldata params
+    # the event's `from` topic fills the role of a missing calldata param
     assert emission.from_param == Const(3)
-    assert emission.to_param == Const(2)
-    assert emission.token_param == Const(1)
 
 
 def test_execution_continues_past_emission():
@@ -210,8 +207,7 @@ def test_owner_trace_commits_on_span_exit_and_collapses_duplicates():
     code = bytes.fromhex("6005" "5b" "80" "5b" "6006" "5b" "00")
     inside = SourceMapEntry(110, 5, 0, "-")
     srcmap = [inside, GENERATED, inside, GENERATED, inside, GENERATED, GENERATED]
-    binding = ReturnBinding("ownerOf", span, "owner", (span,))
-    engine = _engine(code, binding=binding, srcmap=srcmap)
+    engine = _engine(code, binding=(span,), srcmap=srcmap)
     result = engine.explore(0)
     exit_record = [r for r in result.records if r.end_kind == END_EXIT][0]
     # PUSH 5 (in span) commits once; DUP1 re-captures the same value and is
