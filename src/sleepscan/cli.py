@@ -40,16 +40,14 @@ _POSITIVE = click.IntRange(min=1)
 
 @main.command()
 @click.argument("paths", nargs=-1, type=click.Path(exists=True))
-@click.option("--timeout", default=600, show_default=True, type=_POSITIVE,
-              help="Wall-clock seconds per contract.")
-@click.option("--loop-bound", default=3, show_default=True, type=_POSITIVE,
-              help="Max visits per JUMPDEST on one path.")
-@click.option("--max-steps", default=100_000, show_default=True, type=_POSITIVE,
-              help="Symbolic step budget per function.")
-@click.option("--max-paths", default=512, show_default=True, type=_POSITIVE,
-              help="Path budget per function.")
-@click.option("--solver-seconds", default=10, show_default=True, type=_POSITIVE,
-              help="Per-query solver time limit.")
+@click.option("--timeout", default=pipeline.RunConfig.timeout_seconds, type=_POSITIVE,
+              show_default=True, help="Wall-clock seconds per contract, detection included.")
+@click.option("--loop-bound", default=pipeline.RunConfig.loop_bound, type=_POSITIVE,
+              show_default=True, help="Max visits per JUMPDEST on one path.")
+@click.option("--max-steps", default=pipeline.RunConfig.max_steps, type=_POSITIVE,
+              show_default=True, help="Symbolic step budget per function.")
+@click.option("--max-paths", default=pipeline.RunConfig.max_paths, type=_POSITIVE,
+              show_default=True, help="Path budget per function.")
 @click.option("--format", "output_format", type=click.Choice(["text", "json"]),
               default="text", show_default=True)
 @click.option("--only", default=None,
@@ -61,8 +59,8 @@ _POSITIVE = click.IntRange(min=1)
                    "Transfer-emitting ones.")
 @click.option("--jobs", default=1, show_default=True, type=_POSITIVE,
               help="Parallel worker processes for batch runs.")
-def analyze(paths, timeout, loop_bound, max_steps, max_paths, solver_seconds,
-            output_format, only, out, no_prune, jobs):
+def analyze(paths, timeout, loop_bound, max_steps, max_paths, output_format,
+            only, out, no_prune, jobs):
     """Analyze contract artifacts (standard-JSON files or artifact dirs)."""
     if not paths:
         raise click.UsageError("no input paths given")
@@ -71,7 +69,6 @@ def analyze(paths, timeout, loop_bound, max_steps, max_paths, solver_seconds,
         loop_bound=loop_bound,
         max_steps=max_steps,
         max_paths=max_paths,
-        solver_query_seconds=solver_seconds,
         enabled_detectors=_parse_only(only),
         prune=not no_prune,
     )

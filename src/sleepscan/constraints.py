@@ -25,14 +25,19 @@ ULT, UGT, ULE, UGE = "ult", "ugt", "ule", "uge"
 SLT, SGT, SLE, SGE = "slt", "sgt", "sle", "sge"
 NONZERO, ZERO = "nonzero", "zero"
 
-_NEGATION = {
-    EQ: NEQ, NEQ: EQ,
-    ULT: UGE, UGE: ULT,
-    UGT: ULE, ULE: UGT,
-    SLT: SGE, SGE: SLT,
-    SGT: SLE, SLE: SGT,
-    NONZERO: ZERO, ZERO: NONZERO,
+# relation -> the sym.eval_op comparison and the result it gives when the
+# relation holds; the interpreter's and the solver's semantics are one
+_RELATIONS = {
+    EQ: ("eq", 1), NEQ: ("eq", 0),
+    ULT: ("lt", 1), UGE: ("lt", 0),
+    UGT: ("gt", 1), ULE: ("gt", 0),
+    SLT: ("slt", 1), SGE: ("slt", 0),
+    SGT: ("sgt", 1), SLE: ("sgt", 0),
+    ZERO: ("iszero", 1), NONZERO: ("iszero", 0),
 }
+RELATION_OF = {test: relation for relation, test in _RELATIONS.items()}
+_NEGATION = {relation: RELATION_OF[op, 1 - truth]
+             for relation, (op, truth) in _RELATIONS.items()}
 
 _SYMMETRIC = frozenset([EQ, NEQ])
 
@@ -75,33 +80,8 @@ class Constraint:
 
 
 def _relation_holds(relation: str, a: int, b: int) -> bool:
-    if relation == EQ:
-        return a == b
-    if relation == NEQ:
-        return a != b
-    if relation == ULT:
-        return a < b
-    if relation == UGT:
-        return a > b
-    if relation == ULE:
-        return a <= b
-    if relation == UGE:
-        return a >= b
-    if relation == NONZERO:
-        return a != 0
-    if relation == ZERO:
-        return a == 0
-    sa = a - (1 << 256) if a >> 255 else a
-    sb = b - (1 << 256) if b >> 255 else b
-    if relation == SLT:
-        return sa < sb
-    if relation == SGT:
-        return sa > sb
-    if relation == SLE:
-        return sa <= sb
-    if relation == SGE:
-        return sa >= sb
-    raise KeyError(relation)
+    op, truth = _RELATIONS[relation]
+    return sym.eval_op(op, (a, b)) == truth
 
 
 @dataclass(frozen=True)
@@ -151,9 +131,9 @@ _WITNESS_SEED = 0x5EED
 
 
 def solve(cset: ConstraintSet, extra: tuple[Constraint, ...] = (),
-          timeout_seconds: float = 10.0) -> str:
-    """Satisfiability of the set's hard constraints plus ``extra``."""
-    deadline = time.monotonic() + timeout_seconds
+          deadline: float | None = None) -> str:
+    """Satisfiability of the set's hard constraints plus ``extra``; the witness
+    search gives up with ``unknown`` at ``deadline`` (``time.monotonic()``)."""
     simplified = []
     for constraint in cset.hard() + tuple(extra):
         if isinstance(constraint.lhs, Const) and isinstance(constraint.rhs, Const):
@@ -233,14 +213,14 @@ def _equality_conflict(constraints: list[Constraint]) -> bool:
 
 # -- sat side ---------------------------------------------------------------
 
-def _find_witness(constraints: list[Constraint], deadline: float) -> bool:
+def _find_witness(constraints: list[Constraint], deadline: float | None) -> bool:
     variables = sorted(
         {v for c in constraints for v in sym.free_vars(c.lhs) | sym.free_vars(c.rhs)},
         key=lambda v: v.name,
     )
     rng = random.Random(_WITNESS_SEED)
     for trial in range(_WITNESS_TRIES):
-        if time.monotonic() > deadline:
+        if deadline is not None and time.monotonic() > deadline:
             return False
         env = _initial_assignment(variables, rng, trial)
         for _ in range(4):  # repair passes for equality chains

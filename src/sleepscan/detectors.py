@@ -74,7 +74,7 @@ def _owner_entries_all_equal(trace: tuple) -> bool:
     return all(entry == trace[0] for entry in trace[1:])
 
 
-def detect_unrestricted_from(rec: PathRecord, solver_seconds: float = 10.0) -> Finding | None:
+def detect_unrestricted_from(rec: PathRecord, deadline: float | None = None) -> Finding | None:
     """No ``owner == from`` guard on the path: pushing the negation stays sat."""
     if not _eligible(rec):
         return None
@@ -84,12 +84,12 @@ def detect_unrestricted_from(rec: PathRecord, solver_seconds: float = 10.0) -> F
         return None
     owner_latest = rec.owner_trace[-1]
     probe = Constraint(con.NEQ, owner_latest, rec.from_param)
-    if con.solve(rec.constraints, (probe,), solver_seconds) != con.SAT:
+    if con.solve(rec.constraints, (probe,), deadline) != con.SAT:
         return None  # unsat: properly guarded; unknown: stay quiet
     return _finding(UNRESTRICTED_FROM, rec, (repr(probe),))
 
 
-def detect_owner_inconsistency(rec: PathRecord, solver_seconds: float = 10.0) -> Finding | None:
+def detect_owner_inconsistency(rec: PathRecord, deadline: float | None = None) -> Finding | None:
     """Owner value changed mid-path, so the guard cannot cancel the negation."""
     if not _eligible(rec):
         return None
@@ -99,7 +99,7 @@ def detect_owner_inconsistency(rec: PathRecord, solver_seconds: float = 10.0) ->
         return None
     owner_latest = rec.owner_trace[-1]
     probe = Constraint(con.NEQ, owner_latest, rec.from_param)
-    if con.solve(rec.constraints, (probe,), solver_seconds) != con.SAT:
+    if con.solve(rec.constraints, (probe,), deadline) != con.SAT:
         return None
     witness = tuple(repr(entry) for entry in rec.owner_trace) + (repr(probe),)
     return _finding(OWNER_INCONSISTENCY, rec, witness)
@@ -136,8 +136,9 @@ def _finding(defect_type: str, rec: PathRecord, witness: tuple[str, ...]) -> Fin
 
 def analyze_contract(unit: CompilationUnit, records: list[PathRecord],
                      enabled: tuple[str, ...] = ALL_DEFECT_TYPES,
-                     solver_seconds: float = 10.0) -> list[Finding]:
-    """Run every enabled detector over all records, dedupe per (type, function)."""
+                     deadline: float | None = None) -> list[Finding]:
+    """Run every enabled detector over all records, dedupe per (type, function);
+    solver probes still running at ``deadline`` answer ``unknown``."""
     by_function: dict[str, list[PathRecord]] = {}
     for rec in records:
         by_function.setdefault(rec.function.name, []).append(rec)
@@ -154,11 +155,11 @@ def analyze_contract(unit: CompilationUnit, records: list[PathRecord],
                 if found:
                     findings.append(found)
             if UNRESTRICTED_FROM in enabled:
-                found = detect_unrestricted_from(rec, solver_seconds)
+                found = detect_unrestricted_from(rec, deadline)
                 if found:
                     findings.append(found)
             if OWNER_INCONSISTENCY in enabled:
-                found = detect_owner_inconsistency(rec, solver_seconds)
+                found = detect_owner_inconsistency(rec, deadline)
                 if found:
                     findings.append(found)
 

@@ -58,11 +58,12 @@ _TERMINATOR_KIND = {
 @dataclass
 class Cfg:
     blocks: list[BasicBlock]
-    block_by_pc: dict[int, BasicBlock] = field(default_factory=dict)
     instruction_by_pc: dict[int, Instruction] = field(default_factory=dict)
 
-    def block_at(self, pc: int) -> BasicBlock | None:
-        return self.block_by_pc.get(pc)
+    def is_jumpdest(self, pc: int) -> bool:
+        """Whether ``pc`` is a valid jump target."""
+        instr = self.instruction_by_pc.get(pc)
+        return instr is not None and instr.name == "JUMPDEST"
 
 
 def _decode(code: bytes) -> list[tuple[int, int, bytes]]:
@@ -108,7 +109,7 @@ def build_cfg(instrs: list[Instruction]) -> Cfg:
     if current:
         blocks.append(_finish_block(current))
 
-    return Cfg(blocks, {b.start_pc: b for b in blocks}, by_pc)
+    return Cfg(blocks, by_pc)
 
 
 def _finish_block(instrs: list[Instruction]) -> BasicBlock:
@@ -135,14 +136,9 @@ def find_function_entry(cfg: Cfg, selector: int) -> int | None:
                 nxt = instrs[j]
                 if nxt.name == "JUMPI" and j > i + 1:
                     dest = instrs[j - 1].push_value
-                    if dest is not None and _starts_with_jumpdest(cfg, dest):
+                    if dest is not None and cfg.is_jumpdest(dest):
                         return dest
     return None
-
-
-def _starts_with_jumpdest(cfg: Cfg, pc: int) -> bool:
-    block = cfg.block_at(pc)
-    return block is not None and block.instructions[0].name == "JUMPDEST"
 
 
 def dump_listing(instrs: list[Instruction], source_map=None, sources=None) -> str:

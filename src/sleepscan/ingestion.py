@@ -246,10 +246,16 @@ def _modern_node(doc: dict) -> AstNode:
 
 
 def _legacy_node(doc: dict) -> AstNode:
-    attributes = {k: v for k, v in (doc.get("attributes") or {}).items()
-                  if isinstance(v, _SCALARS)}
-    children = [_legacy_node(c) for c in doc.get("children") or []]
-    return AstNode(doc["name"], _parse_src(doc.get("src")), children, attributes)
+    name = _json_string(doc.get("name"), "legacy AST node name")
+    raw_attributes = _json_object(doc.get("attributes") or {},
+                                  f"attributes of AST node {name}")
+    attributes = {k: v for k, v in raw_attributes.items() if isinstance(v, _SCALARS)}
+    children = doc.get("children") or []
+    if not isinstance(children, list):
+        raise MissingArtifact(f"children of AST node {name} is not a JSON list")
+    children = [_legacy_node(_json_object(child, f"child of AST node {name}"))
+                for child in children]
+    return AstNode(name, _parse_src(doc.get("src")), children, attributes)
 
 
 # --------------------------------------------------------------------------
@@ -292,8 +298,10 @@ def resolve_version(metadata_text: str | None, sources: list[tuple[int, str]]) -
     if metadata_text:
         try:
             meta = json.loads(metadata_text)
-            raw = meta.get("compiler", {}).get("version", "")
-            if raw:
+            # metadata not shaped {"compiler": {"version": str}} falls back to the pragma
+            compiler = meta.get("compiler") if isinstance(meta, dict) else None
+            raw = compiler.get("version") if isinstance(compiler, dict) else None
+            if isinstance(raw, str):
                 return parse_version(raw)
         except (json.JSONDecodeError, VersionUnparseable):
             pass
@@ -311,8 +319,6 @@ def resolve_version(metadata_text: str | None, sources: list[tuple[int, str]]) -
 def load_compilation(artifact_path) -> CompilationUnit:
     """Load one contract's artifacts; raises when the path holds none or many."""
     units = load_all(artifact_path)
-    if not units:
-        raise MissingArtifact(f"no contract artifacts under {artifact_path}")
     if len(units) > 1:
         names = ", ".join(u.contract_name for u in units)
         raise MissingArtifact(f"multiple contracts ({names}); use load_all")
@@ -320,12 +326,17 @@ def load_compilation(artifact_path) -> CompilationUnit:
 
 
 def load_all(artifact_path) -> list[CompilationUnit]:
+    """Every contract under the path; raises when it holds none."""
     path = Path(artifact_path)
     if path.is_dir():
-        return _load_directory(path)
-    if path.is_file():
-        return _load_standard_json(path)
-    raise MissingArtifact(f"{path} does not exist")
+        units = _load_directory(path)
+    elif path.is_file():
+        units = _load_standard_json(path)
+    else:
+        raise MissingArtifact(f"{path} does not exist")
+    if not units:
+        raise MissingArtifact(f"no contract artifacts under {path}")
+    return units
 
 
 def _validate(unit: CompilationUnit) -> CompilationUnit:
@@ -387,6 +398,12 @@ def _json_string(value: object, what: str) -> str:
     return value
 
 
+def _json_int(value: object, what: str) -> int:
+    if type(value) is not int:  # bool is an int subclass, and not a JSON integer
+        raise MissingArtifact(f"{what} is not a JSON integer")
+    return value
+
+
 def _load_standard_json(path: Path) -> list[CompilationUnit]:
     doc = _json_object(json.loads(path.read_text()), f"{path}: top level")
     contracts = _json_object(doc.get("contracts", {}), f"{path}: contracts")
@@ -395,7 +412,7 @@ def _load_standard_json(path: Path) -> list[CompilationUnit]:
     asts: dict[str, AstNode] = {}
     for file_name, entry in source_docs.items():
         entry = _json_object(entry, f"{path}: sources entry {file_name}")
-        fid = entry.get("id", len(sources))
+        fid = _json_int(entry.get("id", len(sources)), f"{path}: id of {file_name}")
         if "content" in entry:
             sources.append((fid, _json_string(entry["content"],
                                               f"{path}: content of {file_name}")))

@@ -1,8 +1,9 @@
 """End-to-end analysis of one artifact: load, prune, explore, detect, report.
 
-The wall-clock timeout is enforced per contract (functions within a contract
-share the deadline), and a failing artifact never aborts a batch: errors are
-captured in the report.
+The wall-clock timeout is enforced per contract: exploration of its functions
+and the detectors' solver probes share one deadline. A failing artifact never
+aborts a batch: errors, unexpected ones as ``internal-error``, are captured in
+the report.
 """
 
 from __future__ import annotations
@@ -29,16 +30,14 @@ SCHEMA_VERSION = 1
 @dataclass
 class RunConfig:
     timeout_seconds: int = 600
-    loop_bound: int = 3
-    max_steps: int = 100_000
-    max_paths: int = 512
-    solver_query_seconds: int = 10
+    loop_bound: int = ExplorationBudget.loop_bound
+    max_steps: int = ExplorationBudget.max_steps
+    max_paths: int = ExplorationBudget.max_paths
     enabled_detectors: tuple[str, ...] = detectors.ALL_DEFECT_TYPES
     prune: bool = True
 
     def __post_init__(self):
-        for name in ("timeout_seconds", "loop_bound", "max_steps",
-                     "max_paths", "solver_query_seconds"):
+        for name in ("timeout_seconds", "loop_bound", "max_steps", "max_paths"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -57,18 +56,14 @@ def analyze_unit(unit: CompilationUnit, config: RunConfig) -> dict:
     else:
         targets = externally_callable
 
+    budget = ExplorationBudget(max_steps=config.max_steps, max_paths=config.max_paths,
+                               loop_bound=config.loop_bound, deadline=deadline)
     records = []
     timed_out = False
     per_function: dict[str, float] = {}
     skipped: list[str] = []
     for fn in targets:
         fn_started = time.monotonic()
-        budget = ExplorationBudget(
-            max_steps=config.max_steps,
-            max_paths=config.max_paths,
-            loop_bound=config.loop_bound,
-            deadline=deadline,
-        )
         try:
             result = explore_function(unit, cfg, fn, binding, budget)
         except EntryNotFound:
@@ -82,7 +77,8 @@ def analyze_unit(unit: CompilationUnit, config: RunConfig) -> dict:
             break
 
     findings = detectors.analyze_contract(
-        unit, records, config.enabled_detectors, config.solver_query_seconds)
+        unit, records, config.enabled_detectors, deadline)
+    timed_out |= time.monotonic() > deadline
     return {
         "schema_version": SCHEMA_VERSION,
         "contract": unit.contract_name,
@@ -121,10 +117,17 @@ def _record_stats(records) -> dict:
 
 
 def _error_report(contract: str, exc: Exception) -> dict:
+    error = f"{type(exc).__name__}: {exc}"
+    if not isinstance(exc, (SleepscanError, OSError, ValueError)):
+        import logging  # here, not at the top: the import costs every run ~0.6 MB RSS
+
+        logging.getLogger(__name__).error("internal error analyzing %s", contract,
+                                          exc_info=exc)
+        error = f"internal-error: {error}"
     return {
         "schema_version": SCHEMA_VERSION,
         "contract": contract,
-        "error": f"{type(exc).__name__}: {exc}",
+        "error": error,
         "findings": [],
         "timed_out": False,
     }
@@ -134,12 +137,12 @@ def analyze_path(path: str, config: RunConfig) -> list[dict]:
     """All contract reports for one artifact path; errors become error reports."""
     try:
         units = load_all(path)
-    except (SleepscanError, OSError, ValueError) as exc:
+    except Exception as exc:  # one bad artifact must not abort the batch
         return [_error_report(Path(path).stem, exc)]
     reports = []
     for unit in units:
         try:
             reports.append(analyze_unit(unit, config))
-        except (SleepscanError, OSError, ValueError) as exc:
+        except Exception as exc:
             reports.append(_error_report(unit.contract_name, exc))
     return reports

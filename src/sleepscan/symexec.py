@@ -172,7 +172,6 @@ class Engine:
         self.records: list[PathRecord] = []
         self.steps_used = 0
         self.paths_finished = 0
-        self.next_path_id = 0
         self.timed_out = False
 
     # -- helpers ------------------------------------------------------------
@@ -180,9 +179,10 @@ class Engine:
     def _instr_at(self, pc: int) -> Instruction | None:
         return self.cfg.instruction_by_pc.get(pc)
 
-    def _src_entry(self, instr: Instruction):
+    def _src_entry(self, instr: Instruction) -> Span | None:
         if instr.src < len(self.unit.source_map):
-            return self.unit.source_map[instr.src]
+            entry = self.unit.source_map[instr.src]
+            return (entry.start, entry.length, entry.file)
         return None
 
     def _fresh(self, pc: int, origin: str, is_address: bool = False) -> Var:
@@ -271,24 +271,21 @@ class Engine:
         if not (isinstance(topic0, Const) and topic0.value == TRANSFER_TOPIC):
             return
         self._commit_pending_owner(state)
-        entry = self._src_entry(instr)
-        src = (entry.start, entry.length, entry.file) if entry else None
         state.snapshots.append(_EmissionSnapshot(
             pc=instr.pc,
             from_topic=topics[1],
             constraints=state.constraints,
             owner_trace=state.owner_trace,
             tainted=state.tainted,
-            src=src,
+            src=self._src_entry(instr),
         ))
 
     def _in_owner_return_span(self, instr: Instruction) -> bool:
         if not self.binding:
             return False
-        entry = self._src_entry(instr)
-        if entry is None or entry.file < 0:
+        span = self._src_entry(instr)
+        if span is None or span[2] < 0:
             return False
-        span = (entry.start, entry.length, entry.file)
         for ret_span in self.binding:
             if _span_contains(ret_span, span):
                 return True
@@ -329,10 +326,9 @@ class Engine:
         if name.startswith("PUSH"):
             stack.append(Const(instr.push_value or 0))
         elif name.startswith("DUP"):
-            stack.append(stack[-int(name[3:])])
+            stack.append(stack[-pops])
         elif name.startswith("SWAP"):
-            depth = int(name[4:])
-            stack[-1], stack[-1 - depth] = stack[-1 - depth], stack[-1]
+            stack[-1], stack[-pops] = stack[-pops], stack[-1]
         elif name == "POP":
             stack.pop()
         elif name == "JUMPDEST":
@@ -386,7 +382,7 @@ class Engine:
             value = stack.pop()
             state.memory.append((offset, value, 1))
         elif name.startswith("LOG"):
-            self.on_log(state, instr, int(name[3:]))
+            self.on_log(state, instr, pops - 2)
         elif name in _ENVIRONMENT_VARS:
             var_name, which, is_address = _ENVIRONMENT_VARS[name]
             stack.append(Var(var_name, sym.Environment(which), is_address))
@@ -423,8 +419,7 @@ class Engine:
         value = sym.const_value(target)
         if value is None:
             raise _KillPath(END_REVERT, f"symbolic jump target at {instr.pc}")
-        dest = self.cfg.instruction_by_pc.get(value)
-        if dest is None or dest.name != "JUMPDEST":
+        if not self.cfg.is_jumpdest(value):
             raise _KillPath(END_REVERT, f"jump to non-JUMPDEST {value} at {instr.pc}")
         return value
 
@@ -437,8 +432,7 @@ class Engine:
             else:
                 state.pc = next_pc
             return [state]
-        entry = self._src_entry(instr)
-        src = (entry.start, entry.length, entry.file) if entry else None
+        src = self._src_entry(instr)
         taken = state
         fallthrough = state.fork()
         taken.pc = self._jump_target(target, instr)
@@ -454,8 +448,7 @@ class Engine:
     def _finish_path(self, state: MachineState, end_kind: str,
                      diagnostic: str | None = None) -> None:
         self._commit_pending_owner(state)
-        path_id = self.next_path_id
-        self.next_path_id += 1
+        path_id = self.paths_finished
         self.paths_finished += 1
         if end_kind in (END_EXIT, END_BUDGET):
             emission_kind = END_EMISSION if end_kind == END_EXIT else END_BUDGET
@@ -531,14 +524,6 @@ _ENVIRONMENT_VARS = {
     "NUMBER": ("block.number", "number", False),
 }
 
-_COMPARISON_TO_RELATION = {
-    "eq": (con.EQ, con.NEQ),
-    "lt": (con.ULT, con.UGE),
-    "gt": (con.UGT, con.ULE),
-    "slt": (con.SLT, con.SGE),
-    "sgt": (con.SGT, con.SLE),
-}
-
 
 def _condition_constraints(condition: SymValue, truthy: bool, pc: int,
                            src: Span | None) -> list[Constraint]:
@@ -556,9 +541,8 @@ def _relational(condition: SymValue, truthy: bool, pc: int, src: Span | None) ->
     while isinstance(condition, Op) and condition.op == "iszero":
         condition = condition.args[0]
         truthy = not truthy
-    if isinstance(condition, Op) and condition.op in _COMPARISON_TO_RELATION:
-        positive, negative = _COMPARISON_TO_RELATION[condition.op]
-        relation = positive if truthy else negative
+    if isinstance(condition, Op) and (condition.op, 1) in con.RELATION_OF:
+        relation = con.RELATION_OF[condition.op, int(truthy)]
         return Constraint(relation, condition.args[0], condition.args[1], pc, src)
     relation = con.NONZERO if truthy else con.ZERO
     return Constraint(relation, condition, Const(0), pc, src)

@@ -1,5 +1,7 @@
 """Detector rules over synthetic path records, then over the built corpus."""
 
+import time
+
 import pytest
 
 from sleepscan import constraints as cs
@@ -201,6 +203,13 @@ def test_analyze_contract_honors_enabled_subset():
                                                    UNRESTRICTED_FROM}
     only_pa = analyze_contract(_unit(), [rec], enabled=(PRIVILEGED_ADDRESS,))
     assert {f.defect_type for f in only_pa} == {PRIVILEGED_ADDRESS}
+
+
+def test_expired_deadline_silences_solver_probes_only():
+    rec = record(constraints=[Constraint(cs.EQ, CALLER, SECRET)],
+                 owner_trace=(OWNER_A,))
+    findings = analyze_contract(_unit(), [rec], deadline=time.monotonic() - 1)
+    assert {f.defect_type for f in findings} == {PRIVILEGED_ADDRESS}
 
 
 def test_short_codes_cover_all_types():

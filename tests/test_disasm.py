@@ -78,8 +78,9 @@ def test_cfg_blocks_and_edges():
     cfg = build_cfg(disassemble(code))
     starts = [b.start_pc for b in cfg.blocks]
     assert starts == [0, 5, 7]
-    assert cfg.block_at(0).terminator == "conditional-jump"
-    assert cfg.block_at(7).terminator == "stop"
+    terminators = {b.start_pc: b.terminator for b in cfg.blocks}
+    assert terminators[0] == "conditional-jump"
+    assert terminators[7] == "stop"
 
 
 def test_find_function_entry_on_fixture(corpus_dir):

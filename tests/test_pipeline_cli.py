@@ -1,13 +1,16 @@
 """Pipeline reports and the command-line front end."""
 
+import copy
 import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import fixtures as corpus
 
-from sleepscan import pipeline
+from sleepscan import detectors, pipeline
 from sleepscan.cli import main
 from sleepscan.detectors import PRIVILEGED_ADDRESS
 from sleepscan.pipeline import RunConfig, analyze_path
@@ -17,7 +20,7 @@ from sleepscan.pipeline import RunConfig, analyze_path
 # RunConfig validation
 
 @pytest.mark.parametrize("field", ["timeout_seconds", "loop_bound", "max_steps",
-                                   "max_paths", "solver_query_seconds"])
+                                   "max_paths"])
 def test_run_config_rejects_non_positive(field):
     with pytest.raises(ValueError, match=field):
         RunConfig(**{field: 0})
@@ -100,9 +103,16 @@ def _one_contract(deployed=None, source=None, **contract):
     (_one_contract(source={"ast": 5}), "AST of A.sol is not a JSON object"),
     (_one_contract(source={"content": 5}), "content of A.sol is not a JSON string"),
     (_one_contract(metadata=5), "A: metadata is not a JSON string"),
+    (_one_contract(source={"id": [0]}), "id of A.sol is not a JSON integer"),
+    (_one_contract(source={"ast": {"name": "SourceUnit", "children": 5}}),
+     "children of AST node SourceUnit is not a JSON list"),
+    (_one_contract(source={"ast": {"name": "SourceUnit", "children": ["x"]}}),
+     "child of AST node SourceUnit is not a JSON object"),
+    ({"contracts": {}}, "no contract artifacts under"),
 ], ids=["top-level", "contracts", "sources", "source-entry", "per-file",
         "contract", "evm", "deployed-bytecode", "bytecode-object", "source-map",
-        "ast", "content", "metadata"])
+        "ast", "content", "metadata", "source-id", "legacy-children",
+        "legacy-child", "no-contracts"])
 def test_malformed_standard_json_is_one_error_report(tmp_path, doc, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -110,6 +120,64 @@ def test_malformed_standard_json_is_one_error_report(tmp_path, doc, message):
     assert report["error"].startswith("MissingArtifact: ")
     assert message in report["error"]
     assert report["findings"] == []
+
+
+@pytest.mark.parametrize("metadata", ["[1]", '{"compiler": "x"}',
+                                      '{"compiler": {"version": 5}}'])
+def test_metadata_without_a_version_string_falls_back_to_the_pragma(tmp_path, metadata):
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(_one_contract(metadata=metadata)))
+    (report,) = analyze_path(str(path), RunConfig())
+    assert "error" not in report
+    assert report["compiler_version"] == "0.8.0"  # from "pragma solidity ^0.8.0;"
+
+
+@pytest.mark.parametrize("stage", ["load_all", "build_cfg"])
+def test_unexpected_exception_is_an_internal_error_report(corpus_dir, monkeypatch, stage):
+    def broken(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(pipeline, stage, broken)
+    (report,) = analyze_path(str(corpus_dir / "HiddenApprover"), RunConfig())
+    assert report["contract"] == "HiddenApprover"
+    assert report["error"] == "internal-error: RuntimeError: boom"
+    assert report["findings"] == []
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["id", "name", "nodeType", "children", "attributes", "src",
+                         "compiler", "version"]) | st.text(max_size=4),
+        inner, max_size=3),
+    max_leaves=6)
+
+# a modern and a legacy (name/children) AST
+_VALID_DOCS = [corpus.standard_json_artifact(fixture)
+               for fixture in (corpus.guarded_gallery(), corpus.free_mintable("legacy"))]
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_any_value_anywhere_gives_reports_not_a_raise(tmp_path, data):
+    """A random JSON value at a random path of a valid standard-JSON document."""
+    doc = copy.deepcopy(data.draw(st.sampled_from(_VALID_DOCS)))
+    node = doc
+    while True:
+        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                        else range(len(node))))
+        child = node[key]
+        if not (isinstance(child, (dict, list)) and child) or data.draw(st.booleans()):
+            node[key] = data.draw(_JSON_VALUES)
+            break
+        node = child
+    path = tmp_path / "fuzzed.json"
+    path.write_text(json.dumps(doc))
+    reports = analyze_path(str(path), RunConfig())
+    assert reports
+    assert all(isinstance(report["findings"], list) for report in reports)
 
 
 def test_no_prune_widens_the_function_set(corpus_dir):
@@ -127,6 +195,21 @@ def test_contract_timeout_is_reported(corpus_dir, monkeypatch):
                         _advancing_clock(step=2.0))
     report = pipeline.analyze_path(str(corpus_dir / "MarketHub"), config)[0]
     assert report["timed_out"] is True
+
+
+def test_detection_past_the_deadline_is_reported(corpus_dir, monkeypatch):
+    clock = {"now": 0.0}
+    monkeypatch.setattr(pipeline.time, "monotonic", lambda: clock["now"])
+    analyze_contract = detectors.analyze_contract
+
+    def slow_detection(*args):
+        clock["now"] += 10.0  # past the 1 s contract deadline
+        return analyze_contract(*args)
+
+    monkeypatch.setattr(detectors, "analyze_contract", slow_detection)
+    report = analyze_path(str(corpus_dir / "HiddenApprover"), RunConfig(timeout_seconds=1))[0]
+    assert report["timed_out"] is True
+    assert [f["type"] for f in report["findings"]] == [PRIVILEGED_ADDRESS]
 
 
 def _advancing_clock(step):
@@ -187,12 +270,28 @@ def test_cli_analyze_requires_paths(runner):
 
 
 @pytest.mark.parametrize("option", ["--timeout", "--loop-bound", "--max-steps",
-                                    "--max-paths", "--solver-seconds", "--jobs"])
+                                    "--max-paths", "--jobs"])
 def test_cli_rejects_non_positive_option(runner, corpus_dir, option):
     result = runner.invoke(main, ["analyze", option, "0",
                                   str(corpus_dir / "HiddenApprover")])
     assert result.exit_code == 2
     assert "Invalid value" in result.output
+
+
+def test_cli_jobs_pool_gives_the_serial_reports(runner, corpus_dir):
+    paths = [str(corpus_dir / name) for name in ("HiddenApprover", "FreeMintable",
+                                                 "GuardedGallery")]
+
+    def reports(jobs):
+        result = runner.invoke(main, ["analyze", "--format", "json", "--jobs", jobs, *paths])
+        assert result.exit_code == 0, result.output
+        return [{k: v for k, v in report.items() if k != "timings"}
+                for report in json.loads(result.output)]
+
+    serial = reports("1")
+    assert [r["contract"] for r in serial] == ["HiddenApprover", "FreeMintable",
+                                               "GuardedGallery"]
+    assert reports("2") == serial
 
 
 def test_cli_all_failures_exit_nonzero(runner, tmp_path):

@@ -107,6 +107,34 @@ def test_negation_is_involutive():
     assert Constraint(cs.ULT, P0, P1).negated().relation == cs.UGE
 
 
+# each relation as the reference interpreter's comparison and the result it
+# must give: the relation's meaning stated independently of sym.eval_op
+_ORACLE_RELATIONS = {
+    cs.EQ: ("EQ", 1), cs.NEQ: ("EQ", 0),
+    cs.ULT: ("LT", 1), cs.UGE: ("LT", 0),
+    cs.UGT: ("GT", 1), cs.ULE: ("GT", 0),
+    cs.SLT: ("SLT", 1), cs.SGE: ("SLT", 0),
+    cs.SGT: ("SGT", 1), cs.SLE: ("SGT", 0),
+    cs.ZERO: ("ISZERO", 1), cs.NONZERO: ("ISZERO", 0),
+}
+_EDGE_VALUES = (0, 1, sym.SIGN_BIT - 1, sym.SIGN_BIT, sym.MASK256)
+
+
+@pytest.mark.parametrize("relation", sorted(_ORACLE_RELATIONS))
+def test_relations_match_the_reference_interpreter(relation):
+    name, truth = _ORACLE_RELATIONS[relation]
+    for a in _EDGE_VALUES:
+        for b in _EDGE_VALUES:
+            operands = [a] if name == "ISZERO" else [b, a]  # top of stack last
+            expected = oracle_evm.run([(name, ())], operands)[-1] == truth
+            c = Constraint(relation, P0, P1)
+            env = {P0: a, P1: b}
+            assert c.holds(env) is expected, (relation, a, b)
+            assert c.negated().holds(env) is not expected
+            concrete = ConstraintSet((Constraint(relation, Const(a), Const(b)),))
+            assert solve(concrete) == (cs.SAT if expected else cs.UNSAT)
+
+
 def test_same_sides_symmetric_for_equalities_only():
     a = Constraint(cs.EQ, P0, P1)
     b = Constraint(cs.EQ, P1, P0)

@@ -304,6 +304,36 @@ def test_jump_to_non_jumpdest_kills_path():
     assert result.records[0].end_kind == END_REVERT
 
 
+@pytest.mark.parametrize("code,diagnostic", [
+    (bytes.fromhex("0c"), "unknown opcode 0x0C at 0"),
+    (bytes.fromhex("01"), "stack underflow at 0 (ADD)"),
+    (bytes.fromhex("5f" * 1025), "stack overflow at 1024"),
+    (bytes.fromhex("33" "56"), "symbolic jump target at 1"),
+    (bytes.fromhex("6001"), "fell off code at pc 2"),
+], ids=["unknown-opcode", "underflow", "overflow", "symbolic-jump", "no-halt"])
+def test_killed_path_is_one_revert_record(code, diagnostic):
+    result = _engine(code).explore(0)
+    (rec,) = result.records
+    assert rec.end_kind == END_REVERT
+    assert rec.diagnostic == diagnostic
+
+
+@pytest.mark.parametrize("op", ["eq", "lt", "gt", "slt", "sgt"])
+def test_branch_relation_agrees_with_the_interpreter(op):
+    """The constraint a branch pushes holds exactly when the interpreter's
+    comparison gives the branch's truth value, through an iszero too."""
+    values = (0, 1, sym.SIGN_BIT - 1, sym.SIGN_BIT, sym.MASK256)
+    for a in values:
+        for b in values:
+            comparison = Op(op, (Const(a), Const(b)))
+            taken = sym.eval_op(op, (a, b)) == 1
+            for condition, truthy in ((comparison, taken),
+                                      (Op("iszero", (comparison,)), not taken)):
+                for branch in (True, False):
+                    (c,) = sx._condition_constraints(condition, branch, 0, None)
+                    assert c.holds({}) is (branch == truthy), (op, a, b, branch)
+
+
 def test_loop_bound_ends_path_as_budget_exhausted():
     code = bytes.fromhex("5b" "6000" "56")  # JUMPDEST; PUSH 0; JUMP (forever)
     engine = _engine(code, budget=ExplorationBudget(loop_bound=3))
