@@ -13,10 +13,8 @@ import re
 from dataclasses import dataclass
 
 from sleepscan.errors import NoAst
-from sleepscan.ingestion import AstNode, CompilationUnit
+from sleepscan.ingestion import AstNode, CompilationUnit, Span
 from sleepscan.keccak import keccak256, keccak256_many
-
-Span = tuple[int, int, int]
 
 EXTERNALLY_CALLABLE = ("external", "public")
 

@@ -120,7 +120,8 @@ def _print_text_report(report: dict) -> None:
               help="JSON list of corpus labels.")
 @click.option("--reports", "reports_dir", required=True,
               type=click.Path(exists=True),
-              help="Directory of per-contract report JSON files.")
+              help="Directory of report JSON files: one report, or a list "
+                   "as written by analyze --out, per file.")
 def evaluate(labels, reports_dir):
     """Score reports against hand labels (per-type precision)."""
     label_list = evaluate_mod.load_labels(labels)

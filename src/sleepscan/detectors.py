@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 from sleepscan import constraints as con
 from sleepscan.constraints import Constraint
-from sleepscan.ingestion import CompilationUnit
+from sleepscan.ingestion import CompilationUnit, Span
 from sleepscan.symexec import END_EMISSION, PathRecord
 
 PRIVILEGED_ADDRESS = "PrivilegedAddress"
@@ -40,7 +40,7 @@ class Finding:
     defect_type: str
     contract: str
     function: str
-    src_span: tuple[int, int, int] | None
+    src_span: Span | None
     witness: tuple[str, ...]
     path_id: int
     confidence: str = "high"  # "low" when the path was tainted by external calls

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 from sleepscan import _core, opcodes
 from sleepscan.errors import TruncatedPush
+from sleepscan.ingestion import Span
 
 @dataclass(frozen=True)
 class Instruction:
@@ -66,23 +67,15 @@ class Cfg:
         return instr is not None and instr.name == "JUMPDEST"
 
 
-def _decode(code: bytes) -> list[tuple[int, int, bytes]]:
+def disassemble(code: bytes) -> list[Instruction]:
+    """Decode metadata-stripped runtime bytecode into instructions."""
     raw, truncated_at = _core.decode_raw(bytes(code))
     if truncated_at >= 0:
         raise TruncatedPush(f"PUSH immediate at pc {truncated_at} overruns end of code")
-    return raw
-
-
-def disassemble(code: bytes) -> list[Instruction]:
-    """Decode metadata-stripped runtime bytecode into instructions."""
     return [
         Instruction(pc, byte, opcodes.mnemonic(byte), imm, idx)
-        for idx, (pc, byte, imm) in enumerate(_decode(code))
+        for idx, (pc, byte, imm) in enumerate(raw)
     ]
-
-
-def count_instructions(code: bytes) -> int:
-    return len(_decode(code))
 
 
 def build_cfg(instrs: list[Instruction]) -> Cfg:
@@ -141,17 +134,17 @@ def find_function_entry(cfg: Cfg, selector: int) -> int | None:
     return None
 
 
-def dump_listing(instrs: list[Instruction], source_map=None, sources=None) -> str:
+def dump_listing(instrs: list[Instruction], source_map: list[Span],
+                 sources: dict[int, str]) -> str:
     """Debug text listing: ``pc: opcode immediate  ; source-snippet``."""
     lines = []
-    source_by_id = dict(sources) if sources else {}
     for ins in instrs:
         snippet = ""
-        if source_map is not None and ins.src < len(source_map):
-            entry = source_map[ins.src]
-            text = source_by_id.get(entry.file)
-            if text is not None and entry.file >= 0:
-                raw = text[entry.start:entry.start + entry.length]
+        if ins.src < len(source_map):  # a listing does not check the map's length
+            start, length, file_id = source_map[ins.src]
+            text = sources.get(file_id)
+            if text is not None and file_id >= 0:
+                raw = text[start:start + length]
                 snippet = "  ; " + " ".join(raw.split())[:48]
         lines.append(f"{ins.pc:6d}: {ins}{snippet}")
     return "\n".join(lines)

@@ -34,7 +34,13 @@ def load_labels(path) -> list[CorpusLabel]:
 
 
 def load_reports(directory) -> list[dict]:
-    return [json.loads(p.read_text()) for p in sorted(Path(directory).glob("*.json"))]
+    """Reports from every ``*.json`` file, in name order; a file holding a
+    JSON list (as ``analyze --out`` writes) gives each of its reports."""
+    reports = []
+    for path in sorted(Path(directory).glob("*.json")):
+        doc = json.loads(path.read_text())
+        reports.extend(doc if isinstance(doc, list) else [doc])
+    return reports
 
 
 @dataclass

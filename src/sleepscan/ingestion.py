@@ -16,31 +16,16 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from sleepscan.disasm import count_instructions
-from sleepscan.errors import (
-    MalformedItem,
-    MapLengthMismatch,
-    MissingArtifact,
-    VersionUnparseable,
-)
+from sleepscan.errors import MalformedItem, MissingArtifact, VersionUnparseable
 
 Version = tuple[int, int, int]
-
-JUMP_REGULAR = "-"
-
-
-@dataclass(frozen=True)
-class SourceMapEntry:
-    start: int
-    length: int
-    file: int  # -1 for compiler-generated code
-    jump_kind: str  # "i" | "o" | "-"
+Span = tuple[int, int, int]  # (start, length, file); file -1 for compiler-generated code
 
 
 @dataclass
 class AstNode:
     node_kind: str
-    src_span: tuple[int, int, int]  # (start, length, file)
+    src_span: Span
     children: list["AstNode"] = field(default_factory=list)
     attributes: dict = field(default_factory=dict)
 
@@ -60,72 +45,41 @@ class AstNode:
 class CompilationUnit:
     contract_name: str
     runtime_bytecode: bytes
-    source_map: list[SourceMapEntry]
+    source_map: list[Span]  # one per instruction
     ast: AstNode
-    sources: list[tuple[int, str]]
+    sources: dict[int, str]  # file id -> source text
     compiler_version: Version
 
-    def source_text(self, file_id: int) -> str | None:
-        for fid, text in self.sources:
-            if fid == file_id:
-                return text
-        return None
-
-    def snippet(self, span: tuple[int, int, int]) -> str:
-        text = self.source_text(span[2])
-        if text is None:
-            return ""
-        return text[span[0]:span[0] + span[1]]
+    def snippet(self, span: Span) -> str:
+        start, length, file_id = span
+        return self.sources.get(file_id, "")[start:start + length]
 
 
 # --------------------------------------------------------------------------
 # source map codec
 
-def decode_source_map(encoded: str) -> list[SourceMapEntry]:
-    """Decode the compiler's delta-compressed ``s:l:f:j`` source map."""
+def decode_source_map(encoded: str) -> list[Span]:
+    """Decode the compiler's delta-compressed source map into one span per item.
+
+    Items are ``s:l:f:j:m``; the jump and modifier-depth fields are ignored.
+    """
     if encoded == "":
         return []
-    entries: list[SourceMapEntry] = []
-    prev = [0, 0, -1, JUMP_REGULAR]
+    spans: list[Span] = []
+    span: Span = (0, 0, -1)
     for item in encoded.split(";"):
-        fields = item.split(":")
-        values = list(prev)
-        for i in range(min(len(fields), 4)):
-            raw = fields[i]
-            if raw == "":
-                continue
-            if i == 3:
-                values[i] = raw
-            else:
+        if item:  # an empty item repeats the previous span
+            values = list(span)
+            for i, raw in enumerate(item.split(":")[:3]):
+                if raw == "":
+                    continue
                 try:
                     values[i] = int(raw)
                 except ValueError as exc:
                     raise MalformedItem(f"non-integer field {raw!r} in item {item!r}") from exc
-        entries.append(SourceMapEntry(values[0], values[1], values[2], values[3]))
-        prev = values
-    return entries
-
-
-def encode_source_map(entries: list[SourceMapEntry]) -> str:
-    """Re-encode entries under the same delta/inheritance rules."""
-    items: list[str] = []
-    prev: SourceMapEntry | None = None
-    for entry in entries:
-        fields = [str(entry.start), str(entry.length), str(entry.file), entry.jump_kind]
-        if prev is not None:
-            if entry.jump_kind == prev.jump_kind:
-                fields[3] = ""
-            if entry.file == prev.file:
-                fields[2] = ""
-            if entry.length == prev.length:
-                fields[1] = ""
-            if entry.start == prev.start:
-                fields[0] = ""
-        while fields and fields[-1] == "":
-            fields.pop()
-        items.append(":".join(fields))
-        prev = entry
-    return ";".join(items)
+            span = (values[0], values[1], values[2])
+        spans.append(span)
+    return spans
 
 
 # --------------------------------------------------------------------------
@@ -208,7 +162,7 @@ def ast_from_json(doc: dict) -> AstNode:
     raise MissingArtifact("unrecognized AST JSON shape")
 
 
-def _parse_src(src) -> tuple[int, int, int]:
+def _parse_src(src) -> Span:
     if not isinstance(src, str):
         return (-1, 0, -1)
     parts = src.split(":")
@@ -294,7 +248,7 @@ def version_from_pragma(source: str) -> Version:
     return best
 
 
-def resolve_version(metadata_text: str | None, sources: list[tuple[int, str]]) -> Version:
+def resolve_version(metadata_text: str | None, sources: dict[int, str]) -> Version:
     if metadata_text:
         try:
             meta = json.loads(metadata_text)
@@ -305,7 +259,7 @@ def resolve_version(metadata_text: str | None, sources: list[tuple[int, str]]) -
                 return parse_version(raw)
         except (json.JSONDecodeError, VersionUnparseable):
             pass
-    for _, text in sources:
+    for text in sources.values():
         try:
             return version_from_pragma(text)
         except VersionUnparseable:
@@ -342,25 +296,19 @@ def load_all(artifact_path) -> list[CompilationUnit]:
 def _validate(unit: CompilationUnit) -> CompilationUnit:
     if not unit.runtime_bytecode:
         raise MissingArtifact(f"{unit.contract_name}: empty runtime bytecode")
-    n_instrs = count_instructions(unit.runtime_bytecode)
-    if len(unit.source_map) != n_instrs:
-        raise MapLengthMismatch(
-            f"{unit.contract_name}: {len(unit.source_map)} source-map entries "
-            f"for {n_instrs} instructions"
-        )
-    file_ids = {fid for fid, _ in unit.sources}
-    for entry in unit.source_map:
-        if entry.file < 0:
+    # The instruction count is checked where the unit is decoded, in analyze_unit.
+    for start, length, file_id in dict.fromkeys(unit.source_map):
+        if file_id < 0:
             continue
-        if entry.file not in file_ids:
+        text = unit.sources.get(file_id)
+        if text is None:
             raise MissingArtifact(
-                f"{unit.contract_name}: source-map entry refers to unknown file {entry.file}"
+                f"{unit.contract_name}: source-map entry refers to unknown file {file_id}"
             )
-        text = unit.source_text(entry.file)
-        if entry.start < 0 or entry.length < 0 or entry.start + entry.length > len(text):
+        if start < 0 or length < 0 or start + length > len(text):
             raise MissingArtifact(
-                f"{unit.contract_name}: source-map span {entry.start}:{entry.length} "
-                f"out of bounds for file {entry.file}"
+                f"{unit.contract_name}: source-map span {start}:{length} "
+                f"out of bounds for file {file_id}"
             )
     return unit
 
@@ -378,9 +326,10 @@ def _load_directory(path: Path) -> list[CompilationUnit]:
             raise MissingArtifact(f"{srcmap_path} missing")
         raw_hex = bin_path.read_text().strip().removeprefix("0x")
         bytecode = strip_metadata(bytes.fromhex(raw_hex))
-        ast = ast_from_json(json.loads(ast_path.read_text()))
+        ast = ast_from_json(_json_object(json.loads(ast_path.read_text()),
+                                        f"{ast_path}: top level"))
         source_map = decode_source_map(srcmap_path.read_text().strip())
-        sources = [(0, sol_path.read_text())] if sol_path.exists() else []
+        sources = {0: sol_path.read_text()} if sol_path.exists() else {}
         version = resolve_version(None, sources)
         units.append(_validate(CompilationUnit(name, bytecode, source_map, ast, sources, version)))
     return units
@@ -408,14 +357,15 @@ def _load_standard_json(path: Path) -> list[CompilationUnit]:
     doc = _json_object(json.loads(path.read_text()), f"{path}: top level")
     contracts = _json_object(doc.get("contracts", {}), f"{path}: contracts")
     source_docs = _json_object(doc.get("sources", {}), f"{path}: sources")
-    sources: list[tuple[int, str]] = []
+    sources: dict[int, str] = {}
     asts: dict[str, AstNode] = {}
     for file_name, entry in source_docs.items():
         entry = _json_object(entry, f"{path}: sources entry {file_name}")
         fid = _json_int(entry.get("id", len(sources)), f"{path}: id of {file_name}")
         if "content" in entry:
-            sources.append((fid, _json_string(entry["content"],
-                                              f"{path}: content of {file_name}")))
+            if fid in sources:
+                raise MissingArtifact(f"{path}: source id {fid} of {file_name} is used twice")
+            sources[fid] = _json_string(entry["content"], f"{path}: content of {file_name}")
         if "ast" in entry:
             asts[file_name] = ast_from_json(
                 _json_object(entry["ast"], f"{path}: AST of {file_name}"))

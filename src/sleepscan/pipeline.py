@@ -20,7 +20,7 @@ from sleepscan.astview import (
     select_target_functions,
 )
 from sleepscan.disasm import build_cfg, disassemble
-from sleepscan.errors import EntryNotFound, SleepscanError
+from sleepscan.errors import EntryNotFound, MapLengthMismatch, SleepscanError
 from sleepscan.ingestion import CompilationUnit, load_all
 from sleepscan.symexec import ExplorationBudget, explore_function
 
@@ -46,6 +46,9 @@ def analyze_unit(unit: CompilationUnit, config: RunConfig) -> dict:
     started = time.monotonic()
     deadline = started + config.timeout_seconds
     instrs = disassemble(unit.runtime_bytecode)
+    if len(unit.source_map) != len(instrs):
+        raise MapLengthMismatch(f"{unit.contract_name}: {len(unit.source_map)} source-map "
+                                f"entries for {len(instrs)} instructions")
     cfg = build_cfg(instrs)
     binding = find_owner_return_binding(unit)
     all_functions = function_infos(unit)
@@ -60,9 +63,16 @@ def analyze_unit(unit: CompilationUnit, config: RunConfig) -> dict:
                                loop_bound=config.loop_bound, deadline=deadline)
     records = []
     timed_out = False
-    per_function: dict[str, float] = {}
+    per_function: dict[str, float] = {}  # seconds, summed over targets sharing a name
+    analyzed = 0
     skipped: list[str] = []
+    selectors: set[int] = set()
     for fn in targets:
+        # an override and its base, or an interface declaration and its
+        # implementation, share one selector and so one dispatcher entry
+        if fn.selector in selectors:
+            continue
+        selectors.add(fn.selector)
         fn_started = time.monotonic()
         try:
             result = explore_function(unit, cfg, fn, binding, budget)
@@ -71,7 +81,9 @@ def analyze_unit(unit: CompilationUnit, config: RunConfig) -> dict:
             continue
         records.extend(result.records)
         timed_out |= result.timed_out
-        per_function[fn.name] = round(time.monotonic() - fn_started, 6)
+        analyzed += 1
+        per_function[fn.name] = round(per_function.get(fn.name, 0.0)
+                                      + time.monotonic() - fn_started, 6)
         if time.monotonic() > deadline:
             timed_out = True
             break
@@ -84,7 +96,7 @@ def analyze_unit(unit: CompilationUnit, config: RunConfig) -> dict:
         "contract": unit.contract_name,
         "compiler_version": ".".join(map(str, unit.compiler_version)),
         "functions_total": len(externally_callable),
-        "functions_analyzed": len(per_function),
+        "functions_analyzed": analyzed,
         "functions_skipped": skipped,
         "findings": [_finding_to_json(f) for f in findings],
         "path_records": _record_stats(records),

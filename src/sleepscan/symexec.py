@@ -22,11 +22,10 @@ from sleepscan.astview import FunctionInfo
 from sleepscan.constraints import Constraint, ConstraintSet
 from sleepscan.disasm import Cfg, Instruction, find_function_entry
 from sleepscan.errors import EntryNotFound
-from sleepscan.ingestion import CompilationUnit
+from sleepscan.ingestion import CompilationUnit, Span
 from sleepscan.keccak import TRANSFER_TOPIC
 from sleepscan.sym import Const, FreshExternal, Op, Parameter, SymValue, Var
 
-Span = tuple[int, int, int]
 
 MAX_STACK = 1024
 
@@ -54,7 +53,7 @@ class _EmissionSnapshot:
     constraints: ConstraintSet
     owner_trace: tuple[SymValue, ...]
     tainted: bool
-    src: Span | None
+    src: Span
 
 
 @dataclass
@@ -179,12 +178,6 @@ class Engine:
     def _instr_at(self, pc: int) -> Instruction | None:
         return self.cfg.instruction_by_pc.get(pc)
 
-    def _src_entry(self, instr: Instruction) -> Span | None:
-        if instr.src < len(self.unit.source_map):
-            entry = self.unit.source_map[instr.src]
-            return (entry.start, entry.length, entry.file)
-        return None
-
     def _fresh(self, pc: int, origin: str, is_address: bool = False) -> Var:
         key = (pc, origin)
         if key not in self.site_fresh:
@@ -277,14 +270,14 @@ class Engine:
             constraints=state.constraints,
             owner_trace=state.owner_trace,
             tainted=state.tainted,
-            src=self._src_entry(instr),
+            src=self.unit.source_map[instr.src],
         ))
 
     def _in_owner_return_span(self, instr: Instruction) -> bool:
         if not self.binding:
             return False
-        span = self._src_entry(instr)
-        if span is None or span[2] < 0:
+        span = self.unit.source_map[instr.src]
+        if span[2] < 0:
             return False
         for ret_span in self.binding:
             if _span_contains(ret_span, span):
@@ -432,7 +425,7 @@ class Engine:
             else:
                 state.pc = next_pc
             return [state]
-        src = self._src_entry(instr)
+        src = self.unit.source_map[instr.src]
         taken = state
         fallthrough = state.fork()
         taken.pc = self._jump_target(target, instr)

@@ -86,3 +86,20 @@ class Asm:
 def srcmap_text(spans: list[tuple[int, int, int]]) -> str:
     """Fully explicit (uncompressed) source-map encoding of the spans."""
     return ";".join(f"{s}:{l}:{f}:-" for s, l, f in spans)
+
+
+def encode_source_map(spans: list[tuple[int, int, int]]) -> str:
+    """Reference compressed encoding: a field equal to the previous item's is
+    left empty, and trailing empty fields are dropped."""
+    items: list[str] = []
+    prev: tuple[int, int, int] | None = None
+    for span in spans:
+        fields = [str(value) for value in span]
+        if prev is not None:
+            fields = ["" if value == old else text
+                      for text, value, old in zip(fields, span, prev)]
+        while fields and fields[-1] == "":
+            fields.pop()
+        items.append(":".join(fields))
+        prev = span
+    return ";".join(items)

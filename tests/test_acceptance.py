@@ -15,6 +15,7 @@ import pytest
 import fixtures as corpus
 import oracle_evm
 import progs
+from evmasm import encode_source_map
 
 from sleepscan import constraints as cs
 from sleepscan import pipeline
@@ -28,12 +29,7 @@ from sleepscan.detectors import (
     detect_unrestricted_from,
 )
 from sleepscan.evaluate import CorpusLabel, evaluate_corpus
-from sleepscan.ingestion import (
-    SourceMapEntry,
-    decode_source_map,
-    encode_source_map,
-    load_compilation,
-)
+from sleepscan.ingestion import decode_source_map, load_compilation
 from sleepscan.keccak import TRANSFER_TOPIC, event_topic
 from sleepscan.pipeline import RunConfig, analyze_path
 from sleepscan.sym import Const, Parameter, Var
@@ -205,8 +201,7 @@ def test_property_source_map_round_trip():
     rng = random.Random(0x5AC)
     for _ in range(100):
         entries = [
-            SourceMapEntry(rng.randrange(-1, 5000), rng.randrange(0, 500),
-                           rng.randrange(-1, 4), rng.choice("io-"))
+            (rng.randrange(-1, 5000), rng.randrange(0, 500), rng.randrange(-1, 4))
             for _ in range(rng.randrange(1, 60))
         ]
         assert decode_source_map(encode_source_map(entries)) == entries

@@ -45,7 +45,7 @@ def test_canonical_type(raw, canonical):
 
 
 def _unit_for(ast_doc, name="C"):
-    return CompilationUnit(name, b"\x00", [], ast_from_json(ast_doc), [], (0, 8, 17))
+    return CompilationUnit(name, b"\x00", [], ast_from_json(ast_doc), {}, (0, 8, 17))
 
 
 def _contract(nodes):
@@ -120,7 +120,7 @@ def test_only_three_argument_transfer_counts():
 
 
 def test_no_ast_raises():
-    unit = CompilationUnit("C", b"\x00", [], None, [], (0, 8, 17))
+    unit = CompilationUnit("C", b"\x00", [], None, {}, (0, 8, 17))
     with pytest.raises(NoAst):
         function_infos(unit)
 

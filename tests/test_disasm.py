@@ -11,7 +11,6 @@ import progs
 from sleepscan import _core
 from sleepscan.disasm import (
     build_cfg,
-    count_instructions,
     disassemble,
     dump_listing,
     find_function_entry,
@@ -43,7 +42,7 @@ def test_truncated_push_raises():
     with pytest.raises(TruncatedPush):
         disassemble(bytes.fromhex("61ff"))  # PUSH2 with 1 byte left
     with pytest.raises(TruncatedPush):
-        count_instructions(bytes.fromhex("7f00"))
+        disassemble(bytes.fromhex("7f00"))
 
 
 @settings(max_examples=150)

@@ -7,18 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fixtures as corpus
+from evmasm import encode_source_map
 
-from sleepscan.errors import (
-    MalformedItem,
-    MapLengthMismatch,
-    MissingArtifact,
-    VersionUnparseable,
-)
+from sleepscan.errors import MalformedItem, MissingArtifact, VersionUnparseable
 from sleepscan.ingestion import (
-    SourceMapEntry,
     ast_from_json,
     decode_source_map,
-    encode_source_map,
     load_all,
     load_compilation,
     parse_version,
@@ -26,6 +20,7 @@ from sleepscan.ingestion import (
     strip_metadata,
     version_from_pragma,
 )
+from sleepscan.pipeline import RunConfig, analyze_path
 
 # --------------------------------------------------------------------------
 # source-map codec
@@ -33,12 +28,12 @@ from sleepscan.ingestion import (
 
 def test_decode_repeated_inherited_items():
     entries = decode_source_map("0:78:0:-;:;")
-    assert entries == [SourceMapEntry(0, 78, 0, "-")] * 3
+    assert entries == [(0, 78, 0)] * 3
 
 
 def test_decode_partial_item_overrides_only_given_fields():
     entries = decode_source_map("0:10:0:-;5::1")
-    assert entries[1] == SourceMapEntry(5, 10, 1, "-")
+    assert entries[1] == (5, 10, 1)
 
 
 def test_decode_length_is_semicolons_plus_one():
@@ -47,14 +42,14 @@ def test_decode_length_is_semicolons_plus_one():
     assert decode_source_map("") == []
 
 
-def test_jump_kind_inherits():
-    entries = decode_source_map("0:5:0:i;1;2::1:o;3")
-    assert [e.jump_kind for e in entries] == ["i", "i", "o", "o"]
+def test_jump_and_modifier_depth_fields_are_ignored():
+    entries = decode_source_map("0:5:0:i:1;1;2::1:o;3")
+    assert entries == [(0, 5, 0), (1, 5, 0), (2, 5, 1), (3, 5, 1)]
 
 
 def test_generated_code_file_minus_one():
     entries = decode_source_map("10:2:-1:-")
-    assert entries[0].file == -1
+    assert entries[0][2] == -1
 
 
 def test_malformed_item_raises():
@@ -62,12 +57,10 @@ def test_malformed_item_raises():
         decode_source_map("0:xyz:0:-")
 
 
-entry_strategy = st.builds(
-    SourceMapEntry,
-    start=st.integers(min_value=-1, max_value=4000),
-    length=st.integers(min_value=0, max_value=4000),
-    file=st.integers(min_value=-1, max_value=3),
-    jump_kind=st.sampled_from(["i", "o", "-"]),
+entry_strategy = st.tuples(
+    st.integers(min_value=-1, max_value=4000),
+    st.integers(min_value=0, max_value=4000),
+    st.integers(min_value=-1, max_value=3),
 )
 
 
@@ -78,8 +71,8 @@ def test_codec_round_trip(entries):
 
 
 def test_encode_compresses_repeats():
-    entries = [SourceMapEntry(0, 78, 0, "-")] * 3
-    assert encode_source_map(entries) == "0:78:0:-;;"
+    entries = [(0, 78, 0)] * 3
+    assert encode_source_map(entries) == "0:78:0;;"
 
 
 # --------------------------------------------------------------------------
@@ -185,8 +178,8 @@ def test_version_from_pragma(pragma, expected):
 
 def test_metadata_wins_over_pragma():
     meta = json.dumps({"compiler": {"version": "0.8.19+commit.abc"}})
-    assert resolve_version(meta, [(0, "pragma solidity ^0.6.0;")]) == (0, 8, 19)
-    assert resolve_version(None, [(0, "pragma solidity ^0.6.0;")]) == (0, 6, 0)
+    assert resolve_version(meta, {0: "pragma solidity ^0.6.0;"}) == (0, 8, 19)
+    assert resolve_version(None, {0: "pragma solidity ^0.6.0;"}) == (0, 6, 0)
 
 
 # --------------------------------------------------------------------------
@@ -198,9 +191,8 @@ def test_load_directory_format(corpus_dir):
     assert unit.contract_name == "HiddenApprover"
     assert unit.compiler_version == (0, 8, 17)
     assert unit.runtime_bytecode
-    assert unit.source_text(0).startswith("// SPDX")
-    snippets = {unit.snippet((e.start, e.length, e.file))
-                for e in unit.source_map if e.file >= 0}
+    assert unit.sources[0].startswith("// SPDX")
+    snippets = {unit.snippet(span) for span in unit.source_map if span[2] >= 0}
     assert "emit Transfer(from, to, tokenId);" in snippets
 
 
@@ -223,7 +215,18 @@ def test_map_length_mismatch_raises(tmp_path):
     srcmap = d / f"{fig.name}.srcmap-runtime"
     text = srcmap.read_text()
     srcmap.write_text(text[: text.rindex(";")])  # drop the final entry
-    with pytest.raises(MapLengthMismatch):
+    # the count is checked where the unit is decoded, at analysis
+    (report,) = analyze_path(str(d), RunConfig())
+    assert report["contract"] == "GuardedGallery"
+    assert report["error"].startswith("MapLengthMismatch: ")
+
+
+@pytest.mark.parametrize("top_level", ["5", "null"])
+def test_ast_file_that_is_not_an_object_raises(tmp_path, top_level):
+    fig = corpus.guarded_gallery()
+    d = fig.write(tmp_path)
+    (d / f"{fig.name}.ast.json").write_text(top_level)
+    with pytest.raises(MissingArtifact, match="is not a JSON object"):
         load_all(d)
 
 

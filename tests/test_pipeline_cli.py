@@ -1,6 +1,7 @@
 """Pipeline reports and the command-line front end."""
 
 import copy
+import dataclasses
 import json
 
 import pytest
@@ -12,7 +13,7 @@ import fixtures as corpus
 
 from sleepscan import detectors, pipeline
 from sleepscan.cli import main
-from sleepscan.detectors import PRIVILEGED_ADDRESS
+from sleepscan.detectors import OWNER_INCONSISTENCY, PRIVILEGED_ADDRESS
 from sleepscan.pipeline import RunConfig, analyze_path
 
 
@@ -109,10 +110,12 @@ def _one_contract(deployed=None, source=None, **contract):
     (_one_contract(source={"ast": {"name": "SourceUnit", "children": ["x"]}}),
      "child of AST node SourceUnit is not a JSON object"),
     ({"contracts": {}}, "no contract artifacts under"),
+    ({**_one_contract(), "sources": {"A.sol": _SOURCE, "B.sol": {"id": 0, "content": ""}}},
+     "source id 0 of B.sol is used twice"),
 ], ids=["top-level", "contracts", "sources", "source-entry", "per-file",
         "contract", "evm", "deployed-bytecode", "bytecode-object", "source-map",
         "ast", "content", "metadata", "source-id", "legacy-children",
-        "legacy-child", "no-contracts"])
+        "legacy-child", "no-contracts", "source-id-twice"])
 def test_malformed_standard_json_is_one_error_report(tmp_path, doc, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -120,6 +123,30 @@ def test_malformed_standard_json_is_one_error_report(tmp_path, doc, message):
     assert report["error"].startswith("MissingArtifact: ")
     assert message in report["error"]
     assert report["findings"] == []
+
+
+def test_short_source_map_fails_only_its_contract(tmp_path):
+    doc = corpus.standard_json_artifact(corpus.hidden_approver())
+    per_file = doc["contracts"]["HiddenApprover.sol"]
+    short = copy.deepcopy(per_file["HiddenApprover"])
+    deployed = short["evm"]["deployedBytecode"]
+    deployed["sourceMap"] = deployed["sourceMap"].rpartition(";")[0]  # one item short
+    per_file["Short"] = short
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(doc))
+    good, bad = analyze_path(str(path), RunConfig())
+    assert good["contract"] == "HiddenApprover" and "error" not in good
+    assert [f["type"] for f in good["findings"]] == [PRIVILEGED_ADDRESS]
+    assert bad["contract"] == "Short"
+    assert bad["error"].startswith("MapLengthMismatch: Short: ")
+
+
+def test_truncated_push_is_one_error_report(tmp_path):
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(_one_contract(deployed={"object": "61ff"})))  # PUSH2, 1 byte
+    (report,) = analyze_path(str(path), RunConfig())
+    assert report["contract"] == "A"
+    assert report["error"].startswith("TruncatedPush: ")
 
 
 @pytest.mark.parametrize("metadata", ["[1]", '{"compiler": "x"}',
@@ -187,6 +214,42 @@ def test_no_prune_widens_the_function_set(corpus_dir):
     assert pruned["functions_analyzed"] == 2
     assert full["functions_analyzed"] == full["functions_total"] == 20
     assert pruned["findings"] == full["findings"] == []
+
+
+def _counting_explorer(monkeypatch):
+    explored = []
+    explore_function = pipeline.explore_function
+
+    def counting(unit, cfg, fn, *args):
+        explored.append(fn.selector)
+        return explore_function(unit, cfg, fn, *args)
+
+    monkeypatch.setattr(pipeline, "explore_function", counting)
+    return explored
+
+
+def test_each_selector_is_explored_once(corpus_dir, monkeypatch):
+    # ChubbyBunny overrides ownerOf: both bodies share one dispatcher entry
+    explored = _counting_explorer(monkeypatch)
+    (report,) = analyze_path(str(corpus_dir / "ChubbyBunny"), RunConfig(prune=False))
+    assert len(explored) == len(set(explored)) == 2
+    assert report["functions_analyzed"] == 2
+    assert [f["type"] for f in report["findings"]] == [OWNER_INCONSISTENCY]
+
+
+def test_targets_sharing_a_name_count_once_each(corpus_dir, monkeypatch):
+    function_infos = pipeline.function_infos
+
+    def one_name(unit):
+        return [dataclasses.replace(f, name="shared") if f.emits_transfer else f
+                for f in function_infos(unit)]
+
+    monkeypatch.setattr(pipeline, "function_infos", one_name)
+    explored = _counting_explorer(monkeypatch)
+    (report,) = analyze_path(str(corpus_dir / "MarketHub"), RunConfig())
+    assert len(explored) == 2
+    assert report["functions_analyzed"] == 2
+    assert list(report["timings"]["per_function"]) == ["shared"]
 
 
 def test_contract_timeout_is_reported(corpus_dir, monkeypatch):
@@ -311,6 +374,26 @@ def test_cli_evaluate(runner, corpus_dir, tmp_path):
     labels.write_text(json.dumps([
         {"contract": "HiddenApprover",
          "expected": [{"type": "PA", "function": "transferFrom"}]},
+    ]))
+    result = runner.invoke(main, ["evaluate", "--labels", str(labels),
+                                  "--reports", str(reports_dir)])
+    assert result.exit_code == 0, result.output
+    assert "PrivilegedAddress: TP=1 FP=0 FN=0 precision=100.0%" in result.output
+    assert "overall: TP=1 of 1 precision=100.0%" in result.output
+
+
+def test_cli_evaluate_reads_the_analyze_out_file(runner, corpus_dir, tmp_path):
+    reports_dir = tmp_path / "reports"
+    reports_dir.mkdir()
+    result = runner.invoke(main, ["analyze", "--out", str(reports_dir / "all.json"),
+                                  str(corpus_dir / "HiddenApprover"),
+                                  str(corpus_dir / "GuardedGallery")])
+    assert result.exit_code == 0, result.output
+    labels = tmp_path / "labels.json"
+    labels.write_text(json.dumps([
+        {"contract": "HiddenApprover",
+         "expected": [{"type": "PA", "function": "transferFrom"}]},
+        {"contract": "GuardedGallery"},
     ]))
     result = runner.invoke(main, ["evaluate", "--labels", str(labels),
                                   "--reports", str(reports_dir)])

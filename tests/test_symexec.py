@@ -13,7 +13,7 @@ from sleepscan import symexec as sx
 from sleepscan.astview import FunctionInfo
 from sleepscan.disasm import build_cfg, disassemble
 from sleepscan.errors import EntryNotFound
-from sleepscan.ingestion import CompilationUnit, SourceMapEntry
+from sleepscan.ingestion import CompilationUnit
 from sleepscan.keccak import TRANSFER_TOPIC
 from sleepscan.sym import Const, FreshExternal, Op, Parameter, StorageDirect, Var
 from sleepscan.symexec import (
@@ -36,7 +36,7 @@ FN = FunctionInfo(
     emits_transfer=True,
 )
 
-GENERATED = SourceMapEntry(-1, 0, -1, "-")
+GENERATED = (-1, 0, -1)
 
 
 def _engine(code: bytes, binding=(), srcmap=None, ast=None,
@@ -44,7 +44,7 @@ def _engine(code: bytes, binding=(), srcmap=None, ast=None,
     instrs = disassemble(code)
     entries = srcmap if srcmap is not None else [GENERATED] * len(instrs)
     assert len(entries) == len(instrs)
-    unit = CompilationUnit("T", code, entries, ast, [(0, "")], (0, 8, 17))
+    unit = CompilationUnit("T", code, entries, ast, {0: ""}, (0, 8, 17))
     return Engine(unit, build_cfg(instrs), FN, binding,
                   budget or ExplorationBudget())
 
@@ -205,7 +205,7 @@ def test_log1_is_not_an_emission():
 def test_owner_trace_commits_on_span_exit_and_collapses_duplicates():
     span = (100, 50, 0)
     code = bytes.fromhex("6005" "5b" "80" "5b" "6006" "5b" "00")
-    inside = SourceMapEntry(110, 5, 0, "-")
+    inside = (110, 5, 0)
     srcmap = [inside, GENERATED, inside, GENERATED, inside, GENERATED, GENERATED]
     engine = _engine(code, binding=(span,), srcmap=srcmap)
     result = engine.explore(0)
@@ -375,7 +375,7 @@ def test_exploration_is_deterministic():
 def test_explore_function_requires_selector():
     internal = FunctionInfo("_transfer", None, (), (0, 0, 0), "internal", True)
     code = b"\x00"
-    unit = CompilationUnit("T", code, [GENERATED], None, [(0, "")], (0, 8, 17))
+    unit = CompilationUnit("T", code, [GENERATED], None, {0: ""}, (0, 8, 17))
     cfg = build_cfg(disassemble(code))
     with pytest.raises(EntryNotFound):
         explore_function(unit, cfg, internal, None)
