@@ -1,4 +1,5 @@
-"""AST-driven target-function pruning and ownerOf return-binding discovery.
+"""AST-driven target-function pruning, ownerOf return-binding discovery and
+the storage layout.
 
 Transfer emission propagates through same-unit internal calls: the canonical
 ``transferFrom`` emits only via an internal ``_transfer``, so without the
@@ -12,7 +13,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from sleepscan.errors import NoAst
 from sleepscan.ingestion import AstNode, CompilationUnit, Span
 from sleepscan.keccak import keccak256, keccak256_many
 
@@ -120,8 +120,6 @@ def _transfer_closure(functions: list[AstNode]) -> dict[int, bool]:
 
 
 def function_infos(unit: CompilationUnit) -> list[FunctionInfo]:
-    if unit.ast is None:
-        raise NoAst(unit.contract_name)
     functions = _function_definitions(unit.ast)
     emits = _transfer_closure(functions)
     rows = []
@@ -165,11 +163,43 @@ def find_owner_return_binding(unit: CompilationUnit) -> tuple[Span, ...]:
     """Spans of every ``ownerOf`` return statement, sorted by position.
 
     Overrides included, so the engine can match whichever body actually
-    executes; ``()`` when the unit has no AST or no ``ownerOf`` return.
+    executes; ``()`` when the unit has no ``ownerOf`` return.
     """
-    if unit.ast is None:
-        return ()
     spans = [ret.src_span
              for fn in _function_definitions(unit.ast) if fn.get("name") == "ownerOf"
              for ret in fn.find_all("Return")]
     return tuple(sorted(spans, key=lambda s: (s[2], s[0])))
+
+
+# --------------------------------------------------------------------------
+# storage layout from the AST (sequential slots, no packing: a heuristic that
+# holds for the unpacked layouts the detectors care about)
+
+@dataclass(frozen=True)
+class _SlotInfo:
+    name: str
+    type_string: str
+
+    @property
+    def is_address(self) -> bool:
+        return self.type_string.strip() in ("address", "address payable")
+
+    @property
+    def mapping_value_is_address(self) -> bool:
+        text = self.type_string.replace(" ", "")
+        return text.endswith("=>address)") or text.endswith("=>addresspayable)")
+
+
+def storage_layout(unit: CompilationUnit) -> dict[int, _SlotInfo]:
+    layout: dict[int, _SlotInfo] = {}
+    slot = 0
+    for contract in unit.ast.find_all("ContractDefinition"):
+        for child in contract.children:
+            if child.node_kind != "VariableDeclaration":
+                continue
+            if child.get("stateVariable") is False:
+                continue
+            layout[slot] = _SlotInfo(child.get("name", f"slot{slot}"),
+                                     child.get("typeString", ""))
+            slot += 1
+    return layout

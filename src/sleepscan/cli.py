@@ -13,6 +13,7 @@ from sleepscan import evaluate as evaluate_mod
 from sleepscan import pipeline
 from sleepscan.detectors import ALL_DEFECT_TYPES, SHORT_CODES
 from sleepscan.disasm import disassemble, dump_listing
+from sleepscan.errors import SleepscanError
 from sleepscan.ingestion import load_all
 
 
@@ -141,10 +142,18 @@ def evaluate(labels, reports_dir):
 @click.argument("path", type=click.Path(exists=True))
 def disasm(path):
     """Debug: dump the instruction listing with source snippets."""
+    failed = False
     for unit in load_all(path):
+        try:
+            instrs = disassemble(unit.runtime_bytecode)
+        except SleepscanError as exc:  # one bad contract must not hide the others
+            click.echo(f"{unit.contract_name}: ERROR {type(exc).__name__}: {exc}")
+            failed = True
+            continue
         click.echo(f"=== {unit.contract_name} ===")
-        instrs = disassemble(unit.runtime_bytecode)
         click.echo(dump_listing(instrs, unit.source_map, unit.sources))
+    if failed:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

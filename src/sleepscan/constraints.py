@@ -49,8 +49,6 @@ class Constraint:
     relation: str
     lhs: SymValue
     rhs: SymValue = Const(0)
-    pc: int = -1
-    src: tuple[int, int, int] | None = None
     # True for an eq-candidate decomposed out of a satisfied disjunctive
     # guard: visible to the structural detector rules, never part of the
     # conjunction solve() sees.

@@ -7,34 +7,25 @@ reachable code, so the decoder needs no compiler version.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from sleepscan import _core, opcodes
 from sleepscan.errors import TruncatedPush
 from sleepscan.ingestion import Span
 
-@dataclass(frozen=True)
-class Instruction:
+
+class Instruction(NamedTuple):
     pc: int
     byte: int
     name: str
-    immediate: bytes
+    push_value: int | None  # a PUSH's operand (0 for PUSH0); None for other opcodes
+    next_pc: int
     src: int  # index into the source map (= instruction ordinal)
 
-    @property
-    def push_value(self) -> int | None:
-        if self.name == "PUSH0":
-            return 0
-        if self.immediate:
-            return int.from_bytes(self.immediate, "big")
-        return None
-
-    @property
-    def size(self) -> int:
-        return 1 + len(self.immediate)
-
     def __str__(self) -> str:
-        if self.immediate:
-            return f"{self.name} 0x{self.immediate.hex()}"
+        width = self.next_pc - self.pc - 1
+        if width:
+            return f"{self.name} 0x{self.push_value:0{2 * width}x}"
         return self.name
 
 
@@ -67,13 +58,18 @@ class Cfg:
         return instr is not None and instr.name == "JUMPDEST"
 
 
+_NAMES = tuple(opcodes.mnemonic(byte) for byte in range(256))
+
+
 def disassemble(code: bytes) -> list[Instruction]:
     """Decode metadata-stripped runtime bytecode into instructions."""
     raw, truncated_at = _core.decode_raw(bytes(code))
     if truncated_at >= 0:
         raise TruncatedPush(f"PUSH immediate at pc {truncated_at} overruns end of code")
     return [
-        Instruction(pc, byte, opcodes.mnemonic(byte), imm, idx)
+        Instruction(pc, byte, _NAMES[byte],
+                    int.from_bytes(imm, "big") if imm else 0 if byte == 0x5F else None,
+                    pc + 1 + len(imm), idx)
         for idx, (pc, byte, imm) in enumerate(raw)
     ]
 

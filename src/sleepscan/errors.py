@@ -25,10 +25,6 @@ class TruncatedPush(SleepscanError):
     """A PUSH immediate runs past the end of the bytecode."""
 
 
-class NoAst(SleepscanError):
-    """The compilation unit carries no AST."""
-
-
 class EntryNotFound(SleepscanError):
     """A target function has no resolvable dispatcher entry point."""
 

@@ -293,26 +293,6 @@ def load_all(artifact_path) -> list[CompilationUnit]:
     return units
 
 
-def _validate(unit: CompilationUnit) -> CompilationUnit:
-    if not unit.runtime_bytecode:
-        raise MissingArtifact(f"{unit.contract_name}: empty runtime bytecode")
-    # The instruction count is checked where the unit is decoded, in analyze_unit.
-    for start, length, file_id in dict.fromkeys(unit.source_map):
-        if file_id < 0:
-            continue
-        text = unit.sources.get(file_id)
-        if text is None:
-            raise MissingArtifact(
-                f"{unit.contract_name}: source-map entry refers to unknown file {file_id}"
-            )
-        if start < 0 or length < 0 or start + length > len(text):
-            raise MissingArtifact(
-                f"{unit.contract_name}: source-map span {start}:{length} "
-                f"out of bounds for file {file_id}"
-            )
-    return unit
-
-
 def _load_directory(path: Path) -> list[CompilationUnit]:
     units = []
     for bin_path in sorted(path.glob("*.bin-runtime")):
@@ -331,7 +311,7 @@ def _load_directory(path: Path) -> list[CompilationUnit]:
         source_map = decode_source_map(srcmap_path.read_text().strip())
         sources = {0: sol_path.read_text()} if sol_path.exists() else {}
         version = resolve_version(None, sources)
-        units.append(_validate(CompilationUnit(name, bytecode, source_map, ast, sources, version)))
+        units.append(CompilationUnit(name, bytecode, source_map, ast, sources, version))
     return units
 
 
@@ -380,8 +360,6 @@ def _load_standard_json(path: Path) -> list[CompilationUnit]:
             hex_code = _json_string(deployed.get("object") or "",
                                     f"{contract_name}: deployedBytecode.object"
                                     ).removeprefix("0x")
-            if not hex_code:
-                raise MissingArtifact(f"{contract_name}: no deployed bytecode")
             ast = asts.get(file_name)
             if ast is None:
                 raise MissingArtifact(f"no AST for source file {file_name}")
@@ -392,6 +370,6 @@ def _load_standard_json(path: Path) -> list[CompilationUnit]:
             if metadata is not None:
                 _json_string(metadata, f"{contract_name}: metadata")
             version = resolve_version(metadata, sources)
-            units.append(_validate(CompilationUnit(
-                contract_name, bytecode, source_map, ast, sources, version)))
+            units.append(CompilationUnit(
+                contract_name, bytecode, source_map, ast, sources, version))
     return units

@@ -20,7 +20,12 @@ from sleepscan.astview import (
     select_target_functions,
 )
 from sleepscan.disasm import build_cfg, disassemble
-from sleepscan.errors import EntryNotFound, MapLengthMismatch, SleepscanError
+from sleepscan.errors import (
+    EntryNotFound,
+    MapLengthMismatch,
+    MissingArtifact,
+    SleepscanError,
+)
 from sleepscan.ingestion import CompilationUnit, load_all
 from sleepscan.symexec import ExplorationBudget, explore_function
 
@@ -46,9 +51,7 @@ def analyze_unit(unit: CompilationUnit, config: RunConfig) -> dict:
     started = time.monotonic()
     deadline = started + config.timeout_seconds
     instrs = disassemble(unit.runtime_bytecode)
-    if len(unit.source_map) != len(instrs):
-        raise MapLengthMismatch(f"{unit.contract_name}: {len(unit.source_map)} source-map "
-                                f"entries for {len(instrs)} instructions")
+    _check_unit(unit, len(instrs))
     cfg = build_cfg(instrs)
     binding = find_owner_return_binding(unit)
     all_functions = function_infos(unit)
@@ -106,6 +109,25 @@ def analyze_unit(unit: CompilationUnit, config: RunConfig) -> dict:
         },
         "timed_out": timed_out,
     }
+
+
+def _check_unit(unit: CompilationUnit, instruction_count: int) -> None:
+    """The checks that fail one contract of an artifact, not the whole file."""
+    name = unit.contract_name
+    if not instruction_count:
+        raise MissingArtifact(f"{name}: empty runtime bytecode")
+    if len(unit.source_map) != instruction_count:
+        raise MapLengthMismatch(f"{name}: {len(unit.source_map)} source-map "
+                                f"entries for {instruction_count} instructions")
+    for start, length, file_id in dict.fromkeys(unit.source_map):
+        if file_id < 0:
+            continue
+        text = unit.sources.get(file_id)
+        if text is None:
+            raise MissingArtifact(f"{name}: source-map entry refers to unknown file {file_id}")
+        if start < 0 or length < 0 or start + length > len(text):
+            raise MissingArtifact(f"{name}: source-map span {start}:{length} "
+                                  f"out of bounds for file {file_id}")
 
 
 def _finding_to_json(finding: detectors.Finding) -> dict:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from sleepscan import constraints as con
 from sleepscan import opcodes, sym
-from sleepscan.astview import FunctionInfo
+from sleepscan.astview import FunctionInfo, storage_layout
 from sleepscan.constraints import Constraint, ConstraintSet
 from sleepscan.disasm import Cfg, Instruction, find_function_entry
 from sleepscan.errors import EntryNotFound
@@ -118,42 +118,6 @@ class _KillPath(Exception):
 
 
 # --------------------------------------------------------------------------
-# storage layout from the AST (sequential slots, no packing: a heuristic that
-# holds for the unpacked layouts the detectors care about)
-
-@dataclass(frozen=True)
-class _SlotInfo:
-    name: str
-    type_string: str
-
-    @property
-    def is_address(self) -> bool:
-        return self.type_string.strip() in ("address", "address payable")
-
-    @property
-    def mapping_value_is_address(self) -> bool:
-        text = self.type_string.replace(" ", "")
-        return text.endswith("=>address)") or text.endswith("=>addresspayable)")
-
-
-def storage_layout(unit: CompilationUnit) -> dict[int, _SlotInfo]:
-    layout: dict[int, _SlotInfo] = {}
-    if unit.ast is None:
-        return layout
-    slot = 0
-    for contract in unit.ast.find_all("ContractDefinition"):
-        for child in contract.children:
-            if child.node_kind != "VariableDeclaration":
-                continue
-            if child.get("stateVariable") is False:
-                continue
-            layout[slot] = _SlotInfo(child.get("name", f"slot{slot}"),
-                                     child.get("typeString", ""))
-            slot += 1
-    return layout
-
-
-# --------------------------------------------------------------------------
 
 class Engine:
     def __init__(self, unit: CompilationUnit, cfg: Cfg, fn: FunctionInfo,
@@ -161,8 +125,13 @@ class Engine:
         self.unit = unit
         self.cfg = cfg
         self.fn = fn
-        self.binding = binding
         self.budget = budget
+        # the distinct source-map spans inside an ownerOf return statement,
+        # decided here once instead of on every step
+        self.owner_spans = frozenset(
+            span for span in set(unit.source_map)
+            if span[2] >= 0 and any(_span_contains(ret, span) for ret in binding)
+        ) if binding else frozenset()
         self.layout = storage_layout(unit)
         self.param_vars: dict[int, Var] = {}
         self.storage_vars: dict[str, Var] = {}
@@ -174,9 +143,6 @@ class Engine:
         self.timed_out = False
 
     # -- helpers ------------------------------------------------------------
-
-    def _instr_at(self, pc: int) -> Instruction | None:
-        return self.cfg.instruction_by_pc.get(pc)
 
     def _fresh(self, pc: int, origin: str, is_address: bool = False) -> Var:
         key = (pc, origin)
@@ -273,19 +239,8 @@ class Engine:
             src=self.unit.source_map[instr.src],
         ))
 
-    def _in_owner_return_span(self, instr: Instruction) -> bool:
-        if not self.binding:
-            return False
-        span = self.unit.source_map[instr.src]
-        if span[2] < 0:
-            return False
-        for ret_span in self.binding:
-            if _span_contains(ret_span, span):
-                return True
-        return False
-
     def _owner_checkpoint(self, state: MachineState, instr: Instruction) -> None:
-        if self._in_owner_return_span(instr):
+        if self.unit.source_map[instr.src] in self.owner_spans:
             if state.stack:
                 state.pending_owner = state.stack[-1]
         else:
@@ -308,16 +263,14 @@ class Engine:
         entry = opcodes.TABLE.get(instr.byte)
         if entry is None:
             raise _KillPath(END_REVERT, f"unknown opcode 0x{instr.byte:02X} at {instr.pc}")
-        _, _, pops, pushes = entry
+        _, pops, pushes = entry
         if len(stack) < pops:
             raise _KillPath(END_REVERT, f"stack underflow at {instr.pc} ({name})")
         if len(stack) - pops + pushes > MAX_STACK:
             raise _KillPath(END_REVERT, f"stack overflow at {instr.pc}")
 
-        next_pc = instr.pc + instr.size
-
         if name.startswith("PUSH"):
-            stack.append(Const(instr.push_value or 0))
+            stack.append(Const(instr.push_value))
         elif name.startswith("DUP"):
             stack.append(stack[-pops])
         elif name.startswith("SWAP"):
@@ -338,7 +291,7 @@ class Engine:
             target = stack.pop()
             condition = stack.pop()
             self._owner_checkpoint(state, instr)
-            return self._branch(state, instr, target, condition, next_pc)
+            return self._branch(state, instr, target, condition)
         elif name in ("STOP", "RETURN", "SELFDESTRUCT"):
             for _ in range(pops):
                 stack.pop()
@@ -394,7 +347,7 @@ class Engine:
             if pushes:
                 stack.append(self._fresh(instr.pc, name.lower()))
 
-        state.pc = next_pc
+        state.pc = instr.next_pc
         self._owner_checkpoint(state, instr)
         return [state]
 
@@ -417,22 +370,21 @@ class Engine:
         return value
 
     def _branch(self, state: MachineState, instr: Instruction,
-                target: SymValue, condition: SymValue, next_pc: int) -> list[MachineState]:
+                target: SymValue, condition: SymValue) -> list[MachineState]:
         value = sym.const_value(condition)
         if value is not None:
             if value:
                 state.pc = self._jump_target(target, instr)
             else:
-                state.pc = next_pc
+                state.pc = instr.next_pc
             return [state]
-        src = self.unit.source_map[instr.src]
         taken = state
         fallthrough = state.fork()
         taken.pc = self._jump_target(target, instr)
-        for c in _condition_constraints(condition, True, instr.pc, src):
+        for c in _condition_constraints(condition, True):
             taken.constraints = taken.constraints.push(c)
-        fallthrough.pc = next_pc
-        for c in _condition_constraints(condition, False, instr.pc, src):
+        fallthrough.pc = instr.next_pc
+        for c in _condition_constraints(condition, False):
             fallthrough.constraints = fallthrough.constraints.push(c)
         return [taken, fallthrough]
 
@@ -490,7 +442,7 @@ class Engine:
                     self._finish_path(state, END_BUDGET, "path budget")
                 break
             state = worklist.pop()
-            instr = self._instr_at(state.pc)
+            instr = self.cfg.instruction_by_pc.get(state.pc)
             if instr is None:
                 self._finish_path(state, END_REVERT, f"fell off code at pc {state.pc}")
                 continue
@@ -518,27 +470,25 @@ _ENVIRONMENT_VARS = {
 }
 
 
-def _condition_constraints(condition: SymValue, truthy: bool, pc: int,
-                           src: Span | None) -> list[Constraint]:
+def _condition_constraints(condition: SymValue, truthy: bool) -> list[Constraint]:
     """Relational constraint for a branch condition, plus eq-candidates
     decomposed from satisfied disjunctions."""
-    out = [_relational(condition, truthy, pc, src)]
+    out = [_relational(condition, truthy)]
     if truthy:
         for leaf in _disjunct_eq_leaves(condition):
-            out.append(Constraint(con.EQ, leaf.args[0], leaf.args[1],
-                                  pc, src, candidate=True))
+            out.append(Constraint(con.EQ, leaf.args[0], leaf.args[1], candidate=True))
     return out
 
 
-def _relational(condition: SymValue, truthy: bool, pc: int, src: Span | None) -> Constraint:
+def _relational(condition: SymValue, truthy: bool) -> Constraint:
     while isinstance(condition, Op) and condition.op == "iszero":
         condition = condition.args[0]
         truthy = not truthy
     if isinstance(condition, Op) and (condition.op, 1) in con.RELATION_OF:
         relation = con.RELATION_OF[condition.op, int(truthy)]
-        return Constraint(relation, condition.args[0], condition.args[1], pc, src)
+        return Constraint(relation, condition.args[0], condition.args[1])
     relation = con.NONZERO if truthy else con.ZERO
-    return Constraint(relation, condition, Const(0), pc, src)
+    return Constraint(relation, condition, Const(0))
 
 
 def _disjunct_eq_leaves(condition: SymValue) -> list[Op]:

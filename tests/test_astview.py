@@ -10,7 +10,6 @@ from sleepscan.astview import (
     function_infos,
     select_target_functions,
 )
-from sleepscan.errors import NoAst
 from sleepscan.ingestion import CompilationUnit, ast_from_json, load_compilation
 
 # Published ERC-721 selector values (independent of the local hash).
@@ -117,12 +116,6 @@ def test_only_three_argument_transfer_counts():
                     SPAN, SPAN),
     ])
     assert select_target_functions(function_infos(_unit_for(doc))) == []
-
-
-def test_no_ast_raises():
-    unit = CompilationUnit("C", b"\x00", [], None, {}, (0, 8, 17))
-    with pytest.raises(NoAst):
-        function_infos(unit)
 
 
 def test_owner_binding_collects_every_override(corpus_dir):

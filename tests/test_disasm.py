@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import progs
@@ -47,10 +47,22 @@ def test_truncated_push_raises():
 
 @settings(max_examples=150)
 @given(st.binary(max_size=300))
+@example(bytes.fromhex("6100ff"))  # PUSH2 0x00ff: the listing keeps leading zeros
 def test_partition_invariant(code):
     raw, truncated_at = _core.decode_raw(code)
     if truncated_at < 0:
         assert sum(1 + len(imm) for _, _, imm in raw) == len(code)
+        instrs = disassemble(code)
+        next_pcs = [ins.pc for ins in instrs[1:]] + [len(code)]
+        for ins, next_pc in zip(instrs, next_pcs):
+            assert ins.next_pc == next_pc
+            immediate = code[ins.pc + 1:next_pc]
+            if 0x60 <= ins.byte <= 0x7F:
+                assert ins.push_value == int.from_bytes(immediate, "big")
+                assert str(ins) == f"{ins.name} 0x{immediate.hex()}"
+            else:
+                assert ins.push_value == (0 if ins.name == "PUSH0" else None)
+                assert str(ins) == ins.name
     else:
         consumed = sum(1 + len(imm) for _, _, imm in raw)
         assert consumed <= truncated_at < len(code)

@@ -125,12 +125,18 @@ def test_malformed_standard_json_is_one_error_report(tmp_path, doc, message):
     assert report["findings"] == []
 
 
-def test_short_source_map_fails_only_its_contract(tmp_path):
+@pytest.mark.parametrize("field,value,error", [
+    ("sourceMap", lambda m: m.rpartition(";")[0], "MapLengthMismatch: Short: "),  # one item short
+    ("object", lambda _: "", "MissingArtifact: Short: empty runtime bytecode"),
+    ("sourceMap", lambda m: "0:99999:0" + m[m.index(";"):],
+     "MissingArtifact: Short: source-map span 0:99999 out of bounds"),
+], ids=["short-source-map", "empty-bytecode", "span-out-of-bounds"])
+def test_short_source_map_fails_only_its_contract(tmp_path, field, value, error):
     doc = corpus.standard_json_artifact(corpus.hidden_approver())
     per_file = doc["contracts"]["HiddenApprover.sol"]
     short = copy.deepcopy(per_file["HiddenApprover"])
     deployed = short["evm"]["deployedBytecode"]
-    deployed["sourceMap"] = deployed["sourceMap"].rpartition(";")[0]  # one item short
+    deployed[field] = value(deployed[field])
     per_file["Short"] = short
     path = tmp_path / "two.json"
     path.write_text(json.dumps(doc))
@@ -138,7 +144,7 @@ def test_short_source_map_fails_only_its_contract(tmp_path):
     assert good["contract"] == "HiddenApprover" and "error" not in good
     assert [f["type"] for f in good["findings"]] == [PRIVILEGED_ADDRESS]
     assert bad["contract"] == "Short"
-    assert bad["error"].startswith("MapLengthMismatch: Short: ")
+    assert bad["error"].startswith(error)
 
 
 def test_truncated_push_is_one_error_report(tmp_path):
@@ -407,3 +413,18 @@ def test_cli_disasm(runner, corpus_dir):
     assert result.exit_code == 0, result.output
     assert "=== GuardedGallery ===" in result.output
     assert "JUMPDEST" in result.output
+
+
+def test_cli_disasm_reports_a_bad_contract_and_lists_the_rest(runner, tmp_path):
+    doc = _one_contract(deployed={"object": "6001"})
+    contracts = doc["contracts"]["A.sol"]
+    contracts["B"] = copy.deepcopy(contracts["A"])
+    contracts["B"]["evm"]["deployedBytecode"]["object"] = "61ff"  # PUSH2, 1 byte
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["disasm", str(path)])
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "=== A ===" in result.output and "PUSH1 0x01" in result.output
+    assert "B: ERROR TruncatedPush: PUSH immediate at pc 0 overruns end of code" \
+        in result.output

@@ -13,7 +13,7 @@ from sleepscan import symexec as sx
 from sleepscan.astview import FunctionInfo
 from sleepscan.disasm import build_cfg, disassemble
 from sleepscan.errors import EntryNotFound
-from sleepscan.ingestion import CompilationUnit
+from sleepscan.ingestion import AstNode, CompilationUnit
 from sleepscan.keccak import TRANSFER_TOPIC
 from sleepscan.sym import Const, FreshExternal, Op, Parameter, StorageDirect, Var
 from sleepscan.symexec import (
@@ -37,9 +37,10 @@ FN = FunctionInfo(
 )
 
 GENERATED = (-1, 0, -1)
+EMPTY_AST = AstNode("SourceUnit", (0, 0, 0))  # every loaded unit has an AST
 
 
-def _engine(code: bytes, binding=(), srcmap=None, ast=None,
+def _engine(code: bytes, binding=(), srcmap=None, ast=EMPTY_AST,
             budget: ExplorationBudget | None = None) -> Engine:
     instrs = disassemble(code)
     entries = srcmap if srcmap is not None else [GENERATED] * len(instrs)
@@ -280,13 +281,13 @@ def test_iszero_chain_flips_branch_relation():
 def test_disjunction_decomposes_into_candidates():
     a, b = Var("x", Parameter(0)), Var("y", Parameter(1))
     cond = Op("or", (Op("eq", (a, Const(1))), Op("eq", (b, Const(2)))))
-    out = sx._condition_constraints(cond, True, 0, None)
+    out = sx._condition_constraints(cond, True)
     assert out[0].relation == cs.NONZERO and not out[0].candidate
     candidates = [c for c in out[1:]]
     assert all(c.candidate and c.relation == cs.EQ for c in candidates)
     assert len(candidates) == 2
     # the false branch produces only the zero constraint
-    assert [c.relation for c in sx._condition_constraints(cond, False, 0, None)] \
+    assert [c.relation for c in sx._condition_constraints(cond, False)] \
         == [cs.ZERO]
 
 
@@ -330,7 +331,7 @@ def test_branch_relation_agrees_with_the_interpreter(op):
             for condition, truthy in ((comparison, taken),
                                       (Op("iszero", (comparison,)), not taken)):
                 for branch in (True, False):
-                    (c,) = sx._condition_constraints(condition, branch, 0, None)
+                    (c,) = sx._condition_constraints(condition, branch)
                     assert c.holds({}) is (branch == truthy), (op, a, b, branch)
 
 
