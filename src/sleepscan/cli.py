@@ -13,7 +13,7 @@ from sleepscan import evaluate as evaluate_mod
 from sleepscan import pipeline
 from sleepscan.detectors import ALL_DEFECT_TYPES, SHORT_CODES
 from sleepscan.disasm import disassemble, dump_listing
-from sleepscan.errors import SleepscanError
+from sleepscan.errors import SleepscanError, UnlabeledContract
 from sleepscan.ingestion import load_all
 
 
@@ -127,7 +127,10 @@ def evaluate(labels, reports_dir):
     """Score reports against hand labels (per-type precision)."""
     label_list = evaluate_mod.load_labels(labels)
     report_list = evaluate_mod.load_reports(reports_dir)
-    result = evaluate_mod.evaluate_corpus(label_list, report_list)
+    try:
+        result = evaluate_mod.evaluate_corpus(label_list, report_list)
+    except UnlabeledContract as exc:
+        raise click.ClickException(f"contract {exc} has no label") from exc
     for defect_type, score in result["per_type"].items():
         precision = score["precision"]
         text = f"{precision:.1f}%" if precision is not None else "n/a"
@@ -142,8 +145,13 @@ def evaluate(labels, reports_dir):
 @click.argument("path", type=click.Path(exists=True))
 def disasm(path):
     """Debug: dump the instruction listing with source snippets."""
+    try:
+        units = load_all(path)
+    except (SleepscanError, OSError, ValueError) as exc:
+        click.echo(f"{Path(path).stem}: ERROR {type(exc).__name__}: {exc}")
+        sys.exit(1)
     failed = False
-    for unit in load_all(path):
+    for unit in units:
         try:
             instrs = disassemble(unit.runtime_bytecode)
         except SleepscanError as exc:  # one bad contract must not hide the others

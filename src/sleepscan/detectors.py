@@ -1,9 +1,10 @@
-"""The four sleepminting defect rules, applied to completed path records.
+"""The four sleepminting defect rules, applied to Transfer-emission records.
 
-Only clean transfer-emission records are analyzed; reverted or
-budget-exhausted paths yield diagnostics, never findings. Records tainted by
-unmodeled external calls still produce findings, downgraded to low
-confidence so users can triage them the way a manual audit would.
+The engine keeps a record only for a Transfer emission on a path that exits
+normally; reverted and budget-exhausted paths are only counted, so they
+never yield findings. Records tainted by unmodeled external calls still
+produce findings, downgraded to low confidence so users can triage them the
+way a manual audit would.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, replace
 from sleepscan import constraints as con
 from sleepscan.constraints import Constraint
 from sleepscan.ingestion import CompilationUnit, Span
-from sleepscan.symexec import END_EMISSION, PathRecord
+from sleepscan.symexec import PathRecord
 
 PRIVILEGED_ADDRESS = "PrivilegedAddress"
 UNRESTRICTED_FROM = "UnrestrictedFrom"
@@ -40,14 +41,10 @@ class Finding:
     defect_type: str
     contract: str
     function: str
-    src_span: Span | None
+    src_span: Span  # the emission's source span
     witness: tuple[str, ...]
     path_id: int
     confidence: str = "high"  # "low" when the path was tainted by external calls
-
-
-def _eligible(rec: PathRecord) -> bool:
-    return rec.end_kind == END_EMISSION
 
 
 def detect_privileged_address(rec: PathRecord) -> Finding | None:
@@ -56,8 +53,6 @@ def detect_privileged_address(rec: PathRecord) -> Finding | None:
     Either orientation counts, and eq-candidates from disjunctive guards are
     matched too.
     """
-    if not _eligible(rec):
-        return None
     witness = tuple(
         repr(c) for c in rec.constraints
         if c.relation == con.EQ and (
@@ -76,8 +71,6 @@ def _owner_entries_all_equal(trace: tuple) -> bool:
 
 def detect_unrestricted_from(rec: PathRecord, deadline: float | None = None) -> Finding | None:
     """No ``owner == from`` guard on the path: pushing the negation stays sat."""
-    if not _eligible(rec):
-        return None
     if not rec.owner_trace or rec.from_param is None:
         return None
     if not _owner_entries_all_equal(rec.owner_trace):
@@ -91,8 +84,6 @@ def detect_unrestricted_from(rec: PathRecord, deadline: float | None = None) -> 
 
 def detect_owner_inconsistency(rec: PathRecord, deadline: float | None = None) -> Finding | None:
     """Owner value changed mid-path, so the guard cannot cancel the negation."""
-    if not _eligible(rec):
-        return None
     if len(rec.owner_trace) < 2 or rec.from_param is None:
         return None
     if _owner_entries_all_equal(rec.owner_trace):
@@ -113,8 +104,6 @@ def detect_empty_transfer_event(recs: list[PathRecord]) -> Finding | None:
     before the emission sets it too.
     """
     for rec in recs:
-        if not _eligible(rec):
-            continue
         if not rec.sstore_mark_at_exit:
             witness = (f"no SSTORE before emission at pc {rec.emission_pc} "
                        f"nor anywhere on the path",)
@@ -127,7 +116,7 @@ def _finding(defect_type: str, rec: PathRecord, witness: tuple[str, ...]) -> Fin
         defect_type=defect_type,
         contract="",
         function=rec.function.name,
-        src_span=rec.emission_src or rec.function.src_span,
+        src_span=rec.emission_src,
         witness=witness,
         path_id=rec.path_id,
         confidence="low" if rec.tainted else "high",
@@ -171,4 +160,4 @@ def analyze_contract(unit: CompilationUnit, records: list[PathRecord],
         if previous is None or previous.confidence == "low" and finding.confidence == "high":
             deduped[key] = finding
     return sorted(deduped.values(),
-                  key=lambda f: (f.src_span or (0, 0, 0), f.defect_type))
+                  key=lambda f: (f.src_span, f.defect_type))

@@ -65,6 +65,7 @@ def analyze_unit(unit: CompilationUnit, config: RunConfig) -> dict:
     budget = ExplorationBudget(max_steps=config.max_steps, max_paths=config.max_paths,
                                loop_bound=config.loop_bound, deadline=deadline)
     records = []
+    path_records: dict[str, int] = {}  # end kind -> count, in order of first end
     timed_out = False
     per_function: dict[str, float] = {}  # seconds, summed over targets sharing a name
     analyzed = 0
@@ -83,6 +84,8 @@ def analyze_unit(unit: CompilationUnit, config: RunConfig) -> dict:
             skipped.append(fn.name)
             continue
         records.extend(result.records)
+        for (end_kind, _), count in result.ends.items():
+            path_records[end_kind] = path_records.get(end_kind, 0) + count
         timed_out |= result.timed_out
         analyzed += 1
         per_function[fn.name] = round(per_function.get(fn.name, 0.0)
@@ -102,7 +105,7 @@ def analyze_unit(unit: CompilationUnit, config: RunConfig) -> dict:
         "functions_analyzed": analyzed,
         "functions_skipped": skipped,
         "findings": [_finding_to_json(f) for f in findings],
-        "path_records": _record_stats(records),
+        "path_records": path_records,
         "timings": {
             "total_seconds": round(time.monotonic() - started, 6),
             "per_function": per_function,
@@ -131,23 +134,16 @@ def _check_unit(unit: CompilationUnit, instruction_count: int) -> None:
 
 
 def _finding_to_json(finding: detectors.Finding) -> dict:
-    span = finding.src_span or (-1, 0, -1)
+    start, length, file_id = finding.src_span
     return {
         "type": finding.defect_type,
         "function": finding.function,
-        "file": span[2],
-        "start": span[0],
-        "length": span[1],
+        "file": file_id,
+        "start": start,
+        "length": length,
         "confidence": finding.confidence,
         "witness": list(finding.witness),
     }
-
-
-def _record_stats(records) -> dict:
-    stats: dict[str, int] = {}
-    for rec in records:
-        stats[rec.end_kind] = stats.get(rec.end_kind, 0) + 1
-    return stats
 
 
 def _error_report(contract: str, exc: Exception) -> dict:

@@ -5,7 +5,11 @@ detectors need is gathered at four checkpoints: CALLDATALOAD (parameter
 binding), SLOAD/SSTORE (storage provenance and the store mark), the source
 span of ownerOf's return statement (owner trace), and LOG4 with the Transfer
 topic hash (the emission snapshot). Execution continues past an emission so
-the whole-function exit record exists for the end-of-function store check.
+its record carries the store mark at the path's exit.
+
+A path record is kept only for a Transfer emission on a path that exits
+normally; every path end, and every emission, is counted by
+``(end kind, diagnostic)`` in ``ExplorationResult.ends``.
 
 External calls are not followed: they produce a fresh value and taint the
 path, and findings on tainted paths are downgraded, not suppressed.
@@ -14,6 +18,7 @@ path, and findings on tainted paths are downgraded, not suppressed.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 from sleepscan import constraints as con
@@ -88,22 +93,26 @@ class MachineState:
 
 @dataclass(frozen=True)
 class PathRecord:
+    """One Transfer emission on a path that exited normally."""
+
     function: FunctionInfo
-    end_kind: str
+    end_kind: str  # always END_EMISSION
     constraints: ConstraintSet
     owner_trace: tuple[SymValue, ...]
     from_param: SymValue | None
     sstore_mark_at_exit: bool
     tainted: bool
     path_id: int
-    emission_pc: int = -1
-    emission_src: Span | None = None
-    diagnostic: str | None = None
+    emission_pc: int
+    emission_src: Span
 
 
 @dataclass
 class ExplorationResult:
     records: list[PathRecord]
+    # (end kind, diagnostic) -> paths; each emission counts once more, as
+    # transfer-emission on a normal exit and as budget-exhausted on a cut
+    ends: Counter
     timed_out: bool = False
     steps_used: int = 0
     paths_finished: int = 0
@@ -138,6 +147,7 @@ class Engine:
         self.memory_fresh: dict[str, Var] = {}
         self.site_fresh: dict[tuple[int, int], Var] = {}
         self.records: list[PathRecord] = []
+        self.ends: Counter = Counter()
         self.steps_used = 0
         self.paths_finished = 0
         self.timed_out = False
@@ -392,40 +402,26 @@ class Engine:
 
     def _finish_path(self, state: MachineState, end_kind: str,
                      diagnostic: str | None = None) -> None:
-        self._commit_pending_owner(state)
         path_id = self.paths_finished
         self.paths_finished += 1
-        if end_kind in (END_EXIT, END_BUDGET):
+        if state.snapshots and end_kind != END_REVERT:
+            # counted before the path's own end, so kinds appear in path order
             emission_kind = END_EMISSION if end_kind == END_EXIT else END_BUDGET
-            for snapshot in state.snapshots:
-                self.records.append(self._emission_record(snapshot, state, path_id,
-                                                          emission_kind))
-        self.records.append(PathRecord(
-            function=self.fn,
-            end_kind=end_kind,
-            constraints=state.constraints,
-            owner_trace=state.owner_trace,
-            from_param=self.param_vars.get(0),
-            sstore_mark_at_exit=state.sstore_mark,
-            tainted=state.tainted,
-            path_id=path_id,
-            diagnostic=diagnostic,
-        ))
-
-    def _emission_record(self, snapshot: _EmissionSnapshot, state: MachineState,
-                         path_id: int, end_kind: str) -> PathRecord:
-        return PathRecord(
-            function=self.fn,
-            end_kind=end_kind,
-            constraints=snapshot.constraints,
-            owner_trace=snapshot.owner_trace,
-            from_param=self.param_vars.get(0) or snapshot.from_topic,
-            sstore_mark_at_exit=state.sstore_mark,
-            tainted=snapshot.tainted,
-            path_id=path_id,
-            emission_pc=snapshot.pc,
-            emission_src=snapshot.src,
-        )
+            self.ends[emission_kind, None] += len(state.snapshots)
+        if end_kind == END_EXIT:
+            self.records.extend(PathRecord(
+                function=self.fn,
+                end_kind=END_EMISSION,
+                constraints=snapshot.constraints,
+                owner_trace=snapshot.owner_trace,
+                from_param=self.param_vars.get(0) or snapshot.from_topic,
+                sstore_mark_at_exit=state.sstore_mark,
+                tainted=snapshot.tainted,
+                path_id=path_id,
+                emission_pc=snapshot.pc,
+                emission_src=snapshot.src,
+            ) for snapshot in state.snapshots)
+        self.ends[end_kind, diagnostic] += 1
 
     # -- exploration loop ---------------------------------------------------
 
@@ -456,7 +452,7 @@ class Engine:
                 self._finish_path(state, kill.end_kind, kill.reason)
                 continue
             worklist.extend(successors)
-        return ExplorationResult(self.records, self.timed_out,
+        return ExplorationResult(self.records, self.ends, self.timed_out,
                                  self.steps_used, self.paths_finished)
 
 
@@ -524,7 +520,8 @@ def _span_contains(outer: Span, inner: Span) -> bool:
 def explore_function(unit: CompilationUnit, cfg: Cfg, fn: FunctionInfo,
                      binding: tuple[Span, ...],
                      budget: ExplorationBudget | None = None) -> ExplorationResult:
-    """Explore ``fn`` from its dispatcher entry; returns all path records."""
+    """Explore ``fn`` from its dispatcher entry: its emission records and
+    counted path ends."""
     if budget is None:
         budget = ExplorationBudget()
     if fn.selector is None:

@@ -1,4 +1,4 @@
-"""Detector rules over synthetic path records, then over the built corpus."""
+"""Detector rules over synthetic emission records, then over the built corpus."""
 
 import time
 
@@ -23,7 +23,7 @@ from sleepscan.detectors import (
 )
 from sleepscan.ingestion import CompilationUnit
 from sleepscan.sym import Const, Op, Var
-from sleepscan.symexec import END_BUDGET, END_EMISSION, END_EXIT, END_REVERT, PathRecord
+from sleepscan.symexec import END_EMISSION, PathRecord
 
 FN = FunctionInfo("transferFrom", 0x23B872DD,
                   (("from", "address"), ("to", "address"), ("tokenId", "uint256")),
@@ -39,11 +39,11 @@ OWNER_B = Var("punks[...]", sym.StorageMapping(Op("sha3", (FROM, Const(2))),
                                                "punks[...]"), is_address=True)
 
 
-def record(*, end_kind=END_EMISSION, constraints=(), owner_trace=(),
+def record(*, constraints=(), owner_trace=(),
            from_param=FROM, mark_at_exit=True, tainted=False, path_id=0) -> PathRecord:
     return PathRecord(
         function=FN,
-        end_kind=end_kind,
+        end_kind=END_EMISSION,
         constraints=ConstraintSet(tuple(constraints)),
         owner_trace=owner_trace,
         from_param=from_param,
@@ -159,17 +159,6 @@ def test_empty_transfer_event_fires_without_any_store():
 def test_early_emit_then_store_is_exempt():
     # the exit-time mark covers stores on either side of the emission
     assert detect_empty_transfer_event([record(mark_at_exit=True)]) is None
-
-
-def test_non_emission_records_never_yield_findings():
-    for end_kind in (END_EXIT, END_REVERT, END_BUDGET):
-        rec = record(end_kind=end_kind, mark_at_exit=False,
-                     owner_trace=(OWNER_B, OWNER_A),
-                     constraints=[Constraint(cs.EQ, CALLER, SECRET)])
-        assert detect_privileged_address(rec) is None
-        assert detect_unrestricted_from(rec) is None
-        assert detect_owner_inconsistency(rec) is None
-        assert detect_empty_transfer_event([rec]) is None
 
 
 # --------------------------------------------------------------------------

@@ -15,6 +15,10 @@ from sleepscan import detectors, pipeline
 from sleepscan.cli import main
 from sleepscan.detectors import OWNER_INCONSISTENCY, PRIVILEGED_ADDRESS
 from sleepscan.pipeline import RunConfig, analyze_path
+from sleepscan.symexec import END_BUDGET as BUDGET
+from sleepscan.symexec import END_EMISSION as EMIT
+from sleepscan.symexec import END_EXIT as EXIT
+from sleepscan.symexec import END_REVERT as REVERT
 
 
 # --------------------------------------------------------------------------
@@ -60,6 +64,35 @@ def test_finding_span_points_at_the_emission(corpus_dir, corpus_reports):
     finding = corpus_reports["HiddenApprover"]["findings"][0]
     snippet = unit.snippet((finding["start"], finding["length"], finding["file"]))
     assert snippet == "emit Transfer(from, to, tokenId);"
+
+
+# contract -> (pruned, unpruned) path_records; an emission counts beside its
+# path's own end, under budget-exhausted when the path was cut
+PATH_RECORDS = {
+    "BatchAirdrop": ({BUDGET: 20, EMIT: 5, EXIT: 7}, {BUDGET: 20, EMIT: 5, EXIT: 7}),
+    "BridgeRelay": ({EMIT: 1, EXIT: 1, REVERT: 1}, {EMIT: 1, EXIT: 1, REVERT: 1}),
+    "ChubbyBunny": ({EMIT: 1, EXIT: 1, REVERT: 2}, {EXIT: 2, EMIT: 1, REVERT: 2}),
+    "FreeMintable": ({REVERT: 3, EMIT: 2, EXIT: 2}, {EXIT: 3, REVERT: 3, EMIT: 2}),
+    "FreeMintable04": ({REVERT: 3, EMIT: 2, EXIT: 2}, {EXIT: 3, REVERT: 3, EMIT: 2}),
+    "FreeMintableShanghai": ({REVERT: 3, EMIT: 2, EXIT: 2},
+                             {EXIT: 3, REVERT: 3, EMIT: 2}),
+    "GuardedGallery": ({REVERT: 4, EMIT: 2, EXIT: 2}, {EXIT: 3, REVERT: 4, EMIT: 2}),
+    "HiddenApprover": ({REVERT: 4, EMIT: 3, EXIT: 3}, {EXIT: 4, REVERT: 4, EMIT: 3}),
+    "MarketHub": ({EMIT: 2, EXIT: 2}, {EXIT: 9218, BUDGET: 54, EMIT: 2}),
+    "OrderlyMuseum": ({REVERT: 2, EMIT: 2, EXIT: 2}, {EXIT: 3, REVERT: 2, EMIT: 2}),
+    "PausableGallery": ({REVERT: 5, EMIT: 2, EXIT: 2}, {EXIT: 3, REVERT: 5, EMIT: 2}),
+    "QuietIslands": ({EXIT: 1, REVERT: 2}, {EXIT: 1, REVERT: 2}),
+    "RelistedArt": ({EMIT: 1, EXIT: 1, REVERT: 1}, {EXIT: 2, EMIT: 1, REVERT: 1}),
+    "SteadyMint": ({EMIT: 2, EXIT: 1}, {EMIT: 2, EXIT: 1}),
+}
+
+
+@pytest.mark.parametrize("contract", sorted(PATH_RECORDS))
+def test_path_records_count_every_end(contract, corpus_dir, corpus_reports):
+    pruned, unpruned = PATH_RECORDS[contract]
+    (full,) = analyze_path(str(corpus_dir / contract), RunConfig(prune=False))
+    assert list(corpus_reports[contract]["path_records"].items()) == list(pruned.items())
+    assert list(full["path_records"].items()) == list(unpruned.items())
 
 
 def test_analyze_path_isolates_broken_artifacts(tmp_path):
@@ -388,6 +421,20 @@ def test_cli_evaluate(runner, corpus_dir, tmp_path):
     assert "overall: TP=1 of 1 precision=100.0%" in result.output
 
 
+def test_cli_evaluate_names_an_unlabeled_contract(runner, corpus_dir, tmp_path):
+    reports_dir = tmp_path / "reports"
+    reports_dir.mkdir()
+    report = analyze_path(str(corpus_dir / "GuardedGallery"), RunConfig())[0]
+    (reports_dir / "gg.json").write_text(json.dumps(report))
+    labels = tmp_path / "labels.json"
+    labels.write_text(json.dumps([{"contract": "HiddenApprover", "expected": []}]))
+    result = runner.invoke(main, ["evaluate", "--labels", str(labels),
+                                  "--reports", str(reports_dir)])
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "contract GuardedGallery has no label" in result.output
+
+
 def test_cli_evaluate_reads_the_analyze_out_file(runner, corpus_dir, tmp_path):
     reports_dir = tmp_path / "reports"
     reports_dir.mkdir()
@@ -428,3 +475,17 @@ def test_cli_disasm_reports_a_bad_contract_and_lists_the_rest(runner, tmp_path):
     assert "=== A ===" in result.output and "PUSH1 0x01" in result.output
     assert "B: ERROR TruncatedPush: PUSH immediate at pc 0 overruns end of code" \
         in result.output
+
+
+@pytest.mark.parametrize("text,error", [
+    ("[]", "MissingArtifact: "),
+    ('{"contracts": {}}', "MissingArtifact: "),
+    ("{", "JSONDecodeError: "),
+], ids=["top-level-list", "no-contracts", "truncated-json"])
+def test_cli_disasm_reports_a_file_that_does_not_load(runner, tmp_path, text, error):
+    path = tmp_path / "broken.json"
+    path.write_text(text)
+    result = runner.invoke(main, ["disasm", str(path)])
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.output.startswith(f"broken: ERROR {error}")

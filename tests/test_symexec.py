@@ -1,4 +1,5 @@
-"""Interpreter semantics, checkpoints, budgets and path records."""
+"""Interpreter semantics, checkpoints, budgets, emission records and
+counted path ends."""
 
 import random
 
@@ -161,43 +162,47 @@ def _emit_then(suffix_hex: str) -> bytes:
     )
 
 
+EMISSION_PC = 43  # the LOG4 of _emit_then at pc 0
+
+
 def test_emission_snapshot_and_late_store():
     # emit first, SSTORE afterwards: marked clean at emission, set at exit
-    engine = _engine(_emit_then("6007600055" "00"))
-    result = engine.explore(0)
-    kinds = [r.end_kind for r in result.records]
-    assert kinds == [END_EMISSION, END_EXIT]
-    emission = result.records[0]
+    result = _engine(_emit_then("6007600055" "00")).explore(0)
+    assert result.ends == {(END_EMISSION, None): 1, (END_EXIT, None): 1}
+    (emission,) = result.records
+    assert emission.end_kind == END_EMISSION
     assert emission.sstore_mark_at_exit is True
-    assert emission.emission_pc >= 0
+    assert emission.emission_pc == EMISSION_PC
     # the event's `from` topic fills the role of a missing calldata param
     assert emission.from_param == Const(3)
 
 
 def test_execution_continues_past_emission():
-    engine = _engine(_emit_then("") + _emit_then("00"))
-    result = engine.explore(0)
-    assert [r.end_kind for r in result.records] == [END_EMISSION, END_EMISSION, END_EXIT]
+    first = _emit_then("")
+    result = _engine(first + _emit_then("00")).explore(0)
+    assert [r.emission_pc for r in result.records] == [EMISSION_PC,
+                                                       len(first) + EMISSION_PC]
+    assert result.ends == {(END_EMISSION, None): 2, (END_EXIT, None): 1}
 
 
 def test_reverted_path_discards_snapshots():
-    engine = _engine(_emit_then("60006000fd"))  # PUSH 0 PUSH 0 REVERT
-    result = engine.explore(0)
-    assert [r.end_kind for r in result.records] == [END_REVERT]
+    result = _engine(_emit_then("60006000fd")).explore(0)  # PUSH 0 PUSH 0 REVERT
+    assert result.records == []
+    assert result.ends == {(END_REVERT, None): 1}
 
 
 def test_non_transfer_log4_is_ignored():
     code = bytes.fromhex("6001600260036004" "6000" "6000" "a4" "00")
-    engine = _engine(code)
-    result = engine.explore(0)
-    assert [r.end_kind for r in result.records] == [END_EXIT]
+    result = _engine(code).explore(0)
+    assert result.records == []
+    assert result.ends == {(END_EXIT, None): 1}
 
 
 def test_log1_is_not_an_emission():
     code = bytes.fromhex("7f" + f"{TRANSFER_TOPIC:064x}" + "6000" "6000" "a1" "00")
-    engine = _engine(code)
-    result = engine.explore(0)
-    assert [r.end_kind for r in result.records] == [END_EXIT]
+    result = _engine(code).explore(0)
+    assert result.records == []
+    assert result.ends == {(END_EXIT, None): 1}
 
 
 # --------------------------------------------------------------------------
@@ -205,21 +210,20 @@ def test_log1_is_not_an_emission():
 
 def test_owner_trace_commits_on_span_exit_and_collapses_duplicates():
     span = (100, 50, 0)
-    code = bytes.fromhex("6005" "5b" "80" "5b" "6006" "5b" "00")
+    code = bytes.fromhex("6005" "5b" "80" "5b" "6006" "5b") + _emit_then("00")
     inside = (110, 5, 0)
-    srcmap = [inside, GENERATED, inside, GENERATED, inside, GENERATED, GENERATED]
+    srcmap = [inside, GENERATED, inside, GENERATED, inside, GENERATED] + [GENERATED] * 8
     engine = _engine(code, binding=(span,), srcmap=srcmap)
-    result = engine.explore(0)
-    exit_record = [r for r in result.records if r.end_kind == END_EXIT][0]
+    (emission,) = engine.explore(0).records
     # PUSH 5 (in span) commits once; DUP1 re-captures the same value and is
     # collapsed; PUSH 6 (in span) is a distinct capture
-    assert exit_record.owner_trace == (Const(5), Const(6))
+    assert emission.owner_trace == (Const(5), Const(6))
 
 
 def test_no_binding_means_empty_trace():
-    engine = _engine(bytes.fromhex("600500"))
-    result = engine.explore(0)
-    assert result.records[0].owner_trace == ()
+    engine = _engine(bytes.fromhex("6005") + _emit_then("00"))
+    (emission,) = engine.explore(0).records
+    assert emission.owner_trace == ()
 
 
 def test_span_contains():
@@ -234,14 +238,14 @@ def test_span_contains():
 # external calls and taint
 
 def test_call_taints_and_produces_fresh_value():
-    code = bytes.fromhex("6000" * 7 + "f1" "00")
+    code = bytes.fromhex("6000" * 7 + "f1") + _emit_then("00")
     engine = _engine(code)
     state = _run_straight_line(engine)
     assert state.tainted
     (ret,) = state.stack
     assert isinstance(ret.kind, FreshExternal) and ret.kind.origin == "call"
-    result = _engine(code).explore(0)
-    assert result.records[0].tainted
+    (emission,) = _engine(code).explore(0).records
+    assert emission.tainted
 
 
 def test_call_result_is_memoized_per_site():
@@ -255,21 +259,23 @@ def test_call_result_is_memoized_per_site():
 # --------------------------------------------------------------------------
 # control flow, branching and budgets
 
+def _branch_then_emit(condition_hex: str) -> bytes:
+    """JUMPI on ``condition_hex``; both sides emit a Transfer and stop."""
+    side = _emit_then("00")
+    target = len(condition_hex) // 2 + 3 + len(side)
+    return bytes.fromhex(condition_hex + f"60{target:02x}" "57") + side + b"\x5b" + side
+
+
 def test_symbolic_branch_forks_with_constraints():
     # JUMPI on calldataload(4): taken requires nonzero, fallthrough zero
-    code = bytes.fromhex("600435" "6007" "57" "00" "5b" "00")
-    engine = _engine(code)
-    result = engine.explore(0)
-    exits = [r for r in result.records if r.end_kind == END_EXIT]
-    assert len(exits) == 2
-    relations = sorted(c.relation for r in exits for c in r.constraints)
+    result = _engine(_branch_then_emit("600435")).explore(0)
+    assert result.ends == {(END_EMISSION, None): 2, (END_EXIT, None): 2}
+    relations = sorted(c.relation for r in result.records for c in r.constraints)
     assert relations == [cs.NONZERO, cs.ZERO]
 
 
 def test_iszero_chain_flips_branch_relation():
-    code = bytes.fromhex("600435" "15" "6008" "57" "00" "5b" "00")
-    engine = _engine(code)
-    result = engine.explore(0)
+    result = _engine(_branch_then_emit("600435" "15")).explore(0)
     by_relation = {c.relation for r in result.records for c in r.constraints}
     assert by_relation == {cs.ZERO, cs.NONZERO}
     taken = [r for r in result.records
@@ -292,17 +298,17 @@ def test_disjunction_decomposes_into_candidates():
 
 
 def test_concrete_branch_does_not_fork():
-    code = bytes.fromhex("6001" "6006" "57" "fe" "5b" "00")
-    engine = _engine(code)
-    result = engine.explore(0)
-    assert [r.end_kind for r in result.records] == [END_EXIT]
-    assert len(result.records[0].constraints) == 0
+    code = bytes.fromhex("6001" "6006" "57" "fe" "5b") + _emit_then("00")
+    result = _engine(code).explore(0)
+    assert result.ends == {(END_EMISSION, None): 1, (END_EXIT, None): 1}
+    (emission,) = result.records
+    assert len(emission.constraints) == 0
 
 
 def test_jump_to_non_jumpdest_kills_path():
-    engine = _engine(bytes.fromhex("600356" "00" "00"))
-    result = engine.explore(0)
-    assert result.records[0].end_kind == END_REVERT
+    result = _engine(bytes.fromhex("600356" "00" "00")).explore(0)
+    assert result.records == []
+    assert result.ends == {(END_REVERT, "jump to non-JUMPDEST 3 at 2"): 1}
 
 
 @pytest.mark.parametrize("code,diagnostic", [
@@ -312,11 +318,10 @@ def test_jump_to_non_jumpdest_kills_path():
     (bytes.fromhex("33" "56"), "symbolic jump target at 1"),
     (bytes.fromhex("6001"), "fell off code at pc 2"),
 ], ids=["unknown-opcode", "underflow", "overflow", "symbolic-jump", "no-halt"])
-def test_killed_path_is_one_revert_record(code, diagnostic):
+def test_killed_path_is_one_revert_end(code, diagnostic):
     result = _engine(code).explore(0)
-    (rec,) = result.records
-    assert rec.end_kind == END_REVERT
-    assert rec.diagnostic == diagnostic
+    assert result.records == []
+    assert result.ends == {(END_REVERT, diagnostic): 1}
 
 
 @pytest.mark.parametrize("op", ["eq", "lt", "gt", "slt", "sgt"])
@@ -339,21 +344,22 @@ def test_loop_bound_ends_path_as_budget_exhausted():
     code = bytes.fromhex("5b" "6000" "56")  # JUMPDEST; PUSH 0; JUMP (forever)
     engine = _engine(code, budget=ExplorationBudget(loop_bound=3))
     result = engine.explore(0)
-    assert [r.end_kind for r in result.records] == [END_BUDGET]
-    assert "loop bound" in result.records[0].diagnostic
+    assert result.records == []
+    assert result.ends == {(END_BUDGET, "loop bound at jumpdest 0"): 1}
 
 
 def test_budget_emission_records_are_not_reportable_kind():
-    # a path that emits and then loops forever surfaces its emission with the
-    # budget end kind, never as "transfer-emission"
+    # a path that emits and then loops forever counts its emission under the
+    # budget end kind, never as "transfer-emission", and keeps no record
     code = _emit_then("5b600c56")  # JUMPDEST; PUSH jumpdest_pc; JUMP
     # patch jump target to the JUMPDEST we appended
     jumpdest_pc = len(code) - 4
     code = code[:-2] + bytes([jumpdest_pc]) + code[-1:]
     engine = _engine(code, budget=ExplorationBudget(loop_bound=2))
     result = engine.explore(0)
-    kinds = {r.end_kind for r in result.records}
-    assert kinds == {END_BUDGET}
+    assert result.records == []
+    assert result.ends == {(END_BUDGET, None): 1,
+                           (END_BUDGET, f"loop bound at jumpdest {jumpdest_pc}"): 1}
 
 
 def test_step_budget_caps_work():
@@ -361,15 +367,16 @@ def test_step_budget_caps_work():
     engine = _engine(code, budget=ExplorationBudget(max_steps=5, loop_bound=10**6))
     result = engine.explore(0)
     assert result.steps_used == 5
-    assert result.records[0].end_kind == END_BUDGET
+    assert result.records == []
+    assert result.ends == {(END_BUDGET, "step budget"): 1}
 
 
 def test_exploration_is_deterministic():
-    code = bytes.fromhex("600435" "6007" "57" "00" "5b" "00")
+    code = _branch_then_emit("600435")
     def snapshot():
         res = _engine(code).explore(0)
         return [(r.end_kind, tuple(r.constraints.entries), r.path_id)
-                for r in res.records]
+                for r in res.records], list(res.ends.items())
     assert snapshot() == snapshot()
 
 
