@@ -176,7 +176,7 @@ def find_owner_return_binding(unit: CompilationUnit) -> tuple[Span, ...]:
 # holds for the unpacked layouts the detectors care about)
 
 @dataclass(frozen=True)
-class _SlotInfo:
+class SlotInfo:
     name: str
     type_string: str
 
@@ -190,8 +190,8 @@ class _SlotInfo:
         return text.endswith("=>address)") or text.endswith("=>addresspayable)")
 
 
-def storage_layout(unit: CompilationUnit) -> dict[int, _SlotInfo]:
-    layout: dict[int, _SlotInfo] = {}
+def storage_layout(unit: CompilationUnit) -> dict[int, SlotInfo]:
+    layout: dict[int, SlotInfo] = {}
     slot = 0
     for contract in unit.ast.find_all("ContractDefinition"):
         for child in contract.children:
@@ -199,7 +199,7 @@ def storage_layout(unit: CompilationUnit) -> dict[int, _SlotInfo]:
                 continue
             if child.get("stateVariable") is False:
                 continue
-            layout[slot] = _SlotInfo(child.get("name", f"slot{slot}"),
+            layout[slot] = SlotInfo(child.get("name", f"slot{slot}"),
                                      child.get("typeString", ""))
             slot += 1
     return layout

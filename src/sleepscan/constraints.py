@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from sleepscan import sym
 from sleepscan.sym import Const, SymValue, Var
@@ -55,7 +55,7 @@ class Constraint:
     candidate: bool = False
 
     def negated(self) -> "Constraint":
-        return replace(self, relation=_NEGATION[self.relation])
+        return Constraint(_NEGATION[self.relation], self.lhs, self.rhs, self.candidate)
 
     def same_sides(self, other: "Constraint") -> bool:
         # width masks are plumbing, not identity: and(x, 2^160-1) is the same

@@ -27,7 +27,7 @@ from sleepscan.errors import (
     SleepscanError,
 )
 from sleepscan.ingestion import CompilationUnit, load_all
-from sleepscan.symexec import ExplorationBudget, explore_function
+from sleepscan.symexec import ExplorationBudget, explore_function, unit_facts
 
 SCHEMA_VERSION = 1
 
@@ -54,6 +54,7 @@ def analyze_unit(unit: CompilationUnit, config: RunConfig) -> dict:
     _check_unit(unit, len(instrs))
     cfg = build_cfg(instrs)
     binding = find_owner_return_binding(unit)
+    facts = unit_facts(unit, binding)
     all_functions = function_infos(unit)
     externally_callable = [f for f in all_functions
                            if f.visibility in EXTERNALLY_CALLABLE]
@@ -79,7 +80,7 @@ def analyze_unit(unit: CompilationUnit, config: RunConfig) -> dict:
         selectors.add(fn.selector)
         fn_started = time.monotonic()
         try:
-            result = explore_function(unit, cfg, fn, binding, budget)
+            result = explore_function(unit, cfg, fn, binding, budget, facts)
         except EntryNotFound:
             skipped.append(fn.name)
             continue

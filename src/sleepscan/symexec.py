@@ -20,10 +20,11 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from sleepscan import constraints as con
 from sleepscan import opcodes, sym
-from sleepscan.astview import FunctionInfo, storage_layout
+from sleepscan.astview import FunctionInfo, SlotInfo, storage_layout
 from sleepscan.constraints import Constraint, ConstraintSet
 from sleepscan.disasm import Cfg, Instruction, find_function_entry
 from sleepscan.errors import EntryNotFound
@@ -33,6 +34,7 @@ from sleepscan.sym import Const, FreshExternal, Op, Parameter, SymValue, Var
 
 
 MAX_STACK = 1024
+_DEADLINE_EVERY = 256  # steps between two reads of the clock
 
 END_EMISSION = "transfer-emission"
 END_EXIT = "normal-exit"
@@ -45,7 +47,7 @@ class ExplorationBudget:
     max_steps: int = 100_000
     max_paths: int = 512
     loop_bound: int = 3
-    deadline: float | None = None  # absolute time.monotonic() cutoff
+    deadline: float | None = None  # absolute time.monotonic() cutoff, read every 256 steps
 
     def expired(self) -> bool:
         return self.deadline is not None and time.monotonic() > self.deadline
@@ -128,20 +130,30 @@ class _KillPath(Exception):
 
 # --------------------------------------------------------------------------
 
+class UnitFacts(NamedTuple):
+    """What the engine reads of a unit beyond its code, decided once per unit."""
+
+    layout: dict[int, SlotInfo]
+    # the distinct source-map spans inside an ownerOf return statement
+    owner_spans: frozenset[Span]
+
+
+def unit_facts(unit: CompilationUnit, binding: tuple[Span, ...]) -> UnitFacts:
+    owner_spans = frozenset(
+        span for span in set(unit.source_map)
+        if span[2] >= 0 and any(_span_contains(ret, span) for ret in binding)
+    ) if binding else frozenset()
+    return UnitFacts(storage_layout(unit), owner_spans)
+
+
 class Engine:
     def __init__(self, unit: CompilationUnit, cfg: Cfg, fn: FunctionInfo,
-                 binding: tuple[Span, ...], budget: ExplorationBudget):
+                 facts: UnitFacts, budget: ExplorationBudget):
         self.unit = unit
         self.cfg = cfg
         self.fn = fn
         self.budget = budget
-        # the distinct source-map spans inside an ownerOf return statement,
-        # decided here once instead of on every step
-        self.owner_spans = frozenset(
-            span for span in set(unit.source_map)
-            if span[2] >= 0 and any(_span_contains(ret, span) for ret in binding)
-        ) if binding else frozenset()
-        self.layout = storage_layout(unit)
+        self.layout, self.owner_spans = facts
         self.param_vars: dict[int, Var] = {}
         self.storage_vars: dict[str, Var] = {}
         self.memory_fresh: dict[str, Var] = {}
@@ -268,108 +280,29 @@ class Engine:
     # -- single-instruction semantics ---------------------------------------
 
     def step(self, state: MachineState, instr: Instruction) -> list[MachineState]:
-        name = instr.name
-        stack = state.stack
-        entry = opcodes.TABLE.get(instr.byte)
+        entry = _DISPATCH[instr.byte]
         if entry is None:
             raise _KillPath(END_REVERT, f"unknown opcode 0x{instr.byte:02X} at {instr.pc}")
-        _, pops, pushes = entry
-        if len(stack) < pops:
-            raise _KillPath(END_REVERT, f"stack underflow at {instr.pc} ({name})")
-        if len(stack) - pops + pushes > MAX_STACK:
+        handler, pops, pushes = entry
+        depth = len(state.stack)
+        if depth < pops:
+            raise _KillPath(END_REVERT, f"stack underflow at {instr.pc} ({instr.name})")
+        if depth - pops + pushes > MAX_STACK:
             raise _KillPath(END_REVERT, f"stack overflow at {instr.pc}")
-
-        if name.startswith("PUSH"):
-            stack.append(Const(instr.push_value))
-        elif name.startswith("DUP"):
-            stack.append(stack[-pops])
-        elif name.startswith("SWAP"):
-            stack[-1], stack[-pops] = stack[-pops], stack[-1]
-        elif name == "POP":
-            stack.pop()
-        elif name == "JUMPDEST":
-            visits = state.jumpdest_visits.get(instr.pc, 0) + 1
-            state.jumpdest_visits[instr.pc] = visits
-            if visits > self.budget.loop_bound:
-                raise _KillPath(END_BUDGET, f"loop bound at jumpdest {instr.pc}")
-        elif name == "JUMP":
-            target = stack.pop()
-            state.pc = self._jump_target(target, instr)
-            self._owner_checkpoint(state, instr)
-            return [state]
-        elif name == "JUMPI":
-            target = stack.pop()
-            condition = stack.pop()
-            self._owner_checkpoint(state, instr)
-            return self._branch(state, instr, target, condition)
-        elif name in ("STOP", "RETURN", "SELFDESTRUCT"):
-            for _ in range(pops):
-                stack.pop()
-            self._finish_path(state, END_EXIT)
-            return []
-        elif name in ("REVERT", "INVALID"):
-            for _ in range(pops):
-                stack.pop()
-            self._finish_path(state, END_REVERT)
-            return []
-        elif name == "CALLDATALOAD":
-            offset = stack.pop()
-            stack.append(self.on_calldataload(state, offset))
-        elif name == "SLOAD":
-            slot = stack.pop()
-            stack.append(self._storage_read(state, slot))
-        elif name == "SSTORE":
-            slot = stack.pop()
-            value = stack.pop()
-            self.on_sstore(state, slot, value)
-        elif name == "SHA3":
-            offset = stack.pop()
-            size = stack.pop()
-            stack.append(self._sha3(state, offset, size))
-        elif name == "MLOAD":
-            offset = stack.pop()
-            stack.append(self._read_memory_word(state, offset))
-        elif name == "MSTORE":
-            offset = stack.pop()
-            value = stack.pop()
-            state.memory.append((offset, value, 32))
-        elif name == "MSTORE8":
-            offset = stack.pop()
-            value = stack.pop()
-            state.memory.append((offset, value, 1))
-        elif name.startswith("LOG"):
-            self.on_log(state, instr, pops - 2)
-        elif name in _ENVIRONMENT_VARS:
-            var_name, which, is_address = _ENVIRONMENT_VARS[name]
-            stack.append(Var(var_name, sym.Environment(which), is_address))
-        elif name in ("CALL", "CALLCODE", "DELEGATECALL", "STATICCALL", "CREATE", "CREATE2"):
-            for _ in range(pops):
-                stack.pop()
-            state.tainted = True
-            stack.append(self._fresh(instr.pc, "call"))
-        elif name.lower() in sym.FOLDABLE:
-            args = tuple(stack.pop() for _ in range(pops))
-            stack.append(sym.make_op(name.lower(), *args))
-        else:
-            # remaining environment/introspection opcodes: fresh value per site
-            for _ in range(pops):
-                stack.pop()
-            if pushes:
-                stack.append(self._fresh(instr.pc, name.lower()))
-
+        successors = handler(self, state, instr, pops)
+        if successors is not None:
+            return successors
         state.pc = instr.next_pc
-        self._owner_checkpoint(state, instr)
+        if self.owner_spans:  # without a binding the checkpoint is a no-op
+            self._owner_checkpoint(state, instr)
         return [state]
 
-    def _sha3(self, state: MachineState, offset: SymValue, size: SymValue) -> SymValue:
-        size_value = sym.const_value(size)
-        offset_value = sym.const_value(offset)
-        if size_value in (32, 64) and offset_value is not None:
-            words = []
-            for word_index in range(size_value // 32):
-                words.append(self._read_memory_word(state, Const(offset_value + 32 * word_index)))
-            return Op("sha3", tuple(words))
-        return self._fresh(state.pc, "sha3_unresolved")
+    def _clobber(self, state: MachineState, offset: SymValue, size: SymValue,
+                 pc: int, origin: str) -> None:
+        """A write of bytes the engine does not model: later reads of them
+        see a fresh symbol, never the value they held before."""
+        if sym.const_value(offset) is not None and sym.const_value(size):
+            state.memory.append((offset, self._fresh(pc, origin), size.value))
 
     def _jump_target(self, target: SymValue, instr: Instruction) -> int:
         value = sym.const_value(target)
@@ -388,15 +321,15 @@ class Engine:
             else:
                 state.pc = instr.next_pc
             return [state]
-        taken = state
+        target_pc = self._jump_target(target, instr)
+        constraints = _condition_constraints(condition, True)
         fallthrough = state.fork()
-        taken.pc = self._jump_target(target, instr)
-        for c in _condition_constraints(condition, True):
-            taken.constraints = taken.constraints.push(c)
         fallthrough.pc = instr.next_pc
-        for c in _condition_constraints(condition, False):
-            fallthrough.constraints = fallthrough.constraints.push(c)
-        return [taken, fallthrough]
+        fallthrough.constraints = state.constraints.push(constraints[0].negated())
+        state.pc = target_pc
+        for c in constraints:
+            state.constraints = state.constraints.push(c)
+        return [state, fallthrough]
 
     # -- path lifecycle -----------------------------------------------------
 
@@ -426,44 +359,237 @@ class Engine:
     # -- exploration loop ---------------------------------------------------
 
     def explore(self, entry_pc: int) -> ExplorationResult:
+        budget = self.budget
+        code = self.cfg.instruction_by_pc
+        step = self.step
+        max_steps = budget.max_steps
+        steps = self.steps_used
         worklist = [MachineState(pc=entry_pc)]
         while worklist:
-            if self.budget.expired():
-                self.timed_out = True
+            if self.timed_out or self.paths_finished >= budget.max_paths:
+                reason = "wall-clock timeout" if self.timed_out else "path budget"
                 for state in worklist:
-                    self._finish_path(state, END_BUDGET, "wall-clock timeout")
-                break
-            if self.paths_finished >= self.budget.max_paths:
-                for state in worklist:
-                    self._finish_path(state, END_BUDGET, "path budget")
+                    self._finish_path(state, END_BUDGET, reason)
                 break
             state = worklist.pop()
-            instr = self.cfg.instruction_by_pc.get(state.pc)
-            if instr is None:
-                self._finish_path(state, END_REVERT, f"fell off code at pc {state.pc}")
-                continue
-            if self.steps_used >= self.budget.max_steps:
-                self._finish_path(state, END_BUDGET, "step budget")
-                continue
-            self.steps_used += 1
-            try:
-                successors = self.step(state, instr)
-            except _KillPath as kill:
-                self._finish_path(state, kill.end_kind, kill.reason)
-                continue
-            worklist.extend(successors)
+            while True:  # step one state until its path forks or ends
+                if not steps % _DEADLINE_EVERY and budget.expired():
+                    self.timed_out = True
+                    worklist.append(state)
+                    break
+                instr = code.get(state.pc)
+                if instr is None:
+                    self._finish_path(state, END_REVERT, f"fell off code at pc {state.pc}")
+                    break
+                if steps >= max_steps:
+                    self._finish_path(state, END_BUDGET, "step budget")
+                    break
+                steps += 1
+                try:
+                    successors = step(state, instr)
+                except _KillPath as kill:
+                    self._finish_path(state, kill.end_kind, kill.reason)
+                    break
+                if len(successors) != 1:
+                    worklist.extend(successors)
+                    break
+                state = successors[0]
+        self.steps_used = steps
         return ExplorationResult(self.records, self.ends, self.timed_out,
                                  self.steps_used, self.paths_finished)
 
 
-_ENVIRONMENT_VARS = {
-    "CALLER": ("msg.sender", "caller", True),
-    "ADDRESS": ("this.address", "address", True),
-    "ORIGIN": ("tx.origin", "origin", True),
-    "CALLVALUE": ("msg.value", "callvalue", False),
-    "TIMESTAMP": ("block.timestamp", "timestamp", False),
-    "NUMBER": ("block.number", "number", False),
+# --------------------------------------------------------------------------
+# one handler per opcode; each runs after step's stack-depth checks, gets the
+# opcode's pop count, and returns None to fall through to the next
+# instruction or else the successor states
+
+def _push(engine: Engine, state: MachineState, instr: Instruction, pops: int):
+    state.stack.append(Const(instr.push_value))
+
+
+def _dup(engine: Engine, state: MachineState, instr: Instruction, pops: int):
+    stack = state.stack
+    stack.append(stack[-pops])
+
+
+def _swap(engine: Engine, state: MachineState, instr: Instruction, pops: int):
+    stack = state.stack
+    stack[-1], stack[-pops] = stack[-pops], stack[-1]
+
+
+def _pop(engine: Engine, state: MachineState, instr: Instruction, pops: int):
+    state.stack.pop()
+
+
+def _jumpdest(engine: Engine, state: MachineState, instr: Instruction, pops: int):
+    visits = state.jumpdest_visits.get(instr.pc, 0) + 1
+    state.jumpdest_visits[instr.pc] = visits
+    if visits > engine.budget.loop_bound:
+        raise _KillPath(END_BUDGET, f"loop bound at jumpdest {instr.pc}")
+
+
+def _jump(engine: Engine, state: MachineState, instr: Instruction, pops: int):
+    state.pc = engine._jump_target(state.stack.pop(), instr)
+    if engine.owner_spans:
+        engine._owner_checkpoint(state, instr)
+    return [state]
+
+
+def _jumpi(engine: Engine, state: MachineState, instr: Instruction, pops: int):
+    target = state.stack.pop()
+    condition = state.stack.pop()
+    if engine.owner_spans:
+        engine._owner_checkpoint(state, instr)
+    return engine._branch(state, instr, target, condition)
+
+
+def _exit(engine: Engine, state: MachineState, instr: Instruction, pops: int):
+    engine._finish_path(state, END_EXIT)
+    return []
+
+
+def _revert(engine: Engine, state: MachineState, instr: Instruction, pops: int):
+    engine._finish_path(state, END_REVERT)
+    return []
+
+
+def _calldataload(engine: Engine, state: MachineState, instr: Instruction, pops: int):
+    stack = state.stack
+    stack.append(engine.on_calldataload(state, stack.pop()))
+
+
+def _sload(engine: Engine, state: MachineState, instr: Instruction, pops: int):
+    stack = state.stack
+    stack.append(engine._storage_read(state, stack.pop()))
+
+
+def _sstore(engine: Engine, state: MachineState, instr: Instruction, pops: int):
+    stack = state.stack
+    slot = stack.pop()
+    engine.on_sstore(state, slot, stack.pop())
+
+
+def _sha3(engine: Engine, state: MachineState, instr: Instruction, pops: int):
+    # a hash of one or two known words is kept as an expression: mapping slots
+    stack = state.stack
+    offset = sym.const_value(stack.pop())
+    size = sym.const_value(stack.pop())
+    if size in (32, 64) and offset is not None:
+        words = tuple(engine._read_memory_word(state, Const(offset + 32 * index))
+                      for index in range(size // 32))
+        stack.append(Op("sha3", words))
+    else:
+        stack.append(engine._fresh(instr.pc, "sha3_unresolved"))
+
+
+def _mload(engine: Engine, state: MachineState, instr: Instruction, pops: int):
+    stack = state.stack
+    stack.append(engine._read_memory_word(state, stack.pop()))
+
+
+def _mstore(engine: Engine, state: MachineState, instr: Instruction, pops: int):
+    stack = state.stack
+    offset = stack.pop()
+    state.memory.append((offset, stack.pop(), 32))
+
+
+def _mstore8(engine: Engine, state: MachineState, instr: Instruction, pops: int):
+    stack = state.stack
+    offset = stack.pop()
+    state.memory.append((offset, stack.pop(), 1))
+
+
+def _log(engine: Engine, state: MachineState, instr: Instruction, pops: int):
+    engine.on_log(state, instr, pops - 2)
+
+
+def _copy(engine: Engine, state: MachineState, instr: Instruction, pops: int):
+    # (EXTCODECOPY's address,) destination offset, source offset, size
+    stack = state.stack
+    offset, size = stack[-pops + 2], stack[-pops]
+    del stack[-pops:]
+    engine._clobber(state, offset, size, instr.pc, instr.name.lower())
+
+
+def _call(engine: Engine, state: MachineState, instr: Instruction, pops: int):
+    # the output range is the last two arguments: offset, then size
+    stack = state.stack
+    offset, size = stack[-pops + 1], stack[-pops]
+    del stack[-pops:]
+    engine._clobber(state, offset, size, instr.pc, "returndata")
+    state.tainted = True
+    stack.append(engine._fresh(instr.pc, "call"))
+
+
+def _create(engine: Engine, state: MachineState, instr: Instruction, pops: int):
+    del state.stack[-pops:]
+    state.tainted = True
+    state.stack.append(engine._fresh(instr.pc, "call"))
+
+
+def _environment(var: Var):
+    def environment(engine: Engine, state: MachineState, instr: Instruction, pops: int):
+        state.stack.append(var)
+    return environment
+
+
+def _folding(op: str):
+    def fold(engine: Engine, state: MachineState, instr: Instruction, pops: int):
+        stack = state.stack
+        args = stack[:-pops - 1:-1]  # top of stack first
+        del stack[-pops:]
+        stack.append(sym.make_op(op, *args))
+    return fold
+
+
+def _fresh_value(origin: str):
+    """Remaining environment and introspection opcodes: a fresh value per site."""
+    def fresh(engine: Engine, state: MachineState, instr: Instruction, pops: int):
+        if pops:
+            del state.stack[-pops:]
+        state.stack.append(engine._fresh(instr.pc, origin))
+    return fresh
+
+
+_HANDLERS = {
+    "POP": _pop, "JUMPDEST": _jumpdest, "JUMP": _jump, "JUMPI": _jumpi,
+    "STOP": _exit, "RETURN": _exit, "SELFDESTRUCT": _exit,
+    "REVERT": _revert, "INVALID": _revert,
+    "CALLDATALOAD": _calldataload, "SLOAD": _sload, "SSTORE": _sstore,
+    "SHA3": _sha3, "MLOAD": _mload, "MSTORE": _mstore, "MSTORE8": _mstore8,
+    "CALLDATACOPY": _copy, "CODECOPY": _copy, "EXTCODECOPY": _copy,
+    "RETURNDATACOPY": _copy,
+    "CALL": _call, "CALLCODE": _call, "DELEGATECALL": _call, "STATICCALL": _call,
+    "CREATE": _create, "CREATE2": _create,
 }
+
+_ENVIRONMENT_VARS = {
+    "CALLER": Var("msg.sender", sym.Environment("caller"), True),
+    "ADDRESS": Var("this.address", sym.Environment("address"), True),
+    "ORIGIN": Var("tx.origin", sym.Environment("origin"), True),
+    "CALLVALUE": Var("msg.value", sym.Environment("callvalue"), False),
+    "TIMESTAMP": Var("block.timestamp", sym.Environment("timestamp"), False),
+    "NUMBER": Var("block.number", sym.Environment("number"), False),
+}
+
+
+def _handler(name: str):
+    for prefix, handler in (("PUSH", _push), ("DUP", _dup), ("SWAP", _swap), ("LOG", _log)):
+        if name.startswith(prefix):
+            return handler
+    if name in _HANDLERS:
+        return _HANDLERS[name]
+    if name in _ENVIRONMENT_VARS:
+        return _environment(_ENVIRONMENT_VARS[name])
+    if name.lower() in sym.FOLDABLE:
+        return _folding(name.lower())
+    return _fresh_value(name.lower())
+
+
+# byte -> (handler, pops, pushes), None for a byte that is no opcode
+_DISPATCH = tuple((_handler(entry[0]), entry[1], entry[2]) if entry else None
+                  for entry in map(opcodes.TABLE.get, range(256)))
 
 
 def _condition_constraints(condition: SymValue, truthy: bool) -> list[Constraint]:
@@ -483,8 +609,8 @@ def _relational(condition: SymValue, truthy: bool) -> Constraint:
     if isinstance(condition, Op) and (condition.op, 1) in con.RELATION_OF:
         relation = con.RELATION_OF[condition.op, int(truthy)]
         return Constraint(relation, condition.args[0], condition.args[1])
-    relation = con.NONZERO if truthy else con.ZERO
-    return Constraint(relation, condition, Const(0))
+    # the rhs defaults to the one Const(0) of the Constraint class
+    return Constraint(con.NONZERO if truthy else con.ZERO, condition)
 
 
 def _disjunct_eq_leaves(condition: SymValue) -> list[Op]:
@@ -519,9 +645,11 @@ def _span_contains(outer: Span, inner: Span) -> bool:
 
 def explore_function(unit: CompilationUnit, cfg: Cfg, fn: FunctionInfo,
                      binding: tuple[Span, ...],
-                     budget: ExplorationBudget | None = None) -> ExplorationResult:
+                     budget: ExplorationBudget | None = None,
+                     facts: UnitFacts | None = None) -> ExplorationResult:
     """Explore ``fn`` from its dispatcher entry: its emission records and
-    counted path ends."""
+    counted path ends. ``facts`` is ``unit_facts(unit, binding)``, built here
+    when the caller has not built it once for the unit."""
     if budget is None:
         budget = ExplorationBudget()
     if fn.selector is None:
@@ -530,5 +658,5 @@ def explore_function(unit: CompilationUnit, cfg: Cfg, fn: FunctionInfo,
     if entry_pc is None:
         raise EntryNotFound(f"no dispatcher entry for {fn.name} "
                             f"(selector 0x{fn.selector:08x})")
-    engine = Engine(unit, cfg, fn, binding, budget)
+    engine = Engine(unit, cfg, fn, facts or unit_facts(unit, binding), budget)
     return engine.explore(entry_pc)

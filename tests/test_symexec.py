@@ -9,7 +9,7 @@ import oracle_evm
 import progs
 
 from sleepscan import constraints as cs
-from sleepscan import sym
+from sleepscan import opcodes, pipeline, sym
 from sleepscan import symexec as sx
 from sleepscan.astview import FunctionInfo
 from sleepscan.disasm import build_cfg, disassemble
@@ -47,7 +47,7 @@ def _engine(code: bytes, binding=(), srcmap=None, ast=EMPTY_AST,
     entries = srcmap if srcmap is not None else [GENERATED] * len(instrs)
     assert len(entries) == len(instrs)
     unit = CompilationUnit("T", code, entries, ast, {0: ""}, (0, 8, 17))
-    return Engine(unit, build_cfg(instrs), FN, binding,
+    return Engine(unit, build_cfg(instrs), FN, sx.unit_facts(unit, binding),
                   budget or ExplorationBudget())
 
 
@@ -428,3 +428,148 @@ def test_partial_overwrite_symbol_differs_from_unwritten_memory():
     before, after = state.stack
     assert before != after
     assert isinstance(before, Var) and isinstance(after, Var)
+
+
+# the copies and calls write memory the engine does not model: a later read of
+# those bytes is a fresh symbol, never the value stored before
+COPY_ARGS = "6020" "6004" "6000"  # size 32, source offset 4, destination 0
+CALL_OUTPUT = "6020" "6000" "6000" "6000"  # output size 32 at 0; no input
+
+
+@pytest.mark.parametrize("copy_hex", [
+    COPY_ARGS + "37",                # CALLDATACOPY
+    COPY_ARGS + "39",                # CODECOPY
+    COPY_ARGS + "6005" "3c",         # EXTCODECOPY from address 5
+    COPY_ARGS + "3e",                # RETURNDATACOPY
+    CALL_OUTPUT + "6000" "6000" "6000" "f1" "50",  # CALL, result popped
+    CALL_OUTPUT + "6000" "6000" "6000" "f2" "50",  # CALLCODE
+    CALL_OUTPUT + "6000" "6000" "f4" "50",         # DELEGATECALL
+    CALL_OUTPUT + "6000" "6000" "fa" "50",         # STATICCALL
+], ids=["calldatacopy", "codecopy", "extcodecopy", "returndatacopy",
+        "call", "callcode", "delegatecall", "staticcall"])
+def test_memory_written_by_a_copy_or_call_reads_fresh(copy_hex):
+    value = _mload_after(ALIGNED_STORE + copy_hex)
+    assert value != Const(0xAA)
+    assert isinstance(value, Var) and isinstance(value.kind, FreshExternal)
+
+
+@pytest.mark.parametrize("copy_hex", [
+    "6000" "6004" "6000" "37",  # CALLDATACOPY of 0 bytes
+    "6020" "6004" "6020" "37",  # CALLDATACOPY to the next word
+    "6000" "6000" "6000" "6000" "6000" "6000" "6000" "f1" "50",  # CALL, no output
+], ids=["empty-copy", "next-word", "call-without-output"])
+def test_copy_outside_the_word_keeps_it(copy_hex):
+    assert _mload_after(ALIGNED_STORE + copy_hex) == Const(0xAA)
+
+
+# --------------------------------------------------------------------------
+# the dispatch table and the deadline
+
+@pytest.mark.parametrize("byte", range(256), ids=lambda byte: f"0x{byte:02X}")
+def test_every_byte_steps_or_ends_the_path(byte):
+    """One instruction on an empty stack: an unknown byte and an opcode that
+    pops end the path as a revert, every other opcode steps."""
+    entry = opcodes.TABLE.get(byte)
+    push_width = byte - 0x5F if 0x60 <= byte <= 0x7F else 0
+    engine = _engine(bytes([byte]) + bytes(push_width))
+    state = MachineState(pc=0)
+    instr = engine.cfg.instruction_by_pc[0]
+    if entry is None or entry[1] > 0:
+        with pytest.raises(sx._KillPath) as kill:
+            engine.step(state, instr)
+        assert kill.value.end_kind == END_REVERT
+        assert kill.value.reason.startswith(
+            f"unknown opcode 0x{byte:02X}" if entry is None else "stack underflow")
+    else:
+        engine.step(state, instr)
+        assert len(state.stack) == entry[2]
+
+
+LOOP = bytes.fromhex("5b" "6000" "56")  # JUMPDEST; PUSH 0; JUMP (forever)
+
+
+def test_deadline_is_read_every_256_steps(monkeypatch):
+    reads = []
+    monkeypatch.setattr(sx.time, "monotonic", lambda: reads.append(1) or 0.0)
+    budget = ExplorationBudget(max_steps=1000, loop_bound=10**6, deadline=1.0)
+    result = _engine(LOOP, budget=budget).explore(0)
+    assert result.steps_used == 1000 and not result.timed_out
+    assert len(reads) == 4  # before steps 0, 256, 512 and 768
+
+
+def test_passed_deadline_ends_the_path_at_the_next_read(monkeypatch):
+    clock = iter([0.0, 2.0])  # read before step 0, then before step 256
+    monkeypatch.setattr(sx.time, "monotonic", lambda: next(clock))
+    budget = ExplorationBudget(loop_bound=10**6, deadline=1.0)
+    result = _engine(LOOP, budget=budget).explore(0)
+    assert result.timed_out and result.steps_used == 256
+    assert result.ends == {(END_BUDGET, "wall-clock timeout"): 1}
+
+
+# --------------------------------------------------------------------------
+# exploration work on the reference corpus
+
+# (contract, function) -> steps, finished paths, path ends in the order they
+# first occur, and whether pruning keeps the function
+_QUOTE = (3594, 515, {(END_EXIT, None): 512, (END_BUDGET, "path budget"): 3}, False)
+EXPLORATION_WORK = {
+    ("HiddenApprover", "ownerOf"): (17, 1, {(END_EXIT, None): 1}, False),
+    ("HiddenApprover", "transferFrom"): (
+        144, 7, {(END_REVERT, None): 4, (END_EMISSION, None): 3, (END_EXIT, None): 3}, True),
+    ("FreeMintable", "ownerOf"): (17, 1, {(END_EXIT, None): 1}, False),
+    ("FreeMintable", "transferFrom"): (
+        98, 5, {(END_REVERT, None): 3, (END_EMISSION, None): 2, (END_EXIT, None): 2}, True),
+    ("FreeMintable04", "ownerOf"): (17, 1, {(END_EXIT, None): 1}, False),
+    ("FreeMintable04", "transferFrom"): (
+        98, 5, {(END_REVERT, None): 3, (END_EMISSION, None): 2, (END_EXIT, None): 2}, True),
+    ("FreeMintableShanghai", "ownerOf"): (17, 1, {(END_EXIT, None): 1}, False),
+    ("FreeMintableShanghai", "transferFrom"): (
+        98, 5, {(END_REVERT, None): 3, (END_EMISSION, None): 2, (END_EXIT, None): 2}, True),
+    ("ChubbyBunny", "ownerOf"): (17, 1, {(END_EXIT, None): 1}, False),
+    ("ChubbyBunny", "transferFrom"): (
+        65, 3, {(END_EMISSION, None): 1, (END_EXIT, None): 1, (END_REVERT, None): 2}, True),
+    ("BatchAirdrop", "batchTransfer"): (
+        306, 15, {(END_BUDGET, None): 12, (END_BUDGET, "loop bound at jumpdest 28"): 8,
+                  (END_EMISSION, None): 5, (END_EXIT, None): 7}, True),
+    ("GuardedGallery", "ownerOf"): (17, 1, {(END_EXIT, None): 1}, False),
+    ("GuardedGallery", "transferFrom"): (
+        108, 6, {(END_REVERT, None): 4, (END_EMISSION, None): 2, (END_EXIT, None): 2}, True),
+    ("OrderlyMuseum", "ownerOf"): (17, 1, {(END_EXIT, None): 1}, False),
+    ("OrderlyMuseum", "transferFrom"): (
+        114, 4, {(END_REVERT, None): 2, (END_EMISSION, None): 2, (END_EXIT, None): 2}, True),
+    ("PausableGallery", "ownerOf"): (17, 1, {(END_EXIT, None): 1}, False),
+    ("PausableGallery", "transferFrom"): (
+        119, 7, {(END_REVERT, None): 5, (END_EMISSION, None): 2, (END_EXIT, None): 2}, True),
+    ("RelistedArt", "ownerOf"): (17, 1, {(END_EXIT, None): 1}, False),
+    ("RelistedArt", "transferFrom"): (
+        48, 2, {(END_EMISSION, None): 1, (END_EXIT, None): 1, (END_REVERT, None): 1}, True),
+    ("BridgeRelay", "bridgeTransfer"): (
+        29, 2, {(END_EMISSION, None): 1, (END_EXIT, None): 1, (END_REVERT, None): 1}, True),
+    ("SteadyMint", "mint"): (49, 1, {(END_EMISSION, None): 2, (END_EXIT, None): 1}, True),
+    ("QuietIslands", "transferFrom"): (
+        62, 3, {(END_EXIT, None): 1, (END_REVERT, None): 2}, True),
+    **{("MarketHub", f"quote{i}"): _QUOTE for i in range(18)},
+    ("MarketHub", "transferA"): (25, 1, {(END_EMISSION, None): 1, (END_EXIT, None): 1}, True),
+    ("MarketHub", "transferB"): (25, 1, {(END_EMISSION, None): 1, (END_EXIT, None): 1}, True),
+}
+
+
+@pytest.mark.parametrize("prune", [True, False], ids=["pruned", "unpruned"])
+def test_exploration_work_on_the_corpus_is_pinned(corpus_dir, monkeypatch, prune):
+    work = []
+    explore = pipeline.explore_function
+
+    def recording(unit, cfg, fn, *args):
+        result = explore(unit, cfg, fn, *args)
+        work.append(((unit.contract_name, fn.name),
+                     (result.steps_used, result.paths_finished, list(result.ends.items()))))
+        return result
+
+    monkeypatch.setattr(pipeline, "explore_function", recording)
+    for sub in sorted(p for p in corpus_dir.iterdir() if p.is_dir()):
+        pipeline.analyze_path(str(sub), pipeline.RunConfig(prune=prune))
+    expected = {key: (steps, paths, list(ends.items()))
+                for key, (steps, paths, ends, kept) in EXPLORATION_WORK.items()
+                if kept or not prune}
+    assert len(work) == len(expected)
+    assert dict(work) == expected
