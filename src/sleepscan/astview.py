@@ -11,7 +11,7 @@ ERC-721 event; overloads with other arities are ignored.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from sleepscan.ingestion import AstNode, CompilationUnit, Span
 from sleepscan.keccak import keccak256, keccak256_many
@@ -22,11 +22,13 @@ EXTERNALLY_CALLABLE = ("external", "public")
 @dataclass(frozen=True)
 class FunctionInfo:
     name: str
-    selector: int | None  # absent for internal/private functions
+    selector: int | None  # absent for internal/private functions and until hashed
     params: tuple[tuple[str, str], ...]  # (name, canonical abi type)
     src_span: Span
     visibility: str
     emits_transfer: bool
+    # externally callable functions only; hashed by with_selectors
+    signature: str | None = None
 
 
 def compute_selector(signature: str) -> int:
@@ -48,10 +50,6 @@ def canonical_type(type_string: str) -> str:
     return base + ("[" + suffix if suffix else "")
 
 
-def _function_definitions(ast: AstNode) -> list[AstNode]:
-    return ast.find_all("FunctionDefinition")
-
-
 def _parameters(fn: AstNode) -> tuple[tuple[str, str], ...]:
     plists = [c for c in fn.children if c.node_kind == "ParameterList"]
     params_node = None
@@ -71,9 +69,9 @@ def _parameters(fn: AstNode) -> tuple[tuple[str, str], ...]:
     return tuple(out)
 
 
-def _called_names(fn: AstNode) -> set[str]:
+def _called_names(calls: list[AstNode]) -> set[str]:
     names: set[str] = set()
-    for call in fn.find_all("FunctionCall"):
+    for call in calls:
         for child in call.children:
             if child.node_kind == "Identifier":
                 names.add(child.get("name", ""))
@@ -84,9 +82,9 @@ def _called_names(fn: AstNode) -> set[str]:
     return names
 
 
-def _emits_transfer_directly(fn: AstNode) -> bool:
-    for emit in fn.find_all("EmitStatement"):
-        for call in emit.find_all("FunctionCall"):
+def _emits_transfer_directly(emits: list[AstNode]) -> bool:
+    for emit in emits:
+        for call in emit.by_kind().get("FunctionCall", ()):
             if not call.children:
                 continue
             callee = call.children[0]
@@ -97,18 +95,18 @@ def _emits_transfer_directly(fn: AstNode) -> bool:
     return False
 
 
-def _transfer_closure(functions: list[AstNode]) -> dict[int, bool]:
+def _transfer_closure(functions: list[AstNode]) -> list[bool]:
     """Per-function emits_transfer, closed over same-unit calls by name."""
     by_name: dict[str, list[int]] = {}
     for idx, fn in enumerate(functions):
         by_name.setdefault(fn.get("name", ""), []).append(idx)
-    direct = [_emits_transfer_directly(fn) for fn in functions]
-    calls = [_called_names(fn) for fn in functions]
-    emits = dict(enumerate(direct))
+    bodies = [fn.by_kind() for fn in functions]  # one walk per function
+    emits = [_emits_transfer_directly(body.get("EmitStatement", ())) for body in bodies]
+    calls = [_called_names(body.get("FunctionCall", ())) for body in bodies]
     changed = True
     while changed:
         changed = False
-        for idx, fn in enumerate(functions):
+        for idx in range(len(functions)):
             if emits[idx]:
                 continue
             for callee_name in calls[idx]:
@@ -120,10 +118,11 @@ def _transfer_closure(functions: list[AstNode]) -> dict[int, bool]:
 
 
 def function_infos(unit: CompilationUnit) -> list[FunctionInfo]:
-    functions = _function_definitions(unit.ast)
-    emits = _transfer_closure(functions)
-    rows = []
-    for idx, fn in enumerate(functions):
+    """Every named function, with the signature of each externally callable
+    one; no selector is hashed here (see ``with_selectors``)."""
+    functions = unit.ast_index.get("FunctionDefinition", [])
+    infos = []
+    for fn, emits_transfer in zip(functions, _transfer_closure(functions)):
         name = fn.get("name", "")
         if not name:  # constructor / fallback / receive
             continue
@@ -132,31 +131,30 @@ def function_infos(unit: CompilationUnit) -> list[FunctionInfo]:
         signature = None
         if visibility in EXTERNALLY_CALLABLE:
             signature = f"{name}({','.join(t for _, t in params)})"
-        rows.append((idx, fn, name, visibility, params, signature))
-    # One batched pass over the distinct signatures: an interface declaration
-    # and its implementation share one hash.
-    signatures = list(dict.fromkeys(sig for *_, sig in rows if sig is not None))
+        infos.append(FunctionInfo(name, None, params, fn.src_span, visibility,
+                                  emits_transfer, signature))
+    return infos
+
+
+def with_selectors(infos: list[FunctionInfo]) -> list[FunctionInfo]:
+    """``infos`` with the selector of each signature filled in.
+
+    One batched Keccak call hashes the distinct signatures: an interface
+    declaration and its implementation share one hash.
+    """
+    signatures = list(dict.fromkeys(f.signature for f in infos if f.signature is not None))
     digests = keccak256_many([s.encode("ascii") for s in signatures])
     selectors = {s: int.from_bytes(d[:4], "big") for s, d in zip(signatures, digests)}
-    return [
-        FunctionInfo(
-            name=name,
-            selector=selectors.get(signature),
-            params=params,
-            src_span=fn.src_span,
-            visibility=visibility,
-            emits_transfer=emits[idx],
-        )
-        for idx, fn, name, visibility, params, signature in rows
-    ]
+    return [replace(f, selector=selectors.get(f.signature)) for f in infos]
 
 
 def select_target_functions(infos: list[FunctionInfo]) -> list[FunctionInfo]:
-    """Externally callable functions whose bodies (transitively) emit Transfer."""
-    return [
+    """Externally callable functions whose bodies (transitively) emit Transfer,
+    with their selectors."""
+    return with_selectors([
         info for info in infos
         if info.emits_transfer and info.visibility in EXTERNALLY_CALLABLE
-    ]
+    ])
 
 
 def find_owner_return_binding(unit: CompilationUnit) -> tuple[Span, ...]:
@@ -166,8 +164,9 @@ def find_owner_return_binding(unit: CompilationUnit) -> tuple[Span, ...]:
     executes; ``()`` when the unit has no ``ownerOf`` return.
     """
     spans = [ret.src_span
-             for fn in _function_definitions(unit.ast) if fn.get("name") == "ownerOf"
-             for ret in fn.find_all("Return")]
+             for fn in unit.ast_index.get("FunctionDefinition", ())
+             if fn.get("name") == "ownerOf"
+             for ret in fn.by_kind().get("Return", ())]
     return tuple(sorted(spans, key=lambda s: (s[2], s[0])))
 
 
@@ -193,7 +192,7 @@ class SlotInfo:
 def storage_layout(unit: CompilationUnit) -> dict[int, SlotInfo]:
     layout: dict[int, SlotInfo] = {}
     slot = 0
-    for contract in unit.ast.find_all("ContractDefinition"):
+    for contract in unit.ast_index.get("ContractDefinition", ()):
         for child in contract.children:
             if child.node_kind != "VariableDeclaration":
                 continue

@@ -75,10 +75,8 @@ def analyze(paths, timeout, loop_bound, max_steps, max_paths, output_format,
     )
     reports: list[dict] = []
     if jobs > 1 and len(paths) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            for chunk in pool.map(pipeline.analyze_path, paths,
-                                  [config] * len(paths)):
-                reports.extend(chunk)
+        for chunk in _analyze_in_workers(paths, config, jobs):
+            reports.extend(chunk)
     else:
         for path in paths:
             reports.extend(pipeline.analyze_path(path, config))
@@ -93,6 +91,37 @@ def analyze(paths, timeout, loop_bound, max_steps, max_paths, output_format,
     if any("error" in r for r in reports) and len(reports) == sum(
             1 for r in reports if "error" in r):
         sys.exit(1)  # every artifact failed: a tool error, not a clean run
+
+
+def _analyze_in_workers(paths, config, jobs: int) -> list[list[dict]]:
+    """The reports of each path, in input order, from worker processes.
+
+    A worker that dies breaks its whole pool, and every path the pool had not
+    finished is lost with it. Each lost path is run again in a pool of its
+    own, so a path whose own worker dies gets one ``internal-error`` report
+    and the others still get theirs.
+    """
+    chunks = _run_pool(paths, config, jobs)
+    for index, chunk in enumerate(chunks):
+        if isinstance(chunk, Exception):
+            (chunk,) = _run_pool(paths[index:index + 1], config, 1)
+        if isinstance(chunk, Exception):
+            chunk = [pipeline.error_report(Path(paths[index]).stem, chunk)]
+        chunks[index] = chunk
+    return chunks
+
+
+def _run_pool(paths, config, jobs: int) -> list:
+    """One future per path: its reports, or the BrokenProcessPool it raised."""
+    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        futures = [pool.submit(pipeline.analyze_path, path, config) for path in paths]
+        chunks = []
+        for future in futures:
+            try:
+                chunks.append(future.result())
+            except concurrent.futures.process.BrokenProcessPool as exc:
+                chunks.append(exc)
+        return chunks
 
 
 def _print_text_report(report: dict) -> None:

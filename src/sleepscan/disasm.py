@@ -36,6 +36,7 @@ class BasicBlock:
     terminator: str  # jump / conditional-jump / stop / return / revert / invalid / selfdestruct / fallthrough
 
 
+_NAMES = tuple(opcodes.mnemonic(byte) for byte in range(256))
 _TERMINATOR_KIND = {
     "JUMP": "jump",
     "JUMPI": "conditional-jump",
@@ -45,6 +46,10 @@ _TERMINATOR_KIND = {
     "INVALID": "invalid",
     "SELFDESTRUCT": "selfdestruct",
 }
+# byte -> the kind of block it ends (an unknown byte ends one as "invalid")
+_BLOCK_END = tuple(_TERMINATOR_KIND.get(_NAMES[byte]) if byte in opcodes.TABLE else "invalid"
+                   for byte in range(256))
+_JUMPDEST = opcodes.MNEMONIC_TO_BYTE["JUMPDEST"]
 
 
 @dataclass
@@ -58,56 +63,43 @@ class Cfg:
         return instr is not None and instr.name == "JUMPDEST"
 
 
-_NAMES = tuple(opcodes.mnemonic(byte) for byte in range(256))
-
-
 def disassemble(code: bytes) -> list[Instruction]:
     """Decode metadata-stripped runtime bytecode into instructions."""
     raw, truncated_at = _core.decode_raw(bytes(code))
     if truncated_at >= 0:
         raise TruncatedPush(f"PUSH immediate at pc {truncated_at} overruns end of code")
-    return [
-        Instruction(pc, byte, _NAMES[byte],
-                    int.from_bytes(imm, "big") if imm else 0 if byte == 0x5F else None,
-                    pc + 1 + len(imm), idx)
-        for idx, (pc, byte, imm) in enumerate(raw)
-    ]
+    # tuple.__new__ skips the NamedTuple's generated __new__, a Python-level
+    # call per instruction
+    new, names, from_bytes = tuple.__new__, _NAMES, int.from_bytes
+    instrs = []
+    append = instrs.append
+    for idx, (pc, byte, imm) in enumerate(raw):
+        if imm:
+            append(new(Instruction, (pc, byte, names[byte], from_bytes(imm, "big"),
+                                     pc + 1 + len(imm), idx)))
+        else:
+            append(new(Instruction, (pc, byte, names[byte], 0 if byte == 0x5F else None,
+                                     pc + 1, idx)))
+    return instrs
 
 
 def build_cfg(instrs: list[Instruction]) -> Cfg:
-    """Partition instructions into basic blocks."""
-    if not instrs:
-        return Cfg([])
-    leaders: set[int] = {instrs[0].pc}
-    by_pc: dict[int, Instruction] = {i.pc: i for i in instrs}
-    for idx, ins in enumerate(instrs):
-        if ins.name == "JUMPDEST":
-            leaders.add(ins.pc)
-        is_unknown = ins.byte not in opcodes.TABLE
-        if ins.name in _TERMINATOR_KIND or is_unknown:
-            if idx + 1 < len(instrs):
-                leaders.add(instrs[idx + 1].pc)
-
+    """Partition instructions into basic blocks, in one pass: a block ends
+    before a JUMPDEST, and after a terminator or an unknown byte."""
     blocks: list[BasicBlock] = []
-    current: list[Instruction] = []
-    for ins in instrs:
-        if ins.pc in leaders and current:
-            blocks.append(_finish_block(current))
-            current = []
-        current.append(ins)
-    if current:
-        blocks.append(_finish_block(current))
-
-    return Cfg(blocks, by_pc)
-
-
-def _finish_block(instrs: list[Instruction]) -> BasicBlock:
-    last = instrs[-1]
-    if last.byte not in opcodes.TABLE:
-        kind = "invalid"
-    else:
-        kind = _TERMINATOR_KIND.get(last.name, "fallthrough")
-    return BasicBlock(instrs[0].pc, list(instrs), kind)
+    start = 0
+    for idx, ins in enumerate(instrs):
+        byte = ins.byte
+        if byte == _JUMPDEST and idx > start:
+            blocks.append(BasicBlock(instrs[start].pc, instrs[start:idx], "fallthrough"))
+            start = idx
+        kind = _BLOCK_END[byte]
+        if kind is not None:
+            blocks.append(BasicBlock(instrs[start].pc, instrs[start:idx + 1], kind))
+            start = idx + 1
+    if start < len(instrs):
+        blocks.append(BasicBlock(instrs[start].pc, instrs[start:], "fallthrough"))
+    return Cfg(blocks, {ins.pc: ins for ins in instrs})
 
 
 def find_function_entry(cfg: Cfg, selector: int) -> int | None:

@@ -29,13 +29,16 @@ class AstNode:
     children: list["AstNode"] = field(default_factory=list)
     attributes: dict = field(default_factory=dict)
 
-    def walk(self):
-        yield self
-        for child in self.children:
-            yield from child.walk()
-
-    def find_all(self, kind: str):
-        return [n for n in self.walk() if n.node_kind == kind]
+    def by_kind(self) -> dict[str, list["AstNode"]]:
+        """This node and its descendants grouped by kind, each group in
+        document (pre-)order: one iterative walk, nothing kept on the node."""
+        index: dict[str, list[AstNode]] = {}
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            index.setdefault(node.node_kind, []).append(node)
+            stack.extend(reversed(node.children))
+        return index
 
     def get(self, key, default=None):
         return self.attributes.get(key, default)
@@ -49,6 +52,19 @@ class CompilationUnit:
     ast: AstNode
     sources: dict[int, str]  # file id -> source text
     compiler_version: Version
+    _ast_index: dict | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def ast_index(self) -> dict[str, list[AstNode]]:
+        """The AST's nodes by kind, built on first use.
+
+        Kept on the unit, not on the root node: an index held by the root
+        would refer back to the root, and that cycle would leave every AST to
+        the cyclic garbage collector.
+        """
+        if self._ast_index is None:
+            self._ast_index = self.ast.by_kind()
+        return self._ast_index
 
     def snippet(self, span: Span) -> str:
         start, length, file_id = span
@@ -62,24 +78,35 @@ def decode_source_map(encoded: str) -> list[Span]:
     """Decode the compiler's delta-compressed source map into one span per item.
 
     Items are ``s:l:f:j:m``; the jump and modifier-depth fields are ignored.
+    A map has far fewer distinct items than items, so each distinct
+    (previous span, item) pair is parsed once.
     """
     if encoded == "":
         return []
     spans: list[Span] = []
+    decoded: dict[tuple[Span, str], Span] = {}
     span: Span = (0, 0, -1)
     for item in encoded.split(";"):
         if item:  # an empty item repeats the previous span
-            values = list(span)
-            for i, raw in enumerate(item.split(":")[:3]):
-                if raw == "":
-                    continue
-                try:
-                    values[i] = int(raw)
-                except ValueError as exc:
-                    raise MalformedItem(f"non-integer field {raw!r} in item {item!r}") from exc
-            span = (values[0], values[1], values[2])
+            key = (span, item)
+            span = decoded.get(key)
+            if span is None:
+                span = decoded[key] = _apply_item(*key)
         spans.append(span)
     return spans
+
+
+def _apply_item(previous: Span, item: str) -> Span:
+    """The span of ``item``: an empty or missing field keeps ``previous``'s."""
+    values = list(previous)
+    for i, raw in enumerate(item.split(":")[:3]):
+        if raw == "":
+            continue
+        try:
+            values[i] = int(raw)
+        except ValueError as exc:
+            raise MalformedItem(f"non-integer field {raw!r} in item {item!r}") from exc
+    return (values[0], values[1], values[2])
 
 
 # --------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from sleepscan.astview import (
     find_owner_return_binding,
     function_infos,
     select_target_functions,
+    with_selectors,
 )
 from sleepscan.disasm import build_cfg, disassemble
 from sleepscan.errors import (
@@ -61,7 +62,7 @@ def analyze_unit(unit: CompilationUnit, config: RunConfig) -> dict:
     if config.prune:
         targets = select_target_functions(all_functions)
     else:
-        targets = externally_callable
+        targets = with_selectors(externally_callable)
 
     budget = ExplorationBudget(max_steps=config.max_steps, max_paths=config.max_paths,
                                loop_bound=config.loop_bound, deadline=deadline)
@@ -147,7 +148,8 @@ def _finding_to_json(finding: detectors.Finding) -> dict:
     }
 
 
-def _error_report(contract: str, exc: Exception) -> dict:
+def error_report(contract: str, exc: Exception) -> dict:
+    """The report of a contract whose analysis raised ``exc``."""
     error = f"{type(exc).__name__}: {exc}"
     if not isinstance(exc, (SleepscanError, OSError, ValueError)):
         import logging  # here, not at the top: the import costs every run ~0.6 MB RSS
@@ -169,11 +171,11 @@ def analyze_path(path: str, config: RunConfig) -> list[dict]:
     try:
         units = load_all(path)
     except Exception as exc:  # one bad artifact must not abort the batch
-        return [_error_report(Path(path).stem, exc)]
+        return [error_report(Path(path).stem, exc)]
     reports = []
     for unit in units:
         try:
             reports.append(analyze_unit(unit, config))
         except Exception as exc:
-            reports.append(_error_report(unit.contract_name, exc))
+            reports.append(error_report(unit.contract_name, exc))
     return reports

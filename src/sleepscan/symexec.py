@@ -218,10 +218,12 @@ class Engine:
             if width == 32 and written_offset == offset:
                 return value
             written_start = sym.const_value(written_offset)
-            if (start is not None and written_start is not None
-                    and written_start < start + 32 and start < written_start + width):
-                # A partial overwrite: the word mixes bytes of several writes.
-                # Memory only grows by appends, so its length names this version.
+            if (start is None or written_start is None
+                    or written_start < start + 32 and start < written_start + width):
+                # A write that may overlap the word without matching it (a
+                # partial overwrite, or either offset symbolic): the word may
+                # mix bytes of several writes. Memory only grows by appends,
+                # so its length names this version.
                 key = f"{key}@{len(state.memory)}"
                 break
         if key not in self.memory_fresh:
@@ -301,7 +303,7 @@ class Engine:
                  pc: int, origin: str) -> None:
         """A write of bytes the engine does not model: later reads of them
         see a fresh symbol, never the value they held before."""
-        if sym.const_value(offset) is not None and sym.const_value(size):
+        if sym.const_value(size):  # a symbolic size writes nothing yet
             state.memory.append((offset, self._fresh(pc, origin), size.value))
 
     def _jump_target(self, target: SymValue, instr: Instruction) -> int:

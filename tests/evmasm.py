@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from sleepscan.errors import MalformedItem
 from sleepscan.opcodes import MNEMONIC_TO_BYTE
 
 GENERATED = (-1, 0, -1)
@@ -103,3 +104,23 @@ def encode_source_map(spans: list[tuple[int, int, int]]) -> str:
         items.append(":".join(fields))
         prev = span
     return ";".join(items)
+
+
+def decode_source_map_reference(encoded: str) -> list[tuple[int, int, int]]:
+    """Reference decoder: parses every item afresh. An empty or missing field
+    keeps the previous item's value, and an empty item repeats it."""
+    if encoded == "":
+        return []
+    spans = []
+    values = [0, 0, -1]
+    for item in encoded.split(";"):
+        if item:
+            for i, raw in enumerate(item.split(":")[:3]):
+                if raw != "":
+                    try:
+                        values[i] = int(raw)
+                    except ValueError as exc:
+                        raise MalformedItem(
+                            f"non-integer field {raw!r} in item {item!r}") from exc
+        spans.append(tuple(values))
+    return spans

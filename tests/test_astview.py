@@ -3,14 +3,18 @@
 import astbuild as ab
 import pytest
 
+from sleepscan import astview
 from sleepscan.astview import (
+    EXTERNALLY_CALLABLE,
     canonical_type,
     compute_selector,
     find_owner_return_binding,
     function_infos,
     select_target_functions,
+    with_selectors,
 )
 from sleepscan.ingestion import CompilationUnit, ast_from_json, load_compilation
+from sleepscan.pipeline import RunConfig, analyze_path
 
 # Published ERC-721 selector values (independent of the local hash).
 KNOWN_SELECTORS = {
@@ -74,14 +78,16 @@ def test_function_infos_hashes_every_declaration_to_its_published_selector():
     ])
     doc = ab.source_unit((0, 1000, 0), [interface, implementation])
     infos = function_infos(_unit_for(doc))
-    signatures = [f"{f.name}({','.join(t for _, t in f.params)})" for f in infos]
+    signatures = [f.signature for f in infos]
     assert signatures == [
         "transferFrom(address,address,uint256)",  # the interface declaration
         "transferFrom(address,address,uint256)",  # the implementation
         "safeTransferFrom(address,address,uint256)",
         "safeTransferFrom(address,address,uint256,bytes)",
     ]
-    assert [f.selector for f in infos] == [KNOWN_SELECTORS[s] for s in signatures]
+    assert signatures == [f"{f.name}({','.join(t for _, t in f.params)})" for f in infos]
+    assert [f.selector for f in infos] == [None] * 4  # hashed only when explored
+    assert [f.selector for f in with_selectors(infos)] == [KNOWN_SELECTORS[s] for s in signatures]
 
 
 def test_transfer_closure_through_internal_call():
@@ -139,3 +145,22 @@ def test_pruning_on_market_hub(corpus_dir):
     assert len(external) == 20
     targets = select_target_functions(infos)
     assert sorted(t.name for t in targets) == ["transferA", "transferB"]
+
+
+@pytest.mark.parametrize("prune", [True, False], ids=["pruned", "unpruned"])
+def test_only_explored_functions_are_hashed(corpus_dir, monkeypatch, prune):
+    infos = function_infos(load_compilation(corpus_dir / "MarketHub"))
+    explored = [f.signature for f in infos if f.visibility in EXTERNALLY_CALLABLE
+                and (f.emits_transfer or not prune)]
+    assert len(explored) == (2 if prune else 20)
+    batches = []
+    keccak256_many = astview.keccak256_many
+
+    def recording(messages):
+        batches.append(list(messages))
+        return keccak256_many(messages)
+
+    monkeypatch.setattr(astview, "keccak256_many", recording)
+    (report,) = analyze_path(str(corpus_dir / "MarketHub"), RunConfig(prune=prune))
+    assert "error" not in report
+    assert batches == [[s.encode("ascii") for s in dict.fromkeys(explored)]]

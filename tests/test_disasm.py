@@ -6,9 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fixtures
 import progs
 
-from sleepscan import _core
+from sleepscan import _core, opcodes
 from sleepscan.disasm import (
     build_cfg,
     disassemble,
@@ -92,6 +93,49 @@ def test_cfg_blocks_and_edges():
     terminators = {b.start_pc: b.terminator for b in cfg.blocks}
     assert terminators[0] == "conditional-jump"
     assert terminators[7] == "stop"
+
+
+def _leader_set_blocks(instrs):
+    """Reference partition: a leader is the first instruction, each JUMPDEST
+    and each instruction after a terminator or an unknown byte; a block runs
+    from one leader to the next and takes its last instruction's kind."""
+    kinds = {"JUMP": "jump", "JUMPI": "conditional-jump", "STOP": "stop",
+             "RETURN": "return", "REVERT": "revert", "INVALID": "invalid",
+             "SELFDESTRUCT": "selfdestruct"}
+    leaders = {instrs[0].pc} if instrs else set()
+    for ins, nxt in zip(instrs, instrs[1:]):
+        if nxt.name == "JUMPDEST" or ins.name in kinds or ins.byte not in opcodes.TABLE:
+            leaders.add(nxt.pc)
+    blocks = []
+    for ins in instrs:
+        if ins.pc in leaders:
+            blocks.append([])
+        blocks[-1].append(ins)
+    return [(block[0].pc, block,
+             "invalid" if block[-1].byte not in opcodes.TABLE
+             else kinds.get(block[-1].name, "fallthrough"))
+            for block in blocks]
+
+
+def _blocks(cfg):
+    return [(b.start_pc, b.instructions, b.terminator) for b in cfg.blocks]
+
+
+@settings(max_examples=200)
+@given(st.binary(max_size=300))
+@example(b"")
+@example(bytes.fromhex("5b5b00fe0c5b"))  # JUMPDEST pairs, STOP, INVALID, unknown byte
+def test_blocks_follow_the_leader_set_rule(code):
+    if _core.decode_raw(code)[1] >= 0:
+        return  # a truncated PUSH does not decode
+    instrs = disassemble(code)
+    assert _blocks(build_cfg(instrs)) == _leader_set_blocks(instrs)
+
+
+def test_fixture_blocks_follow_the_leader_set_rule():
+    for fixture in [*fixtures.build_corpus(), fixtures.market_hub(3, 60)]:
+        instrs = disassemble(fixture.bytecode)
+        assert _blocks(build_cfg(instrs)) == _leader_set_blocks(instrs), fixture.name
 
 
 def test_find_function_entry_on_fixture(corpus_dir):

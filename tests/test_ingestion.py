@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fixtures as corpus
-from evmasm import encode_source_map
+from evmasm import decode_source_map_reference, encode_source_map
 
 from sleepscan.errors import MalformedItem, MissingArtifact, VersionUnparseable
 from sleepscan.ingestion import (
@@ -70,6 +70,36 @@ def test_codec_round_trip(entries):
     assert decode_source_map(encode_source_map(entries)) == entries
 
 
+# maps drawn from a few distinct items, so most items repeat; an item has 0-5
+# fields (fewer than three included), and any of the first three may be empty
+_FIELD = st.one_of(st.just(""), st.integers(min_value=-1, max_value=40).map(str))
+_ITEM = st.builds(lambda fields, jump, depth, count: ":".join((*fields, jump, depth)[:count]),
+                  st.tuples(_FIELD, _FIELD, _FIELD), st.sampled_from(["", "i", "o", "-"]),
+                  _FIELD, st.integers(min_value=0, max_value=5))
+_ITEMS = st.lists(_ITEM, min_size=1, max_size=6).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=80))
+
+
+@settings(max_examples=300)
+@given(_ITEMS)
+def test_decoder_matches_the_reference(items):
+    encoded = ";".join(items)
+    assert decode_source_map(encoded) == decode_source_map_reference(encoded)
+
+
+@settings(max_examples=150)
+@given(_ITEMS, st.sampled_from(["x", "1:y", "::z:i", "0x10:2"]),
+       st.integers(min_value=0), st.integers(min_value=1, max_value=3))
+def test_malformed_item_raises_the_reference_message(items, bad, at, copies):
+    at %= len(items) + 1  # 0: the malformed item comes first
+    encoded = ";".join(items[:at] + [bad] * copies + items[at:])
+    with pytest.raises(MalformedItem) as expected:
+        decode_source_map_reference(encoded)
+    with pytest.raises(MalformedItem) as raised:
+        decode_source_map(encoded)
+    assert str(raised.value) == str(expected.value)
+
+
 def test_encode_compresses_repeats():
     entries = [(0, 78, 0)] * 3
     assert encode_source_map(entries) == "0:78:0;;"
@@ -128,7 +158,7 @@ def test_modern_ast_shape():
     })
     assert node.node_kind == "SourceUnit"
     assert node.src_span == (0, 100, 0)
-    decl = node.find_all("VariableDeclaration")[0]
+    decl = node.by_kind()["VariableDeclaration"][0]
     assert decl.get("name") == "owner"
     assert decl.get("typeString") == "address"  # hoisted scalar
 
@@ -144,7 +174,7 @@ def test_legacy_ast_shape():
             "children": [],
         }],
     })
-    contract = node.find_all("ContractDefinition")[0]
+    contract = node.by_kind()["ContractDefinition"][0]
     assert contract.get("name") == "C"
     assert contract.src_span == (0, 90, 0)
 

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+import os
 
 import pytest
 from click.testing import CliRunner
@@ -394,6 +395,32 @@ def test_cli_jobs_pool_gives_the_serial_reports(runner, corpus_dir):
     assert [r["contract"] for r in serial] == ["HiddenApprover", "FreeMintable",
                                                "GuardedGallery"]
     assert reports("2") == serial
+
+
+_ANALYZE_PATH = pipeline.analyze_path
+
+
+def _worker_dies_on_free_mintable(path, config):
+    # module level, so that the pool can send it to a worker by name
+    if path.endswith("FreeMintable"):
+        os._exit(3)
+    return _ANALYZE_PATH(path, config)
+
+
+def test_cli_jobs_dead_worker_fails_only_its_path(runner, corpus_dir, monkeypatch):
+    paths = [str(corpus_dir / name) for name in ("HiddenApprover", "FreeMintable",
+                                                 "GuardedGallery", "ChubbyBunny")]
+    serial = [{k: v for k, v in report.items() if k != "timings"}
+              for path in paths for report in _ANALYZE_PATH(path, RunConfig())]
+    monkeypatch.setattr(pipeline, "analyze_path", _worker_dies_on_free_mintable)
+    result = runner.invoke(main, ["analyze", "--format", "json", "--jobs", "2", *paths])
+    assert result.exit_code == 0, result.output
+    reports = [{k: v for k, v in report.items() if k != "timings"}
+               for report in json.loads(result.output)]
+    assert [r["contract"] for r in reports] == [r["contract"] for r in serial]
+    assert reports[1]["error"].startswith("internal-error: BrokenProcessPool")
+    assert reports[1]["findings"] == []
+    assert reports[:1] + reports[2:] == serial[:1] + serial[2:]
 
 
 def test_cli_all_failures_exit_nonzero(runner, tmp_path):

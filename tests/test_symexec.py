@@ -462,6 +462,26 @@ def test_copy_outside_the_word_keeps_it(copy_hex):
     assert _mload_after(ALIGNED_STORE + copy_hex) == Const(0xAA)
 
 
+# a write whose destination is symbolic may overlap any word: a later read
+# of a word written before it is a fresh symbol, never the older value
+SYMBOLIC_DEST = "6004" "35"  # CALLDATALOAD(4)
+
+
+@pytest.mark.parametrize("write_hex", [
+    "6007" + SYMBOLIC_DEST + "52",         # MSTORE 7 there
+    "6020" "6004" + SYMBOLIC_DEST + "37",  # CALLDATACOPY of 32 bytes there
+], ids=["mstore", "calldatacopy"])
+def test_write_at_a_symbolic_offset_makes_the_word_fresh(write_hex):
+    value = _mload_after("6005600052" + write_hex)  # PUSH1 5 PUSH1 0 MSTORE first
+    assert value != Const(5)
+    assert isinstance(value, Var) and isinstance(value.kind, FreshExternal)
+
+
+def test_read_at_the_symbolic_offset_written_keeps_the_value():
+    code = "6007" + SYMBOLIC_DEST + "52" + SYMBOLIC_DEST + "51" + "00"  # MSTORE, MLOAD
+    assert _run_straight_line(_engine(bytes.fromhex(code))).stack[-1] == Const(7)
+
+
 # --------------------------------------------------------------------------
 # the dispatch table and the deadline
 
