@@ -86,8 +86,12 @@ def _relation_holds(relation: str, a: int, b: int) -> bool:
 class ConstraintSet:
     entries: tuple[Constraint, ...] = ()
 
-    def push(self, constraint: Constraint) -> "ConstraintSet":
-        return ConstraintSet(self.entries + (constraint,))
+    def push(self, *constraints: Constraint) -> "ConstraintSet":
+        # two pushes per fork: bypass the frozen dataclass __init__ (not
+        # through __dict__, which would give this set its own attribute layout)
+        pushed = object.__new__(ConstraintSet)
+        object.__setattr__(pushed, "entries", self.entries + constraints)
+        return pushed
 
     def hard(self) -> tuple[Constraint, ...]:
         return tuple(c for c in self.entries if not c.candidate)

@@ -55,12 +55,15 @@ _JUMPDEST = opcodes.MNEMONIC_TO_BYTE["JUMPDEST"]
 @dataclass
 class Cfg:
     blocks: list[BasicBlock]
-    instruction_by_pc: dict[int, Instruction] = field(default_factory=dict)
+    instruction_by_pc: dict[int, Instruction]
+    jumpdests: frozenset[int]
+    # run start pc -> the straight-line run the engine built there, or () for
+    # a pc reached once; shared by every exploration of the unit
+    runs: dict[int, tuple] = field(default_factory=dict)
 
     def is_jumpdest(self, pc: int) -> bool:
         """Whether ``pc`` is a valid jump target."""
-        instr = self.instruction_by_pc.get(pc)
-        return instr is not None and instr.name == "JUMPDEST"
+        return pc in self.jumpdests
 
 
 def disassemble(code: bytes) -> list[Instruction]:
@@ -87,19 +90,22 @@ def build_cfg(instrs: list[Instruction]) -> Cfg:
     """Partition instructions into basic blocks, in one pass: a block ends
     before a JUMPDEST, and after a terminator or an unknown byte."""
     blocks: list[BasicBlock] = []
+    jumpdests = []
     start = 0
     for idx, ins in enumerate(instrs):
         byte = ins.byte
-        if byte == _JUMPDEST and idx > start:
-            blocks.append(BasicBlock(instrs[start].pc, instrs[start:idx], "fallthrough"))
-            start = idx
+        if byte == _JUMPDEST:
+            jumpdests.append(ins.pc)
+            if idx > start:
+                blocks.append(BasicBlock(instrs[start].pc, instrs[start:idx], "fallthrough"))
+                start = idx
         kind = _BLOCK_END[byte]
         if kind is not None:
             blocks.append(BasicBlock(instrs[start].pc, instrs[start:idx + 1], kind))
             start = idx + 1
     if start < len(instrs):
         blocks.append(BasicBlock(instrs[start].pc, instrs[start:], "fallthrough"))
-    return Cfg(blocks, {ins.pc: ins for ins in instrs})
+    return Cfg(blocks, {ins.pc: ins for ins in instrs}, frozenset(jumpdests))
 
 
 def find_function_entry(cfg: Cfg, selector: int) -> int | None:

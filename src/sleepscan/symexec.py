@@ -13,6 +13,19 @@ normally; every path end, and every emission, is counted by
 
 External calls are not followed: they produce a fresh value and taint the
 path, and findings on tainted paths are downgraded, not suppressed.
+
+Every opcode's semantics is one handler in ``_DISPATCH``; ``Engine.step``
+runs one instruction after its stack-depth checks. ``Engine.explore`` runs
+straight-line code a *run* at a time: the instructions from a pc up to and
+including the next JUMP, JUMPI or halting opcode, stopping before the next
+JUMPDEST or unknown byte. A run is built the second time exploration
+reaches its start pc and kept on the unit's ``Cfg``, so every function of
+the unit shares it and code reached once costs no build. It is taken whole
+when the stack depth lies in the range where none of its instructions
+underflows or overflows, no deadline read (every 256 steps) falls inside
+it and it ends within ``max_steps``; otherwise its instructions go through
+``Engine.step`` one at a time, so path ends, diagnostics and step counts
+are those of stepping every instruction.
 """
 
 from __future__ import annotations
@@ -35,6 +48,7 @@ from sleepscan.sym import Const, FreshExternal, Op, Parameter, SymValue, Var
 
 MAX_STACK = 1024
 _DEADLINE_EVERY = 256  # steps between two reads of the clock
+_UNBOUNDED = 1 << 256  # the width of a write whose size is symbolic
 
 END_EMISSION = "transfer-emission"
 END_EXIT = "normal-exit"
@@ -78,19 +92,22 @@ class MachineState:
     snapshots: list[_EmissionSnapshot] = field(default_factory=list)
 
     def fork(self) -> "MachineState":
-        return MachineState(
-            pc=self.pc,
-            stack=list(self.stack),
-            memory=list(self.memory),
-            storage_writes=list(self.storage_writes),
-            constraints=self.constraints,
-            sstore_mark=self.sstore_mark,
-            owner_trace=self.owner_trace,
-            pending_owner=self.pending_owner,
-            tainted=self.tainted,
-            jumpdest_visits=dict(self.jumpdest_visits),
-            snapshots=list(self.snapshots),
-        )
+        # skips the dataclass __init__ and its keyword arguments; the fields
+        # are set in __init__'s order and never through __dict__, so the
+        # state keeps the attribute layout every state shares
+        forked = object.__new__(MachineState)
+        forked.pc = self.pc
+        forked.stack = self.stack[:]
+        forked.memory = self.memory[:]
+        forked.storage_writes = self.storage_writes[:]
+        forked.constraints = self.constraints
+        forked.sstore_mark = self.sstore_mark
+        forked.owner_trace = self.owner_trace
+        forked.pending_owner = self.pending_owner
+        forked.tainted = self.tainted
+        forked.jumpdest_visits = self.jumpdest_visits.copy()
+        forked.snapshots = self.snapshots[:]
+        return forked
 
 
 @dataclass(frozen=True)
@@ -158,6 +175,9 @@ class Engine:
         self.storage_vars: dict[str, Var] = {}
         self.memory_fresh: dict[str, Var] = {}
         self.site_fresh: dict[tuple[int, int], Var] = {}
+        # id(condition) -> (condition, taken constraints, negated fallthrough);
+        # the entry holds the condition, so its id is not reused
+        self.branch_constraints: dict[int, tuple] = {}
         self.records: list[PathRecord] = []
         self.ends: Counter = Counter()
         self.steps_used = 0
@@ -233,13 +253,13 @@ class Engine:
 
     # -- checkpoints --------------------------------------------------------
 
-    def on_calldataload(self, state: MachineState, offset: SymValue) -> SymValue:
+    def on_calldataload(self, pc: int, offset: SymValue) -> SymValue:
         value = sym.const_value(offset)
         if value is not None and value >= 4 and (value - 4) % 32 == 0:
             return self._param_var((value - 4) // 32)
         if value is not None:
-            return self._fresh(state.pc, f"calldata_{value}")
-        return self._fresh(state.pc, "calldata_sym")
+            return self._fresh(pc, f"calldata_{value}")
+        return self._fresh(pc, "calldata_sym")
 
     def on_sstore(self, state: MachineState, slot: SymValue, value: SymValue) -> None:
         state.storage_writes.append((slot, value))
@@ -291,7 +311,8 @@ class Engine:
             raise _KillPath(END_REVERT, f"stack underflow at {instr.pc} ({instr.name})")
         if depth - pops + pushes > MAX_STACK:
             raise _KillPath(END_REVERT, f"stack overflow at {instr.pc}")
-        successors = handler(self, state, instr, pops)
+        value = instr.push_value  # a PUSH's handler gets its value, as in a run
+        successors = handler(self, state, instr, pops if value is None else Const(value))
         if successors is not None:
             return successors
         state.pc = instr.next_pc
@@ -302,9 +323,13 @@ class Engine:
     def _clobber(self, state: MachineState, offset: SymValue, size: SymValue,
                  pc: int, origin: str) -> None:
         """A write of bytes the engine does not model: later reads of them
-        see a fresh symbol, never the value they held before."""
-        if sym.const_value(size):  # a symbolic size writes nothing yet
-            state.memory.append((offset, self._fresh(pc, origin), size.value))
+        see a fresh symbol, never the value they held before. A symbolic size
+        may reach any byte from the offset on."""
+        width = sym.const_value(size)
+        if width is None:
+            width = _UNBOUNDED
+        if width:
+            state.memory.append((offset, self._fresh(pc, origin), width))
 
     def _jump_target(self, target: SymValue, instr: Instruction) -> int:
         value = sym.const_value(target)
@@ -324,13 +349,19 @@ class Engine:
                 state.pc = instr.next_pc
             return [state]
         target_pc = self._jump_target(target, instr)
-        constraints = _condition_constraints(condition, True)
+        # one condition object reaches this JUMPI on every path forked after
+        # it was built
+        cached = self.branch_constraints.get(id(condition))
+        if cached is None:
+            taken = tuple(_condition_constraints(condition, True))
+            cached = self.branch_constraints[id(condition)] = (
+                condition, taken, taken[0].negated())
+        _, taken, negated = cached
         fallthrough = state.fork()
         fallthrough.pc = instr.next_pc
-        fallthrough.constraints = state.constraints.push(constraints[0].negated())
+        fallthrough.constraints = state.constraints.push(negated)
         state.pc = target_pc
-        for c in constraints:
-            state.constraints = state.constraints.push(c)
+        state.constraints = state.constraints.push(*taken)
         return [state, fallthrough]
 
     # -- path lifecycle -----------------------------------------------------
@@ -343,19 +374,19 @@ class Engine:
             # counted before the path's own end, so kinds appear in path order
             emission_kind = END_EMISSION if end_kind == END_EXIT else END_BUDGET
             self.ends[emission_kind, None] += len(state.snapshots)
-        if end_kind == END_EXIT:
-            self.records.extend(PathRecord(
-                function=self.fn,
-                end_kind=END_EMISSION,
-                constraints=snapshot.constraints,
-                owner_trace=snapshot.owner_trace,
-                from_param=self.param_vars.get(0) or snapshot.from_topic,
-                sstore_mark_at_exit=state.sstore_mark,
-                tainted=snapshot.tainted,
-                path_id=path_id,
-                emission_pc=snapshot.pc,
-                emission_src=snapshot.src,
-            ) for snapshot in state.snapshots)
+            if end_kind == END_EXIT:
+                self.records.extend(PathRecord(
+                    function=self.fn,
+                    end_kind=END_EMISSION,
+                    constraints=snapshot.constraints,
+                    owner_trace=snapshot.owner_trace,
+                    from_param=self.param_vars.get(0) or snapshot.from_topic,
+                    sstore_mark_at_exit=state.sstore_mark,
+                    tainted=snapshot.tainted,
+                    path_id=path_id,
+                    emission_pc=snapshot.pc,
+                    emission_src=snapshot.src,
+                ) for snapshot in state.snapshots)
         self.ends[end_kind, diagnostic] += 1
 
     # -- exploration loop ---------------------------------------------------
@@ -363,7 +394,9 @@ class Engine:
     def explore(self, entry_pc: int) -> ExplorationResult:
         budget = self.budget
         code = self.cfg.instruction_by_pc
+        runs = self.cfg.runs
         step = self.step
+        owner_spans = self.owner_spans
         max_steps = budget.max_steps
         steps = self.steps_used
         worklist = [MachineState(pc=entry_pc)]
@@ -374,12 +407,48 @@ class Engine:
                     self._finish_path(state, END_BUDGET, reason)
                 break
             state = worklist.pop()
-            while True:  # step one state until its path forks or ends
+            while True:  # run one state until its path forks or ends
                 if not steps % _DEADLINE_EVERY and budget.expired():
                     self.timed_out = True
                     worklist.append(state)
                     break
-                instr = code.get(state.pc)
+                pc = state.pc
+                run = runs.get(pc)
+                if run is None:
+                    runs[pc] = ()  # first reach: step it, build a run on the next
+                elif not run:
+                    run = runs[pc] = _build_run(code, pc)
+                if run:
+                    ops, low, high, end_pc = run
+                    count = len(ops)
+                    # whole only where stepping would pass every depth check,
+                    # read no clock and stay within the step budget
+                    if (low <= len(state.stack) <= high
+                            and steps % _DEADLINE_EVERY + count <= _DEADLINE_EVERY
+                            and steps + count <= max_steps):
+                        steps += count
+                        try:
+                            if owner_spans:
+                                for handler, instr, arg in ops:
+                                    successors = handler(self, state, instr, arg)
+                                    if successors is None:
+                                        self._owner_checkpoint(state, instr)
+                            else:
+                                for handler, instr, arg in ops:
+                                    successors = handler(self, state, instr, arg)
+                        except _KillPath as kill:
+                            steps -= ops[-1][1].src - instr.src  # ops never run
+                            self._finish_path(state, kill.end_kind, kill.reason)
+                            break
+                        if successors is None:
+                            state.pc = end_pc
+                            continue
+                        if len(successors) != 1:
+                            worklist.extend(successors)
+                            break
+                        state = successors[0]
+                        continue
+                instr = code.get(pc)
                 if instr is None:
                     self._finish_path(state, END_REVERT, f"fell off code at pc {state.pc}")
                     break
@@ -402,12 +471,12 @@ class Engine:
 
 
 # --------------------------------------------------------------------------
-# one handler per opcode; each runs after step's stack-depth checks, gets the
-# opcode's pop count, and returns None to fall through to the next
-# instruction or else the successor states
+# one handler per opcode; each runs after the stack-depth checks, gets the
+# opcode's pop count (a PUSH gets its value as a Const), and returns None to
+# fall through to the next instruction or else the successor states
 
-def _push(engine: Engine, state: MachineState, instr: Instruction, pops: int):
-    state.stack.append(Const(instr.push_value))
+def _push(engine: Engine, state: MachineState, instr: Instruction, value: Const):
+    state.stack.append(value)
 
 
 def _dup(engine: Engine, state: MachineState, instr: Instruction, pops: int):
@@ -458,7 +527,7 @@ def _revert(engine: Engine, state: MachineState, instr: Instruction, pops: int):
 
 def _calldataload(engine: Engine, state: MachineState, instr: Instruction, pops: int):
     stack = state.stack
-    stack.append(engine.on_calldataload(state, stack.pop()))
+    stack.append(engine.on_calldataload(instr.pc, stack.pop()))
 
 
 def _sload(engine: Engine, state: MachineState, instr: Instruction, pops: int):
@@ -592,6 +661,38 @@ def _handler(name: str):
 # byte -> (handler, pops, pushes), None for a byte that is no opcode
 _DISPATCH = tuple((_handler(entry[0]), entry[1], entry[2]) if entry else None
                   for entry in map(opcodes.TABLE.get, range(256)))
+# the handlers that may return successor states: each ends a run
+_RUN_ENDS = frozenset([_jump, _jumpi, _exit, _revert])
+_JUMPDEST = opcodes.MNEMONIC_TO_BYTE["JUMPDEST"]
+
+
+def _build_run(code: dict[int, Instruction], pc: int) -> tuple:
+    """The straight-line run from ``pc``, up to and including the next
+    terminator and before the next JUMPDEST or unknown byte: its
+    ``(handler, instr, arg)`` ops, the lowest and highest entry stack depth
+    at which no op underflows or overflows, and the pc after it. ``()`` when
+    no opcode starts at ``pc``."""
+    ops = []
+    depth = low = peak = 0  # relative to the entry depth
+    instr = code.get(pc)
+    while instr is not None:
+        entry = _DISPATCH[instr.byte]
+        if entry is None or ops and instr.byte == _JUMPDEST:
+            break
+        handler, pops, pushes = entry
+        if pops - depth > low:
+            low = pops - depth
+        depth += pushes - pops
+        if depth > peak:
+            peak = depth
+        value = instr.push_value
+        ops.append((handler, instr, pops if value is None else Const(value)))
+        if handler in _RUN_ENDS:
+            break
+        instr = code.get(instr.next_pc)
+    if not ops:
+        return ()
+    return tuple(ops), low, MAX_STACK - peak, ops[-1][1].next_pc
 
 
 def _condition_constraints(condition: SymValue, truthy: bool) -> list[Constraint]:

@@ -1,4 +1,5 @@
-"""Reference concrete interpreter for the arithmetic/logic/stack subset.
+"""Reference concrete interpreter for the arithmetic/logic/stack subset and
+the byte-addressed memory (MSTORE, MSTORE8, MLOAD).
 
 Written directly from the yellow-paper semantics, independent of the
 package's symbolic evaluator, so the two can be compared differentially.
@@ -8,6 +9,7 @@ from __future__ import annotations
 
 W = 1 << 256
 MASK = W - 1
+MEMORY = ("MLOAD", "MSTORE", "MSTORE8")
 
 
 def _signed(x: int) -> int:
@@ -22,8 +24,20 @@ def run(program: list[tuple[str, tuple[int, ...]]],
     mirroring what a real machine would treat as an exceptional halt.
     """
     s = list(stack or [])
+    memory = bytearray()  # zero-filled as it grows, one byte per address
     for name, operands in program:
-        if name.startswith("PUSH"):
+        if name in MEMORY:
+            offset = s.pop()
+            width = 1 if name == "MSTORE8" else 32
+            if len(memory) < offset + width:
+                memory.extend(bytes(offset + width - len(memory)))
+            if name == "MLOAD":
+                s.append(int.from_bytes(memory[offset:offset + 32], "big"))
+            elif name == "MSTORE":
+                memory[offset:offset + 32] = s.pop().to_bytes(32, "big")
+            else:
+                memory[offset] = s.pop() & 0xFF
+        elif name.startswith("PUSH"):
             s.append(operands[0] & MASK)
         elif name.startswith("DUP"):
             n = int(name[3:])

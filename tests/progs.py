@@ -53,6 +53,44 @@ def random_program(rng: random.Random, length: int = 24,
     return program
 
 
+# memory offsets around word boundaries, so that writes overlap reads
+# exactly, partly and not at all
+MEMORY_OFFSETS = (0, 1, 16, 31, 32, 33, 64)
+
+
+def random_memory_program(rng: random.Random, length: int = 24,
+                          max_stack: int = 14) -> list[tuple[str, tuple[int, ...]]]:
+    """Arity-safe sequence of PUSH/DUP/SWAP/POP and MSTORE/MSTORE8/MLOAD, each
+    memory op at a concrete offset pushed just before it."""
+    program: list[tuple[str, tuple[int, ...]]] = []
+    depth = 0
+    for _ in range(length):
+        choices = ["push", "mload"] if depth < max_stack else []
+        if depth > 0:
+            choices += ["pop", "mstore", "mstore", "mstore8"]
+        if 0 < depth < max_stack:
+            choices += ["dup"]
+        if depth > 1:
+            choices += ["swap"]
+        kind = rng.choice(choices)
+        if kind == "push":
+            program.append(("PUSH32", (rng.getrandbits(256),)))
+            depth += 1
+        elif kind == "pop":
+            program.append(("POP", ()))
+            depth -= 1
+        elif kind == "dup":
+            program.append((f"DUP{rng.randint(1, min(depth, 16))}", ()))
+            depth += 1
+        elif kind == "swap":
+            program.append((f"SWAP{rng.randint(1, min(depth - 1, 16))}", ()))
+        else:
+            program.append(("PUSH1", (rng.choice(MEMORY_OFFSETS),)))
+            program.append((kind.upper(), ()))
+            depth += 0 if kind == "mload" else -1
+    return program
+
+
 def to_bytecode(program: list[tuple[str, tuple[int, ...]]]) -> bytes:
     code = bytearray()
     for name, operands in program:

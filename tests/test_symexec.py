@@ -482,6 +482,56 @@ def test_read_at_the_symbolic_offset_written_keeps_the_value():
     assert _run_straight_line(_engine(bytes.fromhex(code))).stack[-1] == Const(7)
 
 
+# a copy or call output whose size is symbolic may write any byte from its
+# offset on: a later read of a word reaching past the offset is fresh
+SYMBOLIC_SIZE = "36"  # CALLDATASIZE
+
+
+@pytest.mark.parametrize("write_hex", [
+    SYMBOLIC_SIZE + "6000" "6000" "37",  # CALLDATACOPY(0, 0, CALLDATASIZE)
+    SYMBOLIC_SIZE + "6000" "6000" "6000" "6000" "6000" "6000" "f1" "50",  # CALL output
+], ids=["copy", "call-output"])
+def test_write_of_a_symbolic_size_makes_later_words_fresh(write_hex):
+    value = _mload_after("6005600052" + write_hex)  # PUSH1 5 PUSH1 0 MSTORE first
+    assert value != Const(5)
+    assert isinstance(value, Var) and isinstance(value.kind, FreshExternal)
+
+
+@pytest.mark.parametrize("offset_hex", ["6020", SYMBOLIC_DEST], ids=["after", "symbolic"])
+def test_write_of_a_symbolic_size_spares_only_words_before_it(offset_hex):
+    # CALLDATACOPY(offset, 0, CALLDATASIZE) after MSTOREs of 5 at 0 and 6 at 64
+    code = ("6005600052" "6006604052" + SYMBOLIC_SIZE + "6000" + offset_hex + "37"
+            "600051" "604051" "00")
+    before, after = _run_straight_line(_engine(bytes.fromhex(code))).stack
+    assert after != Const(6) and isinstance(after.kind, FreshExternal)
+    if offset_hex == SYMBOLIC_DEST:
+        assert before != Const(5) and isinstance(before.kind, FreshExternal)
+    else:
+        assert before == Const(5)
+
+
+def test_memory_reads_match_the_reference_or_are_fresh():
+    """On concrete MSTORE/MSTORE8/MLOAD programs, a Const the engine gives is
+    the reference value; anything else is a memory symbol, and one symbol
+    never stands for two different values."""
+    rng = random.Random(0x3E3)
+    fresh_reads = 0
+    for _ in range(300):
+        program = progs.random_memory_program(rng, length=30)
+        expected = oracle_evm.run(program)
+        state = _run_straight_line(_engine(progs.to_bytecode(program) + b"\x00"))
+        assert len(state.stack) == len(expected)
+        meaning = {}
+        for value, concrete in zip(state.stack, expected):
+            if isinstance(value, Const):
+                assert value.value == concrete, program
+            else:
+                assert isinstance(value, Var) and value.kind == FreshExternal("memory")
+                assert meaning.setdefault(value, concrete) == concrete, program
+                fresh_reads += 1
+    assert fresh_reads > 100
+
+
 # --------------------------------------------------------------------------
 # the dispatch table and the deadline
 
