@@ -57,9 +57,10 @@ class Cfg:
     blocks: list[BasicBlock]
     instruction_by_pc: dict[int, Instruction]
     jumpdests: frozenset[int]
-    # run start pc -> the straight-line run the engine built there, or () for
-    # a pc reached once; shared by every exploration of the unit
-    runs: dict[int, tuple] = field(default_factory=dict)
+    # run start pc -> the straight-line run the engine built there, False for
+    # a start reached once, () where no run can start; shared by every
+    # exploration of the unit
+    runs: dict[int, tuple | bool] = field(default_factory=dict)
 
     def is_jumpdest(self, pc: int) -> bool:
         """Whether ``pc`` is a valid jump target."""

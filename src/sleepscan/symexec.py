@@ -18,9 +18,11 @@ Every opcode's semantics is one handler in ``_DISPATCH``; ``Engine.step``
 runs one instruction after its stack-depth checks. ``Engine.explore`` runs
 straight-line code a *run* at a time: the instructions from a pc up to and
 including the next JUMP, JUMPI or halting opcode, stopping before the next
-JUMPDEST or unknown byte. A run is built the second time exploration
-reaches its start pc and kept on the unit's ``Cfg``, so every function of
-the unit shares it and code reached once costs no build. It is taken whole
+JUMPDEST or unknown byte. Runs start only at run boundaries: the entry,
+jump targets, the pc after a JUMPI, and a JUMPDEST or unknown byte reached
+by falling through. A run is built the second time exploration reaches its
+start pc and kept on the unit's ``Cfg``, so every function of the unit
+shares it and code reached once costs no build. It is taken whole
 when the stack depth lies in the range where none of its instructions
 underflows or overflows, no deadline read (every 256 steps) falls inside
 it and it ends within ``max_steps``; otherwise its instructions go through
@@ -395,6 +397,7 @@ class Engine:
         budget = self.budget
         code = self.cfg.instruction_by_pc
         runs = self.cfg.runs
+        jumpdests = self.cfg.jumpdests
         step = self.step
         owner_spans = self.owner_spans
         max_steps = budget.max_steps
@@ -407,17 +410,20 @@ class Engine:
                     self._finish_path(state, END_BUDGET, reason)
                 break
             state = worklist.pop()
+            boundary = True  # a popped state is at the entry, a jump target or a fallthrough
             while True:  # run one state until its path forks or ends
                 if not steps % _DEADLINE_EVERY and budget.expired():
                     self.timed_out = True
                     worklist.append(state)
                     break
                 pc = state.pc
-                run = runs.get(pc)
-                if run is None:
-                    runs[pc] = ()  # first reach: step it, build a run on the next
-                elif not run:
-                    run = runs[pc] = _build_run(code, pc)
+                run = None
+                if boundary:  # only a run boundary may start a run
+                    run = runs.get(pc)
+                    if run is None:
+                        runs[pc] = _REACHED  # step it, build a run on the next reach
+                    elif run is _REACHED:
+                        run = runs[pc] = _build_run(code, pc)
                 if run:
                     ops, low, high, end_pc = run
                     count = len(ops)
@@ -437,7 +443,8 @@ class Engine:
                                 for handler, instr, arg in ops:
                                     successors = handler(self, state, instr, arg)
                         except _KillPath as kill:
-                            steps -= ops[-1][1].src - instr.src  # ops never run
+                            ran = next(i for i, op in enumerate(ops, 1) if op[1] is instr)
+                            steps -= count - ran  # uncharge the ops that never ran
                             self._finish_path(state, kill.end_kind, kill.reason)
                             break
                         if successors is None:
@@ -465,6 +472,7 @@ class Engine:
                     worklist.extend(successors)
                     break
                 state = successors[0]
+                boundary = instr.byte in _RUN_END_BYTES or state.pc in jumpdests
         self.steps_used = steps
         return ExplorationResult(self.records, self.ends, self.timed_out,
                                  self.steps_used, self.paths_finished)
@@ -663,7 +671,10 @@ _DISPATCH = tuple((_handler(entry[0]), entry[1], entry[2]) if entry else None
                   for entry in map(opcodes.TABLE.get, range(256)))
 # the handlers that may return successor states: each ends a run
 _RUN_ENDS = frozenset([_jump, _jumpi, _exit, _revert])
+_RUN_END_BYTES = frozenset(byte for byte, entry in enumerate(_DISPATCH)
+                           if entry and entry[0] in _RUN_ENDS)
 _JUMPDEST = opcodes.MNEMONIC_TO_BYTE["JUMPDEST"]
+_REACHED = False  # a run boundary reached once, its run not built yet
 
 
 def _build_run(code: dict[int, Instruction], pc: int) -> tuple:

@@ -53,6 +53,16 @@ def _counting_steps(engine: Engine, counts: Counter) -> Engine:
     return engine
 
 
+def _run_boundaries(cfg, entries) -> set[int]:
+    """The pcs where a run may start: the entries, JUMPDESTs, the pc after
+    a JUMPI and every pc that holds no known opcode."""
+    code = cfg.instruction_by_pc
+    after_jumpi = {instr.next_pc for instr in code.values() if instr.name == "JUMPI"}
+    unknown = {pc for pc, instr in code.items() if sx._DISPATCH[instr.byte] is None}
+    return set(entries) | cfg.jumpdests | after_jumpi | unknown | {
+        pc for pc in cfg.runs if pc not in code}
+
+
 def _compare(unit: CompilationUnit, targets, binding=(),
              budget: ExplorationBudget | None = None, explorations: int = 2):
     """Explore each ``(fn, entry_pc)`` of ``targets`` in turn, ``explorations``
@@ -73,6 +83,8 @@ def _compare(unit: CompilationUnit, targets, binding=(),
                 Engine(unit, reference_cfg, fn, facts, budget), entry_pc)
             assert _outcome(got) == _outcome(want), (fn.name, entry_pc)
             in_runs += got.steps_used - sum(stepped.values())
+    # a stepped run's tail pcs get no entry
+    assert set(shared.runs) <= _run_boundaries(shared, [entry for _, entry in targets])
     return in_runs, shared
 
 
@@ -274,6 +286,25 @@ def test_budget_cut_emission_inside_runs():
 
 # --------------------------------------------------------------------------
 # laziness: code reached once costs no run
+
+def test_a_pc_without_a_run_is_built_once(monkeypatch):
+    """The run at 0 stops before the unknown byte at 3, so pc 3 is a run
+    boundary reached once per exploration: the third exploration finds no
+    run to build there, and later ones do not try again."""
+    code = bytes.fromhex("5b" "6001" "0c")  # JUMPDEST; PUSH1 1; unknown byte
+    builds = Counter()
+    build_run = sx._build_run
+
+    def counting(code_by_pc, pc):
+        builds[pc] += 1
+        return build_run(code_by_pc, pc)
+
+    monkeypatch.setattr(sx, "_build_run", counting)
+    in_runs, cfg = _compare(_unit(code), [(FN, 0)], explorations=5)
+    assert in_runs > 0
+    assert cfg.runs[3] == ()
+    assert builds == {0: 1, 3: 1}
+
 
 def test_runs_are_built_only_where_code_is_reached_twice(tmp_path):
     unit = load_compilation(corpus.market_hub(heavy_count=58).write(tmp_path))
