@@ -1,11 +1,13 @@
 """AST-driven target-function pruning, ownerOf return-binding discovery and
 the storage layout.
 
-Transfer emission propagates through same-unit internal calls: the canonical
+Everything here reads the unit's ``Ast`` through its groups, which the load
+walk built, and walks nothing itself. A function emits ``Transfer`` when its
+body calls ``Transfer`` with 3 arguments, under ``emit`` or not (Solidity
+before 0.4.21 has no ``emit``); overloads with other arities are ignored.
+Emission propagates through same-unit internal calls by name: the canonical
 ``transferFrom`` emits only via an internal ``_transfer``, so without the
 call-graph closure the very functions we care about would be pruned away.
-Only the 3-argument ``Transfer(address,address,uint256)`` counts as the
-ERC-721 event; overloads with other arities are ignored.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 
-from sleepscan.ingestion import AstNode, CompilationUnit, Span
+from sleepscan.ingestion import Ast, CompilationUnit, Span
 from sleepscan.keccak import keccak256, keccak256_many
 
 EXTERNALLY_CALLABLE = ("external", "public")
@@ -50,66 +52,21 @@ def canonical_type(type_string: str) -> str:
     return base + ("[" + suffix if suffix else "")
 
 
-def _parameters(fn: AstNode) -> tuple[tuple[str, str], ...]:
-    plists = [c for c in fn.children if c.node_kind == "ParameterList"]
-    params_node = None
-    for node in plists:
-        if node.get("_field") == "parameters":
-            params_node = node
-            break
-    if params_node is None and plists:
-        params_node = plists[0]
-    if params_node is None:
-        return ()
-    out = []
-    for decl in params_node.children:
-        if decl.node_kind != "VariableDeclaration":
-            continue
-        out.append((decl.get("name", ""), canonical_type(decl.get("typeString", ""))))
-    return tuple(out)
-
-
-def _called_names(calls: list[AstNode]) -> set[str]:
-    names: set[str] = set()
-    for call in calls:
-        for child in call.children:
-            if child.node_kind == "Identifier":
-                names.add(child.get("name", ""))
-                break
-            if child.node_kind == "MemberAccess":
-                names.add(child.get("memberName", ""))
-                break
-    return names
-
-
-def _emits_transfer_directly(emits: list[AstNode]) -> bool:
-    for emit in emits:
-        for call in emit.by_kind().get("FunctionCall", ()):
-            if not call.children:
-                continue
-            callee = call.children[0]
-            event_name = callee.get("name") or callee.get("memberName")
-            arg_count = len(call.children) - 1
-            if event_name == "Transfer" and arg_count == 3:
-                return True
-    return False
-
-
-def _transfer_closure(functions: list[AstNode]) -> list[bool]:
+def _transfer_closure(ast: Ast) -> list[bool]:
     """Per-function emits_transfer, closed over same-unit calls by name."""
     by_name: dict[str, list[int]] = {}
-    for idx, fn in enumerate(functions):
-        by_name.setdefault(fn.get("name", ""), []).append(idx)
-    bodies = [fn.by_kind() for fn in functions]  # one walk per function
-    emits = [_emits_transfer_directly(body.get("EmitStatement", ())) for body in bodies]
-    calls = [_called_names(body.get("FunctionCall", ())) for body in bodies]
+    for idx, fn in enumerate(ast.kinds.get("FunctionDefinition", ())):
+        by_name.setdefault(ast.get(fn, "name") or "", []).append(idx)
+    calls = [[ast.call(call) for call in body.get("FunctionCall", ())] for body in ast.bodies]
+    emits = [("Transfer", 3) in fn_calls for fn_calls in calls]
+    called = [{name for name, _ in fn_calls if name} for fn_calls in calls]
     changed = True
     while changed:
         changed = False
-        for idx in range(len(functions)):
+        for idx in range(len(calls)):
             if emits[idx]:
                 continue
-            for callee_name in calls[idx]:
+            for callee_name in called[idx]:
                 if any(emits[j] for j in by_name.get(callee_name, ())):
                     emits[idx] = True
                     changed = True
@@ -120,18 +77,21 @@ def _transfer_closure(functions: list[AstNode]) -> list[bool]:
 def function_infos(unit: CompilationUnit) -> list[FunctionInfo]:
     """Every named function, with the signature of each externally callable
     one; no selector is hashed here (see ``with_selectors``)."""
-    functions = unit.ast_index.get("FunctionDefinition", [])
+    ast = unit.ast
+    functions = ast.kinds.get("FunctionDefinition", ())
     infos = []
-    for fn, emits_transfer in zip(functions, _transfer_closure(functions)):
-        name = fn.get("name", "")
+    for fn, emits_transfer in zip(functions, _transfer_closure(ast)):
+        name = ast.get(fn, "name")
         if not name:  # constructor / fallback / receive
             continue
-        visibility = fn.get("visibility", "public")
-        params = _parameters(fn)
+        visibility = ast.get(fn, "visibility") or "public"
+        params = tuple((ast.get(decl, "name") or "",
+                        canonical_type(ast.get(decl, "typeString") or ""))
+                       for decl in ast.parameters(fn))
         signature = None
         if visibility in EXTERNALLY_CALLABLE:
             signature = f"{name}({','.join(t for _, t in params)})"
-        infos.append(FunctionInfo(name, None, params, fn.src_span, visibility,
+        infos.append(FunctionInfo(name, None, params, ast.span(fn), visibility,
                                   emits_transfer, signature))
     return infos
 
@@ -163,10 +123,11 @@ def find_owner_return_binding(unit: CompilationUnit) -> tuple[Span, ...]:
     Overrides included, so the engine can match whichever body actually
     executes; ``()`` when the unit has no ``ownerOf`` return.
     """
-    spans = [ret.src_span
-             for fn in unit.ast_index.get("FunctionDefinition", ())
-             if fn.get("name") == "ownerOf"
-             for ret in fn.by_kind().get("Return", ())]
+    ast = unit.ast
+    spans = [ast.span(ret)
+             for fn, body in zip(ast.kinds.get("FunctionDefinition", ()), ast.bodies)
+             if ast.get(fn, "name") == "ownerOf"
+             for ret in body.get("Return", ())]
     return tuple(sorted(spans, key=lambda s: (s[2], s[0])))
 
 
@@ -190,15 +151,16 @@ class SlotInfo:
 
 
 def storage_layout(unit: CompilationUnit) -> dict[int, SlotInfo]:
+    ast = unit.ast
     layout: dict[int, SlotInfo] = {}
     slot = 0
-    for contract in unit.ast_index.get("ContractDefinition", ()):
-        for child in contract.children:
-            if child.node_kind != "VariableDeclaration":
+    for contract in ast.kinds.get("ContractDefinition", ()):
+        for child in ast.children(contract):
+            if ast.kind(child) != "VariableDeclaration":
                 continue
-            if child.get("stateVariable") is False:
+            if ast.get(child, "stateVariable") is False:
                 continue
-            layout[slot] = SlotInfo(child.get("name", f"slot{slot}"),
-                                     child.get("typeString", ""))
+            layout[slot] = SlotInfo(ast.get(child, "name") or f"slot{slot}",
+                                    ast.get(child, "typeString") or "")
             slot += 1
     return layout

@@ -1,4 +1,4 @@
-"""Loading and normalizing compiler artifacts into a CompilationUnit.
+"""Loading compiler artifacts into a CompilationUnit.
 
 Two input layouts are accepted:
   A. a Solidity-compiler standard-JSON output file, and
@@ -6,14 +6,15 @@ Two input layouts are accepted:
      ``<name>.ast.json`` and ``<name>.sol``.
 
 The deployed (runtime) bytecode and its source map are used throughout; the
-defect-bearing functions live in runtime code, not the constructor.
+defect-bearing functions live in runtime code, not the constructor. The AST
+is read in place, in either compiler era's layout, through ``Ast``.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from sleepscan.errors import MalformedItem, MissingArtifact, VersionUnparseable
@@ -23,48 +24,13 @@ Span = tuple[int, int, int]  # (start, length, file); file -1 for compiler-gener
 
 
 @dataclass
-class AstNode:
-    node_kind: str
-    src_span: Span
-    children: list["AstNode"] = field(default_factory=list)
-    attributes: dict = field(default_factory=dict)
-
-    def by_kind(self) -> dict[str, list["AstNode"]]:
-        """This node and its descendants grouped by kind, each group in
-        document (pre-)order: one iterative walk, nothing kept on the node."""
-        index: dict[str, list[AstNode]] = {}
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            index.setdefault(node.node_kind, []).append(node)
-            stack.extend(reversed(node.children))
-        return index
-
-    def get(self, key, default=None):
-        return self.attributes.get(key, default)
-
-
-@dataclass
 class CompilationUnit:
     contract_name: str
     runtime_bytecode: bytes
     source_map: list[Span]  # one per instruction
-    ast: AstNode
+    ast: Ast  # shared by every unit of one source file
     sources: dict[int, str]  # file id -> source text
     compiler_version: Version
-    _ast_index: dict | None = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def ast_index(self) -> dict[str, list[AstNode]]:
-        """The AST's nodes by kind, built on first use.
-
-        Kept on the unit, not on the root node: an index held by the root
-        would refer back to the root, and that cycle would leave every AST to
-        the cyclic garbage collector.
-        """
-        if self._ast_index is None:
-            self._ast_index = self.ast.by_kind()
-        return self._ast_index
 
     def snippet(self, span: Span) -> str:
         start, length, file_id = span
@@ -176,67 +142,145 @@ def _cbor_item_end(data: bytes, pos: int) -> int:
 
 
 # --------------------------------------------------------------------------
-# AST normalization (modern nodeType-based and legacy name/children JSON)
+# the AST, read in place (modern nodeType-based or legacy name/children JSON)
 
-_SCALARS = (str, int, float, bool, type(None))
-
-
-def ast_from_json(doc: dict) -> AstNode:
-    if "nodeType" in doc:
-        return _modern_node(doc)
-    if "name" in doc and ("children" in doc or "attributes" in doc):
-        return _legacy_node(doc)
-    raise MissingArtifact("unrecognized AST JSON shape")
-
-
-def _parse_src(src) -> Span:
-    if not isinstance(src, str):
-        return (-1, 0, -1)
-    parts = src.split(":")
-    try:
-        return (int(parts[0]), int(parts[1]), int(parts[2]) if len(parts) > 2 else -1)
-    except (ValueError, IndexError):
-        return (-1, 0, -1)
+# kind -> the string attributes astview reads from it, checked at load
+_READS = {
+    "FunctionDefinition": ("name", "visibility"),
+    "VariableDeclaration": ("name", "typeString"),
+    "Identifier": ("name",),
+    "MemberAccess": ("memberName",),
+}
+# the legacy form's names for the modern attributes ("name" of an Identifier
+# is its "value")
+_LEGACY_KEYS = {"memberName": "member_name", "typeString": "type"}
 
 
-def _modern_node(doc: dict) -> AstNode:
-    attributes: dict = {}
-    children: list[AstNode] = []
-    for key, value in doc.items():
-        if key in ("src", "nodeType"):
-            continue
-        if isinstance(value, dict):
-            if "nodeType" in value:
-                child = _modern_node(value)
-                child.attributes.setdefault("_field", key)
-                children.append(child)
-            else:
-                # e.g. typeDescriptions: hoist its scalar members
-                for sub_key, sub_value in value.items():
-                    if isinstance(sub_value, _SCALARS) and sub_key not in attributes:
-                        attributes[sub_key] = sub_value
-        elif isinstance(value, list):
-            for item in value:
-                if isinstance(item, dict) and "nodeType" in item:
-                    child = _modern_node(item)
-                    child.attributes.setdefault("_field", key)
-                    children.append(child)
-        elif isinstance(value, _SCALARS):
-            attributes[key] = value
-    return AstNode(doc["nodeType"], _parse_src(doc.get("src")), children, attributes)
+class Ast:
+    """One source file's AST JSON, kept as the compiler wrote it.
 
+    One walk at load checks every node and groups the nodes by kind in
+    document (pre-)order: ``kinds`` for the whole file, and ``bodies[i]``
+    for the descendants of ``kinds["FunctionDefinition"][i]``. Only this
+    class knows the two layouts: the modern ``nodeType`` form and the
+    ``name``/``attributes``/``children`` form of solc before 0.5. Nothing in
+    the groups refers back to the ``Ast``.
+    """
 
-def _legacy_node(doc: dict) -> AstNode:
-    name = _json_string(doc.get("name"), "legacy AST node name")
-    raw_attributes = _json_object(doc.get("attributes") or {},
-                                  f"attributes of AST node {name}")
-    attributes = {k: v for k, v in raw_attributes.items() if isinstance(v, _SCALARS)}
-    children = doc.get("children") or []
-    if not isinstance(children, list):
-        raise MissingArtifact(f"children of AST node {name} is not a JSON list")
-    children = [_legacy_node(_json_object(child, f"child of AST node {name}"))
-                for child in children]
-    return AstNode(name, _parse_src(doc.get("src")), children, attributes)
+    __slots__ = ("legacy", "kinds", "bodies")
+
+    def __init__(self, doc: dict):
+        if "nodeType" in doc:
+            self.legacy = False
+        elif "name" in doc and ("children" in doc or "attributes" in doc):
+            self.legacy = True
+        else:
+            raise MissingArtifact("unrecognized AST JSON shape")
+        kinds: dict[str, list[dict]] = {}
+        bodies: list[dict[str, list[dict]]] = []
+        body = None  # the groups of the function being walked; functions do not nest
+        stack: list[dict | None] = [doc]
+        while stack:
+            node = stack.pop()
+            if node is None:  # past the function's last descendant
+                body = None
+                continue
+            kind = self._checked_kind(node)
+            kinds.setdefault(kind, []).append(node)
+            if body is not None:
+                body.setdefault(kind, []).append(node)
+            if kind == "FunctionDefinition":
+                body = {}
+                bodies.append(body)
+                stack.append(None)
+            stack += reversed(self.children(node))
+        self.kinds = kinds
+        self.bodies = bodies
+
+    def _checked_kind(self, node: dict) -> str:
+        if self.legacy:
+            kind = _json_string(node.get("name"), "legacy AST node name")
+            _json_object(node.get("attributes") or {}, f"attributes of AST node {kind}")
+        else:
+            kind = _json_string(node["nodeType"], "nodeType of an AST node")
+        for key in _READS.get(kind, ()):
+            value = self.get(node, key)
+            if value is not None:
+                _json_string(value, f"{key} of AST node {kind}")
+        return kind
+
+    def kind(self, node: dict) -> str:
+        return node["name"] if self.legacy else node["nodeType"]
+
+    def span(self, node: dict) -> Span:
+        src = node.get("src")
+        if not isinstance(src, str):
+            return (-1, 0, -1)
+        parts = src.split(":")
+        try:
+            return (int(parts[0]), int(parts[1]), int(parts[2]) if len(parts) > 2 else -1)
+        except (ValueError, IndexError):
+            return (-1, 0, -1)
+
+    def children(self, node: dict) -> list[dict]:
+        """The node's child nodes in document order."""
+        if self.legacy:
+            children = node.get("children") or []
+            if not isinstance(children, list):
+                raise MissingArtifact(f"children of AST node {node['name']} is not a JSON list")
+            for child in children:
+                _json_object(child, f"child of AST node {node['name']}")
+            return children
+        children = []
+        for value in node.values():
+            if type(value) is dict:
+                if "nodeType" in value:
+                    children.append(value)
+            elif type(value) is list:
+                children += [item for item in value
+                             if type(item) is dict and "nodeType" in item]
+        return children
+
+    def get(self, node: dict, key: str):
+        """Attribute ``key`` of ``node`` (one of ``_READS``'s, or
+        ``stateVariable``); None when absent."""
+        if self.legacy:
+            attributes = node.get("attributes") or {}
+            if key == "name" and node["name"] == "Identifier":
+                return attributes.get("value")
+            return attributes.get(_LEGACY_KEYS.get(key, key))
+        if key == "typeString":
+            node = node.get("typeDescriptions")
+            if not isinstance(node, dict):
+                return None
+        return node.get(key)
+
+    def call(self, node: dict) -> tuple[str, int]:
+        """A ``FunctionCall``'s callee name and argument count, by field. The
+        name is an identifier's or a member access's, else ""."""
+        if self.legacy:
+            callee, *arguments = self.children(node) or [None]
+        else:
+            callee, arguments = node.get("expression"), node.get("arguments")
+            if not (isinstance(callee, dict) and "nodeType" in callee):
+                callee = None
+            if not isinstance(arguments, list):
+                arguments = []
+        kind = callee and self.kind(callee)
+        key = {"Identifier": "name", "MemberAccess": "memberName"}.get(kind)
+        return (key and self.get(callee, key)) or "", len(arguments)
+
+    def parameters(self, fn: dict) -> list[dict]:
+        """A ``FunctionDefinition``'s parameter declarations."""
+        if self.legacy:
+            plist = next((c for c in self.children(fn) if c["name"] == "ParameterList"), None)
+        else:
+            plist = fn.get("parameters")
+            if not (isinstance(plist, dict) and plist.get("nodeType") == "ParameterList"):
+                plist = None
+        if plist is None:
+            return []
+        return [decl for decl in self.children(plist) if self.kind(decl) == "VariableDeclaration"]
 
 
 # --------------------------------------------------------------------------
@@ -333,8 +377,7 @@ def _load_directory(path: Path) -> list[CompilationUnit]:
             raise MissingArtifact(f"{srcmap_path} missing")
         raw_hex = bin_path.read_text().strip().removeprefix("0x")
         bytecode = strip_metadata(bytes.fromhex(raw_hex))
-        ast = ast_from_json(_json_object(json.loads(ast_path.read_text()),
-                                        f"{ast_path}: top level"))
+        ast = Ast(_json_object(json.loads(ast_path.read_text()), f"{ast_path}: top level"))
         source_map = decode_source_map(srcmap_path.read_text().strip())
         sources = {0: sol_path.read_text()} if sol_path.exists() else {}
         version = resolve_version(None, sources)
@@ -365,7 +408,7 @@ def _load_standard_json(path: Path) -> list[CompilationUnit]:
     contracts = _json_object(doc.get("contracts", {}), f"{path}: contracts")
     source_docs = _json_object(doc.get("sources", {}), f"{path}: sources")
     sources: dict[int, str] = {}
-    asts: dict[str, AstNode] = {}
+    asts: dict[str, Ast] = {}
     for file_name, entry in source_docs.items():
         entry = _json_object(entry, f"{path}: sources entry {file_name}")
         fid = _json_int(entry.get("id", len(sources)), f"{path}: id of {file_name}")
@@ -374,8 +417,7 @@ def _load_standard_json(path: Path) -> list[CompilationUnit]:
                 raise MissingArtifact(f"{path}: source id {fid} of {file_name} is used twice")
             sources[fid] = _json_string(entry["content"], f"{path}: content of {file_name}")
         if "ast" in entry:
-            asts[file_name] = ast_from_json(
-                _json_object(entry["ast"], f"{path}: AST of {file_name}"))
+            asts[file_name] = Ast(_json_object(entry["ast"], f"{path}: AST of {file_name}"))
     units = []
     for file_name, per_file in contracts.items():
         per_file = _json_object(per_file, f"{path}: contracts entry {file_name}")

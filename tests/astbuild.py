@@ -80,3 +80,39 @@ def return_statement(span, returned_name, ident_span=None):
         "src": _src(span),
         "expression": identifier(returned_name, ident_span or span),
     }
+
+
+# the legacy form's names for modern attributes; "name" is renamed for an
+# Identifier only
+_LEGACY_NAMES = {"memberName": "member_name"}
+
+
+def legacy(doc):
+    """``doc``, a modern AST, in the ``name``/``attributes``/``children`` form
+    solc before 0.5 writes (``ASTJsonConverter`` in legacy mode).
+
+    An Identifier's name is its ``value``, a member access's name is
+    ``member_name`` and a type string is ``type``. Children follow the
+    fields' order, except that a call's expression precedes its arguments.
+    """
+    kind = doc["nodeType"]
+    keys = list(doc)
+    if kind == "FunctionCall":
+        keys.sort(key=lambda key: key != "expression")  # stable: arguments keep their place
+    attributes, children = {}, []
+    for key in keys:
+        value = doc[key]
+        if key in ("nodeType", "src"):
+            continue
+        if key == "typeDescriptions":
+            attributes["type"] = value.get("typeString")
+        elif isinstance(value, dict) and "nodeType" in value:
+            children.append(legacy(value))
+        elif isinstance(value, list):
+            children += [legacy(item) for item in value
+                         if isinstance(item, dict) and "nodeType" in item]
+        elif kind == "Identifier" and key == "name":
+            attributes["value"] = value
+        else:
+            attributes[_LEGACY_NAMES.get(key, key)] = value
+    return {"name": kind, "src": doc["src"], "attributes": attributes, "children": children}

@@ -8,6 +8,7 @@ compiler eras are handled, and the property-level invariants hold at volume.
 """
 
 import random
+import statistics
 import time
 
 import pytest
@@ -131,12 +132,16 @@ def test_precision_profile_reproduces():
 
 def test_pruning_scope_and_speedup(corpus_dir):
     path = str(corpus_dir / "MarketHub")
-    started = time.monotonic()
-    (pruned,) = analyze_path(path, RunConfig())
-    pruned_seconds = time.monotonic() - started
-    started = time.monotonic()
-    (full,) = analyze_path(path, RunConfig(prune=False))
-    full_seconds = time.monotonic() - started
+    pruned_times, full_times = [], []
+    for _ in range(5):  # alternating, so that one stall cannot decide the gate
+        started = time.monotonic()
+        (pruned,) = analyze_path(path, RunConfig())
+        pruned_times.append(time.monotonic() - started)
+        started = time.monotonic()
+        (full,) = analyze_path(path, RunConfig(prune=False))
+        full_times.append(time.monotonic() - started)
+    pruned_seconds = statistics.median(pruned_times)
+    full_seconds = statistics.median(full_times)
     assert pruned["functions_analyzed"] == 2
     assert pruned["functions_total"] == 20
     assert full["functions_analyzed"] == 20

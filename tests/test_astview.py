@@ -1,6 +1,10 @@
 """Selectors, type canonicalization, pruning closure and owner binding."""
 
+import copy
+import json
+
 import astbuild as ab
+import fixtures as corpus
 import pytest
 
 from sleepscan import astview
@@ -13,7 +17,7 @@ from sleepscan.astview import (
     select_target_functions,
     with_selectors,
 )
-from sleepscan.ingestion import CompilationUnit, ast_from_json, load_compilation
+from sleepscan.ingestion import Ast, CompilationUnit, load_compilation
 from sleepscan.pipeline import RunConfig, analyze_path
 
 # Published ERC-721 selector values (independent of the local hash).
@@ -48,7 +52,7 @@ def test_canonical_type(raw, canonical):
 
 
 def _unit_for(ast_doc, name="C"):
-    return CompilationUnit(name, b"\x00", [], ast_from_json(ast_doc), {}, (0, 8, 17))
+    return CompilationUnit(name, b"\x00", [], Ast(ast_doc), {}, (0, 8, 17))
 
 
 def _contract(nodes):
@@ -164,3 +168,79 @@ def test_only_explored_functions_are_hashed(corpus_dir, monkeypatch, prune):
     (report,) = analyze_path(str(corpus_dir / "MarketHub"), RunConfig(prune=prune))
     assert "error" not in report
     assert batches == [[s.encode("ascii") for s in dict.fromkeys(explored)]]
+
+
+# --------------------------------------------------------------------------
+# the AST's layout: key order, compiler era, emit
+
+
+@pytest.fixture(scope="module")
+def corpus_docs():
+    """Contract name -> the fixture as a standard-JSON document."""
+    return {f.name: corpus.standard_json_artifact(f) for f in corpus.build_corpus()}
+
+
+def _reports(tmp_path, docs, prune, sort_keys=False):
+    """Contract name -> report minus timings, for each document written out."""
+    reports = {}
+    for name, doc in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc, sort_keys=sort_keys))
+        for report in analyze_path(str(path), RunConfig(prune=prune)):
+            report.pop("timings", None)
+            reports[report["contract"]] = report
+    return reports
+
+
+@pytest.fixture(scope="module")
+def fixture_reports(corpus_docs, tmp_path_factory):
+    """prune -> the reports of the fixtures as written, which the other
+    layouts must reproduce."""
+    reports = {prune: _reports(tmp_path_factory.mktemp("fixture-form"), corpus_docs, prune)
+               for prune in (True, False)}
+    for by_contract in reports.values():
+        assert len(by_contract) == 14
+        assert all("error" not in r and r["functions_analyzed"] for r in by_contract.values())
+        assert sum(len(r["findings"]) for r in by_contract.values()) == 9  # the acceptance verdicts
+    return reports
+
+
+def _with_asts(docs, convert):
+    converted = copy.deepcopy(docs)
+    for doc in converted.values():
+        for source in doc["sources"].values():
+            source["ast"] = convert(source["ast"])
+    return converted
+
+
+@pytest.mark.parametrize("prune", [True, False], ids=["pruned", "unpruned"])
+def test_key_order_does_not_matter(tmp_path, corpus_docs, fixture_reports, prune):
+    """Sorted keys, as the compiler writes them, put a call's arguments
+    before its expression."""
+    assert _reports(tmp_path, corpus_docs, prune, sort_keys=True) == fixture_reports[prune]
+
+
+@pytest.mark.parametrize("prune", [True, False], ids=["pruned", "unpruned"])
+def test_legacy_form_gives_the_modern_reports(tmp_path, corpus_docs, fixture_reports, prune):
+    legacy = _with_asts(corpus_docs, ab.legacy)
+    assert _reports(tmp_path, legacy, prune) == fixture_reports[prune]
+
+
+def _without_emit(node):
+    """``node`` with every ``emit E(...)`` turned into a plain ``E(...)`` call,
+    as Solidity before 0.4.21 writes it."""
+    if isinstance(node, list):
+        return [_without_emit(item) for item in node]
+    if not isinstance(node, dict):
+        return node
+    if node.get("nodeType") == "EmitStatement":
+        return {"nodeType": "ExpressionStatement", "src": node["src"],
+                "expression": _without_emit(node["eventCall"])}
+    return {key: _without_emit(value) for key, value in node.items()}
+
+
+def test_transfer_without_emit_marks_the_function(tmp_path, corpus_docs, fixture_reports):
+    without = _with_asts(corpus_docs, _without_emit)
+    assert "EmitStatement" in json.dumps(corpus_docs)
+    assert "EmitStatement" not in json.dumps(without)
+    assert _reports(tmp_path, without, True) == fixture_reports[True]

@@ -11,7 +11,7 @@ from evmasm import decode_source_map_reference, encode_source_map
 
 from sleepscan.errors import MalformedItem, MissingArtifact, VersionUnparseable
 from sleepscan.ingestion import (
-    ast_from_json,
+    Ast,
     decode_source_map,
     load_all,
     load_compilation,
@@ -136,52 +136,75 @@ def test_strip_is_idempotent(data):
 
 
 # --------------------------------------------------------------------------
-# AST normalization
+# the AST, read in place
 
 
 def test_modern_ast_shape():
-    node = ast_from_json({
+    decl_doc = {
+        "nodeType": "VariableDeclaration",
+        "src": "10:20:0",
+        "name": "owner",
+        "stateVariable": True,
+        "typeDescriptions": {"typeString": "address"},
+    }
+    doc = {
         "nodeType": "SourceUnit",
         "src": "0:100:0",
-        "nodes": [{
-            "nodeType": "ContractDefinition",
-            "src": "0:90:0",
-            "name": "C",
-            "nodes": [{
-                "nodeType": "VariableDeclaration",
-                "src": "10:20:0",
-                "name": "owner",
-                "stateVariable": True,
-                "typeDescriptions": {"typeString": "address"},
-            }],
-        }],
-    })
-    assert node.node_kind == "SourceUnit"
-    assert node.src_span == (0, 100, 0)
-    decl = node.by_kind()["VariableDeclaration"][0]
-    assert decl.get("name") == "owner"
-    assert decl.get("typeString") == "address"  # hoisted scalar
+        "nodes": [{"nodeType": "ContractDefinition", "src": "0:90:0", "name": "C",
+                   "nodes": [decl_doc]}],
+    }
+    ast = Ast(doc)
+    assert not ast.legacy
+    assert ast.kinds["SourceUnit"] == [doc]
+    assert ast.span(doc) == (0, 100, 0)
+    (decl,) = ast.kinds["VariableDeclaration"]
+    assert decl is decl_doc  # read in place, not copied
+    assert ast.get(decl, "name") == "owner"
+    assert ast.get(decl, "typeString") == "address"  # from typeDescriptions
 
 
 def test_legacy_ast_shape():
-    node = ast_from_json({
+    ast = Ast({
         "name": "SourceUnit",
         "src": "0:100:0",
         "children": [{
             "name": "ContractDefinition",
             "src": "0:90:0",
             "attributes": {"name": "C"},
-            "children": [],
+            "children": [{"name": "VariableDeclaration", "src": "10:20:0",
+                          "attributes": {"name": "owner", "type": "address"}}],
         }],
     })
-    contract = node.by_kind()["ContractDefinition"][0]
-    assert contract.get("name") == "C"
-    assert contract.src_span == (0, 90, 0)
+    assert ast.legacy
+    (contract,) = ast.kinds["ContractDefinition"]
+    assert ast.get(contract, "name") == "C"
+    assert ast.span(contract) == (0, 90, 0)
+    (decl,) = ast.children(contract)
+    assert ast.get(decl, "typeString") == "address"  # legacy "type"
+
+
+def test_calls_are_read_by_field_in_either_key_order():
+    call = {"nodeType": "FunctionCall", "src": "0:1:0",
+            "arguments": [{"nodeType": "Identifier", "src": "0:1:0", "name": "a"}],
+            "expression": {"nodeType": "MemberAccess", "src": "0:1:0",
+                           "memberName": "_transfer"}}
+    ast = Ast({"nodeType": "ExpressionStatement", "src": "0:1:0", "expression": call})
+    assert ast.call(call) == ("_transfer", 1)
+
+
+def test_function_bodies_are_grouped_at_load():
+    fn = {"nodeType": "FunctionDefinition", "src": "0:9:0", "name": "f",
+          "body": {"nodeType": "Return", "src": "1:2:0"}}
+    ast = Ast({"nodeType": "SourceUnit", "src": "0:9:0",
+               "nodes": [fn, {"nodeType": "Return", "src": "5:1:0"}]})
+    assert ast.kinds["FunctionDefinition"] == [fn]
+    assert ast.bodies == [{"Return": [fn["body"]]}]
+    assert len(ast.kinds["Return"]) == 2
 
 
 def test_unrecognized_ast_raises():
     with pytest.raises(MissingArtifact):
-        ast_from_json({"neither": 1})
+        Ast({"neither": 1})
 
 
 # --------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import astbuild as ab
 import fixtures as corpus
 
 from sleepscan import detectors, pipeline
@@ -121,6 +122,16 @@ def _one_contract(deployed=None, source=None, **contract):
                                           **contract}}}}
 
 
+def _one_function(name="f", visibility="public", type_string="uint256",
+                  kind="FunctionDefinition"):
+    """A one-contract document whose AST holds one function, with overrides."""
+    span = (0, 0, 0)
+    fn = ab.function(name, visibility, [ab.parameter("a", type_string, span)], [],
+                     span, span)
+    fn["nodeType"] = kind
+    return _one_contract(source={"ast": ab.source_unit(span, [fn])})
+
+
 @pytest.mark.parametrize("doc,message", [
     ([], "is not a JSON object"),
     ({"contracts": []}, "is not a JSON object"),
@@ -146,10 +157,16 @@ def _one_contract(deployed=None, source=None, **contract):
     ({"contracts": {}}, "no contract artifacts under"),
     ({**_one_contract(), "sources": {"A.sol": _SOURCE, "B.sol": {"id": 0, "content": ""}}},
      "source id 0 of B.sol is used twice"),
+    (_one_function(kind=["x"]), "nodeType of an AST node is not a JSON string"),
+    (_one_function(type_string=5), "typeString of AST node VariableDeclaration is not a JSON string"),
+    (_one_function(name=5), "name of AST node FunctionDefinition is not a JSON string"),
+    (_one_function(visibility=["public"]),
+     "visibility of AST node FunctionDefinition is not a JSON string"),
 ], ids=["top-level", "contracts", "sources", "source-entry", "per-file",
         "contract", "evm", "deployed-bytecode", "bytecode-object", "source-map",
         "ast", "content", "metadata", "source-id", "legacy-children",
-        "legacy-child", "no-contracts", "source-id-twice"])
+        "legacy-child", "no-contracts", "source-id-twice", "node-kind",
+        "type-string", "function-name", "visibility"])
 def test_malformed_standard_json_is_one_error_report(tmp_path, doc, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -220,9 +237,18 @@ _JSON_VALUES = st.recursive(
         inner, max_size=3),
     max_leaves=6)
 
-# a modern and a legacy (name/children) AST
-_VALID_DOCS = [corpus.standard_json_artifact(fixture)
-               for fixture in (corpus.guarded_gallery(), corpus.free_mintable("legacy"))]
+
+def _legacy_form(fixture):
+    doc = corpus.standard_json_artifact(fixture)
+    (source,) = doc["sources"].values()
+    source["ast"] = ab.legacy(source["ast"])
+    return doc
+
+
+# two modern ASTs and a legacy (name/attributes/children) one
+_VALID_DOCS = [corpus.standard_json_artifact(corpus.guarded_gallery()),
+               corpus.standard_json_artifact(corpus.free_mintable("legacy")),
+               _legacy_form(corpus.free_mintable("legacy"))]
 
 
 @settings(max_examples=80, deadline=None,

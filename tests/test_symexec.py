@@ -14,7 +14,7 @@ from sleepscan import symexec as sx
 from sleepscan.astview import FunctionInfo
 from sleepscan.disasm import build_cfg, disassemble
 from sleepscan.errors import EntryNotFound
-from sleepscan.ingestion import AstNode, CompilationUnit
+from sleepscan.ingestion import Ast, CompilationUnit
 from sleepscan.keccak import TRANSFER_TOPIC
 from sleepscan.sym import Const, FreshExternal, Op, Parameter, StorageDirect, Var
 from sleepscan.symexec import (
@@ -38,7 +38,7 @@ FN = FunctionInfo(
 )
 
 GENERATED = (-1, 0, -1)
-EMPTY_AST = AstNode("SourceUnit", (0, 0, 0))  # every loaded unit has an AST
+EMPTY_AST = Ast({"nodeType": "SourceUnit", "src": "0:0:0"})  # every loaded unit has an AST
 
 
 def _engine(code: bytes, binding=(), srcmap=None, ast=EMPTY_AST,
@@ -116,8 +116,7 @@ def _layout_ast():
 
 
 def test_storage_naming_from_layout():
-    from sleepscan.ingestion import ast_from_json
-    engine = _engine(b"\x00", ast=ast_from_json(_layout_ast()))
+    engine = _engine(b"\x00", ast=Ast(_layout_ast()))
     state = MachineState(pc=0)
 
     direct = engine._storage_read(state, Const(0))
