@@ -6,7 +6,7 @@ reachable code, so the decoder needs no compiler version.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from sleepscan import _core, opcodes
@@ -29,25 +29,23 @@ class Instruction(NamedTuple):
         return self.name
 
 
-@dataclass
+@dataclass(slots=True)
 class BasicBlock:
     start_pc: int
     instructions: list[Instruction]
-    terminator: str  # jump / conditional-jump / stop / return / revert / invalid / selfdestruct / fallthrough
+    # set by the engine on the block's second entry and shared by every
+    # exploration of the unit: the (handler, instr, arg) ops, and the lowest
+    # and highest entry stack depth at which none underflows or overflows
+    ops: tuple | None = None
+    low: int = 0
+    high: int = 0
+    entered: bool = False  # entered before: the next entry builds the ops
 
 
 _NAMES = tuple(opcodes.mnemonic(byte) for byte in range(256))
-_TERMINATOR_KIND = {
-    "JUMP": "jump",
-    "JUMPI": "conditional-jump",
-    "STOP": "stop",
-    "RETURN": "return",
-    "REVERT": "revert",
-    "INVALID": "invalid",
-    "SELFDESTRUCT": "selfdestruct",
-}
-# byte -> the kind of block it ends (an unknown byte ends one as "invalid")
-_BLOCK_END = tuple(_TERMINATOR_KIND.get(_NAMES[byte]) if byte in opcodes.TABLE else "invalid"
+_TERMINATORS = {"JUMP", "JUMPI", "STOP", "RETURN", "REVERT", "INVALID", "SELFDESTRUCT"}
+# byte -> whether a block ends after it: a terminator or an unknown byte
+_BLOCK_END = tuple(byte not in opcodes.TABLE or _NAMES[byte] in _TERMINATORS
                    for byte in range(256))
 _JUMPDEST = opcodes.MNEMONIC_TO_BYTE["JUMPDEST"]
 
@@ -55,16 +53,8 @@ _JUMPDEST = opcodes.MNEMONIC_TO_BYTE["JUMPDEST"]
 @dataclass
 class Cfg:
     blocks: list[BasicBlock]
-    instruction_by_pc: dict[int, Instruction]
-    jumpdests: frozenset[int]
-    # run start pc -> the straight-line run the engine built there, False for
-    # a start reached once, () where no run can start; shared by every
-    # exploration of the unit
-    runs: dict[int, tuple | bool] = field(default_factory=dict)
-
-    def is_jumpdest(self, pc: int) -> bool:
-        """Whether ``pc`` is a valid jump target."""
-        return pc in self.jumpdests
+    block_at: dict[int, BasicBlock]  # start pc -> block
+    jumpdests: frozenset[int]  # the valid jump targets
 
 
 def disassemble(code: bytes) -> list[Instruction]:
@@ -89,7 +79,8 @@ def disassemble(code: bytes) -> list[Instruction]:
 
 def build_cfg(instrs: list[Instruction]) -> Cfg:
     """Partition instructions into basic blocks, in one pass: a block ends
-    before a JUMPDEST, and after a terminator or an unknown byte."""
+    before a JUMPDEST, and after a terminator or an unknown byte. These are
+    the engine's units of straight-line execution."""
     blocks: list[BasicBlock] = []
     jumpdests = []
     start = 0
@@ -98,15 +89,14 @@ def build_cfg(instrs: list[Instruction]) -> Cfg:
         if byte == _JUMPDEST:
             jumpdests.append(ins.pc)
             if idx > start:
-                blocks.append(BasicBlock(instrs[start].pc, instrs[start:idx], "fallthrough"))
+                blocks.append(BasicBlock(instrs[start].pc, instrs[start:idx]))
                 start = idx
-        kind = _BLOCK_END[byte]
-        if kind is not None:
-            blocks.append(BasicBlock(instrs[start].pc, instrs[start:idx + 1], kind))
+        if _BLOCK_END[byte]:
+            blocks.append(BasicBlock(instrs[start].pc, instrs[start:idx + 1]))
             start = idx + 1
     if start < len(instrs):
-        blocks.append(BasicBlock(instrs[start].pc, instrs[start:], "fallthrough"))
-    return Cfg(blocks, {ins.pc: ins for ins in instrs}, frozenset(jumpdests))
+        blocks.append(BasicBlock(instrs[start].pc, instrs[start:]))
+    return Cfg(blocks, {block.start_pc: block for block in blocks}, frozenset(jumpdests))
 
 
 def find_function_entry(cfg: Cfg, selector: int) -> int | None:
@@ -124,7 +114,7 @@ def find_function_entry(cfg: Cfg, selector: int) -> int | None:
                 nxt = instrs[j]
                 if nxt.name == "JUMPI" and j > i + 1:
                     dest = instrs[j - 1].push_value
-                    if dest is not None and cfg.is_jumpdest(dest):
+                    if dest in cfg.jumpdests:
                         return dest
     return None
 

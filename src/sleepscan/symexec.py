@@ -14,20 +14,19 @@ normally; every path end, and every emission, is counted by
 External calls are not followed: they produce a fresh value and taint the
 path, and findings on tainted paths are downgraded, not suppressed.
 
-Every opcode's semantics is one handler in ``_DISPATCH``; ``Engine.step``
-runs one instruction after its stack-depth checks. ``Engine.explore`` runs
-straight-line code a *run* at a time: the instructions from a pc up to and
-including the next JUMP, JUMPI or halting opcode, stopping before the next
-JUMPDEST or unknown byte. Runs start only at run boundaries: the entry,
-jump targets, the pc after a JUMPI, and a JUMPDEST or unknown byte reached
-by falling through. A run is built the second time exploration reaches its
-start pc and kept on the unit's ``Cfg``, so every function of the unit
-shares it and code reached once costs no build. It is taken whole
-when the stack depth lies in the range where none of its instructions
-underflows or overflows, no deadline read (every 256 steps) falls inside
-it and it ends within ``max_steps``; otherwise its instructions go through
-``Engine.step`` one at a time, so path ends, diagnostics and step counts
-are those of stepping every instruction.
+Every opcode's semantics is one handler in ``_DISPATCH``, an unknown byte's
+included; ``Engine.step`` runs one instruction after its stack-depth checks.
+``Engine.explore`` runs straight-line code a basic block of the unit's
+``Cfg`` at a time: every path enters a block at its start, so no pc inside a
+block is ever looked up. A block's ops (each instruction's handler, and a
+PUSH's value as a ``Const``) and the entry stack depths at which none of them
+underflows or overflows are built on its second entry and kept on the block,
+so every function of the unit shares them and code entered once costs no
+build. A block is taken whole when the stack depth lies in that range, no
+deadline read (every 256 steps) falls inside it and it ends within
+``max_steps``; otherwise its instructions go through ``Engine.step`` one at
+a time, so path ends, diagnostics and step counts are those of stepping
+every instruction.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from sleepscan import constraints as con
 from sleepscan import opcodes, sym
 from sleepscan.astview import FunctionInfo, SlotInfo, storage_layout
 from sleepscan.constraints import Constraint, ConstraintSet
-from sleepscan.disasm import Cfg, Instruction, find_function_entry
+from sleepscan.disasm import BasicBlock, Cfg, Instruction, find_function_entry
 from sleepscan.errors import EntryNotFound
 from sleepscan.ingestion import CompilationUnit, Span
 from sleepscan.keccak import TRANSFER_TOPIC
@@ -304,16 +303,13 @@ class Engine:
     # -- single-instruction semantics ---------------------------------------
 
     def step(self, state: MachineState, instr: Instruction) -> list[MachineState]:
-        entry = _DISPATCH[instr.byte]
-        if entry is None:
-            raise _KillPath(END_REVERT, f"unknown opcode 0x{instr.byte:02X} at {instr.pc}")
-        handler, pops, pushes = entry
+        handler, pops, pushes = _DISPATCH[instr.byte]
         depth = len(state.stack)
         if depth < pops:
             raise _KillPath(END_REVERT, f"stack underflow at {instr.pc} ({instr.name})")
         if depth - pops + pushes > MAX_STACK:
             raise _KillPath(END_REVERT, f"stack overflow at {instr.pc}")
-        value = instr.push_value  # a PUSH's handler gets its value, as in a run
+        value = instr.push_value  # a PUSH's handler gets its value, as in a block's ops
         successors = handler(self, state, instr, pops if value is None else Const(value))
         if successors is not None:
             return successors
@@ -337,7 +333,7 @@ class Engine:
         value = sym.const_value(target)
         if value is None:
             raise _KillPath(END_REVERT, f"symbolic jump target at {instr.pc}")
-        if not self.cfg.is_jumpdest(value):
+        if value not in self.cfg.jumpdests:
             raise _KillPath(END_REVERT, f"jump to non-JUMPDEST {value} at {instr.pc}")
         return value
 
@@ -395,9 +391,7 @@ class Engine:
 
     def explore(self, entry_pc: int) -> ExplorationResult:
         budget = self.budget
-        code = self.cfg.instruction_by_pc
-        runs = self.cfg.runs
-        jumpdests = self.cfg.jumpdests
+        blocks = self.cfg.block_at
         step = self.step
         owner_spans = self.owner_spans
         max_steps = budget.max_steps
@@ -410,69 +404,66 @@ class Engine:
                     self._finish_path(state, END_BUDGET, reason)
                 break
             state = worklist.pop()
-            boundary = True  # a popped state is at the entry, a jump target or a fallthrough
-            while True:  # run one state until its path forks or ends
+            while True:  # run one state a block at a time until its path forks or ends
                 if not steps % _DEADLINE_EVERY and budget.expired():
                     self.timed_out = True
                     worklist.append(state)
                     break
-                pc = state.pc
-                run = None
-                if boundary:  # only a run boundary may start a run
-                    run = runs.get(pc)
-                    if run is None:
-                        runs[pc] = _REACHED  # step it, build a run on the next reach
-                    elif run is _REACHED:
-                        run = runs[pc] = _build_run(code, pc)
-                if run:
-                    ops, low, high, end_pc = run
-                    count = len(ops)
+                block = blocks.get(state.pc)
+                if block is None:
+                    self._finish_path(state, END_REVERT, f"fell off code at pc {state.pc}")
+                    break
+                ops = block.ops
+                if ops is None:
+                    if block.entered:
+                        ops = _build_ops(block)
+                    else:
+                        block.entered = True  # step it, build its ops on the next entry
+                instrs = block.instructions
+                count = len(instrs)
+                entry_steps = steps
+                try:
                     # whole only where stepping would pass every depth check,
                     # read no clock and stay within the step budget
-                    if (low <= len(state.stack) <= high
+                    if (ops is not None and block.low <= len(state.stack) <= block.high
                             and steps % _DEADLINE_EVERY + count <= _DEADLINE_EVERY
                             and steps + count <= max_steps):
                         steps += count
-                        try:
-                            if owner_spans:
-                                for handler, instr, arg in ops:
-                                    successors = handler(self, state, instr, arg)
-                                    if successors is None:
-                                        self._owner_checkpoint(state, instr)
-                            else:
-                                for handler, instr, arg in ops:
-                                    successors = handler(self, state, instr, arg)
-                        except _KillPath as kill:
-                            ran = next(i for i, op in enumerate(ops, 1) if op[1] is instr)
-                            steps -= count - ran  # uncharge the ops that never ran
-                            self._finish_path(state, kill.end_kind, kill.reason)
-                            break
-                        if successors is None:
-                            state.pc = end_pc
+                        if owner_spans:
+                            for handler, instr, arg in ops:
+                                successors = handler(self, state, instr, arg)
+                                if successors is None:
+                                    self._owner_checkpoint(state, instr)
+                        else:
+                            for handler, instr, arg in ops:
+                                successors = handler(self, state, instr, arg)
+                        if successors is None:  # fell through to the next block
+                            state.pc = instr.next_pc
                             continue
-                        if len(successors) != 1:
-                            worklist.extend(successors)
-                            break
-                        state = successors[0]
-                        continue
-                instr = code.get(pc)
-                if instr is None:
-                    self._finish_path(state, END_REVERT, f"fell off code at pc {state.pc}")
-                    break
-                if steps >= max_steps:
-                    self._finish_path(state, END_BUDGET, "step budget")
-                    break
-                steps += 1
-                try:
-                    successors = step(state, instr)
+                    else:
+                        for index, instr in enumerate(instrs):
+                            # the block's first step was checked above
+                            if index and not steps % _DEADLINE_EVERY and budget.expired():
+                                self.timed_out = True
+                                worklist.append(state)
+                                successors = []
+                                break
+                            if steps >= max_steps:
+                                self._finish_path(state, END_BUDGET, "step budget")
+                                successors = []
+                                break
+                            steps += 1
+                            successors = step(state, instr)
                 except _KillPath as kill:
+                    # the steps through the instruction that ended the path
+                    steps = entry_steps + instrs.index(instr) + 1
                     self._finish_path(state, kill.end_kind, kill.reason)
                     break
+                # only a block's last instruction may fork or end the path
                 if len(successors) != 1:
                     worklist.extend(successors)
                     break
                 state = successors[0]
-                boundary = instr.byte in _RUN_END_BYTES or state.pc in jumpdests
         self.steps_used = steps
         return ExplorationResult(self.records, self.ends, self.timed_out,
                                  self.steps_used, self.paths_finished)
@@ -481,7 +472,8 @@ class Engine:
 # --------------------------------------------------------------------------
 # one handler per opcode; each runs after the stack-depth checks, gets the
 # opcode's pop count (a PUSH gets its value as a Const), and returns None to
-# fall through to the next instruction or else the successor states
+# fall through to the next instruction or else the successor states; a
+# handler that may return successors ends a basic block
 
 def _push(engine: Engine, state: MachineState, instr: Instruction, value: Const):
     state.stack.append(value)
@@ -531,6 +523,10 @@ def _exit(engine: Engine, state: MachineState, instr: Instruction, pops: int):
 def _revert(engine: Engine, state: MachineState, instr: Instruction, pops: int):
     engine._finish_path(state, END_REVERT)
     return []
+
+
+def _unknown(engine: Engine, state: MachineState, instr: Instruction, pops: int):
+    raise _KillPath(END_REVERT, f"unknown opcode 0x{instr.byte:02X} at {instr.pc}")
 
 
 def _calldataload(engine: Engine, state: MachineState, instr: Instruction, pops: int):
@@ -666,44 +662,27 @@ def _handler(name: str):
     return _fresh_value(name.lower())
 
 
-# byte -> (handler, pops, pushes), None for a byte that is no opcode
-_DISPATCH = tuple((_handler(entry[0]), entry[1], entry[2]) if entry else None
+# byte -> (handler, pops, pushes)
+_DISPATCH = tuple((_handler(entry[0]), entry[1], entry[2]) if entry else (_unknown, 0, 0)
                   for entry in map(opcodes.TABLE.get, range(256)))
-# the handlers that may return successor states: each ends a run
-_RUN_ENDS = frozenset([_jump, _jumpi, _exit, _revert])
-_RUN_END_BYTES = frozenset(byte for byte, entry in enumerate(_DISPATCH)
-                           if entry and entry[0] in _RUN_ENDS)
-_JUMPDEST = opcodes.MNEMONIC_TO_BYTE["JUMPDEST"]
-_REACHED = False  # a run boundary reached once, its run not built yet
 
 
-def _build_run(code: dict[int, Instruction], pc: int) -> tuple:
-    """The straight-line run from ``pc``, up to and including the next
-    terminator and before the next JUMPDEST or unknown byte: its
-    ``(handler, instr, arg)`` ops, the lowest and highest entry stack depth
-    at which no op underflows or overflows, and the pc after it. ``()`` when
-    no opcode starts at ``pc``."""
+def _build_ops(block: BasicBlock) -> tuple:
+    """Set and return ``block``'s ``(handler, instr, arg)`` ops, with the
+    lowest and highest entry stack depth at which no op underflows or
+    overflows."""
     ops = []
     depth = low = peak = 0  # relative to the entry depth
-    instr = code.get(pc)
-    while instr is not None:
-        entry = _DISPATCH[instr.byte]
-        if entry is None or ops and instr.byte == _JUMPDEST:
-            break
-        handler, pops, pushes = entry
-        if pops - depth > low:
-            low = pops - depth
+    for instr in block.instructions:
+        handler, pops, pushes = _DISPATCH[instr.byte]
+        low = max(low, pops - depth)
         depth += pushes - pops
-        if depth > peak:
-            peak = depth
+        peak = max(peak, depth)
         value = instr.push_value
         ops.append((handler, instr, pops if value is None else Const(value)))
-        if handler in _RUN_ENDS:
-            break
-        instr = code.get(instr.next_pc)
-    if not ops:
-        return ()
-    return tuple(ops), low, MAX_STACK - peak, ops[-1][1].next_pc
+    block.ops = tuple(ops)
+    block.low, block.high = low, MAX_STACK - peak
+    return block.ops
 
 
 def _condition_constraints(condition: SymValue, truthy: bool) -> list[Constraint]:

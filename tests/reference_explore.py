@@ -1,15 +1,17 @@
 """The per-step exploration loop: the reference ``Engine.explore`` must agree
-with. It steps every instruction through ``Engine.step`` and builds no runs.
+with. It steps every instruction through ``Engine.step``, reads no block of
+the engine's ``Cfg`` and builds no ops.
 """
 
 from __future__ import annotations
 
 from sleepscan import symexec as sx
+from sleepscan.disasm import disassemble
 
 
 def explore(engine: sx.Engine, entry_pc: int) -> sx.ExplorationResult:
     budget = engine.budget
-    code = engine.cfg.instruction_by_pc
+    code = {instr.pc: instr for instr in disassemble(engine.unit.runtime_bytecode)}
     steps = engine.steps_used
     worklist = [sx.MachineState(pc=entry_pc)]
     while worklist:

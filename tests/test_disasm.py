@@ -90,35 +90,29 @@ def test_cfg_blocks_and_edges():
     cfg = build_cfg(disassemble(code))
     starts = [b.start_pc for b in cfg.blocks]
     assert starts == [0, 5, 7]
-    terminators = {b.start_pc: b.terminator for b in cfg.blocks}
-    assert terminators[0] == "conditional-jump"
-    assert terminators[7] == "stop"
+    assert [b.instructions[-1].name for b in cfg.blocks] == ["JUMPI", "STOP", "STOP"]
+    assert cfg.block_at == {b.start_pc: b for b in cfg.blocks}
 
 
 def _leader_set_blocks(instrs):
     """Reference partition: a leader is the first instruction, each JUMPDEST
     and each instruction after a terminator or an unknown byte; a block runs
-    from one leader to the next and takes its last instruction's kind."""
-    kinds = {"JUMP": "jump", "JUMPI": "conditional-jump", "STOP": "stop",
-             "RETURN": "return", "REVERT": "revert", "INVALID": "invalid",
-             "SELFDESTRUCT": "selfdestruct"}
+    from one leader to the next."""
+    terminators = {"JUMP", "JUMPI", "STOP", "RETURN", "REVERT", "INVALID", "SELFDESTRUCT"}
     leaders = {instrs[0].pc} if instrs else set()
     for ins, nxt in zip(instrs, instrs[1:]):
-        if nxt.name == "JUMPDEST" or ins.name in kinds or ins.byte not in opcodes.TABLE:
+        if nxt.name == "JUMPDEST" or ins.name in terminators or ins.byte not in opcodes.TABLE:
             leaders.add(nxt.pc)
     blocks = []
     for ins in instrs:
         if ins.pc in leaders:
             blocks.append([])
         blocks[-1].append(ins)
-    return [(block[0].pc, block,
-             "invalid" if block[-1].byte not in opcodes.TABLE
-             else kinds.get(block[-1].name, "fallthrough"))
-            for block in blocks]
+    return [(block[0].pc, block) for block in blocks]
 
 
 def _blocks(cfg):
-    return [(b.start_pc, b.instructions, b.terminator) for b in cfg.blocks]
+    return [(b.start_pc, b.instructions) for b in cfg.blocks]
 
 
 @settings(max_examples=200)
@@ -145,7 +139,7 @@ def test_find_function_entry_on_fixture(corpus_dir):
     selector = compute_selector("transferFrom(address,address,uint256)")
     entry = find_function_entry(cfg, selector)
     assert entry is not None
-    assert cfg.instruction_by_pc[entry].name == "JUMPDEST"
+    assert cfg.block_at[entry].instructions[0].name == "JUMPDEST"
     assert find_function_entry(cfg, 0xDEADBEEF) is None
 
 

@@ -1,5 +1,5 @@
-"""Run-at-a-time exploration against the per-step reference loop, and the
-rule that a run is built only where exploration reaches a pc twice."""
+"""Block-at-a-time exploration against the per-step reference loop, and the
+rule that a block's ops are built only on its second entry."""
 
 from collections import Counter
 
@@ -53,27 +53,31 @@ def _counting_steps(engine: Engine, counts: Counter) -> Engine:
     return engine
 
 
-def _run_boundaries(cfg, entries) -> set[int]:
-    """The pcs where a run may start: the entries, JUMPDESTs, the pc after
-    a JUMPI and every pc that holds no known opcode."""
-    code = cfg.instruction_by_pc
-    after_jumpi = {instr.next_pc for instr in code.values() if instr.name == "JUMPI"}
-    unknown = {pc for pc, instr in code.items() if sx._DISPATCH[instr.byte] is None}
-    return set(entries) | cfg.jumpdests | after_jumpi | unknown | {
-        pc for pc in cfg.runs if pc not in code}
+class _Lookups(dict):
+    """A block map that records every pc looked up in it."""
+
+    def __init__(self, blocks):
+        super().__init__(blocks)
+        self.pcs = set()
+
+    def get(self, pc, default=None):
+        self.pcs.add(pc)
+        return super().get(pc, default)
 
 
 def _compare(unit: CompilationUnit, targets, binding=(),
              budget: ExplorationBudget | None = None, explorations: int = 2):
     """Explore each ``(fn, entry_pc)`` of ``targets`` in turn, ``explorations``
     times over, on one Cfg shared the way the pipeline shares it, and each on
-    a fresh reference engine: every outcome must be equal. Returns the steps
-    the engine took inside whole runs, and the shared Cfg."""
+    a fresh reference engine: every outcome must be equal, and every pc the
+    engine looks up must be a block start or lie off the code. Returns the
+    steps the engine took inside whole blocks, and the shared Cfg."""
     budget = budget or ExplorationBudget()
     facts = sx.unit_facts(unit, binding)
     shared = build_cfg(disassemble(unit.runtime_bytecode))
+    shared.block_at = lookups = _Lookups(shared.block_at)
     reference_cfg = build_cfg(disassemble(unit.runtime_bytecode))
-    in_runs = 0
+    whole_steps = 0
     for _ in range(explorations):
         for fn, entry_pc in targets:
             stepped = Counter()
@@ -82,10 +86,10 @@ def _compare(unit: CompilationUnit, targets, binding=(),
             want = reference_explore.explore(
                 Engine(unit, reference_cfg, fn, facts, budget), entry_pc)
             assert _outcome(got) == _outcome(want), (fn.name, entry_pc)
-            in_runs += got.steps_used - sum(stepped.values())
-    # a stepped run's tail pcs get no entry
-    assert set(shared.runs) <= _run_boundaries(shared, [entry for _, entry in targets])
-    return in_runs, shared
+            whole_steps += got.steps_used - sum(stepped.values())
+    assert lookups.pcs
+    assert all(pc in lookups or pc >= len(unit.runtime_bytecode) for pc in lookups.pcs)
+    return whole_steps, shared
 
 
 # --------------------------------------------------------------------------
@@ -172,8 +176,8 @@ def test_runs_match_steps_on_every_corpus_target(corpus_dir):
     for sub in sorted(p for p in corpus_dir.iterdir() if p.is_dir()):
         unit = load_compilation(sub)
         targets = _targets(unit, select_target_functions(function_infos(unit)))
-        in_runs, _ = _compare(unit, targets, find_owner_return_binding(unit))
-        assert in_runs > 0, sub.name
+        whole_steps, _ = _compare(unit, targets, find_owner_return_binding(unit))
+        assert whole_steps > 0, sub.name
         checked += len(targets)
     assert checked >= 15
 
@@ -183,19 +187,20 @@ def test_runs_match_steps_on_an_unpruned_market_hub(corpus_dir):
     callable_ = [f for f in function_infos(unit) if f.visibility in EXTERNALLY_CALLABLE]
     targets = _targets(unit, with_selectors(callable_))
     assert len(targets) == 20
-    in_runs, _ = _compare(unit, targets, find_owner_return_binding(unit), explorations=1)
-    assert in_runs > 0
+    whole_steps, _ = _compare(unit, targets, find_owner_return_binding(unit), explorations=1)
+    assert whole_steps > 0
 
 
 # --------------------------------------------------------------------------
 # edge cases: the clock, the step budget, the stack limits, the owner
-# checkpoint and the loop bound, each met inside a run
+# checkpoint and the loop bound, each met inside a block
 
 @pytest.mark.parametrize("clock", [[0.0] * 4, [0.0, 2.0]], ids=["never", "at-256"])
 def test_runs_read_the_clock_every_256_steps(monkeypatch, clock):
-    """LOOP's runs are 3 steps long, so some straddle step 256 and must be
-    stepped one at a time; the clock is still read before steps 0, 256, 512
-    and 768, and a passed deadline still ends the path at step 256."""
+    """LOOP is one 3-step block, so some of its entries straddle step 256
+    and must be stepped one at a time; the clock is still read before steps
+    0, 256, 512 and 768, and a passed deadline still ends the path at step
+    256."""
     budget = ExplorationBudget(max_steps=1000, loop_bound=10**6, deadline=1.0)
     outcomes = []
     for explore in (Engine.explore, reference_explore.explore):
@@ -219,29 +224,29 @@ def test_step_budget_can_end_anywhere_in_a_run(max_steps):
 @pytest.mark.parametrize("loop_bound", [1, 2, 3, 5])
 def test_loop_bound_kill_at_a_run_start(loop_bound):
     budget = ExplorationBudget(loop_bound=loop_bound)
-    in_runs, _ = _compare(_unit(LOOP), [(FN, 0)], budget=budget, explorations=3)
-    assert in_runs > 0
+    whole_steps, _ = _compare(_unit(LOOP), [(FN, 0)], budget=budget, explorations=3)
+    assert whole_steps > 0
 
 
 def test_entry_depth_at_the_underflow_edge():
-    """L's run pops one word: it is taken whole at depth 1 and stepped at
+    """L's block pops one word: it is taken whole at depth 1 and stepped at
     depth 0, where its POP underflows."""
     a = Asm()
     a.push(0).op("CALLDATALOAD").push_label("L").op("JUMPI")  # taken: depth 0
     a.push(7).push_label("L").op("JUMP")                      # depth 1
     a.jumpdest("L").op("POP").op("STOP")
     code, _ = a.assemble()
-    in_runs, cfg = _compare(_unit(code), [(FN, 0)])
-    assert in_runs > 0
-    (run, low, high, end_pc) = cfg.runs[code.index(0x5B)]
-    assert (low, high) == (1, sx.MAX_STACK)
+    whole_steps, cfg = _compare(_unit(code), [(FN, 0)])
+    assert whole_steps > 0
+    block = cfg.block_at[code.index(0x5B)]
+    assert (block.low, block.high) == (1, sx.MAX_STACK)
     result = Engine(_unit(code), cfg, FN, sx.unit_facts(_unit(code), ()),
                     ExplorationBudget()).explore(0)
     assert result.ends[END_REVERT, f"stack underflow at {code.index(0x5B) + 1} (POP)"] == 1
 
 
 def test_entry_depth_at_the_overflow_edge():
-    """L's run pushes two words: taken whole at depth 1022, it fills the
+    """L's block pushes two words: taken whole at depth 1022, it fills the
     stack to 1024; at depth 1023 it is stepped and its second PUSH0
     overflows."""
     a = Asm()
@@ -254,9 +259,9 @@ def test_entry_depth_at_the_overflow_edge():
     a.jumpdest("L").op("PUSH0").op("PUSH0").op("STOP")
     code, _ = a.assemble()
     label = len(code) - 4
-    in_runs, cfg = _compare(_unit(code), [(FN, 0)])
-    assert in_runs > 0
-    assert cfg.runs[label][1:3] == (0, sx.MAX_STACK - 2)
+    whole_steps, cfg = _compare(_unit(code), [(FN, 0)])
+    assert whole_steps > 0
+    assert (cfg.block_at[label].low, cfg.block_at[label].high) == (0, sx.MAX_STACK - 2)
     result = Engine(_unit(code), cfg, FN, sx.unit_facts(_unit(code), ()),
                     ExplorationBudget()).explore(0)
     assert list(result.ends.items()) == [
@@ -266,8 +271,8 @@ def test_entry_depth_at_the_overflow_edge():
 def test_runs_keep_the_owner_checkpoint():
     code = bytes.fromhex("6005" "5b" "80" "5b" "6006" "5b") + _emit_then("00")
     spans = [INSIDE, GENERATED, INSIDE, GENERATED, INSIDE, GENERATED] + [GENERATED] * 8
-    in_runs, _ = _compare(_unit(code, spans), [(FN, 0)], (OWNER_RETURN,), explorations=3)
-    assert in_runs > 0
+    whole_steps, _ = _compare(_unit(code, spans), [(FN, 0)], (OWNER_RETURN,), explorations=3)
+    assert whole_steps > 0
     engine = Engine(_unit(code, spans), build_cfg(disassemble(code)), FN,
                     sx.unit_facts(_unit(code, spans), (OWNER_RETURN,)), ExplorationBudget())
     assert engine.owner_spans
@@ -280,33 +285,35 @@ def test_budget_cut_emission_inside_runs():
     jumpdest_pc = len(code) - 4
     code = code[:-2] + bytes([jumpdest_pc]) + code[-1:]
     budget = ExplorationBudget(loop_bound=2)
-    in_runs, _ = _compare(_unit(code), [(FN, 0)], budget=budget, explorations=3)
-    assert in_runs > 0
+    whole_steps, _ = _compare(_unit(code), [(FN, 0)], budget=budget, explorations=3)
+    assert whole_steps > 0
 
 
 # --------------------------------------------------------------------------
-# laziness: code reached once costs no run
+# laziness: a block entered once costs no ops
 
-def test_a_pc_without_a_run_is_built_once(monkeypatch):
-    """The run at 0 stops before the unknown byte at 3, so pc 3 is a run
-    boundary reached once per exploration: the third exploration finds no
-    run to build there, and later ones do not try again."""
+def test_a_block_ending_in_an_unknown_byte_gets_its_ops_once(monkeypatch):
+    """The one block ends in an unknown byte: the first exploration steps it,
+    the second builds its ops and takes it whole, later ones reuse them."""
     code = bytes.fromhex("5b" "6001" "0c")  # JUMPDEST; PUSH1 1; unknown byte
     builds = Counter()
-    build_run = sx._build_run
+    build_ops = sx._build_ops
 
-    def counting(code_by_pc, pc):
-        builds[pc] += 1
-        return build_run(code_by_pc, pc)
+    def counting(block):
+        builds[block.start_pc] += 1
+        return build_ops(block)
 
-    monkeypatch.setattr(sx, "_build_run", counting)
-    in_runs, cfg = _compare(_unit(code), [(FN, 0)], explorations=5)
-    assert in_runs > 0
-    assert cfg.runs[3] == ()
-    assert builds == {0: 1, 3: 1}
+    monkeypatch.setattr(sx, "_build_ops", counting)
+    _, cfg = _compare(_unit(code), [(FN, 0)], explorations=1)
+    (block,) = cfg.blocks
+    assert block.entered and block.ops is None
+    whole_steps, cfg = _compare(_unit(code), [(FN, 0)], explorations=5)
+    assert whole_steps == 4 * len(block.instructions)
+    assert builds == {0: 1}
+    assert cfg.blocks[0].ops[-1][0] is sx._unknown
 
 
-def test_runs_are_built_only_where_code_is_reached_twice(tmp_path):
+def test_ops_are_built_only_for_blocks_entered_twice(tmp_path):
     unit = load_compilation(corpus.market_hub(heavy_count=58).write(tmp_path))
     infos = function_infos(unit)
     assert len(infos) == 60
@@ -317,12 +324,14 @@ def test_runs_are_built_only_where_code_is_reached_twice(tmp_path):
     transfer_a, transfer_b = _targets(unit, select_target_functions(infos))
     reached = Counter()  # pc -> times the reference loop stepped it
     # each target is one path from its own entry: transferA and transferB
-    # reach their code once each, and transferA's again the second time
+    # enter their blocks once each, and transferA's again the second time
     for index, (fn, entry) in enumerate([transfer_a, transfer_b, transfer_a]):
         Engine(unit, cfg, fn, facts, ExplorationBudget()).explore(entry)
         reference_explore.explore(_counting_steps(
             Engine(unit, reference_cfg, fn, facts, ExplorationBudget()), reached), entry)
-        built = {pc for pc, run in cfg.runs.items() if run}
-        assert set(cfg.runs) <= set(reached)  # nothing for code never reached
+        entered = {b.start_pc for b in cfg.blocks if b.entered}
+        built = {b.start_pc for b in cfg.blocks if b.ops is not None}
+        assert entered <= set(reached)  # nothing for blocks never entered
+        assert built <= entered
         assert built <= {pc for pc, times in reached.items() if times >= 2}
         assert bool(built) == (index == 2)

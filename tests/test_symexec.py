@@ -53,9 +53,10 @@ def _engine(code: bytes, binding=(), srcmap=None, ast=EMPTY_AST,
 
 def _run_straight_line(engine: Engine) -> MachineState:
     """Step a branch-free program to just before its terminator."""
+    code = {instr.pc: instr for instr in disassemble(engine.unit.runtime_bytecode)}
     state = MachineState(pc=0)
     while True:
-        instr = engine.cfg.instruction_by_pc[state.pc]
+        instr = code[state.pc]
         if instr.name in ("STOP", "RETURN", "REVERT", "INVALID"):
             return state
         successors = engine.step(state, instr)
@@ -542,7 +543,7 @@ def test_every_byte_steps_or_ends_the_path(byte):
     push_width = byte - 0x5F if 0x60 <= byte <= 0x7F else 0
     engine = _engine(bytes([byte]) + bytes(push_width))
     state = MachineState(pc=0)
-    instr = engine.cfg.instruction_by_pc[0]
+    instr = disassemble(engine.unit.runtime_bytecode)[0]
     if entry is None or entry[1] > 0:
         with pytest.raises(sx._KillPath) as kill:
             engine.step(state, instr)
