@@ -1,28 +1,33 @@
-"""Raw instruction decode kernel."""
+"""Raw instruction decode kernel: one compiled pattern, one pass per unit."""
 
 from __future__ import annotations
 
+import re
+
 BACKEND = "python"  # the only kernel; named in benchmark run metadata
 
+# any byte but a PUSH (tried first: most instructions are one byte), one
+# alternative per PUSH width (the opcode byte and its immediate), and last a
+# PUSH whose immediate overruns the end of the code
+_TOKEN = re.compile(
+    rb"[^\x60-\x7f]|"
+    + b"|".join(re.escape(bytes([0x5F + width])) + b".{%d}" % width for width in range(1, 33))
+    + rb"|[\x60-\x7f].*",
+    re.DOTALL)
 
-def decode_raw(code: bytes) -> tuple[list[tuple[int, int, bytes]], int]:
-    """Split ``code`` into (pc, opcode byte, immediate bytes) triples.
 
-    Returns (instructions, truncated_at). ``truncated_at`` is -1 on success, or
-    the pc of a PUSH whose immediate overruns the end of the code.
+def decode_raw(code: bytes) -> tuple[list[bytes], int]:
+    """Split ``code`` into one token per instruction: its opcode byte and a
+    PUSH's immediate bytes.
+
+    Returns (tokens, truncated_at). ``truncated_at`` is -1 on success, or the
+    pc of a PUSH whose immediate overruns the end of the code; that PUSH is
+    not a token.
     """
-    out: list[tuple[int, int, bytes]] = []
-    i = 0
-    n = len(code)
-    while i < n:
-        op = code[i]
-        if 0x60 <= op <= 0x7F:
-            width = op - 0x5F
-            if i + 1 + width > n:
-                return out, i
-            out.append((i, op, code[i + 1:i + 1 + width]))
-            i += 1 + width
-        else:
-            out.append((i, op, b""))
-            i += 1
-    return out, -1
+    tokens = _TOKEN.findall(code)
+    if tokens:
+        last = tokens[-1]
+        if 0x60 <= last[0] <= 0x7F and len(last) < last[0] - 0x5E:
+            tokens.pop()
+            return tokens, len(code) - len(last)
+    return tokens, -1

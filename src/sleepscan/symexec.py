@@ -18,15 +18,16 @@ Every opcode's semantics is one handler in ``_DISPATCH``, an unknown byte's
 included; ``Engine.step`` runs one instruction after its stack-depth checks.
 ``Engine.explore`` runs straight-line code a basic block of the unit's
 ``Cfg`` at a time: every path enters a block at its start, so no pc inside a
-block is ever looked up. A block's ops (each instruction's handler, and a
-PUSH's value as a ``Const``) and the entry stack depths at which none of them
-underflows or overflows are built on its second entry and kept on the block,
-so every function of the unit shares them and code entered once costs no
-build. A block is taken whole when the stack depth lies in that range, no
-deadline read (every 256 steps) falls inside it and it ends within
-``max_steps``; otherwise its instructions go through ``Engine.step`` one at
-a time, so path ends, diagnostics and step counts are those of stepping
-every instruction.
+block is ever looked up. A block is decoded the first time a path reaches
+it, so code no path reaches is never decoded. A block's ops (each
+instruction's handler, and a PUSH's value as a ``Const``) and the entry
+stack depths at which none of them underflows or overflows are built on its
+second entry and kept on the block, so every function of the unit shares
+them and code entered once costs no build. A block is taken whole when the
+stack depth lies in that range, no deadline read (every 256 steps) falls
+inside it and it ends within ``max_steps``; otherwise its instructions go
+through ``Engine.step`` one at a time, so path ends, diagnostics and step
+counts are those of stepping every instruction.
 """
 
 from __future__ import annotations
@@ -392,6 +393,7 @@ class Engine:
     def explore(self, entry_pc: int) -> ExplorationResult:
         budget = self.budget
         blocks = self.cfg.block_at
+        build_block = self.cfg.block
         step = self.step
         owner_spans = self.owner_spans
         max_steps = budget.max_steps
@@ -411,8 +413,10 @@ class Engine:
                     break
                 block = blocks.get(state.pc)
                 if block is None:
-                    self._finish_path(state, END_REVERT, f"fell off code at pc {state.pc}")
-                    break
+                    block = build_block(state.pc)  # first reach
+                    if block is None:
+                        self._finish_path(state, END_REVERT, f"fell off code at pc {state.pc}")
+                        break
                 ops = block.ops
                 if ops is None:
                     if block.entered:
