@@ -69,28 +69,33 @@ def _owner_entries_all_equal(trace: tuple) -> bool:
     return all(entry == trace[0] for entry in trace[1:])
 
 
+def _owner_probe(rec: PathRecord, deadline: float | None) -> Constraint | None:
+    """The ``latest owner != from`` probe when pushing it stays sat; None
+    when it is unsat (properly guarded) or unknown (stay quiet)."""
+    if rec.from_param is None:
+        return None
+    probe = Constraint(con.NEQ, rec.owner_trace[-1], rec.from_param)
+    if con.solve(rec.constraints, (probe,), deadline) != con.SAT:
+        return None
+    return probe
+
+
 def detect_unrestricted_from(rec: PathRecord, deadline: float | None = None) -> Finding | None:
     """No ``owner == from`` guard on the path: pushing the negation stays sat."""
-    if not rec.owner_trace or rec.from_param is None:
+    if not rec.owner_trace or not _owner_entries_all_equal(rec.owner_trace):
         return None
-    if not _owner_entries_all_equal(rec.owner_trace):
+    probe = _owner_probe(rec, deadline)
+    if probe is None:
         return None
-    owner_latest = rec.owner_trace[-1]
-    probe = Constraint(con.NEQ, owner_latest, rec.from_param)
-    if con.solve(rec.constraints, (probe,), deadline) != con.SAT:
-        return None  # unsat: properly guarded; unknown: stay quiet
     return _finding(UNRESTRICTED_FROM, rec, (repr(probe),))
 
 
 def detect_owner_inconsistency(rec: PathRecord, deadline: float | None = None) -> Finding | None:
     """Owner value changed mid-path, so the guard cannot cancel the negation."""
-    if len(rec.owner_trace) < 2 or rec.from_param is None:
-        return None
     if _owner_entries_all_equal(rec.owner_trace):
         return None
-    owner_latest = rec.owner_trace[-1]
-    probe = Constraint(con.NEQ, owner_latest, rec.from_param)
-    if con.solve(rec.constraints, (probe,), deadline) != con.SAT:
+    probe = _owner_probe(rec, deadline)
+    if probe is None:
         return None
     witness = tuple(repr(entry) for entry in rec.owner_trace) + (repr(probe),)
     return _finding(OWNER_INCONSISTENCY, rec, witness)

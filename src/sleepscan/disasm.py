@@ -3,11 +3,12 @@
 A unit's code is decoded once, by one pass of the token kernel: one
 ``bytes`` token per instruction, from which ``Code`` takes each
 instruction's start pc and the JUMPDEST set. An ``Instruction`` is built
-only where it is read. ``Cfg.block`` builds a basic block the first time
-the engine reaches its start, and ``find_function_entry`` decodes only the
-instructions after a byte-search hit for ``PUSH4 selector``, so code the
-engine never reaches is never decoded. Iterating a ``Code`` decodes every
-instruction, as ``sleepscan disasm`` does.
+only where it is read. ``Code`` is also the unit's control-flow view:
+``Code.block`` builds a basic block the first time the engine reaches its
+start, and ``find_function_entry`` decodes only the instructions after a
+byte-search hit for ``PUSH4 selector``, so code the engine never reaches is
+never decoded. Iterating a ``Code`` decodes every instruction, as
+``sleepscan disasm`` does.
 
 0x5F always decodes as PUSH0: compilers below 0.8.20 never emit it in
 reachable code, so the decoder needs no compiler version.
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate, compress, repeat
 from operator import eq
 from typing import NamedTuple
@@ -46,13 +47,12 @@ class Instruction(NamedTuple):
 class BasicBlock:
     start_pc: int
     instructions: list[Instruction]
-    # set by the engine on the block's second entry and shared by every
+    # set by the engine on the block's first entry and shared by every
     # exploration of the unit: the (handler, instr, arg) ops, and the lowest
     # and highest entry stack depth at which none underflows or overflows
     ops: tuple | None = None
     low: int = 0
     high: int = 0
-    entered: bool = False  # entered before: the next entry builds the ops
 
 
 _NAMES = tuple(opcodes.mnemonic(byte) for byte in range(256))
@@ -60,36 +60,37 @@ _TERMINATORS = {"JUMP", "JUMPI", "STOP", "RETURN", "REVERT", "INVALID", "SELFDES
 # byte -> whether a block ends after it: a terminator or an unknown byte
 _BLOCK_END = tuple(byte not in opcodes.TABLE or _NAMES[byte] in _TERMINATORS
                    for byte in range(256))
-_JUMPDEST = opcodes.MNEMONIC_TO_BYTE["JUMPDEST"]
-_JUMPDEST_TOKEN = bytes([_JUMPDEST])
+_JUMPDEST_TOKEN = bytes([opcodes.MNEMONIC_TO_BYTE["JUMPDEST"]])
 _EQ = opcodes.MNEMONIC_TO_BYTE["EQ"]
 _JUMPI = opcodes.MNEMONIC_TO_BYTE["JUMPI"]
 _PUSH4 = opcodes.MNEMONIC_TO_BYTE["PUSH4"]
 
 
 class Code(Sequence):
-    """A unit's instructions, decoded from their tokens where they are read.
+    """A unit's instructions, decoded from their tokens where they are read,
+    and its basic blocks, built where they are reached.
 
-    ``len`` is the instruction count; indexing, slicing and iteration build
+    ``len`` is the instruction count; indexing and iteration build
     ``Instruction``s, whose ``src`` is the ordinal.
     """
 
-    __slots__ = ("raw", "tokens", "pcs", "jumpdests")
+    __slots__ = ("raw", "tokens", "pcs", "jumpdests", "block_at")
 
     def __init__(self, raw: bytes, tokens: list[bytes]):
         self.raw = raw
         self.tokens = tokens
         # ordinal -> start pc, and one more entry: the end of the code
         self.pcs = list(accumulate(map(len, tokens), initial=0))
+        # the valid jump targets
         self.jumpdests = frozenset(
             compress(self.pcs, map(eq, tokens, repeat(_JUMPDEST_TOKEN))))
+        # start pc -> block, filled by ``block`` as blocks are reached
+        self.block_at: dict[int, BasicBlock] = {}
 
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[ordinal] for ordinal in range(len(self))[index]]
+    def __getitem__(self, index: int) -> Instruction:
         ordinal = range(len(self))[index]
         return self.decode(ordinal, ordinal + 1)[0]
 
@@ -121,20 +122,6 @@ class Code(Sequence):
             return idx
         return None
 
-
-def _leads(tokens: list[bytes], idx: int) -> bool:
-    """Whether ordinal ``idx`` starts a basic block: it is the first
-    instruction, a JUMPDEST, or follows a terminator or an unknown byte."""
-    return not idx or tokens[idx] == _JUMPDEST_TOKEN or _BLOCK_END[tokens[idx - 1][0]]
-
-
-@dataclass
-class Cfg:
-    code: Code
-    jumpdests: frozenset[int]  # the valid jump targets
-    # start pc -> block, filled by ``block`` as blocks are reached
-    block_at: dict[int, BasicBlock] = field(default_factory=dict)
-
     def block(self, pc: int) -> BasicBlock | None:
         """The basic block starting at ``pc``, built on first reach; None for
         a pc past the code or inside a block. A block ends before a
@@ -143,15 +130,14 @@ class Cfg:
         block = self.block_at.get(pc)
         if block is not None:
             return block
-        code = self.code
-        tokens = code.tokens
-        first = code.ordinal(pc)
+        tokens = self.tokens
+        first = self.ordinal(pc)
         if first is None or not _leads(tokens, first):
             return None
         stop = first + 1  # the next leader, or the end of the code
         while stop < len(tokens) and not _leads(tokens, stop):
             stop += 1
-        block = self.block_at[pc] = BasicBlock(pc, code.decode(first, stop))
+        block = self.block_at[pc] = BasicBlock(pc, self.decode(first, stop))
         return block
 
     @property
@@ -160,10 +146,16 @@ class Cfg:
         reached."""
         blocks = []
         pc = 0
-        while pc < len(self.code.raw):
+        while pc < len(self.raw):
             blocks.append(self.block(pc))
             pc = blocks[-1].instructions[-1].next_pc
         return blocks
+
+
+def _leads(tokens: list[bytes], idx: int) -> bool:
+    """Whether ordinal ``idx`` starts a basic block: it is the first
+    instruction, a JUMPDEST, or follows a terminator or an unknown byte."""
+    return not idx or tokens[idx] == _JUMPDEST_TOKEN or _BLOCK_END[tokens[idx - 1][0]]
 
 
 def disassemble(code: bytes) -> Code:
@@ -176,12 +168,15 @@ def disassemble(code: bytes) -> Code:
     return Code(raw, tokens)
 
 
-def build_cfg(code: Code) -> Cfg:
-    """The unit's control-flow view; its blocks are built as they are reached."""
-    return Cfg(code, code.jumpdests)
+def build_cfg(code: Code) -> Code:
+    """``code`` itself, which is also the unit's control-flow view. Kept only
+    as the name the benchmark tracer wraps and the acceptance tests call
+    (``build_cfg(disassemble(code))``); it goes when the tracer stops
+    wrapping it."""
+    return code
 
 
-def find_function_entry(cfg: Cfg, selector: int) -> int | None:
+def find_function_entry(code: Code, selector: int) -> int | None:
     """Locate the JUMPDEST the dispatcher jumps to for ``selector``.
 
     Matches the conventional ``PUSH4 sel; EQ; PUSH dest; JUMPI`` pattern,
@@ -190,7 +185,6 @@ def find_function_entry(cfg: Cfg, selector: int) -> int | None:
     a split dispatcher (``PUSH4 sel; GT; PUSH low; JUMPI``) is not taken for
     the entry. Returns the first match in pc order.
     """
-    code = cfg.code
     tokens = code.tokens
     needle = bytes([_PUSH4]) + selector.to_bytes(4, "big")
     hit = code.raw.find(needle)
@@ -199,17 +193,15 @@ def find_function_entry(cfg: Cfg, selector: int) -> int | None:
         if first is not None:
             seen_eq = False
             for idx in range(first + 1, min(first + 8, len(tokens))):
-                byte = tokens[idx][0]
-                if byte == _JUMPDEST:  # the next block starts
+                if _leads(tokens, idx):  # the window ends with the block
                     break
+                byte = tokens[idx][0]
                 if byte == _EQ:
                     seen_eq = True
                 elif byte == _JUMPI and seen_eq:
                     dest = code[idx - 1].push_value
-                    if dest in cfg.jumpdests:
+                    if dest in code.jumpdests:
                         return dest
-                if _BLOCK_END[byte]:
-                    break
         hit = code.raw.find(needle, hit + 1)
     return None
 

@@ -17,17 +17,16 @@ path, and findings on tainted paths are downgraded, not suppressed.
 Every opcode's semantics is one handler in ``_DISPATCH``, an unknown byte's
 included; ``Engine.step`` runs one instruction after its stack-depth checks.
 ``Engine.explore`` runs straight-line code a basic block of the unit's
-``Cfg`` at a time: every path enters a block at its start, so no pc inside a
-block is ever looked up. A block is decoded the first time a path reaches
-it, so code no path reaches is never decoded. A block's ops (each
-instruction's handler, and a PUSH's value as a ``Const``) and the entry
-stack depths at which none of them underflows or overflows are built on its
-second entry and kept on the block, so every function of the unit shares
-them and code entered once costs no build. A block is taken whole when the
-stack depth lies in that range, no deadline read (every 256 steps) falls
-inside it and it ends within ``max_steps``; otherwise its instructions go
-through ``Engine.step`` one at a time, so path ends, diagnostics and step
-counts are those of stepping every instruction.
+``Code`` at a time: every path enters a block at its start, so no pc inside
+a block is ever looked up. A block is decoded when a path first enters it,
+and its ops (each instruction's handler, and a PUSH's value as a ``Const``)
+and the entry stack depths at which none of them underflows or overflows
+are built then too and kept on the block, so every function of the unit
+shares them and code no path reaches is never decoded. A block is taken
+whole when the stack depth lies in that range, no deadline read (every 256
+steps) falls inside it and it ends within ``max_steps``; otherwise its
+instructions go through ``Engine.step`` one at a time, so path ends,
+diagnostics and step counts are those of stepping every instruction.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from sleepscan import constraints as con
 from sleepscan import opcodes, sym
 from sleepscan.astview import FunctionInfo, SlotInfo, storage_layout
 from sleepscan.constraints import Constraint, ConstraintSet
-from sleepscan.disasm import BasicBlock, Cfg, Instruction, find_function_entry
+from sleepscan.disasm import BasicBlock, Code, Instruction, find_function_entry
 from sleepscan.errors import EntryNotFound
 from sleepscan.ingestion import CompilationUnit, Span
 from sleepscan.keccak import TRANSFER_TOPIC
@@ -166,7 +165,7 @@ def unit_facts(unit: CompilationUnit, binding: tuple[Span, ...]) -> UnitFacts:
 
 
 class Engine:
-    def __init__(self, unit: CompilationUnit, cfg: Cfg, fn: FunctionInfo,
+    def __init__(self, unit: CompilationUnit, cfg: Code, fn: FunctionInfo,
                  facts: UnitFacts, budget: ExplorationBudget):
         self.unit = unit
         self.cfg = cfg
@@ -418,18 +417,15 @@ class Engine:
                         self._finish_path(state, END_REVERT, f"fell off code at pc {state.pc}")
                         break
                 ops = block.ops
-                if ops is None:
-                    if block.entered:
-                        ops = _build_ops(block)
-                    else:
-                        block.entered = True  # step it, build its ops on the next entry
+                if ops is None:  # first entry, or a block built outside the engine
+                    ops = _build_ops(block)
                 instrs = block.instructions
                 count = len(instrs)
                 entry_steps = steps
                 try:
                     # whole only where stepping would pass every depth check,
                     # read no clock and stay within the step budget
-                    if (ops is not None and block.low <= len(state.stack) <= block.high
+                    if (block.low <= len(state.stack) <= block.high
                             and steps % _DEADLINE_EVERY + count <= _DEADLINE_EVERY
                             and steps + count <= max_steps):
                         steps += count
@@ -740,7 +736,7 @@ def _span_contains(outer: Span, inner: Span) -> bool:
             and inner[0] + inner[1] <= outer[0] + outer[1])
 
 
-def explore_function(unit: CompilationUnit, cfg: Cfg, fn: FunctionInfo,
+def explore_function(unit: CompilationUnit, cfg: Code, fn: FunctionInfo,
                      binding: tuple[Span, ...],
                      budget: ExplorationBudget | None = None,
                      facts: UnitFacts | None = None) -> ExplorationResult:

@@ -1,6 +1,6 @@
 """The per-step exploration loop: the reference ``Engine.explore`` must agree
 with. It steps every instruction through ``Engine.step``, reads no block of
-the engine's ``Cfg`` and builds no ops.
+the engine's ``Code`` and builds no ops.
 """
 
 from __future__ import annotations

@@ -168,7 +168,8 @@ def _check_lazy_equals_eager(code: bytes, selectors=()):
     decoded = disassemble(code)
     assert len(decoded) == len(instrs)
     assert list(decoded) == instrs
-    assert decoded[1::2] == instrs[1::2] and decoded[-1:] == instrs[-1:]
+    assert list(decoded)[1::2] == instrs[1::2] and list(decoded)[-1:] == instrs[-1:]
+    assert [decoded[index] for index in range(-len(instrs), len(instrs))] == instrs * 2
     leaders = reference_disasm.blocks(instrs)
     # the whole partition, built at once (as the tracer counts it)
     assert [(b.start_pc, b.instructions) for b in build_cfg(decoded).blocks] == \

@@ -1,5 +1,5 @@
 """Block-at-a-time exploration against the per-step reference loop, and the
-rule that a block's ops are built only on its second entry."""
+rule that a block's ops are built once, on its first entry."""
 
 from collections import Counter
 
@@ -68,10 +68,10 @@ class _Lookups(dict):
 def _compare(unit: CompilationUnit, targets, binding=(),
              budget: ExplorationBudget | None = None, explorations: int = 2):
     """Explore each ``(fn, entry_pc)`` of ``targets`` in turn, ``explorations``
-    times over, on one Cfg shared the way the pipeline shares it, and each on
+    times over, on one Code shared the way the pipeline shares it, and each on
     a fresh reference engine: every outcome must be equal, and every pc the
     engine looks up must be a block start or lie off the code. Returns the
-    steps the engine took inside whole blocks, and the shared Cfg."""
+    steps the engine took inside whole blocks, and the shared Code."""
     budget = budget or ExplorationBudget()
     facts = sx.unit_facts(unit, binding)
     shared = build_cfg(disassemble(unit.runtime_bytecode))
@@ -290,11 +290,11 @@ def test_budget_cut_emission_inside_runs():
 
 
 # --------------------------------------------------------------------------
-# laziness: a block entered once costs no ops
+# laziness: ops for exactly the blocks entered, built once
 
 def test_a_block_ending_in_an_unknown_byte_gets_its_ops_once(monkeypatch):
-    """The one block ends in an unknown byte: the first exploration steps it,
-    the second builds its ops and takes it whole, later ones reuse them."""
+    """The one block ends in an unknown byte: the first exploration builds
+    its ops, and every exploration takes it whole."""
     code = bytes.fromhex("5b" "6001" "0c")  # JUMPDEST; PUSH1 1; unknown byte
     builds = Counter()
     build_ops = sx._build_ops
@@ -304,16 +304,14 @@ def test_a_block_ending_in_an_unknown_byte_gets_its_ops_once(monkeypatch):
         return build_ops(block)
 
     monkeypatch.setattr(sx, "_build_ops", counting)
-    _, cfg = _compare(_unit(code), [(FN, 0)], explorations=1)
-    (block,) = cfg.blocks
-    assert block.entered and block.ops is None
     whole_steps, cfg = _compare(_unit(code), [(FN, 0)], explorations=5)
-    assert whole_steps == 4 * len(block.instructions)
+    (block,) = cfg.blocks
+    assert whole_steps == 5 * len(block.instructions)
     assert builds == {0: 1}
-    assert cfg.blocks[0].ops[-1][0] is sx._unknown
+    assert block.ops[-1][0] is sx._unknown
 
 
-def test_ops_are_built_only_for_blocks_entered_twice(tmp_path):
+def test_ops_are_built_for_exactly_the_blocks_entered(tmp_path):
     unit = load_compilation(corpus.market_hub(heavy_count=58).write(tmp_path))
     infos = function_infos(unit)
     assert len(infos) == 60
@@ -321,17 +319,14 @@ def test_ops_are_built_only_for_blocks_entered_twice(tmp_path):
     facts = sx.unit_facts(unit, binding)
     cfg = build_cfg(disassemble(unit.runtime_bytecode))
     reference_cfg = build_cfg(disassemble(unit.runtime_bytecode))
+    starts = {b.start_pc for b in disassemble(unit.runtime_bytecode).blocks}
     transfer_a, transfer_b = _targets(unit, select_target_functions(infos))
     reached = Counter()  # pc -> times the reference loop stepped it
-    # each target is one path from its own entry: transferA and transferB
-    # enter their blocks once each, and transferA's again the second time
-    for index, (fn, entry) in enumerate([transfer_a, transfer_b, transfer_a]):
+    for fn, entry in [transfer_a, transfer_b, transfer_a]:
         Engine(unit, cfg, fn, facts, ExplorationBudget()).explore(entry)
         reference_explore.explore(_counting_steps(
             Engine(unit, reference_cfg, fn, facts, ExplorationBudget()), reached), entry)
-        entered = {b.start_pc for b in cfg.blocks if b.entered}
-        built = {b.start_pc for b in cfg.blocks if b.ops is not None}
-        assert entered <= set(reached)  # nothing for blocks never entered
-        assert built <= entered
-        assert built <= {pc for pc, times in reached.items() if times >= 2}
-        assert bool(built) == (index == 2)
+        built = {pc for pc, block in cfg.block_at.items() if block.ops is not None}
+        assert built
+        # ops for every block entered, and no block built or given ops unentered
+        assert set(cfg.block_at) == built == starts & set(reached)
