@@ -1,11 +1,13 @@
 """Path-constraint collection and satisfiability over 256-bit vectors.
 
-The collector is append-only; snapshots are immutable values. The solver
-is a self-contained decision procedure: structural contradiction
-detection plus equality propagation gives unsat answers, and a randomized
-concrete witness search gives sat answers. Anything it cannot decide within
-its budget is reported as ``unknown``, which callers must treat as
-"do not report" (precision first).
+A path condition is a plain tuple of constraints. A branch builds a new
+tuple and never changes an old one, so a fork and every emission snapshot
+hold the condition they were given without a copy. The solver is a
+self-contained decision procedure: structural contradiction detection plus
+equality propagation gives unsat answers, and a randomized concrete witness
+search gives sat answers. Anything it cannot decide within its budget is
+reported as ``unknown``, which callers must treat as "do not report"
+(precision first).
 
 Negation here is structural only (eq <-> neq, ult <-> uge, ...); no semantic
 normalization is applied, so differing owner expressions never cancel.
@@ -82,27 +84,6 @@ def _relation_holds(relation: str, a: int, b: int) -> bool:
     return sym.eval_op(op, (a, b)) == truth
 
 
-@dataclass(frozen=True)
-class ConstraintSet:
-    entries: tuple[Constraint, ...] = ()
-
-    def push(self, *constraints: Constraint) -> "ConstraintSet":
-        # two pushes per fork: bypass the frozen dataclass __init__ (not
-        # through __dict__, which would give this set its own attribute layout)
-        pushed = object.__new__(ConstraintSet)
-        object.__setattr__(pushed, "entries", self.entries + constraints)
-        return pushed
-
-    def hard(self) -> tuple[Constraint, ...]:
-        return tuple(c for c in self.entries if not c.candidate)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-
 # --------------------------------------------------------------------------
 # provenance tests for the structural detector rules (each peels width masks
 # itself, so the 160-bit heuristic can still see them)
@@ -132,12 +113,13 @@ _WITNESS_TRIES = 48
 _WITNESS_SEED = 0x5EED
 
 
-def solve(cset: ConstraintSet, extra: tuple[Constraint, ...] = (),
+def solve(path: tuple[Constraint, ...], extra: tuple[Constraint, ...] = (),
           deadline: float | None = None) -> str:
-    """Satisfiability of the set's hard constraints plus ``extra``; the witness
-    search gives up with ``unknown`` at ``deadline`` (``time.monotonic()``)."""
+    """Satisfiability of the path's constraints, its eq-candidates left out,
+    plus ``extra``; the witness search gives up with ``unknown`` at
+    ``deadline`` (``time.monotonic()``)."""
     simplified = []
-    for constraint in cset.hard() + tuple(extra):
+    for constraint in (*(c for c in path if not c.candidate), *extra):
         if isinstance(constraint.lhs, Const) and isinstance(constraint.rhs, Const):
             if not _relation_holds(constraint.relation,
                                    constraint.lhs.value, constraint.rhs.value):

@@ -43,7 +43,6 @@ class Finding:
     function: str
     src_span: Span  # the emission's source span
     witness: tuple[str, ...]
-    path_id: int
     confidence: str = "high"  # "low" when the path was tainted by external calls
 
 
@@ -123,7 +122,6 @@ def _finding(defect_type: str, rec: PathRecord, witness: tuple[str, ...]) -> Fin
         function=rec.function.name,
         src_span=rec.emission_src,
         witness=witness,
-        path_id=rec.path_id,
         confidence="low" if rec.tainted else "high",
     )
 

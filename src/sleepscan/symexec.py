@@ -14,6 +14,11 @@ normally; every path end, and every emission, is counted by
 External calls are not followed: they produce a fresh value and taint the
 path, and findings on tainted paths are downgraded, not suppressed.
 
+A path's history (its condition, memory writes, storage writes, owner trace
+and emission snapshots) is held in tuples that grow by building a new tuple,
+so a fork shares them with its parent; it copies only the stack and the loop
+counts, the two things a path changes in place.
+
 Every opcode's semantics is one handler in ``_DISPATCH``, an unknown byte's
 included; ``Engine.step`` runs one instruction after its stack-depth checks.
 ``Engine.explore`` runs straight-line code a basic block of the unit's
@@ -39,7 +44,7 @@ from typing import NamedTuple
 from sleepscan import constraints as con
 from sleepscan import opcodes, sym
 from sleepscan.astview import FunctionInfo, SlotInfo, storage_layout
-from sleepscan.constraints import Constraint, ConstraintSet
+from sleepscan.constraints import Constraint
 from sleepscan.disasm import BasicBlock, Code, Instruction, find_function_entry
 from sleepscan.errors import EntryNotFound
 from sleepscan.ingestion import CompilationUnit, Span
@@ -72,7 +77,7 @@ class ExplorationBudget:
 class _EmissionSnapshot:
     pc: int
     from_topic: SymValue  # the event's indexed ``from``
-    constraints: ConstraintSet
+    constraints: tuple[Constraint, ...]
     owner_trace: tuple[SymValue, ...]
     tainted: bool
     src: Span
@@ -82,15 +87,15 @@ class _EmissionSnapshot:
 class MachineState:
     pc: int
     stack: list[SymValue] = field(default_factory=list)
-    memory: list[tuple[SymValue, SymValue, int]] = field(default_factory=list)
-    storage_writes: list[tuple[SymValue, SymValue]] = field(default_factory=list)
-    constraints: ConstraintSet = field(default_factory=ConstraintSet)
+    memory: tuple[tuple[SymValue, SymValue, int], ...] = ()
+    storage_writes: tuple[tuple[SymValue, SymValue], ...] = ()
+    constraints: tuple[Constraint, ...] = ()
     sstore_mark: bool = False
     owner_trace: tuple[SymValue, ...] = ()
     pending_owner: SymValue | None = None
     tainted: bool = False
     jumpdest_visits: dict[int, int] = field(default_factory=dict)
-    snapshots: list[_EmissionSnapshot] = field(default_factory=list)
+    snapshots: tuple[_EmissionSnapshot, ...] = ()
 
     def fork(self) -> "MachineState":
         # skips the dataclass __init__ and its keyword arguments; the fields
@@ -99,15 +104,15 @@ class MachineState:
         forked = object.__new__(MachineState)
         forked.pc = self.pc
         forked.stack = self.stack[:]
-        forked.memory = self.memory[:]
-        forked.storage_writes = self.storage_writes[:]
+        forked.memory = self.memory
+        forked.storage_writes = self.storage_writes
         forked.constraints = self.constraints
         forked.sstore_mark = self.sstore_mark
         forked.owner_trace = self.owner_trace
         forked.pending_owner = self.pending_owner
         forked.tainted = self.tainted
         forked.jumpdest_visits = self.jumpdest_visits.copy()
-        forked.snapshots = self.snapshots[:]
+        forked.snapshots = self.snapshots
         return forked
 
 
@@ -117,7 +122,7 @@ class PathRecord:
 
     function: FunctionInfo
     end_kind: str  # always END_EMISSION
-    constraints: ConstraintSet
+    constraints: tuple[Constraint, ...]
     owner_trace: tuple[SymValue, ...]
     from_param: SymValue | None
     sstore_mark_at_exit: bool
@@ -263,7 +268,7 @@ class Engine:
         return self._fresh(pc, "calldata_sym")
 
     def on_sstore(self, state: MachineState, slot: SymValue, value: SymValue) -> None:
-        state.storage_writes.append((slot, value))
+        state.storage_writes += ((slot, value),)
         state.sstore_mark = True
 
     def on_log(self, state: MachineState, instr: Instruction, topic_count: int) -> None:
@@ -275,14 +280,14 @@ class Engine:
         if not (isinstance(topic0, Const) and topic0.value == TRANSFER_TOPIC):
             return
         self._commit_pending_owner(state)
-        state.snapshots.append(_EmissionSnapshot(
+        state.snapshots += (_EmissionSnapshot(
             pc=instr.pc,
             from_topic=topics[1],
             constraints=state.constraints,
             owner_trace=state.owner_trace,
             tainted=state.tainted,
             src=self.unit.source_map[instr.src],
-        ))
+        ),)
 
     def _owner_checkpoint(self, state: MachineState, instr: Instruction) -> None:
         if self.unit.source_map[instr.src] in self.owner_spans:
@@ -327,7 +332,7 @@ class Engine:
         if width is None:
             width = _UNBOUNDED
         if width:
-            state.memory.append((offset, self._fresh(pc, origin), width))
+            state.memory += ((offset, self._fresh(pc, origin), width),)
 
     def _jump_target(self, target: SymValue, instr: Instruction) -> int:
         value = sym.const_value(target)
@@ -357,9 +362,9 @@ class Engine:
         _, taken, negated = cached
         fallthrough = state.fork()
         fallthrough.pc = instr.next_pc
-        fallthrough.constraints = state.constraints.push(negated)
+        fallthrough.constraints = state.constraints + (negated,)
         state.pc = target_pc
-        state.constraints = state.constraints.push(*taken)
+        state.constraints += taken
         return [state, fallthrough]
 
     # -- path lifecycle -----------------------------------------------------
@@ -566,13 +571,13 @@ def _mload(engine: Engine, state: MachineState, instr: Instruction, pops: int):
 def _mstore(engine: Engine, state: MachineState, instr: Instruction, pops: int):
     stack = state.stack
     offset = stack.pop()
-    state.memory.append((offset, stack.pop(), 32))
+    state.memory += ((offset, stack.pop(), 32),)
 
 
 def _mstore8(engine: Engine, state: MachineState, instr: Instruction, pops: int):
     stack = state.stack
     offset = stack.pop()
-    state.memory.append((offset, stack.pop(), 1))
+    state.memory += ((offset, stack.pop(), 1),)
 
 
 def _log(engine: Engine, state: MachineState, instr: Instruction, pops: int):

@@ -20,7 +20,7 @@ from evmasm import encode_source_map
 
 from sleepscan import constraints as cs
 from sleepscan import pipeline
-from sleepscan.constraints import Constraint, ConstraintSet, solve
+from sleepscan.constraints import Constraint, solve
 from sleepscan.detectors import (
     EMPTY_TRANSFER_EVENT,
     OWNER_INCONSISTENCY,
@@ -198,7 +198,7 @@ def test_property_contradiction_never_satisfiable():
     for _ in range(100):
         base = [random_constraint() for _ in range(rng.randrange(4))]
         probe = random_constraint()
-        cset = ConstraintSet(tuple(base + [probe, probe.negated()]))
+        cset = tuple(base + [probe, probe.negated()])
         assert solve(cset) != cs.SAT
 
 

@@ -7,7 +7,7 @@ import pytest
 from sleepscan import constraints as cs
 from sleepscan import sym
 from sleepscan.astview import FunctionInfo
-from sleepscan.constraints import Constraint, ConstraintSet
+from sleepscan.constraints import Constraint
 from sleepscan.detectors import (
     ALL_DEFECT_TYPES,
     EMPTY_TRANSFER_EVENT,
@@ -44,7 +44,7 @@ def record(*, constraints=(), owner_trace=(),
     return PathRecord(
         function=FN,
         end_kind=END_EMISSION,
-        constraints=ConstraintSet(tuple(constraints)),
+        constraints=tuple(constraints),
         owner_trace=owner_trace,
         from_param=from_param,
         sstore_mark_at_exit=mark_at_exit,

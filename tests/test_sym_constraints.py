@@ -13,7 +13,6 @@ from sleepscan import constraints as cs
 from sleepscan import sym
 from sleepscan.constraints import (
     Constraint,
-    ConstraintSet,
     is_caller,
     is_storage_direct_address,
     solve,
@@ -131,7 +130,7 @@ def test_relations_match_the_reference_interpreter(relation):
             env = {P0: a, P1: b}
             assert c.holds(env) is expected, (relation, a, b)
             assert c.negated().holds(env) is not expected
-            concrete = ConstraintSet((Constraint(relation, Const(a), Const(b)),))
+            concrete = (Constraint(relation, Const(a), Const(b)),)
             assert solve(concrete) == (cs.SAT if expected else cs.UNSAT)
 
 
@@ -145,14 +144,6 @@ def test_same_sides_symmetric_for_equalities_only():
 def test_same_sides_sees_through_masks():
     masked = Constraint(cs.EQ, Op("and", (P0, Const(sym.MASK160))), P1)
     assert masked.same_sides(Constraint(cs.EQ, P0, P1))
-
-
-def test_hard_filters_candidates():
-    candidate = Constraint(cs.EQ, CALLER, P0, candidate=True)
-    real = Constraint(cs.NEQ, P0, Const(0))
-    cset = ConstraintSet().push(candidate).push(real)
-    assert cset.hard() == (real,)
-    assert len(cset) == 2
 
 
 def test_is_storage_direct_address_heuristics():
@@ -169,7 +160,7 @@ def test_is_storage_direct_address_heuristics():
 # solver
 
 def _solve(*entries: Constraint) -> str:
-    return solve(ConstraintSet(tuple(entries)))
+    return solve(tuple(entries))
 
 
 def test_concrete_contradiction_is_unsat():
@@ -230,14 +221,12 @@ def test_hash_preimage_query_is_unknown():
 
 def test_candidates_do_not_constrain_solving():
     # the candidate eq would conflict with the hard neq if it were included
-    cset = (ConstraintSet()
-            .push(Constraint(cs.EQ, P0, P1, candidate=True))
-            .push(Constraint(cs.NEQ, P0, P1)))
+    cset = (Constraint(cs.EQ, P0, P1, candidate=True), Constraint(cs.NEQ, P0, P1))
     assert solve(cset) == cs.SAT
 
 
 def test_extra_constraints_join_the_query():
-    cset = ConstraintSet().push(Constraint(cs.EQ, P0, P1))
+    cset = (Constraint(cs.EQ, P0, P1),)
     assert solve(cset, extra=(Constraint(cs.NEQ, P0, P1),)) == cs.UNSAT
 
 
@@ -258,13 +247,13 @@ _constraint = st.builds(
 @given(st.lists(_constraint, max_size=5), _constraint)
 def test_adding_both_polarities_is_never_sat(entries, probe):
     """S + {c, not c} must never be reported satisfiable."""
-    cset = ConstraintSet(tuple(entries)).push(probe).push(probe.negated())
+    cset = tuple(entries) + (probe, probe.negated())
     assert solve(cset) in (cs.UNSAT, cs.UNKNOWN)
 
 
 def test_witness_search_is_deterministic():
-    query = ConstraintSet((
+    query = (
         Constraint(cs.NEQ, P0, P1),
         Constraint(cs.EQ, CALLER, OWNER_SLOT),
-    ))
+    )
     assert {solve(query) for _ in range(5)} == {cs.SAT}

@@ -375,9 +375,53 @@ def test_exploration_is_deterministic():
     code = _branch_then_emit("600435")
     def snapshot():
         res = _engine(code).explore(0)
-        return [(r.end_kind, tuple(r.constraints.entries), r.path_id)
+        return [(r.end_kind, r.constraints, r.path_id)
                 for r in res.records], list(res.ends.items())
     assert snapshot() == snapshot()
+
+
+def test_fork_sides_keep_their_own_writes_and_share_the_history():
+    # JUMPI on calldataload(4). The fallthrough side, which runs first, passes
+    # a JUMPDEST, stores slot 0, writes memory word 0x40, emits a Transfer and
+    # stops with one value on the stack; the taken side only reads word 0x40.
+    writer = bytes.fromhex("5b" "6007600055" "6009604052") + _emit_then("6001" "00")
+    code = (bytes.fromhex(f"600435 60{6 + len(writer):02x} 57") + writer
+            + bytes.fromhex("5b604051" "00"))
+    result = _engine(code).explore(0)
+    (record,) = result.records
+    assert record.sstore_mark_at_exit
+    assert [c.relation for c in record.constraints] == [cs.ZERO]  # the fallthrough
+    assert result.ends == {(END_EMISSION, None): 1, (END_EXIT, None): 2}
+
+    engine = _engine(code)
+    instrs = {instr.pc: instr for instr in disassemble(code)}
+
+    def run(state):  # step to just before the next JUMPI or STOP
+        while instrs[state.pc].name not in ("JUMPI", "STOP"):
+            (state,) = engine.step(state, instrs[state.pc])
+        return state
+
+    taken, fallthrough = engine.step(run(MachineState(pc=0)), instrs[5])
+    writer = run(fallthrough)
+    assert writer.memory and writer.storage_writes and writer.snapshots
+    reader = run(taken)
+    (word,) = reader.stack
+    assert word.kind == FreshExternal("memory")
+    assert reader.memory == reader.storage_writes == reader.snapshots == ()
+    assert not reader.sstore_mark
+
+    assert writer.stack == [Const(1)] and writer.jumpdest_visits == {6: 1}
+    forked = writer.fork()
+    for name in ("constraints", "memory", "storage_writes", "snapshots"):
+        assert getattr(forked, name) is getattr(writer, name), name
+    for name in ("stack", "jumpdest_visits"):
+        assert getattr(forked, name) == getattr(writer, name), name
+        assert getattr(forked, name) is not getattr(writer, name), name
+    memory = writer.memory
+    for instr in disassemble(bytes.fromhex("6000" "52")):  # the fork writes word 0
+        engine.step(forked, instr)
+    assert len(forked.memory) == len(memory) + 1
+    assert writer.memory is memory and writer.stack == [Const(1)]
 
 
 def test_explore_function_requires_selector():
