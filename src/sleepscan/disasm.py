@@ -1,14 +1,16 @@
-"""Disassembly, basic-block recovery and dispatcher-entry discovery.
+"""Disassembly, the basic-block partition and dispatcher-entry discovery.
 
 A unit's code is decoded once, by one pass of the token kernel: one
 ``bytes`` token per instruction, from which ``Code`` takes each
 instruction's start pc and the JUMPDEST set. An ``Instruction`` is built
-only where it is read. ``Code`` is also the unit's control-flow view:
-``Code.block`` builds a basic block the first time the engine reaches its
-start, and ``find_function_entry`` decodes only the instructions after a
-byte-search hit for ``PUSH4 selector``, so code the engine never reaches is
-never decoded. Iterating a ``Code`` decodes every instruction, as
-``sleepscan disasm`` does.
+only where it is read. ``_leads`` is the partition rule: ``Code.block``
+decodes the block that starts at a pc and caches nothing, ``Code.blocks``
+lists the block starts and decodes nothing, and ``find_function_entry``
+decodes only the instructions after a byte-search hit for ``PUSH4
+selector``. The engine builds each block's execution form on its first
+reach and keeps it in ``Code.block_at``, so code it never reaches is never
+decoded. Iterating a ``Code`` decodes every instruction, as ``sleepscan
+disasm`` does.
 
 0x5F always decodes as PUSH0: compilers below 0.8.20 never emit it in
 reachable code, so the decoder needs no compiler version.
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import accumulate, compress, repeat
 from operator import eq
 from typing import NamedTuple
@@ -43,18 +44,6 @@ class Instruction(NamedTuple):
         return self.name
 
 
-@dataclass(slots=True)
-class BasicBlock:
-    start_pc: int
-    instructions: list[Instruction]
-    # set by the engine on the block's first entry and shared by every
-    # exploration of the unit: the (handler, instr, arg) ops, and the lowest
-    # and highest entry stack depth at which none underflows or overflows
-    ops: tuple | None = None
-    low: int = 0
-    high: int = 0
-
-
 _NAMES = tuple(opcodes.mnemonic(byte) for byte in range(256))
 _TERMINATORS = {"JUMP", "JUMPI", "STOP", "RETURN", "REVERT", "INVALID", "SELFDESTRUCT"}
 # byte -> whether a block ends after it: a terminator or an unknown byte
@@ -68,7 +57,7 @@ _PUSH4 = opcodes.MNEMONIC_TO_BYTE["PUSH4"]
 
 class Code(Sequence):
     """A unit's instructions, decoded from their tokens where they are read,
-    and its basic blocks, built where they are reached.
+    and its basic-block partition.
 
     ``len`` is the instruction count; indexing and iteration build
     ``Instruction``s, whose ``src`` is the ordinal.
@@ -84,8 +73,9 @@ class Code(Sequence):
         # the valid jump targets
         self.jumpdests = frozenset(
             compress(self.pcs, map(eq, tokens, repeat(_JUMPDEST_TOKEN))))
-        # start pc -> block, filled by ``block`` as blocks are reached
-        self.block_at: dict[int, BasicBlock] = {}
+        # start pc -> the block's execution form, filled by the engine as
+        # blocks are reached and shared by every function of the unit
+        self.block_at: dict[int, tuple] = {}
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -122,14 +112,11 @@ class Code(Sequence):
             return idx
         return None
 
-    def block(self, pc: int) -> BasicBlock | None:
-        """The basic block starting at ``pc``, built on first reach; None for
-        a pc past the code or inside a block. A block ends before a
-        JUMPDEST, and after a terminator or an unknown byte. These are the
-        engine's units of straight-line execution."""
-        block = self.block_at.get(pc)
-        if block is not None:
-            return block
+    def block(self, pc: int) -> list[Instruction] | None:
+        """The instructions of the basic block starting at ``pc``; None for a
+        pc past the code or inside a block. A block ends before a JUMPDEST,
+        and after a terminator or an unknown byte. These are the engine's
+        units of straight-line execution."""
         tokens = self.tokens
         first = self.ordinal(pc)
         if first is None or not _leads(tokens, first):
@@ -137,19 +124,13 @@ class Code(Sequence):
         stop = first + 1  # the next leader, or the end of the code
         while stop < len(tokens) and not _leads(tokens, stop):
             stop += 1
-        block = self.block_at[pc] = BasicBlock(pc, self.decode(first, stop))
-        return block
+        return self.decode(first, stop)
 
     @property
-    def blocks(self) -> list[BasicBlock]:
-        """Every block in pc order: the whole partition, built where not yet
-        reached."""
-        blocks = []
-        pc = 0
-        while pc < len(self.raw):
-            blocks.append(self.block(pc))
-            pc = blocks[-1].instructions[-1].next_pc
-        return blocks
+    def blocks(self) -> list[int]:
+        """Every block's start pc, in pc order; nothing is decoded."""
+        tokens = self.tokens
+        return [self.pcs[idx] for idx in range(len(tokens)) if _leads(tokens, idx)]
 
 
 def _leads(tokens: list[bytes], idx: int) -> bool:

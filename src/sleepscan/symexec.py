@@ -19,19 +19,20 @@ and emission snapshots) is held in tuples that grow by building a new tuple,
 so a fork shares them with its parent; it copies only the stack and the loop
 counts, the two things a path changes in place.
 
-Every opcode's semantics is one handler in ``_DISPATCH``, an unknown byte's
-included; ``Engine.step`` runs one instruction after its stack-depth checks.
-``Engine.explore`` runs straight-line code a basic block of the unit's
-``Code`` at a time: every path enters a block at its start, so no pc inside
-a block is ever looked up. A block is decoded when a path first enters it,
-and its ops (each instruction's handler, and a PUSH's value as a ``Const``)
-and the entry stack depths at which none of them underflows or overflows
-are built then too and kept on the block, so every function of the unit
-shares them and code no path reaches is never decoded. A block is taken
+Every opcode's semantics is one handler in ``_DISPATCH``, the checkpoints
+and an unknown byte's included; ``Engine.step`` runs one instruction after
+its stack-depth checks. ``Engine.explore`` runs straight-line code a basic
+block of the unit's ``Code`` at a time: every path enters a block at its
+start, so no pc inside a block is ever looked up. When a path first enters
+a block, ``_block_form`` decodes it and builds its execution form: its ops
+(each instruction's handler, and a PUSH's value as a ``Const``) and the
+lowest and highest entry stack depth at which none of them underflows or
+overflows. It keeps the form in ``Code.block_at``, so every function of the
+unit shares it and code no path reaches is never decoded. A block is taken
 whole when the stack depth lies in that range, no deadline read (every 256
-steps) falls inside it and it ends within ``max_steps``; otherwise its
-instructions go through ``Engine.step`` one at a time, so path ends,
-diagnostics and step counts are those of stepping every instruction.
+steps) falls inside it and it ends within ``max_steps``; otherwise its ops
+go through ``Engine.step`` one at a time, so path ends, diagnostics and
+step counts are those of stepping every instruction.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from sleepscan import constraints as con
 from sleepscan import opcodes, sym
 from sleepscan.astview import FunctionInfo, SlotInfo, storage_layout
 from sleepscan.constraints import Constraint
-from sleepscan.disasm import BasicBlock, Code, Instruction, find_function_entry
+from sleepscan.disasm import Code, Instruction, find_function_entry
 from sleepscan.errors import EntryNotFound
 from sleepscan.ingestion import CompilationUnit, Span
 from sleepscan.keccak import TRANSFER_TOPIC
@@ -259,36 +260,6 @@ class Engine:
 
     # -- checkpoints --------------------------------------------------------
 
-    def on_calldataload(self, pc: int, offset: SymValue) -> SymValue:
-        value = sym.const_value(offset)
-        if value is not None and value >= 4 and (value - 4) % 32 == 0:
-            return self._param_var((value - 4) // 32)
-        if value is not None:
-            return self._fresh(pc, f"calldata_{value}")
-        return self._fresh(pc, "calldata_sym")
-
-    def on_sstore(self, state: MachineState, slot: SymValue, value: SymValue) -> None:
-        state.storage_writes += ((slot, value),)
-        state.sstore_mark = True
-
-    def on_log(self, state: MachineState, instr: Instruction, topic_count: int) -> None:
-        del state.stack[-2:]  # memory offset and size: event data is not modeled
-        topics = tuple(state.stack.pop() for _ in range(topic_count))
-        if topic_count != 4:
-            return
-        topic0 = topics[0]
-        if not (isinstance(topic0, Const) and topic0.value == TRANSFER_TOPIC):
-            return
-        self._commit_pending_owner(state)
-        state.snapshots += (_EmissionSnapshot(
-            pc=instr.pc,
-            from_topic=topics[1],
-            constraints=state.constraints,
-            owner_trace=state.owner_trace,
-            tainted=state.tainted,
-            src=self.unit.source_map[instr.src],
-        ),)
-
     def _owner_checkpoint(self, state: MachineState, instr: Instruction) -> None:
         if self.unit.source_map[instr.src] in self.owner_spans:
             if state.stack:
@@ -342,31 +313,6 @@ class Engine:
             raise _KillPath(END_REVERT, f"jump to non-JUMPDEST {value} at {instr.pc}")
         return value
 
-    def _branch(self, state: MachineState, instr: Instruction,
-                target: SymValue, condition: SymValue) -> list[MachineState]:
-        value = sym.const_value(condition)
-        if value is not None:
-            if value:
-                state.pc = self._jump_target(target, instr)
-            else:
-                state.pc = instr.next_pc
-            return [state]
-        target_pc = self._jump_target(target, instr)
-        # one condition object reaches this JUMPI on every path forked after
-        # it was built
-        cached = self.branch_constraints.get(id(condition))
-        if cached is None:
-            taken = tuple(_condition_constraints(condition, True))
-            cached = self.branch_constraints[id(condition)] = (
-                condition, taken, taken[0].negated())
-        _, taken, negated = cached
-        fallthrough = state.fork()
-        fallthrough.pc = instr.next_pc
-        fallthrough.constraints = state.constraints + (negated,)
-        state.pc = target_pc
-        state.constraints += taken
-        return [state, fallthrough]
-
     # -- path lifecycle -----------------------------------------------------
 
     def _finish_path(self, state: MachineState, end_kind: str,
@@ -396,8 +342,8 @@ class Engine:
 
     def explore(self, entry_pc: int) -> ExplorationResult:
         budget = self.budget
-        blocks = self.cfg.block_at
-        build_block = self.cfg.block
+        code = self.cfg
+        blocks = code.block_at
         step = self.step
         owner_spans = self.owner_spans
         max_steps = budget.max_steps
@@ -417,20 +363,17 @@ class Engine:
                     break
                 block = blocks.get(state.pc)
                 if block is None:
-                    block = build_block(state.pc)  # first reach
+                    block = _block_form(code, state.pc)  # first reach
                     if block is None:
                         self._finish_path(state, END_REVERT, f"fell off code at pc {state.pc}")
                         break
-                ops = block.ops
-                if ops is None:  # first entry, or a block built outside the engine
-                    ops = _build_ops(block)
-                instrs = block.instructions
-                count = len(instrs)
+                ops, low, high = block
+                count = len(ops)
                 entry_steps = steps
                 try:
                     # whole only where stepping would pass every depth check,
                     # read no clock and stay within the step budget
-                    if (block.low <= len(state.stack) <= block.high
+                    if (low <= len(state.stack) <= high
                             and steps % _DEADLINE_EVERY + count <= _DEADLINE_EVERY
                             and steps + count <= max_steps):
                         steps += count
@@ -446,7 +389,7 @@ class Engine:
                             state.pc = instr.next_pc
                             continue
                     else:
-                        for index, instr in enumerate(instrs):
+                        for index, (_, instr, _) in enumerate(ops):
                             # the block's first step was checked above
                             if index and not steps % _DEADLINE_EVERY and budget.expired():
                                 self.timed_out = True
@@ -461,7 +404,7 @@ class Engine:
                             successors = step(state, instr)
                 except _KillPath as kill:
                     # the steps through the instruction that ended the path
-                    steps = entry_steps + instrs.index(instr) + 1
+                    steps = entry_steps + instr.src - ops[0][1].src + 1
                     self._finish_path(state, kill.end_kind, kill.reason)
                     break
                 # only a block's last instruction may fork or end the path
@@ -517,7 +460,25 @@ def _jumpi(engine: Engine, state: MachineState, instr: Instruction, pops: int):
     condition = state.stack.pop()
     if engine.owner_spans:
         engine._owner_checkpoint(state, instr)
-    return engine._branch(state, instr, target, condition)
+    value = sym.const_value(condition)
+    if value is not None:
+        state.pc = engine._jump_target(target, instr) if value else instr.next_pc
+        return [state]
+    target_pc = engine._jump_target(target, instr)
+    # one condition object reaches this JUMPI on every path forked after it
+    # was built
+    cached = engine.branch_constraints.get(id(condition))
+    if cached is None:
+        taken = tuple(_condition_constraints(condition, True))
+        cached = engine.branch_constraints[id(condition)] = (
+            condition, taken, taken[0].negated())
+    _, taken, negated = cached
+    fallthrough = state.fork()
+    fallthrough.pc = instr.next_pc
+    fallthrough.constraints = state.constraints + (negated,)
+    state.pc = target_pc
+    state.constraints += taken
+    return [state, fallthrough]
 
 
 def _exit(engine: Engine, state: MachineState, instr: Instruction, pops: int):
@@ -535,8 +496,15 @@ def _unknown(engine: Engine, state: MachineState, instr: Instruction, pops: int)
 
 
 def _calldataload(engine: Engine, state: MachineState, instr: Instruction, pops: int):
+    # a word at 4 + 32 * i is the i-th parameter; any other offset a fresh value
     stack = state.stack
-    stack.append(engine.on_calldataload(instr.pc, stack.pop()))
+    offset = sym.const_value(stack[-1])
+    if offset is None:
+        stack[-1] = engine._fresh(instr.pc, "calldata_sym")
+    elif offset >= 4 and (offset - 4) % 32 == 0:
+        stack[-1] = engine._param_var((offset - 4) // 32)
+    else:
+        stack[-1] = engine._fresh(instr.pc, f"calldata_{offset}")
 
 
 def _sload(engine: Engine, state: MachineState, instr: Instruction, pops: int):
@@ -547,7 +515,8 @@ def _sload(engine: Engine, state: MachineState, instr: Instruction, pops: int):
 def _sstore(engine: Engine, state: MachineState, instr: Instruction, pops: int):
     stack = state.stack
     slot = stack.pop()
-    engine.on_sstore(state, slot, stack.pop())
+    state.storage_writes += ((slot, stack.pop()),)
+    state.sstore_mark = True
 
 
 def _sha3(engine: Engine, state: MachineState, instr: Instruction, pops: int):
@@ -581,7 +550,25 @@ def _mstore8(engine: Engine, state: MachineState, instr: Instruction, pops: int)
 
 
 def _log(engine: Engine, state: MachineState, instr: Instruction, pops: int):
-    engine.on_log(state, instr, pops - 2)
+    # memory offset, size, then the topics; event data is not modeled, and
+    # only a LOG4 with the Transfer topic is an emission
+    stack = state.stack
+    args = stack[:-pops - 1:-1]  # top of stack first
+    del stack[-pops:]
+    if pops != 6:
+        return
+    topic0 = args[2]
+    if not (isinstance(topic0, Const) and topic0.value == TRANSFER_TOPIC):
+        return
+    engine._commit_pending_owner(state)
+    state.snapshots += (_EmissionSnapshot(
+        pc=instr.pc,
+        from_topic=args[3],
+        constraints=state.constraints,
+        owner_trace=state.owner_trace,
+        tainted=state.tainted,
+        src=engine.unit.source_map[instr.src],
+    ),)
 
 
 def _copy(engine: Engine, state: MachineState, instr: Instruction, pops: int):
@@ -672,22 +659,25 @@ _DISPATCH = tuple((_handler(entry[0]), entry[1], entry[2]) if entry else (_unkno
                   for entry in map(opcodes.TABLE.get, range(256)))
 
 
-def _build_ops(block: BasicBlock) -> tuple:
-    """Set and return ``block``'s ``(handler, instr, arg)`` ops, with the
-    lowest and highest entry stack depth at which no op underflows or
-    overflows."""
+def _block_form(code: Code, pc: int) -> tuple | None:
+    """The execution form of the block starting at ``pc``, kept in
+    ``code.block_at``: its ``(handler, instr, arg)`` ops, and the lowest and
+    highest entry stack depth at which no op underflows or overflows. None
+    when no block starts at ``pc``."""
+    instrs = code.block(pc)
+    if instrs is None:
+        return None
     ops = []
     depth = low = peak = 0  # relative to the entry depth
-    for instr in block.instructions:
+    for instr in instrs:
         handler, pops, pushes = _DISPATCH[instr.byte]
         low = max(low, pops - depth)
         depth += pushes - pops
         peak = max(peak, depth)
         value = instr.push_value
         ops.append((handler, instr, pops if value is None else Const(value)))
-    block.ops = tuple(ops)
-    block.low, block.high = low, MAX_STACK - peak
-    return block.ops
+    form = code.block_at[pc] = (tuple(ops), low, MAX_STACK - peak)
+    return form
 
 
 def _condition_constraints(condition: SymValue, truthy: bool) -> list[Constraint]:

@@ -114,7 +114,9 @@ def test_unrestricted_from_silent_when_guarded():
 
 
 def test_unrestricted_from_needs_trace_and_from():
+    # an empty owner trace (no ownerOf return on the path) silences UF and OI
     assert detect_unrestricted_from(record(owner_trace=())) is None
+    assert detect_owner_inconsistency(record(owner_trace=())) is None
     assert detect_unrestricted_from(
         record(owner_trace=(OWNER_A,), from_param=None)) is None
 

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fixtures
@@ -106,10 +106,9 @@ def test_cfg_blocks_and_edges():
         "5b00"      # 7: JUMPDEST; STOP
     )
     cfg = build_cfg(disassemble(code))
-    starts = [b.start_pc for b in cfg.blocks]
-    assert starts == [0, 5, 7]
-    assert [b.instructions[-1].name for b in cfg.blocks] == ["JUMPI", "STOP", "STOP"]
-    assert cfg.block_at == {b.start_pc: b for b in cfg.blocks}
+    assert cfg.blocks == [0, 5, 7]
+    assert [cfg.block(pc)[-1].name for pc in cfg.blocks] == ["JUMPI", "STOP", "STOP"]
+    assert cfg.block_at == {}  # the disassembler keeps no block
 
 
 def test_find_function_entry_on_fixture(corpus_dir):
@@ -118,7 +117,7 @@ def test_find_function_entry_on_fixture(corpus_dir):
     selector = compute_selector("transferFrom(address,address,uint256)")
     entry = find_function_entry(cfg, selector)
     assert entry is not None
-    assert cfg.block(entry).instructions[0].name == "JUMPDEST"
+    assert cfg.block(entry)[0].name == "JUMPDEST"
     assert find_function_entry(cfg, 0xDEADBEEF) is None
 
 
@@ -171,18 +170,17 @@ def _check_lazy_equals_eager(code: bytes, selectors=()):
     assert list(decoded)[1::2] == instrs[1::2] and list(decoded)[-1:] == instrs[-1:]
     assert [decoded[index] for index in range(-len(instrs), len(instrs))] == instrs * 2
     leaders = reference_disasm.blocks(instrs)
-    # the whole partition, built at once (as the tracer counts it)
-    assert [(b.start_pc, b.instructions) for b in build_cfg(decoded).blocks] == \
-        list(leaders.items())
     cfg = build_cfg(decoded)
+    # the whole partition's starts (as the tracer counts them)
+    assert cfg.blocks == list(leaders)
     assert cfg.jumpdests == reference_disasm.jumpdests(instrs)
     for pc in range(len(code) + 2):
         block = cfg.block(pc)
         if pc in leaders:
-            assert (block.start_pc, block.instructions) == (pc, leaders[pc])
-            assert cfg.block(pc) is block  # built once
+            assert block == leaders[pc]
         else:
             assert block is None
+    assert cfg.block_at == {}  # decoding a block caches nothing
     pushed = {ins.push_value for ins in instrs if ins.name == "PUSH4"}
     for selector in {*pushed, *selectors, 0xDEADBEEF}:
         assert find_function_entry(build_cfg(disassemble(code)), selector) == \
@@ -241,6 +239,34 @@ def test_lazy_decode_equals_eager_on_fixtures():
         _check_lazy_equals_eager(fixture.bytecode)
     code, _, _ = _split_dispatcher(_SELECTOR)
     _check_lazy_equals_eager(code)
+
+
+def _no_decode(self, start, stop):
+    raise AssertionError(f"decoded instructions {start} to {stop}")
+
+
+def _check_blocks_decode_nothing(code: bytes):
+    """``Code.blocks``, read while ``Code.decode`` raises, is the reference
+    partition's block starts."""
+    decoded = disassemble(code)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(disasm.Code, "decode", _no_decode)
+        starts = decoded.blocks
+    assert starts == list(reference_disasm.blocks(reference_disasm.decode(code)))
+
+
+@settings(max_examples=200)
+@given(st.binary(max_size=300))
+@example(b"")
+@example(bytes.fromhex("5b5b00fe0c5b"))
+def test_blocks_decode_nothing_on_random_bytecode(code):
+    assume(reference_disasm.decode(code) is not None)
+    _check_blocks_decode_nothing(code)
+
+
+def test_blocks_decode_nothing_on_fixtures():
+    for fixture in [*fixtures.build_corpus(), fixtures.market_hub(3, 60)]:
+        _check_blocks_decode_nothing(fixture.bytecode)
 
 
 def test_analysis_decodes_only_what_the_engine_reaches(tmp_path, monkeypatch):

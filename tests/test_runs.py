@@ -238,8 +238,8 @@ def test_entry_depth_at_the_underflow_edge():
     code, _ = a.assemble()
     whole_steps, cfg = _compare(_unit(code), [(FN, 0)])
     assert whole_steps > 0
-    block = cfg.block_at[code.index(0x5B)]
-    assert (block.low, block.high) == (1, sx.MAX_STACK)
+    _, low, high = cfg.block_at[code.index(0x5B)]
+    assert (low, high) == (1, sx.MAX_STACK)
     result = Engine(_unit(code), cfg, FN, sx.unit_facts(_unit(code), ()),
                     ExplorationBudget()).explore(0)
     assert result.ends[END_REVERT, f"stack underflow at {code.index(0x5B) + 1} (POP)"] == 1
@@ -261,7 +261,8 @@ def test_entry_depth_at_the_overflow_edge():
     label = len(code) - 4
     whole_steps, cfg = _compare(_unit(code), [(FN, 0)])
     assert whole_steps > 0
-    assert (cfg.block_at[label].low, cfg.block_at[label].high) == (0, sx.MAX_STACK - 2)
+    _, low, high = cfg.block_at[label]
+    assert (low, high) == (0, sx.MAX_STACK - 2)
     result = Engine(_unit(code), cfg, FN, sx.unit_facts(_unit(code), ()),
                     ExplorationBudget()).explore(0)
     assert list(result.ends.items()) == [
@@ -297,18 +298,19 @@ def test_a_block_ending_in_an_unknown_byte_gets_its_ops_once(monkeypatch):
     its ops, and every exploration takes it whole."""
     code = bytes.fromhex("5b" "6001" "0c")  # JUMPDEST; PUSH1 1; unknown byte
     builds = Counter()
-    build_ops = sx._build_ops
+    block_form = sx._block_form
 
-    def counting(block):
-        builds[block.start_pc] += 1
-        return build_ops(block)
+    def counting(code, pc):
+        builds[pc] += 1
+        return block_form(code, pc)
 
-    monkeypatch.setattr(sx, "_build_ops", counting)
+    monkeypatch.setattr(sx, "_block_form", counting)
     whole_steps, cfg = _compare(_unit(code), [(FN, 0)], explorations=5)
-    (block,) = cfg.blocks
-    assert whole_steps == 5 * len(block.instructions)
+    assert cfg.blocks == [0]
+    ops, _, _ = cfg.block_at[0]
+    assert whole_steps == 5 * len(ops)
     assert builds == {0: 1}
-    assert block.ops[-1][0] is sx._unknown
+    assert ops[-1][0] is sx._unknown
 
 
 def test_ops_are_built_for_exactly_the_blocks_entered(tmp_path):
@@ -319,14 +321,13 @@ def test_ops_are_built_for_exactly_the_blocks_entered(tmp_path):
     facts = sx.unit_facts(unit, binding)
     cfg = build_cfg(disassemble(unit.runtime_bytecode))
     reference_cfg = build_cfg(disassemble(unit.runtime_bytecode))
-    starts = {b.start_pc for b in disassemble(unit.runtime_bytecode).blocks}
+    starts = set(disassemble(unit.runtime_bytecode).blocks)
     transfer_a, transfer_b = _targets(unit, select_target_functions(infos))
     reached = Counter()  # pc -> times the reference loop stepped it
     for fn, entry in [transfer_a, transfer_b, transfer_a]:
         Engine(unit, cfg, fn, facts, ExplorationBudget()).explore(entry)
         reference_explore.explore(_counting_steps(
             Engine(unit, reference_cfg, fn, facts, ExplorationBudget()), reached), entry)
-        built = {pc for pc, block in cfg.block_at.items() if block.ops is not None}
-        assert built
-        # ops for every block entered, and no block built or given ops unentered
-        assert set(cfg.block_at) == built == starts & set(reached)
+        assert cfg.block_at
+        # ops for every block entered, and for no block unentered
+        assert set(cfg.block_at) == starts & set(reached)

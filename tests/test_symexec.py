@@ -140,8 +140,8 @@ def test_storage_naming_from_layout():
 
 def test_storage_read_sees_own_writes():
     engine = _engine(b"\x00")
-    state = MachineState(pc=0)
-    engine.on_sstore(state, Const(3), Const(77))
+    state = MachineState(pc=0, stack=[Const(77), Const(3)])  # value, then the slot on top
+    engine.step(state, disassemble(b"\x55")[0])  # SSTORE
     assert engine._storage_read(state, Const(3)) == Const(77)
     assert state.sstore_mark
 
