@@ -26,7 +26,6 @@ class FunctionInfo:
     name: str
     selector: int | None  # absent for internal/private functions and until hashed
     params: tuple[tuple[str, str], ...]  # (name, canonical abi type)
-    src_span: Span
     visibility: str
     emits_transfer: bool
     # externally callable functions only; hashed by with_selectors
@@ -91,8 +90,8 @@ def function_infos(unit: CompilationUnit) -> list[FunctionInfo]:
         signature = None
         if visibility in EXTERNALLY_CALLABLE:
             signature = f"{name}({','.join(t for _, t in params)})"
-        infos.append(FunctionInfo(name, None, params, ast.span(fn), visibility,
-                                  emits_transfer, signature))
+        infos.append(FunctionInfo(name, None, params, visibility, emits_transfer,
+                                  signature))
     return infos
 
 

@@ -13,7 +13,7 @@ from sleepscan import evaluate as evaluate_mod
 from sleepscan import pipeline
 from sleepscan.detectors import ALL_DEFECT_TYPES, SHORT_CODES
 from sleepscan.disasm import disassemble, dump_listing
-from sleepscan.errors import SleepscanError, UnlabeledContract
+from sleepscan.errors import SleepscanError
 from sleepscan.ingestion import load_all
 
 
@@ -154,12 +154,11 @@ def _print_text_report(report: dict) -> None:
                    "as written by analyze --out, per file.")
 def evaluate(labels, reports_dir):
     """Score reports against hand labels (per-type precision)."""
-    label_list = evaluate_mod.load_labels(labels)
-    report_list = evaluate_mod.load_reports(reports_dir)
     try:
-        result = evaluate_mod.evaluate_corpus(label_list, report_list)
-    except UnlabeledContract as exc:
-        raise click.ClickException(f"contract {exc} has no label") from exc
+        result = evaluate_mod.evaluate_corpus(evaluate_mod.load_labels(labels),
+                                              evaluate_mod.load_reports(reports_dir))
+    except SleepscanError as exc:  # an unlabeled contract, a label or type it cannot score
+        raise click.ClickException(str(exc)) from exc
     for defect_type, score in result["per_type"].items():
         precision = score["precision"]
         text = f"{precision:.1f}%" if precision is not None else "n/a"

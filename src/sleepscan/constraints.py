@@ -81,7 +81,7 @@ class Constraint:
 
 def _relation_holds(relation: str, a: int, b: int) -> bool:
     op, truth = _RELATIONS[relation]
-    return sym.eval_op(op, (a, b)) == truth
+    return sym.eval_op(op, (a,) if op == "iszero" else (a, b)) == truth
 
 
 # --------------------------------------------------------------------------

@@ -9,7 +9,7 @@ way a manual audit would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from sleepscan import constraints as con
 from sleepscan.constraints import Constraint
@@ -21,25 +21,18 @@ UNRESTRICTED_FROM = "UnrestrictedFrom"
 OWNER_INCONSISTENCY = "OwnerInconsistency"
 EMPTY_TRANSFER_EVENT = "EmptyTransferEvent"
 
-ALL_DEFECT_TYPES = (
-    PRIVILEGED_ADDRESS,
-    UNRESTRICTED_FROM,
-    OWNER_INCONSISTENCY,
-    EMPTY_TRANSFER_EVENT,
-)
-
 SHORT_CODES = {
     "PA": PRIVILEGED_ADDRESS,
     "UF": UNRESTRICTED_FROM,
     "OI": OWNER_INCONSISTENCY,
     "ETE": EMPTY_TRANSFER_EVENT,
 }
+ALL_DEFECT_TYPES = tuple(SHORT_CODES.values())
 
 
 @dataclass(frozen=True)
 class Finding:
     defect_type: str
-    contract: str
     function: str
     src_span: Span  # the emission's source span
     witness: tuple[str, ...]
@@ -118,7 +111,6 @@ def detect_empty_transfer_event(recs: list[PathRecord]) -> Finding | None:
 def _finding(defect_type: str, rec: PathRecord, witness: tuple[str, ...]) -> Finding:
     return Finding(
         defect_type=defect_type,
-        contract="",
         function=rec.function.name,
         src_span=rec.emission_src,
         witness=witness,
@@ -129,35 +121,26 @@ def _finding(defect_type: str, rec: PathRecord, witness: tuple[str, ...]) -> Fin
 def analyze_contract(unit: CompilationUnit, records: list[PathRecord],
                      enabled: tuple[str, ...] = ALL_DEFECT_TYPES,
                      deadline: float | None = None) -> list[Finding]:
-    """Run every enabled detector over all records, dedupe per (type, function);
-    solver probes still running at ``deadline`` answer ``unknown``."""
+    """Run every enabled detector over ``unit``'s records, dedupe per (type,
+    function); solver probes still running at ``deadline`` answer ``unknown``."""
     by_function: dict[str, list[PathRecord]] = {}
     for rec in records:
         by_function.setdefault(rec.function.name, []).append(rec)
 
-    findings: list[Finding] = []
-    for fn_name, recs in by_function.items():
+    findings: list[Finding | None] = []  # None where a detector stayed silent
+    for recs in by_function.values():
         if EMPTY_TRANSFER_EVENT in enabled:
-            found = detect_empty_transfer_event(recs)
-            if found:
-                findings.append(found)
+            findings.append(detect_empty_transfer_event(recs))
         for rec in recs:
             if PRIVILEGED_ADDRESS in enabled:
-                found = detect_privileged_address(rec)
-                if found:
-                    findings.append(found)
+                findings.append(detect_privileged_address(rec))
             if UNRESTRICTED_FROM in enabled:
-                found = detect_unrestricted_from(rec, deadline)
-                if found:
-                    findings.append(found)
+                findings.append(detect_unrestricted_from(rec, deadline))
             if OWNER_INCONSISTENCY in enabled:
-                found = detect_owner_inconsistency(rec, deadline)
-                if found:
-                    findings.append(found)
+                findings.append(detect_owner_inconsistency(rec, deadline))
 
     deduped: dict[tuple[str, str], Finding] = {}
-    for finding in findings:
-        finding = replace(finding, contract=unit.contract_name)
+    for finding in filter(None, findings):
         key = (finding.defect_type, finding.function)
         previous = deduped.get(key)
         if previous is None or previous.confidence == "low" and finding.confidence == "high":

@@ -31,3 +31,7 @@ class EntryNotFound(SleepscanError):
 
 class UnlabeledContract(SleepscanError):
     """A report has no corresponding corpus label."""
+
+
+class UnscorableEntry(SleepscanError):
+    """A label without a contract, or a label or finding of an unknown type."""

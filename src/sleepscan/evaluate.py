@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from sleepscan.detectors import ALL_DEFECT_TYPES, SHORT_CODES
-from sleepscan.errors import UnlabeledContract
+from sleepscan.errors import UnlabeledContract, UnscorableEntry
 
 
 @dataclass(frozen=True)
@@ -17,16 +17,22 @@ class CorpusLabel:
     notes: str = ""
 
 
-def _canonical_type(value: str) -> str:
-    return SHORT_CODES.get(value, value)
+def _canonical_type(value: str, where: str) -> str:
+    defect_type = SHORT_CODES.get(value, value)
+    if defect_type not in ALL_DEFECT_TYPES:
+        raise UnscorableEntry(f"{where}: unknown defect type {value!r}")
+    return defect_type
 
 
 def load_labels(path) -> list[CorpusLabel]:
     doc = json.loads(Path(path).read_text())
     labels = []
-    for entry in doc:
+    for index, entry in enumerate(doc):
+        if "contract" not in entry:
+            raise UnscorableEntry(f"label {index} has no contract")
+        where = f"label {index} (contract {entry['contract']})"
         expected = tuple(
-            (_canonical_type(e["type"]), e.get("function", ""))
+            (_canonical_type(e["type"], where), e.get("function", ""))
             for e in entry.get("expected", [])
         )
         labels.append(CorpusLabel(entry["contract"], expected, entry.get("notes", "")))
@@ -64,11 +70,11 @@ def evaluate_corpus(labels: list[CorpusLabel], reports: list[dict]) -> dict:
         contract = report.get("contract", "")
         label = by_contract.get(contract)
         if label is None:
-            raise UnlabeledContract(contract)
+            raise UnlabeledContract(f"contract {contract} has no label")
         expected = set(label.expected)
         seen = set()
         for finding in report.get("findings", []):
-            defect_type = _canonical_type(finding["type"])
+            defect_type = _canonical_type(finding["type"], f"report of contract {contract}")
             fn_name = finding.get("function", "")
             if (defect_type, fn_name) in expected or (defect_type, "") in expected:
                 scores[defect_type].tp += 1

@@ -81,14 +81,14 @@ def analyze_unit(unit: CompilationUnit, config: RunConfig) -> dict:
         selectors.add(fn.selector)
         fn_started = time.monotonic()
         try:
-            result = explore_function(unit, cfg, fn, binding, budget, facts)
+            explored = explore_function(unit, cfg, fn, binding, budget, facts)
         except EntryNotFound:
             skipped.append(fn.name)
             continue
-        records.extend(result.records)
-        for (end_kind, _), count in result.ends.items():
+        records.extend(explored.records)
+        for (end_kind, _), count in explored.ends.items():
             path_records[end_kind] = path_records.get(end_kind, 0) + count
-        timed_out |= result.timed_out
+        timed_out |= explored.timed_out
         analyzed += 1
         per_function[fn.name] = round(per_function.get(fn.name, 0.0)
                                       + time.monotonic() - fn_started, 6)

@@ -120,88 +120,77 @@ def _to_signed(x: int) -> int:
     return x - (1 << 256) if x & SIGN_BIT else x
 
 
-def _sha3_concrete(args: tuple[int, ...]) -> int:
-    payload = b"".join(a.to_bytes(32, "big") for a in args)
+def _sdiv(a: int, b: int) -> int:
+    if b == 0:
+        return 0
+    sa, sb = _to_signed(a), _to_signed(b)
+    return (abs(sa) // abs(sb) * (1 if (sa < 0) == (sb < 0) else -1)) & MASK256
+
+
+def _smod(a: int, b: int) -> int:
+    if b == 0:
+        return 0
+    sa, sb = _to_signed(a), _to_signed(b)
+    return ((abs(sa) % abs(sb)) * (1 if sa >= 0 else -1)) & MASK256
+
+
+def _signextend(a: int, b: int) -> int:
+    if a >= 32:
+        return b
+    bit = 8 * a + 7
+    if b & (1 << bit):
+        return (b | (MASK256 - ((1 << (bit + 1)) - 1))) & MASK256
+    return b & ((1 << (bit + 1)) - 1)
+
+
+def _sar(a: int, b: int) -> int:
+    if a >= 256:
+        return MASK256 if b & SIGN_BIT else 0
+    return (_to_signed(b) >> a) & MASK256
+
+
+def _sha3(*words: int) -> int:
+    payload = b"".join(word.to_bytes(32, "big") for word in words)
     return int.from_bytes(keccak256(payload), "big")
+
+
+# operator -> its concrete 256-bit semantics, operands in stack order
+_SEMANTICS = {
+    "add": lambda a, b: (a + b) & MASK256,
+    "mul": lambda a, b: (a * b) & MASK256,
+    "sub": lambda a, b: (a - b) & MASK256,
+    "div": lambda a, b: a // b if b else 0,
+    "sdiv": _sdiv,
+    "mod": lambda a, b: a % b if b else 0,
+    "smod": _smod,
+    "addmod": lambda a, b, n: (a + b) % n if n else 0,
+    "mulmod": lambda a, b, n: (a * b) % n if n else 0,
+    "exp": lambda a, b: pow(a, b, 1 << 256),
+    "signextend": _signextend,
+    "lt": lambda a, b: int(a < b),
+    "gt": lambda a, b: int(a > b),
+    "slt": lambda a, b: int(_to_signed(a) < _to_signed(b)),
+    "sgt": lambda a, b: int(_to_signed(a) > _to_signed(b)),
+    "eq": lambda a, b: int(a == b),
+    "iszero": lambda a: int(a == 0),
+    "and": lambda a, b: a & b,
+    "or": lambda a, b: a | b,
+    "xor": lambda a, b: a ^ b,
+    "not": lambda a: a ^ MASK256,
+    "byte": lambda a, b: (b >> (8 * (31 - a))) & 0xFF if a < 32 else 0,
+    "shl": lambda a, b: (b << a) & MASK256 if a < 256 else 0,
+    "shr": lambda a, b: b >> a if a < 256 else 0,
+    "sar": _sar,
+    "sha3": _sha3,
+}
+
+# a hash is never folded: mapping slots keep their structure
+FOLDABLE = frozenset(_SEMANTICS) - {"sha3"}
 
 
 def eval_op(op: str, args: tuple[int, ...]) -> int:
     """Concrete 256-bit semantics for the modeled operator set."""
-    a = args[0] if args else 0
-    b = args[1] if len(args) > 1 else 0
-    if op == "add":
-        return (a + b) & MASK256
-    if op == "mul":
-        return (a * b) & MASK256
-    if op == "sub":
-        return (a - b) & MASK256
-    if op == "div":
-        return a // b if b else 0
-    if op == "sdiv":
-        if b == 0:
-            return 0
-        sa, sb = _to_signed(a), _to_signed(b)
-        return (abs(sa) // abs(sb) * (1 if (sa < 0) == (sb < 0) else -1)) & MASK256
-    if op == "mod":
-        return a % b if b else 0
-    if op == "smod":
-        if b == 0:
-            return 0
-        sa, sb = _to_signed(a), _to_signed(b)
-        return ((abs(sa) % abs(sb)) * (1 if sa >= 0 else -1)) & MASK256
-    if op == "addmod":
-        return (a + b) % args[2] if args[2] else 0
-    if op == "mulmod":
-        return (a * b) % args[2] if args[2] else 0
-    if op == "exp":
-        return pow(a, b, 1 << 256)
-    if op == "signextend":
-        if a >= 32:
-            return b
-        bit = 8 * a + 7
-        if b & (1 << bit):
-            return (b | (MASK256 - ((1 << (bit + 1)) - 1))) & MASK256
-        return b & ((1 << (bit + 1)) - 1)
-    if op == "lt":
-        return int(a < b)
-    if op == "gt":
-        return int(a > b)
-    if op == "slt":
-        return int(_to_signed(a) < _to_signed(b))
-    if op == "sgt":
-        return int(_to_signed(a) > _to_signed(b))
-    if op == "eq":
-        return int(a == b)
-    if op == "iszero":
-        return int(a == 0)
-    if op == "and":
-        return a & b
-    if op == "or":
-        return a | b
-    if op == "xor":
-        return a ^ b
-    if op == "not":
-        return a ^ MASK256
-    if op == "byte":
-        return (b >> (8 * (31 - a))) & 0xFF if a < 32 else 0
-    if op == "shl":
-        return (b << a) & MASK256 if a < 256 else 0
-    if op == "shr":
-        return b >> a if a < 256 else 0
-    if op == "sar":
-        if a >= 256:
-            return MASK256 if b & SIGN_BIT else 0
-        return (_to_signed(b) >> a) & MASK256
-    if op == "sha3":
-        return _sha3_concrete(args)
-    raise KeyError(op)
-
-
-FOLDABLE = frozenset([
-    "add", "mul", "sub", "div", "sdiv", "mod", "smod", "addmod", "mulmod",
-    "exp", "signextend", "lt", "gt", "slt", "sgt", "eq", "iszero",
-    "and", "or", "xor", "not", "byte", "shl", "shr", "sar",
-])
+    return _SEMANTICS[op](*args)
 
 
 def make_op(op: str, *args: SymValue) -> SymValue:

@@ -9,7 +9,7 @@ its record carries the store mark at the path's exit.
 
 A path record is kept only for a Transfer emission on a path that exits
 normally; every path end, and every emission, is counted by
-``(end kind, diagnostic)`` in ``ExplorationResult.ends``.
+``(end kind, diagnostic)`` in ``Engine.ends``.
 
 External calls are not followed: they produce a fresh value and taint the
 path, and findings on tainted paths are downgraded, not suppressed.
@@ -19,14 +19,17 @@ and emission snapshots) is held in tuples that grow by building a new tuple,
 so a fork shares them with its parent; it copies only the stack and the loop
 counts, the two things a path changes in place.
 
-Every opcode's semantics is one handler in ``_DISPATCH``, the checkpoints
-and an unknown byte's included; ``Engine.step`` runs one instruction after
-its stack-depth checks. ``Engine.explore`` runs straight-line code a basic
-block of the unit's ``Code`` at a time: every path enters a block at its
-start, so no pc inside a block is ever looked up. When a path first enters
-a block, ``_block_form`` decodes it and builds its execution form: its ops
-(each instruction's handler, and a PUSH's value as a ``Const``) and the
-lowest and highest entry stack depth at which none of them underflows or
+Every opcode's semantics is one handler in ``_DISPATCH``, an unknown byte's
+included, and so are the CALLDATALOAD, storage and LOG4 checkpoints. The
+owner checkpoint is in no handler: ``explore`` and ``Engine.step`` run it
+after each instruction that falls through, and ``_jump`` and ``_jumpi`` run
+it themselves. ``Engine.step`` runs one instruction after its stack-depth
+checks. ``Engine.explore`` runs straight-line code a basic block of the
+unit's ``Code`` at a time: every path enters a block at its start, so no pc
+inside a block is ever looked up. When a path first enters a block,
+``_block_form`` decodes it and builds its execution form: its ops (each
+instruction's handler, and a PUSH's value as a ``Const``) and the lowest
+and highest entry stack depth at which none of them underflows or
 overflows. It keeps the form in ``Code.block_at``, so every function of the
 unit shares it and code no path reaches is never decoded. A block is taken
 whole when the stack depth lies in that range, no deadline read (every 256
@@ -121,8 +124,9 @@ class MachineState:
 class PathRecord:
     """One Transfer emission on a path that exited normally."""
 
+    end_kind = END_EMISSION  # a class attribute: every record is an emission
+
     function: FunctionInfo
-    end_kind: str  # always END_EMISSION
     constraints: tuple[Constraint, ...]
     owner_trace: tuple[SymValue, ...]
     from_param: SymValue | None
@@ -131,17 +135,6 @@ class PathRecord:
     path_id: int
     emission_pc: int
     emission_src: Span
-
-
-@dataclass
-class ExplorationResult:
-    records: list[PathRecord]
-    # (end kind, diagnostic) -> paths; each emission counts once more, as
-    # transfer-emission on a normal exit and as budget-exhausted on a cut
-    ends: Counter
-    timed_out: bool = False
-    steps_used: int = 0
-    paths_finished: int = 0
 
 
 class _KillPath(Exception):
@@ -186,6 +179,8 @@ class Engine:
         # the entry holds the condition, so its id is not reused
         self.branch_constraints: dict[int, tuple] = {}
         self.records: list[PathRecord] = []
+        # (end kind, diagnostic) -> paths; each emission counts once more, as
+        # transfer-emission on a normal exit and as budget-exhausted on a cut
         self.ends: Counter = Counter()
         self.steps_used = 0
         self.paths_finished = 0
@@ -326,7 +321,6 @@ class Engine:
             if end_kind == END_EXIT:
                 self.records.extend(PathRecord(
                     function=self.fn,
-                    end_kind=END_EMISSION,
                     constraints=snapshot.constraints,
                     owner_trace=snapshot.owner_trace,
                     from_param=self.param_vars.get(0) or snapshot.from_topic,
@@ -340,7 +334,7 @@ class Engine:
 
     # -- exploration loop ---------------------------------------------------
 
-    def explore(self, entry_pc: int) -> ExplorationResult:
+    def explore(self, entry_pc: int) -> "Engine":
         budget = self.budget
         code = self.cfg
         blocks = code.block_at
@@ -413,8 +407,7 @@ class Engine:
                     break
                 state = successors[0]
         self.steps_used = steps
-        return ExplorationResult(self.records, self.ends, self.timed_out,
-                                 self.steps_used, self.paths_finished)
+        return self
 
 
 # --------------------------------------------------------------------------
@@ -734,10 +727,11 @@ def _span_contains(outer: Span, inner: Span) -> bool:
 def explore_function(unit: CompilationUnit, cfg: Code, fn: FunctionInfo,
                      binding: tuple[Span, ...],
                      budget: ExplorationBudget | None = None,
-                     facts: UnitFacts | None = None) -> ExplorationResult:
-    """Explore ``fn`` from its dispatcher entry: its emission records and
-    counted path ends. ``facts`` is ``unit_facts(unit, binding)``, built here
-    when the caller has not built it once for the unit."""
+                     facts: UnitFacts | None = None) -> Engine:
+    """Explore ``fn`` from its dispatcher entry; the engine returned holds
+    its emission records and counted path ends. ``facts`` is
+    ``unit_facts(unit, binding)``, built here when the caller has not built
+    it once for the unit."""
     if budget is None:
         budget = ExplorationBudget()
     if fn.selector is None:

@@ -9,7 +9,7 @@ from sleepscan import symexec as sx
 from sleepscan.disasm import disassemble
 
 
-def explore(engine: sx.Engine, entry_pc: int) -> sx.ExplorationResult:
+def explore(engine: sx.Engine, entry_pc: int) -> sx.Engine:
     budget = engine.budget
     code = {instr.pc: instr for instr in disassemble(engine.unit.runtime_bytecode)}
     steps = engine.steps_used
@@ -44,5 +44,4 @@ def explore(engine: sx.Engine, entry_pc: int) -> sx.ExplorationResult:
                 break
             state = successors[0]
     engine.steps_used = steps
-    return sx.ExplorationResult(engine.records, engine.ends, engine.timed_out,
-                                engine.steps_used, engine.paths_finished)
+    return engine

@@ -23,11 +23,11 @@ from sleepscan.detectors import (
 )
 from sleepscan.ingestion import CompilationUnit
 from sleepscan.sym import Const, Op, Var
-from sleepscan.symexec import END_EMISSION, PathRecord
+from sleepscan.symexec import PathRecord
 
 FN = FunctionInfo("transferFrom", 0x23B872DD,
                   (("from", "address"), ("to", "address"), ("tokenId", "uint256")),
-                  (10, 40, 0), "external", True)
+                  "external", True)
 
 CALLER = Var("msg.sender", sym.Environment("caller"), is_address=True)
 FROM = Var("from", sym.Parameter(0), is_address=True)
@@ -43,7 +43,6 @@ def record(*, constraints=(), owner_trace=(),
            from_param=FROM, mark_at_exit=True, tainted=False, path_id=0) -> PathRecord:
     return PathRecord(
         function=FN,
-        end_kind=END_EMISSION,
         constraints=tuple(constraints),
         owner_trace=owner_trace,
         from_param=from_param,
@@ -183,7 +182,6 @@ def test_analyze_contract_dedupes_and_prefers_high_confidence():
         findings = analyze_contract(_unit(), ordering)
         assert len(findings) == 1
         assert findings[0].confidence == "high"
-        assert findings[0].contract == "Demo"
 
 
 def test_analyze_contract_honors_enabled_subset():

@@ -492,6 +492,42 @@ def test_cli_evaluate_names_an_unlabeled_contract(runner, corpus_dir, tmp_path):
     assert "contract GuardedGallery has no label" in result.output
 
 
+def _evaluate_one_error_line(runner, tmp_path, labels, report) -> str:
+    """Run ``evaluate`` on ``labels`` and one report; it must exit 1 with a
+    single line of output."""
+    reports_dir = tmp_path / "reports"
+    reports_dir.mkdir()
+    (reports_dir / "a.json").write_text(json.dumps(report))
+    labels_path = tmp_path / "labels.json"
+    labels_path.write_text(json.dumps(labels))
+    result = runner.invoke(main, ["evaluate", "--labels", str(labels_path),
+                                  "--reports", str(reports_dir)])
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    (line,) = result.output.splitlines()
+    return line
+
+
+def test_cli_evaluate_names_a_label_without_a_contract(runner, tmp_path):
+    labels = [{"contract": "A"}, {"expected": [{"type": "PA"}]}]
+    line = _evaluate_one_error_line(runner, tmp_path, labels,
+                                    {"contract": "A", "findings": []})
+    assert line == "Error: label 1 has no contract"
+
+
+def test_cli_evaluate_names_a_label_of_an_unknown_type(runner, tmp_path):
+    labels = [{"contract": "A", "expected": [{"type": "XX", "function": "f"}]}]
+    line = _evaluate_one_error_line(runner, tmp_path, labels,
+                                    {"contract": "A", "findings": []})
+    assert line == "Error: label 0 (contract A): unknown defect type 'XX'"
+
+
+def test_cli_evaluate_names_a_finding_of_an_unknown_type(runner, tmp_path):
+    report = {"contract": "A", "findings": [{"type": "XX", "function": "f"}]}
+    line = _evaluate_one_error_line(runner, tmp_path, [{"contract": "A"}], report)
+    assert line == "Error: report of contract A: unknown defect type 'XX'"
+
+
 def test_cli_evaluate_reads_the_analyze_out_file(runner, corpus_dir, tmp_path):
     reports_dir = tmp_path / "reports"
     reports_dir.mkdir()

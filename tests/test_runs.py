@@ -36,7 +36,7 @@ def _unit(code: bytes, spans=None) -> CompilationUnit:
     return CompilationUnit("T", code, spans, EMPTY_AST, {0: ""}, (0, 8, 17))
 
 
-def _outcome(result: sx.ExplorationResult) -> tuple:
+def _outcome(result: sx.Engine) -> tuple:
     return (result.records, list(result.ends.items()), result.steps_used,
             result.paths_finished, result.timed_out)
 

@@ -9,7 +9,7 @@ import oracle_evm
 import progs
 
 from sleepscan import constraints as cs
-from sleepscan import opcodes, pipeline, sym
+from sleepscan import disasm, opcodes, pipeline, sym
 from sleepscan import symexec as sx
 from sleepscan.astview import FunctionInfo
 from sleepscan.disasm import build_cfg, disassemble
@@ -32,7 +32,6 @@ FN = FunctionInfo(
     name="transferFrom",
     selector=0x23B872DD,
     params=(("from", "address"), ("to", "address"), ("tokenId", "uint256")),
-    src_span=(0, 0, 0),
     visibility="external",
     emits_transfer=True,
 )
@@ -425,7 +424,7 @@ def test_fork_sides_keep_their_own_writes_and_share_the_history():
 
 
 def test_explore_function_requires_selector():
-    internal = FunctionInfo("_transfer", None, (), (0, 0, 0), "internal", True)
+    internal = FunctionInfo("_transfer", None, (), "internal", True)
     code = b"\x00"
     unit = CompilationUnit("T", code, [GENERATED], None, {0: ""}, (0, 8, 17))
     cfg = build_cfg(disassemble(code))
@@ -597,6 +596,26 @@ def test_every_byte_steps_or_ends_the_path(byte):
     else:
         engine.step(state, instr)
         assert len(state.stack) == entry[2]
+
+
+@pytest.mark.parametrize("operands", ["symbols", "constants"])
+def test_only_a_block_end_forks_or_ends_a_path(operands):
+    """Whole-block execution runs a block's ops without looking at their
+    successors, so every byte the partition does not end a block after must
+    step to the next instruction on a stack of exactly its operands."""
+    for byte in range(256):
+        if disasm._BLOCK_END[byte]:
+            continue
+        pops = opcodes.TABLE[byte][1]
+        push_width = byte - 0x5F if 0x60 <= byte <= 0x7F else 0
+        engine = _engine(bytes([byte]) + bytes(push_width))
+        instr = disassemble(engine.unit.runtime_bytecode)[0]
+        stack = [Var(f"w{index}", FreshExternal("test")) if operands == "symbols"
+                 else Const(index) for index in range(pops)]
+        state = MachineState(pc=0, stack=stack)
+        successors = engine.step(state, instr)
+        assert len(successors) == 1 and successors[0] is state, instr.name
+        assert state.pc == instr.next_pc, instr.name
 
 
 LOOP = bytes.fromhex("5b" "6000" "56")  # JUMPDEST; PUSH 0; JUMP (forever)
