@@ -1,13 +1,14 @@
 """AST-driven target-function pruning, ownerOf return-binding discovery and
 the storage layout.
 
-Everything here reads the unit's ``Ast`` through its groups, which the load
-walk built, and walks nothing itself. A function emits ``Transfer`` when its
-body calls ``Transfer`` with 3 arguments, under ``emit`` or not (Solidity
-before 0.4.21 has no ``emit``); overloads with other arities are ignored.
-Emission propagates through same-unit internal calls by name: the canonical
-``transferFrom`` emits only via an internal ``_transfer``, so without the
-call-graph closure the very functions we care about would be pruned away.
+Everything here reads the unit's function table (``Ast.functions`` and
+``Ast.state_variables``), which the load walk built, and knows no AST node.
+A function emits ``Transfer`` when its body calls ``Transfer`` with 3
+arguments, under ``emit`` or not (Solidity before 0.4.21 has no ``emit``);
+overloads with other arities are ignored. Emission propagates through
+same-unit internal calls by name: the canonical ``transferFrom`` emits only
+via an internal ``_transfer``, so without the call-graph closure the very
+functions we care about would be pruned away.
 """
 
 from __future__ import annotations
@@ -53,44 +54,28 @@ def canonical_type(type_string: str) -> str:
 
 def _transfer_closure(ast: Ast) -> list[bool]:
     """Per-function emits_transfer, closed over same-unit calls by name."""
-    by_name: dict[str, list[int]] = {}
-    for idx, fn in enumerate(ast.kinds.get("FunctionDefinition", ())):
-        by_name.setdefault(ast.get(fn, "name") or "", []).append(idx)
-    calls = [[ast.call(call) for call in body.get("FunctionCall", ())] for body in ast.bodies]
-    emits = [("Transfer", 3) in fn_calls for fn_calls in calls]
-    called = [{name for name, _ in fn_calls if name} for fn_calls in calls]
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(calls)):
-            if emits[idx]:
-                continue
-            for callee_name in called[idx]:
-                if any(emits[j] for j in by_name.get(callee_name, ())):
-                    emits[idx] = True
-                    changed = True
-                    break
-    return emits
+    emits = [("Transfer", 3) in fn.calls for fn in ast.functions]
+    while True:
+        emitting = {fn.name for fn, emits_transfer in zip(ast.functions, emits) if emits_transfer}
+        closed = [emits_transfer or any(name and name in emitting for name, _ in fn.calls)
+                  for fn, emits_transfer in zip(ast.functions, emits)]
+        if closed == emits:
+            return emits
+        emits = closed
 
 
 def function_infos(unit: CompilationUnit) -> list[FunctionInfo]:
     """Every named function, with the signature of each externally callable
     one; no selector is hashed here (see ``with_selectors``)."""
-    ast = unit.ast
-    functions = ast.kinds.get("FunctionDefinition", ())
     infos = []
-    for fn, emits_transfer in zip(functions, _transfer_closure(ast)):
-        name = ast.get(fn, "name")
-        if not name:  # constructor / fallback / receive
+    for fn, emits_transfer in zip(unit.ast.functions, _transfer_closure(unit.ast)):
+        if not fn.name:  # constructor / fallback / receive
             continue
-        visibility = ast.get(fn, "visibility") or "public"
-        params = tuple((ast.get(decl, "name") or "",
-                        canonical_type(ast.get(decl, "typeString") or ""))
-                       for decl in ast.parameters(fn))
-        signature = None
-        if visibility in EXTERNALLY_CALLABLE:
-            signature = f"{name}({','.join(t for _, t in params)})"
-        infos.append(FunctionInfo(name, None, params, visibility, emits_transfer,
+        visibility = fn.visibility or "public"
+        params = tuple((name, canonical_type(type_string)) for name, type_string in fn.parameters)
+        signature = (f"{fn.name}({','.join(t for _, t in params)})"
+                     if visibility in EXTERNALLY_CALLABLE else None)
+        infos.append(FunctionInfo(fn.name, None, params, visibility, emits_transfer,
                                   signature))
     return infos
 
@@ -122,11 +107,7 @@ def find_owner_return_binding(unit: CompilationUnit) -> tuple[Span, ...]:
     Overrides included, so the engine can match whichever body actually
     executes; ``()`` when the unit has no ``ownerOf`` return.
     """
-    ast = unit.ast
-    spans = [ast.span(ret)
-             for fn, body in zip(ast.kinds.get("FunctionDefinition", ()), ast.bodies)
-             if ast.get(fn, "name") == "ownerOf"
-             for ret in body.get("Return", ())]
+    spans = [span for fn in unit.ast.functions if fn.name == "ownerOf" for span in fn.returns]
     return tuple(sorted(spans, key=lambda s: (s[2], s[0])))
 
 
@@ -150,16 +131,5 @@ class SlotInfo:
 
 
 def storage_layout(unit: CompilationUnit) -> dict[int, SlotInfo]:
-    ast = unit.ast
-    layout: dict[int, SlotInfo] = {}
-    slot = 0
-    for contract in ast.kinds.get("ContractDefinition", ()):
-        for child in ast.children(contract):
-            if ast.kind(child) != "VariableDeclaration":
-                continue
-            if ast.get(child, "stateVariable") is False:
-                continue
-            layout[slot] = SlotInfo(ast.get(child, "name") or f"slot{slot}",
-                                    ast.get(child, "typeString") or "")
-            slot += 1
-    return layout
+    return {slot: SlotInfo(name or f"slot{slot}", type_string)
+            for slot, (name, type_string) in enumerate(unit.ast.state_variables)}

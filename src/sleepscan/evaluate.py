@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from sleepscan.detectors import ALL_DEFECT_TYPES, SHORT_CODES
@@ -17,23 +17,38 @@ class CorpusLabel:
     notes: str = ""
 
 
-def _canonical_type(value: str, where: str) -> str:
-    defect_type = SHORT_CODES.get(value, value)
+def _read_json(path: Path, what: str):
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise UnscorableEntry(f"{what} {path} is not JSON: {exc}") from exc
+
+
+def _defect_type(entry: object, where: str, what: str) -> str:
+    """The canonical type of ``entry``, an expected item or a finding."""
+    if not isinstance(entry, dict) or "type" not in entry:
+        raise UnscorableEntry(f"{where}: {what} is not an object with a type")
+    value = entry["type"]
+    defect_type = SHORT_CODES.get(value, value) if isinstance(value, str) else None
     if defect_type not in ALL_DEFECT_TYPES:
         raise UnscorableEntry(f"{where}: unknown defect type {value!r}")
     return defect_type
 
 
 def load_labels(path) -> list[CorpusLabel]:
-    doc = json.loads(Path(path).read_text())
+    doc = _read_json(Path(path), "labels file")
+    if not isinstance(doc, list):
+        raise UnscorableEntry(f"labels file {path} is not a JSON list")
     labels = []
     for index, entry in enumerate(doc):
+        if not isinstance(entry, dict):
+            raise UnscorableEntry(f"label {index} is not a JSON object")
         if "contract" not in entry:
             raise UnscorableEntry(f"label {index} has no contract")
         where = f"label {index} (contract {entry['contract']})"
         expected = tuple(
-            (_canonical_type(e["type"], where), e.get("function", ""))
-            for e in entry.get("expected", [])
+            (_defect_type(e, where, f"expected item {i}"), e.get("function", ""))
+            for i, e in enumerate(entry.get("expected", []))
         )
         labels.append(CorpusLabel(entry["contract"], expected, entry.get("notes", "")))
     return labels
@@ -44,8 +59,11 @@ def load_reports(directory) -> list[dict]:
     JSON list (as ``analyze --out`` writes) gives each of its reports."""
     reports = []
     for path in sorted(Path(directory).glob("*.json")):
-        doc = json.loads(path.read_text())
-        reports.extend(doc if isinstance(doc, list) else [doc])
+        doc = _read_json(path, "report file")
+        for index, report in enumerate(doc if isinstance(doc, list) else [doc]):
+            if not isinstance(report, dict):
+                raise UnscorableEntry(f"report {index} of {path} is not a JSON object")
+            reports.append(report)
     return reports
 
 
@@ -73,8 +91,9 @@ def evaluate_corpus(labels: list[CorpusLabel], reports: list[dict]) -> dict:
             raise UnlabeledContract(f"contract {contract} has no label")
         expected = set(label.expected)
         seen = set()
-        for finding in report.get("findings", []):
-            defect_type = _canonical_type(finding["type"], f"report of contract {contract}")
+        for index, finding in enumerate(report.get("findings", [])):
+            defect_type = _defect_type(finding, f"report of contract {contract}",
+                                       f"finding {index}")
             fn_name = finding.get("function", "")
             if (defect_type, fn_name) in expected or (defect_type, "") in expected:
                 scores[defect_type].tp += 1
@@ -86,21 +105,10 @@ def evaluate_corpus(labels: list[CorpusLabel], reports: list[dict]) -> dict:
             if (defect_type, fn_name) not in seen and (defect_type, "") not in seen:
                 scores[defect_type].fn += 1
 
-    total_tp = sum(s.tp for s in scores.values())
-    total_found = sum(s.tp + s.fp for s in scores.values())
+    overall = TypeScore(sum(s.tp for s in scores.values()), sum(s.fp for s in scores.values()))
     return {
-        "per_type": {
-            defect_type: {
-                "TP": score.tp,
-                "FP": score.fp,
-                "FN": score.fn,
-                "precision": score.precision,
-            }
-            for defect_type, score in scores.items()
-        },
-        "overall": {
-            "TP": total_tp,
-            "total": total_found,
-            "precision": 100.0 * total_tp / total_found if total_found else None,
-        },
+        "per_type": {defect_type: {"TP": s.tp, "FP": s.fp, "FN": s.fn, "precision": s.precision}
+                     for defect_type, s in scores.items()},
+        "overall": {"TP": overall.tp, "total": overall.tp + overall.fp,
+                    "precision": overall.precision},
     }

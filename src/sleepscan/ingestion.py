@@ -6,8 +6,9 @@ Two input layouts are accepted:
      ``<name>.ast.json`` and ``<name>.sol``.
 
 The deployed (runtime) bytecode and its source map are used throughout; the
-defect-bearing functions live in runtime code, not the constructor. The AST
-is read in place, in either compiler era's layout, through ``Ast``.
+defect-bearing functions live in runtime code, not the constructor. ``Ast``
+reads the AST once, in either compiler era's layout, into a function table;
+no other module knows AST nodes.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from sleepscan.errors import MalformedItem, MissingArtifact, VersionUnparseable
 
@@ -142,9 +144,10 @@ def _cbor_item_end(data: bytes, pos: int) -> int:
 
 
 # --------------------------------------------------------------------------
-# the AST, read in place (modern nodeType-based or legacy name/children JSON)
+# the AST, read once into a function table (modern nodeType-based or legacy
+# name/children JSON)
 
-# kind -> the string attributes astview reads from it, checked at load
+# kind -> the string attributes the walk reads from it, checked at load
 _READS = {
     "FunctionDefinition": ("name", "visibility"),
     "VariableDeclaration": ("name", "typeString"),
@@ -156,29 +159,36 @@ _READS = {
 _LEGACY_KEYS = {"memberName": "member_name", "typeString": "type"}
 
 
-class Ast:
-    """One source file's AST JSON, kept as the compiler wrote it.
+class FunctionRow(NamedTuple):
+    """One function definition, as the load walk read it."""
 
-    One walk at load checks every node and groups the nodes by kind in
-    document (pre-)order: ``kinds`` for the whole file, and ``bodies[i]``
-    for the descendants of ``kinds["FunctionDefinition"][i]``. Only this
-    class knows the two layouts: the modern ``nodeType`` form and the
-    ``name``/``attributes``/``children`` form of solc before 0.5. Nothing in
-    the groups refers back to the ``Ast``.
+    name: str  # "" for a constructor, fallback or receive
+    visibility: str | None
+    parameters: tuple[tuple[str, str], ...]  # (name, type string), "" where absent
+    calls: frozenset[tuple[str, int]]  # (callee name or "", argument count)
+    returns: tuple[Span, ...]  # of each Return in the body
+
+
+class Ast:
+    """One source file's AST, read by one checking walk at load into a
+    function table that keeps no node of the JSON. Only this class knows the
+    modern ``nodeType`` layout and the ``name``/``attributes``/``children``
+    one of solc before 0.5.
+
+    ``functions``: a row per function definition, in document (pre-)order; a
+    row's body ends at a nested definition. ``state_variables``: the (name,
+    type string) of each variable a contract declares, "" where absent.
     """
 
-    __slots__ = ("legacy", "kinds", "bodies")
+    __slots__ = ("legacy", "functions", "state_variables")
 
     def __init__(self, doc: dict):
-        if "nodeType" in doc:
-            self.legacy = False
-        elif "name" in doc and ("children" in doc or "attributes" in doc):
-            self.legacy = True
-        else:
+        self.legacy = "nodeType" not in doc
+        if self.legacy and not ("name" in doc and ("children" in doc or "attributes" in doc)):
             raise MissingArtifact("unrecognized AST JSON shape")
-        kinds: dict[str, list[dict]] = {}
-        bodies: list[dict[str, list[dict]]] = []
-        body = None  # the groups of the function being walked; functions do not nest
+        functions: list[tuple[dict, list[dict]]] = []  # node, its calls and returns
+        declared: list[dict] = []  # the children of every contract
+        body = None  # of the function being walked; functions do not nest
         stack: list[dict | None] = [doc]
         while stack:
             node = stack.pop()
@@ -186,16 +196,31 @@ class Ast:
                 body = None
                 continue
             kind = self._checked_kind(node)
-            kinds.setdefault(kind, []).append(node)
-            if body is not None:
-                body.setdefault(kind, []).append(node)
+            if body is not None and kind in ("FunctionCall", "Return"):
+                body.append(node)
+            children = self._children(node)
             if kind == "FunctionDefinition":
-                body = {}
-                bodies.append(body)
+                body = []
+                functions.append((node, body))
                 stack.append(None)
-            stack += reversed(self.children(node))
-        self.kinds = kinds
-        self.bodies = bodies
+            elif kind == "ContractDefinition":
+                declared += children
+            stack += reversed(children)
+        # every node is checked by now, so reading the table cannot fail
+        self.functions = [self._row(fn, body) for fn, body in functions]
+        self.state_variables = [self._declaration(node) for node in declared
+                                if self._kind(node) == "VariableDeclaration"
+                                and self._get(node, "stateVariable") is not False]
+
+    def _row(self, fn: dict, body: list[dict]) -> FunctionRow:
+        return FunctionRow(
+            self._get(fn, "name") or "", self._get(fn, "visibility"),
+            tuple(map(self._declaration, self._parameters(fn))),
+            frozenset(self._call(node) for node in body if self._kind(node) == "FunctionCall"),
+            tuple(self._span(node) for node in body if self._kind(node) == "Return"))
+
+    def _declaration(self, decl: dict) -> tuple[str, str]:
+        return self._get(decl, "name") or "", self._get(decl, "typeString") or ""
 
     def _checked_kind(self, node: dict) -> str:
         if self.legacy:
@@ -204,25 +229,22 @@ class Ast:
         else:
             kind = _json_string(node["nodeType"], "nodeType of an AST node")
         for key in _READS.get(kind, ()):
-            value = self.get(node, key)
+            value = self._get(node, key)
             if value is not None:
                 _json_string(value, f"{key} of AST node {kind}")
         return kind
 
-    def kind(self, node: dict) -> str:
+    def _kind(self, node: dict) -> str:
         return node["name"] if self.legacy else node["nodeType"]
 
-    def span(self, node: dict) -> Span:
-        src = node.get("src")
-        if not isinstance(src, str):
-            return (-1, 0, -1)
-        parts = src.split(":")
-        try:
+    def _span(self, node: dict) -> Span:
+        try:  # "start:length:file"; no span when "src" is absent or not that
+            parts = node.get("src").split(":")
             return (int(parts[0]), int(parts[1]), int(parts[2]) if len(parts) > 2 else -1)
-        except (ValueError, IndexError):
+        except (AttributeError, ValueError, IndexError):
             return (-1, 0, -1)
 
-    def children(self, node: dict) -> list[dict]:
+    def _children(self, node: dict) -> list[dict]:
         """The node's child nodes in document order."""
         if self.legacy:
             children = node.get("children") or []
@@ -241,7 +263,7 @@ class Ast:
                              if type(item) is dict and "nodeType" in item]
         return children
 
-    def get(self, node: dict, key: str):
+    def _get(self, node: dict, key: str):
         """Attribute ``key`` of ``node`` (one of ``_READS``'s, or
         ``stateVariable``); None when absent."""
         if self.legacy:
@@ -255,32 +277,31 @@ class Ast:
                 return None
         return node.get(key)
 
-    def call(self, node: dict) -> tuple[str, int]:
+    def _call(self, node: dict) -> tuple[str, int]:
         """A ``FunctionCall``'s callee name and argument count, by field. The
         name is an identifier's or a member access's, else ""."""
         if self.legacy:
-            callee, *arguments = self.children(node) or [None]
+            callee, *arguments = self._children(node) or [None]
         else:
             callee, arguments = node.get("expression"), node.get("arguments")
             if not (isinstance(callee, dict) and "nodeType" in callee):
                 callee = None
             if not isinstance(arguments, list):
                 arguments = []
-        kind = callee and self.kind(callee)
+        kind = callee and self._kind(callee)
         key = {"Identifier": "name", "MemberAccess": "memberName"}.get(kind)
-        return (key and self.get(callee, key)) or "", len(arguments)
+        return (key and self._get(callee, key)) or "", len(arguments)
 
-    def parameters(self, fn: dict) -> list[dict]:
+    def _parameters(self, fn: dict) -> list[dict]:
         """A ``FunctionDefinition``'s parameter declarations."""
         if self.legacy:
-            plist = next((c for c in self.children(fn) if c["name"] == "ParameterList"), None)
+            plist = next((c for c in self._children(fn) if c["name"] == "ParameterList"), {})
         else:
             plist = fn.get("parameters")
             if not (isinstance(plist, dict) and plist.get("nodeType") == "ParameterList"):
-                plist = None
-        if plist is None:
-            return []
-        return [decl for decl in self.children(plist) if self.kind(decl) == "VariableDeclaration"]
+                plist = {}
+        return [decl for decl in self._children(plist)
+                if self._kind(decl) == "VariableDeclaration"]
 
 
 # --------------------------------------------------------------------------

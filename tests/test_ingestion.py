@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import astbuild as ab
 import fixtures as corpus
 from evmasm import decode_source_map_reference, encode_source_map
 
 from sleepscan.errors import MalformedItem, MissingArtifact, VersionUnparseable
 from sleepscan.ingestion import (
     Ast,
+    FunctionRow,
     decode_source_map,
     load_all,
     load_compilation,
@@ -136,7 +138,7 @@ def test_strip_is_idempotent(data):
 
 
 # --------------------------------------------------------------------------
-# the AST, read in place
+# the AST, read into a function table
 
 
 def test_modern_ast_shape():
@@ -155,12 +157,8 @@ def test_modern_ast_shape():
     }
     ast = Ast(doc)
     assert not ast.legacy
-    assert ast.kinds["SourceUnit"] == [doc]
-    assert ast.span(doc) == (0, 100, 0)
-    (decl,) = ast.kinds["VariableDeclaration"]
-    assert decl is decl_doc  # read in place, not copied
-    assert ast.get(decl, "name") == "owner"
-    assert ast.get(decl, "typeString") == "address"  # from typeDescriptions
+    assert ast.functions == []
+    assert ast.state_variables == [("owner", "address")]  # type from typeDescriptions
 
 
 def test_legacy_ast_shape():
@@ -176,11 +174,8 @@ def test_legacy_ast_shape():
         }],
     })
     assert ast.legacy
-    (contract,) = ast.kinds["ContractDefinition"]
-    assert ast.get(contract, "name") == "C"
-    assert ast.span(contract) == (0, 90, 0)
-    (decl,) = ast.children(contract)
-    assert ast.get(decl, "typeString") == "address"  # legacy "type"
+    assert ast.functions == []
+    assert ast.state_variables == [("owner", "address")]  # legacy "type"
 
 
 def test_calls_are_read_by_field_in_either_key_order():
@@ -188,8 +183,11 @@ def test_calls_are_read_by_field_in_either_key_order():
             "arguments": [{"nodeType": "Identifier", "src": "0:1:0", "name": "a"}],
             "expression": {"nodeType": "MemberAccess", "src": "0:1:0",
                            "memberName": "_transfer"}}
-    ast = Ast({"nodeType": "ExpressionStatement", "src": "0:1:0", "expression": call})
-    assert ast.call(call) == ("_transfer", 1)
+    ast = Ast({"nodeType": "FunctionDefinition", "src": "0:1:0", "name": "f",
+               "body": {"nodeType": "ExpressionStatement", "src": "0:1:0",
+                        "expression": call}})
+    (fn,) = ast.functions
+    assert fn.calls == {("_transfer", 1)}
 
 
 def test_function_bodies_are_grouped_at_load():
@@ -197,9 +195,22 @@ def test_function_bodies_are_grouped_at_load():
           "body": {"nodeType": "Return", "src": "1:2:0"}}
     ast = Ast({"nodeType": "SourceUnit", "src": "0:9:0",
                "nodes": [fn, {"nodeType": "Return", "src": "5:1:0"}]})
-    assert ast.kinds["FunctionDefinition"] == [fn]
-    assert ast.bodies == [{"Return": [fn["body"]]}]
-    assert len(ast.kinds["Return"]) == 2
+    assert ast.functions == [FunctionRow("f", None, (), frozenset(), ((1, 2, 0),))]
+
+
+def _table(ast: Ast):
+    return ([fn._replace(returns=sorted(fn.returns)) for fn in ast.functions],
+            ast.state_variables)
+
+
+@pytest.mark.parametrize("fixture", corpus.build_corpus(), ids=lambda f: f.name)
+def test_every_rendering_gives_one_function_table(fixture):
+    """The modern, sorted-key and legacy forms of a fixture's AST give the
+    same rows; a Return's place in document order may differ."""
+    table = _table(Ast(fixture.ast))
+    assert table[0] and table[1]
+    assert _table(Ast(json.loads(json.dumps(fixture.ast, sort_keys=True)))) == table
+    assert _table(Ast(ab.legacy(fixture.ast))) == table
 
 
 def test_unrecognized_ast_raises():

@@ -495,11 +495,17 @@ def test_cli_evaluate_names_an_unlabeled_contract(runner, corpus_dir, tmp_path):
 def _evaluate_one_error_line(runner, tmp_path, labels, report) -> str:
     """Run ``evaluate`` on ``labels`` and one report; it must exit 1 with a
     single line of output."""
+    return _evaluate_text_one_error_line(runner, tmp_path, json.dumps(labels),
+                                         json.dumps(report))
+
+
+def _evaluate_text_one_error_line(runner, tmp_path, labels: str, report: str) -> str:
+    """``_evaluate_one_error_line`` on the text of the labels and report files."""
     reports_dir = tmp_path / "reports"
     reports_dir.mkdir()
-    (reports_dir / "a.json").write_text(json.dumps(report))
+    (reports_dir / "a.json").write_text(report)
     labels_path = tmp_path / "labels.json"
-    labels_path.write_text(json.dumps(labels))
+    labels_path.write_text(labels)
     result = runner.invoke(main, ["evaluate", "--labels", str(labels_path),
                                   "--reports", str(reports_dir)])
     assert result.exit_code == 1
@@ -526,6 +532,30 @@ def test_cli_evaluate_names_a_finding_of_an_unknown_type(runner, tmp_path):
     report = {"contract": "A", "findings": [{"type": "XX", "function": "f"}]}
     line = _evaluate_one_error_line(runner, tmp_path, [{"contract": "A"}], report)
     assert line == "Error: report of contract A: unknown defect type 'XX'"
+
+
+_LABEL_A = '[{"contract": "A"}]'
+_REPORT_A = '{"contract": "A", "findings": []}'
+
+
+@pytest.mark.parametrize("labels,report,message", [
+    ('[{"contract": "A", "expected": [{"function": "f"}]}]', _REPORT_A,
+     "label 0 (contract A): expected item 0 is not an object with a type"),
+    (_LABEL_A, '{"contract": "A", "findings": [{"function": "f"}]}',
+     "report of contract A: finding 0 is not an object with a type"),
+    ('[{"contract": "A"', _REPORT_A, "labels file {labels} is not JSON: "),
+    (_LABEL_A, '{"contract": "A", ', "report file {report} is not JSON: "),
+    ("[5]", _REPORT_A, "label 0 is not a JSON object"),
+    (_LABEL_A, f"[{_REPORT_A}, 5]", "report 1 of {report} is not a JSON object"),
+    ('{"contract": "A"}', _REPORT_A, "labels file {labels} is not a JSON list"),
+], ids=["label-item-without-type", "finding-without-type", "labels-not-json",
+        "report-not-json", "label-not-an-object", "report-not-an-object",
+        "labels-not-a-list"])
+def test_cli_evaluate_names_a_malformed_file_or_entry(runner, tmp_path, labels, report,
+                                                      message):
+    line = _evaluate_text_one_error_line(runner, tmp_path, labels, report)
+    paths = {"labels": tmp_path / "labels.json", "report": tmp_path / "reports" / "a.json"}
+    assert line.startswith("Error: " + message.format(**paths))
 
 
 def test_cli_evaluate_reads_the_analyze_out_file(runner, corpus_dir, tmp_path):
