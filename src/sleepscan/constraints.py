@@ -96,13 +96,10 @@ def is_caller(value: SymValue) -> bool:
 
 def is_storage_direct_address(value: SymValue) -> bool:
     base = sym.strip_masks(value)
-    if not (isinstance(base, Var) and isinstance(base.kind, sym.StorageDirect)):
-        return False
-    if "[...]" in base.kind.source_name:
-        return False
-    # declared address type when the layout resolved it, else the presence of
-    # a 160-bit mask on the loaded word
-    return base.is_address or base is not value
+    # a plain slot, not a mapping entry (its name carries "[...]"), of declared
+    # address type when the layout resolved it, else loaded under a 160-bit mask
+    return (isinstance(base, Var) and isinstance(base.kind, sym.Storage)
+            and "[...]" not in base.name and (base.is_address or base is not value))
 
 
 # --------------------------------------------------------------------------

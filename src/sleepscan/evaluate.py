@@ -14,7 +14,6 @@ from sleepscan.errors import UnlabeledContract, UnscorableEntry
 class CorpusLabel:
     contract: str
     expected: tuple[tuple[str, str], ...]  # (defect type, function name)
-    notes: str = ""
 
 
 def _read_json(path: Path, what: str):
@@ -22,6 +21,16 @@ def _read_json(path: Path, what: str):
         return json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise UnscorableEntry(f"{what} {path} is not JSON: {exc}") from exc
+
+
+def _field(entry: dict, key: str, kind: type, where: str):
+    """``entry[key]``, an empty ``kind`` when absent; a value of another type
+    is an error naming ``where``."""
+    value = entry.get(key, kind())
+    if not isinstance(value, kind):
+        name = "list" if kind is list else "string"
+        raise UnscorableEntry(f"{where}: {key} is not a JSON {name}")
+    return value
 
 
 def _defect_type(entry: object, where: str, what: str) -> str:
@@ -45,12 +54,14 @@ def load_labels(path) -> list[CorpusLabel]:
             raise UnscorableEntry(f"label {index} is not a JSON object")
         if "contract" not in entry:
             raise UnscorableEntry(f"label {index} has no contract")
-        where = f"label {index} (contract {entry['contract']})"
+        contract = _field(entry, "contract", str, f"label {index}")
+        where = f"label {index} (contract {contract})"
         expected = tuple(
-            (_defect_type(e, where, f"expected item {i}"), e.get("function", ""))
-            for i, e in enumerate(entry.get("expected", []))
+            (_defect_type(e, where, f"expected item {i}"),
+             _field(e, "function", str, f"{where}: expected item {i}"))
+            for i, e in enumerate(_field(entry, "expected", list, where))
         )
-        labels.append(CorpusLabel(entry["contract"], expected, entry.get("notes", "")))
+        labels.append(CorpusLabel(contract, expected))
     return labels
 
 
@@ -61,8 +72,11 @@ def load_reports(directory) -> list[dict]:
     for path in sorted(Path(directory).glob("*.json")):
         doc = _read_json(path, "report file")
         for index, report in enumerate(doc if isinstance(doc, list) else [doc]):
+            where = f"report {index} of {path}"
             if not isinstance(report, dict):
-                raise UnscorableEntry(f"report {index} of {path} is not a JSON object")
+                raise UnscorableEntry(f"{where} is not a JSON object")
+            _field(report, "contract", str, where)
+            _field(report, "findings", list, where)
             reports.append(report)
     return reports
 
@@ -94,7 +108,8 @@ def evaluate_corpus(labels: list[CorpusLabel], reports: list[dict]) -> dict:
         for index, finding in enumerate(report.get("findings", [])):
             defect_type = _defect_type(finding, f"report of contract {contract}",
                                        f"finding {index}")
-            fn_name = finding.get("function", "")
+            fn_name = _field(finding, "function", str,
+                             f"report of contract {contract}: finding {index}")
             if (defect_type, fn_name) in expected or (defect_type, "") in expected:
                 scores[defect_type].tp += 1
                 seen.add((defect_type, fn_name))

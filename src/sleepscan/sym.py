@@ -1,4 +1,8 @@
-"""Symbolic 256-bit expressions with provenance tags."""
+"""Symbolic 256-bit expressions with provenance tags.
+
+A symbol is identified by its value, never by its printed form: a ``Var``'s
+name is for reading, and a storage symbol's kind is ``Storage(slot)`` for a
+plain slot and a mapping entry (named ``<mapping>[...]``) alike."""
 
 from __future__ import annotations
 
@@ -20,18 +24,8 @@ class Parameter:
 
 
 @dataclass(frozen=True)
-class StorageDirect:
+class Storage:
     slot: "SymValue"
-    source_name: str
-
-
-@dataclass(frozen=True)
-class StorageMapping:
-    slot: "SymValue"
-    source_name: str  # carries the "[...]" marker
-
-    def __post_init__(self):
-        assert "[...]" in self.source_name
 
 
 @dataclass(frozen=True)
@@ -44,7 +38,7 @@ class FreshExternal:
     origin: str  # e.g. "call", "returndata", "calldata-symbolic-offset"
 
 
-Provenance = Parameter | StorageDirect | StorageMapping | Environment | FreshExternal
+Provenance = Parameter | Storage | Environment | FreshExternal
 
 
 # --------------------------------------------------------------------------

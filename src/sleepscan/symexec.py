@@ -14,6 +14,10 @@ normally; every path end, and every emission, is counted by
 External calls are not followed: they produce a fresh value and taint the
 path, and findings on tainted paths are downgraded, not suppressed.
 
+Symbols are identified by value: a storage read no write answers gets one
+``Storage(slot)`` symbol per unequal slot, and a memory read one fresh symbol
+per unequal offset (per memory version where a write may overlap the word).
+
 A path's history (its condition, memory writes, storage writes, owner trace
 and emission snapshots) is held in tuples that grow by building a new tuple,
 so a fork shares them with its parent; it copies only the stack and the loop
@@ -172,9 +176,9 @@ class Engine:
         self.budget = budget
         self.layout, self.owner_spans = facts
         self.param_vars: dict[int, Var] = {}
-        self.storage_vars: dict[str, Var] = {}
-        self.memory_fresh: dict[str, Var] = {}
-        self.site_fresh: dict[tuple[int, int], Var] = {}
+        self.storage_vars: dict[SymValue, Var] = {}  # by slot
+        # by offset, or by (offset, memory length) where a write may overlap
+        self.memory_fresh: dict[SymValue | tuple[SymValue, int], Var] = {}
         # id(condition) -> (condition, taken constraints, negated fallthrough);
         # the entry holds the condition, so its id is not reused
         self.branch_constraints: dict[int, tuple] = {}
@@ -188,54 +192,39 @@ class Engine:
 
     # -- helpers ------------------------------------------------------------
 
-    def _fresh(self, pc: int, origin: str, is_address: bool = False) -> Var:
-        key = (pc, origin)
-        if key not in self.site_fresh:
-            self.site_fresh[key] = Var(f"ext_{origin}_{pc}", FreshExternal(origin),
-                                       is_address)
-        return self.site_fresh[key]
-
     def _param_var(self, index: int) -> Var:
         if index not in self.param_vars:
-            if index < len(self.fn.params):
-                name, abi_type = self.fn.params[index]
-                name = name or f"param_{index}"
-                is_address = abi_type == "address"
-            else:
-                name, is_address = f"param_{index}", False
-            self.param_vars[index] = Var(name, Parameter(index), is_address)
+            params = self.fn.params
+            name, abi_type = params[index] if index < len(params) else ("", "")
+            self.param_vars[index] = Var(name or f"param_{index}", Parameter(index),
+                                         abi_type == "address")
         return self.param_vars[index]
 
     def _storage_read(self, state: MachineState, slot: SymValue) -> SymValue:
         for written_slot, value in reversed(state.storage_writes):
             if written_slot == slot:
                 return value
-        key = repr(slot)
-        if key in self.storage_vars:
-            return self.storage_vars[key]
-        var = self._name_storage(slot)
-        self.storage_vars[key] = var
-        return var
+        if slot not in self.storage_vars:
+            self.storage_vars[slot] = self._name_storage(slot)
+        return self.storage_vars[slot]
 
     def _name_storage(self, slot: SymValue) -> Var:
         base_slot = _mapping_base_slot(slot)
         if base_slot is not None:
             info = self.layout.get(base_slot)
-            base_name = info.name if info else f"slot{base_slot}"
-            name = f"{base_name}[...]"
+            name = f"{info.name if info else f'slot{base_slot}'}[...]"
             is_address = info.mapping_value_is_address if info else False
-            return Var(name, sym.StorageMapping(slot, name), is_address)
-        if isinstance(slot, Const):
+        elif isinstance(slot, Const):
             info = self.layout.get(slot.value)
             name = info.name if info else f"slot{slot.value}"
-            return Var(name, sym.StorageDirect(slot, name),
-                       info.is_address if info else False)
-        name = f"storage@{slot!r}"
-        return Var(name, sym.StorageDirect(slot, name), False)
+            is_address = info.is_address if info else False
+        else:
+            name, is_address = f"storage@{slot!r}", False
+        return Var(name, sym.Storage(slot), is_address)
 
     def _read_memory_word(self, state: MachineState, offset: SymValue) -> SymValue:
         start = sym.const_value(offset)
-        key = repr(offset)
+        key = offset
         for written_offset, value, width in reversed(state.memory):
             if width == 32 and written_offset == offset:
                 return value
@@ -246,7 +235,7 @@ class Engine:
                 # partial overwrite, or either offset symbolic): the word may
                 # mix bytes of several writes. Memory only grows by appends,
                 # so its length names this version.
-                key = f"{key}@{len(state.memory)}"
+                key = (offset, len(state.memory))
                 break
         if key not in self.memory_fresh:
             self.memory_fresh[key] = Var(f"mem_{len(self.memory_fresh)}",
@@ -298,7 +287,7 @@ class Engine:
         if width is None:
             width = _UNBOUNDED
         if width:
-            state.memory += ((offset, self._fresh(pc, origin), width),)
+            state.memory += ((offset, _fresh(pc, origin), width),)
 
     def _jump_target(self, target: SymValue, instr: Instruction) -> int:
         value = sym.const_value(target)
@@ -410,6 +399,11 @@ class Engine:
         return self
 
 
+def _fresh(pc: int, origin: str) -> Var:
+    """The value an unmodeled source gives at ``pc``, equal on every visit."""
+    return Var(f"ext_{origin}_{pc}", FreshExternal(origin))
+
+
 # --------------------------------------------------------------------------
 # one handler per opcode; each runs after the stack-depth checks, gets the
 # opcode's pop count (a PUSH gets its value as a Const), and returns None to
@@ -493,11 +487,11 @@ def _calldataload(engine: Engine, state: MachineState, instr: Instruction, pops:
     stack = state.stack
     offset = sym.const_value(stack[-1])
     if offset is None:
-        stack[-1] = engine._fresh(instr.pc, "calldata_sym")
+        stack[-1] = _fresh(instr.pc, "calldata_sym")
     elif offset >= 4 and (offset - 4) % 32 == 0:
         stack[-1] = engine._param_var((offset - 4) // 32)
     else:
-        stack[-1] = engine._fresh(instr.pc, f"calldata_{offset}")
+        stack[-1] = _fresh(instr.pc, f"calldata_{offset}")
 
 
 def _sload(engine: Engine, state: MachineState, instr: Instruction, pops: int):
@@ -522,7 +516,7 @@ def _sha3(engine: Engine, state: MachineState, instr: Instruction, pops: int):
                       for index in range(size // 32))
         stack.append(Op("sha3", words))
     else:
-        stack.append(engine._fresh(instr.pc, "sha3_unresolved"))
+        stack.append(_fresh(instr.pc, "sha3_unresolved"))
 
 
 def _mload(engine: Engine, state: MachineState, instr: Instruction, pops: int):
@@ -579,13 +573,13 @@ def _call(engine: Engine, state: MachineState, instr: Instruction, pops: int):
     del stack[-pops:]
     engine._clobber(state, offset, size, instr.pc, "returndata")
     state.tainted = True
-    stack.append(engine._fresh(instr.pc, "call"))
+    stack.append(_fresh(instr.pc, "call"))
 
 
 def _create(engine: Engine, state: MachineState, instr: Instruction, pops: int):
     del state.stack[-pops:]
     state.tainted = True
-    state.stack.append(engine._fresh(instr.pc, "call"))
+    state.stack.append(_fresh(instr.pc, "call"))
 
 
 def _environment(var: Var):
@@ -608,7 +602,7 @@ def _fresh_value(origin: str):
     def fresh(engine: Engine, state: MachineState, instr: Instruction, pops: int):
         if pops:
             del state.stack[-pops:]
-        state.stack.append(engine._fresh(instr.pc, origin))
+        state.stack.append(_fresh(instr.pc, origin))
     return fresh
 
 
@@ -710,12 +704,11 @@ def _disjunct_eq_leaves(condition: SymValue) -> list[Op]:
 
 def _mapping_base_slot(slot: SymValue) -> int | None:
     """Base storage slot constant of a (possibly nested) hashed mapping access."""
-    if not (isinstance(slot, Op) and slot.op == "sha3"):
-        return None
-    last = slot.args[-1]
-    if isinstance(last, Const):
-        return last.value
-    return _mapping_base_slot(last)
+    while isinstance(slot, Op) and slot.op == "sha3":
+        slot = slot.args[-1]
+        if isinstance(slot, Const):
+            return slot.value
+    return None
 
 
 def _span_contains(outer: Span, inner: Span) -> bool:

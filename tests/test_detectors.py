@@ -31,12 +31,9 @@ FN = FunctionInfo("transferFrom", 0x23B872DD,
 
 CALLER = Var("msg.sender", sym.Environment("caller"), is_address=True)
 FROM = Var("from", sym.Parameter(0), is_address=True)
-SECRET = Var("secretOperator", sym.StorageDirect(Const(0), "secretOperator"),
-             is_address=True)
-OWNER_A = Var("_owners[...]", sym.StorageMapping(Op("sha3", (FROM, Const(1))),
-                                                 "_owners[...]"), is_address=True)
-OWNER_B = Var("punks[...]", sym.StorageMapping(Op("sha3", (FROM, Const(2))),
-                                               "punks[...]"), is_address=True)
+SECRET = Var("secretOperator", sym.Storage(Const(0)), is_address=True)
+OWNER_A = Var("_owners[...]", sym.Storage(Op("sha3", (FROM, Const(1)))), is_address=True)
+OWNER_B = Var("punks[...]", sym.Storage(Op("sha3", (FROM, Const(2)))), is_address=True)
 
 
 def record(*, constraints=(), owner_trace=(),

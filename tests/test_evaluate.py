@@ -27,7 +27,7 @@ def _report(contract, findings):
 def test_load_labels_accepts_short_codes(tmp_path):
     doc = [
         {"contract": "A", "expected": [{"type": "PA", "function": "transferFrom"}]},
-        {"contract": "B", "expected": [{"type": UF}], "notes": "loose label"},
+        {"contract": "B", "expected": [{"type": UF}], "notes": "ignored"},
         {"contract": "C"},
     ]
     path = tmp_path / "labels.json"
@@ -35,7 +35,6 @@ def test_load_labels_accepts_short_codes(tmp_path):
     labels = load_labels(path)
     assert labels[0] == CorpusLabel("A", ((PA, "transferFrom"),))
     assert labels[1].expected == ((UF, ""),)  # no function: wildcard
-    assert labels[1].notes == "loose label"
     assert labels[2].expected == ()
 
 

@@ -548,9 +548,22 @@ _REPORT_A = '{"contract": "A", "findings": []}'
     ("[5]", _REPORT_A, "label 0 is not a JSON object"),
     (_LABEL_A, f"[{_REPORT_A}, 5]", "report 1 of {report} is not a JSON object"),
     ('{"contract": "A"}', _REPORT_A, "labels file {labels} is not a JSON list"),
+    ('[{"contract": "A", "expected": 5}]', _REPORT_A,
+     "label 0 (contract A): expected is not a JSON list"),
+    (_LABEL_A, '{"contract": "A", "findings": 5}',
+     "report 0 of {report}: findings is not a JSON list"),
+    ('[{"contract": ["A"]}]', _REPORT_A, "label 0: contract is not a JSON string"),
+    (_LABEL_A, '[{"contract": "A", "findings": []}, {"contract": {}}]',
+     "report 1 of {report}: contract is not a JSON string"),
+    ('[{"contract": "A", "expected": [{"type": "PA", "function": ["f"]}]}]', _REPORT_A,
+     "label 0 (contract A): expected item 0: function is not a JSON string"),
+    (_LABEL_A, '{"contract": "A", "findings": [{"type": "PA", "function": {}}]}',
+     "report of contract A: finding 0: function is not a JSON string"),
 ], ids=["label-item-without-type", "finding-without-type", "labels-not-json",
         "report-not-json", "label-not-an-object", "report-not-an-object",
-        "labels-not-a-list"])
+        "labels-not-a-list", "expected-not-a-list", "findings-not-a-list",
+        "label-contract-not-a-string", "report-contract-not-a-string",
+        "label-function-not-a-string", "finding-function-not-a-string"])
 def test_cli_evaluate_names_a_malformed_file_or_entry(runner, tmp_path, labels, report,
                                                       message):
     line = _evaluate_text_one_error_line(runner, tmp_path, labels, report)

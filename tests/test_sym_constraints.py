@@ -22,10 +22,8 @@ from sleepscan.sym import Const, Op, Var, free_vars, make_op, strip_masks
 CALLER = Var("caller", sym.Environment("caller"), is_address=True)
 P0 = Var("from", sym.Parameter(0), is_address=True)
 P1 = Var("to", sym.Parameter(1), is_address=True)
-OWNER_SLOT = Var("secretOperator", sym.StorageDirect(Const(0), "secretOperator"),
-                 is_address=True)
-MAPPED = Var("_owners[...]", sym.StorageMapping(Op("sha3", (P0, Const(1))),
-                                                "_owners[...]"))
+OWNER_SLOT = Var("secretOperator", sym.Storage(Const(0)), is_address=True)
+MAPPED = Var("_owners[...]", sym.Storage(Op("sha3", (P0, Const(1)))))
 
 
 # --------------------------------------------------------------------------
@@ -149,7 +147,7 @@ def test_same_sides_sees_through_masks():
 def test_is_storage_direct_address_heuristics():
     assert is_storage_direct_address(OWNER_SLOT)  # declared address type
     assert not is_storage_direct_address(MAPPED)  # mapping loads excluded
-    word = Var("raw", sym.StorageDirect(Const(3), "raw"))
+    word = Var("raw", sym.Storage(Const(3)))
     assert not is_storage_direct_address(word)
     assert is_storage_direct_address(Op("and", (word, Const(sym.MASK160))))
     assert not is_caller(P0)

@@ -4,6 +4,8 @@ counted path ends."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle_evm
 import progs
@@ -16,7 +18,7 @@ from sleepscan.disasm import build_cfg, disassemble
 from sleepscan.errors import EntryNotFound
 from sleepscan.ingestion import Ast, CompilationUnit
 from sleepscan.keccak import TRANSFER_TOPIC
-from sleepscan.sym import Const, FreshExternal, Op, Parameter, StorageDirect, Var
+from sleepscan.sym import Const, Environment, FreshExternal, Op, Parameter, Storage, Var
 from sleepscan.symexec import (
     END_BUDGET,
     END_EMISSION,
@@ -121,12 +123,13 @@ def test_storage_naming_from_layout():
 
     direct = engine._storage_read(state, Const(0))
     assert direct.name == "owner"
-    assert isinstance(direct.kind, StorageDirect) and direct.is_address
+    assert direct.kind == Storage(Const(0)) and direct.is_address
 
     key = Var("k", Parameter(2))
     mapped = engine._storage_read(state, Op("sha3", (key, Const(1))))
-    assert mapped.name == "_owners[...]"
-    assert isinstance(mapped.kind, sym.StorageMapping) and mapped.is_address
+    assert mapped.name == "_owners[...]"  # one kind: only the name marks a mapping entry
+    assert mapped.kind == Storage(Op("sha3", (key, Const(1)))) and mapped.is_address
+    assert not cs.is_storage_direct_address(mapped) and cs.is_storage_direct_address(direct)
 
     word = engine._storage_read(state, Const(2))
     assert word.name == "total" and not word.is_address
@@ -135,6 +138,48 @@ def test_storage_naming_from_layout():
     assert unknown.name == "slot9"
     # repeated reads of the same slot return the identical variable
     assert engine._storage_read(state, Const(0)) is direct
+
+
+# a parameter and a state variable may share a name, so the printed form of
+# an expression does not identify it
+OWNER_PARAM = Var("owner", Parameter(0), True)
+OWNER_STATE = Var("owner", Storage(Const(0)), True)
+
+
+def test_mapping_reads_keyed_by_same_named_symbols_are_two_symbols():
+    engine = _engine(b"\x00", ast=Ast(_layout_ast()))
+    state = MachineState(pc=0)
+    by_param = Op("sha3", (OWNER_PARAM, Const(1)))
+    by_state = Op("sha3", (OWNER_STATE, Const(1)))
+    assert repr(by_param) == repr(by_state) and by_param != by_state
+    first = engine._storage_read(state, by_param)
+    second = engine._storage_read(state, by_state)
+    assert first.name == second.name == "_owners[...]"
+    assert first != second
+    assert first.kind == Storage(by_param) and second.kind == Storage(by_state)
+    assert engine._storage_read(state, by_param) is first
+
+
+_SAME_NAMED = st.sampled_from([
+    OWNER_PARAM, OWNER_STATE, Var("owner", Parameter(1), True),
+    Var("owner", Environment("caller"), True), Var("owner", FreshExternal("call")),
+])
+_SLOTS = st.recursive(
+    _SAME_NAMED | st.integers(0, 2).map(Const),
+    lambda inner: st.builds(lambda op, a, b: Op(op, (a, b)),
+                            st.sampled_from(["sha3", "add"]), inner, inner),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200)
+@given(_SLOTS, _SLOTS)
+def test_storage_read_shares_a_symbol_exactly_for_equal_slots(first, second):
+    engine = _engine(b"\x00", ast=Ast(_layout_ast()))
+    state = MachineState(pc=0)
+    one, other = engine._storage_read(state, first), engine._storage_read(state, second)
+    assert (one is other) == (first == second)
+    assert (one == other) == (first == second)
 
 
 def test_storage_read_sees_own_writes():
@@ -463,6 +508,18 @@ def test_unaligned_mstore_makes_the_word_fresh():
     value = _mload_after(ALIGNED_STORE + "60bb600152")  # PUSH1 BB PUSH1 1 MSTORE
     assert value != Const(0xAA)
     assert isinstance(value, Var) and value.kind == FreshExternal("memory")
+
+
+def test_mload_at_same_named_symbolic_offsets_gives_two_fresh_symbols():
+    engine = _engine(b"\x00")
+    mload = disassemble(b"\x51")[0]
+    words = []
+    for offset in (OWNER_PARAM, OWNER_STATE, OWNER_PARAM):
+        (state,) = engine.step(MachineState(pc=0, stack=[offset]), mload)
+        words.append(state.stack[-1])
+    assert repr(OWNER_PARAM) == repr(OWNER_STATE)
+    assert words[0] != words[1] and words[0] is words[2]
+    assert all(word.kind == FreshExternal("memory") for word in words)
 
 
 def test_partial_overwrite_symbol_differs_from_unwritten_memory():
