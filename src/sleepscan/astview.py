@@ -1,5 +1,5 @@
-"""AST-driven target-function pruning, ownerOf return-binding discovery and
-the storage layout.
+"""AST-driven target-function pruning, the owner binding (the definitions of
+ownerOf and of the functions it calls) and the storage layout.
 
 Everything here reads the unit's function table (``Ast.functions`` and
 ``Ast.state_variables``), which the load walk built, and knows no AST node.
@@ -102,12 +102,15 @@ def select_target_functions(infos: list[FunctionInfo]) -> list[FunctionInfo]:
 
 
 def find_owner_return_binding(unit: CompilationUnit) -> tuple[Span, ...]:
-    """Spans of every ``ownerOf`` return statement, sorted by position.
-
-    Overrides included, so the engine can match whichever body actually
-    executes; ``()`` when the unit has no ``ownerOf`` return.
-    """
-    spans = [span for fn in unit.ast.functions if fn.name == "ownerOf" for span in fn.returns]
+    """Definition spans, sorted by position, of every ``ownerOf`` (overrides
+    included) and of every function it calls, transitively, by name: the code
+    where a storage load reads the owner. ``()`` without an ``ownerOf``."""
+    names, called = set(), {"ownerOf"}
+    while called - names:
+        names |= called
+        called = {name for fn in unit.ast.functions if fn.name in names
+                  for name, _ in fn.calls if name}
+    spans = [fn.span for fn in unit.ast.functions if fn.name in names]
     return tuple(sorted(spans, key=lambda s: (s[2], s[0])))
 
 

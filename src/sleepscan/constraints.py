@@ -195,10 +195,10 @@ def _equality_conflict(constraints: list[Constraint]) -> bool:
 # -- sat side ---------------------------------------------------------------
 
 def _find_witness(constraints: list[Constraint], deadline: float | None) -> bool:
-    variables = sorted(
-        {v for c in constraints for v in sym.free_vars(c.lhs) | sym.free_vars(c.rhs)},
-        key=lambda v: v.name,
-    )
+    # first occurrences, sorted stably by name: same-named variables keep the
+    # conjunction's order, not one that string hashing decides
+    variables = sorted(dict.fromkeys(v for c in constraints for side in (c.lhs, c.rhs)
+                                     for v in sym.free_vars(side)), key=lambda v: v.name)
     rng = random.Random(_WITNESS_SEED)
     for trial in range(_WITNESS_TRIES):
         if deadline is not None and time.monotonic() > deadline:

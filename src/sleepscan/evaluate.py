@@ -19,7 +19,7 @@ class CorpusLabel:
 def _read_json(path: Path, what: str):
     try:
         return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise UnscorableEntry(f"{what} {path} is not JSON: {exc}") from exc
 
 

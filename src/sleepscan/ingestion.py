@@ -166,7 +166,7 @@ class FunctionRow(NamedTuple):
     visibility: str | None
     parameters: tuple[tuple[str, str], ...]  # (name, type string), "" where absent
     calls: frozenset[tuple[str, int]]  # (callee name or "", argument count)
-    returns: tuple[Span, ...]  # of each Return in the body
+    span: Span  # of the whole definition
 
 
 class Ast:
@@ -186,7 +186,7 @@ class Ast:
         self.legacy = "nodeType" not in doc
         if self.legacy and not ("name" in doc and ("children" in doc or "attributes" in doc)):
             raise MissingArtifact("unrecognized AST JSON shape")
-        functions: list[tuple[dict, list[dict]]] = []  # node, its calls and returns
+        functions: list[tuple[dict, list[dict]]] = []  # node, its calls
         declared: list[dict] = []  # the children of every contract
         body = None  # of the function being walked; functions do not nest
         stack: list[dict | None] = [doc]
@@ -196,7 +196,7 @@ class Ast:
                 body = None
                 continue
             kind = self._checked_kind(node)
-            if body is not None and kind in ("FunctionCall", "Return"):
+            if body is not None and kind == "FunctionCall":
                 body.append(node)
             children = self._children(node)
             if kind == "FunctionDefinition":
@@ -216,8 +216,7 @@ class Ast:
         return FunctionRow(
             self._get(fn, "name") or "", self._get(fn, "visibility"),
             tuple(map(self._declaration, self._parameters(fn))),
-            frozenset(self._call(node) for node in body if self._kind(node) == "FunctionCall"),
-            tuple(self._span(node) for node in body if self._kind(node) == "Return"))
+            frozenset(map(self._call, body)), self._span(fn))
 
     def _declaration(self, decl: dict) -> tuple[str, str]:
         return self._get(decl, "name") or "", self._get(decl, "typeString") or ""
@@ -349,7 +348,7 @@ def resolve_version(metadata_text: str | None, sources: dict[int, str]) -> Versi
             raw = compiler.get("version") if isinstance(compiler, dict) else None
             if isinstance(raw, str):
                 return parse_version(raw)
-        except (json.JSONDecodeError, VersionUnparseable):
+        except (json.JSONDecodeError, RecursionError, VersionUnparseable):
             pass
     for text in sources.values():
         try:
@@ -398,12 +397,19 @@ def _load_directory(path: Path) -> list[CompilationUnit]:
             raise MissingArtifact(f"{srcmap_path} missing")
         raw_hex = bin_path.read_text().strip().removeprefix("0x")
         bytecode = strip_metadata(bytes.fromhex(raw_hex))
-        ast = Ast(_json_object(json.loads(ast_path.read_text()), f"{ast_path}: top level"))
+        ast = Ast(_json_object(_parse_json(ast_path), f"{ast_path}: top level"))
         source_map = decode_source_map(srcmap_path.read_text().strip())
         sources = {0: sol_path.read_text()} if sol_path.exists() else {}
         version = resolve_version(None, sources)
         units.append(CompilationUnit(name, bytecode, source_map, ast, sources, version))
     return units
+
+
+def _parse_json(path: Path):
+    try:  # nesting too deep to parse makes a bad artifact, as a syntax error does
+        return json.loads(path.read_text())
+    except RecursionError:
+        raise MissingArtifact(f"{path} is nested too deeply to parse") from None
 
 
 def _json_object(value: object, what: str) -> dict:
@@ -425,7 +431,7 @@ def _json_int(value: object, what: str) -> int:
 
 
 def _load_standard_json(path: Path) -> list[CompilationUnit]:
-    doc = _json_object(json.loads(path.read_text()), f"{path}: top level")
+    doc = _json_object(_parse_json(path), f"{path}: top level")
     contracts = _json_object(doc.get("contracts", {}), f"{path}: contracts")
     source_docs = _json_object(doc.get("sources", {}), f"{path}: sources")
     sources: dict[int, str] = {}

@@ -6,6 +6,7 @@ plain slot and a mapping entry (named ``<mapping>[...]``) alike."""
 
 from __future__ import annotations
 
+from collections.abc import KeysView
 from dataclasses import dataclass
 
 from sleepscan.keccak import keccak256
@@ -94,16 +95,17 @@ def strip_masks(value: SymValue) -> SymValue:
     return value
 
 
-def free_vars(value: SymValue) -> set[Var]:
-    out: set[Var] = set()
+def free_vars(value: SymValue) -> KeysView[Var]:
+    """The variables of ``value``, set-like, in order of first occurrence."""
+    out: dict[Var, None] = {}
     stack = [value]
     while stack:
         node = stack.pop()
         if isinstance(node, Var):
-            out.add(node)
+            out[node] = None
         elif isinstance(node, Op):
-            stack.extend(node.args)
-    return out
+            stack.extend(reversed(node.args))
+    return out.keys()
 
 
 # --------------------------------------------------------------------------

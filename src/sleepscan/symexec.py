@@ -1,11 +1,13 @@
 """Symbolic execution of Transfer-emitting functions.
 
 One exploration is single-threaded and owns its states; the information the
-detectors need is gathered at four checkpoints: CALLDATALOAD (parameter
-binding), SLOAD/SSTORE (storage provenance and the store mark), the source
-span of ownerOf's return statement (owner trace), and LOG4 with the Transfer
-topic hash (the emission snapshot). Execution continues past an emission so
-its record carries the store mark at the path's exit.
+detectors need is gathered at three checkpoints: CALLDATALOAD (parameter
+binding), SLOAD/SSTORE (storage provenance, the owner trace and the store
+mark), and LOG4 with the Transfer topic hash (the emission snapshot). An owner
+read is a load of a non-constant slot inside the code of ``ownerOf`` or of a
+function it calls (``find_owner_return_binding``); it appends the loaded word
+to the owner trace unless it repeats the last entry. Execution continues past
+an emission so its record carries the store mark at the path's exit.
 
 A path record is kept only for a Transfer emission on a path that exits
 normally; every path end, and every emission, is counted by
@@ -24,22 +26,19 @@ so a fork shares them with its parent; it copies only the stack and the loop
 counts, the two things a path changes in place.
 
 Every opcode's semantics is one handler in ``_DISPATCH``, an unknown byte's
-included, and so are the CALLDATALOAD, storage and LOG4 checkpoints. The
-owner checkpoint is in no handler: ``explore`` and ``Engine.step`` run it
-after each instruction that falls through, and ``_jump`` and ``_jumpi`` run
-it themselves. ``Engine.step`` runs one instruction after its stack-depth
-checks. ``Engine.explore`` runs straight-line code a basic block of the
-unit's ``Code`` at a time: every path enters a block at its start, so no pc
-inside a block is ever looked up. When a path first enters a block,
-``_block_form`` decodes it and builds its execution form: its ops (each
-instruction's handler, and a PUSH's value as a ``Const``) and the lowest
-and highest entry stack depth at which none of them underflows or
+included, and so is every checkpoint. ``Engine.step`` runs one instruction
+after its stack-depth checks. ``Engine.explore`` runs straight-line code a
+basic block of the unit's ``Code`` at a time: every path enters a block at
+its start, so no pc inside a block is ever looked up. When a path first
+enters a block, ``_block_form`` decodes it and builds its execution form: its
+ops (each instruction's handler, and a PUSH's value as a ``Const``) and the
+lowest and highest entry stack depth at which none of them underflows or
 overflows. It keeps the form in ``Code.block_at``, so every function of the
 unit shares it and code no path reaches is never decoded. A block is taken
 whole when the stack depth lies in that range, no deadline read (every 256
-steps) falls inside it and it ends within ``max_steps``; otherwise its ops
-go through ``Engine.step`` one at a time, so path ends, diagnostics and
-step counts are those of stepping every instruction.
+steps) falls inside it and it ends within ``max_steps``; otherwise its ops go
+through ``Engine.step`` one at a time, so path ends, diagnostics and step
+counts are those of stepping every instruction.
 """
 
 from __future__ import annotations
@@ -100,7 +99,6 @@ class MachineState:
     constraints: tuple[Constraint, ...] = ()
     sstore_mark: bool = False
     owner_trace: tuple[SymValue, ...] = ()
-    pending_owner: SymValue | None = None
     tainted: bool = False
     jumpdest_visits: dict[int, int] = field(default_factory=dict)
     snapshots: tuple[_EmissionSnapshot, ...] = ()
@@ -117,7 +115,6 @@ class MachineState:
         forked.constraints = self.constraints
         forked.sstore_mark = self.sstore_mark
         forked.owner_trace = self.owner_trace
-        forked.pending_owner = self.pending_owner
         forked.tainted = self.tainted
         forked.jumpdest_visits = self.jumpdest_visits.copy()
         forked.snapshots = self.snapshots
@@ -155,7 +152,7 @@ class UnitFacts(NamedTuple):
     """What the engine reads of a unit beyond its code, decided once per unit."""
 
     layout: dict[int, SlotInfo]
-    # the distinct source-map spans inside an ownerOf return statement
+    # the distinct source-map spans inside the code of ownerOf and its callees
     owner_spans: frozenset[Span]
 
 
@@ -242,24 +239,6 @@ class Engine:
                                          FreshExternal("memory"))
         return self.memory_fresh[key]
 
-    # -- checkpoints --------------------------------------------------------
-
-    def _owner_checkpoint(self, state: MachineState, instr: Instruction) -> None:
-        if self.unit.source_map[instr.src] in self.owner_spans:
-            if state.stack:
-                state.pending_owner = state.stack[-1]
-        else:
-            self._commit_pending_owner(state)
-
-    def _commit_pending_owner(self, state: MachineState) -> None:
-        pending = state.pending_owner
-        state.pending_owner = None
-        if pending is None:
-            return
-        if state.owner_trace and state.owner_trace[-1] == pending:
-            return  # duplicate capture of the same return, collapse
-        state.owner_trace = state.owner_trace + (pending,)
-
     # -- single-instruction semantics ---------------------------------------
 
     def step(self, state: MachineState, instr: Instruction) -> list[MachineState]:
@@ -274,8 +253,6 @@ class Engine:
         if successors is not None:
             return successors
         state.pc = instr.next_pc
-        if self.owner_spans:  # without a binding the checkpoint is a no-op
-            self._owner_checkpoint(state, instr)
         return [state]
 
     def _clobber(self, state: MachineState, offset: SymValue, size: SymValue,
@@ -328,7 +305,6 @@ class Engine:
         code = self.cfg
         blocks = code.block_at
         step = self.step
-        owner_spans = self.owner_spans
         max_steps = budget.max_steps
         steps = self.steps_used
         worklist = [MachineState(pc=entry_pc)]
@@ -360,14 +336,8 @@ class Engine:
                             and steps % _DEADLINE_EVERY + count <= _DEADLINE_EVERY
                             and steps + count <= max_steps):
                         steps += count
-                        if owner_spans:
-                            for handler, instr, arg in ops:
-                                successors = handler(self, state, instr, arg)
-                                if successors is None:
-                                    self._owner_checkpoint(state, instr)
-                        else:
-                            for handler, instr, arg in ops:
-                                successors = handler(self, state, instr, arg)
+                        for handler, instr, arg in ops:
+                            successors = handler(self, state, instr, arg)
                         if successors is None:  # fell through to the next block
                             state.pc = instr.next_pc
                             continue
@@ -437,16 +407,12 @@ def _jumpdest(engine: Engine, state: MachineState, instr: Instruction, pops: int
 
 def _jump(engine: Engine, state: MachineState, instr: Instruction, pops: int):
     state.pc = engine._jump_target(state.stack.pop(), instr)
-    if engine.owner_spans:
-        engine._owner_checkpoint(state, instr)
     return [state]
 
 
 def _jumpi(engine: Engine, state: MachineState, instr: Instruction, pops: int):
     target = state.stack.pop()
     condition = state.stack.pop()
-    if engine.owner_spans:
-        engine._owner_checkpoint(state, instr)
     value = sym.const_value(condition)
     if value is not None:
         state.pc = engine._jump_target(target, instr) if value else instr.next_pc
@@ -496,7 +462,13 @@ def _calldataload(engine: Engine, state: MachineState, instr: Instruction, pops:
 
 def _sload(engine: Engine, state: MachineState, instr: Instruction, pops: int):
     stack = state.stack
-    stack.append(engine._storage_read(state, stack.pop()))
+    slot = stack.pop()
+    value = engine._storage_read(state, slot)
+    stack.append(value)
+    if (engine.owner_spans and not isinstance(slot, Const)
+            and engine.unit.source_map[instr.src] in engine.owner_spans):
+        if state.owner_trace[-1:] != (value,):  # an owner read; a repeat collapses
+            state.owner_trace += (value,)
 
 
 def _sstore(engine: Engine, state: MachineState, instr: Instruction, pops: int):
@@ -547,7 +519,6 @@ def _log(engine: Engine, state: MachineState, instr: Instruction, pops: int):
     topic0 = args[2]
     if not (isinstance(topic0, Const) and topic0.value == TRANSFER_TOPIC):
         return
-    engine._commit_pending_owner(state)
     state.snapshots += (_EmissionSnapshot(
         pc=instr.pc,
         from_topic=args[3],

@@ -61,25 +61,28 @@ def emit_event(event_name, arg_names, span):
     }
 
 
+def call(callee_name, span):
+    return {
+        "nodeType": "FunctionCall",
+        "src": _src(span),
+        "expression": identifier(callee_name, span),
+        "arguments": [],
+    }
+
+
 def call_statement(callee_name, span):
     return {
         "nodeType": "ExpressionStatement",
         "src": _src(span),
-        "expression": {
-            "nodeType": "FunctionCall",
-            "src": _src(span),
-            "expression": identifier(callee_name, span),
-            "arguments": [],
-        },
+        "expression": call(callee_name, span),
     }
 
 
-def return_statement(span, returned_name, ident_span=None):
-    return {
-        "nodeType": "Return",
-        "src": _src(span),
-        "expression": identifier(returned_name, ident_span or span),
-    }
+def return_statement(span, returned, ident_span=None):
+    """``return returned;``: an identifier by name, or an expression node."""
+    if isinstance(returned, str):
+        returned = identifier(returned, ident_span or span)
+    return {"nodeType": "Return", "src": _src(span), "expression": returned}
 
 
 # the legacy form's names for modern attributes; "name" is renamed for an

@@ -169,7 +169,15 @@ def transfer_family(name: str, *, pragma: str = "^0.8.17",
                     pause_guard: bool = False,
                     use_push0: bool = False,
                     legacy_div: bool = False,
-                    internal_call: bool = False) -> Fixture:
+                    internal_call: bool = False,
+                    owner_helper: bool = False,
+                    inline_owner: bool = False) -> Fixture:
+    """transferFrom guarded by ``msg.sender == owner`` or an approval.
+
+    ``owner_helper``: ``ownerOf`` and the transfer read the owner through an
+    internal ``_ownerOf``, as OpenZeppelin 5 does. ``inline_owner``: the
+    transfer reads ``_owners[tokenId]`` itself, as solmate does.
+    """
     src = Source()
     src.add(f"// SPDX-License-Identifier: MIT\npragma solidity {pragma};\n\n")
     contract_span_start = len(src.text)
@@ -183,12 +191,25 @@ def transfer_family(name: str, *, pragma: str = "^0.8.17",
     var2_span = src.add("    mapping(uint256 => address) private _tokenApprovals;")
     src.add("\n\n")
 
-    owner_fn_span = src.add(
-        "    function ownerOf(uint256 tokenId) public view returns (address) {\n"
-        "        address owner = _owners[tokenId];\n"
-        "        return owner;\n"
-        "    }\n")
+    if owner_helper:
+        owner_fn_span = src.add(
+            "    function ownerOf(uint256 tokenId) public view returns (address) {\n"
+            "        return _ownerOf(tokenId);\n"
+            "    }\n")
+        src.add("\n")
+        helper_span = src.add(
+            "    function _ownerOf(uint256 tokenId) internal view returns (address) {\n"
+            "        return _owners[tokenId];\n"
+            "    }\n")
+    else:
+        owner_fn_span = src.add(
+            "    function ownerOf(uint256 tokenId) public view returns (address) {\n"
+            "        address owner = _owners[tokenId];\n"
+            "        return owner;\n"
+            "    }\n")
     src.add("\n")
+    owner_read = ("_ownerOf(tokenId)" if owner_helper else
+                  "_owners[tokenId]" if inline_owner else "ownerOf(tokenId)")
 
     guard = (f'        require(msg.sender == {slot0_name}, "paused");\n'
              if pause_guard else "")
@@ -200,7 +221,7 @@ def transfer_family(name: str, *, pragma: str = "^0.8.17",
         f"{guard}"
         '        require(from != address(0), "zero from");\n'
         '        require(to != address(0), "zero to");\n'
-        "        address owner = ownerOf(tokenId);\n"
+        f"        address owner = {owner_read};\n"
         f"{check}"
         "        require(\n"
         "            msg.sender == owner ||\n"
@@ -232,8 +253,10 @@ def transfer_family(name: str, *, pragma: str = "^0.8.17",
     contract_span = (contract_span_start, len(src.text) - contract_span_start, 0)
     unit_span = (0, len(src.text), 0)
 
-    ret_span = src.span("return owner;")
-    owner_expr_span = src.span("_owners[tokenId]")
+    ret_span = src.span("return _owners[tokenId];" if owner_helper else "return owner;")
+    # the owner load: ownerOf's (or _ownerOf's) body inlined, or the transfer's own read
+    owner_expr_span = src.span("_owners[tokenId]", occurrence=int(inline_owner))
+    owner_load_span = owner_expr_span if inline_owner else ret_span
     store_span = src.span("_owners[tokenId] = to;")
     emit_span = src.span("emit Transfer(from, to, tokenId);")
 
@@ -241,10 +264,15 @@ def transfer_family(name: str, *, pragma: str = "^0.8.17",
     addr_params = [ab.parameter("from", "address", tf_span),
                    ab.parameter("to", "address", tf_span),
                    ab.parameter("tokenId", "uint256", tf_span)]
+    if owner_helper:
+        owner_return = ab.return_statement(src.span("return _ownerOf(tokenId);"),
+                                           ab.call("_ownerOf", src.span("_ownerOf(tokenId)")))
+    else:
+        owner_return = ab.return_statement(ret_span, "owner")
     owner_fn_ast = ab.function(
         "ownerOf", "public",
         [ab.parameter("tokenId", "uint256", owner_fn_span)],
-        [ab.return_statement(ret_span, "owner")],
+        [owner_return],
         owner_fn_span, owner_fn_span,
         returns=[ab.parameter("", "address", owner_fn_span)])
     body_statements = [ab.emit_event("Transfer", ["from", "to", "tokenId"],
@@ -255,6 +283,11 @@ def transfer_family(name: str, *, pragma: str = "^0.8.17",
         ab.state_var("_tokenApprovals", "mapping(uint256 => address)", var2_span),
         owner_fn_ast,
     ]
+    if owner_helper:
+        contract_nodes.append(ab.function(
+            "_ownerOf", "internal", [ab.parameter("tokenId", "uint256", helper_span)],
+            [ab.return_statement(ret_span, "_owners")], helper_span, helper_span,
+            returns=[ab.parameter("", "address", helper_span)]))
     if internal_call:
         contract_nodes.append(ab.function(
             "transferFrom", "external", addr_params,
@@ -317,7 +350,7 @@ def transfer_family(name: str, *, pragma: str = "^0.8.17",
     a.push(0x40, owner_expr_span)
     z(owner_expr_span)
     a.op("SHA3", owner_expr_span)
-    a.op("SLOAD", ret_span)  # owner; the ownerOf body was inlined here
+    a.op("SLOAD", owner_load_span)  # owner
     # stack: owner, tokenId, to, from[, ra]
 
     if owner_check:

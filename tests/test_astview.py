@@ -130,11 +130,25 @@ def test_only_three_argument_transfer_counts():
 
 def test_owner_binding_collects_every_override(corpus_dir):
     unit = load_compilation(corpus_dir / "ChubbyBunny")
-    spans = find_owner_return_binding(unit)
-    assert len(spans) == 2
-    # spans are sorted by position; both land on a return statement
-    snippets = [unit.snippet(span) for span in spans]
-    assert snippets == ["return owner;", "return punkHolder;"]
+    # both ownerOf definitions, sorted by position
+    heads = [unit.snippet(span).split("{")[0].strip()
+             for span in find_owner_return_binding(unit)]
+    assert heads == [
+        "function ownerOf(uint256 tokenId) public view virtual returns (address)",
+        "function ownerOf(uint256 tokenId) public view override returns (address)"]
+    # a callee of an override, and its callee, join by name; a caller does not
+    spans = [(index * 10, 10, 0) for index in range(5)]
+    doc = _contract([
+        ab.function("ownerOf", "public", [], [], spans[3], spans[3]),
+        ab.function("_update", "internal", [],
+                    [ab.call_statement("_ownerOf", spans[0])], spans[0], spans[0]),
+        ab.function("ownerOf", "public", [],
+                    [ab.call_statement("_ownerOf", spans[1])], spans[1], spans[1]),
+        ab.function("_ownerOf", "internal", [],
+                    [ab.call_statement("_packed", spans[4])], spans[4], spans[4]),
+        ab.function("_packed", "internal", [], [], spans[2], spans[2]),
+    ])
+    assert find_owner_return_binding(_unit_for(doc)) == tuple(spans[1:])
 
 
 def test_owner_binding_absent_without_owner_of(corpus_dir):

@@ -15,7 +15,7 @@ import fixtures as corpus
 
 from sleepscan import detectors, pipeline
 from sleepscan.cli import main
-from sleepscan.detectors import OWNER_INCONSISTENCY, PRIVILEGED_ADDRESS
+from sleepscan.detectors import OWNER_INCONSISTENCY, PRIVILEGED_ADDRESS, UNRESTRICTED_FROM
 from sleepscan.pipeline import RunConfig, analyze_path
 from sleepscan.symexec import END_BUDGET as BUDGET
 from sleepscan.symexec import END_EMISSION as EMIT
@@ -97,6 +97,29 @@ def test_path_records_count_every_end(contract, corpus_dir, corpus_reports):
     assert list(full["path_records"].items()) == list(unpruned.items())
 
 
+@pytest.mark.parametrize("owner_check,findings", [
+    (False, [(UNRESTRICTED_FROM, ["(_owners[...] neq from)"])]),
+    (True, []),
+], ids=["unguarded", "guarded"])
+def test_an_owner_read_through_an_owner_of_helper_counts(tmp_path, owner_check, findings):
+    """OpenZeppelin 5's shape: ownerOf and the transfer both read the owner
+    through the internal _ownerOf, whose code holds the owner load."""
+    fixture = corpus.transfer_family("HelperRead", owner_check=owner_check, owner_helper=True)
+    (report,) = analyze_path(str(fixture.write(tmp_path)), RunConfig())
+    assert [(f["type"], f["witness"]) for f in report["findings"]] == findings
+
+
+def test_an_owner_read_outside_the_owner_code_is_missed(tmp_path):
+    """A documented false negative: solmate's transferFrom reads
+    ``_owners[tokenId]`` itself, in no code of ownerOf's, so the path has no
+    owner trace and UF stays silent on an unguarded transfer."""
+    fixture = corpus.transfer_family("InlineRead", owner_check=False, inline_owner=True)
+    (report,) = analyze_path(str(fixture.write(tmp_path)), RunConfig())
+    assert "error" not in report
+    assert report["path_records"][EMIT] == 2
+    assert report["findings"] == []
+
+
 def test_analyze_path_isolates_broken_artifacts(tmp_path):
     good = corpus.guarded_gallery().write(tmp_path)
     bad = tmp_path / "bad.json"
@@ -108,6 +131,25 @@ def test_analyze_path_isolates_broken_artifacts(tmp_path):
     assert len(bad_reports) == 1
     assert "JSONDecodeError" in bad_reports[0]["error"]
     assert bad_reports[0]["findings"] == []
+
+
+_DEEP = "[" * 100_000 + "]" * 100_000  # nested past the JSON parser's recursion limit
+
+
+def test_json_nested_too_deeply_is_a_bad_artifact(runner, corpus_dir, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text(_DEEP)
+    deep_ast = corpus.guarded_gallery().write(tmp_path)
+    (deep_ast / "GuardedGallery.ast.json").write_text(_DEEP)
+    result = runner.invoke(main, ["analyze", "--format", "json", str(deep), str(deep_ast),
+                                  str(corpus_dir / "HiddenApprover")])
+    assert result.exit_code == 0, result.output
+    first, second, good = json.loads(result.output)
+    assert (first["contract"], second["contract"]) == ("deep", "GuardedGallery")
+    for report in (first, second):
+        assert report["error"].startswith("MissingArtifact: ")
+        assert "nested too deeply" in report["error"]
+    assert "error" not in good and good["findings"]
 
 
 _SOURCE = {"id": 0, "content": "pragma solidity ^0.8.0;",
@@ -207,7 +249,8 @@ def test_truncated_push_is_one_error_report(tmp_path):
 
 
 @pytest.mark.parametrize("metadata", ["[1]", '{"compiler": "x"}',
-                                      '{"compiler": {"version": 5}}'])
+                                      '{"compiler": {"version": 5}}',
+                                      pytest.param(_DEEP, id="nested-too-deeply")])
 def test_metadata_without_a_version_string_falls_back_to_the_pragma(tmp_path, metadata):
     path = tmp_path / "a.json"
     path.write_text(json.dumps(_one_contract(metadata=metadata)))
@@ -559,11 +602,14 @@ _REPORT_A = '{"contract": "A", "findings": []}'
      "label 0 (contract A): expected item 0: function is not a JSON string"),
     (_LABEL_A, '{"contract": "A", "findings": [{"type": "PA", "function": {}}]}',
      "report of contract A: finding 0: function is not a JSON string"),
+    (_DEEP, _REPORT_A, "labels file {labels} is not JSON: maximum recursion depth exceeded"),
+    (_LABEL_A, _DEEP, "report file {report} is not JSON: maximum recursion depth exceeded"),
 ], ids=["label-item-without-type", "finding-without-type", "labels-not-json",
         "report-not-json", "label-not-an-object", "report-not-an-object",
         "labels-not-a-list", "expected-not-a-list", "findings-not-a-list",
         "label-contract-not-a-string", "report-contract-not-a-string",
-        "label-function-not-a-string", "finding-function-not-a-string"])
+        "label-function-not-a-string", "finding-function-not-a-string",
+        "labels-nested-too-deeply", "report-nested-too-deeply"])
 def test_cli_evaluate_names_a_malformed_file_or_entry(runner, tmp_path, labels, report,
                                                       message):
     line = _evaluate_text_one_error_line(runner, tmp_path, labels, report)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import fixtures as corpus
 import reference_explore
 from evmasm import GENERATED, Asm
-from test_symexec import EMPTY_AST, FN, _emit_then
+from test_symexec import EMPTY_AST, FN, IN_OWNER, OWNER_CODE, _emit_then, owner_reads
 
 from sleepscan import symexec as sx
 from sleepscan.astview import (
@@ -23,11 +23,8 @@ from sleepscan.astview import (
 from sleepscan.disasm import build_cfg, disassemble, find_function_entry
 from sleepscan.ingestion import CompilationUnit, load_compilation
 from sleepscan.keccak import TRANSFER_TOPIC
-from sleepscan.sym import Const
 from sleepscan.symexec import END_EXIT, END_REVERT, Engine, ExplorationBudget
 
-OWNER_RETURN = (100, 50, 0)  # the binding: an ownerOf return statement
-INSIDE = (110, 5, 0)  # a span inside it
 LOOP = bytes.fromhex("5b" "6000" "56")  # JUMPDEST; PUSH 0; JUMP (forever)
 
 
@@ -102,9 +99,11 @@ _BODY_ITEM = st.tuples(
             ["DUP1", "DUP2", "SWAP1", "POP", "ADD", "SUB", "EQ", "LT", "ISZERO",
              "AND", "CALLER", "SSTORE"])),
         st.tuples(st.just("calldata"), st.integers(0, 2)),
+        st.tuples(st.just("hashed-load"), st.sampled_from([0, 32])),
+        st.tuples(st.just("constant-load"), st.integers(0, 2)),
         st.tuples(st.just("emit"), st.none()),
     ),
-    st.booleans(),  # whether the item's source span lies in the ownerOf return
+    st.booleans(),  # whether the item's source span lies in ownerOf's code
 )
 # a JUMPI on calldata forks; the other ends do not
 _ENDS = ["jumpi-calldata"] * 3 + ["jumpi", "jump", "stop", "revert", "fall"]
@@ -121,13 +120,17 @@ def _programs(draw):
         if draw(st.integers(0, 4)) or index == 0:  # mostly a jump target
             a.op("JUMPDEST")
         for (kind, arg), inside in draw(st.lists(_BODY_ITEM, max_size=8)):
-            span = INSIDE if inside else GENERATED
+            span = IN_OWNER if inside else GENERATED
             if kind == "push":
                 a.push(arg, span)
             elif kind == "op":
                 a.op(arg, span)
             elif kind == "calldata":
                 a.push(4 + 32 * arg, span).op("CALLDATALOAD", span)
+            elif kind == "hashed-load":  # keccak(memory[arg:arg + 32])
+                a.push(32, span).push(arg, span).op("SHA3", span).op("SLOAD", span)
+            elif kind == "constant-load":
+                a.push(arg, span).op("SLOAD", span)
             else:  # a Transfer(CALLER, 2, 1) emission without data
                 a.push(1, span).push(2, span).op("CALLER", span)
                 a.push(TRANSFER_TOPIC, span).push(0, span).push(0, span).op("LOG4", span)
@@ -154,7 +157,7 @@ def test_runs_match_steps_on_generated_programs(program, max_steps, max_paths, l
     code, spans = program
     budget = ExplorationBudget(max_steps=max_steps, max_paths=max_paths,
                                loop_bound=loop_bound)
-    _compare(_unit(code, spans), [(FN, 0)], (OWNER_RETURN,), budget, explorations=3)
+    _compare(_unit(code, spans), [(FN, 0)], (OWNER_CODE,), budget, explorations=3)
 
 
 # --------------------------------------------------------------------------
@@ -192,8 +195,8 @@ def test_runs_match_steps_on_an_unpruned_market_hub(corpus_dir):
 
 
 # --------------------------------------------------------------------------
-# edge cases: the clock, the step budget, the stack limits, the owner
-# checkpoint and the loop bound, each met inside a block
+# edge cases: the clock, the step budget, the stack limits, owner reads and
+# the loop bound, each met inside a block
 
 @pytest.mark.parametrize("clock", [[0.0] * 4, [0.0, 2.0]], ids=["never", "at-256"])
 def test_runs_read_the_clock_every_256_steps(monkeypatch, clock):
@@ -269,16 +272,16 @@ def test_entry_depth_at_the_overflow_edge():
         ((END_EXIT, None), 1), ((END_REVERT, f"stack overflow at {label + 2}"), 1)]
 
 
-def test_runs_keep_the_owner_checkpoint():
-    code = bytes.fromhex("6005" "5b" "80" "5b" "6006" "5b") + _emit_then("00")
-    spans = [INSIDE, GENERATED, INSIDE, GENERATED, INSIDE, GENERATED] + [GENERATED] * 8
-    whole_steps, _ = _compare(_unit(code, spans), [(FN, 0)], (OWNER_RETURN,), explorations=3)
-    assert whole_steps > 0
-    engine = Engine(_unit(code, spans), build_cfg(disassemble(code)), FN,
-                    sx.unit_facts(_unit(code, spans), (OWNER_RETURN,)), ExplorationBudget())
-    assert engine.owner_spans
+def test_runs_keep_the_owner_rule():
+    """A traced, a collapsed, a constant-slot and an outside load, each inside
+    a block taken whole."""
+    code, spans = owner_reads()
+    whole_steps, cfg = _compare(_unit(code, spans), [(FN, 0)], (OWNER_CODE,), explorations=3)
+    assert whole_steps == 3 * len(disassemble(code))
+    engine = Engine(_unit(code, spans), cfg, FN,
+                    sx.unit_facts(_unit(code, spans), (OWNER_CODE,)), ExplorationBudget())
     (emission,) = engine.explore(0).records
-    assert emission.owner_trace == (Const(5), Const(6))
+    assert len(emission.owner_trace) == 3
 
 
 def test_budget_cut_emission_inside_runs():

@@ -1,6 +1,10 @@
 """Symbolic expressions, constraint structure and the internal solver."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -255,3 +259,36 @@ def test_witness_search_is_deterministic():
         Constraint(cs.EQ, CALLER, OWNER_SLOT),
     )
     assert {solve(query) for _ in range(5)} == {cs.SAT}
+
+
+# three variables named x: their order in the witness search once followed
+# string hashing, which PYTHONHASHSEED sets per process
+_SAME_NAMES = """
+from sleepscan import constraints as cs
+from sleepscan.constraints import Constraint
+from sleepscan.sym import Environment, FreshExternal, Parameter, Var
+
+xs = [Var("x", Parameter(0)), Var("x", Environment("caller")), Var("x", FreshExternal("call"))]
+orders = []
+initial = cs._initial_assignment
+
+def recording(variables, rng, trial):
+    orders.append([type(v.kind).__name__ for v in variables])
+    return initial(variables, rng, trial)
+
+cs._initial_assignment = recording
+found = cs._find_witness([Constraint(cs.NEQ, xs[0], xs[1]), Constraint(cs.NEQ, xs[1], xs[2]),
+                          Constraint(cs.NONZERO, xs[2])], None)
+print(found, orders[0])
+"""
+
+
+def test_witness_search_order_is_independent_of_the_hash_seed():
+    outputs = set()
+    for seed in ("1", "3"):  # two seeds that ordered the three apart
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": str(Path(cs.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", _SAME_NAMES], env=env,
+                              capture_output=True, text=True, check=True)
+        outputs.add(done.stdout)
+    assert outputs == {"True ['Parameter', 'Environment', 'FreshExternal']\n"}

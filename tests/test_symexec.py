@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 import oracle_evm
 import progs
+import reference_explore
+from evmasm import Asm
 
 from sleepscan import constraints as cs
 from sleepscan import disasm, opcodes, pipeline, sym
@@ -252,16 +254,41 @@ def test_log1_is_not_an_emission():
 # --------------------------------------------------------------------------
 # checkpoint: owner trace
 
-def test_owner_trace_commits_on_span_exit_and_collapses_duplicates():
-    span = (100, 50, 0)
-    code = bytes.fromhex("6005" "5b" "80" "5b" "6006" "5b") + _emit_then("00")
-    inside = (110, 5, 0)
-    srcmap = [inside, GENERATED, inside, GENERATED, inside, GENERATED] + [GENERATED] * 8
-    engine = _engine(code, binding=(span,), srcmap=srcmap)
-    (emission,) = engine.explore(0).records
-    # PUSH 5 (in span) commits once; DUP1 re-captures the same value and is
-    # collapsed; PUSH 6 (in span) is a distinct capture
-    assert emission.owner_trace == (Const(5), Const(6))
+OWNER_CODE = (100, 50, 0)  # the binding: ownerOf's definition
+IN_OWNER = (110, 5, 0)  # a span inside it
+
+
+def owner_reads() -> tuple[bytes, list]:
+    """Loads in and out of ownerOf's code over two blocks, then a Transfer
+    emission, with the source map. Slot A is keccak(memory[0:32]), B
+    keccak(memory[32:64])."""
+    a = Asm()
+
+    def hashed_load(offset, span):
+        a.push(32, span).push(offset, span).op("SHA3", span).op("SLOAD", span)
+
+    hashed_load(0, IN_OWNER)     # A: traced
+    hashed_load(0, IN_OWNER)     # A again: collapsed
+    a.op("JUMPDEST")
+    a.push(0, IN_OWNER).op("SLOAD", IN_OWNER)  # a constant slot: not traced
+    hashed_load(32, GENERATED)   # B outside ownerOf's code: not traced
+    hashed_load(32, IN_OWNER)    # B: traced
+    hashed_load(0, IN_OWNER)     # A after B: traced
+    code, spans = a.assemble()
+    emission = _emit_then("00")
+    return code + emission, spans + [GENERATED] * len(disassemble(emission))
+
+
+@pytest.mark.parametrize("explore", [Engine.explore, reference_explore.explore],
+                         ids=["whole-blocks", "one-step-at-a-time"])
+def test_owner_trace_keeps_computed_loads_in_the_owner_code(explore):
+    code, srcmap = owner_reads()
+    (emission,) = explore(_engine(code, binding=(OWNER_CODE,), srcmap=srcmap), 0).records
+    first, second, third = emission.owner_trace
+    assert first == third != second
+    assert [entry.kind.slot for entry in (first, second)] == [
+        Op("sha3", (Var("mem_0", FreshExternal("memory")),)),
+        Op("sha3", (Var("mem_1", FreshExternal("memory")),))]
 
 
 def test_no_binding_means_empty_trace():
