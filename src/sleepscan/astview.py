@@ -68,11 +68,13 @@ def function_infos(unit: CompilationUnit) -> list[FunctionInfo]:
     """Every named function, with the signature of each externally callable
     one; no selector is hashed here (see ``with_selectors``)."""
     infos = []
+    types = {type_string for fn in unit.ast.functions for _, type_string in fn.parameters}
+    canonical = dict(zip(types, map(canonical_type, types)))
     for fn, emits_transfer in zip(unit.ast.functions, _transfer_closure(unit.ast)):
         if not fn.name:  # constructor / fallback / receive
             continue
         visibility = fn.visibility or "public"
-        params = tuple((name, canonical_type(type_string)) for name, type_string in fn.parameters)
+        params = tuple((name, canonical[type_string]) for name, type_string in fn.parameters)
         signature = (f"{fn.name}({','.join(t for _, t in params)})"
                      if visibility in EXTERNALLY_CALLABLE else None)
         infos.append(FunctionInfo(fn.name, None, params, visibility, emits_transfer,

@@ -181,8 +181,10 @@ def disasm(path):
     failed = False
     for unit in units:
         try:
+            if unit.error is not None:
+                raise unit.error
             instrs = disassemble(unit.runtime_bytecode)
-        except SleepscanError as exc:  # one bad contract must not hide the others
+        except (SleepscanError, ValueError) as exc:  # one bad contract must not hide the others
             click.echo(f"{unit.contract_name}: ERROR {type(exc).__name__}: {exc}")
             failed = True
             continue

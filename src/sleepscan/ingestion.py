@@ -33,6 +33,7 @@ class CompilationUnit:
     ast: Ast  # shared by every unit of one source file
     sources: dict[int, str]  # file id -> source text
     compiler_version: Version
+    error: Exception | None = None  # why the code or map did not decode; both are then empty
 
     def snippet(self, span: Span) -> str:
         start, length, file_id = span
@@ -46,35 +47,36 @@ def decode_source_map(encoded: str) -> list[Span]:
     """Decode the compiler's delta-compressed source map into one span per item.
 
     Items are ``s:l:f:j:m``; the jump and modifier-depth fields are ignored.
-    A map has far fewer distinct items than items, so each distinct
-    (previous span, item) pair is parsed once.
+    A map has far fewer distinct items than items. An item that sets start,
+    length and file gives one span whatever came before it, so it is parsed
+    once; any other item once per distinct (previous span, item) pair.
     """
     if encoded == "":
         return []
     spans: list[Span] = []
-    decoded: dict[tuple[Span, str], Span] = {}
+    known: dict[str | tuple[Span, str], Span] = {}  # filled by _apply_item
     span: Span = (0, 0, -1)
     for item in encoded.split(";"):
         if item:  # an empty item repeats the previous span
-            key = (span, item)
-            span = decoded.get(key)
-            if span is None:
-                span = decoded[key] = _apply_item(*key)
+            span = known.get(item) or known.get((span, item)) or _apply_item(span, item, known)
         spans.append(span)
     return spans
 
 
-def _apply_item(previous: Span, item: str) -> Span:
-    """The span of ``item``: an empty or missing field keeps ``previous``'s."""
+def _apply_item(previous: Span, item: str, known: dict) -> Span:
+    """Parse ``item`` into ``known``: an empty or missing field keeps ``previous``'s."""
     values = list(previous)
-    for i, raw in enumerate(item.split(":")[:3]):
+    fields = item.split(":")[:3]
+    for i, raw in enumerate(fields):
         if raw == "":
             continue
         try:
             values[i] = int(raw)
         except ValueError as exc:
             raise MalformedItem(f"non-integer field {raw!r} in item {item!r}") from exc
-    return (values[0], values[1], values[2])
+    key = item if len(fields) == 3 and "" not in fields else (previous, item)
+    span = known[key] = (values[0], values[1], values[2])
+    return span
 
 
 # --------------------------------------------------------------------------
@@ -157,6 +159,7 @@ _READS = {
 # the legacy form's names for the modern attributes ("name" of an Identifier
 # is its "value")
 _LEGACY_KEYS = {"memberName": "member_name", "typeString": "type"}
+_CALLEE_NAMES = {"Identifier": "name", "MemberAccess": "memberName"}  # callee kind -> name key
 
 
 class FunctionRow(NamedTuple):
@@ -171,9 +174,9 @@ class FunctionRow(NamedTuple):
 
 class Ast:
     """One source file's AST, read by one checking walk at load into a
-    function table that keeps no node of the JSON. Only this class knows the
-    modern ``nodeType`` layout and the ``name``/``attributes``/``children``
-    one of solc before 0.5.
+    function table that keeps no node of the JSON. Only this class knows AST
+    nodes; per document it picks the ``_modern_*`` methods (``nodeType``) or
+    the ``_legacy_*`` ones (``name``/``children``, solc before 0.5).
 
     ``functions``: a row per function definition, in document (pre-)order; a
     row's body ends at a nested definition. ``state_variables``: the (name,
@@ -186,121 +189,137 @@ class Ast:
         self.legacy = "nodeType" not in doc
         if self.legacy and not ("name" in doc and ("children" in doc or "attributes" in doc)):
             raise MissingArtifact("unrecognized AST JSON shape")
+        visit, get, call, parameters, declarations = (
+            (self._legacy_visit, self._legacy_get, self._legacy_call, self._legacy_parameters,
+             self._legacy_declarations) if self.legacy else
+            (self._modern_visit, self._modern_get, self._modern_call, self._modern_parameters,
+             self._modern_declarations))
         functions: list[tuple[dict, list[dict]]] = []  # node, its calls
-        declared: list[dict] = []  # the children of every contract
+        declared: list[dict] = []  # the variables every contract declares
         body = None  # of the function being walked; functions do not nest
         stack: list[dict | None] = [doc]
+        push = stack.append
         while stack:
             node = stack.pop()
             if node is None:  # past the function's last descendant
                 body = None
                 continue
-            kind = self._checked_kind(node)
-            if body is not None and kind == "FunctionCall":
-                body.append(node)
-            children = self._children(node)
-            if kind == "FunctionDefinition":
+            kind = visit(node, push)
+            if kind == "FunctionCall":
+                if body is not None:
+                    body.append(node)
+            elif kind == "FunctionDefinition":
                 body = []
                 functions.append((node, body))
-                stack.append(None)
             elif kind == "ContractDefinition":
-                declared += children
-            stack += reversed(children)
+                declared += declarations(node)
         # every node is checked by now, so reading the table cannot fail
-        self.functions = [self._row(fn, body) for fn, body in functions]
-        self.state_variables = [self._declaration(node) for node in declared
-                                if self._kind(node) == "VariableDeclaration"
-                                and self._get(node, "stateVariable") is not False]
 
-    def _row(self, fn: dict, body: list[dict]) -> FunctionRow:
-        return FunctionRow(
-            self._get(fn, "name") or "", self._get(fn, "visibility"),
-            tuple(map(self._declaration, self._parameters(fn))),
-            frozenset(map(self._call, body)), self._span(fn))
+        def declaration(decl: dict) -> tuple[str, str]:
+            return get(decl, "name") or "", get(decl, "typeString") or ""
 
-    def _declaration(self, decl: dict) -> tuple[str, str]:
-        return self._get(decl, "name") or "", self._get(decl, "typeString") or ""
+        self.functions = [
+            FunctionRow(get(fn, "name") or "", get(fn, "visibility"),
+                        tuple(map(declaration, parameters(fn))),
+                        frozenset(map(call, body)), _span(fn))
+            for fn, body in functions]
+        self.state_variables = [declaration(node) for node in declared
+                                if get(node, "stateVariable") is not False]
 
-    def _checked_kind(self, node: dict) -> str:
-        if self.legacy:
-            kind = _json_string(node.get("name"), "legacy AST node name")
-            _json_object(node.get("attributes") or {}, f"attributes of AST node {kind}")
-        else:
-            kind = _json_string(node["nodeType"], "nodeType of an AST node")
+    # A layout's ``visit(node, push)`` checks a node, pushes its child nodes
+    # last first (a function definition's above a None) and returns its kind;
+    # ``get`` reads a ``_READS`` attribute or ``stateVariable``, else None;
+    # ``declarations`` reads a contract's children before the walk checks them.
+
+    def _modern_visit(self, node: dict, push) -> str:
+        """A node's children are the nodes among its values and in its list
+        values, in key order."""
+        kind = node["nodeType"]
+        if type(kind) is not str:
+            _json_string(kind, "nodeType of an AST node")
         for key in _READS.get(kind, ()):
-            value = self._get(node, key)
-            if value is not None:
+            value = self._modern_get(node, key)
+            if not (value is None or isinstance(value, str)):
                 _json_string(value, f"{key} of AST node {kind}")
-        return kind
-
-    def _kind(self, node: dict) -> str:
-        return node["name"] if self.legacy else node["nodeType"]
-
-    def _span(self, node: dict) -> Span:
-        try:  # "start:length:file"; no span when "src" is absent or not that
-            parts = node.get("src").split(":")
-            return (int(parts[0]), int(parts[1]), int(parts[2]) if len(parts) > 2 else -1)
-        except (AttributeError, ValueError, IndexError):
-            return (-1, 0, -1)
-
-    def _children(self, node: dict) -> list[dict]:
-        """The node's child nodes in document order."""
-        if self.legacy:
-            children = node.get("children") or []
-            if not isinstance(children, list):
-                raise MissingArtifact(f"children of AST node {node['name']} is not a JSON list")
-            for child in children:
-                _json_object(child, f"child of AST node {node['name']}")
-            return children
-        children = []
-        for value in node.values():
+        if kind == "FunctionDefinition":
+            push(None)
+        for value in reversed(node.values()):
             if type(value) is dict:
                 if "nodeType" in value:
-                    children.append(value)
+                    push(value)
             elif type(value) is list:
-                children += [item for item in value
-                             if type(item) is dict and "nodeType" in item]
-        return children
+                for item in reversed(value):
+                    if type(item) is dict and "nodeType" in item:
+                        push(item)
+        return kind
 
-    def _get(self, node: dict, key: str):
-        """Attribute ``key`` of ``node`` (one of ``_READS``'s, or
-        ``stateVariable``); None when absent."""
-        if self.legacy:
-            attributes = node.get("attributes") or {}
-            if key == "name" and node["name"] == "Identifier":
-                return attributes.get("value")
-            return attributes.get(_LEGACY_KEYS.get(key, key))
+    def _modern_get(self, node: dict, key: str):
         if key == "typeString":
             node = node.get("typeDescriptions")
             if not isinstance(node, dict):
                 return None
         return node.get(key)
 
-    def _call(self, node: dict) -> tuple[str, int]:
-        """A ``FunctionCall``'s callee name and argument count, by field. The
-        name is an identifier's or a member access's, else ""."""
-        if self.legacy:
-            callee, *arguments = self._children(node) or [None]
-        else:
-            callee, arguments = node.get("expression"), node.get("arguments")
-            if not (isinstance(callee, dict) and "nodeType" in callee):
-                callee = None
-            if not isinstance(arguments, list):
-                arguments = []
-        kind = callee and self._kind(callee)
-        key = {"Identifier": "name", "MemberAccess": "memberName"}.get(kind)
-        return (key and self._get(callee, key)) or "", len(arguments)
+    def _modern_call(self, node: dict) -> tuple[str, int]:
+        """A call's callee name (an identifier's or member's, else "") and argument count."""
+        callee, args = node.get("expression"), node.get("arguments")
+        key = isinstance(callee, dict) and _CALLEE_NAMES.get(callee.get("nodeType"))
+        return (key and callee.get(key)) or "", len(args) if isinstance(args, list) else 0
 
-    def _parameters(self, fn: dict) -> list[dict]:
-        """A ``FunctionDefinition``'s parameter declarations."""
-        if self.legacy:
-            plist = next((c for c in self._children(fn) if c["name"] == "ParameterList"), {})
-        else:
-            plist = fn.get("parameters")
-            if not (isinstance(plist, dict) and plist.get("nodeType") == "ParameterList"):
-                plist = {}
-        return [decl for decl in self._children(plist)
-                if self._kind(decl) == "VariableDeclaration"]
+    def _modern_parameters(self, fn: dict) -> list[dict]:
+        plist = fn.get("parameters")
+        is_list = isinstance(plist, dict) and plist.get("nodeType") == "ParameterList"
+        return self._modern_declarations(plist) if is_list else []
+
+    def _modern_declarations(self, node: dict) -> list[dict]:
+        return [child for value in node.values()
+                for child in (value if type(value) is list else (value,))
+                if type(child) is dict and child.get("nodeType") == "VariableDeclaration"]
+
+    def _legacy_visit(self, node: dict, push) -> str:
+        kind = _json_string(node.get("name"), "legacy AST node name")
+        _json_object(node.get("attributes") or {}, f"attributes of AST node {kind}")
+        for key in _READS.get(kind, ()):
+            value = self._legacy_get(node, key)
+            if value is not None:
+                _json_string(value, f"{key} of AST node {kind}")
+        children = node.get("children") or []
+        if not isinstance(children, list):
+            raise MissingArtifact(f"children of AST node {kind} is not a JSON list")
+        for child in children:
+            _json_object(child, f"child of AST node {kind}")
+        if kind == "FunctionDefinition":
+            push(None)
+        for child in reversed(children):
+            push(child)
+        return kind
+
+    def _legacy_get(self, node: dict, key: str):
+        attributes = node.get("attributes") or {}
+        if key == "name" and node["name"] == "Identifier":
+            return attributes.get("value")
+        return attributes.get(_LEGACY_KEYS.get(key, key))
+
+    def _legacy_call(self, node: dict) -> tuple[str, int]:
+        """A ``FunctionCall``'s callee (its first child) name and argument count."""
+        callee, *arguments = node.get("children") or [None]
+        key = callee and _CALLEE_NAMES.get(callee["name"])
+        return (key and self._legacy_get(callee, key)) or "", len(arguments)
+
+    def _legacy_parameters(self, fn: dict) -> list[dict]:
+        plist = next((c for c in fn.get("children") or [] if c["name"] == "ParameterList"), {})
+        return self._legacy_declarations(plist)
+
+    def _legacy_declarations(self, node: dict) -> list[dict]:
+        return [c for c in node.get("children") or [] if c.get("name") == "VariableDeclaration"]
+
+
+def _span(node: dict) -> Span:
+    try:  # "start:length:file"; no span when "src" is absent or not that
+        parts = node.get("src").split(":")
+        return (int(parts[0]), int(parts[1]), int(parts[2]) if len(parts) > 2 else -1)
+    except (AttributeError, ValueError, IndexError):
+        return (-1, 0, -1)
 
 
 # --------------------------------------------------------------------------
@@ -362,11 +381,13 @@ def resolve_version(metadata_text: str | None, sources: dict[int, str]) -> Versi
 # loading
 
 def load_compilation(artifact_path) -> CompilationUnit:
-    """Load one contract's artifacts; raises when the path holds none or many."""
+    """Load one contract; raises when the path holds none or many, or it does not decode."""
     units = load_all(artifact_path)
     if len(units) > 1:
         names = ", ".join(u.contract_name for u in units)
         raise MissingArtifact(f"multiple contracts ({names}); use load_all")
+    if units[0].error is not None:
+        raise units[0].error
     return units[0]
 
 
@@ -395,14 +416,20 @@ def _load_directory(path: Path) -> list[CompilationUnit]:
             raise MissingArtifact(f"{ast_path} missing")
         if not srcmap_path.exists():
             raise MissingArtifact(f"{srcmap_path} missing")
-        raw_hex = bin_path.read_text().strip().removeprefix("0x")
-        bytecode = strip_metadata(bytes.fromhex(raw_hex))
         ast = Ast(_json_object(_parse_json(ast_path), f"{ast_path}: top level"))
-        source_map = decode_source_map(srcmap_path.read_text().strip())
         sources = {0: sol_path.read_text()} if sol_path.exists() else {}
-        version = resolve_version(None, sources)
-        units.append(CompilationUnit(name, bytecode, source_map, ast, sources, version))
+        units.append(_unit(name, bin_path.read_text().strip(), srcmap_path.read_text().strip(),
+                           ast, sources, resolve_version(None, sources)))
     return units
+
+
+def _unit(name, hex_code: str, encoded_map: str, ast, sources, version) -> CompilationUnit:
+    """A contract's unit; code or a map that does not decode fails it alone."""
+    try:
+        code = strip_metadata(bytes.fromhex(hex_code.removeprefix("0x")))
+        return CompilationUnit(name, code, decode_source_map(encoded_map), ast, sources, version)
+    except (MalformedItem, ValueError) as exc:
+        return CompilationUnit(name, b"", [], ast, sources, version, exc)
 
 
 def _parse_json(path: Path):
@@ -454,18 +481,15 @@ def _load_standard_json(path: Path) -> list[CompilationUnit]:
             deployed = _json_object(evm.get("deployedBytecode", {}),
                                     f"{contract_name}: deployedBytecode")
             hex_code = _json_string(deployed.get("object") or "",
-                                    f"{contract_name}: deployedBytecode.object"
-                                    ).removeprefix("0x")
+                                    f"{contract_name}: deployedBytecode.object")
             ast = asts.get(file_name)
             if ast is None:
                 raise MissingArtifact(f"no AST for source file {file_name}")
-            bytecode = strip_metadata(bytes.fromhex(hex_code))
-            source_map = decode_source_map(_json_string(
-                deployed.get("sourceMap", ""), f"{contract_name}: deployedBytecode.sourceMap"))
+            encoded_map = _json_string(deployed.get("sourceMap", ""),
+                                       f"{contract_name}: deployedBytecode.sourceMap")
             metadata = contract.get("metadata")
             if metadata is not None:
                 _json_string(metadata, f"{contract_name}: metadata")
-            version = resolve_version(metadata, sources)
-            units.append(CompilationUnit(
-                contract_name, bytecode, source_map, ast, sources, version))
+            units.append(_unit(contract_name, hex_code, encoded_map, ast, sources,
+                               resolve_version(metadata, sources)))
     return units

@@ -119,6 +119,8 @@ def analyze_unit(unit: CompilationUnit, config: RunConfig) -> dict:
 def _check_unit(unit: CompilationUnit, instruction_count: int) -> None:
     """The checks that fail one contract of an artifact, not the whole file."""
     name = unit.contract_name
+    if unit.error is not None:
+        raise unit.error
     if not instruction_count:
         raise MissingArtifact(f"{name}: empty runtime bytecode")
     if len(unit.source_map) != instruction_count:

@@ -102,6 +102,25 @@ def test_malformed_item_raises_the_reference_message(items, bad, at, copies):
     assert str(raised.value) == str(expected.value)
 
 
+@pytest.mark.parametrize("encoded,expected", [
+    # a complete item gives its own span after any partial item
+    ("1:2:0;5;1:2:0;:7;1:2:0", [(1, 2, 0), (5, 2, 0), (1, 2, 0), (1, 7, 0), (1, 2, 0)]),
+    # a partial item inherits the fields it leaves out from the complete one before it
+    ("1:2:0;5;3:4:1;5;::2", [(1, 2, 0), (5, 2, 0), (3, 4, 1), (5, 4, 1), (5, 4, 2)]),
+], ids=["complete-after-partials", "partial-after-completes"])
+def test_decoder_parses_complete_items_once_and_partial_items_per_previous(encoded, expected):
+    assert decode_source_map(encoded) == expected == decode_source_map_reference(encoded)
+
+
+@pytest.mark.parametrize("encoded", ["1:2:x", "0:1:0;;1:2:x;1:2:x", "1:2:0;5;1:2:x"])
+def test_complete_malformed_item_raises_the_reference_message_where_it_first_appears(encoded):
+    with pytest.raises(MalformedItem) as expected:
+        decode_source_map_reference(encoded)
+    with pytest.raises(MalformedItem) as raised:
+        decode_source_map(encoded)
+    assert str(raised.value) == str(expected.value) == "non-integer field 'x' in item '1:2:x'"
+
+
 def test_encode_compresses_repeats():
     entries = [(0, 78, 0)] * 3
     assert encode_source_map(entries) == "0:78:0;;"
@@ -212,6 +231,27 @@ def test_every_rendering_gives_one_function_table(fixture):
     assert _table(Ast(ab.legacy(fixture.ast))) == table
 
 
+def _two_functions(bad_type_first: bool) -> dict:
+    """A contract whose functions carry one malformed attribute each: a
+    parameter typed 5, and a function named 7."""
+    span = (0, 0, 0)
+    typed = ab.function("f", "public", [ab.parameter("a", 5, span)], [], span, span)
+    named = ab.function(7, "public", [], [], span, span)
+    functions = [typed, named] if bad_type_first else [named, typed]
+    return ab.source_unit(span, [ab.contract("C", span, functions)])
+
+
+@pytest.mark.parametrize("render", [lambda doc: doc, ab.legacy], ids=["modern", "legacy"])
+@pytest.mark.parametrize("bad_type_first,message", [
+    (True, "typeString of AST node VariableDeclaration is not a JSON string"),
+    (False, "name of AST node FunctionDefinition is not a JSON string"),
+], ids=["type-first", "name-first"])
+def test_ast_error_names_the_first_bad_node_in_document_order(render, bad_type_first, message):
+    with pytest.raises(MissingArtifact) as raised:
+        Ast(render(_two_functions(bad_type_first)))
+    assert str(raised.value) == message
+
+
 def test_unrecognized_ast_raises():
     with pytest.raises(MissingArtifact):
         Ast({"neither": 1})
@@ -272,6 +312,21 @@ def test_load_standard_json(tmp_path):
     assert unit.runtime_bytecode == fig.bytecode
 
 
+@pytest.mark.parametrize("field,value,error", [
+    ("sourceMap", "1:2:x", MalformedItem), ("object", "zz", ValueError)])
+def test_load_compilation_raises_when_its_contract_does_not_decode(tmp_path, field, value,
+                                                                   error):
+    doc = corpus.standard_json_artifact(corpus.hidden_approver())
+    doc["contracts"]["HiddenApprover.sol"]["HiddenApprover"]["evm"]["deployedBytecode"][
+        field] = value
+    path = tmp_path / "artifact.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(error):
+        load_compilation(path)
+    (unit,) = load_all(path)  # the error waits for the contract's analysis
+    assert isinstance(unit.error, error) and unit.source_map == []
+
+
 def test_map_length_mismatch_raises(tmp_path):
     fig = corpus.guarded_gallery()
     d = fig.write(tmp_path)
@@ -282,6 +337,27 @@ def test_map_length_mismatch_raises(tmp_path):
     (report,) = analyze_path(str(d), RunConfig())
     assert report["contract"] == "GuardedGallery"
     assert report["error"].startswith("MapLengthMismatch: ")
+
+
+@pytest.mark.parametrize("fixture", corpus.build_corpus(), ids=lambda f: f.name)
+def test_directory_and_standard_json_load_and_analyze_alike(tmp_path, fixture):
+    """Metamorphic: a fixture as an artifact directory and as a standard-JSON
+    file with its CBOR trailer gives equal units and equal reports. The
+    standard-JSON metadata pins 0.8.17, so the compiler version may differ."""
+    directory = fixture.write(tmp_path)
+    path = tmp_path / f"{fixture.name}.json"
+    path.write_text(json.dumps(corpus.standard_json_artifact(fixture)))
+    (unit,), (twin,) = load_all(directory), load_all(path)
+    assert twin.runtime_bytecode == unit.runtime_bytecode
+    assert twin.source_map == unit.source_map
+    assert _table(twin.ast) == _table(unit.ast)
+    reports = []
+    for artifact in (directory, path):
+        (report,) = analyze_path(str(artifact), RunConfig())
+        report.pop("timings")
+        report.pop("compiler_version")
+        reports.append(report)
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("top_level", ["5", "null"])

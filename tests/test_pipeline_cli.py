@@ -218,12 +218,22 @@ def test_malformed_standard_json_is_one_error_report(tmp_path, doc, message):
     assert report["findings"] == []
 
 
-@pytest.mark.parametrize("field,value,error", [
+# a contract's own fault, and the error report it gets
+_CONTRACT_FAULTS = [
     ("sourceMap", lambda m: m.rpartition(";")[0], "MapLengthMismatch: Short: "),  # one item short
     ("object", lambda _: "", "MissingArtifact: Short: empty runtime bytecode"),
     ("sourceMap", lambda m: "0:99999:0" + m[m.index(";"):],
      "MissingArtifact: Short: source-map span 0:99999 out of bounds"),
-], ids=["short-source-map", "empty-bytecode", "span-out-of-bounds"])
+    ("sourceMap", lambda m: "1:2:x" + m[m.index(";"):],
+     "MalformedItem: non-integer field 'x' in item '1:2:x'"),
+    ("object", lambda code: "zz" + code,
+     "ValueError: non-hexadecimal number found in fromhex() arg at position 0"),
+]
+_FAULT_IDS = ["short-source-map", "empty-bytecode", "span-out-of-bounds", "malformed-item",
+              "non-hex-bytecode"]
+
+
+@pytest.mark.parametrize("field,value,error", _CONTRACT_FAULTS, ids=_FAULT_IDS)
 def test_short_source_map_fails_only_its_contract(tmp_path, field, value, error):
     doc = corpus.standard_json_artifact(corpus.hidden_approver())
     per_file = doc["contracts"]["HiddenApprover.sol"]
@@ -238,6 +248,40 @@ def test_short_source_map_fails_only_its_contract(tmp_path, field, value, error)
     assert [f["type"] for f in good["findings"]] == [PRIVILEGED_ADDRESS]
     assert bad["contract"] == "Short"
     assert bad["error"].startswith(error)
+
+
+@pytest.mark.parametrize("field,value,error", _CONTRACT_FAULTS, ids=_FAULT_IDS)
+def test_a_contract_fault_fails_only_its_contract_in_a_directory(tmp_path, field, value, error):
+    """The directory layout: FreeMintable beside a copy of it with one fault."""
+    directory = corpus.free_mintable().write(tmp_path)
+    suffix = {"object": "bin-runtime", "sourceMap": "srcmap-runtime"}[field]
+    for path in directory.iterdir():
+        text = path.read_text()
+        (directory / path.name.replace("FreeMintable", "Short")).write_text(
+            value(text) if path.name.endswith(suffix) else text)
+    good, bad = analyze_path(str(directory), RunConfig())
+    assert good["contract"] == "FreeMintable" and "error" not in good
+    assert [f["type"] for f in good["findings"]] == [UNRESTRICTED_FROM]
+    assert bad["contract"] == "Short"
+    assert bad["error"].startswith(error)
+
+
+@pytest.mark.parametrize("field,value,error", _CONTRACT_FAULTS[3:], ids=_FAULT_IDS[3:])
+def test_cli_disasm_reports_a_contract_that_does_not_decode(runner, tmp_path, field, value,
+                                                            error):
+    doc = corpus.standard_json_artifact(corpus.free_mintable())
+    per_file = doc["contracts"]["FreeMintable.sol"]
+    per_file["Short"] = copy.deepcopy(per_file["FreeMintable"])
+    deployed = per_file["Short"]["evm"]["deployedBytecode"]
+    deployed[field] = value(deployed[field])
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["disasm", str(path)])
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "=== FreeMintable ===" in result.output and "JUMPDEST" in result.output
+    assert [line for line in result.output.splitlines() if "ERROR" in line] \
+        == [f"Short: ERROR {error}"]
 
 
 def test_truncated_push_is_one_error_report(tmp_path):
