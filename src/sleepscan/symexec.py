@@ -30,15 +30,28 @@ included, and so is every checkpoint. ``Engine.step`` runs one instruction
 after its stack-depth checks. ``Engine.explore`` runs straight-line code a
 basic block of the unit's ``Code`` at a time: every path enters a block at
 its start, so no pc inside a block is ever looked up. When a path first
-enters a block, ``_block_form`` decodes it and builds its execution form: its
-ops (each instruction's handler, and a PUSH's value as a ``Const``) and the
-lowest and highest entry stack depth at which none of them underflows or
-overflows. It keeps the form in ``Code.block_at``, so every function of the
-unit shares it and code no path reaches is never decoded. A block is taken
-whole when the stack depth lies in that range, no deadline read (every 256
-steps) falls inside it and it ends within ``max_steps``; otherwise its ops go
-through ``Engine.step`` one at a time, so path ends, diagnostics and step
-counts are those of stepping every instruction.
+enters a block, ``_block_form`` decodes it and builds its execution form
+``(jumpdest, ops, instrs, count, low, high)``:
+
+- ``jumpdest``, the block's pc when it starts with a JUMPDEST: ``explore``
+  counts that visit and applies the loop bound itself on entry;
+- ``ops``, one per other instruction (its handler, and a PUSH's value as a
+  ``Const``), except that a PUSH and the JUMP, JUMPI or CALLDATALOAD right
+  after it are one fused op that gets the value as an int;
+- ``instrs``, the block's decoded instructions, and ``count``, how many;
+- ``low`` and ``high``, the lowest and highest entry stack depth at which no
+  instruction underflows or overflows.
+
+It keeps the form in ``Code.block_at``, so every function of the unit shares
+it and code no path reaches is never decoded. A block is taken whole when
+the stack depth lies in that range, no deadline read (every 256 steps) falls
+inside it and it ends within ``max_steps``; otherwise its instructions, never
+its ops, go through ``Engine.step`` one at a time. Either way a block counts
+one step per instruction, so path ends, diagnostics and step counts are those
+of stepping every instruction.
+
+A path runs until it ends: at a fork the taken state goes on the worklist and
+the fallthrough, which the worklist would give back next, runs on in place.
 """
 
 from __future__ import annotations
@@ -90,7 +103,7 @@ class _EmissionSnapshot:
     src: Span
 
 
-@dataclass
+@dataclass(slots=True)
 class MachineState:
     pc: int
     stack: list[SymValue] = field(default_factory=list)
@@ -104,9 +117,7 @@ class MachineState:
     snapshots: tuple[_EmissionSnapshot, ...] = ()
 
     def fork(self) -> "MachineState":
-        # skips the dataclass __init__ and its keyword arguments; the fields
-        # are set in __init__'s order and never through __dict__, so the
-        # state keeps the attribute layout every state shares
+        # skips the dataclass __init__ and its keyword arguments
         forked = object.__new__(MachineState)
         forked.pc = self.pc
         forked.stack = self.stack[:]
@@ -171,12 +182,13 @@ class Engine:
         self.cfg = cfg
         self.fn = fn
         self.budget = budget
+        self.jumpdests = cfg.jumpdests
         self.layout, self.owner_spans = facts
         self.param_vars: dict[int, Var] = {}
         self.storage_vars: dict[SymValue, Var] = {}  # by slot
         # by offset, or by (offset, memory length) where a write may overlap
         self.memory_fresh: dict[SymValue | tuple[SymValue, int], Var] = {}
-        # id(condition) -> (condition, taken constraints, negated fallthrough);
+        # id(condition) -> (condition, taken constraints, fallthrough constraints);
         # the entry holds the condition, so its id is not reused
         self.branch_constraints: dict[int, tuple] = {}
         self.records: list[PathRecord] = []
@@ -266,14 +278,6 @@ class Engine:
         if width:
             state.memory += ((offset, _fresh(pc, origin), width),)
 
-    def _jump_target(self, target: SymValue, instr: Instruction) -> int:
-        value = sym.const_value(target)
-        if value is None:
-            raise _KillPath(END_REVERT, f"symbolic jump target at {instr.pc}")
-        if value not in self.cfg.jumpdests:
-            raise _KillPath(END_REVERT, f"jump to non-JUMPDEST {value} at {instr.pc}")
-        return value
-
     # -- path lifecycle -----------------------------------------------------
 
     def _finish_path(self, state: MachineState, end_kind: str,
@@ -306,6 +310,7 @@ class Engine:
         blocks = code.block_at
         step = self.step
         max_steps = budget.max_steps
+        loop_bound = budget.loop_bound
         steps = self.steps_used
         worklist = [MachineState(pc=entry_pc)]
         while worklist:
@@ -315,8 +320,9 @@ class Engine:
                     self._finish_path(state, END_BUDGET, reason)
                 break
             state = worklist.pop()
-            while True:  # run one state a block at a time until its path forks or ends
-                if not steps % _DEADLINE_EVERY and budget.expired():
+            while True:  # run one state a block at a time until its path ends
+                phase = steps % _DEADLINE_EVERY
+                if not phase and budget.expired():
                     self.timed_out = True
                     worklist.append(state)
                     break
@@ -326,23 +332,31 @@ class Engine:
                     if block is None:
                         self._finish_path(state, END_REVERT, f"fell off code at pc {state.pc}")
                         break
-                ops, low, high = block
-                count = len(ops)
+                jumpdest, ops, instrs, count, low, high = block
                 entry_steps = steps
                 try:
                     # whole only where stepping would pass every depth check,
                     # read no clock and stay within the step budget
                     if (low <= len(state.stack) <= high
-                            and steps % _DEADLINE_EVERY + count <= _DEADLINE_EVERY
+                            and phase + count <= _DEADLINE_EVERY
                             and steps + count <= max_steps):
+                        if jumpdest is not None:  # the JUMPDEST the block starts with
+                            visits = state.jumpdest_visits.get(jumpdest, 0) + 1
+                            state.jumpdest_visits[jumpdest] = visits
+                            if visits > loop_bound:
+                                steps += 1
+                                self._finish_path(state, END_BUDGET,
+                                                  f"loop bound at jumpdest {jumpdest}")
+                                break
                         steps += count
+                        successors = None
                         for handler, instr, arg in ops:
                             successors = handler(self, state, instr, arg)
                         if successors is None:  # fell through to the next block
-                            state.pc = instr.next_pc
+                            state.pc = instrs[-1].next_pc
                             continue
                     else:
-                        for index, (_, instr, _) in enumerate(ops):
+                        for index, instr in enumerate(instrs):
                             # the block's first step was checked above
                             if index and not steps % _DEADLINE_EVERY and budget.expired():
                                 self.timed_out = True
@@ -357,14 +371,19 @@ class Engine:
                             successors = step(state, instr)
                 except _KillPath as kill:
                     # the steps through the instruction that ended the path
-                    steps = entry_steps + instr.src - ops[0][1].src + 1
+                    steps = entry_steps + instr.src - instrs[0].src + 1
                     self._finish_path(state, kill.end_kind, kill.reason)
                     break
                 # only a block's last instruction may fork or end the path
-                if len(successors) != 1:
-                    worklist.extend(successors)
+                if len(successors) == 1:
+                    state = successors[0]
+                elif successors:
+                    # a fork: the fallthrough, which the worklist would give
+                    # back next, runs on, and the taken side waits
+                    worklist.append(successors[0])
+                    state = successors[1]
+                else:
                     break
-                state = successors[0]
         self.steps_used = steps
         return self
 
@@ -378,7 +397,9 @@ def _fresh(pc: int, origin: str) -> Var:
 # one handler per opcode; each runs after the stack-depth checks, gets the
 # opcode's pop count (a PUSH gets its value as a Const), and returns None to
 # fall through to the next instruction or else the successor states; a
-# handler that may return successors ends a basic block
+# handler that may return successors ends a basic block. A block's ops also
+# fuse a PUSH into the JUMP, JUMPI or CALLDATALOAD after it (``_FUSED``):
+# the fused handler gets the pushed value as an int.
 
 def _push(engine: Engine, state: MachineState, instr: Instruction, value: Const):
     state.stack.append(value)
@@ -406,32 +427,54 @@ def _jumpdest(engine: Engine, state: MachineState, instr: Instruction, pops: int
 
 
 def _jump(engine: Engine, state: MachineState, instr: Instruction, pops: int):
-    state.pc = engine._jump_target(state.stack.pop(), instr)
+    return _jump_to(engine, state, instr, sym.const_value(state.stack.pop()))
+
+
+def _jump_to(engine: Engine, state: MachineState, instr: Instruction, target: int | None):
+    """A JUMP to ``target``, None when it is symbolic."""
+    if target not in engine.jumpdests:
+        _bad_jump(target, instr)
+    state.pc = target
     return [state]
 
 
 def _jumpi(engine: Engine, state: MachineState, instr: Instruction, pops: int):
-    target = state.stack.pop()
+    return _branch(engine, state, instr, sym.const_value(state.stack.pop()))
+
+
+def _branch(engine: Engine, state: MachineState, instr: Instruction, target: int | None):
+    """A JUMPI to ``target``, None when it is symbolic, on the condition on
+    top of the stack. A false constant condition falls through whatever the
+    target; any other condition first checks the target."""
     condition = state.stack.pop()
-    value = sym.const_value(condition)
-    if value is not None:
-        state.pc = engine._jump_target(target, instr) if value else instr.next_pc
+    if isinstance(condition, Const):
+        if condition.value:
+            return _jump_to(engine, state, instr, target)
+        state.pc = instr.next_pc
         return [state]
-    target_pc = engine._jump_target(target, instr)
+    if target not in engine.jumpdests:
+        _bad_jump(target, instr)
     # one condition object reaches this JUMPI on every path forked after it
     # was built
     cached = engine.branch_constraints.get(id(condition))
     if cached is None:
         taken = tuple(_condition_constraints(condition, True))
         cached = engine.branch_constraints[id(condition)] = (
-            condition, taken, taken[0].negated())
-    _, taken, negated = cached
+            condition, taken, (taken[0].negated(),))
+    _, taken, not_taken = cached
     fallthrough = state.fork()
     fallthrough.pc = instr.next_pc
-    fallthrough.constraints = state.constraints + (negated,)
-    state.pc = target_pc
+    fallthrough.constraints = state.constraints + not_taken
+    state.pc = target
     state.constraints += taken
     return [state, fallthrough]
+
+
+def _bad_jump(target: int | None, instr: Instruction):
+    """End the path at a jump whose target is not a JUMPDEST."""
+    if target is None:
+        raise _KillPath(END_REVERT, f"symbolic jump target at {instr.pc}")
+    raise _KillPath(END_REVERT, f"jump to non-JUMPDEST {target} at {instr.pc}")
 
 
 def _exit(engine: Engine, state: MachineState, instr: Instruction, pops: int):
@@ -449,15 +492,20 @@ def _unknown(engine: Engine, state: MachineState, instr: Instruction, pops: int)
 
 
 def _calldataload(engine: Engine, state: MachineState, instr: Instruction, pops: int):
-    # a word at 4 + 32 * i is the i-th parameter; any other offset a fresh value
-    stack = state.stack
-    offset = sym.const_value(stack[-1])
+    _calldataload_at(engine, state, instr, sym.const_value(state.stack.pop()))
+
+
+def _calldataload_at(engine: Engine, state: MachineState, instr: Instruction,
+                     offset: int | None):
+    """The calldata word at ``offset``, None when it is symbolic: at
+    4 + 32 * i the i-th parameter, at any other offset a fresh value."""
     if offset is None:
-        stack[-1] = _fresh(instr.pc, "calldata_sym")
+        word = _fresh(instr.pc, "calldata_sym")
     elif offset >= 4 and (offset - 4) % 32 == 0:
-        stack[-1] = engine._param_var((offset - 4) // 32)
+        word = engine._param_var((offset - 4) // 32)
     else:
-        stack[-1] = _fresh(instr.pc, f"calldata_{offset}")
+        word = _fresh(instr.pc, f"calldata_{offset}")
+    state.stack.append(word)
 
 
 def _sload(engine: Engine, state: MachineState, instr: Instruction, pops: int):
@@ -617,24 +665,36 @@ _DISPATCH = tuple((_handler(entry[0]), entry[1], entry[2]) if entry else (_unkno
                   for entry in map(opcodes.TABLE.get, range(256)))
 
 
+# a consumer's handler -> the handler of a PUSH and that consumer as one op
+_FUSED = {_jump: _jump_to, _jumpi: _branch, _calldataload: _calldataload_at}
+
+
 def _block_form(code: Code, pc: int) -> tuple | None:
-    """The execution form of the block starting at ``pc``, kept in
-    ``code.block_at``: its ``(handler, instr, arg)`` ops, and the lowest and
-    highest entry stack depth at which no op underflows or overflows. None
-    when no block starts at ``pc``."""
+    """The execution form ``(jumpdest, ops, instrs, count, low, high)`` of the
+    block starting at ``pc`` (see the module docstring), kept in
+    ``code.block_at``; an op is ``(handler, instr, arg)``, and a fused op's
+    ``instr`` is its consumer. None when no block starts at ``pc``."""
     instrs = code.block(pc)
     if instrs is None:
         return None
+    jumpdest = pc if pc in code.jumpdests else None
     ops = []
-    depth = low = peak = 0  # relative to the entry depth
-    for instr in instrs:
+    depth = low = peak = 0  # relative to the entry depth; a JUMPDEST moves no word
+    for instr in instrs if jumpdest is None else instrs[1:]:
         handler, pops, pushes = _DISPATCH[instr.byte]
-        low = max(low, pops - depth)
+        if pops - depth > low:
+            low = pops - depth
         depth += pushes - pops
-        peak = max(peak, depth)
+        if depth > peak:
+            peak = depth
         value = instr.push_value
-        ops.append((handler, instr, pops if value is None else Const(value)))
-    form = code.block_at[pc] = (tuple(ops), low, MAX_STACK - peak)
+        if value is not None:
+            ops.append((handler, instr, Const(value)))
+        elif handler in _FUSED and ops and ops[-1][0] is _push:
+            ops[-1] = (_FUSED[handler], instr, ops[-1][1].push_value)
+        else:
+            ops.append((handler, instr, pops))
+    form = code.block_at[pc] = (jumpdest, tuple(ops), instrs, len(instrs), low, MAX_STACK - peak)
     return form
 
 

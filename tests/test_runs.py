@@ -12,6 +12,7 @@ import reference_explore
 from evmasm import GENERATED, Asm
 from test_symexec import EMPTY_AST, FN, IN_OWNER, OWNER_CODE, _emit_then, owner_reads
 
+from sleepscan import pipeline
 from sleepscan import symexec as sx
 from sleepscan.astview import (
     EXTERNALLY_CALLABLE,
@@ -23,7 +24,8 @@ from sleepscan.astview import (
 from sleepscan.disasm import build_cfg, disassemble, find_function_entry
 from sleepscan.ingestion import CompilationUnit, load_compilation
 from sleepscan.keccak import TRANSFER_TOPIC
-from sleepscan.symexec import END_EXIT, END_REVERT, Engine, ExplorationBudget
+from sleepscan.sym import FreshExternal, Parameter, Var
+from sleepscan.symexec import END_BUDGET, END_EXIT, END_REVERT, Engine, ExplorationBudget
 
 LOOP = bytes.fromhex("5b" "6000" "56")  # JUMPDEST; PUSH 0; JUMP (forever)
 
@@ -98,7 +100,8 @@ _BODY_ITEM = st.tuples(
         st.tuples(st.just("op"), st.sampled_from(
             ["DUP1", "DUP2", "SWAP1", "POP", "ADD", "SUB", "EQ", "LT", "ISZERO",
              "AND", "CALLER", "SSTORE"])),
-        st.tuples(st.just("calldata"), st.integers(0, 2)),
+        # parameter words, and offsets off the grid: 0 (None: PUSH0) and 5
+        st.tuples(st.just("calldata"), st.sampled_from([4, 36, 68, 0, None, 5])),
         st.tuples(st.just("hashed-load"), st.sampled_from([0, 32])),
         st.tuples(st.just("constant-load"), st.integers(0, 2)),
         st.tuples(st.just("emit"), st.none()),
@@ -106,7 +109,7 @@ _BODY_ITEM = st.tuples(
     st.booleans(),  # whether the item's source span lies in ownerOf's code
 )
 # a JUMPI on calldata forks; the other ends do not
-_ENDS = ["jumpi-calldata"] * 3 + ["jumpi", "jump", "stop", "revert", "fall"]
+_ENDS = ["jumpi-calldata"] * 3 + ["jumpi-constant", "jumpi", "jump", "stop", "revert", "fall"]
 
 
 @st.composite
@@ -126,7 +129,11 @@ def _programs(draw):
             elif kind == "op":
                 a.op(arg, span)
             elif kind == "calldata":
-                a.push(4 + 32 * arg, span).op("CALLDATALOAD", span)
+                if arg is None:
+                    a.op("PUSH0", span)
+                else:
+                    a.push(arg, span)
+                a.op("CALLDATALOAD", span)
             elif kind == "hashed-load":  # keccak(memory[arg:arg + 32])
                 a.push(32, span).push(arg, span).op("SHA3", span).op("SLOAD", span)
             elif kind == "constant-load":
@@ -138,6 +145,8 @@ def _programs(draw):
         target = f"b{draw(st.integers(0, count - 1))}"
         if end == "jumpi-calldata":
             a.push(4).op("CALLDATALOAD")
+        elif end == "jumpi-constant":  # falls through on 0, whatever the target
+            a.push(draw(st.integers(0, 1)))
         if end.startswith("jumpi"):
             a.push_label(target).op("JUMPI")
         elif end == "jump":
@@ -241,7 +250,7 @@ def test_entry_depth_at_the_underflow_edge():
     code, _ = a.assemble()
     whole_steps, cfg = _compare(_unit(code), [(FN, 0)])
     assert whole_steps > 0
-    _, low, high = cfg.block_at[code.index(0x5B)]
+    *_, low, high = cfg.block_at[code.index(0x5B)]
     assert (low, high) == (1, sx.MAX_STACK)
     result = Engine(_unit(code), cfg, FN, sx.unit_facts(_unit(code), ()),
                     ExplorationBudget()).explore(0)
@@ -264,7 +273,7 @@ def test_entry_depth_at_the_overflow_edge():
     label = len(code) - 4
     whole_steps, cfg = _compare(_unit(code), [(FN, 0)])
     assert whole_steps > 0
-    _, low, high = cfg.block_at[label]
+    *_, low, high = cfg.block_at[label]
     assert (low, high) == (0, sx.MAX_STACK - 2)
     result = Engine(_unit(code), cfg, FN, sx.unit_facts(_unit(code), ()),
                     ExplorationBudget()).explore(0)
@@ -294,6 +303,130 @@ def test_budget_cut_emission_inside_runs():
 
 
 # --------------------------------------------------------------------------
+# fused ops and the JUMPDEST a block starts with, each taken whole and
+# stepped one instruction at a time
+
+def _whole_and_stepped(body, budget: ExplorationBudget | None = None,
+                       padding: int = sx._DEADLINE_EVERY - 1) -> list:
+    """``body(asm)`` writes a program starting with a JUMPDEST. It runs once
+    from pc 0, where every block is taken whole, and once after ``padding``
+    PUSH0s, one block that ends at step ``padding``: by default the first
+    block of ``body`` then starts at step 255, straddles the deadline read
+    and is stepped. Each run is checked against the reference loop; returns
+    ``(engine, pad)`` for each."""
+    budget = budget or ExplorationBudget()
+    results = []
+    for pad in (0, padding):
+        a = Asm()
+        for _ in range(pad):
+            a.op("PUSH0")
+        body(a)
+        code, spans = a.assemble()
+        unit = _unit(code, spans)
+        _compare(unit, [(FN, 0)], budget=budget, explorations=1)
+        stepped = Counter()
+        engine = _counting_steps(Engine(unit, build_cfg(disassemble(code)), FN,
+                                        sx.unit_facts(unit, ()), budget), stepped)
+        results.append((engine.explore(0), pad))
+        assert bool(stepped) == bool(pad)
+    return results
+
+
+def test_a_constant_false_jumpi_falls_through_past_a_bad_target():
+    def body(a):
+        a.jumpdest("L").push(0).push(3).op("JUMPI").op("STOP")  # 3 is the PUSH1 0
+    for result, pad in _whole_and_stepped(body):
+        assert list(result.ends.items()) == [((END_EXIT, None), 1)]
+        assert result.steps_used == pad + 5
+
+
+@pytest.mark.parametrize("condition", ["true", "calldata", "jump"])
+def test_a_jump_to_a_non_jumpdest_keeps_its_diagnostic(condition):
+    def body(a):
+        a.jumpdest("L")
+        if condition == "true":
+            a.push(1)
+        elif condition == "calldata":
+            a.push(4).op("CALLDATALOAD")
+        a.push(2).op("JUMP" if condition == "jump" else "JUMPI").op("STOP")
+    for result, pad in _whole_and_stepped(body):
+        jump_pc = pad + {"true": 5, "calldata": 6, "jump": 3}[condition]
+        assert list(result.ends.items()) == [
+            ((END_REVERT, f"jump to non-JUMPDEST 2 at {jump_pc}"), 1)]
+
+
+def test_a_symbolic_jump_target_keeps_its_diagnostic():
+    def body(a):
+        a.jumpdest("L").push(1).push(4).op("CALLDATALOAD").op("JUMPI").op("STOP")
+    for result, pad in _whole_and_stepped(body):
+        assert list(result.ends.items()) == [
+            ((END_REVERT, f"symbolic jump target at {pad + 6}"), 1)]
+
+
+@pytest.mark.parametrize("push, offset", [("PUSH0", 0), ("PUSH1", 0), ("PUSH1", 5),
+                                          ("PUSH1", 0x24)])
+def test_a_pushed_calldata_offset_maps_to_its_word(push, offset):
+    """A fresh ``calldata_<offset>`` off the parameter grid, a parameter on
+    it; the word is the emission's ``from``."""
+    def body(a):
+        a.jumpdest("L").push(1).push(2)
+        if push == "PUSH0":
+            a.op("PUSH0")
+        else:
+            a.push(offset)
+        a.op("CALLDATALOAD")
+        a.push(TRANSFER_TOPIC).push(0).push(0).op("LOG4").op("STOP")
+    for result, pad in _whole_and_stepped(body):
+        (record,) = result.records
+        word = record.from_param
+        if offset == 0x24:
+            assert word == Var("to", Parameter(1), True)
+        else:
+            load_pc = pad + (6 if push == "PUSH0" else 7)
+            assert word == Var(f"ext_calldata_{offset}_{load_pc}",
+                               FreshExternal(f"calldata_{offset}"))
+
+
+def test_a_block_that_is_only_a_jumpdest():
+    """The first block is a lone JUMPDEST: it falls through to the next one,
+    and a lone JUMPDEST at the end of the code falls off it. A one-step block
+    never straddles a deadline read, so the padded run steps the second."""
+    def body(a):
+        a.jumpdest("L").jumpdest("M").push_label("N").op("JUMP")
+        a.jumpdest("N")
+    for result, pad in _whole_and_stepped(body, padding=sx._DEADLINE_EVERY - 2):
+        assert list(result.ends.items()) == [
+            ((END_REVERT, f"fell off code at pc {pad + 7}"), 1)]
+        assert result.steps_used == pad + 5
+
+
+@pytest.mark.parametrize("loop_bound", [1, 2, 3])
+def test_a_loop_bound_kill_at_block_entry_counts_the_jumpdest(loop_bound):
+    """JUMPDEST; PUSH2 L; JUMP runs ``loop_bound`` times, and its next entry
+    ends the path after one step. The padded run's last entry starts at step
+    254, straddles the read at 256 and is stepped."""
+    budget = ExplorationBudget(loop_bound=loop_bound)
+    for result, pad in _whole_and_stepped(
+            lambda a: a.jumpdest("L").push_label("L").op("JUMP"), budget,
+            padding=sx._DEADLINE_EVERY - 2 - 3 * loop_bound):
+        assert list(result.ends.items()) == [
+            ((END_BUDGET, f"loop bound at jumpdest {pad}"), 1)]
+        assert result.steps_used == pad + 3 * loop_bound + 1
+
+
+@pytest.mark.parametrize("max_steps", range(1, 8))
+def test_the_step_budget_can_cut_a_fused_pair(max_steps):
+    """The first block (JUMPDEST; PUSH1 4; CALLDATALOAD; PUSH2 L; JUMPI) is 5
+    steps: a cut inside or after either fused pair steps it."""
+    a = Asm()
+    a.jumpdest("L").push(4).op("CALLDATALOAD").push_label("L").op("JUMPI").op("STOP")
+    code, spans = a.assemble()
+    budget = ExplorationBudget(max_steps=max_steps)
+    whole_steps, _ = _compare(_unit(code, spans), [(FN, 0)], budget=budget, explorations=1)
+    assert (whole_steps > 0) == (max_steps >= 5)
+
+
+# --------------------------------------------------------------------------
 # laziness: ops for exactly the blocks entered, built once
 
 def test_a_block_ending_in_an_unknown_byte_gets_its_ops_once(monkeypatch):
@@ -310,10 +443,24 @@ def test_a_block_ending_in_an_unknown_byte_gets_its_ops_once(monkeypatch):
     monkeypatch.setattr(sx, "_block_form", counting)
     whole_steps, cfg = _compare(_unit(code), [(FN, 0)], explorations=5)
     assert cfg.blocks == [0]
-    ops, _, _ = cfg.block_at[0]
-    assert whole_steps == 5 * len(ops)
+    jumpdest, ops, instrs, count, _, _ = cfg.block_at[0]
+    assert whole_steps == 5 * count == 5 * len(instrs) == 5 * 3
     assert builds == {0: 1}
+    assert jumpdest == 0
     assert ops[-1][0] is sx._unknown
+
+
+def test_a_pruned_analysis_decodes_under_a_tenth_of_a_wide_unit(tmp_path, monkeypatch):
+    """``Code.block`` decodes in its own loop, so its instructions are counted
+    here, in the forms the engine kept: fewer than 10 % of the unit's."""
+    unit = load_compilation(corpus.market_hub(1, 120).write(tmp_path))
+    cfgs = []
+    build = pipeline.build_cfg
+    monkeypatch.setattr(pipeline, "build_cfg", lambda code: cfgs.append(build(code)) or cfgs[-1])
+    assert pipeline.analyze_unit(unit, pipeline.RunConfig())["functions_analyzed"] == 2
+    (cfg,) = cfgs
+    decoded = sum(len(instrs) for _, _, instrs, *_ in cfg.block_at.values())
+    assert 0 < decoded < len(cfg) / 10
 
 
 def test_ops_are_built_for_exactly_the_blocks_entered(tmp_path):
