@@ -96,10 +96,11 @@ def is_caller(value: SymValue) -> bool:
 
 def is_storage_direct_address(value: SymValue) -> bool:
     base = sym.strip_masks(value)
-    # a plain slot, not a mapping entry (its name carries "[...]"), of declared
-    # address type when the layout resolved it, else loaded under a 160-bit mask
+    # a plain slot, not a mapping entry, of declared address type when the
+    # layout resolved it, else loaded under a 160-bit mask
     return (isinstance(base, Var) and isinstance(base.kind, sym.Storage)
-            and "[...]" not in base.name and (base.is_address or base is not value))
+            and sym.mapping_base(base.kind.slot) is None
+            and (base.is_address or base is not value))
 
 
 # --------------------------------------------------------------------------

@@ -100,49 +100,36 @@ def strip_metadata(bytecode: bytes) -> bytes:
 
 
 def _is_cbor_map(data: bytes) -> bool:
-    try:
-        end = _cbor_item_end(data, 0)
-    except (ValueError, IndexError):
+    """Whether ``data`` is exactly one CBOR map of definite-length, untagged
+    items. A loop over the count of items still to read, so no nesting
+    depth recurses."""
+    if not data or data[0] >> 5 != 5:
         return False
-    return end == len(data) and data and (data[0] >> 5) == 5
-
-
-def _cbor_item_end(data: bytes, pos: int) -> int:
-    initial = data[pos]
-    major, info = initial >> 5, initial & 0x1F
-    pos += 1
-    if info < 24:
-        arg = info
-    elif info == 24:
-        arg = data[pos]
+    pos, pending = 0, 1
+    while pending:
+        if pos >= len(data):
+            return False
+        major, info = data[pos] >> 5, data[pos] & 0x1F
         pos += 1
-    elif info == 25:
-        arg = int.from_bytes(data[pos:pos + 2], "big")
-        pos += 2
-    elif info == 26:
-        arg = int.from_bytes(data[pos:pos + 4], "big")
-        pos += 4
-    elif info == 27:
-        arg = int.from_bytes(data[pos:pos + 8], "big")
-        pos += 8
-    else:
-        raise ValueError("indefinite-length or reserved CBOR item")
-    if major in (0, 1, 7):  # ints, simple values
-        return pos
-    if major in (2, 3):  # byte/text string
-        end = pos + arg
-        if end > len(data):
-            raise ValueError("string runs past end")
-        return end
-    if major == 4:  # array
-        for _ in range(arg):
-            pos = _cbor_item_end(data, pos)
-        return pos
-    if major == 5:  # map
-        for _ in range(2 * arg):
-            pos = _cbor_item_end(data, pos)
-        return pos
-    raise ValueError("tagged item")  # major 6, not produced by the compiler
+        if info < 24:
+            arg = info
+        elif info < 28:  # the argument follows in 1, 2, 4 or 8 bytes
+            width = 1 << (info - 24)
+            arg = int.from_bytes(data[pos:pos + width], "big")
+            pos += width
+        else:  # indefinite-length or reserved
+            return False
+        pending -= 1
+        if major in (2, 3):  # byte/text string
+            pos += arg
+        elif major == 4:  # array
+            pending += arg
+        elif major == 5:  # map
+            pending += 2 * arg
+        elif major == 6:  # tagged, not produced by the compiler
+            return False
+        # majors 0, 1 and 7 (ints, simple values) are their header alone
+    return pos == len(data)
 
 
 # --------------------------------------------------------------------------

@@ -95,6 +95,16 @@ def strip_masks(value: SymValue) -> SymValue:
     return value
 
 
+def mapping_base(slot: SymValue) -> int | None:
+    """The declared slot of a (possibly nested) mapping entry's ``slot``;
+    None for any other slot."""
+    while isinstance(slot, Op) and slot.op == "sha3":
+        slot = slot.args[-1]
+        if isinstance(slot, Const):
+            return slot.value
+    return None
+
+
 def free_vars(value: SymValue) -> KeysView[Var]:
     """The variables of ``value``, set-like, in order of first occurrence."""
     out: dict[Var, None] = {}

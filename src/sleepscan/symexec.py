@@ -43,12 +43,18 @@ enters a block, ``_block_form`` decodes it and builds its execution form
   instruction underflows or overflows.
 
 It keeps the form in ``Code.block_at``, so every function of the unit shares
-it and code no path reaches is never decoded. A block is taken whole when
-the stack depth lies in that range, no deadline read (every 256 steps) falls
-inside it and it ends within ``max_steps``; otherwise its instructions, never
-its ops, go through ``Engine.step`` one at a time. Either way a block counts
-one step per instruction, so path ends, diagnostics and step counts are those
-of stepping every instruction.
+it and code no path reaches is never decoded. A block is taken whole unless
+its path ends inside it: when the entry depth lies outside that range (a
+stack fault) or the block would pass ``max_steps``, its instructions, never
+its ops, go through ``Engine.step`` one at a time up to the path's end.
+Either way a block counts one step per instruction, so path ends,
+diagnostics and step counts are those of stepping every instruction. Every
+path end is one ``_finish_path`` call, and a handler that makes it returns
+no successors.
+
+The clock is read on entering a block: before step 0, then once 256 steps
+have passed since the last read, so a passed deadline is noticed at most one
+block late.
 
 A path runs until it ends: at a fork the taken state goes on the worklist and
 the fallthrough, which the worklist would give back next, runs on in place.
@@ -73,7 +79,7 @@ from sleepscan.sym import Const, FreshExternal, Op, Parameter, SymValue, Var
 
 
 MAX_STACK = 1024
-_DEADLINE_EVERY = 256  # steps between two reads of the clock
+_DEADLINE_EVERY = 256  # the fewest steps between two reads of the clock
 _UNBOUNDED = 1 << 256  # the width of a write whose size is symbolic
 
 END_EMISSION = "transfer-emission"
@@ -87,7 +93,7 @@ class ExplorationBudget:
     max_steps: int = 100_000
     max_paths: int = 512
     loop_bound: int = 3
-    deadline: float | None = None  # absolute time.monotonic() cutoff, read every 256 steps
+    deadline: float | None = None  # absolute time.monotonic() cutoff, read at block entry
 
     def expired(self) -> bool:
         return self.deadline is not None and time.monotonic() > self.deadline
@@ -110,7 +116,6 @@ class MachineState:
     memory: tuple[tuple[SymValue, SymValue, int], ...] = ()
     storage_writes: tuple[tuple[SymValue, SymValue], ...] = ()
     constraints: tuple[Constraint, ...] = ()
-    sstore_mark: bool = False
     owner_trace: tuple[SymValue, ...] = ()
     tainted: bool = False
     jumpdest_visits: dict[int, int] = field(default_factory=dict)
@@ -124,7 +129,6 @@ class MachineState:
         forked.memory = self.memory
         forked.storage_writes = self.storage_writes
         forked.constraints = self.constraints
-        forked.sstore_mark = self.sstore_mark
         forked.owner_trace = self.owner_trace
         forked.tainted = self.tainted
         forked.jumpdest_visits = self.jumpdest_visits.copy()
@@ -147,14 +151,6 @@ class PathRecord:
     path_id: int
     emission_pc: int
     emission_src: Span
-
-
-class _KillPath(Exception):
-    """Internal: abandon the current path with a diagnostic end kind."""
-
-    def __init__(self, end_kind: str, reason: str):
-        self.end_kind = end_kind
-        self.reason = reason
 
 
 # --------------------------------------------------------------------------
@@ -218,7 +214,7 @@ class Engine:
         return self.storage_vars[slot]
 
     def _name_storage(self, slot: SymValue) -> Var:
-        base_slot = _mapping_base_slot(slot)
+        base_slot = sym.mapping_base(slot)
         if base_slot is not None:
             info = self.layout.get(base_slot)
             name = f"{info.name if info else f'slot{base_slot}'}[...]"
@@ -257,9 +253,11 @@ class Engine:
         handler, pops, pushes = _DISPATCH[instr.byte]
         depth = len(state.stack)
         if depth < pops:
-            raise _KillPath(END_REVERT, f"stack underflow at {instr.pc} ({instr.name})")
+            self._finish_path(state, END_REVERT, f"stack underflow at {instr.pc} ({instr.name})")
+            return []
         if depth - pops + pushes > MAX_STACK:
-            raise _KillPath(END_REVERT, f"stack overflow at {instr.pc}")
+            self._finish_path(state, END_REVERT, f"stack overflow at {instr.pc}")
+            return []
         value = instr.push_value  # a PUSH's handler gets its value, as in a block's ops
         successors = handler(self, state, instr, pops if value is None else Const(value))
         if successors is not None:
@@ -294,7 +292,7 @@ class Engine:
                     constraints=snapshot.constraints,
                     owner_trace=snapshot.owner_trace,
                     from_param=self.param_vars.get(0) or snapshot.from_topic,
-                    sstore_mark_at_exit=state.sstore_mark,
+                    sstore_mark_at_exit=bool(state.storage_writes),
                     tainted=snapshot.tainted,
                     path_id=path_id,
                     emission_pc=snapshot.pc,
@@ -312,6 +310,7 @@ class Engine:
         max_steps = budget.max_steps
         loop_bound = budget.loop_bound
         steps = self.steps_used
+        next_read = steps  # the step count at which a block entry reads the clock
         worklist = [MachineState(pc=entry_pc)]
         while worklist:
             if self.timed_out or self.paths_finished >= budget.max_paths:
@@ -321,61 +320,45 @@ class Engine:
                 break
             state = worklist.pop()
             while True:  # run one state a block at a time until its path ends
-                phase = steps % _DEADLINE_EVERY
-                if not phase and budget.expired():
-                    self.timed_out = True
-                    worklist.append(state)
-                    break
                 block = blocks.get(state.pc)
                 if block is None:
                     block = _block_form(code, state.pc)  # first reach
                     if block is None:
                         self._finish_path(state, END_REVERT, f"fell off code at pc {state.pc}")
                         break
+                if steps >= next_read:
+                    if budget.expired():
+                        self.timed_out = True
+                        worklist.append(state)
+                        break
+                    next_read = steps + _DEADLINE_EVERY
                 jumpdest, ops, instrs, count, low, high = block
-                entry_steps = steps
-                try:
-                    # whole only where stepping would pass every depth check,
-                    # read no clock and stay within the step budget
-                    if (low <= len(state.stack) <= high
-                            and phase + count <= _DEADLINE_EVERY
-                            and steps + count <= max_steps):
-                        if jumpdest is not None:  # the JUMPDEST the block starts with
-                            visits = state.jumpdest_visits.get(jumpdest, 0) + 1
-                            state.jumpdest_visits[jumpdest] = visits
-                            if visits > loop_bound:
-                                steps += 1
-                                self._finish_path(state, END_BUDGET,
-                                                  f"loop bound at jumpdest {jumpdest}")
-                                break
-                        steps += count
-                        successors = None
-                        for handler, instr, arg in ops:
-                            successors = handler(self, state, instr, arg)
-                        if successors is None:  # fell through to the next block
-                            state.pc = instrs[-1].next_pc
-                            continue
-                    else:
-                        for index, instr in enumerate(instrs):
-                            # the block's first step was checked above
-                            if index and not steps % _DEADLINE_EVERY and budget.expired():
-                                self.timed_out = True
-                                worklist.append(state)
-                                successors = []
-                                break
-                            if steps >= max_steps:
-                                self._finish_path(state, END_BUDGET, "step budget")
-                                successors = []
-                                break
-                            steps += 1
-                            successors = step(state, instr)
-                except _KillPath as kill:
-                    # the steps through the instruction that ended the path
-                    steps = entry_steps + instr.src - instrs[0].src + 1
-                    self._finish_path(state, kill.end_kind, kill.reason)
+                if not (low <= len(state.stack) <= high and steps + count <= max_steps):
+                    # a stack fault or a step-budget cut: the path ends inside
+                    # this block, so its instructions are stepped to that end
+                    for instr in instrs:
+                        if steps >= max_steps:
+                            self._finish_path(state, END_BUDGET, "step budget")
+                            break
+                        steps += 1
+                        if not step(state, instr):
+                            break
                     break
-                # only a block's last instruction may fork or end the path
-                if len(successors) == 1:
+                if jumpdest is not None:  # the JUMPDEST the block starts with
+                    visits = state.jumpdest_visits.get(jumpdest, 0) + 1
+                    state.jumpdest_visits[jumpdest] = visits
+                    if visits > loop_bound:
+                        steps += 1
+                        self._finish_path(state, END_BUDGET, f"loop bound at jumpdest {jumpdest}")
+                        break
+                steps += count
+                successors = None
+                for handler, instr, arg in ops:
+                    successors = handler(self, state, instr, arg)
+                # only a block's last op may fork or end the path
+                if successors is None:  # fell through to the next block
+                    state.pc = instrs[-1].next_pc
+                elif len(successors) == 1:
                     state = successors[0]
                 elif successors:
                     # a fork: the fallthrough, which the worklist would give
@@ -396,10 +379,11 @@ def _fresh(pc: int, origin: str) -> Var:
 # --------------------------------------------------------------------------
 # one handler per opcode; each runs after the stack-depth checks, gets the
 # opcode's pop count (a PUSH gets its value as a Const), and returns None to
-# fall through to the next instruction or else the successor states; a
-# handler that may return successors ends a basic block. A block's ops also
-# fuse a PUSH into the JUMP, JUMPI or CALLDATALOAD after it (``_FUSED``):
-# the fused handler gets the pushed value as an int.
+# fall through to the next instruction or else the successor states, none
+# where it ended the path. A handler that may return successors ends a basic
+# block, but for ``_jumpdest``, which a block's ops leave out. A block's ops
+# also fuse a PUSH into the JUMP, JUMPI or CALLDATALOAD after it
+# (``_FUSED``): the fused handler gets the pushed value as an int.
 
 def _push(engine: Engine, state: MachineState, instr: Instruction, value: Const):
     state.stack.append(value)
@@ -423,7 +407,8 @@ def _jumpdest(engine: Engine, state: MachineState, instr: Instruction, pops: int
     visits = state.jumpdest_visits.get(instr.pc, 0) + 1
     state.jumpdest_visits[instr.pc] = visits
     if visits > engine.budget.loop_bound:
-        raise _KillPath(END_BUDGET, f"loop bound at jumpdest {instr.pc}")
+        engine._finish_path(state, END_BUDGET, f"loop bound at jumpdest {instr.pc}")
+        return []
 
 
 def _jump(engine: Engine, state: MachineState, instr: Instruction, pops: int):
@@ -433,7 +418,7 @@ def _jump(engine: Engine, state: MachineState, instr: Instruction, pops: int):
 def _jump_to(engine: Engine, state: MachineState, instr: Instruction, target: int | None):
     """A JUMP to ``target``, None when it is symbolic."""
     if target not in engine.jumpdests:
-        _bad_jump(target, instr)
+        return _bad_jump(engine, state, instr, target)
     state.pc = target
     return [state]
 
@@ -453,7 +438,7 @@ def _branch(engine: Engine, state: MachineState, instr: Instruction, target: int
         state.pc = instr.next_pc
         return [state]
     if target not in engine.jumpdests:
-        _bad_jump(target, instr)
+        return _bad_jump(engine, state, instr, target)
     # one condition object reaches this JUMPI on every path forked after it
     # was built
     cached = engine.branch_constraints.get(id(condition))
@@ -470,11 +455,11 @@ def _branch(engine: Engine, state: MachineState, instr: Instruction, target: int
     return [state, fallthrough]
 
 
-def _bad_jump(target: int | None, instr: Instruction):
+def _bad_jump(engine: Engine, state: MachineState, instr: Instruction, target: int | None):
     """End the path at a jump whose target is not a JUMPDEST."""
-    if target is None:
-        raise _KillPath(END_REVERT, f"symbolic jump target at {instr.pc}")
-    raise _KillPath(END_REVERT, f"jump to non-JUMPDEST {target} at {instr.pc}")
+    reason = "symbolic jump target" if target is None else f"jump to non-JUMPDEST {target}"
+    engine._finish_path(state, END_REVERT, f"{reason} at {instr.pc}")
+    return []
 
 
 def _exit(engine: Engine, state: MachineState, instr: Instruction, pops: int):
@@ -488,7 +473,8 @@ def _revert(engine: Engine, state: MachineState, instr: Instruction, pops: int):
 
 
 def _unknown(engine: Engine, state: MachineState, instr: Instruction, pops: int):
-    raise _KillPath(END_REVERT, f"unknown opcode 0x{instr.byte:02X} at {instr.pc}")
+    engine._finish_path(state, END_REVERT, f"unknown opcode 0x{instr.byte:02X} at {instr.pc}")
+    return []
 
 
 def _calldataload(engine: Engine, state: MachineState, instr: Instruction, pops: int):
@@ -523,7 +509,6 @@ def _sstore(engine: Engine, state: MachineState, instr: Instruction, pops: int):
     stack = state.stack
     slot = stack.pop()
     state.storage_writes += ((slot, stack.pop()),)
-    state.sstore_mark = True
 
 
 def _sha3(engine: Engine, state: MachineState, instr: Instruction, pops: int):
@@ -731,15 +716,6 @@ def _disjunct_eq_leaves(condition: SymValue) -> list[Op]:
         elif isinstance(node, Op) and node.op == "eq":
             leaves.append(node)
     return leaves
-
-
-def _mapping_base_slot(slot: SymValue) -> int | None:
-    """Base storage slot constant of a (possibly nested) hashed mapping access."""
-    while isinstance(slot, Op) and slot.op == "sha3":
-        slot = slot.args[-1]
-        if isinstance(slot, Const):
-            return slot.value
-    return None
 
 
 def _span_contains(outer: Span, inner: Span) -> bool:

@@ -1200,6 +1200,13 @@ def cbor_trailer() -> bytes:
     return body + len(body).to_bytes(2, "big")
 
 
+def nested_cbor_trailer(depth: int) -> bytes:
+    """A well-formed trailer whose map holds ``depth`` nested arrays:
+    {"solc": [[...[0]...]]}."""
+    body = bytes.fromhex("a164736f6c63") + b"\x81" * depth + b"\x00"
+    return body + len(body).to_bytes(2, "big")
+
+
 def standard_json_artifact(fixture: Fixture) -> dict:
     return {
         "contracts": {

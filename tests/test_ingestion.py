@@ -3,17 +3,19 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import astbuild as ab
 import fixtures as corpus
+import reference_cbor
 from evmasm import decode_source_map_reference, encode_source_map
 
 from sleepscan.errors import MalformedItem, MissingArtifact, VersionUnparseable
 from sleepscan.ingestion import (
     Ast,
     FunctionRow,
+    _is_cbor_map,
     decode_source_map,
     load_all,
     load_compilation,
@@ -147,6 +149,57 @@ def test_strip_requires_wellformed_cbor_map():
     code = bytes.fromhex("6001600201")
     bogus = bytes(10) + (10).to_bytes(2, "big")  # right length, not a map
     assert strip_metadata(code + bogus) == code + bogus
+
+
+@pytest.mark.parametrize("depth", [1, 3000])
+def test_strip_a_trailer_nested_to_any_depth(depth):
+    code = bytes.fromhex("6001600201")
+    trailer = corpus.nested_cbor_trailer(depth)
+    assert strip_metadata(code + trailer) == code
+    # the innermost item missing: not a map of the declared length
+    unclosed = trailer[:-3] + (len(trailer) - 3).to_bytes(2, "big")
+    assert strip_metadata(code + unclosed) == code + unclosed
+
+
+def _cbor_head(major: int, arg: int) -> bytes:
+    if arg < 24:
+        return bytes([major << 5 | arg])
+    for info, width in ((24, 1), (25, 2), (26, 4), (27, 8)):
+        if arg < 1 << (8 * width):
+            return bytes([major << 5 | info]) + arg.to_bytes(width, "big")
+    raise ValueError(arg)
+
+
+_CBOR_ITEMS = st.recursive(
+    st.one_of(
+        st.builds(_cbor_head, st.sampled_from([0, 1, 7]), st.integers(0, 2**64 - 1)),
+        st.binary(max_size=30).map(lambda raw: _cbor_head(2, len(raw)) + raw),
+        st.integers(0, 255).map(lambda tag: _cbor_head(6, tag) + b"\x00"),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4).map(
+            lambda items: _cbor_head(4, len(items)) + b"".join(items)),
+        st.lists(st.tuples(inner, inner), max_size=3).map(
+            lambda pairs: _cbor_head(5, len(pairs)) + b"".join(k + v for k, v in pairs)),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300)
+@example(bytes.fromhex("a1" "00" "1b0000000100000000"), 0, 0, "as is")  # {0: 2**32}
+@example(bytes.fromhex("a1" "00" "1a00010000"), 0, 0, "as is")  # {0: 2**16}
+@given(_CBOR_ITEMS, st.integers(0, 400), st.integers(0, 255), st.sampled_from(
+    ["as is", "replace", "truncate", "insert"]))
+def test_the_cbor_loop_agrees_with_the_recursive_walker(item, index, byte, edit):
+    """Well-formed items, and items with one byte changed, cut short or
+    grown, get one answer from the loop and from the recursive walker."""
+    index %= len(item) + 1
+    data = {"as is": item,
+            "replace": item[:index] + bytes([byte]) + item[index + 1:],
+            "truncate": item[:index],
+            "insert": item[:index] + bytes([byte]) + item[index:]}[edit]
+    assert _is_cbor_map(data) == reference_cbor.is_cbor_map(data)
 
 
 @settings(max_examples=100)

@@ -284,6 +284,24 @@ def test_cli_disasm_reports_a_contract_that_does_not_decode(runner, tmp_path, fi
         == [f"Short: ERROR {error}"]
 
 
+def test_a_deeply_nested_trailer_fails_no_contract(tmp_path):
+    """A trailer of 3,000 nested arrays is stripped like any other, so both
+    contracts of the file keep their findings."""
+    fixture = corpus.free_mintable()
+    doc = corpus.standard_json_artifact(fixture)
+    per_file = doc["contracts"]["FreeMintable.sol"]
+    per_file["Deep"] = copy.deepcopy(per_file["FreeMintable"])
+    per_file["Deep"]["evm"]["deployedBytecode"]["object"] = (
+        fixture.bytecode + corpus.nested_cbor_trailer(3000)).hex()
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(doc))
+    reports = analyze_path(str(path), RunConfig())
+    assert [report["contract"] for report in reports] == ["FreeMintable", "Deep"]
+    for report in reports:
+        assert "error" not in report
+        assert [f["type"] for f in report["findings"]] == [UNRESTRICTED_FROM]
+
+
 def test_truncated_push_is_one_error_report(tmp_path):
     path = tmp_path / "a.json"
     path.write_text(json.dumps(_one_contract(deployed={"object": "61ff"})))  # PUSH2, 1 byte

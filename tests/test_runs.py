@@ -1,6 +1,8 @@
 """Block-at-a-time exploration against the per-step reference loop, and the
 rule that a block's ops are built once, on its first entry."""
 
+import dataclasses
+import time
 from collections import Counter
 
 import pytest
@@ -203,16 +205,44 @@ def test_runs_match_steps_on_an_unpruned_market_hub(corpus_dir):
     assert whole_steps > 0
 
 
+def test_a_deadline_steps_no_instruction(corpus_dir):
+    """A block is stepped only where its path ends inside it, and no path on
+    the corpus targets or the unpruned MarketHub ends in a stack fault or a
+    step-budget cut: reading the clock at block entry steps nothing."""
+    budget = ExplorationBudget(deadline=time.monotonic() + 3600)
+    explored = 0
+    for sub in sorted(p for p in corpus_dir.iterdir() if p.is_dir()):
+        unit = load_compilation(sub)
+        infos = function_infos(unit)
+        if sub.name == "MarketHub":
+            functions = with_selectors(
+                [f for f in infos if f.visibility in EXTERNALLY_CALLABLE])
+        else:
+            functions = select_target_functions(infos)
+        binding = find_owner_return_binding(unit)
+        facts = sx.unit_facts(unit, binding)
+        cfg = build_cfg(disassemble(unit.runtime_bytecode))
+        for fn, entry_pc in _targets(unit, functions):
+            stepped = Counter()
+            engine = _counting_steps(Engine(unit, cfg, fn, facts, budget), stepped)
+            assert engine.explore(entry_pc).steps_used > 0
+            assert not stepped, (sub.name, fn.name)
+            explored += 1
+    assert explored >= 13 + 20  # the corpus targets, then all 20 of MarketHub
+
+
 # --------------------------------------------------------------------------
 # edge cases: the clock, the step budget, the stack limits, owner reads and
 # the loop bound, each met inside a block
 
-@pytest.mark.parametrize("clock", [[0.0] * 4, [0.0, 2.0]], ids=["never", "at-256"])
-def test_runs_read_the_clock_every_256_steps(monkeypatch, clock):
-    """LOOP is one 3-step block, so some of its entries straddle step 256
-    and must be stepped one at a time; the clock is still read before steps
-    0, 256, 512 and 768, and a passed deadline still ends the path at step
-    256."""
+@pytest.mark.parametrize("clock, steps_used", [([0.0] * 4, 1000), ([0.0, 2.0], 258),
+                                               ([0.0] * 3 + [2.0], 774)],
+                         ids=["never", "at-256", "at-768"])
+def test_runs_read_the_clock_every_256_steps(monkeypatch, clock, steps_used):
+    """LOOP is one 3-step block, taken whole on every entry: the clock is
+    read on entering it at steps 0, 258, 516 and 774, the first entries once
+    256 steps have passed since the last read, and a passed deadline ends the
+    path at the read that sees it."""
     budget = ExplorationBudget(max_steps=1000, loop_bound=10**6, deadline=1.0)
     outcomes = []
     for explore in (Engine.explore, reference_explore.explore):
@@ -225,6 +255,7 @@ def test_runs_read_the_clock_every_256_steps(monkeypatch, clock):
         outcomes.append((_outcome(explore(engine, 0)), len(reads)))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][1] == len(clock)
+    assert outcomes[0][0][2] == steps_used
 
 
 @pytest.mark.parametrize("max_steps", range(1, 13))
@@ -306,38 +337,34 @@ def test_budget_cut_emission_inside_runs():
 # fused ops and the JUMPDEST a block starts with, each taken whole and
 # stepped one instruction at a time
 
-def _whole_and_stepped(body, budget: ExplorationBudget | None = None,
-                       padding: int = sx._DEADLINE_EVERY - 1) -> list:
-    """``body(asm)`` writes a program starting with a JUMPDEST. It runs once
-    from pc 0, where every block is taken whole, and once after ``padding``
-    PUSH0s, one block that ends at step ``padding``: by default the first
-    block of ``body`` then starts at step 255, straddles the deadline read
-    and is stepped. Each run is checked against the reference loop; returns
-    ``(engine, pad)`` for each."""
+def _whole_and_stepped(body, budget: ExplorationBudget | None = None) -> sx.Engine:
+    """``body(asm)`` writes a program starting with a JUMPDEST. It runs from
+    pc 0, where every block is taken whole, and again under every
+    ``max_steps`` from 1 to its step count, where the block the budget cuts
+    is stepped; each run is checked against the reference loop. Returns the
+    uncut run's engine."""
     budget = budget or ExplorationBudget()
-    results = []
-    for pad in (0, padding):
-        a = Asm()
-        for _ in range(pad):
-            a.op("PUSH0")
-        body(a)
-        code, spans = a.assemble()
-        unit = _unit(code, spans)
-        _compare(unit, [(FN, 0)], budget=budget, explorations=1)
-        stepped = Counter()
-        engine = _counting_steps(Engine(unit, build_cfg(disassemble(code)), FN,
-                                        sx.unit_facts(unit, ()), budget), stepped)
-        results.append((engine.explore(0), pad))
-        assert bool(stepped) == bool(pad)
-    return results
+    a = Asm()
+    body(a)
+    code, spans = a.assemble()
+    unit = _unit(code, spans)
+    _compare(unit, [(FN, 0)], budget=budget, explorations=1)
+    stepped = Counter()
+    result = _counting_steps(Engine(unit, build_cfg(disassemble(code)), FN,
+                                    sx.unit_facts(unit, ()), budget), stepped).explore(0)
+    assert not stepped
+    for max_steps in range(1, result.steps_used + 1):
+        cut = dataclasses.replace(budget, max_steps=max_steps)
+        _compare(unit, [(FN, 0)], budget=cut, explorations=1)
+    return result
 
 
 def test_a_constant_false_jumpi_falls_through_past_a_bad_target():
     def body(a):
         a.jumpdest("L").push(0).push(3).op("JUMPI").op("STOP")  # 3 is the PUSH1 0
-    for result, pad in _whole_and_stepped(body):
-        assert list(result.ends.items()) == [((END_EXIT, None), 1)]
-        assert result.steps_used == pad + 5
+    result = _whole_and_stepped(body)
+    assert list(result.ends.items()) == [((END_EXIT, None), 1)]
+    assert result.steps_used == 5
 
 
 @pytest.mark.parametrize("condition", ["true", "calldata", "jump"])
@@ -349,18 +376,16 @@ def test_a_jump_to_a_non_jumpdest_keeps_its_diagnostic(condition):
         elif condition == "calldata":
             a.push(4).op("CALLDATALOAD")
         a.push(2).op("JUMP" if condition == "jump" else "JUMPI").op("STOP")
-    for result, pad in _whole_and_stepped(body):
-        jump_pc = pad + {"true": 5, "calldata": 6, "jump": 3}[condition]
-        assert list(result.ends.items()) == [
-            ((END_REVERT, f"jump to non-JUMPDEST 2 at {jump_pc}"), 1)]
+    jump_pc = {"true": 5, "calldata": 6, "jump": 3}[condition]
+    assert list(_whole_and_stepped(body).ends.items()) == [
+        ((END_REVERT, f"jump to non-JUMPDEST 2 at {jump_pc}"), 1)]
 
 
 def test_a_symbolic_jump_target_keeps_its_diagnostic():
     def body(a):
         a.jumpdest("L").push(1).push(4).op("CALLDATALOAD").op("JUMPI").op("STOP")
-    for result, pad in _whole_and_stepped(body):
-        assert list(result.ends.items()) == [
-            ((END_REVERT, f"symbolic jump target at {pad + 6}"), 1)]
+    assert list(_whole_and_stepped(body).ends.items()) == [
+        ((END_REVERT, "symbolic jump target at 6"), 1)]
 
 
 @pytest.mark.parametrize("push, offset", [("PUSH0", 0), ("PUSH1", 0), ("PUSH1", 5),
@@ -376,42 +401,35 @@ def test_a_pushed_calldata_offset_maps_to_its_word(push, offset):
             a.push(offset)
         a.op("CALLDATALOAD")
         a.push(TRANSFER_TOPIC).push(0).push(0).op("LOG4").op("STOP")
-    for result, pad in _whole_and_stepped(body):
-        (record,) = result.records
-        word = record.from_param
-        if offset == 0x24:
-            assert word == Var("to", Parameter(1), True)
-        else:
-            load_pc = pad + (6 if push == "PUSH0" else 7)
-            assert word == Var(f"ext_calldata_{offset}_{load_pc}",
-                               FreshExternal(f"calldata_{offset}"))
+    (record,) = _whole_and_stepped(body).records
+    word = record.from_param
+    if offset == 0x24:
+        assert word == Var("to", Parameter(1), True)
+    else:
+        load_pc = 6 if push == "PUSH0" else 7
+        assert word == Var(f"ext_calldata_{offset}_{load_pc}",
+                           FreshExternal(f"calldata_{offset}"))
 
 
 def test_a_block_that_is_only_a_jumpdest():
     """The first block is a lone JUMPDEST: it falls through to the next one,
-    and a lone JUMPDEST at the end of the code falls off it. A one-step block
-    never straddles a deadline read, so the padded run steps the second."""
+    and a lone JUMPDEST at the end of the code falls off it."""
     def body(a):
         a.jumpdest("L").jumpdest("M").push_label("N").op("JUMP")
         a.jumpdest("N")
-    for result, pad in _whole_and_stepped(body, padding=sx._DEADLINE_EVERY - 2):
-        assert list(result.ends.items()) == [
-            ((END_REVERT, f"fell off code at pc {pad + 7}"), 1)]
-        assert result.steps_used == pad + 5
+    result = _whole_and_stepped(body)
+    assert list(result.ends.items()) == [((END_REVERT, "fell off code at pc 7"), 1)]
+    assert result.steps_used == 5
 
 
 @pytest.mark.parametrize("loop_bound", [1, 2, 3])
 def test_a_loop_bound_kill_at_block_entry_counts_the_jumpdest(loop_bound):
     """JUMPDEST; PUSH2 L; JUMP runs ``loop_bound`` times, and its next entry
-    ends the path after one step. The padded run's last entry starts at step
-    254, straddles the read at 256 and is stepped."""
+    ends the path after one step."""
     budget = ExplorationBudget(loop_bound=loop_bound)
-    for result, pad in _whole_and_stepped(
-            lambda a: a.jumpdest("L").push_label("L").op("JUMP"), budget,
-            padding=sx._DEADLINE_EVERY - 2 - 3 * loop_bound):
-        assert list(result.ends.items()) == [
-            ((END_BUDGET, f"loop bound at jumpdest {pad}"), 1)]
-        assert result.steps_used == pad + 3 * loop_bound + 1
+    result = _whole_and_stepped(lambda a: a.jumpdest("L").push_label("L").op("JUMP"), budget)
+    assert list(result.ends.items()) == [((END_BUDGET, "loop bound at jumpdest 0"), 1)]
+    assert result.steps_used == 3 * loop_bound + 1
 
 
 @pytest.mark.parametrize("max_steps", range(1, 8))

@@ -158,6 +158,17 @@ def test_is_storage_direct_address_heuristics():
     assert is_caller(Op("and", (CALLER, Const(sym.MASK160))))
 
 
+def test_a_mapping_entry_is_told_by_its_slot_not_its_name():
+    named_like_an_entry = Var("owner[...]", sym.Storage(Const(0)), is_address=True)
+    entry_named_plainly = Var("owner", sym.Storage(Op("sha3", (P0, Const(1)))), is_address=True)
+    nested = Var("x", sym.Storage(Op("sha3", (P1, Op("sha3", (P0, Const(2)))))), is_address=True)
+    assert is_storage_direct_address(named_like_an_entry)
+    assert not is_storage_direct_address(entry_named_plainly)
+    assert not is_storage_direct_address(nested)
+    assert [sym.mapping_base(v.kind.slot)
+            for v in (named_like_an_entry, entry_named_plainly, nested)] == [None, 1, 2]
+
+
 # --------------------------------------------------------------------------
 # solver
 

@@ -129,8 +129,9 @@ def test_storage_naming_from_layout():
 
     key = Var("k", Parameter(2))
     mapped = engine._storage_read(state, Op("sha3", (key, Const(1))))
-    assert mapped.name == "_owners[...]"  # one kind: only the name marks a mapping entry
+    assert mapped.name == "_owners[...]"  # one kind: its slot marks a mapping entry
     assert mapped.kind == Storage(Op("sha3", (key, Const(1)))) and mapped.is_address
+    assert sym.mapping_base(mapped.kind.slot) == 1 and sym.mapping_base(direct.kind.slot) is None
     assert not cs.is_storage_direct_address(mapped) and cs.is_storage_direct_address(direct)
 
     word = engine._storage_read(state, Const(2))
@@ -189,7 +190,7 @@ def test_storage_read_sees_own_writes():
     state = MachineState(pc=0, stack=[Const(77), Const(3)])  # value, then the slot on top
     engine.step(state, disassemble(b"\x55")[0])  # SSTORE
     assert engine._storage_read(state, Const(3)) == Const(77)
-    assert state.sstore_mark
+    assert state.storage_writes == ((Const(3), Const(77)),)
 
 
 # --------------------------------------------------------------------------
@@ -479,7 +480,6 @@ def test_fork_sides_keep_their_own_writes_and_share_the_history():
     (word,) = reader.stack
     assert word.kind == FreshExternal("memory")
     assert reader.memory == reader.storage_writes == reader.snapshots == ()
-    assert not reader.sstore_mark
 
     assert writer.stack == [Const(1)] and writer.jumpdest_visits == {6: 1}
     forked = writer.fork()
@@ -665,17 +665,18 @@ def test_memory_reads_match_the_reference_or_are_fresh():
 @pytest.mark.parametrize("byte", range(256), ids=lambda byte: f"0x{byte:02X}")
 def test_every_byte_steps_or_ends_the_path(byte):
     """One instruction on an empty stack: an unknown byte and an opcode that
-    pops end the path as a revert, every other opcode steps."""
+    pops end the path as a revert and step to no state, every other opcode
+    steps."""
     entry = opcodes.TABLE.get(byte)
     push_width = byte - 0x5F if 0x60 <= byte <= 0x7F else 0
     engine = _engine(bytes([byte]) + bytes(push_width))
     state = MachineState(pc=0)
     instr = disassemble(engine.unit.runtime_bytecode)[0]
     if entry is None or entry[1] > 0:
-        with pytest.raises(sx._KillPath) as kill:
-            engine.step(state, instr)
-        assert kill.value.end_kind == END_REVERT
-        assert kill.value.reason.startswith(
+        assert engine.step(state, instr) == []
+        ((kind, reason),) = engine.ends
+        assert kind == END_REVERT and engine.paths_finished == 1
+        assert reason.startswith(
             f"unknown opcode 0x{byte:02X}" if entry is None else "stack underflow")
     else:
         engine.step(state, instr)
@@ -711,15 +712,18 @@ def test_deadline_is_read_every_256_steps(monkeypatch):
     budget = ExplorationBudget(max_steps=1000, loop_bound=10**6, deadline=1.0)
     result = _engine(LOOP, budget=budget).explore(0)
     assert result.steps_used == 1000 and not result.timed_out
-    assert len(reads) == 4  # before steps 0, 256, 512 and 768
+    # on entering the 3-step blocks at steps 0, 258, 516 and 774: the first
+    # block entries once 256 steps have passed since the last read
+    assert len(reads) == 4
 
 
 def test_passed_deadline_ends_the_path_at_the_next_read(monkeypatch):
-    clock = iter([0.0, 2.0])  # read before step 0, then before step 256
+    # read before step 0, then at step 258, the first block entry after step 256
+    clock = iter([0.0, 2.0])
     monkeypatch.setattr(sx.time, "monotonic", lambda: next(clock))
     budget = ExplorationBudget(loop_bound=10**6, deadline=1.0)
     result = _engine(LOOP, budget=budget).explore(0)
-    assert result.timed_out and result.steps_used == 256
+    assert result.timed_out and result.steps_used == 258
     assert result.ends == {(END_BUDGET, "wall-clock timeout"): 1}
 
 
