@@ -3,11 +3,12 @@
 A unit's code is decoded once, by one pass of the token kernel: one
 ``bytes`` token per instruction, from which ``Code`` takes each
 instruction's start pc and the JUMPDEST set. An ``Instruction`` is built
-only where it is read. ``_leads`` is the partition rule: ``Code.block``
-decodes the block that starts at a pc, finding its end in the same loop,
-and caches nothing, ``Code.blocks`` lists the block starts and decodes
-nothing, and ``find_function_entry`` decodes only the instructions after a
-byte-search hit for ``PUSH4 selector``. The engine builds each block's
+only where it is read, and only by ``Code.decode``. ``_leads`` is the
+partition rule: ``Code.block`` scans the tokens for the end of the block
+that starts at a pc, decodes that range and caches nothing,
+``Code.blocks`` lists the block starts and decodes nothing, and
+``find_function_entry`` decodes only the instructions after a byte-search
+hit for ``PUSH4 selector``. The engine builds each block's
 execution form on its first reach and keeps it in ``Code.block_at``, so code
 it never reaches is never decoded. Iterating a ``Code`` decodes every
 instruction, as ``sleepscan disasm`` does.
@@ -49,8 +50,7 @@ _TERMINATORS = {"JUMP", "JUMPI", "STOP", "RETURN", "REVERT", "INVALID", "SELFDES
 # byte -> whether a block ends after it: a terminator or an unknown byte
 _BLOCK_END = tuple(byte not in opcodes.TABLE or _NAMES[byte] in _TERMINATORS
                    for byte in range(256))
-_JUMPDEST = opcodes.MNEMONIC_TO_BYTE["JUMPDEST"]
-_JUMPDEST_TOKEN = bytes([_JUMPDEST])
+_JUMPDEST_TOKEN = bytes([opcodes.MNEMONIC_TO_BYTE["JUMPDEST"]])
 _EQ = opcodes.MNEMONIC_TO_BYTE["EQ"]
 _JUMPI = opcodes.MNEMONIC_TO_BYTE["JUMPI"]
 _PUSH4 = opcodes.MNEMONIC_TO_BYTE["PUSH4"]
@@ -118,27 +118,14 @@ class Code(Sequence):
         pc past the code or inside a block. A block ends before a JUMPDEST,
         and after a terminator or an unknown byte. These are the engine's
         units of straight-line execution."""
-        tokens, pcs = self.tokens, self.pcs
+        tokens = self.tokens
         first = self.ordinal(pc)
         if first is None or not _leads(tokens, first):
             return None
-        # decode's loop, ending where the next block starts
-        new, names, from_bytes, ends = tuple.__new__, _NAMES, int.from_bytes, _BLOCK_END
-        instrs = []
-        append = instrs.append
-        for idx in range(first, len(tokens)):
-            token = tokens[idx]
-            byte = token[0]
-            if byte == _JUMPDEST and idx != first:
-                break
-            if len(token) > 1:
-                value = from_bytes(token[1:], "big")
-            else:
-                value = 0 if byte == 0x5F else None
-            append(new(Instruction, (pcs[idx], byte, names[byte], value, pcs[idx + 1], idx)))
-            if ends[byte]:
-                break
-        return instrs
+        end = first + 1
+        while end < len(tokens) and not _leads(tokens, end):
+            end += 1
+        return self.decode(first, end)
 
     @property
     def blocks(self) -> list[int]:

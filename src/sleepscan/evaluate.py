@@ -49,12 +49,17 @@ def load_labels(path) -> list[CorpusLabel]:
     if not isinstance(doc, list):
         raise UnscorableEntry(f"labels file {path} is not a JSON list")
     labels = []
+    first_index: dict[str, int] = {}  # contract -> the index of its label
     for index, entry in enumerate(doc):
         if not isinstance(entry, dict):
             raise UnscorableEntry(f"label {index} is not a JSON object")
         if "contract" not in entry:
             raise UnscorableEntry(f"label {index} has no contract")
         contract = _field(entry, "contract", str, f"label {index}")
+        if contract in first_index:
+            raise UnscorableEntry(f"labels {first_index[contract]} and {index} "
+                                  f"both name contract {contract}")
+        first_index[contract] = index
         where = f"label {index} (contract {contract})"
         expected = tuple(
             (_defect_type(e, where, f"expected item {i}"),

@@ -28,7 +28,7 @@ from sleepscan.errors import (
     SleepscanError,
 )
 from sleepscan.ingestion import CompilationUnit, load_all
-from sleepscan.symexec import ExplorationBudget, explore_function, unit_facts
+from sleepscan.symexec import ExplorationBudget, explore_function
 
 SCHEMA_VERSION = 1
 
@@ -55,7 +55,6 @@ def analyze_unit(unit: CompilationUnit, config: RunConfig) -> dict:
     _check_unit(unit, len(instrs))
     cfg = build_cfg(instrs)
     binding = find_owner_return_binding(unit)
-    facts = unit_facts(unit, binding)
     all_functions = function_infos(unit)
     externally_callable = [f for f in all_functions
                            if f.visibility in EXTERNALLY_CALLABLE]
@@ -81,7 +80,7 @@ def analyze_unit(unit: CompilationUnit, config: RunConfig) -> dict:
         selectors.add(fn.selector)
         fn_started = time.monotonic()
         try:
-            explored = explore_function(unit, cfg, fn, binding, budget, facts)
+            explored = explore_function(unit, cfg, fn, binding, budget)
         except EntryNotFound:
             skipped.append(fn.name)
             continue

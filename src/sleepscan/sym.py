@@ -7,7 +7,7 @@ plain slot and a mapping entry (named ``<mapping>[...]``) alike."""
 from __future__ import annotations
 
 from collections.abc import KeysView
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from sleepscan.keccak import keccak256
 
@@ -70,6 +70,8 @@ class Var:
 class Op:
     op: str
     args: tuple["SymValue", ...]
+    # the most Ops on a path down to a leaf, set by make_op; not compared
+    depth: int = field(default=1, compare=False)
 
     def __repr__(self):
         return f"{self.op}({', '.join(map(repr, self.args))})"
@@ -203,7 +205,7 @@ def make_op(op: str, *args: SymValue) -> SymValue:
     """Build an Op node, folding to a Const when every operand is concrete."""
     if op in FOLDABLE and all(isinstance(a, Const) for a in args):
         return Const(eval_op(op, tuple(a.value for a in args)))
-    return Op(op, tuple(args))
+    return Op(op, args, 1 + max((a.depth for a in args if isinstance(a, Op)), default=0))
 
 
 def evaluate(value: SymValue, env: dict[Var, int]) -> int:

@@ -4,10 +4,12 @@ One exploration is single-threaded and owns its states; the information the
 detectors need is gathered at three checkpoints: CALLDATALOAD (parameter
 binding), SLOAD/SSTORE (storage provenance, the owner trace and the store
 mark), and LOG4 with the Transfer topic hash (the emission snapshot). An owner
-read is a load of a non-constant slot inside the code of ``ownerOf`` or of a
-function it calls (``find_owner_return_binding``); it appends the loaded word
-to the owner trace unless it repeats the last entry. Execution continues past
-an emission so its record carries the store mark at the path's exit.
+read is a load of a non-constant slot whose source span lies in a source file
+and inside the code of ``ownerOf`` or of a function it calls (the binding,
+``find_owner_return_binding``), tested against the binding at the load; it
+appends the loaded word to the owner trace unless it repeats the last entry.
+Execution continues past an emission so its record carries the store mark at
+the path's exit.
 
 A path record is kept only for a Transfer emission on a path that exits
 normally; every path end, and every emission, is counted by
@@ -65,11 +67,10 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from sleepscan import constraints as con
 from sleepscan import opcodes, sym
-from sleepscan.astview import FunctionInfo, SlotInfo, storage_layout
+from sleepscan.astview import FunctionInfo, storage_layout
 from sleepscan.constraints import Constraint
 from sleepscan.disasm import Code, Instruction, find_function_entry
 from sleepscan.errors import EntryNotFound
@@ -79,6 +80,7 @@ from sleepscan.sym import Const, FreshExternal, Op, Parameter, SymValue, Var
 
 
 MAX_STACK = 1024
+MAX_DEPTH = 64  # the deepest Op a handler pushes; a deeper one is a fresh symbol
 _DEADLINE_EVERY = 256  # the fewest steps between two reads of the clock
 _UNBOUNDED = 1 << 256  # the width of a write whose size is symbolic
 
@@ -155,31 +157,16 @@ class PathRecord:
 
 # --------------------------------------------------------------------------
 
-class UnitFacts(NamedTuple):
-    """What the engine reads of a unit beyond its code, decided once per unit."""
-
-    layout: dict[int, SlotInfo]
-    # the distinct source-map spans inside the code of ownerOf and its callees
-    owner_spans: frozenset[Span]
-
-
-def unit_facts(unit: CompilationUnit, binding: tuple[Span, ...]) -> UnitFacts:
-    owner_spans = frozenset(
-        span for span in set(unit.source_map)
-        if span[2] >= 0 and any(_span_contains(ret, span) for ret in binding)
-    ) if binding else frozenset()
-    return UnitFacts(storage_layout(unit), owner_spans)
-
-
 class Engine:
     def __init__(self, unit: CompilationUnit, cfg: Code, fn: FunctionInfo,
-                 facts: UnitFacts, budget: ExplorationBudget):
+                 binding: tuple[Span, ...], budget: ExplorationBudget):
         self.unit = unit
         self.cfg = cfg
         self.fn = fn
+        self.binding = binding
         self.budget = budget
         self.jumpdests = cfg.jumpdests
-        self.layout, self.owner_spans = facts
+        self.layout = storage_layout(unit)
         self.param_vars: dict[int, Var] = {}
         self.storage_vars: dict[SymValue, Var] = {}  # by slot
         # by offset, or by (offset, memory length) where a write may overlap
@@ -376,6 +363,14 @@ def _fresh(pc: int, origin: str) -> Var:
     return Var(f"ext_{origin}_{pc}", FreshExternal(origin))
 
 
+def _shallow(value: SymValue, pc: int) -> SymValue:
+    """``value``, or a fresh symbol where it is an Op deeper than
+    ``MAX_DEPTH``: comparing, hashing and printing recurse over an Op."""
+    if isinstance(value, Op) and value.depth > MAX_DEPTH:
+        return _fresh(pc, "deep")
+    return value
+
+
 # --------------------------------------------------------------------------
 # one handler per opcode; each runs after the stack-depth checks, gets the
 # opcode's pop count (a PUSH gets its value as a Const), and returns None to
@@ -499,9 +494,11 @@ def _sload(engine: Engine, state: MachineState, instr: Instruction, pops: int):
     slot = stack.pop()
     value = engine._storage_read(state, slot)
     stack.append(value)
-    if (engine.owner_spans and not isinstance(slot, Const)
-            and engine.unit.source_map[instr.src] in engine.owner_spans):
-        if state.owner_trace[-1:] != (value,):  # an owner read; a repeat collapses
+    if engine.binding and not isinstance(slot, Const):
+        span = engine.unit.source_map[instr.src]
+        if (span[2] >= 0 and any(_span_contains(definition, span)
+                                 for definition in engine.binding)
+                and state.owner_trace[-1:] != (value,)):  # an owner read; a repeat collapses
             state.owner_trace += (value,)
 
 
@@ -519,7 +516,7 @@ def _sha3(engine: Engine, state: MachineState, instr: Instruction, pops: int):
     if size in (32, 64) and offset is not None:
         words = tuple(engine._read_memory_word(state, Const(offset + 32 * index))
                       for index in range(size // 32))
-        stack.append(Op("sha3", words))
+        stack.append(_shallow(sym.make_op("sha3", *words), instr.pc))
     else:
         stack.append(_fresh(instr.pc, "sha3_unresolved"))
 
@@ -597,7 +594,7 @@ def _folding(op: str):
         stack = state.stack
         args = stack[:-pops - 1:-1]  # top of stack first
         del stack[-pops:]
-        stack.append(sym.make_op(op, *args))
+        stack.append(_shallow(sym.make_op(op, *args), instr.pc))
     return fold
 
 
@@ -726,12 +723,9 @@ def _span_contains(outer: Span, inner: Span) -> bool:
 
 def explore_function(unit: CompilationUnit, cfg: Code, fn: FunctionInfo,
                      binding: tuple[Span, ...],
-                     budget: ExplorationBudget | None = None,
-                     facts: UnitFacts | None = None) -> Engine:
+                     budget: ExplorationBudget | None = None) -> Engine:
     """Explore ``fn`` from its dispatcher entry; the engine returned holds
-    its emission records and counted path ends. ``facts`` is
-    ``unit_facts(unit, binding)``, built here when the caller has not built
-    it once for the unit."""
+    its emission records and counted path ends."""
     if budget is None:
         budget = ExplorationBudget()
     if fn.selector is None:
@@ -740,5 +734,5 @@ def explore_function(unit: CompilationUnit, cfg: Code, fn: FunctionInfo,
     if entry_pc is None:
         raise EntryNotFound(f"no dispatcher entry for {fn.name} "
                             f"(selector 0x{fn.selector:08x})")
-    engine = Engine(unit, cfg, fn, facts or unit_facts(unit, binding), budget)
+    engine = Engine(unit, cfg, fn, binding, budget)
     return engine.explore(entry_pc)

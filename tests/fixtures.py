@@ -1164,6 +1164,63 @@ def market_hub(heavy_branches: int = 12, heavy_count: int = 18) -> Fixture:
 
 
 # --------------------------------------------------------------------------
+# a value of any depth
+
+
+def deep_chain(length: int, consumer: str) -> Fixture:
+    """transferFrom over ``length`` chained ``ADD``s of 1 onto ``from``, read
+    by ``consumer``: ``SLOAD``, ``JUMPI`` (both ways join), ``SHA3`` (of the
+    word stored at 0, then loaded) or ``LOG4`` (the chain is the Transfer's
+    ``from`` topic). A Transfer emission ends the function."""
+    name = "DeepChain"
+    src = Source()
+    src.add("// SPDX-License-Identifier: MIT\npragma solidity ^0.8.17;\n\n")
+    contract_start = len(src.text)
+    src.add(f"contract {name} {{\n"
+            "    event Transfer(address indexed from, address indexed to,"
+            " uint256 indexed tokenId);\n\n")
+    fn_span = src.add(
+        "    function transferFrom(address from, address to, uint256 tokenId)"
+        " external {\n"
+        "        emit Transfer(from, to, tokenId);\n"
+        "    }\n")
+    src.add("}\n")
+    contract_span = (contract_start, len(src.text) - contract_start, 0)
+    ast = ab.source_unit((0, len(src.text), 0), [ab.contract(name, contract_span, [
+        ab.function("transferFrom", "external",
+                    [ab.parameter(param, abi_type, fn_span) for param, abi_type in
+                     (("from", "address"), ("to", "address"), ("tokenId", "uint256"))],
+                    [ab.emit_event("Transfer", ["from", "to", "tokenId"],
+                                   src.span("emit Transfer(from, to, tokenId);"))],
+                    fn_span, fn_span),
+    ])])
+
+    a = Asm(fn_span)
+    _dispatcher_head(a, False)
+    _dispatcher_entry(a, SEL_TRANSFER_FROM, "tf")
+    _dispatcher_fallback(a, False)
+    a.jumpdest("tf")
+    a.push(0x44).op("CALLDATALOAD").push(0x24).op("CALLDATALOAD")  # tokenId, to
+    a.push(4).op("CALLDATALOAD").op("DUP1")                         # from, the chain's start
+    for _ in range(length):
+        a.push(1).op("ADD")
+    if consumer == "SLOAD":
+        a.op("SLOAD").op("POP")
+    elif consumer == "JUMPI":
+        a.push_label("join").op("JUMPI").jumpdest("join")
+    elif consumer == "SHA3":
+        a.push(0).op("MSTORE").push(0x20).push(0).op("SHA3").op("SLOAD").op("POP")
+    elif consumer == "LOG4":
+        a.op("SWAP1").op("POP")
+    else:
+        raise ValueError(consumer)
+    _emit_transfer_log4(a, fn_span, False)  # stack (top..down): from, to, tokenId
+    a.op("STOP")
+    code, spans = a.assemble()
+    return Fixture(name, src.text, ast, code, evmasm.srcmap_text(spans))
+
+
+# --------------------------------------------------------------------------
 # corpus assembly
 
 

@@ -1,10 +1,19 @@
-"""Digest of the reports the benchmark's inputs get, to compare two commits.
+"""Digest of the reports the benchmark's inputs and the owner-shape fixtures
+get, to compare two commits.
 
 For each workload of ``pipebench/workloads.py`` built at ``--seed``, every
 input is analyzed once with pruning and once without; the reports, minus
 their ``timings``, are hashed in that order. One line per workload:
 
     <workload> <sha256> <reports>
+
+A last line, ``owner-variants``, digests the same way the ``transfer_family``
+fixtures that read the owner through an internal ``_ownerOf``
+(``owner_helper``), in the transfer itself (``inline_owner``) and from an
+internal ``_transfer`` (``internal_call``), each with and without the
+``owner == from`` check; it does not depend on the seed. The workloads
+exercise a non-empty owner binding only in ``corpus``, which has no
+helper-shaped ``ownerOf``.
 
 Two checkouts give byte-identical reports on these inputs exactly when
 their lines are equal. Run from the repository root of each checkout:
@@ -23,22 +32,37 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+OWNER_VARIANTS = ("owner_helper", "inline_owner", "internal_call")
 
-def digest(workload: str, seed: int) -> tuple[str, int]:
-    import workloads
+
+def digest(paths: list) -> tuple[str, int]:
+    """The hash of every path's reports, pruned, then unpruned, and their count."""
     from sleepscan.pipeline import RunConfig, analyze_path
 
     reports = []
-    with tempfile.TemporaryDirectory() as tmp:
-        inputs, _ = workloads.build(workload, seed, Path(tmp))
-        for prune in (True, False):
-            config = RunConfig(prune=prune)
-            for item in inputs:
-                for report in analyze_path(item.path, config):
-                    report.pop("timings", None)
-                    reports.append(report)
+    for prune in (True, False):
+        config = RunConfig(prune=prune)
+        for path in paths:
+            for report in analyze_path(path, config):
+                report.pop("timings", None)
+                reports.append(report)
     text = json.dumps(reports, sort_keys=True).encode()
     return hashlib.sha256(text).hexdigest(), len(reports)
+
+
+def owner_variants(directory: Path) -> list[str]:
+    """Write the owner-shape fixtures under ``directory``; returns their paths."""
+    import fixtures
+
+    paths = []
+    for variant in OWNER_VARIANTS:
+        for owner_check in (True, False):
+            name = (variant.title().replace("_", "")
+                    + ("Checked" if owner_check else "Unchecked"))
+            fixture = fixtures.transfer_family(name, owner_check=owner_check,
+                                               **{variant: True})
+            paths.append(str(fixture.write(directory)))
+    return paths
 
 
 def main() -> int:
@@ -48,9 +72,16 @@ def main() -> int:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "pipebench")]
     import workloads
 
-    for workload in workloads.WORKLOADS:
-        sha, count = digest(workload, args.seed)
-        print(f"{workload} {sha} {count}")
+    lines = [*workloads.WORKLOADS, "owner-variants"]
+    for line in lines:
+        with tempfile.TemporaryDirectory() as tmp:
+            if line == "owner-variants":
+                paths = owner_variants(Path(tmp))
+            else:
+                inputs, _ = workloads.build(line, args.seed, Path(tmp))
+                paths = [item.path for item in inputs]
+            sha, count = digest(paths)
+        print(f"{line} {sha} {count}")
     return 0
 
 

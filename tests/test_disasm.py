@@ -31,7 +31,7 @@ from sleepscan.disasm import (
 )
 from sleepscan.errors import TruncatedPush
 from sleepscan.ingestion import load_compilation
-from sleepscan.symexec import Engine, ExplorationBudget, unit_facts
+from sleepscan.symexec import Engine, ExplorationBudget
 
 
 def test_decode_simple_add_program():
@@ -293,9 +293,9 @@ def test_analysis_decodes_only_what_the_engine_reaches(tmp_path, monkeypatch):
 
     (cfg,) = cfgs
     stepped = set()
-    facts = unit_facts(unit, find_owner_return_binding(unit))
+    binding = find_owner_return_binding(unit)
     for fn in select_target_functions(function_infos(unit)):
-        engine = Engine(unit, build_cfg(disassemble(unit.runtime_bytecode)), fn, facts,
+        engine = Engine(unit, build_cfg(disassemble(unit.runtime_bytecode)), fn, binding,
                         ExplorationBudget())
         step = engine.step
         engine.step = lambda state, instr: stepped.add(instr.pc) or step(state, instr)

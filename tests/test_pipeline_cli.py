@@ -333,6 +333,17 @@ def test_unexpected_exception_is_an_internal_error_report(corpus_dir, monkeypatc
     assert report["findings"] == []
 
 
+@pytest.mark.parametrize("consumer", ["SLOAD", "JUMPI", "SHA3", "LOG4"])
+@pytest.mark.parametrize("length", [1, 64, 65, 600, 5000])
+def test_a_deep_expression_is_analyzed(tmp_path, length, consumer):
+    """A chain of folding ops of any length reaches the detectors; past 64 the
+    chain restarts from a fresh symbol."""
+    (report,) = analyze_path(str(corpus.deep_chain(length, consumer).write(tmp_path)),
+                             RunConfig())
+    assert "error" not in report
+    assert report["path_records"][EMIT] == (2 if consumer == "JUMPI" else 1)
+
+
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(max_size=8)
     | st.floats(allow_nan=False, allow_infinity=False),
@@ -624,6 +635,14 @@ def test_cli_evaluate_names_a_label_without_a_contract(runner, tmp_path):
     line = _evaluate_one_error_line(runner, tmp_path, labels,
                                     {"contract": "A", "findings": []})
     assert line == "Error: label 1 has no contract"
+
+
+def test_cli_evaluate_names_a_contract_labeled_twice(runner, tmp_path):
+    labels = [{"contract": "A", "expected": [{"type": "PA"}]}, {"contract": "B"},
+              {"contract": "A"}]
+    line = _evaluate_one_error_line(runner, tmp_path, labels,
+                                    {"contract": "A", "findings": [{"type": "PA"}]})
+    assert line == "Error: labels 0 and 2 both name contract A"
 
 
 def test_cli_evaluate_names_a_label_of_an_unknown_type(runner, tmp_path):

@@ -74,7 +74,6 @@ def _compare(unit: CompilationUnit, targets, binding=(),
     engine looks up must be a block start or lie off the code. Returns the
     steps the engine took inside whole blocks, and the shared Code."""
     budget = budget or ExplorationBudget()
-    facts = sx.unit_facts(unit, binding)
     shared = build_cfg(disassemble(unit.runtime_bytecode))
     shared.block_at = lookups = _Lookups(shared.block_at)
     reference_cfg = build_cfg(disassemble(unit.runtime_bytecode))
@@ -82,10 +81,10 @@ def _compare(unit: CompilationUnit, targets, binding=(),
     for _ in range(explorations):
         for fn, entry_pc in targets:
             stepped = Counter()
-            got = _counting_steps(Engine(unit, shared, fn, facts, budget),
+            got = _counting_steps(Engine(unit, shared, fn, binding, budget),
                                   stepped).explore(entry_pc)
             want = reference_explore.explore(
-                Engine(unit, reference_cfg, fn, facts, budget), entry_pc)
+                Engine(unit, reference_cfg, fn, binding, budget), entry_pc)
             assert _outcome(got) == _outcome(want), (fn.name, entry_pc)
             whole_steps += got.steps_used - sum(stepped.values())
     assert lookups.pcs
@@ -220,11 +219,10 @@ def test_a_deadline_steps_no_instruction(corpus_dir):
         else:
             functions = select_target_functions(infos)
         binding = find_owner_return_binding(unit)
-        facts = sx.unit_facts(unit, binding)
         cfg = build_cfg(disassemble(unit.runtime_bytecode))
         for fn, entry_pc in _targets(unit, functions):
             stepped = Counter()
-            engine = _counting_steps(Engine(unit, cfg, fn, facts, budget), stepped)
+            engine = _counting_steps(Engine(unit, cfg, fn, binding, budget), stepped)
             assert engine.explore(entry_pc).steps_used > 0
             assert not stepped, (sub.name, fn.name)
             explored += 1
@@ -250,8 +248,7 @@ def test_runs_read_the_clock_every_256_steps(monkeypatch, clock, steps_used):
         reads = []
         monkeypatch.setattr(sx.time, "monotonic",
                             lambda: reads.append(1) or next(readings))
-        engine = Engine(_unit(LOOP), build_cfg(disassemble(LOOP)), FN,
-                        sx.unit_facts(_unit(LOOP), ()), budget)
+        engine = Engine(_unit(LOOP), build_cfg(disassemble(LOOP)), FN, (), budget)
         outcomes.append((_outcome(explore(engine, 0)), len(reads)))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][1] == len(clock)
@@ -283,8 +280,7 @@ def test_entry_depth_at_the_underflow_edge():
     assert whole_steps > 0
     *_, low, high = cfg.block_at[code.index(0x5B)]
     assert (low, high) == (1, sx.MAX_STACK)
-    result = Engine(_unit(code), cfg, FN, sx.unit_facts(_unit(code), ()),
-                    ExplorationBudget()).explore(0)
+    result = Engine(_unit(code), cfg, FN, (), ExplorationBudget()).explore(0)
     assert result.ends[END_REVERT, f"stack underflow at {code.index(0x5B) + 1} (POP)"] == 1
 
 
@@ -306,8 +302,7 @@ def test_entry_depth_at_the_overflow_edge():
     assert whole_steps > 0
     *_, low, high = cfg.block_at[label]
     assert (low, high) == (0, sx.MAX_STACK - 2)
-    result = Engine(_unit(code), cfg, FN, sx.unit_facts(_unit(code), ()),
-                    ExplorationBudget()).explore(0)
+    result = Engine(_unit(code), cfg, FN, (), ExplorationBudget()).explore(0)
     assert list(result.ends.items()) == [
         ((END_EXIT, None), 1), ((END_REVERT, f"stack overflow at {label + 2}"), 1)]
 
@@ -318,8 +313,7 @@ def test_runs_keep_the_owner_rule():
     code, spans = owner_reads()
     whole_steps, cfg = _compare(_unit(code, spans), [(FN, 0)], (OWNER_CODE,), explorations=3)
     assert whole_steps == 3 * len(disassemble(code))
-    engine = Engine(_unit(code, spans), cfg, FN,
-                    sx.unit_facts(_unit(code, spans), (OWNER_CODE,)), ExplorationBudget())
+    engine = Engine(_unit(code, spans), cfg, FN, (OWNER_CODE,), ExplorationBudget())
     (emission,) = engine.explore(0).records
     assert len(emission.owner_trace) == 3
 
@@ -350,8 +344,8 @@ def _whole_and_stepped(body, budget: ExplorationBudget | None = None) -> sx.Engi
     unit = _unit(code, spans)
     _compare(unit, [(FN, 0)], budget=budget, explorations=1)
     stepped = Counter()
-    result = _counting_steps(Engine(unit, build_cfg(disassemble(code)), FN,
-                                    sx.unit_facts(unit, ()), budget), stepped).explore(0)
+    result = _counting_steps(Engine(unit, build_cfg(disassemble(code)), FN, (), budget),
+                             stepped).explore(0)
     assert not stepped
     for max_steps in range(1, result.steps_used + 1):
         cut = dataclasses.replace(budget, max_steps=max_steps)
@@ -486,16 +480,15 @@ def test_ops_are_built_for_exactly_the_blocks_entered(tmp_path):
     infos = function_infos(unit)
     assert len(infos) == 60
     binding = find_owner_return_binding(unit)
-    facts = sx.unit_facts(unit, binding)
     cfg = build_cfg(disassemble(unit.runtime_bytecode))
     reference_cfg = build_cfg(disassemble(unit.runtime_bytecode))
     starts = set(disassemble(unit.runtime_bytecode).blocks)
     transfer_a, transfer_b = _targets(unit, select_target_functions(infos))
     reached = Counter()  # pc -> times the reference loop stepped it
     for fn, entry in [transfer_a, transfer_b, transfer_a]:
-        Engine(unit, cfg, fn, facts, ExplorationBudget()).explore(entry)
+        Engine(unit, cfg, fn, binding, ExplorationBudget()).explore(entry)
         reference_explore.explore(_counting_steps(
-            Engine(unit, reference_cfg, fn, facts, ExplorationBudget()), reached), entry)
+            Engine(unit, reference_cfg, fn, binding, ExplorationBudget()), reached), entry)
         assert cfg.block_at
         # ops for every block entered, and for no block unentered
         assert set(cfg.block_at) == starts & set(reached)

@@ -55,6 +55,14 @@ def test_make_op_keeps_symbolic_operands():
     assert isinstance(node, Op) and node.args == (P0, Const(1))
 
 
+def test_op_depth_is_not_compared_hashed_or_printed():
+    chained = make_op("add", make_op("add", P0, Const(1)), Const(1))
+    assert chained.depth == 2
+    built = Op("add", (Op("add", (P0, Const(1))), Const(1)))
+    assert built == chained and hash(built) == hash(chained)
+    assert repr(built) == repr(chained) == "add(add(from, 1), 1)"
+
+
 @settings(max_examples=300)
 @given(st.data())
 def test_eval_op_matches_reference_interpreter(data):

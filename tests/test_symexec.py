@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import astbuild as ab
 import oracle_evm
 import progs
 import reference_explore
@@ -15,7 +16,7 @@ from evmasm import Asm
 from sleepscan import constraints as cs
 from sleepscan import disasm, opcodes, pipeline, sym
 from sleepscan import symexec as sx
-from sleepscan.astview import FunctionInfo
+from sleepscan.astview import FunctionInfo, find_owner_return_binding
 from sleepscan.disasm import build_cfg, disassemble
 from sleepscan.errors import EntryNotFound
 from sleepscan.ingestion import Ast, CompilationUnit
@@ -50,7 +51,7 @@ def _engine(code: bytes, binding=(), srcmap=None, ast=EMPTY_AST,
     entries = srcmap if srcmap is not None else [GENERATED] * len(instrs)
     assert len(entries) == len(instrs)
     unit = CompilationUnit("T", code, entries, ast, {0: ""}, (0, 8, 17))
-    return Engine(unit, build_cfg(instrs), FN, sx.unit_facts(unit, binding),
+    return Engine(unit, build_cfg(instrs), FN, binding,
                   budget or ExplorationBudget())
 
 
@@ -82,6 +83,20 @@ def test_engine_matches_reference_on_random_programs():
         assert [v.value for v in state.stack] == expected
 
 
+@pytest.mark.parametrize("length", [1, 64, 65])
+@pytest.mark.parametrize("head, link, tail", [
+    ("600435", "600101", ""),                        # from + 1 + 1 ...
+    ("600435600052", "6020600020600052", "600051"),  # keccak(keccak(from)) ... at memory 0
+], ids=["add", "sha3"])
+def test_a_value_deeper_than_64_ops_is_fresh(length, head, link, tail):
+    code = bytes.fromhex(head + link * length + tail + "00")
+    (value,) = _run_straight_line(_engine(code)).stack
+    if length <= sx.MAX_DEPTH:
+        assert isinstance(value, Op) and value.depth == length
+    else:
+        assert isinstance(value, Var) and value.kind == FreshExternal("deep")
+
+
 # --------------------------------------------------------------------------
 # checkpoint: calldata parameter binding
 
@@ -107,7 +122,6 @@ def test_parameter_beyond_declared_list_gets_placeholder():
 # checkpoint: storage provenance
 
 def _layout_ast():
-    import astbuild as ab
     span = (0, 100, 0)
     return {
         "nodeType": "SourceUnit", "src": "0:100:0",
@@ -295,6 +309,21 @@ def test_owner_trace_keeps_computed_loads_in_the_owner_code(explore):
 def test_no_binding_means_empty_trace():
     engine = _engine(bytes.fromhex("6005") + _emit_then("00"))
     (emission,) = engine.explore(0).records
+    assert emission.owner_trace == ()
+
+
+def test_generated_code_is_never_an_owner_read():
+    """An ``ownerOf`` without ``src`` has the binding span (-1, 0, -1), which
+    holds generated code's -1:-1:-1 by its offsets; a load there is in no
+    source file, so none is traced."""
+    owner_of = ab.function("ownerOf", "public", [], [], OWNER_CODE, OWNER_CODE)
+    del owner_of["src"]
+    ast = Ast(ab.source_unit((0, 200, 0), [ab.contract("T", (0, 200, 0), [owner_of])]))
+    binding = find_owner_return_binding(CompilationUnit("T", b"", [], ast, {0: ""}, (0, 8, 17)))
+    assert binding == ((-1, 0, -1),)
+    code, _ = owner_reads()
+    srcmap = [(-1, -1, -1)] * len(disassemble(code))
+    (emission,) = _engine(code, binding=binding, srcmap=srcmap).explore(0).records
     assert emission.owner_trace == ()
 
 
