@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, replace
 
 from sleepscan.ingestion import Ast, CompilationUnit, Span
-from sleepscan.keccak import keccak256, keccak256_many
+from sleepscan.keccak import keccak256_many
 
 EXTERNALLY_CALLABLE = ("external", "public")
 
@@ -31,11 +31,6 @@ class FunctionInfo:
     emits_transfer: bool
     # externally callable functions only; hashed by with_selectors
     signature: str | None = None
-
-
-def compute_selector(signature: str) -> int:
-    """First 4 bytes of keccak-256 over the canonical ASCII signature."""
-    return int.from_bytes(keccak256(signature.encode("ascii"))[:4], "big")
 
 
 _LOCATION_WORDS = re.compile(r"\b(calldata|memory|storage|payable)\b")

@@ -88,8 +88,7 @@ def analyze(paths, timeout, loop_bound, max_steps, max_paths, output_format,
     else:
         for report in reports:
             _print_text_report(report)
-    if any("error" in r for r in reports) and len(reports) == sum(
-            1 for r in reports if "error" in r):
+    if reports and all("error" in r for r in reports):
         sys.exit(1)  # every artifact failed: a tool error, not a clean run
 
 

@@ -1,7 +1,7 @@
 """Path-constraint collection and satisfiability over 256-bit vectors.
 
 A path condition is a plain tuple of constraints. A branch builds a new
-tuple and never changes an old one, so a fork and every emission snapshot
+tuple and never changes an old one, so a fork and every emission record
 hold the condition they were given without a copy. The solver is a
 self-contained decision procedure: structural contradiction detection plus
 equality propagation gives unsat answers, and a randomized concrete witness

@@ -53,7 +53,7 @@ _BLOCK_END = tuple(byte not in opcodes.TABLE or _NAMES[byte] in _TERMINATORS
 _JUMPDEST_TOKEN = bytes([opcodes.MNEMONIC_TO_BYTE["JUMPDEST"]])
 _EQ = opcodes.MNEMONIC_TO_BYTE["EQ"]
 _JUMPI = opcodes.MNEMONIC_TO_BYTE["JUMPI"]
-_PUSH4 = opcodes.MNEMONIC_TO_BYTE["PUSH4"]
+_PUSH1 = opcodes.MNEMONIC_TO_BYTE["PUSH1"]
 
 
 class Code(Sequence):
@@ -161,17 +161,22 @@ def build_cfg(code: Code) -> Code:
 def find_function_entry(code: Code, selector: int) -> int | None:
     """Locate the JUMPDEST the dispatcher jumps to for ``selector``.
 
-    Matches the conventional ``PUSH4 sel; EQ; PUSH dest; JUMPI`` pattern,
+    Matches the conventional ``PUSH4 sel; EQ; PUSH dest; JUMPI`` pattern, or
+    solc's push of ``sel`` in its fewest bytes (``PUSH3 0xfdd58e``),
     tolerating a few interleaved instructions inside one basic block. An
-    ``EQ`` must lie between the ``PUSH4`` and the ``JUMPI``, so the pivot of
-    a split dispatcher (``PUSH4 sel; GT; PUSH low; JUMPI``) is not taken for
+    ``EQ`` must lie between the push and the ``JUMPI``, so the pivot of a
+    split dispatcher (``PUSH4 sel; GT; PUSH low; JUMPI``) is not taken for
     the entry. Returns the first match in pc order.
     """
-    tokens = code.tokens
-    needle = bytes([_PUSH4]) + selector.to_bytes(4, "big")
-    hit = code.raw.find(needle)
-    while hit >= 0:
-        first = code.ordinal(hit)
+    tokens, raw = code.tokens, code.raw
+    hits = []
+    for width in {4, max(1, (selector.bit_length() + 7) // 8)}:
+        needle = bytes([_PUSH1 + width - 1]) + selector.to_bytes(width, "big")
+        hit = raw.find(needle)
+        while hit >= 0:
+            hits.append(hit)
+            hit = raw.find(needle, hit + 1)
+    for first in map(code.ordinal, sorted(hits)):
         if first is not None:
             seen_eq = False
             for idx in range(first + 1, min(first + 8, len(tokens))):
@@ -184,7 +189,6 @@ def find_function_entry(code: Code, selector: int) -> int | None:
                     dest = code[idx - 1].push_value
                     if dest in code.jumpdests:
                         return dest
-        hit = code.raw.find(needle, hit + 1)
     return None
 
 

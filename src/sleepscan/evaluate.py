@@ -72,16 +72,22 @@ def load_labels(path) -> list[CorpusLabel]:
 
 def load_reports(directory) -> list[dict]:
     """Reports from every ``*.json`` file, in name order; a file holding a
-    JSON list (as ``analyze --out`` writes) gives each of its reports."""
+    JSON list (as ``analyze --out`` writes) gives each of its reports. Two
+    reports of one contract are an error naming both."""
     reports = []
+    first_where: dict[str, str] = {}  # contract -> where its report is
     for path in sorted(Path(directory).glob("*.json")):
         doc = _read_json(path, "report file")
         for index, report in enumerate(doc if isinstance(doc, list) else [doc]):
             where = f"report {index} of {path}"
             if not isinstance(report, dict):
                 raise UnscorableEntry(f"{where} is not a JSON object")
-            _field(report, "contract", str, where)
+            contract = _field(report, "contract", str, where)
             _field(report, "findings", list, where)
+            if contract in first_where:
+                raise UnscorableEntry(f"{first_where[contract]} and {where} "
+                                      f"both name contract {contract}")
+            first_where[contract] = where
             reports.append(report)
     return reports
 

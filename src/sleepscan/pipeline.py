@@ -67,7 +67,6 @@ def analyze_unit(unit: CompilationUnit, config: RunConfig) -> dict:
                                loop_bound=config.loop_bound, deadline=deadline)
     records = []
     path_records: dict[str, int] = {}  # end kind -> count, in order of first end
-    timed_out = False
     per_function: dict[str, float] = {}  # seconds, summed over targets sharing a name
     analyzed = 0
     skipped: list[str] = []
@@ -87,17 +86,15 @@ def analyze_unit(unit: CompilationUnit, config: RunConfig) -> dict:
         records.extend(explored.records)
         for (end_kind, _), count in explored.ends.items():
             path_records[end_kind] = path_records.get(end_kind, 0) + count
-        timed_out |= explored.timed_out
         analyzed += 1
         per_function[fn.name] = round(per_function.get(fn.name, 0.0)
                                       + time.monotonic() - fn_started, 6)
         if time.monotonic() > deadline:
-            timed_out = True
             break
 
     findings = detectors.analyze_contract(
         unit, records, config.enabled_detectors, deadline)
-    timed_out |= time.monotonic() > deadline
+    timed_out = time.monotonic() > deadline  # implied by every earlier expiry
     return {
         "schema_version": SCHEMA_VERSION,
         "contract": unit.contract_name,

@@ -3,13 +3,13 @@
 One exploration is single-threaded and owns its states; the information the
 detectors need is gathered at three checkpoints: CALLDATALOAD (parameter
 binding), SLOAD/SSTORE (storage provenance, the owner trace and the store
-mark), and LOG4 with the Transfer topic hash (the emission snapshot). An owner
+mark), and LOG4 with the Transfer topic hash (the emission's record). An owner
 read is a load of a non-constant slot whose source span lies in a source file
 and inside the code of ``ownerOf`` or of a function it calls (the binding,
 ``find_owner_return_binding``), tested against the binding at the load; it
 appends the loaded word to the owner trace unless it repeats the last entry.
-Execution continues past an emission so its record carries the store mark at
-the path's exit.
+Execution continues past an emission, and the path's exit completes its
+record with the store mark and the loaded ``from`` parameter, if any.
 
 A path record is kept only for a Transfer emission on a path that exits
 normally; every path end, and every emission, is counted by
@@ -23,7 +23,7 @@ Symbols are identified by value: a storage read no write answers gets one
 per unequal offset (per memory version where a write may overlap the word).
 
 A path's history (its condition, memory writes, storage writes, owner trace
-and emission snapshots) is held in tuples that grow by building a new tuple,
+and emission records) is held in tuples that grow by building a new tuple,
 so a fork shares them with its parent; it copies only the stack and the loop
 counts, the two things a path changes in place.
 
@@ -66,7 +66,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from sleepscan import constraints as con
 from sleepscan import opcodes, sym
@@ -102,13 +102,20 @@ class ExplorationBudget:
 
 
 @dataclass(frozen=True)
-class _EmissionSnapshot:
-    pc: int
-    from_topic: SymValue  # the event's indexed ``from``
+class PathRecord:
+    """One Transfer emission on a path that exited normally."""
+
+    end_kind = END_EMISSION  # a class attribute: every record is an emission
+
+    function: FunctionInfo
     constraints: tuple[Constraint, ...]
     owner_trace: tuple[SymValue, ...]
+    from_param: SymValue | None
     tainted: bool
-    src: Span
+    emission_pc: int
+    emission_src: Span
+    sstore_mark_at_exit: bool = False  # this and path_id are set at the path's exit
+    path_id: int = -1
 
 
 @dataclass(slots=True)
@@ -121,7 +128,7 @@ class MachineState:
     owner_trace: tuple[SymValue, ...] = ()
     tainted: bool = False
     jumpdest_visits: dict[int, int] = field(default_factory=dict)
-    snapshots: tuple[_EmissionSnapshot, ...] = ()
+    snapshots: tuple[PathRecord, ...] = ()  # the path's emissions, completed at its exit
 
     def fork(self) -> "MachineState":
         # skips the dataclass __init__ and its keyword arguments
@@ -136,23 +143,6 @@ class MachineState:
         forked.jumpdest_visits = self.jumpdest_visits.copy()
         forked.snapshots = self.snapshots
         return forked
-
-
-@dataclass(frozen=True)
-class PathRecord:
-    """One Transfer emission on a path that exited normally."""
-
-    end_kind = END_EMISSION  # a class attribute: every record is an emission
-
-    function: FunctionInfo
-    constraints: tuple[Constraint, ...]
-    owner_trace: tuple[SymValue, ...]
-    from_param: SymValue | None
-    sstore_mark_at_exit: bool
-    tainted: bool
-    path_id: int
-    emission_pc: int
-    emission_src: Span
 
 
 # --------------------------------------------------------------------------
@@ -274,17 +264,10 @@ class Engine:
             emission_kind = END_EMISSION if end_kind == END_EXIT else END_BUDGET
             self.ends[emission_kind, None] += len(state.snapshots)
             if end_kind == END_EXIT:
-                self.records.extend(PathRecord(
-                    function=self.fn,
-                    constraints=snapshot.constraints,
-                    owner_trace=snapshot.owner_trace,
-                    from_param=self.param_vars.get(0) or snapshot.from_topic,
-                    sstore_mark_at_exit=bool(state.storage_writes),
-                    tainted=snapshot.tainted,
-                    path_id=path_id,
-                    emission_pc=snapshot.pc,
-                    emission_src=snapshot.src,
-                ) for snapshot in state.snapshots)
+                self.records.extend(replace(
+                    rec, from_param=self.param_vars.get(0) or rec.from_param,
+                    sstore_mark_at_exit=bool(state.storage_writes), path_id=path_id,
+                ) for rec in state.snapshots)
         self.ends[end_kind, diagnostic] += 1
 
     # -- exploration loop ---------------------------------------------------
@@ -549,13 +532,14 @@ def _log(engine: Engine, state: MachineState, instr: Instruction, pops: int):
     topic0 = args[2]
     if not (isinstance(topic0, Const) and topic0.value == TRANSFER_TOPIC):
         return
-    state.snapshots += (_EmissionSnapshot(
-        pc=instr.pc,
-        from_topic=args[3],
+    state.snapshots += (PathRecord(
+        function=engine.fn,
         constraints=state.constraints,
         owner_trace=state.owner_trace,
+        from_param=args[3],  # the event's indexed ``from``; the exit may rebind it
         tainted=state.tainted,
-        src=engine.unit.source_map[instr.src],
+        emission_pc=instr.pc,
+        emission_src=engine.unit.source_map[instr.src],
     ),)
 
 
@@ -726,13 +710,10 @@ def explore_function(unit: CompilationUnit, cfg: Code, fn: FunctionInfo,
                      budget: ExplorationBudget | None = None) -> Engine:
     """Explore ``fn`` from its dispatcher entry; the engine returned holds
     its emission records and counted path ends."""
-    if budget is None:
-        budget = ExplorationBudget()
     if fn.selector is None:
         raise EntryNotFound(f"{fn.name} has no selector (visibility {fn.visibility})")
     entry_pc = find_function_entry(cfg, fn.selector)
     if entry_pc is None:
         raise EntryNotFound(f"no dispatcher entry for {fn.name} "
                             f"(selector 0x{fn.selector:08x})")
-    engine = Engine(unit, cfg, fn, binding, budget)
-    return engine.explore(entry_pc)
+    return Engine(unit, cfg, fn, binding, budget or ExplorationBudget()).explore(entry_pc)

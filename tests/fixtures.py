@@ -16,7 +16,7 @@ import astbuild as ab
 import evmasm
 from evmasm import Asm
 
-from sleepscan.astview import compute_selector
+from sleepscan.astview import FunctionInfo, with_selectors
 from sleepscan.keccak import TRANSFER_TOPIC
 
 GEN = evmasm.GENERATED
@@ -154,8 +154,14 @@ def _owner_of_body(a: Asm, label: str, slot: int, body_span, ret_span,
     a.op("RETURN", body_span)
 
 
-SEL_TRANSFER_FROM = compute_selector("transferFrom(address,address,uint256)")
-SEL_OWNER_OF = compute_selector("ownerOf(uint256)")
+def selector_of(signature: str) -> int:
+    """The selector of ``signature``, hashed as the pipeline hashes it."""
+    (info,) = with_selectors([FunctionInfo("", None, (), "external", False, signature)])
+    return info.selector
+
+
+SEL_TRANSFER_FROM = selector_of("transferFrom(address,address,uint256)")
+SEL_OWNER_OF = selector_of("ownerOf(uint256)")
 
 
 # --------------------------------------------------------------------------
@@ -589,7 +595,7 @@ def batch_airdrop() -> Fixture:
                     fn_span, fn_span),
     ])])
 
-    selector = compute_selector("batchTransfer(uint256,address,address)")
+    selector = selector_of("batchTransfer(uint256,address,address)")
     a = Asm()
     _dispatcher_head(a, False)
     _dispatcher_entry(a, selector, "bt")
@@ -874,7 +880,7 @@ def bridge_relay() -> Fixture:
                     fn_span, fn_span),
     ])])
 
-    selector = compute_selector("bridgeTransfer(address,address,uint256)")
+    selector = selector_of("bridgeTransfer(address,address,uint256)")
     a = Asm()
     _dispatcher_head(a, False)
     _dispatcher_entry(a, selector, "bt")
@@ -957,7 +963,7 @@ def steady_mint() -> Fixture:
                     fn_span, fn_span),
     ])])
 
-    selector = compute_selector("mint(address,uint256)")
+    selector = selector_of("mint(address,uint256)")
     a = Asm()
     _dispatcher_head(a, False)
     _dispatcher_entry(a, selector, "m")
@@ -1131,9 +1137,9 @@ def market_hub(heavy_branches: int = 12, heavy_count: int = 18) -> Fixture:
     a = Asm()
     _dispatcher_head(a, False)
     for k in range(heavy_count):
-        _dispatcher_entry(a, compute_selector(f"quote{k}(uint256)"), f"q{k}")
+        _dispatcher_entry(a, selector_of(f"quote{k}(uint256)"), f"q{k}")
     for tag in ("A", "B"):
-        _dispatcher_entry(a, compute_selector(f"transfer{tag}(address,uint256)"),
+        _dispatcher_entry(a, selector_of(f"transfer{tag}(address,uint256)"),
                           f"t{tag}")
     _dispatcher_fallback(a, False)
 

@@ -59,13 +59,14 @@ def jumpdests(instrs: list[Instruction]) -> set[int]:
 
 
 def find_function_entry(instrs: list[Instruction], selector: int) -> int | None:
-    """The first ``PUSH4 selector`` in pc order followed, within 7
-    instructions of its block, by an ``EQ`` and then a ``JUMPI`` whose
-    preceding PUSH names a JUMPDEST."""
+    """The first ``PUSH4 selector``, or push of the selector in its fewest
+    bytes, in pc order followed, within 7 instructions of its block, by an
+    ``EQ`` and then a ``JUMPI`` whose preceding PUSH names a JUMPDEST."""
+    pushes = ("PUSH4", f"PUSH{max(1, (selector.bit_length() + 7) // 8)}")
     targets = jumpdests(instrs)
     for block in blocks(instrs).values():
         for i, ins in enumerate(block):
-            if ins.name != "PUSH4" or ins.push_value != selector:
+            if ins.name not in pushes or ins.push_value != selector:
                 continue
             window = block[i + 1:i + 8]
             for j, nxt in enumerate(window):

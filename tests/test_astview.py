@@ -2,6 +2,7 @@
 
 import copy
 import json
+from dataclasses import replace
 
 import astbuild as ab
 import fixtures as corpus
@@ -10,8 +11,8 @@ import pytest
 from sleepscan import astview
 from sleepscan.astview import (
     EXTERNALLY_CALLABLE,
+    FunctionInfo,
     canonical_type,
-    compute_selector,
     find_owner_return_binding,
     function_infos,
     select_target_functions,
@@ -33,7 +34,8 @@ KNOWN_SELECTORS = {
 
 @pytest.mark.parametrize("signature,selector", sorted(KNOWN_SELECTORS.items()))
 def test_known_selectors(signature, selector):
-    assert compute_selector(signature) == selector
+    info = FunctionInfo(signature.partition("(")[0], None, (), "external", False, signature)
+    assert with_selectors([info]) == [replace(info, selector=selector)]
 
 
 @pytest.mark.parametrize("raw,canonical", [

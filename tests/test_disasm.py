@@ -17,7 +17,6 @@ from evmasm import Asm
 
 from sleepscan import _core, disasm, pipeline
 from sleepscan.astview import (
-    compute_selector,
     find_owner_return_binding,
     function_infos,
     select_target_functions,
@@ -114,7 +113,7 @@ def test_cfg_blocks_and_edges():
 def test_find_function_entry_on_fixture(corpus_dir):
     unit = load_compilation(corpus_dir / "GuardedGallery")
     cfg = build_cfg(disassemble(unit.runtime_bytecode))
-    selector = compute_selector("transferFrom(address,address,uint256)")
+    selector = fixtures.SEL_TRANSFER_FROM
     entry = find_function_entry(cfg, selector)
     assert entry is not None
     assert cfg.block(entry)[0].name == "JUMPDEST"
@@ -149,10 +148,25 @@ def _split_dispatcher(selector: int) -> tuple[bytes, int, int]:
 
 
 def test_the_dispatcher_pivot_is_not_an_entry():
-    selector = compute_selector("transferFrom(address,address,uint256)")
+    selector = fixtures.SEL_TRANSFER_FROM
     code, low, body = _split_dispatcher(selector)
     assert (low, body) == (33, 39)
     assert find_function_entry(build_cfg(disassemble(code)), selector) == body
+
+
+@pytest.mark.parametrize("push,selector", [
+    ("62" "fdd58e", 0x00FDD58E),    # PUSH3: ERC-1155 balanceOf, as solc pushes it
+    ("63" "00fdd58e", 0x00FDD58E),  # PUSH4 of the same selector
+    ("61" "abcd", 0x0000ABCD),      # PUSH2
+    ("60" "00", 0x00000000),        # PUSH1
+])
+def test_an_entry_is_found_in_the_selector_s_shortest_push(push, selector):
+    # DUP1 PUSH sel EQ PUSH1 dest JUMPI STOP STOP JUMPDEST(dest) STOP
+    dest = 1 + len(push) // 2 + 6
+    code = bytes.fromhex("80" + push + "14" f"60{dest:02x}" "57" "00" "00" "5b00")
+    cfg = build_cfg(disassemble(code))
+    assert find_function_entry(cfg, selector) == dest
+    assert find_function_entry(cfg, selector + 1) is None
 
 
 # --------------------------------------------------------------------------
@@ -181,7 +195,8 @@ def _check_lazy_equals_eager(code: bytes, selectors=()):
         else:
             assert block is None
     assert cfg.block_at == {}  # decoding a block caches nothing
-    pushed = {ins.push_value for ins in instrs if ins.name == "PUSH4"}
+    pushed = {ins.push_value for ins in instrs
+              if ins.name in ("PUSH1", "PUSH2", "PUSH3", "PUSH4")}
     for selector in {*pushed, *selectors, 0xDEADBEEF}:
         assert find_function_entry(build_cfg(disassemble(code)), selector) == \
             reference_disasm.find_function_entry(instrs, selector), hex(selector)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from sleepscan.errors import UnlabeledContract
+from sleepscan.errors import UnlabeledContract, UnscorableEntry
 from sleepscan.evaluate import (
     CorpusLabel,
     TypeScore,
@@ -43,6 +43,14 @@ def test_load_reports_reads_sorted_json_files(tmp_path):
         (tmp_path / f"{name}.json").write_text(json.dumps(_report(name.upper(), [])))
     reports = load_reports(tmp_path)
     assert [r["contract"] for r in reports] == ["A", "B"]
+
+
+def test_load_reports_rejects_a_contract_reported_twice_in_one_file(tmp_path):
+    path = tmp_path / "all.json"
+    path.write_text(json.dumps([_report("A", []), _report("B", []), _report("A", [])]))
+    with pytest.raises(UnscorableEntry) as raised:
+        load_reports(tmp_path)
+    assert str(raised.value) == f"report 0 of {path} and report 2 of {path} both name contract A"
 
 
 def test_type_score_precision():

@@ -645,6 +645,23 @@ def test_cli_evaluate_names_a_contract_labeled_twice(runner, tmp_path):
     assert line == "Error: labels 0 and 2 both name contract A"
 
 
+def test_cli_evaluate_names_a_contract_reported_twice(runner, tmp_path):
+    reports_dir = tmp_path / "reports"
+    reports_dir.mkdir()
+    report = {"contract": "A", "findings": [{"type": "PA", "function": "f"}]}
+    for name in ("a.json", "b.json"):
+        (reports_dir / name).write_text(json.dumps(report))
+    labels_path = tmp_path / "labels.json"
+    labels_path.write_text(json.dumps(
+        [{"contract": "A", "expected": [{"type": "PA", "function": "f"}]}]))
+    result = runner.invoke(main, ["evaluate", "--labels", str(labels_path),
+                                  "--reports", str(reports_dir)])
+    assert result.exit_code == 1
+    (line,) = result.output.splitlines()
+    assert line == (f"Error: report 0 of {reports_dir / 'a.json'} and report 0 of "
+                    f"{reports_dir / 'b.json'} both name contract A")
+
+
 def test_cli_evaluate_names_a_label_of_an_unknown_type(runner, tmp_path):
     labels = [{"contract": "A", "expected": [{"type": "XX", "function": "f"}]}]
     line = _evaluate_one_error_line(runner, tmp_path, labels,

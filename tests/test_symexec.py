@@ -238,6 +238,17 @@ def test_emission_snapshot_and_late_store():
     assert emission.from_param == Const(3)
 
 
+def test_from_is_bound_at_the_path_s_exit():
+    # after the emission, CALLER PUSH1 53 JUMPI: the fallthrough, which runs
+    # first, loads parameter 0 (PUSH1 4 CALLDATALOAD POP STOP); the taken
+    # side (53: JUMPDEST STOP) loads none, and still exits after that load
+    code = _emit_then("33" "6035" "57" "6004" "35" "50" "00" "5b00")
+    assert code[53] == 0x5B
+    result = _engine(code).explore(0)
+    assert result.ends == {(END_EMISSION, None): 2, (END_EXIT, None): 2}
+    assert [r.from_param for r in result.records] == [Var("from", Parameter(0), True)] * 2
+
+
 def test_execution_continues_past_emission():
     first = _emit_then("")
     result = _engine(first + _emit_then("00")).explore(0)
@@ -533,6 +544,17 @@ def test_explore_function_requires_selector():
         explore_function(unit, cfg, internal, None)
     with pytest.raises(EntryNotFound):
         explore_function(unit, cfg, FN, None)  # no dispatcher in this code
+
+
+def test_a_target_whose_selector_is_pushed_in_three_bytes_is_explored():
+    # DUP1 PUSH3 0xfdd58e EQ PUSH1 11 JUMPI STOP STOP, then 11: JUMPDEST and an emission
+    head = bytes.fromhex("80" "62fdd58e" "14" "600b" "57" "00" "00" "5b")
+    code = head + _emit_then("00")
+    unit = CompilationUnit("T", code, [GENERATED] * len(disassemble(code)), EMPTY_AST,
+                           {0: ""}, (0, 8, 17))
+    fn = FunctionInfo("balanceOf", 0x00FDD58E, (), "external", True)
+    result = explore_function(unit, build_cfg(disassemble(code)), fn, ())
+    assert [r.emission_pc for r in result.records] == [len(head) + EMISSION_PC]
 
 
 # --------------------------------------------------------------------------
