@@ -38,13 +38,16 @@ _ALIASES = {"uint": "uint256", "int": "int256", "byte": "bytes1"}
 
 
 def canonical_type(type_string: str) -> str:
-    cleaned = _LOCATION_WORDS.sub("", type_string or "").strip()
-    cleaned = " ".join(cleaned.split())
-    if cleaned.startswith("contract ") or cleaned == "address":
-        return "address"
-    base, _, suffix = cleaned.partition("[")
-    base = _ALIASES.get(base, base)
-    return base + ("[" + suffix if suffix else "")
+    """The ABI type of a parameter's type string: a contract (or ``address
+    payable``) is ``address`` and an enum ``uint8``, array suffixes kept."""
+    cleaned = " ".join(_LOCATION_WORDS.sub("", type_string or "").split())
+    base, bracket, suffix = cleaned.partition("[")
+    kind = base.partition(" ")[0]
+    if kind in ("address", "contract"):
+        base = "address"
+    elif kind == "enum":
+        base = "uint8"
+    return _ALIASES.get(base, base) + bracket + suffix
 
 
 def _transfer_closure(ast: Ast) -> list[bool]:

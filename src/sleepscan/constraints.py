@@ -3,11 +3,14 @@
 A path condition is a plain tuple of constraints. A branch builds a new
 tuple and never changes an old one, so a fork and every emission record
 hold the condition they were given without a copy. The solver is a
-self-contained decision procedure: structural contradiction detection plus
-equality propagation gives unsat answers, and a randomized concrete witness
-search gives sat answers. Anything it cannot decide within its budget is
-reported as ``unknown``, which callers must treat as "do not report"
-(precision first).
+self-contained decision procedure. Two rules give unsat answers: a
+constraint contradicts an earlier one of the negated relation over the same
+sides (``_structurally_unsat``), and the classes of values equal under
+``eq`` and ``zero`` hold two constants, or the two sides of a ``neq``, or a
+``nonzero`` side with 0 (``_equality_conflict``). A randomized concrete
+witness search gives sat answers. Anything it cannot decide within its
+budget is reported as ``unknown``, which callers must treat as "do not
+report" (precision first).
 
 Negation here is structural only (eq <-> neq, ult <-> uge, ...); no semantic
 normalization is applied, so differing owner expressions never cancel.
@@ -58,17 +61,6 @@ class Constraint:
 
     def negated(self) -> "Constraint":
         return Constraint(_NEGATION[self.relation], self.lhs, self.rhs, self.candidate)
-
-    def same_sides(self, other: "Constraint") -> bool:
-        # width masks are plumbing, not identity: and(x, 2^160-1) is the same
-        # carrier as x for the purpose of structural matching
-        lhs, rhs = sym.strip_masks(self.lhs), sym.strip_masks(self.rhs)
-        other_lhs, other_rhs = sym.strip_masks(other.lhs), sym.strip_masks(other.rhs)
-        if lhs == other_lhs and rhs == other_rhs:
-            return True
-        if self.relation in _SYMMETRIC and other.relation in _SYMMETRIC:
-            return lhs == other_rhs and rhs == other_lhs
-        return False
 
     def holds(self, env: dict[Var, int]) -> bool:
         a = sym.evaluate(self.lhs, env)
@@ -136,15 +128,22 @@ def solve(path: tuple[Constraint, ...], extra: tuple[Constraint, ...] = (),
 # -- unsat side -------------------------------------------------------------
 
 def _structurally_unsat(constraints: list[Constraint]) -> bool:
-    for i, a in enumerate(constraints):
-        negated = a.negated()
-        for b in constraints[i + 1:]:
-            if b.relation == negated.relation and b.same_sides(negated):
-                return True
+    # a constraint contradicts an earlier one of the negated relation over the
+    # same sides, width masks peeled (and(x, 2^160-1) carries x), and either
+    # way round for eq and neq
+    earlier: dict[str, list[tuple[SymValue, SymValue]]] = {}
+    for c in constraints:
+        sides = (sym.strip_masks(c.lhs), sym.strip_masks(c.rhs))
+        negated = earlier.get(_NEGATION[c.relation], ())
+        if sides in negated or (c.relation in _SYMMETRIC and sides[::-1] in negated):
+            return True
+        earlier.setdefault(c.relation, []).append(sides)
     return _equality_conflict(constraints)
 
 
 def _equality_conflict(constraints: list[Constraint]) -> bool:
+    # classes of values equal under the eq and zero constraints; equal
+    # constants are one key, so a class holding two constants is contradictory
     parent: dict[SymValue, SymValue] = {}
 
     def find(x: SymValue) -> SymValue:
@@ -154,43 +153,15 @@ def _equality_conflict(constraints: list[Constraint]) -> bool:
             x = parent[x]
         return x
 
-    def union(x: SymValue, y: SymValue):
-        parent[find(x)] = find(y)
-
     for c in constraints:
-        if c.relation == EQ:
-            union(c.lhs, c.rhs)
-        elif c.relation == ZERO:
-            union(c.lhs, Const(0))
-    # a class holding two distinct constants is contradictory
-    const_of: dict[SymValue, int] = {}
-    for node in list(parent):
-        if isinstance(node, Const):
-            root = find(node)
-            if root in const_of and const_of[root] != node.value:
-                return True
-            const_of[root] = node.value
-
-    def class_const(root: SymValue) -> int | None:
-        if root in const_of:
-            return const_of[root]
-        return root.value if isinstance(root, Const) else None
-
-    for c in constraints:
-        if c.relation == NEQ:
-            left_root, right_root = find(c.lhs), find(c.rhs)
-            if left_root == right_root:
-                return True
-            left_const = class_const(left_root)
-            if left_const is not None and left_const == class_const(right_root):
-                return True
-        if c.relation == NONZERO and class_const(find(c.lhs)) == 0:
-            return True
-        if c.relation == ZERO:
-            value = class_const(find(c.lhs))
-            if value is not None and value != 0:
-                return True
-    return False
+        if c.relation in (EQ, ZERO):
+            parent[find(c.lhs)] = find(c.rhs if c.relation == EQ else Const(0))
+    roots = [find(node) for node in parent if isinstance(node, Const)]
+    if len(set(roots)) < len(roots):
+        return True
+    return any((c.relation == NEQ and find(c.lhs) == find(c.rhs))
+               or (c.relation == NONZERO and find(c.lhs) == find(Const(0)))
+               for c in constraints)
 
 
 # -- sat side ---------------------------------------------------------------

@@ -196,13 +196,14 @@ def dump_listing(instrs: Sequence[Instruction], source_map: list[Span],
                  sources: dict[int, str]) -> str:
     """Debug text listing: ``pc: opcode immediate  ; source-snippet``."""
     lines = []
+    encoded = {file_id: text.encode() for file_id, text in sources.items()}  # spans count bytes
     for ins in instrs:
         snippet = ""
         if ins.src < len(source_map):  # a listing does not check the map's length
             start, length, file_id = source_map[ins.src]
-            text = sources.get(file_id)
+            text = encoded.get(file_id)
             if text is not None and file_id >= 0:
-                raw = text[start:start + length]
+                raw = text[start:start + length].decode(errors="replace")
                 snippet = "  ; " + " ".join(raw.split())[:48]
         lines.append(f"{ins.pc:6d}: {ins}{snippet}")
     return "\n".join(lines)

@@ -22,7 +22,7 @@ from typing import NamedTuple
 from sleepscan.errors import MalformedItem, MissingArtifact, VersionUnparseable
 
 Version = tuple[int, int, int]
-Span = tuple[int, int, int]  # (start, length, file); file -1 for compiler-generated code
+Span = tuple[int, int, int]  # (start, length, file) in UTF-8 bytes; file -1 for generated code
 
 
 @dataclass
@@ -36,8 +36,9 @@ class CompilationUnit:
     error: Exception | None = None  # why the code or map did not decode; both are then empty
 
     def snippet(self, span: Span) -> str:
-        start, length, file_id = span
-        return self.sources.get(file_id, "")[start:start + length]
+        start, length, file_id = span  # offsets count UTF-8 bytes, not characters
+        text = self.sources.get(file_id, "").encode()
+        return text[start:start + length].decode(errors="replace")
 
 
 # --------------------------------------------------------------------------
@@ -404,7 +405,7 @@ def _load_directory(path: Path) -> list[CompilationUnit]:
         if not srcmap_path.exists():
             raise MissingArtifact(f"{srcmap_path} missing")
         ast = Ast(_json_object(_parse_json(ast_path), f"{ast_path}: top level"))
-        sources = {0: sol_path.read_text()} if sol_path.exists() else {}
+        sources = {0: sol_path.read_text(encoding="utf-8")} if sol_path.exists() else {}
         units.append(_unit(name, bin_path.read_text().strip(), srcmap_path.read_text().strip(),
                            ast, sources, resolve_version(None, sources)))
     return units
@@ -421,7 +422,7 @@ def _unit(name, hex_code: str, encoded_map: str, ast, sources, version) -> Compi
 
 def _parse_json(path: Path):
     try:  # nesting too deep to parse makes a bad artifact, as a syntax error does
-        return json.loads(path.read_text())
+        return json.loads(path.read_text(encoding="utf-8"))
     except RecursionError:
         raise MissingArtifact(f"{path} is nested too deeply to parse") from None
 

@@ -36,7 +36,7 @@ class Fixture:
         (d / f"{self.name}.bin-runtime").write_text(self.bytecode.hex())
         (d / f"{self.name}.srcmap-runtime").write_text(self.srcmap)
         (d / f"{self.name}.ast.json").write_text(json.dumps(self.ast, indent=1))
-        (d / f"{self.name}.sol").write_text(self.sol)
+        (d / f"{self.name}.sol").write_text(self.sol, encoding="utf-8")
         return d
 
 

@@ -48,6 +48,12 @@ def test_known_selectors(signature, selector):
     ("bytes calldata", "bytes"),
     ("string memory", "string"),
     ("mapping(uint256 => address)", "mapping(uint256 => address)"),
+    # the ABI's types: address payable and contracts are address, enums uint8
+    ("address payable[]", "address[]"),
+    ("contract IERC721[]", "address[]"),
+    ("contract IERC721[2][] memory", "address[2][]"),
+    ("enum Market.State", "uint8"),
+    ("enum Market.State[]", "uint8[]"),
 ])
 def test_canonical_type(raw, canonical):
     assert canonical_type(raw) == canonical

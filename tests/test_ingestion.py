@@ -151,6 +151,13 @@ def test_strip_requires_wellformed_cbor_map():
     assert strip_metadata(code + bogus) == code + bogus
 
 
+def test_strip_leaves_an_indefinite_length_map_in_place():
+    code = bytes.fromhex("6001600201")
+    indefinite = b"\xbf\x61a\x01\xff"  # {"a": 1}, closed by a break byte
+    trailer = indefinite + len(indefinite).to_bytes(2, "big")
+    assert strip_metadata(code + trailer) == code + trailer
+
+
 @pytest.mark.parametrize("depth", [1, 3000])
 def test_strip_a_trailer_nested_to_any_depth(depth):
     code = bytes.fromhex("6001600201")
@@ -231,6 +238,15 @@ def test_modern_ast_shape():
     assert not ast.legacy
     assert ast.functions == []
     assert ast.state_variables == [("owner", "address")]  # type from typeDescriptions
+
+
+@pytest.mark.parametrize("descriptions", ["address", ["address"], None])
+def test_type_descriptions_that_are_not_an_object_give_no_type(descriptions):
+    decl = ab.state_var("owner", "address", (10, 20, 0))
+    decl["typeDescriptions"] = descriptions
+    ast = Ast({"nodeType": "SourceUnit", "src": "0:100:0",
+               "nodes": [ab.contract("C", (0, 90, 0), [decl])]})
+    assert ast.state_variables == [("owner", "")]
 
 
 def test_legacy_ast_shape():
@@ -338,6 +354,15 @@ def test_metadata_wins_over_pragma():
     assert resolve_version(None, {0: "pragma solidity ^0.6.0;"}) == (0, 6, 0)
 
 
+def test_a_pragma_without_a_lower_bound_and_no_metadata_gives_no_version(tmp_path):
+    fig = corpus.guarded_gallery()
+    d = fig.write(tmp_path)
+    (d / f"{fig.name}.sol").write_text("pragma solidity <0.9.0;")
+    with pytest.raises(VersionUnparseable) as raised:
+        load_all(d)
+    assert str(raised.value) == "no compiler version in metadata or pragma"
+
+
 # --------------------------------------------------------------------------
 # loaders
 
@@ -432,6 +457,26 @@ def test_missing_artifact_raises(tmp_path):
         load_all(tmp_path / "no-such-path")
 
 
+def test_a_directory_without_a_source_map_raises(tmp_path):
+    fig = corpus.guarded_gallery()
+    d = fig.write(tmp_path)
+    (d / f"{fig.name}.srcmap-runtime").unlink()
+    with pytest.raises(MissingArtifact) as raised:
+        load_all(d)
+    assert str(raised.value) == f"{d / fig.name}.srcmap-runtime missing"
+
+
+def test_load_compilation_rejects_an_artifact_of_two_contracts(tmp_path):
+    doc = corpus.standard_json_artifact(corpus.guarded_gallery())
+    per_file = doc["contracts"]["GuardedGallery.sol"]
+    per_file["Twin"] = per_file["GuardedGallery"]
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(MissingArtifact) as raised:
+        load_compilation(path)
+    assert str(raised.value) == "multiple contracts (GuardedGallery, Twin); use load_all"
+
+
 def test_out_of_bounds_span_rejected(tmp_path):
     fig = corpus.guarded_gallery()
     d = fig.write(tmp_path)
@@ -440,3 +485,15 @@ def test_out_of_bounds_span_rejected(tmp_path):
     (report,) = analyze_path(str(d), RunConfig())
     assert report["contract"] == "GuardedGallery"
     assert report["error"].startswith("MissingArtifact: GuardedGallery: source-map span ")
+
+
+def test_a_span_of_a_file_without_source_is_rejected(tmp_path):
+    fig = corpus.guarded_gallery()
+    d = fig.write(tmp_path)
+    spans = decode_source_map(fig.srcmap)
+    start, length, _ = spans[0]
+    spans[0] = (start, length, 3)
+    (d / f"{fig.name}.srcmap-runtime").write_text(encode_source_map(spans))
+    (report,) = analyze_path(str(d), RunConfig())
+    assert report["error"] == \
+        "MissingArtifact: GuardedGallery: source-map entry refers to unknown file 3"

@@ -12,10 +12,13 @@ from hypothesis import strategies as st
 
 import astbuild as ab
 import fixtures as corpus
+from evmasm import encode_source_map
 
 from sleepscan import detectors, pipeline
 from sleepscan.cli import main
 from sleepscan.detectors import OWNER_INCONSISTENCY, PRIVILEGED_ADDRESS, UNRESTRICTED_FROM
+from sleepscan.disasm import disassemble, dump_listing
+from sleepscan.ingestion import decode_source_map, load_compilation
 from sleepscan.pipeline import RunConfig, analyze_path
 from sleepscan.symexec import END_BUDGET as BUDGET
 from sleepscan.symexec import END_EMISSION as EMIT
@@ -300,6 +303,71 @@ def test_a_deeply_nested_trailer_fails_no_contract(tmp_path):
     for report in reports:
         assert "error" not in report
         assert [f["type"] for f in report["findings"]] == [UNRESTRICTED_FROM]
+
+
+def _nodes(node):
+    """Every AST node under ``node``, itself included."""
+    if isinstance(node, list):
+        for item in node:
+            yield from _nodes(item)
+    elif isinstance(node, dict):
+        yield node
+        for value in node.values():
+            yield from _nodes(value)
+
+
+def _shift_spans(fixture: corpus.Fixture, prefix: str) -> corpus.Fixture:
+    """``fixture`` with ``prefix`` before its source and every span of the
+    file moved by the prefix's length in UTF-8 bytes, as a compiler counts."""
+    shift = len(prefix.encode())
+
+    def move(start, length, file_id):
+        return (start + shift if file_id >= 0 else start, length, file_id)
+
+    ast = copy.deepcopy(fixture.ast)
+    for node in _nodes(ast):
+        if "src" in node:
+            node["src"] = ":".join(map(str, move(*map(int, node["src"].split(":")))))
+    srcmap = encode_source_map([move(*span) for span in decode_source_map(fixture.srcmap)])
+    return dataclasses.replace(fixture, sol=prefix + fixture.sol, ast=ast, srcmap=srcmap)
+
+
+def test_spans_count_bytes_not_characters(tmp_path):
+    """A source with multi-byte characters keeps its findings: the spans
+    count UTF-8 bytes, and the snippet and the listing slice bytes."""
+    plain = corpus.free_mintable()
+    (before,) = analyze_path(str(plain.write(tmp_path / "plain")), RunConfig())
+    directory = _shift_spans(plain, "// \u00a9\u00a9\u00a9\n").write(tmp_path / "shifted")
+    (report,) = analyze_path(str(directory), RunConfig())
+    assert "error" not in report
+    (finding,), (original,) = report["findings"], before["findings"]
+    assert finding["type"] == UNRESTRICTED_FROM
+    assert finding["witness"] == original["witness"]
+    assert finding["start"] == original["start"] + 10  # 7 characters, 10 bytes
+    unit = load_compilation(directory)
+    span = (finding["start"], finding["length"], finding["file"])
+    assert unit.snippet(span) == "emit Transfer(from, to, tokenId);"
+    listing = dump_listing(disassemble(unit.runtime_bytecode), unit.source_map, unit.sources)
+    assert "LOG4  ; emit Transfer(from, to, tokenId);" in listing
+
+
+def test_an_address_payable_array_parameter_hashes_as_address_array(tmp_path):
+    """transferFrom(address payable[] from, ...) has the ABI selector of
+    transferFrom(address[],address,uint256), so it is explored, not skipped."""
+    fixture = corpus.free_mintable()
+    ast = copy.deepcopy(fixture.ast)
+    (function,) = [node for node in _nodes(ast) if node.get("nodeType") == "FunctionDefinition"
+                   and node["name"] == "transferFrom"]
+    function["parameters"]["parameters"][0]["typeDescriptions"]["typeString"] = \
+        "address payable[]"
+    push4 = [b"\x63" + selector.to_bytes(4, "big") for selector in (
+        corpus.SEL_TRANSFER_FROM, corpus.selector_of("transferFrom(address[],address,uint256)"))]
+    assert fixture.bytecode.count(push4[0]) == 1  # the dispatcher's one entry
+    bytecode = fixture.bytecode.replace(*push4)
+    directory = dataclasses.replace(fixture, ast=ast, bytecode=bytecode).write(tmp_path)
+    (report,) = analyze_path(str(directory), RunConfig())
+    assert report["functions_skipped"] == []
+    assert report["functions_analyzed"] == 1
 
 
 def test_truncated_push_is_one_error_report(tmp_path):

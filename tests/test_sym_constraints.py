@@ -144,18 +144,6 @@ def test_relations_match_the_reference_interpreter(relation):
             assert solve(concrete) == (cs.SAT if expected else cs.UNSAT)
 
 
-def test_same_sides_symmetric_for_equalities_only():
-    a = Constraint(cs.EQ, P0, P1)
-    b = Constraint(cs.EQ, P1, P0)
-    assert a.same_sides(b)
-    assert not Constraint(cs.ULT, P0, P1).same_sides(Constraint(cs.ULT, P1, P0))
-
-
-def test_same_sides_sees_through_masks():
-    masked = Constraint(cs.EQ, Op("and", (P0, Const(sym.MASK160))), P1)
-    assert masked.same_sides(Constraint(cs.EQ, P0, P1))
-
-
 def test_is_storage_direct_address_heuristics():
     assert is_storage_direct_address(OWNER_SLOT)  # declared address type
     assert not is_storage_direct_address(MAPPED)  # mapping loads excluded
@@ -249,6 +237,49 @@ def test_candidates_do_not_constrain_solving():
 def test_extra_constraints_join_the_query():
     cset = (Constraint(cs.EQ, P0, P1),)
     assert solve(cset, extra=(Constraint(cs.NEQ, P0, P1),)) == cs.UNSAT
+
+
+MASKED_P0 = Op("and", (P0, Const(sym.MASK160)))
+
+
+# each unsat rule of the solver by one query, beside the pairs and chains
+# above: a constraint and an earlier one of the negated relation over the
+# same sides (width masks peeled, either way round for eq and neq), and the
+# classes of equal values (two constants in one, a nonzero in the class of 0)
+@pytest.mark.parametrize("query", [
+    (Constraint(cs.EQ, P0, Const(0)), Constraint(cs.NONZERO, P0)),
+    (Constraint(cs.ZERO, P0), Constraint(cs.EQ, P0, Const(5))),
+    (Constraint(cs.EQ, MASKED_P0, P1), Constraint(cs.NEQ, P0, P1)),
+    (Constraint(cs.NEQ, P1, MASKED_P0), Constraint(cs.EQ, P0, P1)),
+], ids=["nonzero-in-class-of-0", "zero-and-5", "masked-pair", "swapped-masked-pair"])
+def test_each_unsat_rule(query):
+    assert solve(query) == cs.UNSAT
+
+
+def test_swapped_sides_contradict_only_for_eq_and_neq():
+    assert _solve(Constraint(cs.ULT, P0, P1), Constraint(cs.UGE, P1, P0)) == cs.SAT
+    assert _solve(Constraint(cs.ULT, MASKED_P0, P1), Constraint(cs.UGE, P1, P0)) == cs.SAT
+
+
+# one case per branch of the witness search's repair step: the constraint,
+# the assignment before, and the variable and value it sets (None: no change)
+@pytest.mark.parametrize("constraint,before,repaired", [
+    (Constraint(cs.EQ, P0, P1), {P0: 1, P1: 2}, (P0, 2)),
+    (Constraint(cs.EQ, Const(5), P0), {P0: 1}, (P0, 5)),
+    (Constraint(cs.ZERO, P0), {P0: 7}, (P0, 0)),
+    (Constraint(cs.NONZERO, P0), {P0: 0}, (P0, 1)),
+    (Constraint(cs.NEQ, P0, P1), {P0: 3, P1: 3}, (P0, 4)),
+    (Constraint(cs.NEQ, Const(sym.MASK256), P0), {P0: sym.MASK256}, (P0, 0)),
+    (Constraint(cs.EQ, Op("add", (P0, Const(1))), Const(3)), {P0: 1}, None),
+], ids=["eq-var-left", "eq-var-right", "zero", "nonzero", "neq-var-left",
+        "neq-var-right-wraps", "no-variable"])
+def test_repair_sets_the_variable_it_can(constraint, before, repaired):
+    env = dict(before)
+    assert cs._repair(constraint, env) is (repaired is not None)
+    expected = dict(before)
+    if repaired is not None:
+        expected[repaired[0]] = repaired[1]
+    assert env == expected
 
 
 _var_pool = [P0, P1, CALLER, OWNER_SLOT]
