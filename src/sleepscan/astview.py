@@ -3,12 +3,12 @@ ownerOf and of the functions it calls) and the storage layout.
 
 Everything here reads the unit's function table (``Ast.functions`` and
 ``Ast.state_variables``), which the load walk built, and knows no AST node.
-A function emits ``Transfer`` when its body calls ``Transfer`` with 3
-arguments, under ``emit`` or not (Solidity before 0.4.21 has no ``emit``);
-overloads with other arities are ignored. Emission propagates through
-same-unit internal calls by name: the canonical ``transferFrom`` emits only
-via an internal ``_transfer``, so without the call-graph closure the very
-functions we care about would be pruned away.
+Only a callable (external or public) named function gets a row. A function
+emits ``Transfer`` when its body calls ``Transfer`` with 3 arguments, under
+``emit`` or not (Solidity before 0.4.21 has no ``emit``); other arities are
+ignored. Emission propagates through same-unit calls by name, rows or not:
+the canonical ``transferFrom`` emits only via an internal ``_transfer``, so
+without the call-graph closure the very functions we care about are pruned.
 """
 
 from __future__ import annotations
@@ -25,11 +25,10 @@ EXTERNALLY_CALLABLE = ("external", "public")
 @dataclass(frozen=True)
 class FunctionInfo:
     name: str
-    selector: int | None  # absent for internal/private functions and until hashed
+    selector: int | None  # absent until hashed by with_selectors
     params: tuple[tuple[str, str], ...]  # (name, canonical abi type)
     visibility: str
     emits_transfer: bool
-    # externally callable functions only; hashed by with_selectors
     signature: str | None = None
 
 
@@ -63,42 +62,37 @@ def _transfer_closure(ast: Ast) -> list[bool]:
 
 
 def function_infos(unit: CompilationUnit) -> list[FunctionInfo]:
-    """Every named function, with the signature of each externally callable
-    one; no selector is hashed here (see ``with_selectors``)."""
+    """Every callable named function (no constructor, fallback, receive,
+    internal or private one), with its signature but no selector."""
     infos = []
     types = {type_string for fn in unit.ast.functions for _, type_string in fn.parameters}
     canonical = dict(zip(types, map(canonical_type, types)))
     for fn, emits_transfer in zip(unit.ast.functions, _transfer_closure(unit.ast)):
-        if not fn.name:  # constructor / fallback / receive
-            continue
         visibility = fn.visibility or "public"
+        if not fn.name or visibility not in EXTERNALLY_CALLABLE:
+            continue
         params = tuple((name, canonical[type_string]) for name, type_string in fn.parameters)
-        signature = (f"{fn.name}({','.join(t for _, t in params)})"
-                     if visibility in EXTERNALLY_CALLABLE else None)
-        infos.append(FunctionInfo(fn.name, None, params, visibility, emits_transfer,
-                                  signature))
+        signature = f"{fn.name}({','.join(t for _, t in params)})"
+        infos.append(FunctionInfo(fn.name, None, params, visibility, emits_transfer, signature))
     return infos
 
 
 def with_selectors(infos: list[FunctionInfo]) -> list[FunctionInfo]:
-    """``infos`` with the selector of each signature filled in.
-
-    One batched Keccak call hashes the distinct signatures: an interface
-    declaration and its implementation share one hash.
-    """
-    signatures = list(dict.fromkeys(f.signature for f in infos if f.signature is not None))
-    digests = keccak256_many([s.encode("ascii") for s in signatures])
-    selectors = {s: int.from_bytes(d[:4], "big") for s, d in zip(signatures, digests)}
-    return [replace(f, selector=selectors.get(f.signature)) for f in infos]
+    """The first info of each signature, with its selector (one batched hash):
+    an override and its base, or an interface declaration and its
+    implementation, share one dispatcher entry."""
+    firsts: dict[str, FunctionInfo] = {}
+    for info in infos:
+        firsts.setdefault(info.signature, info)
+    digests = keccak256_many([s.encode("ascii") for s in firsts])
+    return [replace(f, selector=int.from_bytes(d[:4], "big"))
+            for f, d in zip(firsts.values(), digests)]
 
 
 def select_target_functions(infos: list[FunctionInfo]) -> list[FunctionInfo]:
-    """Externally callable functions whose bodies (transitively) emit Transfer,
-    with their selectors."""
-    return with_selectors([
-        info for info in infos
-        if info.emits_transfer and info.visibility in EXTERNALLY_CALLABLE
-    ])
+    """The functions whose bodies (transitively) emit Transfer, one per
+    signature, with their selectors."""
+    return with_selectors([info for info in infos if info.emits_transfer])
 
 
 def find_owner_return_binding(unit: CompilationUnit) -> tuple[Span, ...]:

@@ -138,7 +138,7 @@ def _print_text_report(report: dict) -> None:
         click.echo(
             f"  [{finding['confidence']}] {finding['type']} in "
             f"{finding['function']} (file {finding['file']}, "
-            f"chars {finding['start']}..{finding['start'] + finding['length']})"
+            f"bytes {finding['start']}..{finding['start'] + finding['length']})"
         )
     if not report["findings"]:
         click.echo("  no findings")

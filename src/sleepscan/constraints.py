@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass
 
 from sleepscan import sym
-from sleepscan.sym import Const, SymValue, Var
+from sleepscan.sym import Const, Op, SymValue, Var
 
 EQ, NEQ = "eq", "neq"
 ULT, UGT, ULE, UGE = "ult", "ugt", "ule", "uge"
@@ -127,13 +127,25 @@ def solve(path: tuple[Constraint, ...], extra: tuple[Constraint, ...] = (),
 
 # -- unsat side -------------------------------------------------------------
 
+def _peeled(value: SymValue) -> SymValue:
+    """``value`` without the masks that keep it: ``and(x, 2^256-1)`` is
+    always ``x``, ``and(x, 2^160-1)`` only for an address-typed Var ``x``."""
+    if isinstance(value, Op) and value.op == "and":
+        x, mask = sorted(value.args, key=lambda arg: isinstance(arg, Const))
+        x = _peeled(x)
+        if mask == Const(sym.MASK256) or (mask == Const(sym.MASK160)
+                                          and isinstance(x, Var) and x.is_address):
+            return x
+    return value
+
+
 def _structurally_unsat(constraints: list[Constraint]) -> bool:
     # a constraint contradicts an earlier one of the negated relation over the
-    # same sides, width masks peeled (and(x, 2^160-1) carries x), and either
-    # way round for eq and neq
+    # same sides, masks that keep a value peeled, and either way round for eq
+    # and neq
     earlier: dict[str, list[tuple[SymValue, SymValue]]] = {}
     for c in constraints:
-        sides = (sym.strip_masks(c.lhs), sym.strip_masks(c.rhs))
+        sides = (_peeled(c.lhs), _peeled(c.rhs))
         negated = earlier.get(_NEGATION[c.relation], ())
         if sides in negated or (c.relation in _SYMMETRIC and sides[::-1] in negated):
             return True

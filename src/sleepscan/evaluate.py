@@ -17,9 +17,11 @@ class CorpusLabel:
 
 
 def _read_json(path: Path, what: str):
+    """The JSON document in ``path``, read as UTF-8 whatever the locale."""
     try:
-        return json.loads(path.read_text())
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
+        return json.loads(path.read_text(encoding="utf-8"))
+    # RecursionError: nested too deeply
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise UnscorableEntry(f"{what} {path} is not JSON: {exc}") from exc
 
 

@@ -4,6 +4,9 @@ The wall-clock timeout is enforced per contract: exploration of its functions
 and the detectors' solver probes share one deadline. A failing artifact never
 aborts a batch: errors, unexpected ones as ``internal-error``, are captured in
 the report.
+
+Each callable signature is explored once (``astview.with_selectors``), with
+pruning only where it emits ``Transfer``.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from pathlib import Path
 
 from sleepscan import detectors
 from sleepscan.astview import (
-    EXTERNALLY_CALLABLE,
     find_owner_return_binding,
     function_infos,
     select_target_functions,
@@ -55,13 +57,8 @@ def analyze_unit(unit: CompilationUnit, config: RunConfig) -> dict:
     _check_unit(unit, len(instrs))
     cfg = build_cfg(instrs)
     binding = find_owner_return_binding(unit)
-    all_functions = function_infos(unit)
-    externally_callable = [f for f in all_functions
-                           if f.visibility in EXTERNALLY_CALLABLE]
-    if config.prune:
-        targets = select_target_functions(all_functions)
-    else:
-        targets = with_selectors(externally_callable)
+    functions = function_infos(unit)
+    targets = (select_target_functions if config.prune else with_selectors)(functions)
 
     budget = ExplorationBudget(max_steps=config.max_steps, max_paths=config.max_paths,
                                loop_bound=config.loop_bound, deadline=deadline)
@@ -70,13 +67,7 @@ def analyze_unit(unit: CompilationUnit, config: RunConfig) -> dict:
     per_function: dict[str, float] = {}  # seconds, summed over targets sharing a name
     analyzed = 0
     skipped: list[str] = []
-    selectors: set[int] = set()
     for fn in targets:
-        # an override and its base, or an interface declaration and its
-        # implementation, share one selector and so one dispatcher entry
-        if fn.selector in selectors:
-            continue
-        selectors.add(fn.selector)
         fn_started = time.monotonic()
         try:
             explored = explore_function(unit, cfg, fn, binding, budget)
@@ -99,7 +90,7 @@ def analyze_unit(unit: CompilationUnit, config: RunConfig) -> dict:
         "schema_version": SCHEMA_VERSION,
         "contract": unit.contract_name,
         "compiler_version": ".".join(map(str, unit.compiler_version)),
-        "functions_total": len(externally_callable),
+        "functions_total": len(functions),
         "functions_analyzed": analyzed,
         "functions_skipped": skipped,
         "findings": [_finding_to_json(f) for f in findings],

@@ -18,7 +18,7 @@ from sleepscan.astview import (
     select_target_functions,
     with_selectors,
 )
-from sleepscan.ingestion import Ast, CompilationUnit, load_compilation
+from sleepscan.ingestion import Ast, CompilationUnit, load_all, load_compilation
 from sleepscan.pipeline import RunConfig, analyze_path
 
 # Published ERC-721 selector values (independent of the local hash).
@@ -99,7 +99,11 @@ def test_function_infos_hashes_every_declaration_to_its_published_selector():
     ]
     assert signatures == [f"{f.name}({','.join(t for _, t in f.params)})" for f in infos]
     assert [f.selector for f in infos] == [None] * 4  # hashed only when explored
-    assert [f.selector for f in with_selectors(infos)] == [KNOWN_SELECTORS[s] for s in signatures]
+    # the declaration and the implementation share one dispatcher entry: the
+    # first row of a signature stands for it
+    hashed = with_selectors(infos)
+    assert hashed == [replace(f, selector=KNOWN_SELECTORS[f.signature])
+                      for f in (infos[0], infos[2], infos[3])]
 
 
 def test_transfer_closure_through_internal_call():
@@ -115,9 +119,8 @@ def test_transfer_closure_through_internal_call():
         ab.function("pause", "external", [], [], SPAN, SPAN),
     ])
     infos = {f.name: f for f in function_infos(_unit_for(doc))}
-    assert infos["transferFrom"].emits_transfer
-    assert infos["_transfer"].emits_transfer
-    assert infos["_transfer"].selector is None  # internal: no dispatcher entry
+    assert infos["transferFrom"].emits_transfer  # through _transfer
+    assert "_transfer" not in infos  # internal: no dispatcher entry, no row
     assert not infos["pause"].emits_transfer
     targets = select_target_functions(function_infos(_unit_for(doc)))
     assert [t.name for t in targets] == ["transferFrom"]
@@ -233,6 +236,35 @@ def _with_asts(docs, convert):
         for source in doc["sources"].values():
             source["ast"] = convert(source["ast"])
     return converted
+
+
+def test_only_callable_functions_get_rows(tmp_path, corpus_docs, fixture_reports):
+    """A constructor, fallback, receive, internal or private function has no
+    row, and none of them changes the report, ``functions_total`` included."""
+    doc = copy.deepcopy(corpus_docs["HiddenApprover"])
+    (source,) = doc["sources"].values()
+    (contract,) = [node for node in source["ast"]["nodes"]
+                   if node["nodeType"] == "ContractDefinition"]
+    span = tuple(map(int, contract["src"].split(":")))
+    emitting = [ab.emit_event("Transfer", ["a", "b", "c"], span)]
+    contract["nodes"] += [
+        ab.function("", "public", [], [], span, span),  # constructor
+        ab.function("", "external", [], [], span, span),  # fallback and receive
+        ab.function("_mint", "internal", [], emitting, span, span),
+        ab.function("_burn", "private", [ab.parameter("tokenId", "uint256", span)],
+                    emitting, span, span),
+    ]
+    path = tmp_path / "HiddenApprover.json"
+    path.write_text(json.dumps(doc))
+    (unit,) = load_all(str(path))
+    assert [fn.name for fn in unit.ast.functions] == [
+        "ownerOf", "transferFrom", "_transfer", "", "", "_mint", "_burn"]
+    assert [(f.name, f.visibility, f.emits_transfer) for f in function_infos(unit)] == [
+        ("ownerOf", "public", False), ("transferFrom", "external", True)]
+    (report,) = analyze_path(str(path), RunConfig())
+    report.pop("timings")
+    assert report == fixture_reports[True]["HiddenApprover"]
+    assert report["functions_total"] == 2
 
 
 @pytest.mark.parametrize("prune", [True, False], ids=["pruned", "unpruned"])

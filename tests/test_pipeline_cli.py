@@ -351,6 +351,18 @@ def test_spans_count_bytes_not_characters(tmp_path):
     assert "LOG4  ; emit Transfer(from, to, tokenId);" in listing
 
 
+def test_text_report_gives_spans_in_bytes(runner, tmp_path):
+    directory = _shift_spans(corpus.free_mintable(), "// \u00a9\u00a9\u00a9\n").write(tmp_path)
+    (report,) = analyze_path(str(directory), RunConfig())
+    (finding,) = report["findings"]
+    start, end = finding["start"], finding["start"] + finding["length"]
+    assert load_compilation(directory).sources[0].encode()[start:end] == \
+        b"emit Transfer(from, to, tokenId);"
+    result = runner.invoke(main, ["analyze", str(directory)])
+    assert result.exit_code == 0, result.output
+    assert f"(file 0, bytes {start}..{end})" in result.output
+
+
 def test_an_address_payable_array_parameter_hashes_as_address_array(tmp_path):
     """transferFrom(address payable[] from, ...) has the ABI selector of
     transferFrom(address[],address,uint256), so it is explored, not skipped."""
@@ -683,13 +695,16 @@ def _evaluate_one_error_line(runner, tmp_path, labels, report) -> str:
                                          json.dumps(report))
 
 
-def _evaluate_text_one_error_line(runner, tmp_path, labels: str, report: str) -> str:
-    """``_evaluate_one_error_line`` on the text of the labels and report files."""
+def _evaluate_text_one_error_line(runner, tmp_path, labels: str | bytes,
+                                  report: str | bytes) -> str:
+    """``_evaluate_one_error_line`` on the text, or the bytes, of the labels
+    and report files."""
     reports_dir = tmp_path / "reports"
     reports_dir.mkdir()
-    (reports_dir / "a.json").write_text(report)
+    (reports_dir / "a.json").write_bytes(report if isinstance(report, bytes)
+                                         else report.encode())
     labels_path = tmp_path / "labels.json"
-    labels_path.write_text(labels)
+    labels_path.write_bytes(labels if isinstance(labels, bytes) else labels.encode())
     result = runner.invoke(main, ["evaluate", "--labels", str(labels_path),
                                   "--reports", str(reports_dir)])
     assert result.exit_code == 1
@@ -770,12 +785,17 @@ _REPORT_A = '{"contract": "A", "findings": []}'
      "report of contract A: finding 0: function is not a JSON string"),
     (_DEEP, _REPORT_A, "labels file {labels} is not JSON: maximum recursion depth exceeded"),
     (_LABEL_A, _DEEP, "report file {report} is not JSON: maximum recursion depth exceeded"),
+    (b'[{"contract": "\xe9"}]', _REPORT_A,
+     "labels file {labels} is not JSON: 'utf-8' codec can't decode byte 0xe9"),
+    (_LABEL_A, b'{"contract": "\xe9", "findings": []}',
+     "report file {report} is not JSON: 'utf-8' codec can't decode byte 0xe9"),
 ], ids=["label-item-without-type", "finding-without-type", "labels-not-json",
         "report-not-json", "label-not-an-object", "report-not-an-object",
         "labels-not-a-list", "expected-not-a-list", "findings-not-a-list",
         "label-contract-not-a-string", "report-contract-not-a-string",
         "label-function-not-a-string", "finding-function-not-a-string",
-        "labels-nested-too-deeply", "report-nested-too-deeply"])
+        "labels-nested-too-deeply", "report-nested-too-deeply", "labels-not-utf8",
+        "report-not-utf8"])
 def test_cli_evaluate_names_a_malformed_file_or_entry(runner, tmp_path, labels, report,
                                                       message):
     line = _evaluate_text_one_error_line(runner, tmp_path, labels, report)

@@ -240,20 +240,37 @@ def test_extra_constraints_join_the_query():
 
 
 MASKED_P0 = Op("and", (P0, Const(sym.MASK160)))
+WORD = Var("amount", sym.Parameter(2))  # a uint256, not an address
+MASKED_WORD = Op("and", (WORD, Const(sym.MASK160)))
 
 
 # each unsat rule of the solver by one query, beside the pairs and chains
 # above: a constraint and an earlier one of the negated relation over the
-# same sides (width masks peeled, either way round for eq and neq), and the
-# classes of equal values (two constants in one, a nonzero in the class of 0)
+# same sides (masks that keep a value peeled, either way round for eq and
+# neq), and the classes of equal values (two constants in one, a nonzero in
+# the class of 0)
 @pytest.mark.parametrize("query", [
     (Constraint(cs.EQ, P0, Const(0)), Constraint(cs.NONZERO, P0)),
     (Constraint(cs.ZERO, P0), Constraint(cs.EQ, P0, Const(5))),
     (Constraint(cs.EQ, MASKED_P0, P1), Constraint(cs.NEQ, P0, P1)),
     (Constraint(cs.NEQ, P1, MASKED_P0), Constraint(cs.EQ, P0, P1)),
-], ids=["nonzero-in-class-of-0", "zero-and-5", "masked-pair", "swapped-masked-pair"])
+    (Constraint(cs.EQ, Op("and", (Const(sym.MASK256), WORD)), P0),
+     Constraint(cs.NEQ, WORD, P0)),
+], ids=["nonzero-in-class-of-0", "zero-and-5", "masked-pair", "swapped-masked-pair",
+        "full-width-masked-word"])
 def test_each_unsat_rule(query):
     assert solve(query) == cs.UNSAT
+
+
+# a 160-bit mask keeps only an address: WORD = 2^200 + 5 satisfies both
+@pytest.mark.parametrize("query", [
+    (Constraint(cs.EQ, MASKED_WORD, P0), Constraint(cs.NEQ, WORD, P0)),
+    (Constraint(cs.SGE, WORD, MASKED_WORD), Constraint(cs.SLT, MASKED_WORD, WORD)),
+], ids=["masked-word-eq", "masked-word-slt"])
+def test_a_160_bit_mask_changes_a_word(query):
+    witness = {WORD: 2**200 + 5, P0: 5}
+    assert all(c.holds(witness) for c in query)
+    assert solve(query) == cs.SAT
 
 
 def test_swapped_sides_contradict_only_for_eq_and_neq():
