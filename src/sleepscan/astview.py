@@ -14,7 +14,7 @@ without the call-graph closure the very functions we care about are pruned.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from sleepscan.ingestion import Ast, CompilationUnit, Span
 from sleepscan.keccak import keccak256_many
@@ -22,10 +22,21 @@ from sleepscan.keccak import keccak256_many
 EXTERNALLY_CALLABLE = ("external", "public")
 
 
+@dataclass(slots=True)
+class CallableRow:
+    """A callable function as ``function_infos`` lists it: cheap, since
+    only the rows ``with_selectors`` is given are canonicalized and hashed."""
+
+    name: str
+    visibility: str
+    emits_transfer: bool
+    parameters: tuple[tuple[str, str], ...]  # (name, type string), as the AST gives them
+
+
 @dataclass(frozen=True)
 class FunctionInfo:
     name: str
-    selector: int | None  # absent until hashed by with_selectors
+    selector: int | None  # set by with_selectors
     params: tuple[tuple[str, str], ...]  # (name, canonical abi type)
     visibility: str
     emits_transfer: bool
@@ -61,38 +72,35 @@ def _transfer_closure(ast: Ast) -> list[bool]:
         emits = closed
 
 
-def function_infos(unit: CompilationUnit) -> list[FunctionInfo]:
-    """Every callable named function (no constructor, fallback, receive,
-    internal or private one), with its signature but no selector."""
-    infos = []
-    types = {type_string for fn in unit.ast.functions for _, type_string in fn.parameters}
+def function_infos(unit: CompilationUnit) -> list[CallableRow]:
+    """A row for every callable named function (no constructor, fallback,
+    receive, internal or private one)."""
+    return [CallableRow(fn.name, visibility, emits_transfer, fn.parameters)
+            for fn, emits_transfer in zip(unit.ast.functions, _transfer_closure(unit.ast))
+            if fn.name and (visibility := fn.visibility or "public") in EXTERNALLY_CALLABLE]
+
+
+def with_selectors(rows: list[CallableRow]) -> list[FunctionInfo]:
+    """The info of the first row of each signature, with its canonical
+    parameter types and its selector (one batched hash): an override and its
+    base, or an interface declaration and its implementation, share one
+    dispatcher entry. Only ``rows`` are canonicalized and hashed."""
+    types = {type_string for row in rows for _, type_string in row.parameters}
     canonical = dict(zip(types, map(canonical_type, types)))
-    for fn, emits_transfer in zip(unit.ast.functions, _transfer_closure(unit.ast)):
-        visibility = fn.visibility or "public"
-        if not fn.name or visibility not in EXTERNALLY_CALLABLE:
-            continue
-        params = tuple((name, canonical[type_string]) for name, type_string in fn.parameters)
-        signature = f"{fn.name}({','.join(t for _, t in params)})"
-        infos.append(FunctionInfo(fn.name, None, params, visibility, emits_transfer, signature))
-    return infos
-
-
-def with_selectors(infos: list[FunctionInfo]) -> list[FunctionInfo]:
-    """The first info of each signature, with its selector (one batched hash):
-    an override and its base, or an interface declaration and its
-    implementation, share one dispatcher entry."""
-    firsts: dict[str, FunctionInfo] = {}
-    for info in infos:
-        firsts.setdefault(info.signature, info)
+    firsts: dict[str, tuple[CallableRow, tuple[tuple[str, str], ...]]] = {}
+    for row in rows:
+        params = tuple((name, canonical[type_string]) for name, type_string in row.parameters)
+        firsts.setdefault(f"{row.name}({','.join(t for _, t in params)})", (row, params))
     digests = keccak256_many([s.encode("ascii") for s in firsts])
-    return [replace(f, selector=int.from_bytes(d[:4], "big"))
-            for f, d in zip(firsts.values(), digests)]
+    return [FunctionInfo(row.name, int.from_bytes(d[:4], "big"), params, row.visibility,
+                         row.emits_transfer, signature)
+            for (signature, (row, params)), d in zip(firsts.items(), digests)]
 
 
-def select_target_functions(infos: list[FunctionInfo]) -> list[FunctionInfo]:
+def select_target_functions(rows: list[CallableRow]) -> list[FunctionInfo]:
     """The functions whose bodies (transitively) emit Transfer, one per
     signature, with their selectors."""
-    return with_selectors([info for info in infos if info.emits_transfer])
+    return with_selectors([row for row in rows if row.emits_transfer])
 
 
 def find_owner_return_binding(unit: CompilationUnit) -> tuple[Span, ...]:

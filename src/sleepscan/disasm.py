@@ -8,9 +8,9 @@ partition rule: ``Code.block`` scans the tokens for the end of the block
 that starts at a pc, decodes that range and caches nothing,
 ``Code.blocks`` lists the block starts and decodes nothing, and
 ``find_function_entry`` decodes only the instructions after a byte-search
-hit for ``PUSH4 selector``. The engine builds each block's
-execution form on its first reach and keeps it in ``Code.block_at``, so code
-it never reaches is never decoded. Iterating a ``Code`` decodes every
+hit for a push of the selector, in 4 bytes or in its fewest. The engine
+builds each block's execution form on its first reach and keeps it in
+``Code.block_at``, so code it never reaches is never decoded. Iterating a ``Code`` decodes every
 instruction, as ``sleepscan disasm`` does.
 
 0x5F always decodes as PUSH0: compilers below 0.8.20 never emit it in

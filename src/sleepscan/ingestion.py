@@ -34,6 +34,7 @@ class CompilationUnit:
     sources: dict[int, str]  # file id -> source text
     compiler_version: Version
     error: Exception | None = None  # why the code or map did not decode; both are then empty
+    distinct_spans: tuple[Span, ...] = ()  # of source_map by first use, set by the loader
 
     def snippet(self, span: Span) -> str:
         start, length, file_id = span  # offsets count UTF-8 bytes, not characters
@@ -44,6 +45,11 @@ class CompilationUnit:
 # --------------------------------------------------------------------------
 # source map codec
 
+# "start:length[:file[:...]]" of a source-map item or an AST "src": a field is
+# an optional "-" and ASCII digits, nothing else int() accepts
+_SPAN = re.compile(r"(-?[0-9]+):(-?[0-9]+)(?::(-?[0-9]+)(?::|\Z)|\Z)")
+
+
 def decode_source_map(encoded: str) -> list[Span]:
     """Decode the compiler's delta-compressed source map into one span per item.
 
@@ -52,8 +58,14 @@ def decode_source_map(encoded: str) -> list[Span]:
     length and file gives one span whatever came before it, so it is parsed
     once; any other item once per distinct (previous span, item) pair.
     """
+    return _decode_source_map(encoded)[0]
+
+
+def _decode_source_map(encoded: str) -> tuple[list[Span], tuple[Span, ...]]:
+    """The map's spans, and its distinct spans in order of first use: each
+    first appears where an item is parsed."""
     if encoded == "":
-        return []
+        return [], ()
     spans: list[Span] = []
     known: dict[str | tuple[Span, str], Span] = {}  # filled by _apply_item
     span: Span = (0, 0, -1)
@@ -61,22 +73,24 @@ def decode_source_map(encoded: str) -> list[Span]:
         if item:  # an empty item repeats the previous span
             span = known.get(item) or known.get((span, item)) or _apply_item(span, item, known)
         spans.append(span)
-    return spans
+    return spans, tuple(dict.fromkeys(known.values()))
 
 
 def _apply_item(previous: Span, item: str, known: dict) -> Span:
     """Parse ``item`` into ``known``: an empty or missing field keeps ``previous``'s."""
+    complete = _SPAN.match(item)
+    if complete and complete[3] is not None:
+        span = known[item] = (int(complete[1]), int(complete[2]), int(complete[3]))
+        return span
     values = list(previous)
-    fields = item.split(":")[:3]
-    for i, raw in enumerate(fields):
-        if raw == "":
-            continue
-        try:
+    for i, raw in enumerate(item.split(":")[:3]):
+        if raw != "":
+            digits = raw[1:] if raw[0] == "-" else raw
+            if not (digits.isascii() and digits.isdigit()):
+                raise MalformedItem(f"non-integer field {raw!r} in item {item!r}")
             values[i] = int(raw)
-        except ValueError as exc:
-            raise MalformedItem(f"non-integer field {raw!r} in item {item!r}") from exc
-    key = item if len(fields) == 3 and "" not in fields else (previous, item)
-    span = known[key] = (values[0], values[1], values[2])
+    # not complete, so its span depends on the previous one
+    span = known[(previous, item)] = (values[0], values[1], values[2])
     return span
 
 
@@ -303,11 +317,12 @@ class Ast:
 
 
 def _span(node: dict) -> Span:
-    try:  # "start:length:file"; no span when "src" is absent or not that
-        parts = node.get("src").split(":")
-        return (int(parts[0]), int(parts[1]), int(parts[2]) if len(parts) > 2 else -1)
-    except (AttributeError, ValueError, IndexError):
+    src = node.get("src")  # "start:length:file"; no span when absent or not that
+    match = _SPAN.match(src) if isinstance(src, str) else None
+    if match is None:
         return (-1, 0, -1)
+    start, length, file_id = match.groups()
+    return (int(start), int(length), -1 if file_id is None else int(file_id))
 
 
 # --------------------------------------------------------------------------
@@ -415,7 +430,8 @@ def _unit(name, hex_code: str, encoded_map: str, ast, sources, version) -> Compi
     """A contract's unit; code or a map that does not decode fails it alone."""
     try:
         code = strip_metadata(bytes.fromhex(hex_code.removeprefix("0x")))
-        return CompilationUnit(name, code, decode_source_map(encoded_map), ast, sources, version)
+        spans, distinct = _decode_source_map(encoded_map)
+        return CompilationUnit(name, code, spans, ast, sources, version, distinct_spans=distinct)
     except (MalformedItem, ValueError) as exc:
         return CompilationUnit(name, b"", [], ast, sources, version, exc)
 

@@ -18,6 +18,10 @@ the bottom of their own slot, and ``LO[r]`` (bits ``0..r-1``) drops what
 leaked in from the slot above. The round constants are repeated per slot
 the same way. All masks depend on N only, so messages are grouped by block
 count and the masks are built once per group.
+
+Permutation: ``_permute`` is written out over 25 local lanes, with every
+mask in a local and no loop inside a round, so a round is straight-line
+big-int arithmetic; one loop runs the 24 rounds.
 """
 
 from __future__ import annotations
@@ -41,12 +45,8 @@ _ROTATIONS = (
     (27, 20, 39, 8, 14),
 )
 
-# rho + pi as (source lane, destination lane, theta column, rotation),
-# lanes indexed x + 5y.
-_RHO_PI = tuple(
-    (x + 5 * y, y + 5 * ((2 * x + 3 * y) % 5), x, _ROTATIONS[x][y])
-    for x in range(5) for y in range(5)
-)
+# the nonzero rho rotations, in the order _permute unpacks their HI/LO masks
+_ROTATION_AMOUNTS = sorted(r for row in _ROTATIONS for r in row if r)
 
 _MASK64 = (1 << 64) - 1
 _RATE_BYTES = 136  # 1600 - 2*256 bits
@@ -54,43 +54,87 @@ _RATE_LANES = _RATE_BYTES // 8
 
 
 def _masks(n: int) -> tuple:
-    """ONES, theta's HI[1] and LO[1], the rho + pi steps with their HI/LO
-    masks, and the round constants, each repeated over ``n`` 64-bit slots."""
+    """ONES, the HI/LO mask pairs of ``_ROTATION_AMOUNTS`` and the round
+    constants, each repeated over ``n`` 64-bit slots."""
     rep = int.from_bytes(b"\x01\x00\x00\x00\x00\x00\x00\x00" * n, "little")
-    steps = tuple((src, dst, x, r, ((_MASK64 << r) & _MASK64) * rep, ((1 << r) - 1) * rep)
-                  for src, dst, x, r in _RHO_PI)
-    return (_MASK64 * rep, (_MASK64 ^ 1) * rep, rep, steps,
-            tuple(rc * rep for rc in _ROUND_CONSTANTS))
+    rotation_masks = tuple(mask for r in _ROTATION_AMOUNTS
+                           for mask in (((_MASK64 << r) & _MASK64) * rep, ((1 << r) - 1) * rep))
+    return _MASK64 * rep, rotation_masks, tuple(rc * rep for rc in _ROUND_CONSTANTS)
 
 
 def _permute(a: list[int], masks: tuple) -> None:
-    """Keccak-f[1600] in place over the states packed into lanes ``a``."""
-    ones, hi1, lo1, steps, round_constants = masks
-    b = [0] * 25
+    """Keccak-f[1600] in place over the states packed into lanes ``a``.
+
+    Written out over 25 local lanes ``a<x + 5y>``: ``h<r>`` and ``l<r>`` are
+    HI[r] and LO[r], and rho + pi writes lane ``x + 5y`` rotated by its
+    offset into ``b<y + 5((2x + 3y) mod 5)>``."""
+    ones, rotation_masks, round_constants = masks
+    (h1, l1, h2, l2, h3, l3, h6, l6, h8, l8, h10, l10, h14, l14, h15, l15, h18, l18,
+     h20, l20, h21, l21, h25, l25, h27, l27, h28, l28, h36, l36, h39, l39, h41, l41,
+     h43, l43, h44, l44, h45, l45, h55, l55, h56, l56, h61, l61, h62, l62) = rotation_masks
+    (a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12,
+     a13, a14, a15, a16, a17, a18, a19, a20, a21, a22, a23, a24) = a
     for rc in round_constants:
         # theta
-        c0 = a[0] ^ a[5] ^ a[10] ^ a[15] ^ a[20]
-        c1 = a[1] ^ a[6] ^ a[11] ^ a[16] ^ a[21]
-        c2 = a[2] ^ a[7] ^ a[12] ^ a[17] ^ a[22]
-        c3 = a[3] ^ a[8] ^ a[13] ^ a[18] ^ a[23]
-        c4 = a[4] ^ a[9] ^ a[14] ^ a[19] ^ a[24]
-        d = (c4 ^ (((c1 << 1) & hi1) | ((c1 >> 63) & lo1)),
-             c0 ^ (((c2 << 1) & hi1) | ((c2 >> 63) & lo1)),
-             c1 ^ (((c3 << 1) & hi1) | ((c3 >> 63) & lo1)),
-             c2 ^ (((c4 << 1) & hi1) | ((c4 >> 63) & lo1)),
-             c3 ^ (((c0 << 1) & hi1) | ((c0 >> 63) & lo1)))
+        c0 = a0 ^ a5 ^ a10 ^ a15 ^ a20
+        c1 = a1 ^ a6 ^ a11 ^ a16 ^ a21
+        c2 = a2 ^ a7 ^ a12 ^ a17 ^ a22
+        c3 = a3 ^ a8 ^ a13 ^ a18 ^ a23
+        c4 = a4 ^ a9 ^ a14 ^ a19 ^ a24
+        d0 = c4 ^ (((c1 << 1) & h1) | ((c1 >> 63) & l1))
+        d1 = c0 ^ (((c2 << 1) & h1) | ((c2 >> 63) & l1))
+        d2 = c1 ^ (((c3 << 1) & h1) | ((c3 >> 63) & l1))
+        d3 = c2 ^ (((c4 << 1) & h1) | ((c4 >> 63) & l1))
+        d4 = c3 ^ (((c0 << 1) & h1) | ((c0 >> 63) & l1))
+        a0, a5, a10, a15, a20 = a0 ^ d0, a5 ^ d0, a10 ^ d0, a15 ^ d0, a20 ^ d0
+        a1, a6, a11, a16, a21 = a1 ^ d1, a6 ^ d1, a11 ^ d1, a16 ^ d1, a21 ^ d1
+        a2, a7, a12, a17, a22 = a2 ^ d2, a7 ^ d2, a12 ^ d2, a17 ^ d2, a22 ^ d2
+        a3, a8, a13, a18, a23 = a3 ^ d3, a8 ^ d3, a13 ^ d3, a18 ^ d3, a23 ^ d3
+        a4, a9, a14, a19, a24 = a4 ^ d4, a9 ^ d4, a14 ^ d4, a19 ^ d4, a24 ^ d4
         # rho + pi
-        for src, dst, x, r, hi, lo in steps:
-            t = a[src] ^ d[x]
-            b[dst] = ((t << r) & hi) | ((t >> (64 - r)) & lo)
-        # chi
-        for y in (0, 5, 10, 15, 20):
-            b0, b1, b2, b3, b4 = b[y:y + 5]
-            a[y:y + 5] = (b0 ^ ((b1 ^ ones) & b2), b1 ^ ((b2 ^ ones) & b3),
-                          b2 ^ ((b3 ^ ones) & b4), b3 ^ ((b4 ^ ones) & b0),
-                          b4 ^ ((b0 ^ ones) & b1))
-        # iota
-        a[0] ^= rc
+        b0 = a0
+        b1 = ((a6 << 44) & h44) | ((a6 >> 20) & l44)
+        b2 = ((a12 << 43) & h43) | ((a12 >> 21) & l43)
+        b3 = ((a18 << 21) & h21) | ((a18 >> 43) & l21)
+        b4 = ((a24 << 14) & h14) | ((a24 >> 50) & l14)
+        b5 = ((a3 << 28) & h28) | ((a3 >> 36) & l28)
+        b6 = ((a9 << 20) & h20) | ((a9 >> 44) & l20)
+        b7 = ((a10 << 3) & h3) | ((a10 >> 61) & l3)
+        b8 = ((a16 << 45) & h45) | ((a16 >> 19) & l45)
+        b9 = ((a22 << 61) & h61) | ((a22 >> 3) & l61)
+        b10 = ((a1 << 1) & h1) | ((a1 >> 63) & l1)
+        b11 = ((a7 << 6) & h6) | ((a7 >> 58) & l6)
+        b12 = ((a13 << 25) & h25) | ((a13 >> 39) & l25)
+        b13 = ((a19 << 8) & h8) | ((a19 >> 56) & l8)
+        b14 = ((a20 << 18) & h18) | ((a20 >> 46) & l18)
+        b15 = ((a4 << 27) & h27) | ((a4 >> 37) & l27)
+        b16 = ((a5 << 36) & h36) | ((a5 >> 28) & l36)
+        b17 = ((a11 << 10) & h10) | ((a11 >> 54) & l10)
+        b18 = ((a17 << 15) & h15) | ((a17 >> 49) & l15)
+        b19 = ((a23 << 56) & h56) | ((a23 >> 8) & l56)
+        b20 = ((a2 << 62) & h62) | ((a2 >> 2) & l62)
+        b21 = ((a8 << 55) & h55) | ((a8 >> 9) & l55)
+        b22 = ((a14 << 39) & h39) | ((a14 >> 25) & l39)
+        b23 = ((a15 << 41) & h41) | ((a15 >> 23) & l41)
+        b24 = ((a21 << 2) & h2) | ((a21 >> 62) & l2)
+        # chi, and iota on lane 0
+        a0, a1, a2, a3, a4 = (b0 ^ ((b1 ^ ones) & b2) ^ rc, b1 ^ ((b2 ^ ones) & b3),
+                              b2 ^ ((b3 ^ ones) & b4), b3 ^ ((b4 ^ ones) & b0),
+                              b4 ^ ((b0 ^ ones) & b1))
+        a5, a6, a7, a8, a9 = (b5 ^ ((b6 ^ ones) & b7), b6 ^ ((b7 ^ ones) & b8),
+                              b7 ^ ((b8 ^ ones) & b9), b8 ^ ((b9 ^ ones) & b5),
+                              b9 ^ ((b5 ^ ones) & b6))
+        a10, a11, a12, a13, a14 = (b10 ^ ((b11 ^ ones) & b12), b11 ^ ((b12 ^ ones) & b13),
+                                   b12 ^ ((b13 ^ ones) & b14), b13 ^ ((b14 ^ ones) & b10),
+                                   b14 ^ ((b10 ^ ones) & b11))
+        a15, a16, a17, a18, a19 = (b15 ^ ((b16 ^ ones) & b17), b16 ^ ((b17 ^ ones) & b18),
+                                   b17 ^ ((b18 ^ ones) & b19), b18 ^ ((b19 ^ ones) & b15),
+                                   b19 ^ ((b15 ^ ones) & b16))
+        a20, a21, a22, a23, a24 = (b20 ^ ((b21 ^ ones) & b22), b21 ^ ((b22 ^ ones) & b23),
+                                   b22 ^ ((b23 ^ ones) & b24), b23 ^ ((b24 ^ ones) & b20),
+                                   b24 ^ ((b20 ^ ones) & b21))
+    a[:] = (a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12,
+            a13, a14, a15, a16, a17, a18, a19, a20, a21, a22, a23, a24)
 
 
 def _hash_group(messages: list[bytes], blocks: int) -> list[bytes]:

@@ -114,7 +114,7 @@ def _check_unit(unit: CompilationUnit, instruction_count: int) -> None:
         raise MapLengthMismatch(f"{name}: {len(unit.source_map)} source-map "
                                 f"entries for {instruction_count} instructions")
     sizes = {file_id: len(text.encode()) for file_id, text in unit.sources.items()}
-    for start, length, file_id in dict.fromkeys(unit.source_map):
+    for start, length, file_id in unit.distinct_spans:
         if file_id < 0:
             continue
         size = sizes.get(file_id)

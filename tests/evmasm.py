@@ -6,6 +6,7 @@ per-instruction source map. Label references assemble to fixed-width PUSH2.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from sleepscan.errors import MalformedItem
@@ -108,7 +109,8 @@ def encode_source_map(spans: list[tuple[int, int, int]]) -> str:
 
 def decode_source_map_reference(encoded: str) -> list[tuple[int, int, int]]:
     """Reference decoder: parses every item afresh. An empty or missing field
-    keeps the previous item's value, and an empty item repeats it."""
+    keeps the previous item's value, and an empty item repeats it. A field is
+    an optional "-" and ASCII digits."""
     if encoded == "":
         return []
     spans = []
@@ -117,10 +119,8 @@ def decode_source_map_reference(encoded: str) -> list[tuple[int, int, int]]:
         if item:
             for i, raw in enumerate(item.split(":")[:3]):
                 if raw != "":
-                    try:
-                        values[i] = int(raw)
-                    except ValueError as exc:
-                        raise MalformedItem(
-                            f"non-integer field {raw!r} in item {item!r}") from exc
+                    if re.fullmatch(r"-?[0-9]+", raw) is None:
+                        raise MalformedItem(f"non-integer field {raw!r} in item {item!r}")
+                    values[i] = int(raw)
         spans.append(tuple(values))
     return spans

@@ -16,8 +16,7 @@ import astbuild as ab
 import evmasm
 from evmasm import Asm
 
-from sleepscan.astview import FunctionInfo, with_selectors
-from sleepscan.keccak import TRANSFER_TOPIC
+from sleepscan.keccak import TRANSFER_TOPIC, keccak256
 
 GEN = evmasm.GENERATED
 
@@ -155,9 +154,8 @@ def _owner_of_body(a: Asm, label: str, slot: int, body_span, ret_span,
 
 
 def selector_of(signature: str) -> int:
-    """The selector of ``signature``, hashed as the pipeline hashes it."""
-    (info,) = with_selectors([FunctionInfo("", None, (), "external", False, signature)])
-    return info.selector
+    """The selector of ``signature``: the first 4 bytes of its Keccak-256 hash."""
+    return int.from_bytes(keccak256(signature.encode("ascii"))[:4], "big")
 
 
 SEL_TRANSFER_FROM = selector_of("transferFrom(address,address,uint256)")

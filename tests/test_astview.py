@@ -2,7 +2,6 @@
 
 import copy
 import json
-from dataclasses import replace
 
 import astbuild as ab
 import fixtures as corpus
@@ -11,6 +10,7 @@ import pytest
 from sleepscan import astview
 from sleepscan.astview import (
     EXTERNALLY_CALLABLE,
+    CallableRow,
     FunctionInfo,
     canonical_type,
     find_owner_return_binding,
@@ -34,8 +34,10 @@ KNOWN_SELECTORS = {
 
 @pytest.mark.parametrize("signature,selector", sorted(KNOWN_SELECTORS.items()))
 def test_known_selectors(signature, selector):
-    info = FunctionInfo(signature.partition("(")[0], None, (), "external", False, signature)
-    assert with_selectors([info]) == [replace(info, selector=selector)]
+    name, _, types = signature[:-1].partition("(")
+    params = tuple((f"p{i}", t) for i, t in enumerate(types.split(",")))
+    assert with_selectors([CallableRow(name, "external", False, params)]) == [
+        FunctionInfo(name, selector, params, "external", False, signature)]
 
 
 @pytest.mark.parametrize("raw,canonical", [
@@ -89,21 +91,23 @@ def test_function_infos_hashes_every_declaration_to_its_published_selector():
                     [], SPAN, SPAN),
     ])
     doc = ab.source_unit((0, 1000, 0), [interface, implementation])
-    infos = function_infos(_unit_for(doc))
-    signatures = [f.signature for f in infos]
-    assert signatures == [
-        "transferFrom(address,address,uint256)",  # the interface declaration
-        "transferFrom(address,address,uint256)",  # the implementation
+    rows = function_infos(_unit_for(doc))
+    assert [(f.name, f.visibility) for f in rows] == [
+        ("transferFrom", "external"),  # the interface declaration
+        ("transferFrom", "public"),  # the implementation
+        ("safeTransferFrom", "public"), ("safeTransferFrom", "public")]
+    # the declaration and the implementation share one dispatcher entry: the
+    # first row of a signature stands for it
+    hashed = with_selectors(rows)
+    assert [f.signature for f in hashed] == [
+        "transferFrom(address,address,uint256)",
         "safeTransferFrom(address,address,uint256)",
         "safeTransferFrom(address,address,uint256,bytes)",
     ]
-    assert signatures == [f"{f.name}({','.join(t for _, t in f.params)})" for f in infos]
-    assert [f.selector for f in infos] == [None] * 4  # hashed only when explored
-    # the declaration and the implementation share one dispatcher entry: the
-    # first row of a signature stands for it
-    hashed = with_selectors(infos)
-    assert hashed == [replace(f, selector=KNOWN_SELECTORS[f.signature])
-                      for f in (infos[0], infos[2], infos[3])]
+    assert [f.visibility for f in hashed] == ["external", "public", "public"]
+    assert [f.signature for f in hashed] == [
+        f"{f.name}({','.join(t for _, t in f.params)})" for f in hashed]
+    assert [f.selector for f in hashed] == [KNOWN_SELECTORS[f.signature] for f in hashed]
 
 
 def test_transfer_closure_through_internal_call():
@@ -179,7 +183,8 @@ def test_pruning_on_market_hub(corpus_dir):
 @pytest.mark.parametrize("prune", [True, False], ids=["pruned", "unpruned"])
 def test_only_explored_functions_are_hashed(corpus_dir, monkeypatch, prune):
     infos = function_infos(load_compilation(corpus_dir / "MarketHub"))
-    explored = [f.signature for f in infos if f.visibility in EXTERNALLY_CALLABLE
+    explored = [f"{f.name}({','.join(canonical_type(t) for _, t in f.parameters)})"
+                for f in infos if f.visibility in EXTERNALLY_CALLABLE
                 and (f.emits_transfer or not prune)]
     assert len(explored) == (2 if prune else 20)
     batches = []
@@ -193,6 +198,30 @@ def test_only_explored_functions_are_hashed(corpus_dir, monkeypatch, prune):
     (report,) = analyze_path(str(corpus_dir / "MarketHub"), RunConfig(prune=prune))
     assert "error" not in report
     assert batches == [[s.encode("ascii") for s in dict.fromkeys(explored)]]
+
+
+@pytest.mark.parametrize("prune", [True, False], ids=["pruned", "unpruned"])
+def test_full_rows_only_for_what_is_hashed(tmp_path, monkeypatch, prune):
+    """Canonical types and a signature are built for the hashed rows alone:
+    the 2 targets when pruning, all 62 callable functions when not."""
+    path = tmp_path / "MarketHub.json"
+    path.write_text(json.dumps(corpus.standard_json_artifact(corpus.market_hub(1, 60))))
+    built = []
+
+    class RecordingInfo(FunctionInfo):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append((self.signature, self.params))
+
+    monkeypatch.setattr(astview, "FunctionInfo", RecordingInfo)
+    (report,) = analyze_path(str(path), RunConfig(prune=prune))
+    assert report["functions_total"] == 62
+    if prune:
+        params = (("to", "address"), ("tokenId", "uint256"))
+        assert built == [("transferA(address,uint256)", params),
+                         ("transferB(address,uint256)", params)]
+    else:
+        assert len(built) == len(set(built)) == 62
 
 
 # --------------------------------------------------------------------------

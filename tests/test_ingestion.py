@@ -16,6 +16,8 @@ from sleepscan.ingestion import (
     Ast,
     FunctionRow,
     _is_cbor_map,
+    _span,
+    _unit,
     decode_source_map,
     load_all,
     load_compilation,
@@ -24,7 +26,7 @@ from sleepscan.ingestion import (
     strip_metadata,
     version_from_pragma,
 )
-from sleepscan.pipeline import RunConfig, analyze_path
+from sleepscan.pipeline import RunConfig, _check_unit, analyze_path
 
 # --------------------------------------------------------------------------
 # source-map codec
@@ -122,6 +124,66 @@ def test_complete_malformed_item_raises_the_reference_message_where_it_first_app
         decode_source_map(encoded)
     assert str(raised.value) == str(expected.value) == "non-integer field 'x' in item '1:2:x'"
 
+
+
+@pytest.mark.parametrize("encoded,bad", [
+    ("1_0:5:0", "1_0"),  # an underscore
+    ("0:5:0;+3:4:0", "+3"),  # a plus sign
+    ("0:5:0; 4 ", " 4 "),  # white space, in a partial item
+    ("0:5:0;\u0663:1:0", "\u0663"),  # a digit that is not ASCII
+    ("0:5:0;1:2:-", "-"),  # a sign without digits
+], ids=["underscore", "plus", "space", "arabic-indic-digit", "bare-minus"])
+def test_a_field_is_an_optional_minus_and_ascii_digits(encoded, bad):
+    with pytest.raises(MalformedItem) as expected:
+        decode_source_map_reference(encoded)
+    with pytest.raises(MalformedItem) as raised:
+        decode_source_map(encoded)
+    assert str(raised.value) == str(expected.value)
+    assert f"non-integer field {bad!r} in item" in str(raised.value)
+    assert decode_source_map("-1:007:-0;;2") == [(-1, 7, 0)] * 2 + [(2, 7, 0)]
+
+
+@pytest.mark.parametrize("src,span", [
+    ("1_0:\u0663:0", (-1, 0, -1)),
+    ("+1:2:0", (-1, 0, -1)),
+    ("1: 2:0", (-1, 0, -1)),
+    ("1:2:x", (-1, 0, -1)),
+    ("1", (-1, 0, -1)),
+    ("1:2", (1, 2, -1)),
+    ("-1:-1:-1", (-1, -1, -1)),
+    ("1:2:3:4", (1, 2, 3)),
+], ids=["underscore-and-arabic-indic-digit", "plus", "space", "letter", "one-part",
+        "two-parts", "negative", "four-parts"])
+def test_an_ast_src_is_minus_and_ascii_digits_or_no_span(src, span):
+    assert _span({"src": src}) == span
+
+
+def _check(encoded: str, source_bytes: int = 100) -> None:
+    """The per-contract checks of a unit of STOPs, one per map item."""
+    unit = _unit("C", "00" * (encoded.count(";") + 1), encoded, None,
+                 {0: "x" * source_bytes}, (0, 8, 17))
+    _check_unit(unit, len(unit.source_map))
+
+
+def test_the_first_out_of_bounds_span_in_map_order_is_named():
+    with pytest.raises(MissingArtifact) as raised:
+        _check("1:2:0;;950:60:0;3:4:0;2:1000:0;950:60:0")
+    assert str(raised.value) == "C: source-map span 950:60 out of bounds for file 0"
+
+
+@pytest.mark.parametrize("encoded,error", [
+    ("5:2:0;:900", "C: source-map span 5:900 out of bounds for file 0"),  # a partial item's
+    ("5:2:0;::4", "C: source-map entry refers to unknown file 4"),
+    (";1:2:0", None),  # the span before the first item is generated code
+    ("1:2:0;;:98;-1:5000:-1", None),
+], ids=["partial-length", "partial-file", "leading-empty-item", "in-bounds"])
+def test_every_span_a_partial_item_reaches_is_checked(encoded, error):
+    if error is None:
+        _check(encoded)
+        return
+    with pytest.raises(MissingArtifact) as raised:
+        _check(encoded)
+    assert str(raised.value) == error
 
 def test_encode_compresses_repeats():
     entries = [(0, 78, 0)] * 3

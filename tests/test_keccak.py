@@ -1,10 +1,14 @@
 """Hash oracle tests against published keccak-256 vectors and the reference sponge."""
 
+import random
+
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle_keccak
 
+from sleepscan import keccak
 from sleepscan.keccak import TRANSFER_TOPIC, event_topic, keccak256, keccak256_many
 
 # Published digests (independent oracles frozen into the suite).
@@ -65,3 +69,16 @@ def test_batched_kernel_matches_reference(batch):
 
 def test_empty_batch():
     assert keccak256_many([]) == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 13])
+def test_written_out_permutation_matches_the_reference_lane_by_lane(n):
+    rng = random.Random(n)
+    states = [[rng.getrandbits(64) for _ in range(25)] for _ in range(3 * n)]
+    for batch in (states[k:k + n] for k in range(0, len(states), n)):
+        lanes = [sum(state[i] << (64 * k) for k, state in enumerate(batch)) for i in range(25)]
+        keccak._permute(lanes, keccak._masks(n))
+        for k, state in enumerate(batch):
+            oracle_keccak._keccak_f(state)
+            assert [(lane >> (64 * k)) & (2**64 - 1) for lane in lanes] == state
+        assert all(lane < 1 << (64 * n) for lane in lanes)  # nothing spills past slot n - 1

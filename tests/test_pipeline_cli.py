@@ -504,13 +504,12 @@ def test_each_selector_is_explored_once(corpus_dir, monkeypatch):
 
 
 def test_targets_sharing_a_name_count_once_each(corpus_dir, monkeypatch):
-    function_infos = pipeline.function_infos
+    select_target_functions = pipeline.select_target_functions
 
-    def one_name(unit):
-        return [dataclasses.replace(f, name="shared") if f.emits_transfer else f
-                for f in function_infos(unit)]
+    def one_name(rows):  # two targets, each with its own selector, under one name
+        return [dataclasses.replace(f, name="shared") for f in select_target_functions(rows)]
 
-    monkeypatch.setattr(pipeline, "function_infos", one_name)
+    monkeypatch.setattr(pipeline, "select_target_functions", one_name)
     explored = _counting_explorer(monkeypatch)
     (report,) = analyze_path(str(corpus_dir / "MarketHub"), RunConfig())
     assert len(explored) == 2
