@@ -36,11 +36,8 @@ class CallableRow:
 @dataclass(frozen=True)
 class FunctionInfo:
     name: str
-    selector: int | None  # set by with_selectors
+    selector: int
     params: tuple[tuple[str, str], ...]  # (name, canonical abi type)
-    visibility: str
-    emits_transfer: bool
-    signature: str | None = None
 
 
 _LOCATION_WORDS = re.compile(r"\b(calldata|memory|storage|payable)\b")
@@ -92,9 +89,8 @@ def with_selectors(rows: list[CallableRow]) -> list[FunctionInfo]:
         params = tuple((name, canonical[type_string]) for name, type_string in row.parameters)
         firsts.setdefault(f"{row.name}({','.join(t for _, t in params)})", (row, params))
     digests = keccak256_many([s.encode("ascii") for s in firsts])
-    return [FunctionInfo(row.name, int.from_bytes(d[:4], "big"), params, row.visibility,
-                         row.emits_transfer, signature)
-            for (signature, (row, params)), d in zip(firsts.items(), digests)]
+    return [FunctionInfo(row.name, int.from_bytes(d[:4], "big"), params)
+            for (row, params), d in zip(firsts.values(), digests)]
 
 
 def select_target_functions(rows: list[CallableRow]) -> list[FunctionInfo]:

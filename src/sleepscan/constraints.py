@@ -1,6 +1,7 @@
 """Path-constraint collection and satisfiability over 256-bit vectors.
 
-A path condition is a plain tuple of constraints. A branch builds a new
+A path condition is a plain tuple of constraints, one per branch taken,
+and it is exactly the conjunction ``solve`` checks. A branch builds a new
 tuple and never changes an old one, so a fork and every emission record
 hold the condition they were given without a copy. The solver is a
 self-contained decision procedure. Two rules give unsat answers: a
@@ -54,13 +55,9 @@ class Constraint:
     relation: str
     lhs: SymValue
     rhs: SymValue = Const(0)
-    # True for an eq-candidate decomposed out of a satisfied disjunctive
-    # guard: visible to the structural detector rules, never part of the
-    # conjunction solve() sees.
-    candidate: bool = False
 
     def negated(self) -> "Constraint":
-        return Constraint(_NEGATION[self.relation], self.lhs, self.rhs, self.candidate)
+        return Constraint(_NEGATION[self.relation], self.lhs, self.rhs)
 
     def holds(self, env: dict[Var, int]) -> bool:
         a = sym.evaluate(self.lhs, env)
@@ -105,11 +102,10 @@ _WITNESS_SEED = 0x5EED
 
 def solve(path: tuple[Constraint, ...], extra: tuple[Constraint, ...] = (),
           deadline: float | None = None) -> str:
-    """Satisfiability of the path's constraints, its eq-candidates left out,
-    plus ``extra``; the witness search gives up with ``unknown`` at
-    ``deadline`` (``time.monotonic()``)."""
+    """Satisfiability of the path's constraints plus ``extra``; the witness
+    search gives up with ``unknown`` at ``deadline`` (``time.monotonic()``)."""
     simplified = []
-    for constraint in (*(c for c in path if not c.candidate), *extra):
+    for constraint in (*path, *extra):
         if isinstance(constraint.lhs, Const) and isinstance(constraint.rhs, Const):
             if not _relation_holds(constraint.relation,
                                    constraint.lhs.value, constraint.rhs.value):

@@ -2,9 +2,11 @@
 
 The engine keeps a record only for a Transfer emission on a path that exits
 normally; reverted and budget-exhausted paths are only counted, so they
-never yield findings. Records tainted by unmodeled external calls still
-produce findings, downgraded to low confidence so users can triage them the
-way a manual audit would.
+never yield findings. A record's path condition is the plain conjunction the
+solver checks; the PA rule alone looks inside a conjunct, for the ``eq``
+leaves of a disjunctive guard. Records tainted by unmodeled external calls
+still produce findings, downgraded to low confidence so users can triage them
+the way a manual audit would.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 from sleepscan import constraints as con
 from sleepscan.constraints import Constraint
 from sleepscan.ingestion import CompilationUnit, Span
+from sleepscan.sym import Op, SymValue
 from sleepscan.symexec import PathRecord
 
 PRIVILEGED_ADDRESS = "PrivilegedAddress"
@@ -40,21 +43,38 @@ class Finding:
 
 
 def detect_privileged_address(rec: PathRecord) -> Finding | None:
-    """Caller compared for equality against a storage-direct address.
-
-    Either orientation counts, and eq-candidates from disjunctive guards are
-    matched too.
-    """
+    """Caller compared for equality against a storage-direct address, either
+    way round: in an ``eq`` conjunct, or in an ``eq`` leaf of a ``nonzero``
+    conjunct over an ``or``, so a disjunctive guard counts in either branch
+    orientation."""
+    equalities = []
+    for c in rec.constraints:
+        if c.relation == con.EQ:
+            equalities.append(c)
+        elif c.relation == con.NONZERO:
+            equalities += (Constraint(con.EQ, *leaf.args) for leaf in _disjunct_eq_leaves(c.lhs))
     witness = tuple(
-        repr(c) for c in rec.constraints
-        if c.relation == con.EQ and (
-            (con.is_caller(c.lhs) and con.is_storage_direct_address(c.rhs))
-            or (con.is_caller(c.rhs) and con.is_storage_direct_address(c.lhs))
-        )
+        repr(c) for c in equalities
+        if (con.is_caller(c.lhs) and con.is_storage_direct_address(c.rhs))
+        or (con.is_caller(c.rhs) and con.is_storage_direct_address(c.lhs))
     )
     if not witness:
         return None
     return _finding(PRIVILEGED_ADDRESS, rec, witness)
+
+
+def _disjunct_eq_leaves(condition: SymValue) -> list[Op]:
+    if not (isinstance(condition, Op) and condition.op == "or"):
+        return []
+    leaves: list[Op] = []
+    stack = list(condition.args)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Op) and node.op == "or":
+            stack.extend(node.args)
+        elif isinstance(node, Op) and node.op == "eq":
+            leaves.append(node)
+    return leaves
 
 
 def _owner_entries_all_equal(trace: tuple) -> bool:
@@ -64,8 +84,6 @@ def _owner_entries_all_equal(trace: tuple) -> bool:
 def _owner_probe(rec: PathRecord, deadline: float | None) -> Constraint | None:
     """The ``latest owner != from`` probe when pushing it stays sat; None
     when it is unsat (properly guarded) or unknown (stay quiet)."""
-    if rec.from_param is None:
-        return None
     probe = Constraint(con.NEQ, rec.owner_trace[-1], rec.from_param)
     if con.solve(rec.constraints, (probe,), deadline) != con.SAT:
         return None

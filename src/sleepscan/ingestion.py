@@ -361,7 +361,10 @@ def version_from_pragma(source: str) -> Version:
     return best
 
 
-def resolve_version(metadata_text: str | None, sources: dict[int, str]) -> Version:
+def resolve_version(metadata_text: str | None, sources: dict[int, str],
+                    own: int | None = None) -> Version:
+    """The metadata's compiler version, else the first parseable pragma:
+    the ``own`` source's first, then the others in order."""
     if metadata_text:
         try:
             meta = json.loads(metadata_text)
@@ -372,9 +375,9 @@ def resolve_version(metadata_text: str | None, sources: dict[int, str]) -> Versi
                 return parse_version(raw)
         except (json.JSONDecodeError, RecursionError, VersionUnparseable):
             pass
-    for text in sources.values():
+    for fid in sorted(sources, key=lambda fid: fid != own):
         try:
-            return version_from_pragma(text)
+            return version_from_pragma(sources[fid])
         except VersionUnparseable:
             continue
     raise VersionUnparseable("no compiler version in metadata or pragma")
@@ -421,14 +424,18 @@ def _load_directory(path: Path) -> list[CompilationUnit]:
             raise MissingArtifact(f"{srcmap_path} missing")
         ast = Ast(_json_object(_parse_json(ast_path), f"{ast_path}: top level"))
         sources = {0: sol_path.read_text(encoding="utf-8")} if sol_path.exists() else {}
-        units.append(_unit(name, bin_path.read_text().strip(), srcmap_path.read_text().strip(),
+        units.append(_unit(name, bin_path.read_bytes(), srcmap_path.read_bytes(),
                            ast, sources, resolve_version(None, sources)))
     return units
 
 
-def _unit(name, hex_code: str, encoded_map: str, ast, sources, version) -> CompilationUnit:
-    """A contract's unit; code or a map that does not decode fails it alone."""
+def _unit(name, hex_code: str | bytes, encoded_map: str | bytes, ast, sources,
+          version) -> CompilationUnit:
+    """A contract's unit; code or a map that does not decode fails it alone,
+    a directory's file (given as bytes) that is not UTF-8 included."""
     try:
+        if isinstance(hex_code, bytes):
+            hex_code, encoded_map = hex_code.decode().strip(), encoded_map.decode().strip()
         code = strip_metadata(bytes.fromhex(hex_code.removeprefix("0x")))
         spans, distinct = _decode_source_map(encoded_map)
         return CompilationUnit(name, code, spans, ast, sources, version, distinct_spans=distinct)
@@ -466,10 +473,12 @@ def _load_standard_json(path: Path) -> list[CompilationUnit]:
     contracts = _json_object(doc.get("contracts", {}), f"{path}: contracts")
     source_docs = _json_object(doc.get("sources", {}), f"{path}: sources")
     sources: dict[int, str] = {}
+    ids: dict[str, int] = {}
     asts: dict[str, Ast] = {}
     for file_name, entry in source_docs.items():
         entry = _json_object(entry, f"{path}: sources entry {file_name}")
-        fid = _json_int(entry.get("id", len(sources)), f"{path}: id of {file_name}")
+        fid = ids[file_name] = _json_int(entry.get("id", len(sources)),
+                                         f"{path}: id of {file_name}")
         if "content" in entry:
             if fid in sources:
                 raise MissingArtifact(f"{path}: source id {fid} of {file_name} is used twice")
@@ -495,5 +504,5 @@ def _load_standard_json(path: Path) -> list[CompilationUnit]:
             if metadata is not None:
                 _json_string(metadata, f"{contract_name}: metadata")
             units.append(_unit(contract_name, hex_code, encoded_map, ast, sources,
-                               resolve_version(metadata, sources)))
+                               resolve_version(metadata, sources, ids.get(file_name))))
     return units

@@ -22,6 +22,10 @@ Symbols are identified by value: a storage read no write answers gets one
 ``Storage(slot)`` symbol per unequal slot, and a memory read one fresh symbol
 per unequal offset (per memory version where a write may overlap the word).
 
+A symbolic JUMPI adds one constraint to each side, the condition's relation
+(its ``iszero`` chain folded in) and its negation, so a path's condition is
+exactly the conjunction the solver checks.
+
 A path's history (its condition, memory writes, storage writes, owner trace
 and emission records) is held in tuples that grow by building a new tuple,
 so a fork shares them with its parent; it copies only the stack and the loop
@@ -110,7 +114,7 @@ class PathRecord:
     function: FunctionInfo
     constraints: tuple[Constraint, ...]
     owner_trace: tuple[SymValue, ...]
-    from_param: SymValue | None
+    from_param: SymValue
     tainted: bool
     emission_pc: int
     emission_src: Span
@@ -421,9 +425,9 @@ def _branch(engine: Engine, state: MachineState, instr: Instruction, target: int
     # was built
     cached = engine.branch_constraints.get(id(condition))
     if cached is None:
-        taken = tuple(_condition_constraints(condition, True))
+        taken = _relational(condition, True)
         cached = engine.branch_constraints[id(condition)] = (
-            condition, taken, (taken[0].negated(),))
+            condition, (taken,), (taken.negated(),))
     _, taken, not_taken = cached
     fallthrough = state.fork()
     fallthrough.pc = instr.next_pc
@@ -664,16 +668,6 @@ def _block_form(code: Code, pc: int) -> tuple | None:
     return form
 
 
-def _condition_constraints(condition: SymValue, truthy: bool) -> list[Constraint]:
-    """Relational constraint for a branch condition, plus eq-candidates
-    decomposed from satisfied disjunctions."""
-    out = [_relational(condition, truthy)]
-    if truthy:
-        for leaf in _disjunct_eq_leaves(condition):
-            out.append(Constraint(con.EQ, leaf.args[0], leaf.args[1], candidate=True))
-    return out
-
-
 def _relational(condition: SymValue, truthy: bool) -> Constraint:
     while isinstance(condition, Op) and condition.op == "iszero":
         condition = condition.args[0]
@@ -683,20 +677,6 @@ def _relational(condition: SymValue, truthy: bool) -> Constraint:
         return Constraint(relation, condition.args[0], condition.args[1])
     # the rhs defaults to the one Const(0) of the Constraint class
     return Constraint(con.NONZERO if truthy else con.ZERO, condition)
-
-
-def _disjunct_eq_leaves(condition: SymValue) -> list[Op]:
-    if not (isinstance(condition, Op) and condition.op == "or"):
-        return []
-    leaves: list[Op] = []
-    stack = list(condition.args)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Op) and node.op == "or":
-            stack.extend(node.args)
-        elif isinstance(node, Op) and node.op == "eq":
-            leaves.append(node)
-    return leaves
 
 
 def _span_contains(outer: Span, inner: Span) -> bool:
@@ -710,8 +690,6 @@ def explore_function(unit: CompilationUnit, cfg: Code, fn: FunctionInfo,
                      budget: ExplorationBudget | None = None) -> Engine:
     """Explore ``fn`` from its dispatcher entry; the engine returned holds
     its emission records and counted path ends."""
-    if fn.selector is None:
-        raise EntryNotFound(f"{fn.name} has no selector (visibility {fn.visibility})")
     entry_pc = find_function_entry(cfg, fn.selector)
     if entry_pc is None:
         raise EntryNotFound(f"no dispatcher entry for {fn.name} "

@@ -19,6 +19,9 @@ Two checkouts give byte-identical reports on these inputs exactly when
 their lines are equal. Run from the repository root of each checkout:
 
     python3 tests/report_digest.py --seed 7
+
+``tests/test_report_digest.py`` pins the seed-7 lines, so a change that
+moves a report updates the pin there.
 """
 
 from __future__ import annotations
@@ -65,23 +68,29 @@ def owner_variants(directory: Path) -> list[str]:
     return paths
 
 
+def lines(seed: int) -> list[str]:
+    """The digest lines at ``seed``; ``pipebench`` must be importable."""
+    import workloads
+
+    out = []
+    for line in [*workloads.WORKLOADS, "owner-variants"]:
+        with tempfile.TemporaryDirectory() as tmp:
+            if line == "owner-variants":
+                paths = owner_variants(Path(tmp))
+            else:
+                inputs, _ = workloads.build(line, seed, Path(tmp))
+                paths = [item.path for item in inputs]
+            sha, count = digest(paths)
+        out.append(f"{line} {sha} {count}")
+    return out
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args()
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "pipebench")]
-    import workloads
-
-    lines = [*workloads.WORKLOADS, "owner-variants"]
-    for line in lines:
-        with tempfile.TemporaryDirectory() as tmp:
-            if line == "owner-variants":
-                paths = owner_variants(Path(tmp))
-            else:
-                inputs, _ = workloads.build(line, args.seed, Path(tmp))
-                paths = [item.path for item in inputs]
-            sha, count = digest(paths)
-        print(f"{line} {sha} {count}")
+    print("\n".join(lines(args.seed)))
     return 0
 
 

@@ -37,7 +37,7 @@ def test_known_selectors(signature, selector):
     name, _, types = signature[:-1].partition("(")
     params = tuple((f"p{i}", t) for i, t in enumerate(types.split(",")))
     assert with_selectors([CallableRow(name, "external", False, params)]) == [
-        FunctionInfo(name, selector, params, "external", False, signature)]
+        FunctionInfo(name, selector, params)]
 
 
 @pytest.mark.parametrize("raw,canonical", [
@@ -74,6 +74,10 @@ def _contract(nodes):
 SPAN = (0, 10, 0)
 
 
+def _signature(info: FunctionInfo) -> str:
+    return f"{info.name}({','.join(t for _, t in info.params)})"
+
+
 def test_function_infos_hashes_every_declaration_to_its_published_selector():
     transfer_params = [ab.parameter("from", "address", SPAN),
                        ab.parameter("to", "address", SPAN),
@@ -99,15 +103,13 @@ def test_function_infos_hashes_every_declaration_to_its_published_selector():
     # the declaration and the implementation share one dispatcher entry: the
     # first row of a signature stands for it
     hashed = with_selectors(rows)
-    assert [f.signature for f in hashed] == [
+    signatures = [_signature(f) for f in hashed]
+    assert signatures == [
         "transferFrom(address,address,uint256)",
         "safeTransferFrom(address,address,uint256)",
         "safeTransferFrom(address,address,uint256,bytes)",
     ]
-    assert [f.visibility for f in hashed] == ["external", "public", "public"]
-    assert [f.signature for f in hashed] == [
-        f"{f.name}({','.join(t for _, t in f.params)})" for f in hashed]
-    assert [f.selector for f in hashed] == [KNOWN_SELECTORS[f.signature] for f in hashed]
+    assert [f.selector for f in hashed] == [KNOWN_SELECTORS[s] for s in signatures]
 
 
 def test_transfer_closure_through_internal_call():
@@ -211,7 +213,7 @@ def test_full_rows_only_for_what_is_hashed(tmp_path, monkeypatch, prune):
     class RecordingInfo(FunctionInfo):
         def __init__(self, *args):
             super().__init__(*args)
-            built.append((self.signature, self.params))
+            built.append((_signature(self), self.params))
 
     monkeypatch.setattr(astview, "FunctionInfo", RecordingInfo)
     (report,) = analyze_path(str(path), RunConfig(prune=prune))

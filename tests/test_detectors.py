@@ -26,8 +26,7 @@ from sleepscan.sym import Const, Op, Var
 from sleepscan.symexec import PathRecord
 
 FN = FunctionInfo("transferFrom", 0x23B872DD,
-                  (("from", "address"), ("to", "address"), ("tokenId", "uint256")),
-                  "external", True)
+                  (("from", "address"), ("to", "address"), ("tokenId", "uint256")))
 
 CALLER = Var("msg.sender", sym.Environment("caller"), is_address=True)
 FROM = Var("from", sym.Parameter(0), is_address=True)
@@ -64,15 +63,28 @@ def test_privileged_address_fires_in_both_orientations():
         assert any("secretOperator" in w for w in found.witness)
 
 
+def _disjunction(*leaves) -> Op:
+    return Op("or", (leaves[0], _disjunction(*leaves[1:]))) if len(leaves) > 1 else leaves[0]
+
+
 def test_privileged_address_sees_candidate_disjuncts():
-    candidate = Constraint(cs.EQ, CALLER, SECRET, candidate=True)
-    assert detect_privileged_address(record(constraints=[candidate])) is not None
+    """The ``eq`` leaves of a ``nonzero`` conjunct over an ``or`` count, the
+    last leaf first; a ``zero`` conjunct (every disjunct false) does not."""
+    admin = Var("admin", sym.Storage(Const(1)), is_address=True)
+    guard = _disjunction(Op("eq", (CALLER, SECRET)), Op("eq", (CALLER, OWNER_A)),
+                         Op("lt", (CALLER, SECRET)), Op("eq", (CALLER, admin)))
+    found = detect_privileged_address(record(constraints=[Constraint(cs.NONZERO, guard)]))
+    assert found.witness == (repr(Constraint(cs.EQ, CALLER, admin)),
+                             repr(Constraint(cs.EQ, CALLER, SECRET)))
+    assert detect_privileged_address(record(constraints=[Constraint(cs.ZERO, guard)])) is None
 
 
 def test_privileged_address_matches_a_candidate_with_the_caller_on_the_right():
-    candidate = Constraint(cs.EQ, SECRET, CALLER, candidate=True)
-    assert detect_privileged_address(record(constraints=[candidate])) is not None
-    inequality = Constraint(cs.NEQ, SECRET, CALLER, candidate=True)
+    guard = _disjunction(Op("eq", (SECRET, CALLER)), Op("eq", (FROM, CALLER)))
+    found = detect_privileged_address(record(constraints=[Constraint(cs.NONZERO, guard)]))
+    assert found.witness == (repr(Constraint(cs.EQ, SECRET, CALLER)),)
+    # an or that is not the conjunct's side is not read
+    inequality = Constraint(cs.NEQ, guard, CALLER)
     assert detect_privileged_address(record(constraints=[inequality])) is None
 
 
@@ -113,8 +125,6 @@ def test_unrestricted_from_needs_trace_and_from():
     # an empty owner trace (no ownerOf return on the path) silences UF and OI
     assert detect_unrestricted_from(record(owner_trace=())) is None
     assert detect_owner_inconsistency(record(owner_trace=())) is None
-    assert detect_unrestricted_from(
-        record(owner_trace=(OWNER_A,), from_param=None)) is None
 
 
 def test_unrestricted_from_defers_to_owner_inconsistency():

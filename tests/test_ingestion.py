@@ -416,6 +416,26 @@ def test_metadata_wins_over_pragma():
     assert resolve_version(None, {0: "pragma solidity ^0.6.0;"}) == (0, 6, 0)
 
 
+@pytest.mark.parametrize("own_pragma,expected", [(True, "0.8.17"), (False, "0.6.2")],
+                         ids=["own", "imported"])
+def test_without_metadata_a_contract_gets_its_own_files_pragma(tmp_path, own_pragma,
+                                                               expected):
+    """The contract's own source is tried first, then the others in order,
+    even when an imported file comes first in ``sources``."""
+    fig = corpus.free_mintable()
+    doc = corpus.standard_json_artifact(fig)
+    del doc["contracts"][f"{fig.name}.sol"][fig.name]["metadata"]
+    if not own_pragma:  # commented out, keeping every span in bounds
+        own = doc["sources"][f"{fig.name}.sol"]
+        own["content"] = own["content"].replace("pragma", "//agma")
+    doc["sources"] = {"lib/Old.sol": {"id": 1, "content": "pragma solidity ^0.6.2;"},
+                      **doc["sources"]}
+    path = tmp_path / "artifact.json"
+    path.write_text(json.dumps(doc))
+    (report,) = analyze_path(str(path), RunConfig())
+    assert report["compiler_version"] == expected
+
+
 def test_a_pragma_without_a_lower_bound_and_no_metadata_gives_no_version(tmp_path):
     fig = corpus.guarded_gallery()
     d = fig.write(tmp_path)
@@ -477,6 +497,24 @@ def test_map_length_mismatch_raises(tmp_path):
     (report,) = analyze_path(str(d), RunConfig())
     assert report["contract"] == "GuardedGallery"
     assert report["error"].startswith("MapLengthMismatch: ")
+
+
+@pytest.mark.parametrize("suffix", ["bin-runtime", "srcmap-runtime"])
+def test_a_file_that_is_not_utf8_fails_only_its_contract(tmp_path, suffix):
+    guarded, free = corpus.guarded_gallery(), corpus.free_mintable()
+    d = guarded.write(tmp_path)
+    for path in free.write(tmp_path / "other").iterdir():
+        path.rename(d / path.name)
+    corrupted = d / f"{guarded.name}.{suffix}"
+    corrupted.write_bytes(b"\xff" + corrupted.read_bytes())
+    (alone,) = analyze_path(str(free.write(tmp_path / "alone")), RunConfig())
+    reports = analyze_path(str(d), RunConfig())
+    for report in (alone, *reports):
+        report.pop("timings", None)
+    assert [r["contract"] for r in reports] == [free.name, guarded.name]
+    assert reports[0] == alone
+    assert reports[1]["error"].startswith(
+        "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff in position 0")
 
 
 @pytest.mark.parametrize("fixture", corpus.build_corpus(), ids=lambda f: f.name)

@@ -228,12 +228,6 @@ def test_hash_preimage_query_is_unknown():
     assert _solve(probe) == cs.UNKNOWN
 
 
-def test_candidates_do_not_constrain_solving():
-    # the candidate eq would conflict with the hard neq if it were included
-    cset = (Constraint(cs.EQ, P0, P1, candidate=True), Constraint(cs.NEQ, P0, P1))
-    assert solve(cset) == cs.SAT
-
-
 def test_extra_constraints_join_the_query():
     cset = (Constraint(cs.EQ, P0, P1),)
     assert solve(cset, extra=(Constraint(cs.NEQ, P0, P1),)) == cs.UNSAT

@@ -17,6 +17,7 @@ from sleepscan import constraints as cs
 from sleepscan import disasm, opcodes, pipeline, sym
 from sleepscan import symexec as sx
 from sleepscan.astview import FunctionInfo, find_owner_return_binding
+from sleepscan.detectors import detect_privileged_address
 from sleepscan.disasm import build_cfg, disassemble
 from sleepscan.errors import EntryNotFound
 from sleepscan.ingestion import Ast, CompilationUnit
@@ -37,8 +38,6 @@ FN = FunctionInfo(
     name="transferFrom",
     selector=0x23B872DD,
     params=(("from", "address"), ("to", "address"), ("tokenId", "uint256")),
-    visibility="external",
-    emits_transfer=True,
 )
 
 GENERATED = (-1, 0, -1)
@@ -396,17 +395,41 @@ def test_iszero_chain_flips_branch_relation():
                          for r in taken for c in r.constraints)
 
 
-def test_disjunction_decomposes_into_candidates():
-    a, b = Var("x", Parameter(0)), Var("y", Parameter(1))
-    cond = Op("or", (Op("eq", (a, Const(1))), Op("eq", (b, Const(2)))))
-    out = sx._condition_constraints(cond, True)
-    assert out[0].relation == cs.NONZERO and not out[0].candidate
-    candidates = [c for c in out[1:]]
-    assert all(c.candidate and c.relation == cs.EQ for c in candidates)
-    assert len(candidates) == 2
-    # the false branch produces only the zero constraint
-    assert [c.relation for c in sx._condition_constraints(cond, False)] \
-        == [cs.ZERO]
+def _caller_is(asm: Asm, slot: int) -> Asm:
+    # an SLOAD under a 160-bit mask is a storage-direct address without a layout
+    return asm.push(sym.MASK160).push(slot).op("SLOAD").op("AND").op("CALLER").op("EQ")
+
+
+def _caller_is_either(asm: Asm) -> Asm:
+    return _caller_is(_caller_is(asm, 0), 1).op("OR")
+
+
+def _guarded_emission(condition, shape: str) -> bytes:
+    """An emission behind ``condition`` in one branch orientation: jump to it
+    on ``c``, revert on ``iszero(c)``, or jump to it on ``iszero(iszero(c))``."""
+    asm = condition(Asm())
+    if shape == "revert-on-iszero":
+        asm.op("ISZERO").push_label("revert").op("JUMPI")
+    else:
+        if shape == "iszero-iszero":
+            asm.op("ISZERO").op("ISZERO")
+        asm.push_label("ok").op("JUMPI").push(0).push(0).op("REVERT").jumpdest("ok")
+    asm.push(1).push(2).push(3).push(TRANSFER_TOPIC, width=32).push(0).push(0).op("LOG4")
+    asm.op("STOP").jumpdest("revert").push(0).push(0).op("REVERT")
+    return asm.assemble()[0]
+
+
+@pytest.mark.parametrize("condition,comparisons", [
+    (lambda asm: _caller_is(asm, 0), 1), (_caller_is_either, 2)], ids=["eq", "or"])
+def test_privileged_address_holds_in_every_branch_orientation(condition, comparisons):
+    """The guard's orientation on the path does not change the PA finding or
+    its witness, one entry per comparison of the caller with a stored address."""
+    findings = []
+    for shape in ("jump-on-c", "revert-on-iszero", "iszero-iszero"):
+        (record,) = _engine(_guarded_emission(condition, shape)).explore(0).records
+        findings.append(detect_privileged_address(record))
+    assert findings[0] is not None and len(findings[0].witness) == comparisons
+    assert findings == [findings[0]] * 3
 
 
 def test_concrete_branch_does_not_fork():
@@ -448,7 +471,7 @@ def test_branch_relation_agrees_with_the_interpreter(op):
             for condition, truthy in ((comparison, taken),
                                       (Op("iszero", (comparison,)), not taken)):
                 for branch in (True, False):
-                    (c,) = sx._condition_constraints(condition, branch)
+                    c = sx._relational(condition, branch)
                     assert c.holds({}) is (branch == truthy), (op, a, b, branch)
 
 
@@ -536,12 +559,9 @@ def test_fork_sides_keep_their_own_writes_and_share_the_history():
 
 
 def test_explore_function_requires_selector():
-    internal = FunctionInfo("_transfer", None, (), "internal", True)
     code = b"\x00"
     unit = CompilationUnit("T", code, [GENERATED], None, {0: ""}, (0, 8, 17))
     cfg = build_cfg(disassemble(code))
-    with pytest.raises(EntryNotFound):
-        explore_function(unit, cfg, internal, None)
     with pytest.raises(EntryNotFound):
         explore_function(unit, cfg, FN, None)  # no dispatcher in this code
 
@@ -552,7 +572,7 @@ def test_a_target_whose_selector_is_pushed_in_three_bytes_is_explored():
     code = head + _emit_then("00")
     unit = CompilationUnit("T", code, [GENERATED] * len(disassemble(code)), EMPTY_AST,
                            {0: ""}, (0, 8, 17))
-    fn = FunctionInfo("balanceOf", 0x00FDD58E, (), "external", True)
+    fn = FunctionInfo("balanceOf", 0x00FDD58E, ())
     result = explore_function(unit, build_cfg(disassemble(code)), fn, ())
     assert [r.emission_pc for r in result.records] == [len(head) + EMISSION_PC]
 
