@@ -193,15 +193,14 @@ def find_function_entry(code: Code, selector: int) -> int | None:
 
 
 def dump_listing(instrs: Sequence[Instruction], source_map: list[Span],
-                 sources: dict[int, str]) -> str:
+                 sources: dict[int, bytes]) -> str:
     """Debug text listing: ``pc: opcode immediate  ; source-snippet``."""
     lines = []
-    encoded = {file_id: text.encode() for file_id, text in sources.items()}  # spans count bytes
     for ins in instrs:
         snippet = ""
         if ins.src < len(source_map):  # a listing does not check the map's length
             start, length, file_id = source_map[ins.src]
-            text = encoded.get(file_id)
+            text = sources.get(file_id)
             if text is not None and file_id >= 0:
                 raw = text[start:start + length].decode(errors="replace")
                 snippet = "  ; " + " ".join(raw.split())[:48]

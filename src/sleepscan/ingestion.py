@@ -6,9 +6,10 @@ Two input layouts are accepted:
      ``<name>.ast.json`` and ``<name>.sol``.
 
 The deployed (runtime) bytecode and its source map are used throughout; the
-defect-bearing functions live in runtime code, not the constructor. ``Ast``
-reads the AST once, in either compiler era's layout, into a function table;
-no other module knows AST nodes.
+defect-bearing functions live in runtime code, not the constructor. Inputs are
+made uniform here: ``Ast`` rewrites a legacy AST into the modern shape and
+reads it once into a function table (no other module knows AST nodes), and
+source text is kept as the UTF-8 bytes that spans count.
 """
 
 from __future__ import annotations
@@ -31,15 +32,14 @@ class CompilationUnit:
     runtime_bytecode: bytes
     source_map: list[Span]  # one per instruction
     ast: Ast  # shared by every unit of one source file
-    sources: dict[int, str]  # file id -> source text
+    sources: dict[int, bytes]  # file id -> source text, as the UTF-8 bytes spans count
     compiler_version: Version
     error: Exception | None = None  # why the code or map did not decode; both are then empty
     distinct_spans: tuple[Span, ...] = ()  # of source_map by first use, set by the loader
 
     def snippet(self, span: Span) -> str:
-        start, length, file_id = span  # offsets count UTF-8 bytes, not characters
-        text = self.sources.get(file_id, "").encode()
-        return text[start:start + length].decode(errors="replace")
+        start, length, file_id = span
+        return self.sources.get(file_id, b"")[start:start + length].decode(errors="replace")
 
 
 # --------------------------------------------------------------------------
@@ -148,8 +148,8 @@ def _is_cbor_map(data: bytes) -> bool:
 
 
 # --------------------------------------------------------------------------
-# the AST, read once into a function table (modern nodeType-based or legacy
-# name/children JSON)
+# the AST, read once into a function table; a legacy document is first
+# rewritten into the modern shape
 
 # kind -> the string attributes the walk reads from it, checked at load
 _READS = {
@@ -158,9 +158,6 @@ _READS = {
     "Identifier": ("name",),
     "MemberAccess": ("memberName",),
 }
-# the legacy form's names for the modern attributes ("name" of an Identifier
-# is its "value")
-_LEGACY_KEYS = {"memberName": "member_name", "typeString": "type"}
 _CALLEE_NAMES = {"Identifier": "name", "MemberAccess": "memberName"}  # callee kind -> name key
 
 
@@ -176,9 +173,10 @@ class FunctionRow(NamedTuple):
 
 class Ast:
     """One source file's AST, read by one checking walk at load into a
-    function table that keeps no node of the JSON. Only this class knows AST
-    nodes; per document it picks the ``_modern_*`` methods (``nodeType``) or
-    the ``_legacy_*`` ones (``name``/``children``, solc before 0.5).
+    function table that keeps no node of the JSON. Only this class and
+    ``_from_legacy`` know AST nodes. The walk reads the modern (``nodeType``)
+    shape; ``_from_legacy`` first rewrites a legacy document (``name``/
+    ``children``, solc before 0.5) into it, so no reader branches on the era.
 
     ``functions``: a row per function definition, in document (pre-)order; a
     row's body ends at a nested definition. ``state_variables``: the (name,
@@ -189,13 +187,9 @@ class Ast:
 
     def __init__(self, doc: dict):
         self.legacy = "nodeType" not in doc
-        if self.legacy and not ("name" in doc and ("children" in doc or "attributes" in doc)):
-            raise MissingArtifact("unrecognized AST JSON shape")
-        visit, get, call, parameters, declarations = (
-            (self._legacy_visit, self._legacy_get, self._legacy_call, self._legacy_parameters,
-             self._legacy_declarations) if self.legacy else
-            (self._modern_visit, self._modern_get, self._modern_call, self._modern_parameters,
-             self._modern_declarations))
+        if self.legacy:
+            doc = _from_legacy(doc)
+        visit, get, call = self._visit, self._get, self._call
         functions: list[tuple[dict, list[dict]]] = []  # node, its calls
         declared: list[dict] = []  # the variables every contract declares
         body = None  # of the function being walked; functions do not nest
@@ -214,7 +208,7 @@ class Ast:
                 body = []
                 functions.append((node, body))
             elif kind == "ContractDefinition":
-                declared += declarations(node)
+                declared += self._declarations(node)
         # every node is checked by now, so reading the table cannot fail
 
         def declaration(decl: dict) -> tuple[str, str]:
@@ -222,25 +216,21 @@ class Ast:
 
         self.functions = [
             FunctionRow(get(fn, "name") or "", get(fn, "visibility"),
-                        tuple(map(declaration, parameters(fn))),
+                        tuple(map(declaration, self._parameters(fn))),
                         frozenset(map(call, body)), _span(fn))
             for fn, body in functions]
         self.state_variables = [declaration(node) for node in declared
-                                if get(node, "stateVariable") is not False]
+                                if node.get("stateVariable") is not False]
 
-    # A layout's ``visit(node, push)`` checks a node, pushes its child nodes
-    # last first (a function definition's above a None) and returns its kind;
-    # ``get`` reads a ``_READS`` attribute or ``stateVariable``, else None;
-    # ``declarations`` reads a contract's children before the walk checks them.
-
-    def _modern_visit(self, node: dict, push) -> str:
-        """A node's children are the nodes among its values and in its list
-        values, in key order."""
+    def _visit(self, node: dict, push) -> str:
+        """Check a node, push its child nodes last first (a function
+        definition's above a None) and return its kind. A node's children are
+        the nodes among its values and in its list values, in key order."""
         kind = node["nodeType"]
         if type(kind) is not str:
             _json_string(kind, "nodeType of an AST node")
         for key in _READS.get(kind, ()):
-            value = self._modern_get(node, key)
+            value = self._get(node, key)
             if not (value is None or isinstance(value, str)):
                 _json_string(value, f"{key} of AST node {kind}")
         if kind == "FunctionDefinition":
@@ -255,65 +245,71 @@ class Ast:
                         push(item)
         return kind
 
-    def _modern_get(self, node: dict, key: str):
+    def _get(self, node: dict, key: str):
         if key == "typeString":
             node = node.get("typeDescriptions")
             if not isinstance(node, dict):
                 return None
         return node.get(key)
 
-    def _modern_call(self, node: dict) -> tuple[str, int]:
+    def _call(self, node: dict) -> tuple[str, int]:
         """A call's callee name (an identifier's or member's, else "") and argument count."""
         callee, args = node.get("expression"), node.get("arguments")
         key = isinstance(callee, dict) and _CALLEE_NAMES.get(callee.get("nodeType"))
         return (key and callee.get(key)) or "", len(args) if isinstance(args, list) else 0
 
-    def _modern_parameters(self, fn: dict) -> list[dict]:
+    def _parameters(self, fn: dict) -> list[dict]:
         plist = fn.get("parameters")
         is_list = isinstance(plist, dict) and plist.get("nodeType") == "ParameterList"
-        return self._modern_declarations(plist) if is_list else []
+        return self._declarations(plist) if is_list else []
 
-    def _modern_declarations(self, node: dict) -> list[dict]:
+    def _declarations(self, node: dict) -> list[dict]:
+        """A contract's or parameter list's variables, read before the walk checks them."""
         return [child for value in node.values()
                 for child in (value if type(value) is list else (value,))
                 if type(child) is dict and child.get("nodeType") == "VariableDeclaration"]
 
-    def _legacy_visit(self, node: dict, push) -> str:
-        kind = _json_string(node.get("name"), "legacy AST node name")
-        _json_object(node.get("attributes") or {}, f"attributes of AST node {kind}")
+
+def _from_legacy(doc: dict) -> dict:
+    """A legacy AST (a node's kind is its ``name``, its attributes are under
+    ``attributes`` and its child nodes are the list ``children``) in the
+    modern shape, with only what the walk reads. Each node is checked as it
+    is copied, in document pre-order, so the first bad node is the one named."""
+    if not ("name" in doc and ("children" in doc or "attributes" in doc)):
+        raise MissingArtifact("unrecognized AST JSON shape")
+    renamed = {("Identifier", "name"): "value", ("MemberAccess", "memberName"): "member_name",
+               ("VariableDeclaration", "typeString"): "type"}  # (kind, key) -> legacy key
+    root: dict = {}
+    stack = [(doc, root)]
+    while stack:
+        node, out = stack.pop()
+        kind = out["nodeType"] = _json_string(node.get("name"), "legacy AST node name")
+        if isinstance(node.get("src"), str):  # an object or list would be walked as nodes
+            out["src"] = node["src"]
+        attributes = _json_object(node.get("attributes") or {}, f"attributes of AST node {kind}")
         for key in _READS.get(kind, ()):
-            value = self._legacy_get(node, key)
+            value = attributes.get(renamed.get((kind, key), key))
             if value is not None:
-                _json_string(value, f"{key} of AST node {kind}")
+                out[key] = _json_string(value, f"{key} of AST node {kind}")
+        if kind == "VariableDeclaration":  # the type string moves to where the walk reads it
+            out["typeDescriptions"] = {"typeString": out.pop("typeString", None)}
+            out["stateVariable"] = attributes.get("stateVariable") is not False
         children = node.get("children") or []
         if not isinstance(children, list):
             raise MissingArtifact(f"children of AST node {kind} is not a JSON list")
         for child in children:
             _json_object(child, f"child of AST node {kind}")
+        copies = [{} for _ in children]
+        stack += reversed(list(zip(children, copies)))
+        if kind == "FunctionCall" and copies:
+            out["expression"], out["arguments"] = copies[0], copies[1:]  # the callee first
+            continue
         if kind == "FunctionDefinition":
-            push(None)
-        for child in reversed(children):
-            push(child)
-        return kind
-
-    def _legacy_get(self, node: dict, key: str):
-        attributes = node.get("attributes") or {}
-        if key == "name" and node["name"] == "Identifier":
-            return attributes.get("value")
-        return attributes.get(_LEGACY_KEYS.get(key, key))
-
-    def _legacy_call(self, node: dict) -> tuple[str, int]:
-        """A ``FunctionCall``'s callee (its first child) name and argument count."""
-        callee, *arguments = node.get("children") or [None]
-        key = callee and _CALLEE_NAMES.get(callee["name"])
-        return (key and self._legacy_get(callee, key)) or "", len(arguments)
-
-    def _legacy_parameters(self, fn: dict) -> list[dict]:
-        plist = next((c for c in fn.get("children") or [] if c["name"] == "ParameterList"), {})
-        return self._legacy_declarations(plist)
-
-    def _legacy_declarations(self, node: dict) -> list[dict]:
-        return [c for c in node.get("children") or [] if c.get("name") == "VariableDeclaration"]
+            lists = [i for i, child in enumerate(children) if child.get("name") == "ParameterList"]
+            if lists:
+                out["parameters"] = copies.pop(lists[0])
+        out["nodes"] = copies
+    return root
 
 
 def _span(node: dict) -> Span:
@@ -361,7 +357,7 @@ def version_from_pragma(source: str) -> Version:
     return best
 
 
-def resolve_version(metadata_text: str | None, sources: dict[int, str],
+def resolve_version(metadata_text: str | None, sources: dict[int, bytes],
                     own: int | None = None) -> Version:
     """The metadata's compiler version, else the first parseable pragma:
     the ``own`` source's first, then the others in order."""
@@ -377,7 +373,7 @@ def resolve_version(metadata_text: str | None, sources: dict[int, str],
             pass
     for fid in sorted(sources, key=lambda fid: fid != own):
         try:
-            return version_from_pragma(sources[fid])
+            return version_from_pragma(sources[fid].decode(errors="replace"))
         except VersionUnparseable:
             continue
     raise VersionUnparseable("no compiler version in metadata or pragma")
@@ -423,7 +419,7 @@ def _load_directory(path: Path) -> list[CompilationUnit]:
         if not srcmap_path.exists():
             raise MissingArtifact(f"{srcmap_path} missing")
         ast = Ast(_json_object(_parse_json(ast_path), f"{ast_path}: top level"))
-        sources = {0: sol_path.read_text(encoding="utf-8")} if sol_path.exists() else {}
+        sources = {0: sol_path.read_bytes()} if sol_path.exists() else {}
         units.append(_unit(name, bin_path.read_bytes(), srcmap_path.read_bytes(),
                            ast, sources, resolve_version(None, sources)))
     return units
@@ -472,7 +468,7 @@ def _load_standard_json(path: Path) -> list[CompilationUnit]:
     doc = _json_object(_parse_json(path), f"{path}: top level")
     contracts = _json_object(doc.get("contracts", {}), f"{path}: contracts")
     source_docs = _json_object(doc.get("sources", {}), f"{path}: sources")
-    sources: dict[int, str] = {}
+    sources: dict[int, bytes] = {}
     ids: dict[str, int] = {}
     asts: dict[str, Ast] = {}
     for file_name, entry in source_docs.items():
@@ -482,7 +478,8 @@ def _load_standard_json(path: Path) -> list[CompilationUnit]:
         if "content" in entry:
             if fid in sources:
                 raise MissingArtifact(f"{path}: source id {fid} of {file_name} is used twice")
-            sources[fid] = _json_string(entry["content"], f"{path}: content of {file_name}")
+            content = _json_string(entry["content"], f"{path}: content of {file_name}")
+            sources[fid] = content.encode(errors="surrogatepass")  # JSON can hold lone surrogates
         if "ast" in entry:
             asts[file_name] = Ast(_json_object(entry["ast"], f"{path}: AST of {file_name}"))
     units = []

@@ -113,14 +113,13 @@ def _check_unit(unit: CompilationUnit, instruction_count: int) -> None:
     if len(unit.source_map) != instruction_count:
         raise MapLengthMismatch(f"{name}: {len(unit.source_map)} source-map "
                                 f"entries for {instruction_count} instructions")
-    sizes = {file_id: len(text.encode()) for file_id, text in unit.sources.items()}
     for start, length, file_id in unit.distinct_spans:
         if file_id < 0:
             continue
-        size = sizes.get(file_id)
-        if size is None:
+        text = unit.sources.get(file_id)
+        if text is None:
             raise MissingArtifact(f"{name}: source-map entry refers to unknown file {file_id}")
-        if start < 0 or length < 0 or start + length > size:  # spans count UTF-8 bytes
+        if start < 0 or length < 0 or start + length > len(text):
             raise MissingArtifact(f"{name}: source-map span {start}:{length} "
                                   f"out of bounds for file {file_id}")
 

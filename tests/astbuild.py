@@ -78,6 +78,22 @@ def call_statement(callee_name, span):
     }
 
 
+def member_call_statement(member_name, base_name, arg_names, span):
+    """``base_name.member_name(arg_names...);``"""
+    return {
+        "nodeType": "ExpressionStatement",
+        "src": _src(span),
+        "expression": {
+            "nodeType": "FunctionCall",
+            "src": _src(span),
+            "expression": {"nodeType": "MemberAccess", "src": _src(span),
+                           "memberName": member_name,
+                           "expression": identifier(base_name, span)},
+            "arguments": [identifier(a, span) for a in arg_names],
+        },
+    }
+
+
 def return_statement(span, returned, ident_span=None):
     """``return returned;``: an identifier by name, or an expression node."""
     if isinstance(returned, str):

@@ -178,7 +178,7 @@ def test_tainted_path_downgrades_confidence():
 
 
 def _unit():
-    return CompilationUnit("Demo", b"\x00", [], None, {0: ""}, (0, 8, 17))
+    return CompilationUnit("Demo", b"\x00", [], None, {0: b""}, (0, 8, 17))
 
 
 def test_analyze_contract_dedupes_and_prefers_high_confidence():

@@ -11,6 +11,7 @@ import fixtures as corpus
 import reference_cbor
 from evmasm import decode_source_map_reference, encode_source_map
 
+from sleepscan.detectors import UNRESTRICTED_FROM
 from sleepscan.errors import MalformedItem, MissingArtifact, VersionUnparseable
 from sleepscan.ingestion import (
     Ast,
@@ -161,7 +162,7 @@ def test_an_ast_src_is_minus_and_ascii_digits_or_no_span(src, span):
 def _check(encoded: str, source_bytes: int = 100) -> None:
     """The per-contract checks of a unit of STOPs, one per map item."""
     unit = _unit("C", "00" * (encoded.count(";") + 1), encoded, None,
-                 {0: "x" * source_bytes}, (0, 8, 17))
+                 {0: b"x" * source_bytes}, (0, 8, 17))
     _check_unit(unit, len(unit.source_map))
 
 
@@ -362,6 +363,39 @@ def test_every_rendering_gives_one_function_table(fixture):
     assert _table(Ast(ab.legacy(fixture.ast))) == table
 
 
+_NAMES = st.sampled_from(["", "f", "transferFrom", "_transfer", "ownerOf", "Transfer", "from"])
+_TYPES = st.sampled_from(["uint256", "address", "address payable", "uint256[]", "string memory"])
+_SPANS = st.tuples(st.integers(0, 99), st.integers(0, 99), st.integers(-1, 1))
+_ARGUMENTS = st.lists(st.sampled_from(["from", "to", "tokenId"]), max_size=3)
+_VARIABLES = st.lists(st.builds(ab.parameter, _NAMES, _TYPES, _SPANS), max_size=3)
+_STATEMENTS = st.one_of(
+    st.builds(ab.emit_event, st.just("Transfer"), st.just(["from", "to", "tokenId"]), _SPANS),
+    st.builds(ab.emit_event, _NAMES, _ARGUMENTS, _SPANS),
+    st.builds(ab.call_statement, _NAMES, _SPANS),
+    st.builds(ab.member_call_statement, _NAMES, st.sampled_from(["super", "token"]),
+              _ARGUMENTS, _SPANS))
+_FUNCTIONS = st.builds(ab.function, _NAMES,
+                       st.sampled_from(["public", "external", "internal", "private"]),
+                       _VARIABLES, st.lists(_STATEMENTS, max_size=4), _SPANS, _SPANS,
+                       returns=_VARIABLES)
+# a parameter at contract level is a declaration with stateVariable false
+_CONTRACT_NODES = st.one_of(_FUNCTIONS, st.builds(ab.state_var, _NAMES, _TYPES, _SPANS),
+                            st.builds(ab.parameter, _NAMES, _TYPES, _SPANS))
+_DOCUMENTS = st.builds(ab.source_unit, _SPANS, st.lists(
+    st.builds(ab.contract, _NAMES, _SPANS, st.lists(_CONTRACT_NODES, max_size=5)), max_size=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_DOCUMENTS)
+def test_every_rendering_of_a_random_document_gives_one_function_table(doc):
+    """As for the fixtures, on documents with any mix of contracts, functions,
+    parameters, ``Transfer`` emissions, plain and member calls, and state and
+    non-state declarations."""
+    table = _table(Ast(doc))
+    assert _table(Ast(json.loads(json.dumps(doc, sort_keys=True)))) == table
+    assert _table(Ast(ab.legacy(doc))) == table
+
+
 def _two_functions(bad_type_first: bool) -> dict:
     """A contract whose functions carry one malformed attribute each: a
     parameter typed 5, and a function named 7."""
@@ -372,14 +406,37 @@ def _two_functions(bad_type_first: bool) -> dict:
     return ab.source_unit(span, [ab.contract("C", span, functions)])
 
 
-@pytest.mark.parametrize("render", [lambda doc: doc, ab.legacy], ids=["modern", "legacy"])
-@pytest.mark.parametrize("bad_type_first,message", [
-    (True, "typeString of AST node VariableDeclaration is not a JSON string"),
-    (False, "name of AST node FunctionDefinition is not a JSON string"),
-], ids=["type-first", "name-first"])
-def test_ast_error_names_the_first_bad_node_in_document_order(render, bad_type_first, message):
+def _legacy_child_and_name(bad_child_first: bool) -> dict:
+    """A legacy contract whose functions carry one fault each of two kinds: a
+    body holding a child that is not an object, and a function named 7."""
+    span = (0, 0, 0)
+    doc = ab.legacy(ab.source_unit(span, [ab.contract("C", span, [
+        ab.function("f", "public", [], [], span, span),
+        ab.function(7, "public", [], [], span, span)])]))
+    (contract,) = doc["children"]
+    holder, _ = contract["children"]
+    holder["children"][-1]["children"].append("x")  # the body, a Block
+    if not bad_child_first:
+        contract["children"].reverse()
+    return doc
+
+
+_TYPE_FIRST = "typeString of AST node VariableDeclaration is not a JSON string"
+_NAME_FIRST = "name of AST node FunctionDefinition is not a JSON string"
+
+
+@pytest.mark.parametrize("doc,message", [
+    (_two_functions(True), _TYPE_FIRST),
+    (ab.legacy(_two_functions(True)), _TYPE_FIRST),
+    (_two_functions(False), _NAME_FIRST),
+    (ab.legacy(_two_functions(False)), _NAME_FIRST),
+    (_legacy_child_and_name(True), "child of AST node Block is not a JSON object"),
+    (_legacy_child_and_name(False), _NAME_FIRST),
+], ids=["type-first-modern", "type-first-legacy", "name-first-modern", "name-first-legacy",
+        "child-first-legacy", "name-before-child-legacy"])
+def test_ast_error_names_the_first_bad_node_in_document_order(doc, message):
     with pytest.raises(MissingArtifact) as raised:
-        Ast(render(_two_functions(bad_type_first)))
+        Ast(doc)
     assert str(raised.value) == message
 
 
@@ -412,8 +469,8 @@ def test_version_from_pragma(pragma, expected):
 
 def test_metadata_wins_over_pragma():
     meta = json.dumps({"compiler": {"version": "0.8.19+commit.abc"}})
-    assert resolve_version(meta, {0: "pragma solidity ^0.6.0;"}) == (0, 8, 19)
-    assert resolve_version(None, {0: "pragma solidity ^0.6.0;"}) == (0, 6, 0)
+    assert resolve_version(meta, {0: b"pragma solidity ^0.6.0;"}) == (0, 8, 19)
+    assert resolve_version(None, {0: b"pragma solidity ^0.6.0;"}) == (0, 6, 0)
 
 
 @pytest.mark.parametrize("own_pragma,expected", [(True, "0.8.17"), (False, "0.6.2")],
@@ -454,7 +511,7 @@ def test_load_directory_format(corpus_dir):
     assert unit.contract_name == "HiddenApprover"
     assert unit.compiler_version == (0, 8, 17)
     assert unit.runtime_bytecode
-    assert unit.sources[0].startswith("// SPDX")
+    assert unit.sources[0].startswith(b"// SPDX")
     snippets = {unit.snippet(span) for span in unit.source_map if span[2] >= 0}
     assert "emit Transfer(from, to, tokenId);" in snippets
 
@@ -515,6 +572,41 @@ def test_a_file_that_is_not_utf8_fails_only_its_contract(tmp_path, suffix):
     assert reports[0] == alone
     assert reports[1]["error"].startswith(
         "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff in position 0")
+
+
+def test_a_source_that_is_not_utf8_fails_no_contract(tmp_path):
+    """A directory's ``.sol`` is kept as bytes: a byte that is not UTF-8 after
+    the last span costs neither its own contract nor the other one."""
+    guarded, free = corpus.guarded_gallery(), corpus.free_mintable()
+    alone = [analyze_path(str(fig.write(tmp_path / "alone")), RunConfig())[0]
+             for fig in (free, guarded)]
+    d = guarded.write(tmp_path)
+    for path in free.write(tmp_path / "other").iterdir():
+        path.rename(d / path.name)
+    sol = d / f"{guarded.name}.sol"
+    sol.write_bytes(sol.read_bytes() + b"\xff")
+    reports = analyze_path(str(d), RunConfig())
+    for report in (*alone, *reports):
+        report.pop("timings")
+    assert reports == alone
+    assert [f["type"] for f in reports[0]["findings"]] == [UNRESTRICTED_FROM]
+
+
+def test_a_lone_surrogate_in_standard_json_content_fails_no_contract(tmp_path):
+    """JSON can escape a lone surrogate, which has no UTF-8 form; the source
+    is still kept, and its contract keeps its findings."""
+    fig = corpus.free_mintable()
+    reports = []
+    for tail in ("", "// \ud800"):
+        doc = corpus.standard_json_artifact(fig)
+        doc["sources"][f"{fig.name}.sol"]["content"] += tail
+        path = tmp_path / "artifact.json"
+        path.write_text(json.dumps(doc))
+        (report,) = analyze_path(str(path), RunConfig())
+        report.pop("timings")
+        reports.append(report)
+    assert reports[1] == reports[0]
+    assert [f["type"] for f in reports[1]["findings"]] == [UNRESTRICTED_FROM]
 
 
 @pytest.mark.parametrize("fixture", corpus.build_corpus(), ids=lambda f: f.name)

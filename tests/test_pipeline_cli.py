@@ -356,7 +356,7 @@ def test_text_report_gives_spans_in_bytes(runner, tmp_path):
     (report,) = analyze_path(str(directory), RunConfig())
     (finding,) = report["findings"]
     start, end = finding["start"], finding["start"] + finding["length"]
-    assert load_compilation(directory).sources[0].encode()[start:end] == \
+    assert load_compilation(directory).sources[0][start:end] == \
         b"emit Transfer(from, to, tokenId);"
     result = runner.invoke(main, ["analyze", str(directory)])
     assert result.exit_code == 0, result.output
@@ -380,6 +380,25 @@ def test_an_address_payable_array_parameter_hashes_as_address_array(tmp_path):
     (report,) = analyze_path(str(directory), RunConfig())
     assert report["functions_skipped"] == []
     assert report["functions_analyzed"] == 1
+
+
+def test_a_target_without_a_dispatcher_entry_is_skipped(tmp_path):
+    """A Transfer-emitting function whose selector the runtime code lacks is
+    listed in ``functions_skipped``; the other target's finding is unchanged."""
+    fixture = corpus.free_mintable()
+    (before,) = analyze_path(str(fixture.write(tmp_path / "plain")), RunConfig())
+    ast = copy.deepcopy(fixture.ast)
+    (contract,) = ast["nodes"]
+    span = (0, 0, 0)
+    contract["nodes"].append(ab.function(
+        "ghost", "public", [ab.parameter("tokenId", "uint256", span)],
+        [ab.emit_event("Transfer", ["from", "to", "tokenId"], span)], span, span))
+    directory = dataclasses.replace(fixture, ast=ast).write(tmp_path / "ghost")
+    (report,) = analyze_path(str(directory), RunConfig())
+    assert report["functions_skipped"] == ["ghost"]
+    assert report["functions_analyzed"] == before["functions_analyzed"] == 1
+    assert report["findings"] == before["findings"]
+    assert [f["type"] for f in report["findings"]] == [UNRESTRICTED_FROM]
 
 
 def test_truncated_push_is_one_error_report(tmp_path):

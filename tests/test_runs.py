@@ -34,7 +34,7 @@ LOOP = bytes.fromhex("5b" "6000" "56")  # JUMPDEST; PUSH 0; JUMP (forever)
 
 def _unit(code: bytes, spans=None) -> CompilationUnit:
     spans = spans if spans is not None else [GENERATED] * len(disassemble(code))
-    return CompilationUnit("T", code, spans, EMPTY_AST, {0: ""}, (0, 8, 17))
+    return CompilationUnit("T", code, spans, EMPTY_AST, {0: b""}, (0, 8, 17))
 
 
 def _outcome(result: sx.Engine) -> tuple:

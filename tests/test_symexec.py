@@ -49,7 +49,7 @@ def _engine(code: bytes, binding=(), srcmap=None, ast=EMPTY_AST,
     instrs = disassemble(code)
     entries = srcmap if srcmap is not None else [GENERATED] * len(instrs)
     assert len(entries) == len(instrs)
-    unit = CompilationUnit("T", code, entries, ast, {0: ""}, (0, 8, 17))
+    unit = CompilationUnit("T", code, entries, ast, {0: b""}, (0, 8, 17))
     return Engine(unit, build_cfg(instrs), FN, binding,
                   budget or ExplorationBudget())
 
@@ -329,7 +329,7 @@ def test_generated_code_is_never_an_owner_read():
     owner_of = ab.function("ownerOf", "public", [], [], OWNER_CODE, OWNER_CODE)
     del owner_of["src"]
     ast = Ast(ab.source_unit((0, 200, 0), [ab.contract("T", (0, 200, 0), [owner_of])]))
-    binding = find_owner_return_binding(CompilationUnit("T", b"", [], ast, {0: ""}, (0, 8, 17)))
+    binding = find_owner_return_binding(CompilationUnit("T", b"", [], ast, {0: b""}, (0, 8, 17)))
     assert binding == ((-1, 0, -1),)
     code, _ = owner_reads()
     srcmap = [(-1, -1, -1)] * len(disassemble(code))
@@ -560,7 +560,7 @@ def test_fork_sides_keep_their_own_writes_and_share_the_history():
 
 def test_explore_function_requires_selector():
     code = b"\x00"
-    unit = CompilationUnit("T", code, [GENERATED], None, {0: ""}, (0, 8, 17))
+    unit = CompilationUnit("T", code, [GENERATED], None, {0: b""}, (0, 8, 17))
     cfg = build_cfg(disassemble(code))
     with pytest.raises(EntryNotFound):
         explore_function(unit, cfg, FN, None)  # no dispatcher in this code
@@ -571,7 +571,7 @@ def test_a_target_whose_selector_is_pushed_in_three_bytes_is_explored():
     head = bytes.fromhex("80" "62fdd58e" "14" "600b" "57" "00" "00" "5b")
     code = head + _emit_then("00")
     unit = CompilationUnit("T", code, [GENERATED] * len(disassemble(code)), EMPTY_AST,
-                           {0: ""}, (0, 8, 17))
+                           {0: b""}, (0, 8, 17))
     fn = FunctionInfo("balanceOf", 0x00FDD58E, ())
     result = explore_function(unit, build_cfg(disassemble(code)), fn, ())
     assert [r.emission_pc for r in result.records] == [len(head) + EMISSION_PC]
