@@ -2,7 +2,8 @@
 ownerOf and of the functions it calls) and the storage layout.
 
 Everything here reads the unit's function table (``Ast.functions`` and
-``Ast.state_variables``), which the load walk built, and knows no AST node.
+``Ast.state_variables``), which the load walk built, and knows no AST node;
+a row's parameters are read only if it is hashed, its span only if bound.
 Only a callable (external or public) named function gets a row. A function
 emits ``Transfer`` when its body calls ``Transfer`` with 3 arguments, under
 ``emit`` or not (Solidity before 0.4.21 has no ``emit``); other arities are
@@ -16,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from sleepscan.ingestion import Ast, CompilationUnit, Span
+from sleepscan.ingestion import Ast, CompilationUnit, FunctionRow, Span
 from sleepscan.keccak import keccak256_many
 
 EXTERNALLY_CALLABLE = ("external", "public")
@@ -30,7 +31,7 @@ class CallableRow:
     name: str
     visibility: str
     emits_transfer: bool
-    parameters: tuple[tuple[str, str], ...]  # (name, type string), as the AST gives them
+    function: FunctionRow  # its parameters are read only if the row is hashed
 
 
 @dataclass(frozen=True)
@@ -46,10 +47,12 @@ _ALIASES = {"uint": "uint256", "int": "int256", "byte": "bytes1"}
 
 def canonical_type(type_string: str) -> str:
     """The ABI type of a parameter's type string: a contract (or ``address
-    payable``) is ``address`` and an enum ``uint8``, array suffixes kept."""
+    payable``) is ``address``, an enum ``uint8``, array suffixes kept."""
     cleaned = " ".join(_LOCATION_WORDS.sub("", type_string or "").split())
     base, bracket, suffix = cleaned.partition("[")
     kind = base.partition(" ")[0]
+    if kind == "function":  # its own parameter types may hold brackets
+        return kind + re.search(r"(\[[0-9]*\])*\Z", cleaned)[0]
     if kind in ("address", "contract"):
         base = "address"
     elif kind == "enum":
@@ -72,7 +75,7 @@ def _transfer_closure(ast: Ast) -> list[bool]:
 def function_infos(unit: CompilationUnit) -> list[CallableRow]:
     """A row for every callable named function (no constructor, fallback,
     receive, internal or private one)."""
-    return [CallableRow(fn.name, visibility, emits_transfer, fn.parameters)
+    return [CallableRow(fn.name, visibility, emits_transfer, fn)
             for fn, emits_transfer in zip(unit.ast.functions, _transfer_closure(unit.ast))
             if fn.name and (visibility := fn.visibility or "public") in EXTERNALLY_CALLABLE]
 
@@ -82,11 +85,11 @@ def with_selectors(rows: list[CallableRow]) -> list[FunctionInfo]:
     parameter types and its selector (one batched hash): an override and its
     base, or an interface declaration and its implementation, share one
     dispatcher entry. Only ``rows`` are canonicalized and hashed."""
-    types = {type_string for row in rows for _, type_string in row.parameters}
-    canonical = dict(zip(types, map(canonical_type, types)))
+    parameters = [row.function.parameters for row in rows]  # read for these rows alone
+    canonical = {t: canonical_type(t) for t in {t for ps in parameters for _, t in ps}}
     firsts: dict[str, tuple[CallableRow, tuple[tuple[str, str], ...]]] = {}
-    for row in rows:
-        params = tuple((name, canonical[type_string]) for name, type_string in row.parameters)
+    for row, row_parameters in zip(rows, parameters):
+        params = tuple((name, canonical[type_string]) for name, type_string in row_parameters)
         firsts.setdefault(f"{row.name}({','.join(t for _, t in params)})", (row, params))
     digests = keccak256_many([s.encode("ascii") for s in firsts])
     return [FunctionInfo(row.name, int.from_bytes(d[:4], "big"), params)

@@ -7,9 +7,9 @@ Two input layouts are accepted:
 
 The deployed (runtime) bytecode and its source map are used throughout; the
 defect-bearing functions live in runtime code, not the constructor. Inputs are
-made uniform here: ``Ast`` rewrites a legacy AST into the modern shape and
-reads it once into a function table (no other module knows AST nodes), and
-source text is kept as the UTF-8 bytes that spans count.
+made uniform here: ``Ast`` rewrites a legacy AST into the modern shape and reads
+it once into a function table (a row's parameters and span when asked; no other
+module knows AST nodes), and source text is kept as the UTF-8 bytes spans count.
 """
 
 from __future__ import annotations
@@ -31,10 +31,10 @@ class CompilationUnit:
     contract_name: str
     runtime_bytecode: bytes
     source_map: list[Span]  # one per instruction
-    ast: Ast  # shared by every unit of one source file
+    ast: Ast | None  # shared by every unit of one source file
     sources: dict[int, bytes]  # file id -> source text, as the UTF-8 bytes spans count
     compiler_version: Version
-    error: Exception | None = None  # why the code or map did not decode; both are then empty
+    error: Exception | None = None  # why the code, map or AST did not load; each is then empty
     distinct_spans: tuple[Span, ...] = ()  # of source_map by first use, set by the loader
 
     def snippet(self, span: Span) -> str:
@@ -162,19 +162,27 @@ _CALLEE_NAMES = {"Identifier": "name", "MemberAccess": "memberName"}  # callee k
 
 
 class FunctionRow(NamedTuple):
-    """One function definition, as the load walk read it."""
+    """One function definition as read at load; its parameters and span are read when asked."""
 
     name: str  # "" for a constructor, fallback or receive
     visibility: str | None
-    parameters: tuple[tuple[str, str], ...]  # (name, type string), "" where absent
     calls: frozenset[tuple[str, int]]  # (callee name or "", argument count)
-    span: Span  # of the whole definition
+    parameter_list: object  # the definition's "parameters" value
+    src: object  # the definition's "src" value
+
+    @property
+    def parameters(self) -> tuple[tuple[str, str], ...]:  # (name, type string), "" where absent
+        return tuple(map(_declaration, _parameters(self.parameter_list)))
+
+    @property
+    def span(self) -> Span:  # of the whole definition
+        return _span(self.src)
 
 
 class Ast:
-    """One source file's AST, read by one checking walk at load into a
-    function table that keeps no node of the JSON. Only this class and
-    ``_from_legacy`` know AST nodes. The walk reads the modern (``nodeType``)
+    """One source file's AST, read by one checking walk at load into a function
+    table that keeps of the JSON only each function's ``parameters`` and ``src``
+    values. Only this module knows AST nodes. The walk reads the modern (``nodeType``)
     shape; ``_from_legacy`` first rewrites a legacy document (``name``/
     ``children``, solc before 0.5) into it, so no reader branches on the era.
 
@@ -189,7 +197,7 @@ class Ast:
         self.legacy = "nodeType" not in doc
         if self.legacy:
             doc = _from_legacy(doc)
-        visit, get, call = self._visit, self._get, self._call
+        visit, get, call = self._visit, _get, self._call
         functions: list[tuple[dict, list[dict]]] = []  # node, its calls
         declared: list[dict] = []  # the variables every contract declares
         body = None  # of the function being walked; functions do not nest
@@ -208,18 +216,13 @@ class Ast:
                 body = []
                 functions.append((node, body))
             elif kind == "ContractDefinition":
-                declared += self._declarations(node)
+                declared += _declarations(node)
         # every node is checked by now, so reading the table cannot fail
-
-        def declaration(decl: dict) -> tuple[str, str]:
-            return get(decl, "name") or "", get(decl, "typeString") or ""
-
         self.functions = [
-            FunctionRow(get(fn, "name") or "", get(fn, "visibility"),
-                        tuple(map(declaration, self._parameters(fn))),
-                        frozenset(map(call, body)), _span(fn))
+            FunctionRow(get(fn, "name") or "", get(fn, "visibility"), frozenset(map(call, body)),
+                        fn.get("parameters"), fn.get("src"))
             for fn, body in functions]
-        self.state_variables = [declaration(node) for node in declared
+        self.state_variables = [_declaration(node) for node in declared
                                 if node.get("stateVariable") is not False]
 
     def _visit(self, node: dict, push) -> str:
@@ -230,7 +233,7 @@ class Ast:
         if type(kind) is not str:
             _json_string(kind, "nodeType of an AST node")
         for key in _READS.get(kind, ()):
-            value = self._get(node, key)
+            value = _get(node, key)
             if not (value is None or isinstance(value, str)):
                 _json_string(value, f"{key} of AST node {kind}")
         if kind == "FunctionDefinition":
@@ -245,29 +248,36 @@ class Ast:
                         push(item)
         return kind
 
-    def _get(self, node: dict, key: str):
-        if key == "typeString":
-            node = node.get("typeDescriptions")
-            if not isinstance(node, dict):
-                return None
-        return node.get(key)
-
     def _call(self, node: dict) -> tuple[str, int]:
         """A call's callee name (an identifier's or member's, else "") and argument count."""
         callee, args = node.get("expression"), node.get("arguments")
         key = isinstance(callee, dict) and _CALLEE_NAMES.get(callee.get("nodeType"))
         return (key and callee.get(key)) or "", len(args) if isinstance(args, list) else 0
 
-    def _parameters(self, fn: dict) -> list[dict]:
-        plist = fn.get("parameters")
-        is_list = isinstance(plist, dict) and plist.get("nodeType") == "ParameterList"
-        return self._declarations(plist) if is_list else []
 
-    def _declarations(self, node: dict) -> list[dict]:
-        """A contract's or parameter list's variables, read before the walk checks them."""
-        return [child for value in node.values()
-                for child in (value if type(value) is list else (value,))
-                if type(child) is dict and child.get("nodeType") == "VariableDeclaration"]
+def _get(node: dict, key: str):
+    if key == "typeString":
+        node = node.get("typeDescriptions")
+        if not isinstance(node, dict):
+            return None
+    return node.get(key)
+
+
+def _declaration(decl: dict) -> tuple[str, str]:
+    return _get(decl, "name") or "", _get(decl, "typeString") or ""
+
+
+def _parameters(plist) -> list[dict]:
+    """The variables of a function's ``parameters`` value, if a parameter list."""
+    is_list = isinstance(plist, dict) and plist.get("nodeType") == "ParameterList"
+    return _declarations(plist) if is_list else []
+
+
+def _declarations(node: dict) -> list[dict]:
+    """A contract's or parameter list's variables (at load, read before the walk checks them)."""
+    return [child for value in node.values()
+            for child in (value if type(value) is list else (value,))
+            if type(child) is dict and child.get("nodeType") == "VariableDeclaration"]
 
 
 def _from_legacy(doc: dict) -> dict:
@@ -312,8 +322,8 @@ def _from_legacy(doc: dict) -> dict:
     return root
 
 
-def _span(node: dict) -> Span:
-    src = node.get("src")  # "start:length:file"; no span when absent or not that
+def _span(src: object) -> Span:
+    """A "start:length:file" ``src`` as a span; no span when absent or not that."""
     match = _SPAN.match(src) if isinstance(src, str) else None
     if match is None:
         return (-1, 0, -1)
@@ -418,32 +428,34 @@ def _load_directory(path: Path) -> list[CompilationUnit]:
             raise MissingArtifact(f"{ast_path} missing")
         if not srcmap_path.exists():
             raise MissingArtifact(f"{srcmap_path} missing")
-        ast = Ast(_json_object(_parse_json(ast_path), f"{ast_path}: top level"))
         sources = {0: sol_path.read_bytes()} if sol_path.exists() else {}
         units.append(_unit(name, bin_path.read_bytes(), srcmap_path.read_bytes(),
-                           ast, sources, resolve_version(None, sources)))
+                           ast_path, sources, resolve_version(None, sources)))
     return units
 
 
-def _unit(name, hex_code: str | bytes, encoded_map: str | bytes, ast, sources,
+def _unit(name, hex_code: str | bytes, encoded_map: str | bytes, ast: Ast | Path, sources,
           version) -> CompilationUnit:
-    """A contract's unit; code or a map that does not decode fails it alone,
-    a directory's file (given as bytes) that is not UTF-8 included."""
+    """A contract's unit; code, a map or a directory's AST (given as files)
+    that does not decode fails it alone, a file that is not UTF-8 included."""
     try:
+        if isinstance(ast, Path):
+            ast = Ast(_parse_json(ast))
         if isinstance(hex_code, bytes):
             hex_code, encoded_map = hex_code.decode().strip(), encoded_map.decode().strip()
         code = strip_metadata(bytes.fromhex(hex_code.removeprefix("0x")))
         spans, distinct = _decode_source_map(encoded_map)
         return CompilationUnit(name, code, spans, ast, sources, version, distinct_spans=distinct)
-    except (MalformedItem, ValueError) as exc:
-        return CompilationUnit(name, b"", [], ast, sources, version, exc)
+    except (MissingArtifact, MalformedItem, ValueError) as exc:
+        return CompilationUnit(name, b"", [], None, sources, version, exc)
 
 
-def _parse_json(path: Path):
+def _parse_json(path: Path) -> dict:
     try:  # nesting too deep to parse makes a bad artifact, as a syntax error does
-        return json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(path.read_bytes().decode())
     except RecursionError:
         raise MissingArtifact(f"{path} is nested too deeply to parse") from None
+    return _json_object(doc, f"{path}: top level")
 
 
 def _json_object(value: object, what: str) -> dict:
@@ -465,7 +477,7 @@ def _json_int(value: object, what: str) -> int:
 
 
 def _load_standard_json(path: Path) -> list[CompilationUnit]:
-    doc = _json_object(_parse_json(path), f"{path}: top level")
+    doc = _parse_json(path)
     contracts = _json_object(doc.get("contracts", {}), f"{path}: contracts")
     source_docs = _json_object(doc.get("sources", {}), f"{path}: sources")
     sources: dict[int, bytes] = {}

@@ -7,7 +7,7 @@ import astbuild as ab
 import fixtures as corpus
 import pytest
 
-from sleepscan import astview
+from sleepscan import astview, ingestion
 from sleepscan.astview import (
     EXTERNALLY_CALLABLE,
     CallableRow,
@@ -36,7 +36,10 @@ KNOWN_SELECTORS = {
 def test_known_selectors(signature, selector):
     name, _, types = signature[:-1].partition("(")
     params = tuple((f"p{i}", t) for i, t in enumerate(types.split(",")))
-    assert with_selectors([CallableRow(name, "external", False, params)]) == [
+    doc = ab.function(name, "external", [ab.parameter(n, t, SPAN) for n, t in params], [],
+                      SPAN, SPAN)
+    (fn,) = Ast(doc).functions
+    assert with_selectors([CallableRow(name, "external", False, fn)]) == [
         FunctionInfo(name, selector, params)]
 
 
@@ -56,6 +59,10 @@ def test_known_selectors(signature, selector):
     ("contract IERC721[2][] memory", "address[2][]"),
     ("enum Market.State", "uint8"),
     ("enum Market.State[]", "uint8[]"),
+    # an external function is function, whatever brackets its own types hold
+    ("function (uint256) external returns (bool)", "function"),
+    ("function (uint256[] memory) external returns (bool[] memory)", "function"),
+    ("function (uint256[] memory) external returns (bool)[2][] memory", "function[2][]"),
 ])
 def test_canonical_type(raw, canonical):
     assert canonical_type(raw) == canonical
@@ -185,7 +192,7 @@ def test_pruning_on_market_hub(corpus_dir):
 @pytest.mark.parametrize("prune", [True, False], ids=["pruned", "unpruned"])
 def test_only_explored_functions_are_hashed(corpus_dir, monkeypatch, prune):
     infos = function_infos(load_compilation(corpus_dir / "MarketHub"))
-    explored = [f"{f.name}({','.join(canonical_type(t) for _, t in f.parameters)})"
+    explored = [f"{f.name}({','.join(canonical_type(t) for _, t in f.function.parameters)})"
                 for f in infos if f.visibility in EXTERNALLY_CALLABLE
                 and (f.emits_transfer or not prune)]
     assert len(explored) == (2 if prune else 20)
@@ -202,12 +209,18 @@ def test_only_explored_functions_are_hashed(corpus_dir, monkeypatch, prune):
     assert batches == [[s.encode("ascii") for s in dict.fromkeys(explored)]]
 
 
+def _wide_hub(tmp_path):
+    """A MarketHub with 60 extra callable functions, as standard JSON."""
+    path = tmp_path / "MarketHub.json"
+    path.write_text(json.dumps(corpus.standard_json_artifact(corpus.market_hub(1, 60))))
+    return path
+
+
 @pytest.mark.parametrize("prune", [True, False], ids=["pruned", "unpruned"])
 def test_full_rows_only_for_what_is_hashed(tmp_path, monkeypatch, prune):
     """Canonical types and a signature are built for the hashed rows alone:
     the 2 targets when pruning, all 62 callable functions when not."""
-    path = tmp_path / "MarketHub.json"
-    path.write_text(json.dumps(corpus.standard_json_artifact(corpus.market_hub(1, 60))))
+    path = _wide_hub(tmp_path)
     built = []
 
     class RecordingInfo(FunctionInfo):
@@ -224,6 +237,29 @@ def test_full_rows_only_for_what_is_hashed(tmp_path, monkeypatch, prune):
                          ("transferB(address,uint256)", params)]
     else:
         assert len(built) == len(set(built)) == 62
+
+
+@pytest.mark.parametrize("prune", [True, False], ids=["pruned", "unpruned"])
+def test_parameters_and_spans_are_read_only_where_used(tmp_path, monkeypatch, prune):
+    """A row's parameter list is read only where the row is hashed, and its
+    span only where it is in the owner binding, which this unit (no
+    ``ownerOf``) lacks."""
+    path = _wide_hub(tmp_path)
+    reads = {"_parameters": 0, "_span": 0}
+
+    def counting(name):
+        read = getattr(ingestion, name)
+
+        def counted(value):
+            reads[name] += 1
+            return read(value)
+        return counted
+
+    for name in reads:
+        monkeypatch.setattr(ingestion, name, counting(name))
+    (report,) = analyze_path(str(path), RunConfig(prune=prune))
+    assert "error" not in report and report["functions_total"] == 62
+    assert reads == {"_parameters": 2 if prune else 62, "_span": 0}
 
 
 # --------------------------------------------------------------------------

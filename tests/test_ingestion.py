@@ -1,6 +1,7 @@
 """Artifact loading: source-map codec, metadata trailer, AST, versions."""
 
 import json
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +16,6 @@ from sleepscan.detectors import UNRESTRICTED_FROM
 from sleepscan.errors import MalformedItem, MissingArtifact, VersionUnparseable
 from sleepscan.ingestion import (
     Ast,
-    FunctionRow,
     _is_cbor_map,
     _span,
     _unit,
@@ -156,7 +156,7 @@ def test_a_field_is_an_optional_minus_and_ascii_digits(encoded, bad):
 ], ids=["underscore-and-arabic-indic-digit", "plus", "space", "letter", "one-part",
         "two-parts", "negative", "four-parts"])
 def test_an_ast_src_is_minus_and_ascii_digits_or_no_span(src, span):
-    assert _span({"src": src}) == span
+    assert _span(src) == span
 
 
 def _check(encoded: str, source_bytes: int = 100) -> None:
@@ -346,11 +346,18 @@ def test_function_bodies_are_grouped_at_load():
           "body": ab.call_statement("g", (1, 2, 0))}
     ast = Ast({"nodeType": "SourceUnit", "src": "0:20:0",
                "nodes": [fn, ab.call_statement("h", (15, 1, 0))]})
-    assert ast.functions == [FunctionRow("f", None, (), frozenset({("g", 0)}), (0, 9, 0))]
+    assert _rows(ast) == [("f", None, (), frozenset({("g", 0)}), (0, 9, 0))]
+
+
+def _rows(ast: Ast) -> list[tuple]:
+    """Each function row's (name, visibility, parameters, calls, span), read
+    through its public accessors: a row keeps JSON values, which differ
+    between renderings."""
+    return [(fn.name, fn.visibility, fn.parameters, fn.calls, fn.span) for fn in ast.functions]
 
 
 def _table(ast: Ast):
-    return ast.functions, ast.state_variables
+    return _rows(ast), ast.state_variables
 
 
 @pytest.mark.parametrize("fixture", corpus.build_corpus(), ids=lambda f: f.name)
@@ -556,19 +563,27 @@ def test_map_length_mismatch_raises(tmp_path):
     assert report["error"].startswith("MapLengthMismatch: ")
 
 
-@pytest.mark.parametrize("suffix", ["bin-runtime", "srcmap-runtime"])
-def test_a_file_that_is_not_utf8_fails_only_its_contract(tmp_path, suffix):
+def _with_one_bad_file(tmp_path, suffix: str, rewrite) -> list[dict]:
+    """FreeMintable's report alone, then the reports of a directory holding
+    FreeMintable and GuardedGallery, whose ``suffix`` file is rewritten;
+    without timings."""
     guarded, free = corpus.guarded_gallery(), corpus.free_mintable()
     d = guarded.write(tmp_path)
     for path in free.write(tmp_path / "other").iterdir():
         path.rename(d / path.name)
-    corrupted = d / f"{guarded.name}.{suffix}"
-    corrupted.write_bytes(b"\xff" + corrupted.read_bytes())
-    (alone,) = analyze_path(str(free.write(tmp_path / "alone")), RunConfig())
-    reports = analyze_path(str(d), RunConfig())
-    for report in (alone, *reports):
+    bad = d / f"{guarded.name}.{suffix}"
+    bad.write_bytes(rewrite(bad.read_bytes()))
+    reports = [*analyze_path(str(free.write(tmp_path / "alone")), RunConfig()),
+               *analyze_path(str(d), RunConfig())]
+    for report in reports:
         report.pop("timings", None)
-    assert [r["contract"] for r in reports] == [free.name, guarded.name]
+    return reports
+
+
+@pytest.mark.parametrize("suffix", ["bin-runtime", "srcmap-runtime", "ast.json"])
+def test_a_file_that_is_not_utf8_fails_only_its_contract(tmp_path, suffix):
+    alone, *reports = _with_one_bad_file(tmp_path, suffix, lambda data: b"\xff" + data)
+    assert [r["contract"] for r in reports] == ["FreeMintable", "GuardedGallery"]
     assert reports[0] == alone
     assert reports[1]["error"].startswith(
         "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff in position 0")
@@ -636,7 +651,21 @@ def test_ast_file_that_is_not_an_object_raises(tmp_path, top_level):
     d = fig.write(tmp_path)
     (d / f"{fig.name}.ast.json").write_text(top_level)
     with pytest.raises(MissingArtifact, match="is not a JSON object"):
-        load_all(d)
+        load_compilation(d)
+
+
+@pytest.mark.parametrize("text,error", [
+    ("{not json", r"JSONDecodeError: "),
+    ("[" * 100_000 + "]" * 100_000,
+     r"MissingArtifact: \S+GuardedGallery\.ast\.json is nested too deeply to parse\Z"),
+    ("5", r"MissingArtifact: \S+GuardedGallery\.ast\.json: top level is not a JSON object\Z"),
+    ('{"nodeType": 5}', r"MissingArtifact: nodeType of an AST node is not a JSON string\Z"),
+], ids=["not-json", "too-deep", "not-an-object", "bad-node"])
+def test_a_bad_ast_file_fails_only_its_contract(tmp_path, text, error):
+    alone, *reports = _with_one_bad_file(tmp_path, "ast.json", lambda _: text.encode())
+    assert [r["contract"] for r in reports] == ["FreeMintable", "GuardedGallery"]
+    assert reports[0] == alone
+    assert re.match(error, reports[1]["error"])
 
 
 def test_missing_artifact_raises(tmp_path):
