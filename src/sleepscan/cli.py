@@ -11,7 +11,7 @@ import click
 
 from sleepscan import evaluate as evaluate_mod
 from sleepscan import pipeline
-from sleepscan.detectors import ALL_DEFECT_TYPES, SHORT_CODES
+from sleepscan.detectors import ALL_DEFECT_TYPES, SHORT_CODES, defect_type_named
 from sleepscan.disasm import disassemble, dump_listing
 from sleepscan.errors import SleepscanError
 from sleepscan.ingestion import load_all
@@ -28,8 +28,8 @@ def _parse_only(value: str | None) -> tuple[str, ...]:
     enabled = []
     for code in value.split(","):
         code = code.strip()
-        defect_type = SHORT_CODES.get(code.upper(), code)
-        if defect_type not in ALL_DEFECT_TYPES:
+        defect_type = defect_type_named(code)
+        if defect_type is None:
             raise click.BadParameter(f"unknown detector {code!r}; "
                                      f"use {','.join(SHORT_CODES)}")
         enabled.append(defect_type)

@@ -1,10 +1,12 @@
-"""Path-constraint collection and satisfiability over 256-bit vectors.
+"""Path constraints and the solver that decides them over 256-bit vectors.
 
-A path condition is a plain tuple of constraints, one per branch taken,
-and it is exactly the conjunction ``solve`` checks. A branch builds a new
-tuple and never changes an old one, so a fork and every emission record
-hold the condition they were given without a copy. The solver is a
-self-contained decision procedure. Two rules give unsat answers: a
+This module is only the solver: the relations, ``Constraint`` and ``solve``;
+every verdict rule, and every provenance test a rule makes, lives in
+``detectors``. A path condition is a plain tuple of constraints, one per
+branch taken, and it is exactly the conjunction ``solve`` checks. A branch
+builds a new tuple and never changes an old one, so a fork and every
+emission record hold the condition they were given without a copy. The
+solver is a self-contained decision procedure. Two rules give unsat answers: a
 constraint contradicts an earlier one of the negated relation over the same
 sides (``_structurally_unsat``), and the classes of values equal under
 ``eq`` and ``zero`` hold two constants, or the two sides of a ``neq``, or a
@@ -71,25 +73,6 @@ class Constraint:
 def _relation_holds(relation: str, a: int, b: int) -> bool:
     op, truth = _RELATIONS[relation]
     return sym.eval_op(op, (a,) if op == "iszero" else (a, b)) == truth
-
-
-# --------------------------------------------------------------------------
-# provenance tests for the structural detector rules (each peels width masks
-# itself, so the 160-bit heuristic can still see them)
-
-def is_caller(value: SymValue) -> bool:
-    value = sym.strip_masks(value)
-    return isinstance(value, Var) and isinstance(value.kind, sym.Environment) \
-        and value.kind.which == "caller"
-
-
-def is_storage_direct_address(value: SymValue) -> bool:
-    base = sym.strip_masks(value)
-    # a plain slot, not a mapping entry, of declared address type when the
-    # layout resolved it, else loaded under a 160-bit mask
-    return (isinstance(base, Var) and isinstance(base.kind, sym.Storage)
-            and sym.mapping_base(base.kind.slot) is None
-            and (base.is_address or base is not value))
 
 
 # --------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """The four sleepminting defect rules, applied to Transfer-emission records.
 
-The engine keeps a record only for a Transfer emission on a path that exits
-normally; reverted and budget-exhausted paths are only counted, so they
-never yield findings. A record's path condition is the plain conjunction the
-solver checks; the PA rule alone looks inside a conjunct, for the ``eq``
-leaves of a disjunctive guard. Records tainted by unmodeled external calls
-still produce findings, downgraded to low confidence so users can triage them
-the way a manual audit would.
+Every verdict rule is stated here; ``constraints`` is only the solver the
+rules ask. The engine keeps a record only for a Transfer emission on a path
+that exits normally; reverted and budget-exhausted paths are only counted, so
+they never yield findings. A record's path condition is the plain conjunction
+the solver checks; the PA rule alone looks inside a conjunct, for the ``eq``
+leaves of a disjunctive guard, and it tests their provenance here, peeling
+width masks itself. UF and OI are one owner rule with one probe; which of the
+two a finding is depends only on whether the owner reads agree. Records
+tainted by unmodeled external calls still produce findings, downgraded to low
+confidence so users can triage them the way a manual audit would.
 """
 
 from __future__ import annotations
@@ -14,9 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from sleepscan import constraints as con
+from sleepscan import sym
 from sleepscan.constraints import Constraint
 from sleepscan.ingestion import CompilationUnit, Span
-from sleepscan.sym import Op, SymValue
+from sleepscan.sym import Const, Op, SymValue, Var
 from sleepscan.symexec import PathRecord
 
 PRIVILEGED_ADDRESS = "PrivilegedAddress"
@@ -31,6 +35,12 @@ SHORT_CODES = {
     "ETE": EMPTY_TRANSFER_EVENT,
 }
 ALL_DEFECT_TYPES = tuple(SHORT_CODES.values())
+
+
+def defect_type_named(code: str) -> str | None:
+    """The type a short code, in any case, or a type's own name stands for, else None."""
+    defect_type = SHORT_CODES.get(code.upper(), code)
+    return defect_type if defect_type in ALL_DEFECT_TYPES else None
 
 
 @dataclass(frozen=True)
@@ -55,8 +65,8 @@ def detect_privileged_address(rec: PathRecord) -> Finding | None:
             equalities += (Constraint(con.EQ, *leaf.args) for leaf in _disjunct_eq_leaves(c.lhs))
     witness = tuple(
         repr(c) for c in equalities
-        if (con.is_caller(c.lhs) and con.is_storage_direct_address(c.rhs))
-        or (con.is_caller(c.rhs) and con.is_storage_direct_address(c.lhs))
+        if (is_caller(c.lhs) and is_storage_direct_address(c.rhs))
+        or (is_caller(c.rhs) and is_storage_direct_address(c.lhs))
     )
     if not witness:
         return None
@@ -77,38 +87,60 @@ def _disjunct_eq_leaves(condition: SymValue) -> list[Op]:
     return leaves
 
 
-def _owner_entries_all_equal(trace: tuple) -> bool:
-    return all(entry == trace[0] for entry in trace[1:])
+def strip_masks(value: SymValue) -> SymValue:
+    """Peel address/width masks so provenance matching sees the carrier Var."""
+    while isinstance(value, Op) and value.op == "and":
+        a, b = value.args
+        if isinstance(b, Const) and b.value in (sym.MASK160, sym.MASK256):
+            value = a
+        elif isinstance(a, Const) and a.value in (sym.MASK160, sym.MASK256):
+            value = b
+        else:
+            break
+    return value
 
 
-def _owner_probe(rec: PathRecord, deadline: float | None) -> Constraint | None:
-    """The ``latest owner != from`` probe when pushing it stays sat; None
-    when it is unsat (properly guarded) or unknown (stay quiet)."""
-    probe = Constraint(con.NEQ, rec.owner_trace[-1], rec.from_param)
+def is_caller(value: SymValue) -> bool:
+    value = strip_masks(value)
+    return isinstance(value, Var) and isinstance(value.kind, sym.Environment) \
+        and value.kind.which == "caller"
+
+
+def is_storage_direct_address(value: SymValue) -> bool:
+    base = strip_masks(value)
+    # a plain slot, not a mapping entry, of declared address type when the
+    # layout resolved it, else loaded under a 160-bit mask
+    return (isinstance(base, Var) and isinstance(base.kind, sym.Storage)
+            and sym.mapping_base(base.kind.slot) is None
+            and (base.is_address or base is not value))
+
+
+def _owner_finding(rec: PathRecord, enabled: tuple[str, ...],
+                   deadline: float | None) -> Finding | None:
+    """UF when every owner read agrees, OI when they differ; either only when
+    pushing ``latest owner != from`` stays sat. An ``unsat`` answer means a
+    guard holds, and ``unknown`` stays quiet. A type not ``enabled`` is never
+    probed."""
+    trace = rec.owner_trace
+    if not trace:
+        return None
+    agree = all(entry == trace[0] for entry in trace[1:])
+    defect_type = UNRESTRICTED_FROM if agree else OWNER_INCONSISTENCY
+    if defect_type not in enabled:
+        return None
+    probe = Constraint(con.NEQ, trace[-1], rec.from_param)
     if con.solve(rec.constraints, (probe,), deadline) != con.SAT:
         return None
-    return probe
+    reads = () if agree else tuple(map(repr, trace))
+    return _finding(defect_type, rec, (*reads, repr(probe)))
 
 
 def detect_unrestricted_from(rec: PathRecord, deadline: float | None = None) -> Finding | None:
-    """No ``owner == from`` guard on the path: pushing the negation stays sat."""
-    if not rec.owner_trace or not _owner_entries_all_equal(rec.owner_trace):
-        return None
-    probe = _owner_probe(rec, deadline)
-    if probe is None:
-        return None
-    return _finding(UNRESTRICTED_FROM, rec, (repr(probe),))
+    return _owner_finding(rec, (UNRESTRICTED_FROM,), deadline)
 
 
 def detect_owner_inconsistency(rec: PathRecord, deadline: float | None = None) -> Finding | None:
-    """Owner value changed mid-path, so the guard cannot cancel the negation."""
-    if _owner_entries_all_equal(rec.owner_trace):
-        return None
-    probe = _owner_probe(rec, deadline)
-    if probe is None:
-        return None
-    witness = tuple(repr(entry) for entry in rec.owner_trace) + (repr(probe),)
-    return _finding(OWNER_INCONSISTENCY, rec, witness)
+    return _owner_finding(rec, (OWNER_INCONSISTENCY,), deadline)
 
 
 def detect_empty_transfer_event(recs: list[PathRecord]) -> Finding | None:
@@ -152,10 +184,7 @@ def analyze_contract(unit: CompilationUnit, records: list[PathRecord],
         for rec in recs:
             if PRIVILEGED_ADDRESS in enabled:
                 findings.append(detect_privileged_address(rec))
-            if UNRESTRICTED_FROM in enabled:
-                findings.append(detect_unrestricted_from(rec, deadline))
-            if OWNER_INCONSISTENCY in enabled:
-                findings.append(detect_owner_inconsistency(rec, deadline))
+            findings.append(_owner_finding(rec, enabled, deadline))
 
     deduped: dict[tuple[str, str], Finding] = {}
     for finding in filter(None, findings):

@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from sleepscan.detectors import ALL_DEFECT_TYPES, SHORT_CODES
+from sleepscan.detectors import ALL_DEFECT_TYPES, defect_type_named
 from sleepscan.errors import UnlabeledContract, UnscorableEntry
 
 
@@ -40,8 +40,8 @@ def _defect_type(entry: object, where: str, what: str) -> str:
     if not isinstance(entry, dict) or "type" not in entry:
         raise UnscorableEntry(f"{where}: {what} is not an object with a type")
     value = entry["type"]
-    defect_type = SHORT_CODES.get(value, value) if isinstance(value, str) else None
-    if defect_type not in ALL_DEFECT_TYPES:
+    defect_type = defect_type_named(value) if isinstance(value, str) else None
+    if defect_type is None:
         raise UnscorableEntry(f"{where}: unknown defect type {value!r}")
     return defect_type
 

@@ -336,6 +336,7 @@ def _span(src: object) -> Span:
 
 _SEMVER_RE = re.compile(r"(\d+)\.(\d+)\.(\d+)")
 _PRAGMA_RE = re.compile(r"pragma\s+solidity\s+([^;]+);")
+_HYPHEN_RE = re.compile(r"\s+-\s+")  # npm's range "a - b"
 _COMPARATOR_RE = re.compile(r"(\^|~|>=|<=|>|<|=)?\s*v?(\d+)(?:\.(\d+))?(?:\.(\d+))?")
 
 
@@ -347,24 +348,27 @@ def parse_version(text: str) -> Version:
 
 
 def version_from_pragma(source: str) -> Version:
-    """Minimum version satisfying the pragma's lower bounds (deterministic)."""
+    """The minimum version the pragma admits: the lowest over its ``||``
+    alternatives of each one's greatest lower bound, ``a - b`` read as
+    ``>=a <=b``; an alternative with no lower bound is passed over."""
     match = _PRAGMA_RE.search(source)
     if not match:
         raise VersionUnparseable("no solidity pragma found")
-    constraint = match.group(1).split("||")[0]
-    best: Version | None = None
-    for m in _COMPARATOR_RE.finditer(constraint):
-        op = m.group(1) or "="
-        if op in ("<", "<="):
-            continue
-        version = (int(m.group(2)), int(m.group(3) or 0), int(m.group(4) or 0))
-        if op == ">":
-            version = (version[0], version[1], version[2] + 1)
-        if best is None or version > best:
-            best = version
-    if best is None:
-        raise VersionUnparseable(f"no lower bound in pragma {constraint!r}")
-    return best
+    bounds = []
+    for alternative in match.group(1).split("||"):
+        lower = [_lower_bound(m)
+                 for m in _COMPARATOR_RE.finditer(_HYPHEN_RE.sub(" <=", alternative))
+                 if m.group(1) not in ("<", "<=")]
+        if lower:
+            bounds.append(max(lower))
+    if not bounds:
+        raise VersionUnparseable(f"no lower bound in pragma {match.group(1)!r}")
+    return min(bounds)
+
+
+def _lower_bound(comparator: re.Match) -> Version:
+    major, minor, patch = (int(part or 0) for part in comparator.groups()[1:])
+    return (major, minor, patch + (comparator.group(1) == ">"))
 
 
 def resolve_version(metadata_text: str | None, sources: dict[int, bytes],
@@ -430,15 +434,21 @@ def _load_directory(path: Path) -> list[CompilationUnit]:
             raise MissingArtifact(f"{srcmap_path} missing")
         sources = {0: sol_path.read_bytes()} if sol_path.exists() else {}
         units.append(_unit(name, bin_path.read_bytes(), srcmap_path.read_bytes(),
-                           ast_path, sources, resolve_version(None, sources)))
+                           ast_path, sources))
     return units
 
 
-def _unit(name, hex_code: str | bytes, encoded_map: str | bytes, ast: Ast | Path, sources,
-          version) -> CompilationUnit:
-    """A contract's unit; code, a map or a directory's AST (given as files)
-    that does not decode fails it alone, a file that is not UTF-8 included."""
+def _unit(name, hex_code: str | bytes, encoded_map: str | bytes, ast: Ast | Path | str,
+          sources, metadata: str | None = None, own: int | None = None) -> CompilationUnit:
+    """A contract's unit; a compiler version that does not resolve, an AST
+    that is missing (given as its source file's name) or, given as a file,
+    does not decode, and code or a map that does not decode, a file that is
+    not UTF-8 included, fail it alone."""
+    version = (0, 0, 0)
     try:
+        version = resolve_version(metadata, sources, own)
+        if isinstance(ast, str):
+            raise MissingArtifact(f"no AST for source file {ast}")
         if isinstance(ast, Path):
             ast = Ast(_parse_json(ast))
         if isinstance(hex_code, bytes):
@@ -446,7 +456,7 @@ def _unit(name, hex_code: str | bytes, encoded_map: str | bytes, ast: Ast | Path
         code = strip_metadata(bytes.fromhex(hex_code.removeprefix("0x")))
         spans, distinct = _decode_source_map(encoded_map)
         return CompilationUnit(name, code, spans, ast, sources, version, distinct_spans=distinct)
-    except (MissingArtifact, MalformedItem, ValueError) as exc:
+    except (MissingArtifact, MalformedItem, ValueError, VersionUnparseable) as exc:
         return CompilationUnit(name, b"", [], None, sources, version, exc)
 
 
@@ -504,14 +514,12 @@ def _load_standard_json(path: Path) -> list[CompilationUnit]:
                                     f"{contract_name}: deployedBytecode")
             hex_code = _json_string(deployed.get("object") or "",
                                     f"{contract_name}: deployedBytecode.object")
-            ast = asts.get(file_name)
-            if ast is None:
-                raise MissingArtifact(f"no AST for source file {file_name}")
             encoded_map = _json_string(deployed.get("sourceMap", ""),
                                        f"{contract_name}: deployedBytecode.sourceMap")
             metadata = contract.get("metadata")
             if metadata is not None:
                 _json_string(metadata, f"{contract_name}: metadata")
-            units.append(_unit(contract_name, hex_code, encoded_map, ast, sources,
-                               resolve_version(metadata, sources, ids.get(file_name))))
+            units.append(_unit(contract_name, hex_code, encoded_map,
+                               asts.get(file_name, file_name), sources, metadata,
+                               ids.get(file_name)))
     return units

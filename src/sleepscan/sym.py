@@ -84,19 +84,6 @@ def const_value(value: SymValue) -> int | None:
     return value.value if isinstance(value, Const) else None
 
 
-def strip_masks(value: SymValue) -> SymValue:
-    """Peel address/width masks so provenance matching sees the carrier Var."""
-    while isinstance(value, Op) and value.op == "and":
-        a, b = value.args
-        if isinstance(b, Const) and b.value in (MASK160, MASK256):
-            value = a
-        elif isinstance(a, Const) and a.value in (MASK160, MASK256):
-            value = b
-        else:
-            break
-    return value
-
-
 def mapping_base(slot: SymValue) -> int | None:
     """The declared slot of a (possibly nested) mapping entry's ``slot``;
     None for any other slot."""

@@ -1,12 +1,20 @@
 """Detector rules over synthetic emission records, then over the built corpus."""
 
+import itertools
 import time
 
 import pytest
 
+import fixtures as corpus
+
 from sleepscan import constraints as cs
 from sleepscan import sym
-from sleepscan.astview import FunctionInfo
+from sleepscan.astview import (
+    FunctionInfo,
+    find_owner_return_binding,
+    function_infos,
+    select_target_functions,
+)
 from sleepscan.constraints import Constraint
 from sleepscan.detectors import (
     ALL_DEFECT_TYPES,
@@ -21,9 +29,10 @@ from sleepscan.detectors import (
     detect_privileged_address,
     detect_unrestricted_from,
 )
-from sleepscan.ingestion import CompilationUnit
+from sleepscan.disasm import build_cfg, disassemble
+from sleepscan.ingestion import CompilationUnit, load_compilation
 from sleepscan.sym import Const, Op, Var
-from sleepscan.symexec import PathRecord
+from sleepscan.symexec import PathRecord, explore_function
 
 FN = FunctionInfo("transferFrom", 0x23B872DD,
                   (("from", "address"), ("to", "address"), ("tokenId", "uint256")))
@@ -246,3 +255,42 @@ def test_corpus_confidence_levels(corpus_reports):
           for name, report in corpus_reports.items()}
     assert by["HiddenApprover"][PRIVILEGED_ADDRESS] == "high"
     assert by["BridgeRelay"][EMPTY_TRANSFER_EVENT] == "low"  # external call
+
+
+def test_every_enabled_subset_gives_its_share_of_findings_and_probes(corpus_dir, monkeypatch):
+    """Over all 16 subsets of the four types, a subset's findings are the
+    findings of all four restricted to it, and only an enabled owner type
+    costs ``solve`` calls: none without UF and OI, else UF's plus OI's."""
+    contracts = []
+    for fixture in corpus.build_corpus():
+        unit = load_compilation(corpus_dir / fixture.name)
+        cfg = build_cfg(disassemble(unit.runtime_bytecode))
+        binding = find_owner_return_binding(unit)
+        contracts.append((unit, [rec for fn in select_target_functions(function_infos(unit))
+                                 for rec in explore_function(unit, cfg, fn, binding).records]))
+    calls = 0
+    solve = cs.solve
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return solve(*args)
+
+    monkeypatch.setattr(cs, "solve", counted)
+
+    def run(enabled):
+        nonlocal calls
+        calls = 0
+        return [analyze_contract(unit, records, enabled) for unit, records in contracts], calls
+
+    everything, _ = run(ALL_DEFECT_TYPES)
+    _, uf_calls = run((UNRESTRICTED_FROM,))
+    _, oi_calls = run((OWNER_INCONSISTENCY,))
+    assert uf_calls and oi_calls
+    for size in range(len(ALL_DEFECT_TYPES) + 1):
+        for enabled in itertools.combinations(ALL_DEFECT_TYPES, size):
+            findings, probes = run(enabled)
+            assert findings == [[f for f in per_unit if f.defect_type in enabled]
+                                for per_unit in everything], enabled
+            assert probes == ((UNRESTRICTED_FROM in enabled) * uf_calls
+                              + (OWNER_INCONSISTENCY in enabled) * oi_calls), enabled

@@ -29,6 +29,7 @@ def test_load_labels_accepts_short_codes(tmp_path):
         {"contract": "A", "expected": [{"type": "PA", "function": "transferFrom"}]},
         {"contract": "B", "expected": [{"type": UF}], "notes": "ignored"},
         {"contract": "C"},
+        {"contract": "D", "expected": [{"type": "oi"}]},  # as ``--only`` reads it
     ]
     path = tmp_path / "labels.json"
     path.write_text(json.dumps(doc))
@@ -36,6 +37,10 @@ def test_load_labels_accepts_short_codes(tmp_path):
     assert labels[0] == CorpusLabel("A", ((PA, "transferFrom"),))
     assert labels[1].expected == ((UF, ""),)  # no function: wildcard
     assert labels[2].expected == ()
+    assert labels[3].expected == ((OI, ""),)
+    path.write_text(json.dumps([{"contract": "E", "expected": [{"type": "xx"}]}]))
+    with pytest.raises(UnscorableEntry, match=r": unknown defect type 'xx'\Z"):
+        load_labels(path)
 
 
 def test_load_reports_reads_sorted_json_files(tmp_path):

@@ -162,7 +162,7 @@ def test_an_ast_src_is_minus_and_ascii_digits_or_no_span(src, span):
 def _check(encoded: str, source_bytes: int = 100) -> None:
     """The per-contract checks of a unit of STOPs, one per map item."""
     unit = _unit("C", "00" * (encoded.count(";") + 1), encoded, None,
-                 {0: b"x" * source_bytes}, (0, 8, 17))
+                 {0: b"x" * source_bytes}, '{"compiler": {"version": "0.8.17"}}')
     _check_unit(unit, len(unit.source_map))
 
 
@@ -469,6 +469,8 @@ def test_parse_version_from_compiler_string():
     ("pragma solidity 0.8.21;", (0, 8, 21)),
     ("pragma solidity ~0.5.2;", (0, 5, 2)),
     ("pragma solidity ^0.6.0 || ^0.7.0;", (0, 6, 0)),
+    ("pragma solidity ^0.8.0 || ^0.7.0;", (0, 7, 0)),
+    ("pragma solidity 0.5.0 - 0.6.0;", (0, 5, 0)),
 ])
 def test_version_from_pragma(pragma, expected):
     assert version_from_pragma(f"// hi\n{pragma}\ncontract C {{}}") == expected
@@ -505,7 +507,7 @@ def test_a_pragma_without_a_lower_bound_and_no_metadata_gives_no_version(tmp_pat
     d = fig.write(tmp_path)
     (d / f"{fig.name}.sol").write_text("pragma solidity <0.9.0;")
     with pytest.raises(VersionUnparseable) as raised:
-        load_all(d)
+        load_compilation(d)
     assert str(raised.value) == "no compiler version in metadata or pragma"
 
 
@@ -565,14 +567,18 @@ def test_map_length_mismatch_raises(tmp_path):
 
 def _with_one_bad_file(tmp_path, suffix: str, rewrite) -> list[dict]:
     """FreeMintable's report alone, then the reports of a directory holding
-    FreeMintable and GuardedGallery, whose ``suffix`` file is rewritten;
-    without timings."""
+    FreeMintable and GuardedGallery, whose ``suffix`` file is rewritten, or
+    deleted where ``rewrite`` gives None; without timings."""
     guarded, free = corpus.guarded_gallery(), corpus.free_mintable()
     d = guarded.write(tmp_path)
     for path in free.write(tmp_path / "other").iterdir():
         path.rename(d / path.name)
     bad = d / f"{guarded.name}.{suffix}"
-    bad.write_bytes(rewrite(bad.read_bytes()))
+    data = rewrite(bad.read_bytes())
+    if data is None:
+        bad.unlink()
+    else:
+        bad.write_bytes(data)
     reports = [*analyze_path(str(free.write(tmp_path / "alone")), RunConfig()),
                *analyze_path(str(d), RunConfig())]
     for report in reports:
@@ -587,6 +593,50 @@ def test_a_file_that_is_not_utf8_fails_only_its_contract(tmp_path, suffix):
     assert reports[0] == alone
     assert reports[1]["error"].startswith(
         "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff in position 0")
+
+
+@pytest.mark.parametrize("rewrite", [lambda data: data.replace(b"pragma", b"//agma"),
+                                     lambda data: None], ids=["no-pragma", "no-source"])
+def test_a_contract_without_a_compiler_version_fails_only_itself(tmp_path, rewrite):
+    alone, *reports = _with_one_bad_file(tmp_path, "sol", rewrite)
+    assert [r["contract"] for r in reports] == ["FreeMintable", "GuardedGallery"]
+    assert reports[0] == alone
+    assert [f["type"] for f in alone["findings"]] == [UNRESTRICTED_FROM]
+    assert reports[1]["error"] == "VersionUnparseable: no compiler version in metadata or pragma"
+
+
+def _no_version(doc: dict) -> None:
+    del doc["contracts"]["GuardedGallery.sol"]["GuardedGallery"]["metadata"]
+    for source in doc["sources"].values():
+        source["content"] = source["content"].replace("pragma", "//agma")
+
+
+@pytest.mark.parametrize("rewrite,error", [
+    (lambda doc: doc["sources"]["GuardedGallery.sol"].pop("ast"),
+     "MissingArtifact: no AST for source file GuardedGallery.sol"),
+    (_no_version, "VersionUnparseable: no compiler version in metadata or pragma"),
+], ids=["no-ast", "no-version"])
+def test_a_standard_json_contract_that_does_not_load_fails_only_itself(tmp_path, rewrite,
+                                                                       error):
+    """One file holds GuardedGallery.sol and FreeMintable.sol; GuardedGallery
+    alone loses its AST, or its version (no metadata, and no pragma in either
+    source)."""
+    guarded, free = corpus.guarded_gallery(), corpus.free_mintable()
+    doc = corpus.standard_json_artifact(free)
+    (tmp_path / "alone.json").write_text(json.dumps(doc))
+    other = corpus.standard_json_artifact(guarded)
+    doc["contracts"] = {**other["contracts"], **doc["contracts"]}
+    doc["sources"][f"{guarded.name}.sol"] = {**other["sources"][f"{guarded.name}.sol"], "id": 1}
+    rewrite(doc)
+    (tmp_path / "both.json").write_text(json.dumps(doc))
+    alone, *reports = (report for name in ("alone", "both")
+                       for report in analyze_path(str(tmp_path / f"{name}.json"), RunConfig()))
+    for report in (alone, *reports):
+        report.pop("timings", None)
+    assert [r["contract"] for r in reports] == ["GuardedGallery", "FreeMintable"]
+    assert reports[0]["error"] == error
+    assert reports[1] == alone
+    assert [f["type"] for f in alone["findings"]] == [UNRESTRICTED_FROM]
 
 
 def test_a_source_that_is_not_utf8_fails_no_contract(tmp_path):

@@ -15,13 +15,9 @@ import progs
 
 from sleepscan import constraints as cs
 from sleepscan import sym
-from sleepscan.constraints import (
-    Constraint,
-    is_caller,
-    is_storage_direct_address,
-    solve,
-)
-from sleepscan.sym import Const, Op, Var, free_vars, make_op, strip_masks
+from sleepscan.constraints import Constraint, solve
+from sleepscan.detectors import is_caller, is_storage_direct_address, strip_masks
+from sleepscan.sym import Const, Op, Var, free_vars, make_op
 
 CALLER = Var("caller", sym.Environment("caller"), is_address=True)
 P0 = Var("from", sym.Parameter(0), is_address=True)

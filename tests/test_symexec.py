@@ -17,7 +17,7 @@ from sleepscan import constraints as cs
 from sleepscan import disasm, opcodes, pipeline, sym
 from sleepscan import symexec as sx
 from sleepscan.astview import FunctionInfo, find_owner_return_binding
-from sleepscan.detectors import detect_privileged_address
+from sleepscan.detectors import detect_privileged_address, is_storage_direct_address
 from sleepscan.disasm import build_cfg, disassemble
 from sleepscan.errors import EntryNotFound
 from sleepscan.ingestion import Ast, CompilationUnit
@@ -145,7 +145,7 @@ def test_storage_naming_from_layout():
     assert mapped.name == "_owners[...]"  # one kind: its slot marks a mapping entry
     assert mapped.kind == Storage(Op("sha3", (key, Const(1)))) and mapped.is_address
     assert sym.mapping_base(mapped.kind.slot) == 1 and sym.mapping_base(direct.kind.slot) is None
-    assert not cs.is_storage_direct_address(mapped) and cs.is_storage_direct_address(direct)
+    assert not is_storage_direct_address(mapped) and is_storage_direct_address(direct)
 
     word = engine._storage_read(state, Const(2))
     assert word.name == "total" and not word.is_address
