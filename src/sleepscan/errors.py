@@ -34,4 +34,4 @@ class UnlabeledContract(SleepscanError):
 
 
 class UnscorableEntry(SleepscanError):
-    """A label without a contract, or a label or finding of an unknown type."""
+    """A label without a contract or a report, or a label or finding of an unknown type."""

@@ -108,7 +108,8 @@ class TypeScore:
 
 def evaluate_corpus(labels: list[CorpusLabel], reports: list[dict]) -> dict:
     """Score findings against labels; function names are matched when the
-    label provides one, otherwise any finding of the type counts."""
+    label provides one, otherwise any finding of the type counts. Every
+    labeled contract must have a report."""
     by_contract = {label.contract: label for label in labels}
     scores = {defect_type: TypeScore() for defect_type in ALL_DEFECT_TYPES}
     for report in reports:
@@ -132,6 +133,10 @@ def evaluate_corpus(labels: list[CorpusLabel], reports: list[dict]) -> dict:
         for defect_type, fn_name in expected:
             if (defect_type, fn_name) not in seen and (defect_type, "") not in seen:
                 scores[defect_type].fn += 1
+    reported = {report.get("contract", "") for report in reports}
+    for label in labels:  # after the reports, so an unlabeled report is named first
+        if label.contract not in reported:
+            raise UnscorableEntry(f"contract {label.contract} is labeled but has no report")
 
     overall = TypeScore(sum(s.tp for s in scores.values()), sum(s.fp for s in scores.values()))
     return {

@@ -10,6 +10,8 @@ defect-bearing functions live in runtime code, not the constructor. Inputs are
 made uniform here: ``Ast`` rewrites a legacy AST into the modern shape and reads
 it once into a function table (a row's parameters and span when asked; no other
 module knows AST nodes), and source text is kept as the UTF-8 bytes spans count.
+Each contract loads in one guarded step, ``_unit``: a fault in what it reads, map
+spans included, fails it alone; only the artifact's own structure fails the file.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -35,7 +38,6 @@ class CompilationUnit:
     sources: dict[int, bytes]  # file id -> source text, as the UTF-8 bytes spans count
     compiler_version: Version
     error: Exception | None = None  # why the code, map or AST did not load; each is then empty
-    distinct_spans: tuple[Span, ...] = ()  # of source_map by first use, set by the loader
 
     def snippet(self, span: Span) -> str:
         start, length, file_id = span
@@ -62,8 +64,8 @@ def decode_source_map(encoded: str) -> list[Span]:
 
 
 def _decode_source_map(encoded: str) -> tuple[list[Span], tuple[Span, ...]]:
-    """The map's spans, and its distinct spans in order of first use: each
-    first appears where an item is parsed."""
+    """The map's spans, and its distinct spans into source files in order of
+    first use: each first appears where an item is parsed."""
     if encoded == "":
         return [], ()
     spans: list[Span] = []
@@ -73,7 +75,7 @@ def _decode_source_map(encoded: str) -> tuple[list[Span], tuple[Span, ...]]:
         if item:  # an empty item repeats the previous span
             span = known.get(item) or known.get((span, item)) or _apply_item(span, item, known)
         spans.append(span)
-    return spans, tuple(dict.fromkeys(known.values()))
+    return spans, tuple(dict.fromkeys(span for span in known.values() if span[2] >= 0))
 
 
 def _apply_item(previous: Span, item: str, known: dict) -> Span:
@@ -191,11 +193,10 @@ class Ast:
     type string) of each variable a contract declares, "" where absent.
     """
 
-    __slots__ = ("legacy", "functions", "state_variables")
+    __slots__ = ("functions", "state_variables")
 
     def __init__(self, doc: dict):
-        self.legacy = "nodeType" not in doc
-        if self.legacy:
+        if "nodeType" not in doc:
             doc = _from_legacy(doc)
         visit, get, call = self._visit, _get, self._call
         functions: list[tuple[dict, list[dict]]] = []  # node, its calls
@@ -428,34 +429,37 @@ def _load_directory(path: Path) -> list[CompilationUnit]:
         ast_path = path / f"{name}.ast.json"
         srcmap_path = path / f"{name}.srcmap-runtime"
         sol_path = path / f"{name}.sol"
-        if not ast_path.exists():
-            raise MissingArtifact(f"{ast_path} missing")
-        if not srcmap_path.exists():
-            raise MissingArtifact(f"{srcmap_path} missing")
+        for needed in (ast_path, srcmap_path):
+            if not needed.exists():
+                raise MissingArtifact(f"{needed} missing")
         sources = {0: sol_path.read_bytes()} if sol_path.exists() else {}
-        units.append(_unit(name, bin_path.read_bytes(), srcmap_path.read_bytes(),
-                           ast_path, sources))
+        units.append(_unit(name, sources, partial(_read_files, ast_path, bin_path, srcmap_path)))
     return units
 
 
-def _unit(name, hex_code: str | bytes, encoded_map: str | bytes, ast: Ast | Path | str,
-          sources, metadata: str | None = None, own: int | None = None) -> CompilationUnit:
-    """A contract's unit; a compiler version that does not resolve, an AST
-    that is missing (given as its source file's name) or, given as a file,
-    does not decode, and code or a map that does not decode, a file that is
-    not UTF-8 included, fail it alone."""
+def _read_files(ast_path: Path, bin_path: Path, srcmap_path: Path):
+    hex_code, source_map = (p.read_bytes().decode().strip() for p in (bin_path, srcmap_path))
+    return None, hex_code, source_map, Ast(_parse_json(ast_path))  # a directory has no metadata
+
+
+def _unit(name: str, sources: dict[int, bytes], read, own: int | None = None) -> CompilationUnit:
+    """A contract's unit from ``read()``'s (metadata, hex code, encoded map, AST). A fault
+    in what it reads, a version that does not resolve, code or a map that does not decode,
+    or a span outside a known source (the first in map order is named) fails it alone."""
     version = (0, 0, 0)
     try:
+        metadata, hex_code, encoded_map, ast = read()
         version = resolve_version(metadata, sources, own)
-        if isinstance(ast, str):
-            raise MissingArtifact(f"no AST for source file {ast}")
-        if isinstance(ast, Path):
-            ast = Ast(_parse_json(ast))
-        if isinstance(hex_code, bytes):
-            hex_code, encoded_map = hex_code.decode().strip(), encoded_map.decode().strip()
         code = strip_metadata(bytes.fromhex(hex_code.removeprefix("0x")))
         spans, distinct = _decode_source_map(encoded_map)
-        return CompilationUnit(name, code, spans, ast, sources, version, distinct_spans=distinct)
+        for start, length, file_id in distinct:
+            text = sources.get(file_id)
+            if text is None:
+                raise MissingArtifact(f"{name}: source-map entry refers to unknown file {file_id}")
+            if start < 0 or length < 0 or start + length > len(text):
+                raise MissingArtifact(f"{name}: source-map span {start}:{length} "
+                                      f"out of bounds for file {file_id}")
+        return CompilationUnit(name, code, spans, ast, sources, version)
     except (MissingArtifact, MalformedItem, ValueError, VersionUnparseable) as exc:
         return CompilationUnit(name, b"", [], None, sources, version, exc)
 
@@ -492,7 +496,6 @@ def _load_standard_json(path: Path) -> list[CompilationUnit]:
     source_docs = _json_object(doc.get("sources", {}), f"{path}: sources")
     sources: dict[int, bytes] = {}
     ids: dict[str, int] = {}
-    asts: dict[str, Ast] = {}
     for file_name, entry in source_docs.items():
         entry = _json_object(entry, f"{path}: sources entry {file_name}")
         fid = ids[file_name] = _json_int(entry.get("id", len(sources)),
@@ -502,24 +505,29 @@ def _load_standard_json(path: Path) -> list[CompilationUnit]:
                 raise MissingArtifact(f"{path}: source id {fid} of {file_name} is used twice")
             content = _json_string(entry["content"], f"{path}: content of {file_name}")
             sources[fid] = content.encode(errors="surrogatepass")  # JSON can hold lone surrogates
-        if "ast" in entry:
-            asts[file_name] = Ast(_json_object(entry["ast"], f"{path}: AST of {file_name}"))
+    asts: dict[str, Ast] = {}  # file name -> its AST, walked for the file's first contract
     units = []
     for file_name, per_file in contracts.items():
         per_file = _json_object(per_file, f"{path}: contracts entry {file_name}")
-        for contract_name, contract in per_file.items():
-            contract = _json_object(contract, f"{contract_name}: contract entry")
-            evm = _json_object(contract.get("evm", {}), f"{contract_name}: evm")
-            deployed = _json_object(evm.get("deployedBytecode", {}),
-                                    f"{contract_name}: deployedBytecode")
-            hex_code = _json_string(deployed.get("object") or "",
-                                    f"{contract_name}: deployedBytecode.object")
-            encoded_map = _json_string(deployed.get("sourceMap", ""),
-                                       f"{contract_name}: deployedBytecode.sourceMap")
-            metadata = contract.get("metadata")
-            if metadata is not None:
-                _json_string(metadata, f"{contract_name}: metadata")
-            units.append(_unit(contract_name, hex_code, encoded_map,
-                               asts.get(file_name, file_name), sources, metadata,
-                               ids.get(file_name)))
+        for name, contract in per_file.items():
+            read = partial(_read_entry, path, source_docs, asts, file_name, name, contract)
+            units.append(_unit(name, sources, read, ids.get(file_name)))
     return units
+
+
+def _read_entry(path: Path, source_docs: dict, asts: dict[str, Ast], file_name: str,
+                name: str, contract: object):
+    """A contract's (metadata, code, map, AST); ``asts`` keeps its file's AST for the others."""
+    contract = _json_object(contract, f"{name}: contract entry")
+    evm = _json_object(contract.get("evm", {}), f"{name}: evm")
+    deployed = _json_object(evm.get("deployedBytecode", {}), f"{name}: deployedBytecode")
+    hex_code = _json_string(deployed.get("object") or "", f"{name}: deployedBytecode.object")
+    source_map = _json_string(deployed.get("sourceMap", ""), f"{name}: deployedBytecode.sourceMap")
+    if (metadata := contract.get("metadata")) is not None:
+        _json_string(metadata, f"{name}: metadata")
+    if file_name not in asts:
+        if "ast" not in source_docs.get(file_name, {}):
+            raise MissingArtifact(f"no AST for source file {file_name}")
+        ast = _json_object(source_docs[file_name]["ast"], f"{path}: AST of {file_name}")
+        asts[file_name] = Ast(ast)
+    return metadata, hex_code, source_map, asts[file_name]

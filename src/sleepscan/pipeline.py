@@ -104,7 +104,7 @@ def analyze_unit(unit: CompilationUnit, config: RunConfig) -> dict:
 
 
 def _check_unit(unit: CompilationUnit, instruction_count: int) -> None:
-    """The checks that fail one contract of an artifact, not the whole file."""
+    """The checks of one contract that need its decoded code; the loader checked the rest."""
     name = unit.contract_name
     if unit.error is not None:
         raise unit.error
@@ -113,15 +113,6 @@ def _check_unit(unit: CompilationUnit, instruction_count: int) -> None:
     if len(unit.source_map) != instruction_count:
         raise MapLengthMismatch(f"{name}: {len(unit.source_map)} source-map "
                                 f"entries for {instruction_count} instructions")
-    for start, length, file_id in unit.distinct_spans:
-        if file_id < 0:
-            continue
-        text = unit.sources.get(file_id)
-        if text is None:
-            raise MissingArtifact(f"{name}: source-map entry refers to unknown file {file_id}")
-        if start < 0 or length < 0 or start + length > len(text):
-            raise MissingArtifact(f"{name}: source-map span {start}:{length} "
-                                  f"out of bounds for file {file_id}")
 
 
 def _finding_to_json(finding: detectors.Finding) -> dict:

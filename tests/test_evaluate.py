@@ -94,6 +94,15 @@ def test_unlabeled_contract_raises():
         evaluate_corpus([], [_report("Mystery", [])])
 
 
+def test_a_labeled_contract_without_a_report_raises():
+    """B's miss would otherwise go uncounted: the first such label is named."""
+    labels = [CorpusLabel("A", ((UF, "f"),)), CorpusLabel("B", ((UF, "g"),)),
+              CorpusLabel("C", ())]
+    with pytest.raises(UnscorableEntry) as raised:
+        evaluate_corpus(labels, [_report("A", [])])
+    assert str(raised.value) == "contract B is labeled but has no report"
+
+
 def test_short_codes_in_findings_are_canonicalized():
     labels = [CorpusLabel("S", ((PA, ""),))]
     result = evaluate_corpus(labels, [_report("S", [("PA", "f")])])

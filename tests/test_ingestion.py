@@ -12,6 +12,7 @@ import fixtures as corpus
 import reference_cbor
 from evmasm import decode_source_map_reference, encode_source_map
 
+from sleepscan import ingestion
 from sleepscan.detectors import UNRESTRICTED_FROM
 from sleepscan.errors import MalformedItem, MissingArtifact, VersionUnparseable
 from sleepscan.ingestion import (
@@ -161,8 +162,9 @@ def test_an_ast_src_is_minus_and_ascii_digits_or_no_span(src, span):
 
 def _check(encoded: str, source_bytes: int = 100) -> None:
     """The per-contract checks of a unit of STOPs, one per map item."""
-    unit = _unit("C", "00" * (encoded.count(";") + 1), encoded, None,
-                 {0: b"x" * source_bytes}, '{"compiler": {"version": "0.8.17"}}')
+    metadata = '{"compiler": {"version": "0.8.17"}}'
+    unit = _unit("C", {0: b"x" * source_bytes},
+                 lambda: (metadata, "00" * (encoded.count(";") + 1), encoded, None))
     _check_unit(unit, len(unit.source_map))
 
 
@@ -298,7 +300,6 @@ def test_modern_ast_shape():
                    "nodes": [decl_doc]}],
     }
     ast = Ast(doc)
-    assert not ast.legacy
     assert ast.functions == []
     assert ast.state_variables == [("owner", "address")]  # type from typeDescriptions
 
@@ -324,7 +325,6 @@ def test_legacy_ast_shape():
                           "attributes": {"name": "owner", "type": "address"}}],
         }],
     })
-    assert ast.legacy
     assert ast.functions == []
     assert ast.state_variables == [("owner", "address")]  # legacy "type"
 
@@ -615,12 +615,16 @@ def _no_version(doc: dict) -> None:
     (lambda doc: doc["sources"]["GuardedGallery.sol"].pop("ast"),
      "MissingArtifact: no AST for source file GuardedGallery.sol"),
     (_no_version, "VersionUnparseable: no compiler version in metadata or pragma"),
-], ids=["no-ast", "no-version"])
+    (lambda doc: doc["contracts"]["GuardedGallery.sol"]["GuardedGallery"].update(evm="x"),
+     "MissingArtifact: GuardedGallery: evm is not a JSON object"),
+    (lambda doc: doc["sources"]["GuardedGallery.sol"]["ast"]["nodes"].append({"nodeType": 5}),
+     "MissingArtifact: nodeType of an AST node is not a JSON string"),
+], ids=["no-ast", "no-version", "bad-evm", "bad-node"])
 def test_a_standard_json_contract_that_does_not_load_fails_only_itself(tmp_path, rewrite,
                                                                        error):
     """One file holds GuardedGallery.sol and FreeMintable.sol; GuardedGallery
     alone loses its AST, or its version (no metadata, and no pragma in either
-    source)."""
+    source), or gets a bad entry or AST node."""
     guarded, free = corpus.guarded_gallery(), corpus.free_mintable()
     doc = corpus.standard_json_artifact(free)
     (tmp_path / "alone.json").write_text(json.dumps(doc))
@@ -748,11 +752,33 @@ def test_load_compilation_rejects_an_artifact_of_two_contracts(tmp_path):
     assert str(raised.value) == "multiple contracts (GuardedGallery, Twin); use load_all"
 
 
+def test_each_source_file_is_walked_once(tmp_path, monkeypatch):
+    """Two contracts of one source share one walk of its AST, and a source
+    that no contract names is never walked, so its bad AST costs nothing."""
+    doc = corpus.standard_json_artifact(corpus.guarded_gallery())
+    per_file = doc["contracts"]["GuardedGallery.sol"]
+    per_file["Twin"] = per_file["GuardedGallery"]
+    doc["sources"]["Unused.sol"] = {"id": 1, "ast": {"nodeType": 5}}
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(doc))
+    builds = []
+
+    def counting(ast_doc):
+        builds.append(ast_doc)
+        return Ast(ast_doc)
+
+    monkeypatch.setattr(ingestion, "Ast", counting)
+    units = load_all(path)
+    assert len(builds) == 1
+    assert units[0].ast is units[1].ast
+    assert [r.get("error") for r in analyze_path(str(path), RunConfig())] == [None, None]
+
+
 def test_out_of_bounds_span_rejected(tmp_path):
     fig = corpus.guarded_gallery()
     d = fig.write(tmp_path)
     (d / f"{fig.name}.sol").write_text("pragma solidity ^0.8.17;")
-    # spans are checked per contract, where the unit is analyzed
+    # spans are checked per contract, where its unit is loaded
     (report,) = analyze_path(str(d), RunConfig())
     assert report["contract"] == "GuardedGallery"
     assert report["error"].startswith("MissingArtifact: GuardedGallery: source-map span ")

@@ -226,7 +226,7 @@ _CONTRACT_FAULTS = [
     ("sourceMap", lambda m: m.rpartition(";")[0], "MapLengthMismatch: Short: "),  # one item short
     ("object", lambda _: "", "MissingArtifact: Short: empty runtime bytecode"),
     ("sourceMap", lambda m: "0:99999:0" + m[m.index(";"):],
-     "MissingArtifact: Short: source-map span 0:99999 out of bounds"),
+     "MissingArtifact: Short: source-map span 0:99999 out of bounds for file 0"),
     ("sourceMap", lambda m: "1:2:x" + m[m.index(";"):],
      "MalformedItem: non-integer field 'x' in item '1:2:x'"),
     ("object", lambda code: "zz" + code,
@@ -269,7 +269,7 @@ def test_a_contract_fault_fails_only_its_contract_in_a_directory(tmp_path, field
     assert bad["error"].startswith(error)
 
 
-@pytest.mark.parametrize("field,value,error", _CONTRACT_FAULTS[3:], ids=_FAULT_IDS[3:])
+@pytest.mark.parametrize("field,value,error", _CONTRACT_FAULTS[2:], ids=_FAULT_IDS[2:])
 def test_cli_disasm_reports_a_contract_that_does_not_decode(runner, tmp_path, field, value,
                                                             error):
     doc = corpus.standard_json_artifact(corpus.free_mintable())
@@ -460,6 +460,17 @@ def _legacy_form(fixture):
     return doc
 
 
+def _put_a_value(data, node, key) -> None:
+    """Put a random JSON value at ``node[key]`` or at a random path under it."""
+    while True:
+        child = node[key]
+        if not (isinstance(child, (dict, list)) and child) or data.draw(st.booleans()):
+            node[key] = data.draw(_JSON_VALUES)
+            return
+        node, key = child, data.draw(st.sampled_from(list(child) if isinstance(child, dict)
+                                                     else range(len(child))))
+
+
 # two modern ASTs and a legacy (name/attributes/children) one
 _VALID_DOCS = [corpus.standard_json_artifact(corpus.guarded_gallery()),
                corpus.standard_json_artifact(corpus.free_mintable("legacy")),
@@ -473,15 +484,7 @@ def test_any_value_anywhere_gives_reports_not_a_raise(tmp_path, data):
     """A random JSON value at a random path of a valid standard-JSON document
     gives reports, none of them an internal error."""
     doc = copy.deepcopy(data.draw(st.sampled_from(_VALID_DOCS)))
-    node = doc
-    while True:
-        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict)
-                                        else range(len(node))))
-        child = node[key]
-        if not (isinstance(child, (dict, list)) and child) or data.draw(st.booleans()):
-            node[key] = data.draw(_JSON_VALUES)
-            break
-        node = child
+    _put_a_value(data, doc, data.draw(st.sampled_from(list(doc))))
     path = tmp_path / "fuzzed.json"
     path.write_text(json.dumps(doc))
     reports = analyze_path(str(path), RunConfig())
@@ -490,6 +493,64 @@ def test_any_value_anywhere_gives_reports_not_a_raise(tmp_path, data):
     # analyze_path turns every exception into a report, so reports alone prove nothing
     assert not [report["error"] for report in reports
                 if report.get("error", "").startswith("internal-error")]
+
+
+def _guarded_beside_free() -> dict:
+    """A standard-JSON file of GuardedGallery.sol (id 1) and FreeMintable.sol
+    (id 0); GuardedGallery's map, made for a file 0 of its own, points at file 1."""
+    doc = corpus.standard_json_artifact(corpus.free_mintable())
+    other = corpus.standard_json_artifact(corpus.guarded_gallery())
+    doc["contracts"] = {**other["contracts"], **doc["contracts"]}
+    doc["sources"]["GuardedGallery.sol"] = {**other["sources"]["GuardedGallery.sol"], "id": 1}
+    deployed = doc["contracts"]["GuardedGallery.sol"]["GuardedGallery"]["evm"]["deployedBytecode"]
+    deployed["sourceMap"] = encode_source_map([
+        (start, length, 1 if file_id == 0 else file_id)
+        for start, length, file_id in decode_source_map(deployed["sourceMap"])])
+    return doc
+
+
+_GUARDED_BESIDE_FREE = _guarded_beside_free()
+
+
+@pytest.fixture(scope="module")
+def free_alone(tmp_path_factory) -> dict:
+    """FreeMintable's report from a file of its own, without timings."""
+    path = tmp_path_factory.mktemp("alone") / "FreeMintable.json"
+    path.write_text(json.dumps(corpus.standard_json_artifact(corpus.free_mintable())))
+    (report,) = analyze_path(str(path), RunConfig())
+    report.pop("timings")
+    return report
+
+
+def test_guarded_gallery_loads_beside_free_mintable(tmp_path, free_alone):
+    path = tmp_path / "both.json"
+    path.write_text(json.dumps(_GUARDED_BESIDE_FREE))
+    guarded, free = analyze_path(str(path), RunConfig())
+    assert guarded["contract"] == "GuardedGallery" and "error" not in guarded
+    free.pop("timings")
+    assert free == free_alone
+    assert [f["type"] for f in free["findings"]] == [UNRESTRICTED_FROM]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_a_fault_inside_one_contract_leaves_the_others_alone(tmp_path, free_alone, data):
+    """A random JSON value at a random path of GuardedGallery's contract entry,
+    or of its source's AST, costs FreeMintable nothing."""
+    doc = copy.deepcopy(_GUARDED_BESIDE_FREE)
+    if data.draw(st.booleans()):
+        _put_a_value(data, doc["contracts"]["GuardedGallery.sol"], "GuardedGallery")
+    else:
+        _put_a_value(data, doc["sources"]["GuardedGallery.sol"], "ast")
+    path = tmp_path / "fuzzed.json"
+    path.write_text(json.dumps(doc))
+    reports = analyze_path(str(path), RunConfig())
+    assert [report["contract"] for report in reports] == ["GuardedGallery", "FreeMintable"]
+    assert not [report["error"] for report in reports
+                if report.get("error", "").startswith("internal-error")]
+    reports[1].pop("timings")
+    assert reports[1] == free_alone
 
 
 def test_no_prune_widens_the_function_set(corpus_dir):
@@ -774,6 +835,13 @@ def test_cli_evaluate_names_a_finding_of_an_unknown_type(runner, tmp_path):
     report = {"contract": "A", "findings": [{"type": "XX", "function": "f"}]}
     line = _evaluate_one_error_line(runner, tmp_path, [{"contract": "A"}], report)
     assert line == "Error: report of contract A: unknown defect type 'XX'"
+
+
+def test_cli_evaluate_names_a_labeled_contract_without_a_report(runner, tmp_path):
+    labels = [{"contract": "A", "expected": [{"type": "UF", "function": "f"}]},
+              {"contract": "B", "expected": [{"type": "UF", "function": "g"}]}]
+    line = _evaluate_one_error_line(runner, tmp_path, labels, {"contract": "A", "findings": []})
+    assert line == "Error: contract B is labeled but has no report"
 
 
 _LABEL_A = '[{"contract": "A"}]'
