@@ -9,7 +9,9 @@ leaves of a disjunctive guard, and it tests their provenance here, peeling
 width masks itself. UF and OI are one owner rule with one probe; which of the
 two a finding is depends only on whether the owner reads agree. Records
 tainted by unmodeled external calls still produce findings, downgraded to low
-confidence so users can triage them the way a manual audit would.
+confidence so users can triage them the way a manual audit would. A rule
+that finds nothing returns a ``Silence`` that names why; a silence is falsy,
+so a caller still tests a rule's result with a plain ``if``.
 """
 
 from __future__ import annotations
@@ -52,7 +54,16 @@ class Finding:
     confidence: str = "high"  # "low" when the path was tainted by external calls
 
 
-def detect_privileged_address(rec: PathRecord) -> Finding | None:
+@dataclass(frozen=True)
+class Silence:
+    """Why a rule gave no finding, one reason per early return; falsy."""
+    reason: str
+
+    def __bool__(self) -> bool:
+        return False
+
+
+def detect_privileged_address(rec: PathRecord) -> Finding | Silence:
     """Caller compared for equality against a storage-direct address, either
     way round: in an ``eq`` conjunct, or in an ``eq`` leaf of a ``nonzero``
     conjunct over an ``or``, so a disjunctive guard counts in either branch
@@ -69,7 +80,7 @@ def detect_privileged_address(rec: PathRecord) -> Finding | None:
         or (is_caller(c.rhs) and is_storage_direct_address(c.lhs))
     )
     if not witness:
-        return None
+        return Silence("no eq of the caller with a storage-direct address")
     return _finding(PRIVILEGED_ADDRESS, rec, witness)
 
 
@@ -116,34 +127,35 @@ def is_storage_direct_address(value: SymValue) -> bool:
 
 
 def _owner_finding(rec: PathRecord, enabled: tuple[str, ...],
-                   deadline: float | None) -> Finding | None:
+                   deadline: float | None) -> Finding | Silence:
     """UF when every owner read agrees, OI when they differ; either only when
     pushing ``latest owner != from`` stays sat. An ``unsat`` answer means a
-    guard holds, and ``unknown`` stays quiet. A type not ``enabled`` is never
-    probed."""
+    guard holds, and ``unknown`` stays quiet; the silence names which. A type
+    not ``enabled`` is never probed."""
     trace = rec.owner_trace
     if not trace:
-        return None
+        return Silence("empty owner trace")
     agree = all(entry == trace[0] for entry in trace[1:])
     defect_type = UNRESTRICTED_FROM if agree else OWNER_INCONSISTENCY
     if defect_type not in enabled:
-        return None
+        return Silence("not enabled")
     probe = Constraint(con.NEQ, trace[-1], rec.from_param)
-    if con.solve(rec.constraints, (probe,), deadline) != con.SAT:
-        return None
+    answer = con.solve(rec.constraints, (probe,), deadline)
+    if answer != con.SAT:
+        return Silence(f"probe {answer}")
     reads = () if agree else tuple(map(repr, trace))
     return _finding(defect_type, rec, (*reads, repr(probe)))
 
 
-def detect_unrestricted_from(rec: PathRecord, deadline: float | None = None) -> Finding | None:
-    return _owner_finding(rec, (UNRESTRICTED_FROM,), deadline)
+def detect_unrestricted_from(rec: PathRecord) -> Finding | Silence:
+    return _owner_finding(rec, (UNRESTRICTED_FROM,), None)
 
 
-def detect_owner_inconsistency(rec: PathRecord, deadline: float | None = None) -> Finding | None:
-    return _owner_finding(rec, (OWNER_INCONSISTENCY,), deadline)
+def detect_owner_inconsistency(rec: PathRecord) -> Finding | Silence:
+    return _owner_finding(rec, (OWNER_INCONSISTENCY,), None)
 
 
-def detect_empty_transfer_event(recs: list[PathRecord]) -> Finding | None:
+def detect_empty_transfer_event(recs: list[PathRecord]) -> Finding | Silence:
     """Transfer emitted with no storage write anywhere on the whole function.
 
     An early emit followed by stores is exempt: the exit-time mark covers the
@@ -155,7 +167,7 @@ def detect_empty_transfer_event(recs: list[PathRecord]) -> Finding | None:
             witness = (f"no SSTORE before emission at pc {rec.emission_pc} "
                        f"nor anywhere on the path",)
             return _finding(EMPTY_TRANSFER_EVENT, rec, witness)
-    return None
+    return Silence("every record's path stores")
 
 
 def _finding(defect_type: str, rec: PathRecord, witness: tuple[str, ...]) -> Finding:
@@ -177,7 +189,7 @@ def analyze_contract(unit: CompilationUnit, records: list[PathRecord],
     for rec in records:
         by_function.setdefault(rec.function.name, []).append(rec)
 
-    findings: list[Finding | None] = []  # None where a detector stayed silent
+    findings: list[Finding | Silence] = []  # filter(None, ...) drops the silences
     for recs in by_function.values():
         if EMPTY_TRANSFER_EVENT in enabled:
             findings.append(detect_empty_transfer_event(recs))

@@ -107,9 +107,10 @@ class TypeScore:
 
 
 def evaluate_corpus(labels: list[CorpusLabel], reports: list[dict]) -> dict:
-    """Score findings against labels; function names are matched when the
-    label provides one, otherwise any finding of the type counts. Every
-    labeled contract must have a report."""
+    """Score findings against labels. An expected item matches a finding of
+    its type in the item's function, or in any function when it names none. A
+    finding that matches an item is a TP, else an FP; an item that no finding
+    matches is an FN. Every labeled contract must have a report."""
     by_contract = {label.contract: label for label in labels}
     scores = {defect_type: TypeScore() for defect_type in ALL_DEFECT_TYPES}
     for report in reports:
@@ -118,21 +119,20 @@ def evaluate_corpus(labels: list[CorpusLabel], reports: list[dict]) -> dict:
         if label is None:
             raise UnlabeledContract(f"contract {contract} has no label")
         expected = set(label.expected)
-        seen = set()
+        matched = set()
         for index, finding in enumerate(report.get("findings", [])):
             defect_type = _defect_type(finding, f"report of contract {contract}",
                                        f"finding {index}")
             fn_name = _field(finding, "function", str,
                              f"report of contract {contract}: finding {index}")
-            if (defect_type, fn_name) in expected or (defect_type, "") in expected:
+            hits = {(t, fn) for t, fn in expected if t == defect_type and fn in ("", fn_name)}
+            if hits:
                 scores[defect_type].tp += 1
-                seen.add((defect_type, fn_name))
-                seen.add((defect_type, ""))
             else:
                 scores[defect_type].fp += 1
-        for defect_type, fn_name in expected:
-            if (defect_type, fn_name) not in seen and (defect_type, "") not in seen:
-                scores[defect_type].fn += 1
+            matched |= hits
+        for defect_type, _ in expected - matched:
+            scores[defect_type].fn += 1
     reported = {report.get("contract", "") for report in reports}
     for label in labels:  # after the reports, so an unlabeled report is named first
         if label.contract not in reported:

@@ -505,7 +505,7 @@ def _load_standard_json(path: Path) -> list[CompilationUnit]:
                 raise MissingArtifact(f"{path}: source id {fid} of {file_name} is used twice")
             content = _json_string(entry["content"], f"{path}: content of {file_name}")
             sources[fid] = content.encode(errors="surrogatepass")  # JSON can hold lone surrogates
-    asts: dict[str, Ast] = {}  # file name -> its AST, walked for the file's first contract
+    asts: dict[str, Ast | MissingArtifact] = {}  # file name -> its AST, or why it has none
     units = []
     for file_name, per_file in contracts.items():
         per_file = _json_object(per_file, f"{path}: contracts entry {file_name}")
@@ -515,9 +515,10 @@ def _load_standard_json(path: Path) -> list[CompilationUnit]:
     return units
 
 
-def _read_entry(path: Path, source_docs: dict, asts: dict[str, Ast], file_name: str,
-                name: str, contract: object):
-    """A contract's (metadata, code, map, AST); ``asts`` keeps its file's AST for the others."""
+def _read_entry(path: Path, source_docs: dict, asts: dict[str, Ast | MissingArtifact],
+                file_name: str, name: str, contract: object):
+    """A contract's (metadata, code, map, AST); ``asts`` keeps its file's AST, or the
+    fault that left it without one, for the others."""
     contract = _json_object(contract, f"{name}: contract entry")
     evm = _json_object(contract.get("evm", {}), f"{name}: evm")
     deployed = _json_object(evm.get("deployedBytecode", {}), f"{name}: deployedBytecode")
@@ -526,8 +527,13 @@ def _read_entry(path: Path, source_docs: dict, asts: dict[str, Ast], file_name: 
     if (metadata := contract.get("metadata")) is not None:
         _json_string(metadata, f"{name}: metadata")
     if file_name not in asts:
-        if "ast" not in source_docs.get(file_name, {}):
-            raise MissingArtifact(f"no AST for source file {file_name}")
-        ast = _json_object(source_docs[file_name]["ast"], f"{path}: AST of {file_name}")
-        asts[file_name] = Ast(ast)
-    return metadata, hex_code, source_map, asts[file_name]
+        try:
+            if "ast" not in source_docs.get(file_name, {}):
+                raise MissingArtifact(f"no AST for source file {file_name}")
+            asts[file_name] = Ast(_json_object(source_docs[file_name]["ast"],
+                                               f"{path}: AST of {file_name}"))
+        except MissingArtifact as exc:
+            asts[file_name] = exc
+    if isinstance(ast := asts[file_name], MissingArtifact):
+        raise MissingArtifact(*ast.args)  # a copy each, so no traceback is shared
+    return metadata, hex_code, source_map, ast

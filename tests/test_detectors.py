@@ -2,6 +2,7 @@
 
 import itertools
 import time
+from collections import Counter
 
 import pytest
 
@@ -23,6 +24,8 @@ from sleepscan.detectors import (
     PRIVILEGED_ADDRESS,
     SHORT_CODES,
     UNRESTRICTED_FROM,
+    Silence,
+    _owner_finding,
     analyze_contract,
     detect_empty_transfer_event,
     detect_owner_inconsistency,
@@ -72,6 +75,9 @@ def test_privileged_address_fires_in_both_orientations():
         assert any("secretOperator" in w for w in found.witness)
 
 
+NO_PA = Silence("no eq of the caller with a storage-direct address")
+
+
 def _disjunction(*leaves) -> Op:
     return Op("or", (leaves[0], _disjunction(*leaves[1:]))) if len(leaves) > 1 else leaves[0]
 
@@ -85,7 +91,7 @@ def test_privileged_address_sees_candidate_disjuncts():
     found = detect_privileged_address(record(constraints=[Constraint(cs.NONZERO, guard)]))
     assert found.witness == (repr(Constraint(cs.EQ, CALLER, admin)),
                              repr(Constraint(cs.EQ, CALLER, SECRET)))
-    assert detect_privileged_address(record(constraints=[Constraint(cs.ZERO, guard)])) is None
+    assert detect_privileged_address(record(constraints=[Constraint(cs.ZERO, guard)])) == NO_PA
 
 
 def test_privileged_address_matches_a_candidate_with_the_caller_on_the_right():
@@ -94,25 +100,26 @@ def test_privileged_address_matches_a_candidate_with_the_caller_on_the_right():
     assert found.witness == (repr(Constraint(cs.EQ, SECRET, CALLER)),)
     # an or that is not the conjunct's side is not read
     inequality = Constraint(cs.NEQ, guard, CALLER)
-    assert detect_privileged_address(record(constraints=[inequality])) is None
+    assert detect_privileged_address(record(constraints=[inequality])) == NO_PA
 
 
 def test_privileged_address_ignores_mapping_loads():
     rec = record(constraints=[Constraint(cs.EQ, CALLER, OWNER_A)])
-    assert detect_privileged_address(rec) is None
+    assert detect_privileged_address(rec) == NO_PA
 
 
 def test_privileged_address_ignores_inequalities_and_params():
     assert detect_privileged_address(
-        record(constraints=[Constraint(cs.NEQ, CALLER, SECRET)])) is None
+        record(constraints=[Constraint(cs.NEQ, CALLER, SECRET)])) == NO_PA
     assert detect_privileged_address(
-        record(constraints=[Constraint(cs.EQ, CALLER, FROM)])) is None
+        record(constraints=[Constraint(cs.EQ, CALLER, FROM)])) == NO_PA
 
 
 def test_privileged_address_sees_through_width_masks():
     masked = Constraint(cs.EQ, Op("and", (CALLER, Const(sym.MASK160))),
                         Op("and", (SECRET, Const(sym.MASK160))))
-    assert detect_privileged_address(record(constraints=[masked])) is not None
+    assert detect_privileged_address(record(constraints=[masked])).defect_type \
+        == PRIVILEGED_ADDRESS
 
 
 # --------------------------------------------------------------------------
@@ -127,27 +134,28 @@ def test_unrestricted_from_fires_without_owner_guard():
 def test_unrestricted_from_silent_when_guarded():
     rec = record(owner_trace=(OWNER_A,),
                  constraints=[Constraint(cs.EQ, OWNER_A, FROM)])
-    assert detect_unrestricted_from(rec) is None
+    assert detect_unrestricted_from(rec) == Silence("probe unsat")
 
 
 def test_unrestricted_from_needs_trace_and_from():
     # an empty owner trace (no ownerOf return on the path) silences UF and OI
-    assert detect_unrestricted_from(record(owner_trace=())) is None
-    assert detect_owner_inconsistency(record(owner_trace=())) is None
+    assert detect_unrestricted_from(record(owner_trace=())) == Silence("empty owner trace")
+    assert detect_owner_inconsistency(record(owner_trace=())) == Silence("empty owner trace")
 
 
 def test_unrestricted_from_defers_to_owner_inconsistency():
     rec = record(owner_trace=(OWNER_B, OWNER_A))
-    assert detect_unrestricted_from(rec) is None  # distinct entries: not UF
-    assert detect_owner_inconsistency(rec) is not None
+    assert detect_unrestricted_from(rec) == Silence("not enabled")  # distinct entries: OI
+    assert detect_owner_inconsistency(rec).defect_type == OWNER_INCONSISTENCY
 
 
 # --------------------------------------------------------------------------
 # OwnerInconsistency
 
 def test_owner_inconsistency_requires_distinct_entries():
-    assert detect_owner_inconsistency(record(owner_trace=(OWNER_A, OWNER_A))) is None
-    assert detect_owner_inconsistency(record(owner_trace=(OWNER_A,))) is None
+    assert detect_owner_inconsistency(record(owner_trace=(OWNER_A, OWNER_A))) \
+        == Silence("not enabled")  # the reads agree: UF
+    assert detect_owner_inconsistency(record(owner_trace=(OWNER_A,))) == Silence("not enabled")
 
 
 def test_owner_inconsistency_fires_when_guard_binds_wrong_owner():
@@ -162,7 +170,7 @@ def test_owner_inconsistency_fires_when_guard_binds_wrong_owner():
 def test_owner_inconsistency_silent_when_latest_owner_guarded():
     rec = record(owner_trace=(OWNER_B, OWNER_A),
                  constraints=[Constraint(cs.EQ, OWNER_A, FROM)])
-    assert detect_owner_inconsistency(rec) is None
+    assert detect_owner_inconsistency(rec) == Silence("probe unsat")
 
 
 # --------------------------------------------------------------------------
@@ -175,7 +183,8 @@ def test_empty_transfer_event_fires_without_any_store():
 
 def test_early_emit_then_store_is_exempt():
     # the exit-time mark covers stores on either side of the emission
-    assert detect_empty_transfer_event([record(mark_at_exit=True)]) is None
+    assert detect_empty_transfer_event([record(mark_at_exit=True)]) \
+        == Silence("every record's path stores")
 
 
 # --------------------------------------------------------------------------
@@ -294,3 +303,60 @@ def test_every_enabled_subset_gives_its_share_of_findings_and_probes(corpus_dir,
                                 for per_unit in everything], enabled
             assert probes == ((UNRESTRICTED_FROM in enabled) * uf_calls
                               + (OWNER_INCONSISTENCY in enabled) * oi_calls), enabled
+
+
+# --------------------------------------------------------------------------
+# why a rule stayed silent, on built fixtures
+
+def _explored(directory):
+    unit = load_compilation(directory)
+    cfg = build_cfg(disassemble(unit.runtime_bytecode))
+    binding = find_owner_return_binding(unit)
+    return [rec for fn in select_target_functions(function_infos(unit))
+            for rec in explore_function(unit, cfg, fn, binding).records]
+
+
+def test_each_early_return_names_its_reason(corpus_dir, tmp_path):
+    guarded = _explored(corpus_dir / "GuardedGallery")
+    free = _explored(corpus_dir / "FreeMintable")
+    bunny = _explored(corpus_dir / "ChubbyBunny")
+    inline = _explored(corpus.transfer_family("InlineRead", owner_check=False,
+                                              inline_owner=True).write(tmp_path))
+    assert {detect_unrestricted_from(rec) for rec in guarded} == {Silence("probe unsat")}
+    assert {_owner_finding(rec, ALL_DEFECT_TYPES, None) for rec in inline} \
+        == {Silence("empty owner trace")}
+    # its reads differ, so it is OI, which ``(UF,)`` leaves out
+    assert {detect_unrestricted_from(rec) for rec in bunny} == {Silence("not enabled")}
+    # the unguarded probe, which only the deadline keeps from sat
+    assert {_owner_finding(rec, ALL_DEFECT_TYPES, 0.0) for rec in free} \
+        == {Silence("probe unknown")}
+    assert {detect_privileged_address(rec) for rec in guarded} == {NO_PA}
+    assert detect_empty_transfer_event(free) == Silence("every record's path stores")
+
+
+# a record's owner-rule outcome: the finding's type, else the silence's reason
+OWNER_OUTCOMES = {
+    "HiddenApprover": {"probe unsat": 3},
+    "FreeMintable": {UNRESTRICTED_FROM: 2},
+    "FreeMintable04": {UNRESTRICTED_FROM: 2},
+    "FreeMintableShanghai": {UNRESTRICTED_FROM: 2},
+    "ChubbyBunny": {OWNER_INCONSISTENCY: 1},
+    "BatchAirdrop": {"empty owner trace": 5},
+    "GuardedGallery": {"probe unsat": 2},
+    "OrderlyMuseum": {"probe unsat": 2},
+    "PausableGallery": {"probe unsat": 2},
+    "RelistedArt": {UNRESTRICTED_FROM: 1},
+    "BridgeRelay": {"empty owner trace": 1},
+    "SteadyMint": {"empty owner trace": 2},
+    "QuietIslands": {},  # no Transfer emission, so no records
+    "MarketHub": {"empty owner trace": 2},
+}
+
+
+def test_owner_rule_outcomes_on_the_corpus(corpus_dir):
+    outcomes = {}
+    for fixture in corpus.build_corpus():
+        results = [_owner_finding(rec, ALL_DEFECT_TYPES, None)
+                   for rec in _explored(corpus_dir / fixture.name)]
+        outcomes[fixture.name] = dict(Counter(r.defect_type if r else r.reason for r in results))
+    assert outcomes == OWNER_OUTCOMES

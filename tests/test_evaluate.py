@@ -89,6 +89,18 @@ def test_wildcard_function_matches_any_finding():
     assert result["per_type"][OI] == {"TP": 1, "FP": 0, "FN": 0, "precision": 100.0}
 
 
+def test_a_missed_function_is_an_fn_when_another_function_of_its_type_is_found():
+    labels = [CorpusLabel("Two", ((UF, "f"), (UF, "g")))]
+    result = evaluate_corpus(labels, [_report("Two", [(UF, "f")])])
+    assert result["per_type"][UF] == {"TP": 1, "FP": 0, "FN": 1, "precision": 100.0}
+
+
+def test_a_wildcard_match_does_not_cover_a_named_function():
+    labels = [CorpusLabel("Both", ((UF, ""), (UF, "g")))]
+    result = evaluate_corpus(labels, [_report("Both", [(UF, "f")])])
+    assert result["per_type"][UF] == {"TP": 1, "FP": 0, "FN": 1, "precision": 100.0}
+
+
 def test_unlabeled_contract_raises():
     with pytest.raises(UnlabeledContract):
         evaluate_corpus([], [_report("Mystery", [])])

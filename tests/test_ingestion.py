@@ -774,6 +774,29 @@ def test_each_source_file_is_walked_once(tmp_path, monkeypatch):
     assert [r.get("error") for r in analyze_path(str(path), RunConfig())] == [None, None]
 
 
+def test_a_bad_source_ast_is_walked_once_for_all_its_contracts(tmp_path, monkeypatch):
+    """The fault the first contract's walk finds is every contract's own."""
+    doc = corpus.standard_json_artifact(corpus.guarded_gallery())
+    per_file = doc["contracts"]["GuardedGallery.sol"]
+    for copy in ("Copy1", "Copy2", "Copy3"):
+        per_file[copy] = per_file["GuardedGallery"]
+    doc["sources"]["GuardedGallery.sol"]["ast"]["nodes"].append({"nodeType": 5})
+    path = tmp_path / "four.json"
+    path.write_text(json.dumps(doc))
+    builds = []
+
+    def counting(ast_doc):
+        builds.append(ast_doc)
+        return Ast(ast_doc)
+
+    monkeypatch.setattr(ingestion, "Ast", counting)
+    units = load_all(path)
+    assert len(builds) == 1
+    assert [str(unit.error) for unit in units] == \
+        ["nodeType of an AST node is not a JSON string"] * 4
+    assert len({id(unit.error) for unit in units}) == 4  # no shared traceback
+
+
 def test_out_of_bounds_span_rejected(tmp_path):
     fig = corpus.guarded_gallery()
     d = fig.write(tmp_path)
