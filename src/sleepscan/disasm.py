@@ -10,7 +10,8 @@ that starts at a pc, decodes that range and caches nothing,
 ``find_function_entry`` decodes only the instructions after a byte-search
 hit for a push of the selector, in 4 bytes or in its fewest. The engine
 builds each block's execution form on its first reach and keeps it in
-``Code.block_at``, so code it never reaches is never decoded. Iterating a ``Code`` decodes every
+``Code.block_at``, so code it never reaches is never decoded, and gives
+each JUMPDEST it reaches a bit in ``Code.visit_bit``. Iterating a ``Code`` decodes every
 instruction, as ``sleepscan disasm`` does.
 
 0x5F always decodes as PUSH0: compilers below 0.8.20 never emit it in
@@ -64,7 +65,7 @@ class Code(Sequence):
     ``Instruction``s, whose ``src`` is the ordinal.
     """
 
-    __slots__ = ("raw", "tokens", "pcs", "jumpdests", "block_at")
+    __slots__ = ("raw", "tokens", "pcs", "jumpdests", "block_at", "visit_bit")
 
     def __init__(self, raw: bytes, tokens: list[bytes]):
         self.raw = raw
@@ -77,6 +78,9 @@ class Code(Sequence):
         # start pc -> the block's execution form, filled by the engine as
         # blocks are reached and shared by every function of the unit
         self.block_at: dict[int, tuple] = {}
+        # JUMPDEST pc -> its bit in a path's visited set, given by the engine
+        # on the first reach in the unit
+        self.visit_bit: dict[int, int] = {}
 
     def __len__(self) -> int:
         return len(self.tokens)

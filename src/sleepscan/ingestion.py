@@ -442,15 +442,22 @@ def _read_files(ast_path: Path, bin_path: Path, srcmap_path: Path):
     return None, hex_code, source_map, Ast(_parse_json(ast_path))  # a directory has no metadata
 
 
+# an unlinked library's address, ``__$<34 hex digits>$__``: 40 characters where a
+# PUSH20's immediate goes, so the zero address keeps every instruction in place
+_LIBRARY_PLACEHOLDER = re.compile(r"__\$[0-9a-fA-F]{34}\$__")
+
+
 def _unit(name: str, sources: dict[int, bytes], read, own: int | None = None) -> CompilationUnit:
-    """A contract's unit from ``read()``'s (metadata, hex code, encoded map, AST). A fault
+    """A contract's unit from ``read()``'s (metadata, hex code, encoded map, AST), each
+    unlinked library placeholder in the code read as the zero address. A fault
     in what it reads, a version that does not resolve, code or a map that does not decode,
     or a span outside a known source (the first in map order is named) fails it alone."""
     version = (0, 0, 0)
     try:
         metadata, hex_code, encoded_map, ast = read()
         version = resolve_version(metadata, sources, own)
-        code = strip_metadata(bytes.fromhex(hex_code.removeprefix("0x")))
+        hex_code = _LIBRARY_PLACEHOLDER.sub("0" * 40, hex_code.removeprefix("0x"))
+        code = strip_metadata(bytes.fromhex(hex_code))
         spans, distinct = _decode_source_map(encoded_map)
         for start, length, file_id in distinct:
             text = sources.get(file_id)

@@ -28,8 +28,12 @@ exactly the conjunction the solver checks.
 
 A path's history (its condition, memory writes, storage writes, owner trace
 and emission records) is held in tuples that grow by building a new tuple,
-so a fork shares them with its parent; it copies only the stack and the loop
-counts, the two things a path changes in place.
+so a fork shares them with its parent. So are its loop counts: ``visited``,
+an int with one bit per JUMPDEST the path has entered (each JUMPDEST gets
+its bit in ``Code.visit_bit`` on its first reach in the unit), and
+``revisits``, the counts of the JUMPDESTs entered more than once, a dict
+that a count replaces and never changes in place. A fork copies only the
+stack, the one thing a path changes in place.
 
 Every opcode's semantics is one handler in ``_DISPATCH``, an unknown byte's
 included, and so is every checkpoint. ``Engine.step`` runs one instruction
@@ -37,10 +41,11 @@ after its stack-depth checks. ``Engine.explore`` runs straight-line code a
 basic block of the unit's ``Code`` at a time: every path enters a block at
 its start, so no pc inside a block is ever looked up. When a path first
 enters a block, ``_block_form`` decodes it and builds its execution form
-``(jumpdest, ops, instrs, count, low, high)``:
+``(bit, ops, instrs, count, low, high)``:
 
-- ``jumpdest``, the block's pc when it starts with a JUMPDEST: ``explore``
-  counts that visit and applies the loop bound itself on entry;
+- ``bit``, the JUMPDEST's bit when the block starts with one, else 0:
+  ``explore`` counts that visit and applies the loop bound itself on entry,
+  as the stepped ``_jumpdest`` does;
 - ``ops``, one per other instruction (its handler, and a PUSH's value as a
   ``Const``), except that a PUSH and the JUMP, JUMPI or CALLDATALOAD right
   after it are one fused op that gets the value as an int;
@@ -131,7 +136,10 @@ class MachineState:
     constraints: tuple[Constraint, ...] = ()
     owner_trace: tuple[SymValue, ...] = ()
     tainted: bool = False
-    jumpdest_visits: dict[int, int] = field(default_factory=dict)
+    visited: int = 0  # one bit per JUMPDEST the path has entered (``Code.visit_bit``)
+    # JUMPDEST pc -> the path's entries of it, once it has two; replaced on
+    # each count, never changed in place, so a fork shares it
+    revisits: dict[int, int] = field(default_factory=dict)
     snapshots: tuple[PathRecord, ...] = ()  # the path's emissions, completed at its exit
 
     def fork(self) -> "MachineState":
@@ -144,7 +152,8 @@ class MachineState:
         forked.constraints = self.constraints
         forked.owner_trace = self.owner_trace
         forked.tainted = self.tainted
-        forked.jumpdest_visits = self.jumpdest_visits.copy()
+        forked.visited = self.visited
+        forked.revisits = self.revisits
         forked.snapshots = self.snapshots
         return forked
 
@@ -230,21 +239,21 @@ class Engine:
 
     # -- single-instruction semantics ---------------------------------------
 
-    def step(self, state: MachineState, instr: Instruction) -> list[MachineState]:
+    def step(self, state: MachineState, instr: Instruction) -> tuple[MachineState, ...]:
         handler, pops, pushes = _DISPATCH[instr.byte]
         depth = len(state.stack)
         if depth < pops:
             self._finish_path(state, END_REVERT, f"stack underflow at {instr.pc} ({instr.name})")
-            return []
+            return ()
         if depth - pops + pushes > MAX_STACK:
             self._finish_path(state, END_REVERT, f"stack overflow at {instr.pc}")
-            return []
+            return ()
         value = instr.push_value  # a PUSH's handler gets its value, as in a block's ops
         successors = handler(self, state, instr, pops if value is None else Const(value))
         if successors is not None:
             return successors
         state.pc = instr.next_pc
-        return [state]
+        return (state,)
 
     def _clobber(self, state: MachineState, offset: SymValue, size: SymValue,
                  pc: int, origin: str) -> None:
@@ -262,7 +271,7 @@ class Engine:
     def _finish_path(self, state: MachineState, end_kind: str,
                      diagnostic: str | None = None) -> None:
         path_id = self.paths_finished
-        self.paths_finished += 1
+        self.paths_finished = path_id + 1
         if state.snapshots and end_kind != END_REVERT:
             # counted before the path's own end, so kinds appear in path order
             emission_kind = END_EMISSION if end_kind == END_EXIT else END_BUDGET
@@ -282,12 +291,13 @@ class Engine:
         blocks = code.block_at
         step = self.step
         max_steps = budget.max_steps
+        max_paths = budget.max_paths
         loop_bound = budget.loop_bound
         steps = self.steps_used
         next_read = steps  # the step count at which a block entry reads the clock
         worklist = [MachineState(pc=entry_pc)]
         while worklist:
-            if self.timed_out or self.paths_finished >= budget.max_paths:
+            if self.timed_out or self.paths_finished >= max_paths:
                 reason = "wall-clock timeout" if self.timed_out else "path budget"
                 for state in worklist:
                     self._finish_path(state, END_BUDGET, reason)
@@ -306,7 +316,7 @@ class Engine:
                         worklist.append(state)
                         break
                     next_read = steps + _DEADLINE_EVERY
-                jumpdest, ops, instrs, count, low, high = block
+                bit, ops, instrs, count, low, high = block
                 if not (low <= len(state.stack) <= high and steps + count <= max_steps):
                     # a stack fault or a step-budget cut: the path ends inside
                     # this block, so its instructions are stepped to that end
@@ -318,12 +328,16 @@ class Engine:
                         if not step(state, instr):
                             break
                     break
-                if jumpdest is not None:  # the JUMPDEST the block starts with
-                    visits = state.jumpdest_visits.get(jumpdest, 0) + 1
-                    state.jumpdest_visits[jumpdest] = visits
+                if bit:  # the JUMPDEST the block starts with, counted as _jumpdest does
+                    if state.visited & bit:
+                        visits = state.revisits.get(state.pc, 1) + 1
+                        state.revisits = {**state.revisits, state.pc: visits}
+                    else:
+                        state.visited |= bit
+                        visits = 1
                     if visits > loop_bound:
                         steps += 1
-                        self._finish_path(state, END_BUDGET, f"loop bound at jumpdest {jumpdest}")
+                        self._finish_path(state, END_BUDGET, f"loop bound at jumpdest {state.pc}")
                         break
                 steps += count
                 successors = None
@@ -332,15 +346,15 @@ class Engine:
                 # only a block's last op may fork or end the path
                 if successors is None:  # fell through to the next block
                     state.pc = instrs[-1].next_pc
+                elif not successors:
+                    break
                 elif len(successors) == 1:
                     state = successors[0]
-                elif successors:
+                else:
                     # a fork: the fallthrough, which the worklist would give
                     # back next, runs on, and the taken side waits
                     worklist.append(successors[0])
                     state = successors[1]
-                else:
-                    break
         self.steps_used = steps
         return self
 
@@ -348,6 +362,16 @@ class Engine:
 def _fresh(pc: int, origin: str) -> Var:
     """The value an unmodeled source gives at ``pc``, equal on every visit."""
     return Var(f"ext_{origin}_{pc}", FreshExternal(origin))
+
+
+def _visit_bit(code: Code, pc: int) -> int:
+    """The bit of the JUMPDEST at ``pc`` in ``MachineState.visited``, given
+    on its first reach in the unit."""
+    bits = code.visit_bit
+    bit = bits.get(pc)
+    if bit is None:
+        bit = bits[pc] = 1 << len(bits)
+    return bit
 
 
 def _shallow(value: SymValue, pc: int) -> SymValue:
@@ -386,11 +410,17 @@ def _pop(engine: Engine, state: MachineState, instr: Instruction, pops: int):
 
 
 def _jumpdest(engine: Engine, state: MachineState, instr: Instruction, pops: int):
-    visits = state.jumpdest_visits.get(instr.pc, 0) + 1
-    state.jumpdest_visits[instr.pc] = visits
+    pc = instr.pc
+    bit = _visit_bit(engine.cfg, pc)
+    if state.visited & bit:
+        visits = state.revisits.get(pc, 1) + 1
+        state.revisits = {**state.revisits, pc: visits}
+    else:
+        state.visited |= bit
+        visits = 1
     if visits > engine.budget.loop_bound:
-        engine._finish_path(state, END_BUDGET, f"loop bound at jumpdest {instr.pc}")
-        return []
+        engine._finish_path(state, END_BUDGET, f"loop bound at jumpdest {pc}")
+        return ()
 
 
 def _jump(engine: Engine, state: MachineState, instr: Instruction, pops: int):
@@ -402,7 +432,7 @@ def _jump_to(engine: Engine, state: MachineState, instr: Instruction, target: in
     if target not in engine.jumpdests:
         return _bad_jump(engine, state, instr, target)
     state.pc = target
-    return [state]
+    return (state,)
 
 
 def _jumpi(engine: Engine, state: MachineState, instr: Instruction, pops: int):
@@ -418,7 +448,7 @@ def _branch(engine: Engine, state: MachineState, instr: Instruction, target: int
         if condition.value:
             return _jump_to(engine, state, instr, target)
         state.pc = instr.next_pc
-        return [state]
+        return (state,)
     if target not in engine.jumpdests:
         return _bad_jump(engine, state, instr, target)
     # one condition object reaches this JUMPI on every path forked after it
@@ -428,35 +458,34 @@ def _branch(engine: Engine, state: MachineState, instr: Instruction, target: int
         taken = _relational(condition, True)
         cached = engine.branch_constraints[id(condition)] = (
             condition, (taken,), (taken.negated(),))
-    _, taken, not_taken = cached
     fallthrough = state.fork()
     fallthrough.pc = instr.next_pc
-    fallthrough.constraints = state.constraints + not_taken
+    fallthrough.constraints = state.constraints + cached[2]
     state.pc = target
-    state.constraints += taken
-    return [state, fallthrough]
+    state.constraints += cached[1]
+    return (state, fallthrough)
 
 
 def _bad_jump(engine: Engine, state: MachineState, instr: Instruction, target: int | None):
     """End the path at a jump whose target is not a JUMPDEST."""
     reason = "symbolic jump target" if target is None else f"jump to non-JUMPDEST {target}"
     engine._finish_path(state, END_REVERT, f"{reason} at {instr.pc}")
-    return []
+    return ()
 
 
 def _exit(engine: Engine, state: MachineState, instr: Instruction, pops: int):
     engine._finish_path(state, END_EXIT)
-    return []
+    return ()
 
 
 def _revert(engine: Engine, state: MachineState, instr: Instruction, pops: int):
     engine._finish_path(state, END_REVERT)
-    return []
+    return ()
 
 
 def _unknown(engine: Engine, state: MachineState, instr: Instruction, pops: int):
     engine._finish_path(state, END_REVERT, f"unknown opcode 0x{instr.byte:02X} at {instr.pc}")
-    return []
+    return ()
 
 
 def _calldataload(engine: Engine, state: MachineState, instr: Instruction, pops: int):
@@ -470,7 +499,8 @@ def _calldataload_at(engine: Engine, state: MachineState, instr: Instruction,
     if offset is None:
         word = _fresh(instr.pc, "calldata_sym")
     elif offset >= 4 and (offset - 4) % 32 == 0:
-        word = engine._param_var((offset - 4) // 32)
+        index = (offset - 4) // 32
+        word = engine.param_vars.get(index) or engine._param_var(index)
     else:
         word = _fresh(instr.pc, f"calldata_{offset}")
     state.stack.append(word)
@@ -640,17 +670,17 @@ _FUSED = {_jump: _jump_to, _jumpi: _branch, _calldataload: _calldataload_at}
 
 
 def _block_form(code: Code, pc: int) -> tuple | None:
-    """The execution form ``(jumpdest, ops, instrs, count, low, high)`` of the
+    """The execution form ``(bit, ops, instrs, count, low, high)`` of the
     block starting at ``pc`` (see the module docstring), kept in
     ``code.block_at``; an op is ``(handler, instr, arg)``, and a fused op's
     ``instr`` is its consumer. None when no block starts at ``pc``."""
     instrs = code.block(pc)
     if instrs is None:
         return None
-    jumpdest = pc if pc in code.jumpdests else None
+    bit = _visit_bit(code, pc) if pc in code.jumpdests else 0
     ops = []
     depth = low = peak = 0  # relative to the entry depth; a JUMPDEST moves no word
-    for instr in instrs if jumpdest is None else instrs[1:]:
+    for instr in instrs[1:] if bit else instrs:
         handler, pops, pushes = _DISPATCH[instr.byte]
         if pops - depth > low:
             low = pops - depth
@@ -664,7 +694,7 @@ def _block_form(code: Code, pc: int) -> tuple | None:
             ops[-1] = (_FUSED[handler], instr, ops[-1][1].push_value)
         else:
             ops.append((handler, instr, pops))
-    form = code.block_at[pc] = (jumpdest, tuple(ops), instrs, len(instrs), low, MAX_STACK - peak)
+    form = code.block_at[pc] = (bit, tuple(ops), instrs, len(instrs), low, MAX_STACK - peak)
     return form
 
 

@@ -175,12 +175,15 @@ def transfer_family(name: str, *, pragma: str = "^0.8.17",
                     legacy_div: bool = False,
                     internal_call: bool = False,
                     owner_helper: bool = False,
-                    inline_owner: bool = False) -> Fixture:
+                    inline_owner: bool = False,
+                    library_push: bool = False) -> Fixture:
     """transferFrom guarded by ``msg.sender == owner`` or an approval.
 
     ``owner_helper``: ``ownerOf`` and the transfer read the owner through an
     internal ``_ownerOf``, as OpenZeppelin 5 does. ``inline_owner``: the
     transfer reads ``_owners[tokenId]`` itself, as solmate does.
+    ``library_push``: ``transferFrom`` starts by pushing a library's address,
+    the zero address as if unlinked, with a ``PUSH20`` and dropping it.
     """
     src = Source()
     src.add(f"// SPDX-License-Identifier: MIT\npragma solidity {pragma};\n\n")
@@ -318,6 +321,8 @@ def transfer_family(name: str, *, pragma: str = "^0.8.17",
     _dispatcher_fallback(a, use_push0)
 
     a.jumpdest("tf", tf_span)
+    if library_push:
+        a.push(0, tf_span, width=20).op("POP", tf_span)
     if internal_call:
         a.push_label("after", tf_span)  # return address for _transfer
     a.push(4, tf_span).op("CALLDATALOAD", tf_span)       # from

@@ -14,7 +14,9 @@ from evmasm import decode_source_map_reference, encode_source_map
 
 from sleepscan import ingestion
 from sleepscan.detectors import UNRESTRICTED_FROM
+from sleepscan.disasm import disassemble
 from sleepscan.errors import MalformedItem, MissingArtifact, VersionUnparseable
+from sleepscan.keccak import keccak256
 from sleepscan.ingestion import (
     Ast,
     _is_cbor_map,
@@ -619,7 +621,9 @@ def _no_version(doc: dict) -> None:
      "MissingArtifact: GuardedGallery: evm is not a JSON object"),
     (lambda doc: doc["sources"]["GuardedGallery.sol"]["ast"]["nodes"].append({"nodeType": 5}),
      "MissingArtifact: nodeType of an AST node is not a JSON string"),
-], ids=["no-ast", "no-version", "bad-evm", "bad-node"])
+    (lambda doc: _prefix_code(doc, "__$" + "a" * 33 + "$__"),  # one hex digit short
+     "ValueError: non-hexadecimal number found in fromhex() arg at position 0"),
+], ids=["no-ast", "no-version", "bad-evm", "bad-node", "bad-placeholder"])
 def test_a_standard_json_contract_that_does_not_load_fails_only_itself(tmp_path, rewrite,
                                                                        error):
     """One file holds GuardedGallery.sol and FreeMintable.sol; GuardedGallery
@@ -641,6 +645,37 @@ def test_a_standard_json_contract_that_does_not_load_fails_only_itself(tmp_path,
     assert reports[0]["error"] == error
     assert reports[1] == alone
     assert [f["type"] for f in alone["findings"]] == [UNRESTRICTED_FROM]
+
+
+def _prefix_code(doc: dict, prefix: str):
+    deployed = doc["contracts"]["GuardedGallery.sol"]["GuardedGallery"]["evm"][
+        "deployedBytecode"]
+    deployed["object"] = prefix + deployed["object"]
+
+
+@pytest.mark.parametrize("name,owner_check,found", [
+    ("FreeMintable", False, [UNRESTRICTED_FROM]), ("GuardedGallery", True, [])])
+def test_an_unlinked_library_placeholder_loads_as_the_zero_address(tmp_path, name,
+                                                                  owner_check, found):
+    """solc leaves ``__$<34 hex>$__`` in a PUSH20 whose library it did not link:
+    the contract gets the report of its rendering with the zero address there."""
+    fig = corpus.transfer_family(name, owner_check=owner_check, library_push=True)
+    (push,) = (instr for instr in disassemble(fig.bytecode) if instr.name == "PUSH20")
+    start = 2 * (push.pc + 1)
+    placeholder = "__$" + keccak256(b"Lib.sol:Lib").hex()[:34] + "$__"
+    reports = []
+    for rendering in ("zero", "placeholder"):
+        d = fig.write(tmp_path / rendering)
+        code = d / f"{name}.bin-runtime"
+        text = code.read_text()
+        assert text[start:start + 40] == "0" * 40
+        if rendering == "placeholder":
+            code.write_text(text[:start] + placeholder + text[start + 40:])
+        (report,) = analyze_path(str(d), RunConfig())
+        report.pop("timings")
+        reports.append(report)
+    assert reports[1] == reports[0]
+    assert [f["type"] for f in reports[0]["findings"]] == found
 
 
 def test_a_source_that_is_not_utf8_fails_no_contract(tmp_path):

@@ -455,10 +455,10 @@ def test_a_block_ending_in_an_unknown_byte_gets_its_ops_once(monkeypatch):
     monkeypatch.setattr(sx, "_block_form", counting)
     whole_steps, cfg = _compare(_unit(code), [(FN, 0)], explorations=5)
     assert cfg.blocks == [0]
-    jumpdest, ops, instrs, count, _, _ = cfg.block_at[0]
+    bit, ops, instrs, count, _, _ = cfg.block_at[0]
     assert whole_steps == 5 * count == 5 * len(instrs) == 5 * 3
     assert builds == {0: 1}
-    assert jumpdest == 0
+    assert cfg.visit_bit == {0: bit}  # the block starts with the JUMPDEST at 0
     assert ops[-1][0] is sx._unknown
 
 

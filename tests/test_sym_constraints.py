@@ -268,6 +268,22 @@ def test_swapped_sides_contradict_only_for_eq_and_neq():
     assert _solve(Constraint(cs.ULT, MASKED_P0, P1), Constraint(cs.UGE, P1, P0)) == cs.SAT
 
 
+CHAIN = [Var(name, sym.Parameter(index)) for index, name in enumerate("wxyz")]
+
+
+# each query is sat only through one part of the witness search: the
+# all-zero trial (no small distinct or random words sum to 0, and no repair
+# reaches a variable inside an add), or all four repair passes (each carries
+# the constant one link further up the chain)
+@pytest.mark.parametrize("query", [
+    (Constraint(cs.EQ, Op("add", (P0, P1)), Const(0)),),
+    (Constraint(cs.EQ, CHAIN[0], CHAIN[1]), Constraint(cs.EQ, CHAIN[1], CHAIN[2]),
+     Constraint(cs.EQ, CHAIN[2], CHAIN[3]), Constraint(cs.EQ, CHAIN[3], Const(5))),
+], ids=["all-zero-trial", "four-repair-passes"])
+def test_the_witness_search_needs_each_trial_and_pass(query):
+    assert solve(query) == cs.SAT
+
+
 # one case per branch of the witness search's repair step: the constraint,
 # the assignment before, and the variable and value it sets (None: no change)
 @pytest.mark.parametrize("constraint,before,repaired", [

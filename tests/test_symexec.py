@@ -483,6 +483,69 @@ def test_loop_bound_ends_path_as_budget_exhausted():
     assert result.ends == {(END_BUDGET, "loop bound at jumpdest 0"): 1}
 
 
+LOOP = bytes.fromhex("5b" "6000" "56")  # JUMPDEST; PUSH 0; JUMP (forever)
+
+
+def _loop_ends(loop_bound: int, max_steps: int = 100_000, explore=Engine.explore):
+    engine = _engine(LOOP, budget=ExplorationBudget(max_steps=max_steps,
+                                                    loop_bound=loop_bound))
+    result = explore(engine, 0)
+    return result.steps_used, result.ends
+
+
+@pytest.mark.parametrize("loop_bound", [0, 1, 2, 3])
+def test_a_loop_ends_at_its_bound_plus_one_entries(loop_bound):
+    """Each of the first ``loop_bound`` entries of LOOP runs its 3 steps; the
+    next steps only the JUMPDEST and ends the path, whether the block is taken
+    whole, stepped because it would pass ``max_steps``, or stepped by the
+    reference loop."""
+    want = (3 * loop_bound + 1, {(END_BUDGET, "loop bound at jumpdest 0"): 1})
+    assert _loop_ends(loop_bound) == want
+    assert _loop_ends(loop_bound, max_steps=3 * loop_bound + 2) == want
+    assert _loop_ends(loop_bound, explore=reference_explore.explore) == want
+
+
+def test_each_fork_side_counts_its_own_revisits():
+    """Stepped: both sides share the count of the first entry; a revisit on
+    one side is not seen on the other."""
+    engine = _engine(LOOP, budget=ExplorationBudget(loop_bound=3))
+    jumpdest = disassemble(LOOP)[0]
+    state = MachineState(pc=0)
+    engine.step(state, jumpdest)
+    forked = state.fork()
+    engine.step(state, jumpdest)
+    assert state.revisits == {0: 2}
+    assert forked.revisits == {} and forked.visited == state.visited == 1
+    engine.step(forked, jumpdest)
+    engine.step(state, jumpdest)
+    assert state.revisits == {0: 3} and forked.revisits == {0: 2}
+    assert engine.step(state, jumpdest) == () and len(engine.step(forked, jumpdest)) == 1
+    assert engine.ends == {(END_BUDGET, "loop bound at jumpdest 0"): 1}
+
+
+@pytest.mark.parametrize("loop_bound", [1, 2, 3])
+def test_both_sides_of_every_fork_loop_to_the_bound(loop_bound):
+    """Whole blocks: every entry of L forks, and both sides come back to L,
+    so each of the 2 ** loop_bound paths ends at its own entry
+    ``loop_bound + 1``."""
+    a = Asm()
+    a.jumpdest("L").push(4).op("CALLDATALOAD").push_label("M").op("JUMPI")
+    a.push_label("L").op("JUMP")
+    a.jumpdest("M").push_label("L").op("JUMP")
+    code, _ = a.assemble()
+    result = _engine(code, budget=ExplorationBudget(loop_bound=loop_bound)).explore(0)
+    assert result.ends == {(END_BUDGET, "loop bound at jumpdest 0"): 2 ** loop_bound}
+
+
+def test_a_jumpdest_only_block_falls_through():
+    code = bytes.fromhex("5b" "5b" "00")  # JUMPDEST; JUMPDEST; STOP
+    engine = _engine(code)
+    result = engine.explore(0)
+    assert result.ends == {(END_EXIT, None): 1} and result.steps_used == 3
+    bit, ops, *_ = engine.cfg.block_at[0]
+    assert ops == () and bit == engine.cfg.visit_bit[0]
+
+
 def test_budget_emission_records_are_not_reportable_kind():
     # a path that emits and then loops forever counts its emission under the
     # budget end kind, never as "transfer-emission", and keeps no record
@@ -544,13 +607,14 @@ def test_fork_sides_keep_their_own_writes_and_share_the_history():
     assert word.kind == FreshExternal("memory")
     assert reader.memory == reader.storage_writes == reader.snapshots == ()
 
-    assert writer.stack == [Const(1)] and writer.jumpdest_visits == {6: 1}
+    # one entry of the JUMPDEST at 6: its bit, and no count of a second entry
+    assert writer.stack == [Const(1)]
+    assert writer.visited == engine.cfg.visit_bit[6] and writer.revisits == {}
     forked = writer.fork()
-    for name in ("constraints", "memory", "storage_writes", "snapshots"):
+    for name in ("constraints", "memory", "storage_writes", "snapshots",
+                 "visited", "revisits"):
         assert getattr(forked, name) is getattr(writer, name), name
-    for name in ("stack", "jumpdest_visits"):
-        assert getattr(forked, name) == getattr(writer, name), name
-        assert getattr(forked, name) is not getattr(writer, name), name
+    assert forked.stack == writer.stack and forked.stack is not writer.stack
     memory = writer.memory
     for instr in disassemble(bytes.fromhex("6000" "52")):  # the fork writes word 0
         engine.step(forked, instr)
@@ -744,7 +808,7 @@ def test_every_byte_steps_or_ends_the_path(byte):
     state = MachineState(pc=0)
     instr = disassemble(engine.unit.runtime_bytecode)[0]
     if entry is None or entry[1] > 0:
-        assert engine.step(state, instr) == []
+        assert engine.step(state, instr) == ()
         ((kind, reason),) = engine.ends
         assert kind == END_REVERT and engine.paths_finished == 1
         assert reason.startswith(
@@ -772,9 +836,6 @@ def test_only_a_block_end_forks_or_ends_a_path(operands):
         successors = engine.step(state, instr)
         assert len(successors) == 1 and successors[0] is state, instr.name
         assert state.pc == instr.next_pc, instr.name
-
-
-LOOP = bytes.fromhex("5b" "6000" "56")  # JUMPDEST; PUSH 0; JUMP (forever)
 
 
 def test_deadline_is_read_every_256_steps(monkeypatch):
