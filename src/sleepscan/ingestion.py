@@ -437,9 +437,9 @@ def _load_directory(path: Path) -> list[CompilationUnit]:
     return units
 
 
-def _read_files(ast_path: Path, bin_path: Path, srcmap_path: Path):
+def _read_files(ast_path: Path, bin_path: Path, srcmap_path: Path, sources: dict[int, bytes]):
     hex_code, source_map = (p.read_bytes().decode().strip() for p in (bin_path, srcmap_path))
-    return None, hex_code, source_map, Ast(_parse_json(ast_path))  # a directory has no metadata
+    return None, hex_code, source_map, Ast(_parse_json(ast_path)), sources  # and no metadata
 
 
 # an unlinked library's address, ``__$<34 hex digits>$__``: 40 characters where a
@@ -448,13 +448,14 @@ _LIBRARY_PLACEHOLDER = re.compile(r"__\$[0-9a-fA-F]{34}\$__")
 
 
 def _unit(name: str, sources: dict[int, bytes], read, own: int | None = None) -> CompilationUnit:
-    """A contract's unit from ``read()``'s (metadata, hex code, encoded map, AST), each
-    unlinked library placeholder in the code read as the zero address. A fault
-    in what it reads, a version that does not resolve, code or a map that does not decode,
-    or a span outside a known source (the first in map order is named) fails it alone."""
+    """A contract's unit from ``read(sources)``'s (metadata, hex code, encoded map, AST,
+    the contract's sources), each unlinked library placeholder in the code read as the
+    zero address. A fault in what it reads, a version that does not resolve, code or a
+    map that does not decode, or a span outside a known source (the first in map order
+    is named) fails it alone."""
     version = (0, 0, 0)
     try:
-        metadata, hex_code, encoded_map, ast = read()
+        metadata, hex_code, encoded_map, ast, sources = read(sources)
         version = resolve_version(metadata, sources, own)
         hex_code = _LIBRARY_PLACEHOLDER.sub("0" * 40, hex_code.removeprefix("0x"))
         code = strip_metadata(bytes.fromhex(hex_code))
@@ -523,9 +524,10 @@ def _load_standard_json(path: Path) -> list[CompilationUnit]:
 
 
 def _read_entry(path: Path, source_docs: dict, asts: dict[str, Ast | MissingArtifact],
-                file_name: str, name: str, contract: object):
-    """A contract's (metadata, code, map, AST); ``asts`` keeps its file's AST, or the
-    fault that left it without one, for the others."""
+                file_name: str, name: str, contract: object, sources: dict[int, bytes]):
+    """A contract's (metadata, code, map, AST, sources): the file's ``sources`` and its
+    own generated Yul sources. ``asts`` keeps its file's AST, or the fault that left
+    it without one, for the others."""
     contract = _json_object(contract, f"{name}: contract entry")
     evm = _json_object(contract.get("evm", {}), f"{name}: evm")
     deployed = _json_object(evm.get("deployedBytecode", {}), f"{name}: deployedBytecode")
@@ -533,6 +535,15 @@ def _read_entry(path: Path, source_docs: dict, asts: dict[str, Ast | MissingArti
     source_map = _json_string(deployed.get("sourceMap", ""), f"{name}: deployedBytecode.sourceMap")
     if (metadata := contract.get("metadata")) is not None:
         _json_string(metadata, f"{name}: metadata")
+    if not isinstance(generated := deployed.get("generatedSources", []), list):
+        raise MissingArtifact(f"{name}: generatedSources is not a JSON array")
+    for entry in generated:  # solc 0.7.2 and later: Yul helpers that the map may name
+        entry = _json_object(entry, f"{name}: generated source")
+        fid = _json_int(entry.get("id"), f"{name}: id of a generated source")
+        if fid in sources:
+            raise MissingArtifact(f"{name}: generated source id {fid} is used twice")
+        text = _json_string(entry.get("contents"), f"{name}: contents of generated source {fid}")
+        sources = {**sources, fid: text.encode(errors="surrogatepass")}
     if file_name not in asts:
         try:
             if "ast" not in source_docs.get(file_name, {}):
@@ -543,4 +554,4 @@ def _read_entry(path: Path, source_docs: dict, asts: dict[str, Ast | MissingArti
             asts[file_name] = exc
     if isinstance(ast := asts[file_name], MissingArtifact):
         raise MissingArtifact(*ast.args)  # a copy each, so no traceback is shared
-    return metadata, hex_code, source_map, ast
+    return metadata, hex_code, source_map, ast, sources

@@ -48,7 +48,11 @@ enters a block, ``_block_form`` decodes it and builds its execution form
   as the stepped ``_jumpdest`` does;
 - ``ops``, one per other instruction (its handler, and a PUSH's value as a
   ``Const``), except that a PUSH and the JUMP, JUMPI or CALLDATALOAD right
-  after it are one fused op that gets the value as an int;
+  after it are one fused op, whose handler and int argument are decided
+  from the value once, here: a jump to a JUMPDEST gets a handler that tests
+  no target and any other jump one that ends the path (a JUMPI on a false
+  constant still falls through), and a load at offset ``4 + 32 * i`` gets
+  ``i``, the parameter's index;
 - ``instrs``, the block's decoded instructions, and ``count``, how many;
 - ``low`` and ``high``, the lowest and highest entry stack depth at which no
   instruction underflows or overflows.
@@ -60,8 +64,9 @@ stack fault) or the block would pass ``max_steps``, its instructions, never
 its ops, go through ``Engine.step`` one at a time up to the path's end.
 Either way a block counts one step per instruction, so path ends,
 diagnostics and step counts are those of stepping every instruction. Every
-path end is one ``_finish_path`` call, and a handler that makes it returns
-no successors.
+path end is one ``_finish_path`` call, but for a plain exit (STOP, RETURN or
+SELFDESTRUCT on a path with no emission), which ``_exit`` counts in place,
+and a handler that ends a path returns no successors.
 
 The clock is read on entering a block: before step 0, then once 256 steps
 have passed since the last read, so a passed deadline is noticed at most one
@@ -389,7 +394,13 @@ def _shallow(value: SymValue, pc: int) -> SymValue:
 # where it ended the path. A handler that may return successors ends a basic
 # block, but for ``_jumpdest``, which a block's ops leave out. A block's ops
 # also fuse a PUSH into the JUMP, JUMPI or CALLDATALOAD after it
-# (``_FUSED``): the fused handler gets the pushed value as an int.
+# (``_fused``), with the handler and the int argument that the pushed value
+# decides: a jump's target, checked once there, so ``_jump_to`` and
+# ``_branch`` get a JUMPDEST and ``_bad_jump`` and ``_bad_branch`` any other
+# target; a parameter word's index for ``_param_word``; any other calldata
+# offset for ``_calldataload_at``. The unfused ``_jump`` and ``_jumpi``
+# check the target they pop before they go on. ``_exit`` counts a path with
+# no emission in place, as ``_finish_path`` would.
 
 def _push(engine: Engine, state: MachineState, instr: Instruction, value: Const):
     state.stack.append(value)
@@ -424,33 +435,31 @@ def _jumpdest(engine: Engine, state: MachineState, instr: Instruction, pops: int
 
 
 def _jump(engine: Engine, state: MachineState, instr: Instruction, pops: int):
-    return _jump_to(engine, state, instr, sym.const_value(state.stack.pop()))
-
-
-def _jump_to(engine: Engine, state: MachineState, instr: Instruction, target: int | None):
-    """A JUMP to ``target``, None when it is symbolic."""
+    target = sym.const_value(state.stack.pop())
     if target not in engine.jumpdests:
         return _bad_jump(engine, state, instr, target)
+    return _jump_to(engine, state, instr, target)
+
+
+def _jump_to(engine: Engine, state: MachineState, instr: Instruction, target: int):
+    """A JUMP to ``target``, a JUMPDEST."""
     state.pc = target
     return (state,)
 
 
 def _jumpi(engine: Engine, state: MachineState, instr: Instruction, pops: int):
-    return _branch(engine, state, instr, sym.const_value(state.stack.pop()))
+    target = sym.const_value(state.stack.pop())
+    if target not in engine.jumpdests:
+        return _bad_branch(engine, state, instr, target)
+    return _branch(engine, state, instr, target)
 
 
-def _branch(engine: Engine, state: MachineState, instr: Instruction, target: int | None):
-    """A JUMPI to ``target``, None when it is symbolic, on the condition on
-    top of the stack. A false constant condition falls through whatever the
-    target; any other condition first checks the target."""
+def _branch(engine: Engine, state: MachineState, instr: Instruction, target: int):
+    """A JUMPI to ``target``, a JUMPDEST, on the condition on top of the stack."""
     condition = state.stack.pop()
     if isinstance(condition, Const):
-        if condition.value:
-            return _jump_to(engine, state, instr, target)
-        state.pc = instr.next_pc
+        state.pc = target if condition.value else instr.next_pc
         return (state,)
-    if target not in engine.jumpdests:
-        return _bad_jump(engine, state, instr, target)
     # one condition object reaches this JUMPI on every path forked after it
     # was built
     cached = engine.branch_constraints.get(id(condition))
@@ -466,6 +475,16 @@ def _branch(engine: Engine, state: MachineState, instr: Instruction, target: int
     return (state, fallthrough)
 
 
+def _bad_branch(engine: Engine, state: MachineState, instr: Instruction, target: int | None):
+    """A JUMPI to ``target``, not a JUMPDEST (None when it is symbolic): a
+    false constant condition falls through, and any other ends the path."""
+    condition = state.stack.pop()
+    if isinstance(condition, Const) and not condition.value:
+        state.pc = instr.next_pc
+        return (state,)
+    return _bad_jump(engine, state, instr, target)
+
+
 def _bad_jump(engine: Engine, state: MachineState, instr: Instruction, target: int | None):
     """End the path at a jump whose target is not a JUMPDEST."""
     reason = "symbolic jump target" if target is None else f"jump to non-JUMPDEST {target}"
@@ -474,7 +493,11 @@ def _bad_jump(engine: Engine, state: MachineState, instr: Instruction, target: i
 
 
 def _exit(engine: Engine, state: MachineState, instr: Instruction, pops: int):
-    engine._finish_path(state, END_EXIT)
+    if state.snapshots:
+        engine._finish_path(state, END_EXIT)
+    else:  # a plain exit, counted as _finish_path counts it
+        engine.paths_finished += 1
+        engine.ends[END_EXIT, None] += 1
     return ()
 
 
@@ -504,6 +527,11 @@ def _calldataload_at(engine: Engine, state: MachineState, instr: Instruction,
     else:
         word = _fresh(instr.pc, f"calldata_{offset}")
     state.stack.append(word)
+
+
+def _param_word(engine: Engine, state: MachineState, instr: Instruction, index: int):
+    """The ``index``-th parameter, a fused CALLDATALOAD's word on the grid."""
+    state.stack.append(engine.param_vars.get(index) or engine._param_var(index))
 
 
 def _sload(engine: Engine, state: MachineState, instr: Instruction, pops: int):
@@ -665,15 +693,29 @@ _DISPATCH = tuple((_handler(entry[0]), entry[1], entry[2]) if entry else (_unkno
                   for entry in map(opcodes.TABLE.get, range(256)))
 
 
-# a consumer's handler -> the handler of a PUSH and that consumer as one op
-_FUSED = {_jump: _jump_to, _jumpi: _branch, _calldataload: _calldataload_at}
+# the handlers of the ops a PUSH right before them is fused into
+_CONSUMERS = frozenset((_jump, _jumpi, _calldataload))
+
+
+def _fused(code: Code, handler, instr: Instruction, value: int) -> tuple:
+    """The op of a PUSH of ``value`` and the consumer ``instr`` after it,
+    whose handler is ``handler``, with what depends only on the two decided:
+    a jump's handler checks no target, and a parameter word gets its index."""
+    if handler is _calldataload:
+        if value >= 4 and (value - 4) % 32 == 0:
+            return (_param_word, instr, (value - 4) // 32)
+        return (_calldataload_at, instr, value)
+    if value in code.jumpdests:
+        return (_jump_to if handler is _jump else _branch, instr, value)
+    return (_bad_jump if handler is _jump else _bad_branch, instr, value)
 
 
 def _block_form(code: Code, pc: int) -> tuple | None:
     """The execution form ``(bit, ops, instrs, count, low, high)`` of the
     block starting at ``pc`` (see the module docstring), kept in
     ``code.block_at``; an op is ``(handler, instr, arg)``, and a fused op's
-    ``instr`` is its consumer. None when no block starts at ``pc``."""
+    ``instr`` is its consumer (``_fused``). None when no block starts at
+    ``pc``."""
     instrs = code.block(pc)
     if instrs is None:
         return None
@@ -690,8 +732,8 @@ def _block_form(code: Code, pc: int) -> tuple | None:
         value = instr.push_value
         if value is not None:
             ops.append((handler, instr, Const(value)))
-        elif handler in _FUSED and ops and ops[-1][0] is _push:
-            ops[-1] = (_FUSED[handler], instr, ops[-1][1].push_value)
+        elif handler in _CONSUMERS and ops and ops[-1][0] is _push:
+            ops[-1] = _fused(code, handler, instr, ops[-1][1].push_value)
         else:
             ops.append((handler, instr, pops))
     form = code.block_at[pc] = (bit, tuple(ops), instrs, len(instrs), low, MAX_STACK - peak)

@@ -1273,19 +1273,30 @@ def nested_cbor_trailer(depth: int) -> bytes:
     return body + len(body).to_bytes(2, "big")
 
 
-def standard_json_artifact(fixture: Fixture) -> dict:
+# a compiler-generated Yul helper, as solc 0.7.2 and later lists under
+# ``evm.deployedBytecode.generatedSources``
+UTILITY_YUL = "{ function cleanup_t_uint256(value) -> cleaned { cleaned := value } }"
+
+
+def standard_json_artifact(fixture: Fixture, generated_source: bool = False) -> dict:
+    """``generated_source``: the generated-code items (file -1) of the map
+    point at the function in ``UTILITY_YUL``, listed as generated source 1,
+    as solc 0.7.2 and later writes them."""
+    deployed = {"object": (fixture.bytecode + cbor_trailer()).hex(), "sourceMap": fixture.srcmap}
+    if generated_source:
+        spans = evmasm.decode_source_map_reference(fixture.srcmap)
+        deployed["sourceMap"] = evmasm.encode_source_map(
+            [(2, len(UTILITY_YUL) - 4, 1) if span[2] == -1 else span for span in spans])
+        deployed["generatedSources"] = [{
+            "ast": {"nodeType": "YulBlock", "src": f"0:{len(UTILITY_YUL)}:1", "statements": []},
+            "contents": UTILITY_YUL, "id": 1, "language": "Yul", "name": "#utility.yul"}]
     return {
         "contracts": {
             f"{fixture.name}.sol": {
                 fixture.name: {
                     "metadata": json.dumps(
                         {"compiler": {"version": "0.8.17+commit.8df45f5f"}}),
-                    "evm": {
-                        "deployedBytecode": {
-                            "object": (fixture.bytecode + cbor_trailer()).hex(),
-                            "sourceMap": fixture.srcmap,
-                        }
-                    },
+                    "evm": {"deployedBytecode": deployed},
                 }
             }
         },

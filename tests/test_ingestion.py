@@ -166,7 +166,8 @@ def _check(encoded: str, source_bytes: int = 100) -> None:
     """The per-contract checks of a unit of STOPs, one per map item."""
     metadata = '{"compiler": {"version": "0.8.17"}}'
     unit = _unit("C", {0: b"x" * source_bytes},
-                 lambda: (metadata, "00" * (encoded.count(";") + 1), encoded, None))
+                 lambda sources: (metadata, "00" * (encoded.count(";") + 1), encoded, None,
+                                  sources))
     _check_unit(unit, len(unit.source_map))
 
 
@@ -623,7 +624,14 @@ def _no_version(doc: dict) -> None:
      "MissingArtifact: nodeType of an AST node is not a JSON string"),
     (lambda doc: _prefix_code(doc, "__$" + "a" * 33 + "$__"),  # one hex digit short
      "ValueError: non-hexadecimal number found in fromhex() arg at position 0"),
-], ids=["no-ast", "no-version", "bad-evm", "bad-node", "bad-placeholder"])
+    (lambda doc: _generate(doc, "GuardedGallery", 0),  # FreeMintable.sol's id
+     "MissingArtifact: GuardedGallery: generated source id 0 is used twice"),
+    (lambda doc: _generate(doc, "GuardedGallery", 2, "0:50:2"),
+     "MissingArtifact: GuardedGallery: source-map span 0:50 out of bounds for file 2"),
+    (lambda doc: _generate(doc, "FreeMintable", 2) or _generate(doc, "GuardedGallery", None),
+     "MissingArtifact: GuardedGallery: source-map entry refers to unknown file 2"),
+], ids=["no-ast", "no-version", "bad-evm", "bad-node", "bad-placeholder",
+        "generated-id-taken", "generated-span-out-of-bounds", "other-contracts-generated"])
 def test_a_standard_json_contract_that_does_not_load_fails_only_itself(tmp_path, rewrite,
                                                                        error):
     """One file holds GuardedGallery.sol and FreeMintable.sol; GuardedGallery
@@ -645,6 +653,16 @@ def test_a_standard_json_contract_that_does_not_load_fails_only_itself(tmp_path,
     assert reports[0]["error"] == error
     assert reports[1] == alone
     assert [f["type"] for f in alone["findings"]] == [UNRESTRICTED_FROM]
+
+
+def _generate(doc: dict, name: str, file_id: int | None, item: str = "0:5:2"):
+    """Give contract ``name`` the generated source ``file_id`` (None: none),
+    nine bytes of Yul, and point its map's first item at ``item``."""
+    deployed = doc["contracts"][f"{name}.sol"][name]["evm"]["deployedBytecode"]
+    if file_id is not None:
+        deployed["generatedSources"] = [
+            {"contents": "{ let a }", "id": file_id, "name": "#utility.yul"}]
+    deployed["sourceMap"] = item + deployed["sourceMap"][deployed["sourceMap"].index(";"):]
 
 
 def _prefix_code(doc: dict, prefix: str):
@@ -732,6 +750,29 @@ def test_directory_and_standard_json_load_and_analyze_alike(tmp_path, fixture):
         report.pop("compiler_version")
         reports.append(report)
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("fixture", corpus.build_corpus(), ids=lambda f: f.name)
+def test_a_map_into_a_generated_yul_source_analyzes_alike(tmp_path, fixture):
+    """Metamorphic: solc 0.7.2 and later points generated code at a Yul source
+    listed in ``generatedSources``; the contract gets the report of its
+    rendering with those items in file -1, and the Yul text as its source 1."""
+    reports = []
+    for generated in (False, True):
+        path = tmp_path / f"{generated}.json"
+        path.write_text(json.dumps(corpus.standard_json_artifact(fixture, generated)))
+        (report,) = analyze_path(str(path), RunConfig())
+        report.pop("timings")
+        reports.append(report)
+    assert "error" not in reports[0]
+    assert reports[1] == reports[0]
+    (unit,) = load_all(path)
+    assert unit.sources == {0: fixture.sol.encode(), 1: corpus.UTILITY_YUL.encode()}
+    assert 1 in {file_id for _, _, file_id in unit.source_map}
+    if fixture.name == "FreeMintable":
+        (finding,) = reports[1]["findings"]
+        assert (finding["type"], finding["witness"]) == (
+            UNRESTRICTED_FROM, ["(_owners[...] neq from)"])
 
 
 @pytest.mark.parametrize("top_level", ["5", "null"])

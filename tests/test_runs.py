@@ -361,18 +361,50 @@ def test_a_constant_false_jumpi_falls_through_past_a_bad_target():
     assert result.steps_used == 5
 
 
-@pytest.mark.parametrize("condition", ["true", "calldata", "jump"])
+@pytest.mark.parametrize("condition", ["true", "false", "calldata", "jump"])
 def test_a_jump_to_a_non_jumpdest_keeps_its_diagnostic(condition):
+    """The fused jump's target is checked once, when its block is built: its
+    op gets the handler that ends the path, and a JUMPI on a false constant
+    still falls through."""
     def body(a):
         a.jumpdest("L")
-        if condition == "true":
-            a.push(1)
+        if condition in ("true", "false"):
+            a.push(int(condition == "true"))
         elif condition == "calldata":
             a.push(4).op("CALLDATALOAD")
         a.push(2).op("JUMP" if condition == "jump" else "JUMPI").op("STOP")
-    jump_pc = {"true": 5, "calldata": 6, "jump": 3}[condition]
-    assert list(_whole_and_stepped(body).ends.items()) == [
-        ((END_REVERT, f"jump to non-JUMPDEST 2 at {jump_pc}"), 1)]
+    result = _whole_and_stepped(body)
+    jump_pc = {"true": 5, "false": 5, "calldata": 6, "jump": 3}[condition]
+    if condition == "false":
+        assert list(result.ends.items()) == [((END_EXIT, None), 1)]
+    else:
+        assert list(result.ends.items()) == [
+            ((END_REVERT, f"jump to non-JUMPDEST 2 at {jump_pc}"), 1)]
+    *_, (handler, instr, target) = result.cfg.block_at[0][1]
+    assert (instr.pc, target) == (jump_pc, 2)
+    assert handler is (sx._bad_jump if condition == "jump" else sx._bad_branch)
+
+
+@pytest.mark.parametrize("condition", ["true", "false", "calldata", "jump"])
+def test_a_fused_jump_to_a_jumpdest_tests_no_target_on_a_path(condition):
+    """A jump to a JUMPDEST gets the handler with no membership test; its
+    paths are those of the reference loop, which tests the target it pops."""
+    def body(a):
+        a.jumpdest("L")
+        if condition in ("true", "false"):
+            a.push(int(condition == "true"))
+        elif condition == "calldata":
+            a.push(4).op("CALLDATALOAD")
+        a.push_label("T").op("JUMP" if condition == "jump" else "JUMPI").op("STOP")
+        a.jumpdest("T").op("INVALID")
+    result = _whole_and_stepped(body)
+    ends = {"true": [(END_REVERT, None)], "false": [(END_EXIT, None)],
+            "jump": [(END_REVERT, None)],
+            "calldata": [(END_EXIT, None), (END_REVERT, None)]}[condition]
+    assert list(result.ends) == ends
+    *_, (handler, _, target) = result.cfg.block_at[0][1]
+    assert handler is (sx._jump_to if condition == "jump" else sx._branch)
+    assert target in result.cfg.jumpdests
 
 
 def test_a_symbolic_jump_target_keeps_its_diagnostic():
@@ -383,26 +415,36 @@ def test_a_symbolic_jump_target_keeps_its_diagnostic():
 
 
 @pytest.mark.parametrize("push, offset", [("PUSH0", 0), ("PUSH1", 0), ("PUSH1", 5),
-                                          ("PUSH1", 0x24)])
+                                          ("PUSH1", 0x24), ("CALLDATALOAD", None)])
 def test_a_pushed_calldata_offset_maps_to_its_word(push, offset):
     """A fresh ``calldata_<offset>`` off the parameter grid, a parameter on
-    it; the word is the emission's ``from``."""
+    it, and a fresh ``calldata_sym`` at a symbolic offset (the word at 0x24);
+    the word is the emission's ``from``. A fused load on the grid gets the
+    parameter's index when its block is built, one off it its offset."""
     def body(a):
         a.jumpdest("L").push(1).push(2)
         if push == "PUSH0":
             a.op("PUSH0")
+        elif push == "CALLDATALOAD":
+            a.push(0x24).op("CALLDATALOAD")
         else:
             a.push(offset)
         a.op("CALLDATALOAD")
         a.push(TRANSFER_TOPIC).push(0).push(0).op("LOG4").op("STOP")
-    (record,) = _whole_and_stepped(body).records
+    result = _whole_and_stepped(body)
+    (record,) = result.records
     word = record.from_param
+    load_pc = 6 if push == "PUSH0" else 7 if push == "PUSH1" else 8
     if offset == 0x24:
         assert word == Var("to", Parameter(1), True)
+    elif offset is None:
+        assert word == Var(f"ext_calldata_sym_{load_pc}", FreshExternal("calldata_sym"))
     else:
-        load_pc = 6 if push == "PUSH0" else 7
         assert word == Var(f"ext_calldata_{offset}_{load_pc}",
                            FreshExternal(f"calldata_{offset}"))
+    (load,) = (op for op in result.cfg.block_at[0][1] if op[1].pc == load_pc)
+    assert load[0::2] == {0x24: (sx._param_word, 1), None: (sx._calldataload, 1)}.get(
+        offset, (sx._calldataload_at, offset))
 
 
 def test_a_block_that_is_only_a_jumpdest():
@@ -424,6 +466,31 @@ def test_a_loop_bound_kill_at_block_entry_counts_the_jumpdest(loop_bound):
     result = _whole_and_stepped(lambda a: a.jumpdest("L").push_label("L").op("JUMP"), budget)
     assert list(result.ends.items()) == [((END_BUDGET, "loop bound at jumpdest 0"), 1)]
     assert result.steps_used == 3 * loop_bound + 1
+
+
+@pytest.mark.parametrize("emitter", ["fallthrough", "taken"])
+def test_path_ends_keep_their_order_of_first_end(emitter):
+    """A symbolic JUMPI: the fallthrough side ends first, the taken side
+    next. One side emits and exits through ``_finish_path``, the other exits
+    plainly and is counted in place; either way ``ends`` holds its kinds in
+    order of first end, and the record's ``path_id`` is its side's place."""
+    def emit_and_stop(a):
+        a.push(3).push(2).push(1).push(TRANSFER_TOPIC).push(0).push(0).op("LOG4").op("STOP")
+
+    def body(a):
+        a.jumpdest("L").push(4).op("CALLDATALOAD").push_label("T").op("JUMPI")
+        emit_and_stop(a) if emitter == "fallthrough" else a.op("STOP")
+        a.jumpdest("T")
+        emit_and_stop(a) if emitter == "taken" else a.op("STOP")
+    result = _whole_and_stepped(body)
+    emission, exit_ = (sx.END_EMISSION, None), (END_EXIT, None)
+    if emitter == "fallthrough":
+        assert list(result.ends.items()) == [(emission, 1), (exit_, 2)]
+    else:
+        assert list(result.ends.items()) == [(exit_, 2), (emission, 1)]
+    assert result.paths_finished == 2
+    assert [record.path_id for record in result.records] == [
+        0 if emitter == "fallthrough" else 1]
 
 
 @pytest.mark.parametrize("max_steps", range(1, 8))
