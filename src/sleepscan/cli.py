@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import sys
 from pathlib import Path
@@ -112,6 +111,8 @@ def _analyze_in_workers(paths, config, jobs: int) -> list[list[dict]]:
 
 def _run_pool(paths, config, jobs: int) -> list:
     """One future per path: its reports, or the BrokenProcessPool it raised."""
+    import concurrent.futures  # here, not at the top: it loads ``logging``
+
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = [pool.submit(pipeline.analyze_path, path, config) for path in paths]
         chunks = []

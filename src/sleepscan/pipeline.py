@@ -132,7 +132,7 @@ def error_report(contract: str, exc: Exception) -> dict:
     """The report of a contract whose analysis raised ``exc``."""
     error = f"{type(exc).__name__}: {exc}"
     if not isinstance(exc, (SleepscanError, OSError, ValueError)):
-        import logging  # here, not at the top: the import costs every run ~0.6 MB RSS
+        import logging  # here: a plain run loads it nowhere else; ~4 ms, ~0.2 MB RSS
 
         logging.getLogger(__name__).error("internal error analyzing %s", contract,
                                           exc_info=exc)

@@ -48,11 +48,9 @@ enters a block, ``_block_form`` decodes it and builds its execution form
   as the stepped ``_jumpdest`` does;
 - ``ops``, one per other instruction (its handler, and a PUSH's value as a
   ``Const``), except that a PUSH and the JUMP, JUMPI or CALLDATALOAD right
-  after it are one fused op, whose handler and int argument are decided
-  from the value once, here: a jump to a JUMPDEST gets a handler that tests
-  no target and any other jump one that ends the path (a JUMPI on a false
-  constant still falls through), and a load at offset ``4 + 32 * i`` gets
-  ``i``, the parameter's index;
+  after it are one fused op: the op ``_fused`` gives for the pushed value,
+  decided once, here (an unfused consumer's ``_consume`` asks ``_fused`` on
+  every path);
 - ``instrs``, the block's decoded instructions, and ``count``, how many;
 - ``low`` and ``high``, the lowest and highest entry stack depth at which no
   instruction underflows or overflows.
@@ -173,8 +171,6 @@ class Engine:
         self.fn = fn
         self.binding = binding
         self.budget = budget
-        self.jumpdests = cfg.jumpdests
-        self.layout = storage_layout(unit)
         self.param_vars: dict[int, Var] = {}
         self.storage_vars: dict[SymValue, Var] = {}  # by slot
         # by offset, or by (offset, memory length) where a write may overlap
@@ -193,12 +189,11 @@ class Engine:
     # -- helpers ------------------------------------------------------------
 
     def _param_var(self, index: int) -> Var:
-        if index not in self.param_vars:
-            params = self.fn.params
-            name, abi_type = params[index] if index < len(params) else ("", "")
-            self.param_vars[index] = Var(name or f"param_{index}", Parameter(index),
-                                         abi_type == "address")
-        return self.param_vars[index]
+        params = self.fn.params
+        name, abi_type = params[index] if index < len(params) else ("", "")
+        var = self.param_vars[index] = Var(name or f"param_{index}", Parameter(index),
+                                           abi_type == "address")
+        return var
 
     def _storage_read(self, state: MachineState, slot: SymValue) -> SymValue:
         for written_slot, value in reversed(state.storage_writes):
@@ -209,13 +204,14 @@ class Engine:
         return self.storage_vars[slot]
 
     def _name_storage(self, slot: SymValue) -> Var:
+        layout = storage_layout(self.unit)
         base_slot = sym.mapping_base(slot)
         if base_slot is not None:
-            info = self.layout.get(base_slot)
+            info = layout.get(base_slot)
             name = f"{info.name if info else f'slot{base_slot}'}[...]"
             is_address = info.mapping_value_is_address if info else False
         elif isinstance(slot, Const):
-            info = self.layout.get(slot.value)
+            info = layout.get(slot.value)
             name = info.name if info else f"slot{slot.value}"
             is_address = info.is_address if info else False
         else:
@@ -392,15 +388,14 @@ def _shallow(value: SymValue, pc: int) -> SymValue:
 # opcode's pop count (a PUSH gets its value as a Const), and returns None to
 # fall through to the next instruction or else the successor states, none
 # where it ended the path. A handler that may return successors ends a basic
-# block, but for ``_jumpdest``, which a block's ops leave out. A block's ops
-# also fuse a PUSH into the JUMP, JUMPI or CALLDATALOAD after it
-# (``_fused``), with the handler and the int argument that the pushed value
-# decides: a jump's target, checked once there, so ``_jump_to`` and
-# ``_branch`` get a JUMPDEST and ``_bad_jump`` and ``_bad_branch`` any other
-# target; a parameter word's index for ``_param_word``; any other calldata
-# offset for ``_calldataload_at``. The unfused ``_jump`` and ``_jumpi``
-# check the target they pop before they go on. ``_exit`` counts a path with
-# no emission in place, as ``_finish_path`` would.
+# block, but for ``_jumpdest``, which a block's ops leave out. JUMP, JUMPI
+# and CALLDATALOAD share ``_consume``: it pops the operand and runs the op
+# ``_fused`` gives for it, the op a block's ops fuse a PUSH of that value
+# into. Those ops take an int argument: ``_jump_to`` and ``_branch`` a
+# JUMPDEST, ``_bad_jump`` and ``_bad_branch`` any other target,
+# ``_param_word`` a parameter's index and ``_calldataload_at`` any other
+# offset. ``_exit`` counts a path with no emission in place, as
+# ``_finish_path`` would.
 
 def _push(engine: Engine, state: MachineState, instr: Instruction, value: Const):
     state.stack.append(value)
@@ -434,24 +429,17 @@ def _jumpdest(engine: Engine, state: MachineState, instr: Instruction, pops: int
         return ()
 
 
-def _jump(engine: Engine, state: MachineState, instr: Instruction, pops: int):
-    target = sym.const_value(state.stack.pop())
-    if target not in engine.jumpdests:
-        return _bad_jump(engine, state, instr, target)
-    return _jump_to(engine, state, instr, target)
+def _consume(engine: Engine, state: MachineState, instr: Instruction, pops: int):
+    """A JUMP, JUMPI or CALLDATALOAD: the op ``_fused`` gives for the
+    operand it pops."""
+    handler, _, arg = _fused(engine.cfg, instr, sym.const_value(state.stack.pop()))
+    return handler(engine, state, instr, arg)
 
 
 def _jump_to(engine: Engine, state: MachineState, instr: Instruction, target: int):
     """A JUMP to ``target``, a JUMPDEST."""
     state.pc = target
     return (state,)
-
-
-def _jumpi(engine: Engine, state: MachineState, instr: Instruction, pops: int):
-    target = sym.const_value(state.stack.pop())
-    if target not in engine.jumpdests:
-        return _bad_branch(engine, state, instr, target)
-    return _branch(engine, state, instr, target)
 
 
 def _branch(engine: Engine, state: MachineState, instr: Instruction, target: int):
@@ -511,26 +499,16 @@ def _unknown(engine: Engine, state: MachineState, instr: Instruction, pops: int)
     return ()
 
 
-def _calldataload(engine: Engine, state: MachineState, instr: Instruction, pops: int):
-    _calldataload_at(engine, state, instr, sym.const_value(state.stack.pop()))
-
-
 def _calldataload_at(engine: Engine, state: MachineState, instr: Instruction,
                      offset: int | None):
-    """The calldata word at ``offset``, None when it is symbolic: at
-    4 + 32 * i the i-th parameter, at any other offset a fresh value."""
-    if offset is None:
-        word = _fresh(instr.pc, "calldata_sym")
-    elif offset >= 4 and (offset - 4) % 32 == 0:
-        index = (offset - 4) // 32
-        word = engine.param_vars.get(index) or engine._param_var(index)
-    else:
-        word = _fresh(instr.pc, f"calldata_{offset}")
-    state.stack.append(word)
+    """The calldata word at ``offset`` off the parameter grid, None when it
+    is symbolic: a fresh value per site."""
+    origin = "calldata_sym" if offset is None else f"calldata_{offset}"
+    state.stack.append(_fresh(instr.pc, origin))
 
 
 def _param_word(engine: Engine, state: MachineState, instr: Instruction, index: int):
-    """The ``index``-th parameter, a fused CALLDATALOAD's word on the grid."""
+    """The ``index``-th parameter, a CALLDATALOAD's word on the grid."""
     state.stack.append(engine.param_vars.get(index) or engine._param_var(index))
 
 
@@ -654,10 +632,10 @@ def _fresh_value(origin: str):
 
 
 _HANDLERS = {
-    "POP": _pop, "JUMPDEST": _jumpdest, "JUMP": _jump, "JUMPI": _jumpi,
+    "POP": _pop, "JUMPDEST": _jumpdest, "JUMP": _consume, "JUMPI": _consume,
     "STOP": _exit, "RETURN": _exit, "SELFDESTRUCT": _exit,
     "REVERT": _revert, "INVALID": _revert,
-    "CALLDATALOAD": _calldataload, "SLOAD": _sload, "SSTORE": _sstore,
+    "CALLDATALOAD": _consume, "SLOAD": _sload, "SSTORE": _sstore,
     "SHA3": _sha3, "MLOAD": _mload, "MSTORE": _mstore, "MSTORE8": _mstore8,
     "CALLDATACOPY": _copy, "CODECOPY": _copy, "EXTCODECOPY": _copy,
     "RETURNDATACOPY": _copy,
@@ -693,29 +671,26 @@ _DISPATCH = tuple((_handler(entry[0]), entry[1], entry[2]) if entry else (_unkno
                   for entry in map(opcodes.TABLE.get, range(256)))
 
 
-# the handlers of the ops a PUSH right before them is fused into
-_CONSUMERS = frozenset((_jump, _jumpi, _calldataload))
-
-
-def _fused(code: Code, handler, instr: Instruction, value: int) -> tuple:
-    """The op of a PUSH of ``value`` and the consumer ``instr`` after it,
-    whose handler is ``handler``, with what depends only on the two decided:
-    a jump's handler checks no target, and a parameter word gets its index."""
-    if handler is _calldataload:
-        if value >= 4 and (value - 4) % 32 == 0:
-            return (_param_word, instr, (value - 4) // 32)
+def _fused(code: Code, instr: Instruction, value: int | None) -> tuple:
+    """The op ``(handler, instr, arg)`` that the JUMP, JUMPI or CALLDATALOAD
+    ``instr`` runs for the operand ``value``, None when it is symbolic: a
+    jump to a JUMPDEST tests no target and one to any other target ends the
+    path, and the calldata word at ``4 + 32 * i`` is parameter ``i``."""
+    if instr.name == "CALLDATALOAD":
+        if value is not None and value % 32 == 4:
+            return (_param_word, instr, value // 32)
         return (_calldataload_at, instr, value)
     if value in code.jumpdests:
-        return (_jump_to if handler is _jump else _branch, instr, value)
-    return (_bad_jump if handler is _jump else _bad_branch, instr, value)
+        return (_jump_to if instr.name == "JUMP" else _branch, instr, value)
+    return (_bad_jump if instr.name == "JUMP" else _bad_branch, instr, value)
 
 
 def _block_form(code: Code, pc: int) -> tuple | None:
     """The execution form ``(bit, ops, instrs, count, low, high)`` of the
     block starting at ``pc`` (see the module docstring), kept in
-    ``code.block_at``; an op is ``(handler, instr, arg)``, and a fused op's
-    ``instr`` is its consumer (``_fused``). None when no block starts at
-    ``pc``."""
+    ``code.block_at``; an op is ``(handler, instr, arg)``, and a PUSH
+    before a ``_consume`` is fused into it as the op ``_fused`` gives, whose
+    ``instr`` is the consumer. None when no block starts at ``pc``."""
     instrs = code.block(pc)
     if instrs is None:
         return None
@@ -732,8 +707,8 @@ def _block_form(code: Code, pc: int) -> tuple | None:
         value = instr.push_value
         if value is not None:
             ops.append((handler, instr, Const(value)))
-        elif handler in _CONSUMERS and ops and ops[-1][0] is _push:
-            ops[-1] = _fused(code, handler, instr, ops[-1][1].push_value)
+        elif handler is _consume and ops and ops[-1][0] is _push:
+            ops[-1] = _fused(code, instr, ops[-1][1].push_value)
         else:
             ops.append((handler, instr, pops))
     form = code.block_at[pc] = (bit, tuple(ops), instrs, len(instrs), low, MAX_STACK - peak)

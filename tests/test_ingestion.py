@@ -630,8 +630,12 @@ def _no_version(doc: dict) -> None:
      "MissingArtifact: GuardedGallery: source-map span 0:50 out of bounds for file 2"),
     (lambda doc: _generate(doc, "FreeMintable", 2) or _generate(doc, "GuardedGallery", None),
      "MissingArtifact: GuardedGallery: source-map entry refers to unknown file 2"),
+    (lambda doc: doc["contracts"]["GuardedGallery.sol"]["GuardedGallery"]["evm"][
+        "deployedBytecode"].update(generatedSources={}),
+     "MissingArtifact: GuardedGallery: generatedSources is not a JSON array"),
 ], ids=["no-ast", "no-version", "bad-evm", "bad-node", "bad-placeholder",
-        "generated-id-taken", "generated-span-out-of-bounds", "other-contracts-generated"])
+        "generated-id-taken", "generated-span-out-of-bounds", "other-contracts-generated",
+        "generated-not-a-list"])
 def test_a_standard_json_contract_that_does_not_load_fails_only_itself(tmp_path, rewrite,
                                                                        error):
     """One file holds GuardedGallery.sol and FreeMintable.sol; GuardedGallery

@@ -4,6 +4,9 @@ import copy
 import dataclasses
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -700,6 +703,17 @@ def test_cli_jobs_pool_gives_the_serial_reports(runner, corpus_dir):
     assert [r["contract"] for r in serial] == ["HiddenApprover", "FreeMintable",
                                                "GuardedGallery"]
     assert reports("2") == serial
+
+
+def test_importing_the_cli_loads_no_process_pool_or_logging():
+    """Only ``--jobs`` above 1 uses ``concurrent.futures``, which loads
+    ``logging``; a plain run pays for neither."""
+    env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, sleepscan.cli; "
+         "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 _ANALYZE_PATH = pipeline.analyze_path

@@ -361,50 +361,95 @@ def test_a_constant_false_jumpi_falls_through_past_a_bad_target():
     assert result.steps_used == 5
 
 
-@pytest.mark.parametrize("condition", ["true", "false", "calldata", "jump"])
-def test_a_jump_to_a_non_jumpdest_keeps_its_diagnostic(condition):
-    """The fused jump's target is checked once, when its block is built: its
-    op gets the handler that ends the path, and a JUMPI on a false constant
-    still falls through."""
+# The consumer tests write out each op, diagnostic and word: the reference
+# loop steps every consumer through ``_consume``, which takes its op from
+# ``_fused`` as a block's fused op does, so agreeing with it cannot catch a
+# wrong rule there. A case runs fused (its operand pushed right before the
+# consumer), unfused (pushed before a JUMPDEST that starts the consumer's
+# block) and, through ``_whole_and_stepped``, stepped.
+
+def _consumer_op(result: sx.Engine, name: str) -> tuple:
+    """The op of the last ``name`` instruction, as ``(handler, pc, arg)``."""
+    pc = max(instr.pc for instr in disassemble(result.unit.runtime_bytecode)
+             if instr.name == name)
+    (op,) = (op for _, ops, *_ in result.cfg.block_at.values() for op in ops
+             if op[1].pc == pc)
+    return op[0], pc, op[2]
+
+
+def _jump_program(condition: str, target, unfused: bool):
+    """JUMPDEST; PUSH1 0x5b; POP; a JUMPI's condition (a constant, or the
+    parameter at 4); the target, a pc or the parameter at 0x24
+    ("symbolic"), or the label T; the jump; STOP; JUMPDEST T; INVALID.
+    The byte at pc 2 is the 0x5b inside the PUSH1, pc 3 the POP."""
     def body(a):
-        a.jumpdest("L")
+        a.jumpdest("L").push(0x5B).op("POP")
         if condition in ("true", "false"):
             a.push(int(condition == "true"))
         elif condition == "calldata":
             a.push(4).op("CALLDATALOAD")
-        a.push(2).op("JUMP" if condition == "jump" else "JUMPI").op("STOP")
-    result = _whole_and_stepped(body)
-    jump_pc = {"true": 5, "false": 5, "calldata": 6, "jump": 3}[condition]
+        if target == "symbolic":
+            a.push(0x24).op("CALLDATALOAD")
+        elif target == "T":
+            a.push_label("T")
+        else:
+            a.push(target)
+        if unfused:
+            a.jumpdest("M")
+        a.op("JUMP" if condition == "jump" else "JUMPI").op("STOP")
+        a.jumpdest("T").op("INVALID")
+    return body
+
+
+def _jump_cases(targets):
+    """Every condition with each ``(target, unfused)``; the first's cases
+    have the condition alone as their id."""
+    return [pytest.param(condition, target, unfused,
+                         id=f"{condition}-{target}" + "-unfused" * unfused if index else condition)
+            for index, (target, unfused) in enumerate(targets)
+            for condition in ("true", "false", "calldata", "jump")]
+
+
+@pytest.mark.parametrize("condition, target, unfused", _jump_cases(
+    [(2, False), (3, False), (2, True), (3, True), ("symbolic", False), ("symbolic", True)]))
+def test_a_jump_to_a_non_jumpdest_keeps_its_diagnostic(condition, target, unfused):
+    """A jump to the 0x5b inside a PUSH (pc 2), to an instruction that is not
+    a JUMPDEST (pc 3) or to a symbolic target ends its path, and a JUMPI on a
+    false constant falls through. A fused jump gets the op that ends the
+    path when its block is built; any other runs ``_consume``."""
+    result = _whole_and_stepped(_jump_program(condition, target, unfused))
+    name = "JUMP" if condition == "jump" else "JUMPI"
+    handler, jump_pc, arg = _consumer_op(result, name)
     if condition == "false":
         assert list(result.ends.items()) == [((END_EXIT, None), 1)]
+    elif target == "symbolic":
+        assert list(result.ends.items()) == [
+            ((END_REVERT, f"symbolic jump target at {jump_pc}"), 1)]
     else:
         assert list(result.ends.items()) == [
-            ((END_REVERT, f"jump to non-JUMPDEST 2 at {jump_pc}"), 1)]
-    *_, (handler, instr, target) = result.cfg.block_at[0][1]
-    assert (instr.pc, target) == (jump_pc, 2)
-    assert handler is (sx._bad_jump if condition == "jump" else sx._bad_branch)
+            ((END_REVERT, f"jump to non-JUMPDEST {target} at {jump_pc}"), 1)]
+    if unfused or target == "symbolic":
+        assert (handler, arg) == (sx._consume, 1 if name == "JUMP" else 2)
+    else:
+        assert (handler, arg) == (sx._bad_jump if name == "JUMP" else sx._bad_branch, target)
 
 
-@pytest.mark.parametrize("condition", ["true", "false", "calldata", "jump"])
-def test_a_fused_jump_to_a_jumpdest_tests_no_target_on_a_path(condition):
-    """A jump to a JUMPDEST gets the handler with no membership test; its
-    paths are those of the reference loop, which tests the target it pops."""
-    def body(a):
-        a.jumpdest("L")
-        if condition in ("true", "false"):
-            a.push(int(condition == "true"))
-        elif condition == "calldata":
-            a.push(4).op("CALLDATALOAD")
-        a.push_label("T").op("JUMP" if condition == "jump" else "JUMPI").op("STOP")
-        a.jumpdest("T").op("INVALID")
-    result = _whole_and_stepped(body)
+@pytest.mark.parametrize("condition, target, unfused", _jump_cases([("T", False), ("T", True)]))
+def test_a_fused_jump_to_a_jumpdest_tests_no_target_on_a_path(condition, target, unfused):
+    """A jump to the JUMPDEST T reaches its INVALID, and a JUMPI on a
+    symbolic condition forks, its fallthrough ending first. A fused jump gets
+    the op with no membership test; any other runs ``_consume``."""
+    result = _whole_and_stepped(_jump_program(condition, target, unfused))
+    name = "JUMP" if condition == "jump" else "JUMPI"
+    handler, jump_pc, arg = _consumer_op(result, name)
     ends = {"true": [(END_REVERT, None)], "false": [(END_EXIT, None)],
             "jump": [(END_REVERT, None)],
             "calldata": [(END_EXIT, None), (END_REVERT, None)]}[condition]
     assert list(result.ends) == ends
-    *_, (handler, _, target) = result.cfg.block_at[0][1]
-    assert handler is (sx._jump_to if condition == "jump" else sx._branch)
-    assert target in result.cfg.jumpdests
+    if unfused:
+        assert (handler, arg) == (sx._consume, 1 if name == "JUMP" else 2)
+    else:  # T follows the jump and its STOP
+        assert (handler, arg) == (sx._jump_to if name == "JUMP" else sx._branch, jump_pc + 2)
 
 
 def test_a_symbolic_jump_target_keeps_its_diagnostic():
@@ -414,13 +459,21 @@ def test_a_symbolic_jump_target_keeps_its_diagnostic():
         ((END_REVERT, "symbolic jump target at 6"), 1)]
 
 
-@pytest.mark.parametrize("push, offset", [("PUSH0", 0), ("PUSH1", 0), ("PUSH1", 5),
-                                          ("PUSH1", 0x24), ("CALLDATALOAD", None)])
-def test_a_pushed_calldata_offset_maps_to_its_word(push, offset):
-    """A fresh ``calldata_<offset>`` off the parameter grid, a parameter on
-    it, and a fresh ``calldata_sym`` at a symbolic offset (the word at 0x24);
-    the word is the emission's ``from``. A fused load on the grid gets the
-    parameter's index when its block is built, one off it its offset."""
+_PARAMETERS = {4: Var("from", Parameter(0), True), 0x24: Var("to", Parameter(1), True),
+               0x44: Var("tokenId", Parameter(2), False)}
+
+
+@pytest.mark.parametrize("push, offset, unfused", [
+    pytest.param(push, offset, unfused, id=f"{push}-{offset}" + "-unfused" * unfused)
+    for unfused in (False, True)
+    for push, offset in [("PUSH0", 0), ("PUSH1", 0), ("PUSH1", 5), ("PUSH1", 4),
+                         ("PUSH1", 0x24), ("PUSH1", 0x44), ("CALLDATALOAD", None)]])
+def test_a_pushed_calldata_offset_maps_to_its_word(push, offset, unfused):
+    """A fresh ``calldata_<offset>`` off the parameter grid (0 and 5), the
+    parameter on it (4, 0x24 and 0x44 are parameters 0 to 2), and a fresh
+    ``calldata_sym`` at a symbolic offset (the word at 0x24); the word is the
+    emission's ``from``. A fused load gets the parameter's index or the
+    offset when its block is built; any other runs ``_consume``."""
     def body(a):
         a.jumpdest("L").push(1).push(2)
         if push == "PUSH0":
@@ -429,22 +482,26 @@ def test_a_pushed_calldata_offset_maps_to_its_word(push, offset):
             a.push(0x24).op("CALLDATALOAD")
         else:
             a.push(offset)
+        if unfused:
+            a.jumpdest("M")
         a.op("CALLDATALOAD")
         a.push(TRANSFER_TOPIC).push(0).push(0).op("LOG4").op("STOP")
     result = _whole_and_stepped(body)
     (record,) = result.records
-    word = record.from_param
-    load_pc = 6 if push == "PUSH0" else 7 if push == "PUSH1" else 8
-    if offset == 0x24:
-        assert word == Var("to", Parameter(1), True)
-    elif offset is None:
-        assert word == Var(f"ext_calldata_sym_{load_pc}", FreshExternal("calldata_sym"))
+    handler, load_pc, arg = _consumer_op(result, "CALLDATALOAD")
+    assert load_pc == (6 if push == "PUSH0" else 7 if push == "PUSH1" else 8) + unfused
+    if offset is None:
+        assert record.from_param == Var(f"ext_calldata_sym_{load_pc}",
+                                        FreshExternal("calldata_sym"))
     else:
-        assert word == Var(f"ext_calldata_{offset}_{load_pc}",
-                           FreshExternal(f"calldata_{offset}"))
-    (load,) = (op for op in result.cfg.block_at[0][1] if op[1].pc == load_pc)
-    assert load[0::2] == {0x24: (sx._param_word, 1), None: (sx._calldataload, 1)}.get(
-        offset, (sx._calldataload_at, offset))
+        assert record.from_param == (_PARAMETERS.get(offset) or Var(
+            f"ext_calldata_{offset}_{load_pc}", FreshExternal(f"calldata_{offset}")))
+    if unfused or offset is None:
+        assert (handler, arg) == (sx._consume, 1)
+    elif offset in _PARAMETERS:
+        assert (handler, arg) == (sx._param_word, offset // 32)
+    else:
+        assert (handler, arg) == (sx._calldataload_at, offset)
 
 
 def test_a_block_that_is_only_a_jumpdest():

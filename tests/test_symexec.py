@@ -16,11 +16,16 @@ from evmasm import Asm
 from sleepscan import constraints as cs
 from sleepscan import disasm, opcodes, pipeline, sym
 from sleepscan import symexec as sx
-from sleepscan.astview import FunctionInfo, find_owner_return_binding
+from sleepscan.astview import (
+    FunctionInfo,
+    find_owner_return_binding,
+    function_infos,
+    select_target_functions,
+)
 from sleepscan.detectors import detect_privileged_address, is_storage_direct_address
 from sleepscan.disasm import build_cfg, disassemble
 from sleepscan.errors import EntryNotFound
-from sleepscan.ingestion import Ast, CompilationUnit
+from sleepscan.ingestion import Ast, CompilationUnit, load_compilation
 from sleepscan.keccak import TRANSFER_TOPIC
 from sleepscan.sym import Const, Environment, FreshExternal, Op, Parameter, Storage, Var
 from sleepscan.symexec import (
@@ -926,3 +931,25 @@ def test_exploration_work_on_the_corpus_is_pinned(corpus_dir, monkeypatch, prune
                 if kept or not prune}
     assert len(work) == len(expected)
     assert dict(work) == expected
+
+
+def test_a_layout_is_built_only_for_a_read_no_write_answers(corpus_dir, monkeypatch):
+    """A storage read no write answers names its slot from the unit's
+    storage layout, built for that read: MarketHub's 20 functions, explored
+    unpruned, make no such read and build no layout, and HiddenApprover's
+    transferFrom builds one for each slot it names."""
+    builds = []
+    storage_layout = sx.storage_layout
+    monkeypatch.setattr(sx, "storage_layout",
+                        lambda unit: builds.append(unit.contract_name) or storage_layout(unit))
+    (report,) = pipeline.analyze_path(str(corpus_dir / "MarketHub"),
+                                      pipeline.RunConfig(prune=False))
+    assert report["functions_analyzed"] == 20
+    assert builds == []
+    unit = load_compilation(corpus_dir / "HiddenApprover")
+    (fn,) = select_target_functions(function_infos(unit))
+    engine = explore_function(unit, build_cfg(disassemble(unit.runtime_bytecode)), fn,
+                              find_owner_return_binding(unit))
+    assert [var.name for var in engine.storage_vars.values()] == [
+        "_owners[...]", "_tokenApprovals[...]", "_secretSigner"]
+    assert builds == ["HiddenApprover"] * 3
