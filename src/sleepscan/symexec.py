@@ -32,8 +32,9 @@ so a fork shares them with its parent. So are its loop counts: ``visited``,
 an int with one bit per JUMPDEST the path has entered (each JUMPDEST gets
 its bit in ``Code.visit_bit`` on its first reach in the unit), and
 ``revisits``, the counts of the JUMPDESTs entered more than once, a dict
-that a count replaces and never changes in place. A fork copies only the
-stack, the one thing a path changes in place.
+that a count replaces and never changes in place. ``_branch``, the one
+code that splits a path, builds the fallthrough itself: it copies only the
+stack, the one thing a path changes in place, and shares every other field.
 
 Every opcode's semantics is one handler in ``_DISPATCH``, an unknown byte's
 included, and so is every checkpoint. ``Engine.step`` runs one instruction
@@ -44,13 +45,15 @@ enters a block, ``_block_form`` decodes it and builds its execution form
 ``(bit, ops, instrs, count, low, high)``:
 
 - ``bit``, the JUMPDEST's bit when the block starts with one, else 0:
-  ``explore`` counts that visit and applies the loop bound itself on entry,
-  as the stepped ``_jumpdest`` does;
+  ``explore`` applies the loop bound itself on entry, with the outcome of
+  the stepped ``_jumpdest``, but a first entry is only marked in
+  ``visited`` (or, under a bound of 0, ends the path) and only a revisit is
+  counted;
 - ``ops``, one per other instruction (its handler, and a PUSH's value as a
   ``Const``), except that a PUSH and the JUMP, JUMPI or CALLDATALOAD right
   after it are one fused op: the op ``_fused`` gives for the pushed value,
-  decided once, here (an unfused consumer's ``_consume`` asks ``_fused`` on
-  every path);
+  decided once, here, with no ``Const`` built (an unfused consumer's
+  ``_consume`` asks ``_fused`` on every path);
 - ``instrs``, the block's decoded instructions, and ``count``, how many;
 - ``low`` and ``high``, the lowest and highest entry stack depth at which no
   instruction underflows or overflows.
@@ -100,6 +103,7 @@ END_EMISSION = "transfer-emission"
 END_EXIT = "normal-exit"
 END_REVERT = "revert"
 END_BUDGET = "budget-exhausted"
+_PLAIN_EXIT = (END_EXIT, None)  # the ``Engine.ends`` key of a normal exit
 
 
 @dataclass
@@ -144,21 +148,6 @@ class MachineState:
     # each count, never changed in place, so a fork shares it
     revisits: dict[int, int] = field(default_factory=dict)
     snapshots: tuple[PathRecord, ...] = ()  # the path's emissions, completed at its exit
-
-    def fork(self) -> "MachineState":
-        # skips the dataclass __init__ and its keyword arguments
-        forked = object.__new__(MachineState)
-        forked.pc = self.pc
-        forked.stack = self.stack[:]
-        forked.memory = self.memory
-        forked.storage_writes = self.storage_writes
-        forked.constraints = self.constraints
-        forked.owner_trace = self.owner_trace
-        forked.tainted = self.tainted
-        forked.visited = self.visited
-        forked.revisits = self.revisits
-        forked.snapshots = self.snapshots
-        return forked
 
 
 # --------------------------------------------------------------------------
@@ -330,16 +319,16 @@ class Engine:
                             break
                     break
                 if bit:  # the JUMPDEST the block starts with, counted as _jumpdest does
-                    if state.visited & bit:
-                        visits = state.revisits.get(state.pc, 1) + 1
-                        state.revisits = {**state.revisits, state.pc: visits}
-                    else:
-                        state.visited |= bit
-                        visits = 1
-                    if visits > loop_bound:
-                        steps += 1
-                        self._finish_path(state, END_BUDGET, f"loop bound at jumpdest {state.pc}")
-                        break
+                    if not state.visited & bit and loop_bound:
+                        state.visited |= bit  # a first entry is only marked
+                    else:  # a revisit, or a first entry under a bound of 0
+                        pc = state.pc
+                        visits = state.revisits.get(pc, 1) + 1 if state.visited & bit else 1
+                        if visits > loop_bound:
+                            steps += 1
+                            self._finish_path(state, END_BUDGET, f"loop bound at jumpdest {pc}")
+                            break
+                        state.revisits = {**state.revisits, pc: visits}
                 steps += count
                 successors = None
                 for handler, instr, arg in ops:
@@ -455,9 +444,19 @@ def _branch(engine: Engine, state: MachineState, instr: Instruction, target: int
         taken = _relational(condition, True)
         cached = engine.branch_constraints[id(condition)] = (
             condition, (taken,), (taken.negated(),))
-    fallthrough = state.fork()
+    # the fallthrough, built here without the dataclass __init__: its own
+    # stack, the one field a path changes in place, and every other shared
+    fallthrough = object.__new__(MachineState)
     fallthrough.pc = instr.next_pc
+    fallthrough.stack = state.stack[:]
+    fallthrough.memory = state.memory
+    fallthrough.storage_writes = state.storage_writes
     fallthrough.constraints = state.constraints + cached[2]
+    fallthrough.owner_trace = state.owner_trace
+    fallthrough.tainted = state.tainted
+    fallthrough.visited = state.visited
+    fallthrough.revisits = state.revisits
+    fallthrough.snapshots = state.snapshots
     state.pc = target
     state.constraints += cached[1]
     return (state, fallthrough)
@@ -485,7 +484,7 @@ def _exit(engine: Engine, state: MachineState, instr: Instruction, pops: int):
         engine._finish_path(state, END_EXIT)
     else:  # a plain exit, counted as _finish_path counts it
         engine.paths_finished += 1
-        engine.ends[END_EXIT, None] += 1
+        engine.ends[_PLAIN_EXIT] += 1
     return ()
 
 
@@ -696,6 +695,7 @@ def _block_form(code: Code, pc: int) -> tuple | None:
         return None
     bit = _visit_bit(code, pc) if pc in code.jumpdests else 0
     ops = []
+    push = None  # the PUSH just read: its op waits for the next instruction
     depth = low = peak = 0  # relative to the entry depth; a JUMPDEST moves no word
     for instr in instrs[1:] if bit else instrs:
         handler, pops, pushes = _DISPATCH[instr.byte]
@@ -704,13 +704,17 @@ def _block_form(code: Code, pc: int) -> tuple | None:
         depth += pushes - pops
         if depth > peak:
             peak = depth
-        value = instr.push_value
-        if value is not None:
-            ops.append((handler, instr, Const(value)))
-        elif handler is _consume and ops and ops[-1][0] is _push:
-            ops[-1] = _fused(code, instr, ops[-1][1].push_value)
-        else:
+        if push is not None:
+            if handler is _consume:  # fused: the PUSH gets no op, and no Const
+                ops.append(_fused(code, instr, push.push_value))
+                push = None
+                continue
+            ops.append((_push, push, Const(push.push_value)))
+        push = instr if handler is _push else None
+        if push is None:
             ops.append((handler, instr, pops))
+    if push is not None:
+        ops.append((_push, push, Const(push.push_value)))
     form = code.block_at[pc] = (bit, tuple(ops), instrs, len(instrs), low, MAX_STACK - peak)
     return form
 

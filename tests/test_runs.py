@@ -332,11 +332,10 @@ def test_budget_cut_emission_inside_runs():
 # stepped one instruction at a time
 
 def _whole_and_stepped(body, budget: ExplorationBudget | None = None) -> sx.Engine:
-    """``body(asm)`` writes a program starting with a JUMPDEST. It runs from
-    pc 0, where every block is taken whole, and again under every
-    ``max_steps`` from 1 to its step count, where the block the budget cuts
-    is stepped; each run is checked against the reference loop. Returns the
-    uncut run's engine."""
+    """``body(asm)`` writes a program. It runs from pc 0, where every block
+    is taken whole, and again under every ``max_steps`` from 1 to its step
+    count, where the block the budget cuts is stepped; each run is checked
+    against the reference loop. Returns the uncut run's engine."""
     budget = budget or ExplorationBudget()
     a = Asm()
     body(a)
@@ -523,6 +522,27 @@ def test_a_loop_bound_kill_at_block_entry_counts_the_jumpdest(loop_bound):
     result = _whole_and_stepped(lambda a: a.jumpdest("L").push_label("L").op("JUMP"), budget)
     assert list(result.ends.items()) == [((END_BUDGET, "loop bound at jumpdest 0"), 1)]
     assert result.steps_used == 3 * loop_bound + 1
+
+
+@pytest.mark.parametrize("calls, end", [
+    (3, (END_EXIT, None)), (4, (END_BUDGET, "loop bound at jumpdest 33"))])
+def test_an_internal_function_called_past_the_loop_bound_ends_the_path(calls, end):
+    """Straight-line code calls one internal function ``calls`` times, as
+    solc does: ``PUSH2 ret; PUSH2 fn; JUMP; ret: JUMPDEST``, then STOP, then
+    ``fn: JUMPDEST; JUMP``, whose return is an unfused JUMP and so runs
+    ``_consume``. Each call takes 6 steps. The loop bound (3) counts entries
+    of a JUMPDEST on a path, not loops, so the fourth call ends the path at
+    ``fn`` (pc 33), before the STOP."""
+    def body(a):
+        for index in range(calls):
+            a.push_label(f"R{index}").push_label("F").op("JUMP").jumpdest(f"R{index}")
+        a.op("STOP")
+        a.jumpdest("F").op("JUMP")
+    result = _whole_and_stepped(body)
+    assert list(result.ends.items()) == [(end, 1)]
+    assert result.steps_used == (19 if calls == 3 else 22)
+    handler, _, arg = _consumer_op(result, "JUMP")
+    assert (handler, arg) == (sx._consume, 1)
 
 
 @pytest.mark.parametrize("emitter", ["fallthrough", "taken"])

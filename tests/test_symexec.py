@@ -1,6 +1,7 @@
 """Interpreter semantics, checkpoints, budgets, emission records and
 counted path ends."""
 
+import dataclasses
 import random
 
 import pytest
@@ -517,7 +518,7 @@ def test_each_fork_side_counts_its_own_revisits():
     jumpdest = disassemble(LOOP)[0]
     state = MachineState(pc=0)
     engine.step(state, jumpdest)
-    forked = state.fork()
+    forked = dataclasses.replace(state, stack=state.stack[:])
     engine.step(state, jumpdest)
     assert state.revisits == {0: 2}
     assert forked.revisits == {} and forked.visited == state.visited == 1
@@ -615,16 +616,35 @@ def test_fork_sides_keep_their_own_writes_and_share_the_history():
     # one entry of the JUMPDEST at 6: its bit, and no count of a second entry
     assert writer.stack == [Const(1)]
     assert writer.visited == engine.cfg.visit_bit[6] and writer.revisits == {}
-    forked = writer.fork()
-    for name in ("constraints", "memory", "storage_writes", "snapshots",
-                 "visited", "revisits"):
-        assert getattr(forked, name) is getattr(writer, name), name
-    assert forked.stack == writer.stack and forked.stack is not writer.stack
-    memory = writer.memory
-    for instr in disassemble(bytes.fromhex("6000" "52")):  # the fork writes word 0
-        engine.step(forked, instr)
-    assert len(forked.memory) == len(memory) + 1
-    assert writer.memory is memory and writer.stack == [Const(1)]
+
+    # a fork at the JUMPI at 5, on a symbolic condition, of a state whose
+    # every history field is set: the sides share each field but the pc, the
+    # stack and the constraints
+    condition = Var("from", Parameter(0), True)
+    target = instrs[3].push_value
+    state = dataclasses.replace(writer, pc=5, stack=[Const(1), condition, Const(target)],
+                                owner_trace=(condition,), tainted=True, revisits={6: 2})
+    shared = [f.name for f in dataclasses.fields(MachineState)
+              if f.name not in ("pc", "stack", "constraints")]
+    unset = MachineState(pc=0)
+    assert all(getattr(state, name) != getattr(unset, name) for name in shared)
+    history = {name: getattr(state, name) for name in shared}
+    constraints = state.constraints
+    taken, fallthrough = engine.step(state, instrs[5])
+    for name in shared:
+        assert getattr(taken, name) is getattr(fallthrough, name) is history[name], name
+    assert (taken.pc, fallthrough.pc) == (target, 6)
+    assert taken.stack == fallthrough.stack == [Const(1)]
+    assert taken.stack is not fallthrough.stack
+    relation = cs.Constraint(cs.NONZERO, condition)
+    assert taken.constraints == constraints + (relation,)
+    assert fallthrough.constraints == constraints + (relation.negated(),)
+
+    memory = taken.memory
+    for instr in disassemble(bytes.fromhex("6000" "52")):  # the fallthrough writes word 0
+        engine.step(fallthrough, instr)
+    assert len(fallthrough.memory) == len(memory) + 1
+    assert taken.memory is memory and taken.stack == [Const(1)]
 
 
 def test_explore_function_requires_selector():
