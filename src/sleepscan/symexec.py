@@ -13,7 +13,9 @@ record with the store mark and the loaded ``from`` parameter, if any.
 
 A path record is kept only for a Transfer emission on a path that exits
 normally; every path end, and every emission, is counted by
-``(end kind, diagnostic)`` in ``Engine.ends``.
+``(end kind, diagnostic)`` in ``Engine.ends``, a plain dict in order of
+first end: CPython specializes a subscript only on an exact dict, so a
+dict subclass would put every path end on the generic slow path.
 
 External calls are not followed: they produce a fresh value and taint the
 path, and findings on tainted paths are downgraded, not suppressed.
@@ -24,7 +26,9 @@ per unequal offset (per memory version where a write may overlap the word).
 
 A symbolic JUMPI adds one constraint to each side, the condition's relation
 (its ``iszero`` chain folded in) and its negation, so a path's condition is
-exactly the conjunction the solver checks.
+exactly the conjunction the solver checks. The EVM rejects a JUMPI's target
+only when the jump is taken, so one to a target that is not a JUMPDEST
+counts its taken side's end and runs on under the negation alone.
 
 A path's history (its condition, memory writes, storage writes, owner trace
 and emission records) is held in tuples that grow by building a new tuple,
@@ -80,7 +84,6 @@ the fallthrough, which the worklist would give back next, runs on in place.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from sleepscan import constraints as con
@@ -170,7 +173,7 @@ class Engine:
         self.records: list[PathRecord] = []
         # (end kind, diagnostic) -> paths; each emission counts once more, as
         # transfer-emission on a normal exit and as budget-exhausted on a cut
-        self.ends: Counter = Counter()
+        self.ends: dict[tuple[str, str | None], int] = {}
         self.steps_used = 0
         self.paths_finished = 0
         self.timed_out = False
@@ -262,16 +265,19 @@ class Engine:
                      diagnostic: str | None = None) -> None:
         path_id = self.paths_finished
         self.paths_finished = path_id + 1
+        ends = self.ends
         if state.snapshots and end_kind != END_REVERT:
             # counted before the path's own end, so kinds appear in path order
             emission_kind = END_EMISSION if end_kind == END_EXIT else END_BUDGET
-            self.ends[emission_kind, None] += len(state.snapshots)
+            key = (emission_kind, None)
+            ends[key] = ends.get(key, 0) + len(state.snapshots)
             if end_kind == END_EXIT:
                 self.records.extend(replace(
                     rec, from_param=self.param_vars.get(0) or rec.from_param,
                     sstore_mark_at_exit=bool(state.storage_writes), path_id=path_id,
                 ) for rec in state.snapshots)
-        self.ends[end_kind, diagnostic] += 1
+        key = (end_kind, diagnostic)
+        ends[key] = ends.get(key, 0) + 1
 
     # -- exploration loop ---------------------------------------------------
 
@@ -319,11 +325,12 @@ class Engine:
                             break
                     break
                 if bit:  # the JUMPDEST the block starts with, counted as _jumpdest does
-                    if not state.visited & bit and loop_bound:
-                        state.visited |= bit  # a first entry is only marked
+                    visited = state.visited
+                    if not visited & bit and loop_bound:
+                        state.visited = visited | bit  # a first entry is only marked
                     else:  # a revisit, or a first entry under a bound of 0
                         pc = state.pc
-                        visits = state.revisits.get(pc, 1) + 1 if state.visited & bit else 1
+                        visits = state.revisits.get(pc, 1) + 1 if visited & bit else 1
                         if visits > loop_bound:
                             steps += 1
                             self._finish_path(state, END_BUDGET, f"loop bound at jumpdest {pc}")
@@ -433,8 +440,9 @@ def _jump_to(engine: Engine, state: MachineState, instr: Instruction, target: in
 
 def _branch(engine: Engine, state: MachineState, instr: Instruction, target: int):
     """A JUMPI to ``target``, a JUMPDEST, on the condition on top of the stack."""
-    condition = state.stack.pop()
-    if isinstance(condition, Const):
+    stack = state.stack
+    condition = stack.pop()
+    if type(condition) is Const:
         state.pc = target if condition.value else instr.next_pc
         return (state,)
     # one condition object reaches this JUMPI on every path forked after it
@@ -448,7 +456,7 @@ def _branch(engine: Engine, state: MachineState, instr: Instruction, target: int
     # stack, the one field a path changes in place, and every other shared
     fallthrough = object.__new__(MachineState)
     fallthrough.pc = instr.next_pc
-    fallthrough.stack = state.stack[:]
+    fallthrough.stack = stack[:]
     fallthrough.memory = state.memory
     fallthrough.storage_writes = state.storage_writes
     fallthrough.constraints = state.constraints + cached[2]
@@ -463,13 +471,19 @@ def _branch(engine: Engine, state: MachineState, instr: Instruction, target: int
 
 
 def _bad_branch(engine: Engine, state: MachineState, instr: Instruction, target: int | None):
-    """A JUMPI to ``target``, not a JUMPDEST (None when it is symbolic): a
-    false constant condition falls through, and any other ends the path."""
+    """A JUMPI to ``target``, not a JUMPDEST (None when it is symbolic),
+    which the EVM rejects only when taken: a true constant condition ends the
+    path and a false one falls through; on a symbolic one the taken side's
+    end is counted and the path falls through under the negated condition."""
     condition = state.stack.pop()
-    if isinstance(condition, Const) and not condition.value:
-        state.pc = instr.next_pc
-        return (state,)
-    return _bad_jump(engine, state, instr, target)
+    if type(condition) is Const:
+        if condition.value:
+            return _bad_jump(engine, state, instr, target)
+    else:
+        _bad_jump(engine, state, instr, target)
+        state.constraints += (_relational(condition, False),)
+    state.pc = instr.next_pc
+    return (state,)
 
 
 def _bad_jump(engine: Engine, state: MachineState, instr: Instruction, target: int | None):
@@ -484,7 +498,8 @@ def _exit(engine: Engine, state: MachineState, instr: Instruction, pops: int):
         engine._finish_path(state, END_EXIT)
     else:  # a plain exit, counted as _finish_path counts it
         engine.paths_finished += 1
-        engine.ends[_PLAIN_EXIT] += 1
+        ends = engine.ends
+        ends[_PLAIN_EXIT] = ends.get(_PLAIN_EXIT, 0) + 1
     return ()
 
 
@@ -674,7 +689,7 @@ def _fused(code: Code, instr: Instruction, value: int | None) -> tuple:
     """The op ``(handler, instr, arg)`` that the JUMP, JUMPI or CALLDATALOAD
     ``instr`` runs for the operand ``value``, None when it is symbolic: a
     jump to a JUMPDEST tests no target and one to any other target ends the
-    path, and the calldata word at ``4 + 32 * i`` is parameter ``i``."""
+    path when taken, and the calldata word at ``4 + 32 * i`` is parameter ``i``."""
     if instr.name == "CALLDATALOAD":
         if value is not None and value % 32 == 4:
             return (_param_word, instr, value // 32)

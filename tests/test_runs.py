@@ -23,6 +23,7 @@ from sleepscan.astview import (
     select_target_functions,
     with_selectors,
 )
+from sleepscan.constraints import NONZERO, Constraint
 from sleepscan.disasm import build_cfg, disassemble, find_function_entry
 from sleepscan.ingestion import CompilationUnit, load_compilation
 from sleepscan.keccak import TRANSFER_TOPIC
@@ -413,24 +414,49 @@ def _jump_cases(targets):
     [(2, False), (3, False), (2, True), (3, True), ("symbolic", False), ("symbolic", True)]))
 def test_a_jump_to_a_non_jumpdest_keeps_its_diagnostic(condition, target, unfused):
     """A jump to the 0x5b inside a PUSH (pc 2), to an instruction that is not
-    a JUMPDEST (pc 3) or to a symbolic target ends its path, and a JUMPI on a
-    false constant falls through. A fused jump gets the op that ends the
-    path when its block is built; any other runs ``_consume``."""
+    a JUMPDEST (pc 3) or to a symbolic target ends its path when taken: a
+    JUMPI on a false constant falls through, and one on a symbolic condition
+    ends its taken side and falls through to the STOP. A fused jump gets the
+    op that ends the path when its block is built; any other runs
+    ``_consume``."""
     result = _whole_and_stepped(_jump_program(condition, target, unfused))
     name = "JUMP" if condition == "jump" else "JUMPI"
     handler, jump_pc, arg = _consumer_op(result, name)
-    if condition == "false":
-        assert list(result.ends.items()) == [((END_EXIT, None), 1)]
-    elif target == "symbolic":
-        assert list(result.ends.items()) == [
-            ((END_REVERT, f"symbolic jump target at {jump_pc}"), 1)]
-    else:
-        assert list(result.ends.items()) == [
-            ((END_REVERT, f"jump to non-JUMPDEST {target} at {jump_pc}"), 1)]
+    reason = ("symbolic jump target" if target == "symbolic"
+              else f"jump to non-JUMPDEST {target}")
+    taken = ((END_REVERT, f"{reason} at {jump_pc}"), 1)
+    fallthrough = ((END_EXIT, None), 1)
+    assert list(result.ends.items()) == {
+        "false": [fallthrough], "calldata": [taken, fallthrough]}.get(condition, [taken])
     if unfused or target == "symbolic":
         assert (handler, arg) == (sx._consume, 1 if name == "JUMP" else 2)
     else:
         assert (handler, arg) == (sx._bad_jump if name == "JUMP" else sx._bad_branch, target)
+
+
+@pytest.mark.parametrize("target", [3, "symbolic"])
+def test_a_jumpi_to_a_bad_target_falls_through_to_an_emission(target):
+    """JUMPDEST; the parameter at 4; ISZERO; a target that is not a JUMPDEST
+    (pc 3, the CALLDATALOAD) or the parameter at 0x24; JUMPI; a Transfer
+    emission; STOP. The taken side ends with the bad jump's diagnostic, and
+    the fallthrough emits under the negated condition, its ``iszero``
+    folded in: ``from`` is nonzero."""
+    def body(a):
+        a.jumpdest("L").push(4).op("CALLDATALOAD").op("ISZERO")
+        if target == "symbolic":
+            a.push(0x24).op("CALLDATALOAD")
+        else:
+            a.push(target)
+        a.op("JUMPI")
+        a.push(3).push(2).push(1).push(TRANSFER_TOPIC).push(0).push(0).op("LOG4").op("STOP")
+    result = _whole_and_stepped(body)
+    _, jump_pc, _ = _consumer_op(result, "JUMPI")
+    reason = "symbolic jump target" if target == "symbolic" else "jump to non-JUMPDEST 3"
+    assert list(result.ends.items()) == [((END_REVERT, f"{reason} at {jump_pc}"), 1),
+                                         ((sx.END_EMISSION, None), 1), ((END_EXIT, None), 1)]
+    (record,) = result.records
+    assert record.constraints == (Constraint(NONZERO, _PARAMETERS[4]),)
+    assert record.path_id == 1
 
 
 @pytest.mark.parametrize("condition, target, unfused", _jump_cases([("T", False), ("T", True)]))
