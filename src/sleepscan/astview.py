@@ -3,7 +3,7 @@ ownerOf and of the functions it calls) and the storage layout.
 
 Everything here reads the unit's function table (``Ast.functions`` and
 ``Ast.state_variables``), which the load walk built, and knows no AST node;
-a row's parameters are read only if it is hashed, its span only if bound.
+a row's parameters are read only if it is explored, its span only if bound.
 Only a callable (external or public) named function gets a row. A function
 emits ``Transfer`` when its body calls ``Transfer`` with 3 arguments, under
 ``emit`` or not (Solidity before 0.4.21 has no ``emit``); other arities are
@@ -25,13 +25,12 @@ EXTERNALLY_CALLABLE = ("external", "public")
 
 @dataclass(slots=True)
 class CallableRow:
-    """A callable function as ``function_infos`` lists it: cheap, since
-    only the rows ``with_selectors`` is given are canonicalized and hashed."""
+    """A callable function as ``function_infos`` lists it; only ``with_selectors`` reads more."""
 
     name: str
     visibility: str
     emits_transfer: bool
-    function: FunctionRow  # its parameters are read only if the row is hashed
+    function: FunctionRow  # its parameters are read only if the row is explored
 
 
 @dataclass(frozen=True)
@@ -81,24 +80,25 @@ def function_infos(unit: CompilationUnit) -> list[CallableRow]:
 
 
 def with_selectors(rows: list[CallableRow]) -> list[FunctionInfo]:
-    """The info of the first row of each signature, with its canonical
-    parameter types and its selector (one batched hash): an override and its
-    base, or an interface declaration and its implementation, share one
-    dispatcher entry. Only ``rows`` are canonicalized and hashed."""
+    """The info of the first row of each signature, with its canonical parameter
+    types and its selector: the compiler's, else its signature's (one batched hash
+    for the rows without one). An override and its base, or an interface declaration
+    and its implementation, share one dispatcher entry. Only ``rows`` are read."""
     parameters = [row.function.parameters for row in rows]  # read for these rows alone
     canonical = {t: canonical_type(t) for t in {t for ps in parameters for _, t in ps}}
     firsts: dict[str, tuple[CallableRow, tuple[tuple[str, str], ...]]] = {}
     for row, row_parameters in zip(rows, parameters):
         params = tuple((name, canonical[type_string]) for name, type_string in row_parameters)
         firsts.setdefault(f"{row.name}({','.join(t for _, t in params)})", (row, params))
-    digests = keccak256_many([s.encode("ascii") for s in firsts])
-    return [FunctionInfo(row.name, int.from_bytes(d[:4], "big"), params)
-            for (row, params), d in zip(firsts.values(), digests)]
+    bare = [s for s, (row, _) in firsts.items() if row.function.selector is None]
+    digests = keccak256_many([s.encode("ascii") for s in bare]) if bare else []
+    selectors = {s: int.from_bytes(d[:4], "big") for s, d in zip(bare, digests)}
+    return [FunctionInfo(row.name, selectors.get(s, row.function.selector), params)
+            for s, (row, params) in firsts.items()]
 
 
 def select_target_functions(rows: list[CallableRow]) -> list[FunctionInfo]:
-    """The functions whose bodies (transitively) emit Transfer, one per
-    signature, with their selectors."""
+    """The functions that (transitively) emit Transfer, one per signature, with selectors."""
     return with_selectors([row for row in rows if row.emits_transfer])
 
 

@@ -161,6 +161,7 @@ _READS = {
     "MemberAccess": ("memberName",),
 }
 _CALLEE_NAMES = {"Identifier": "name", "MemberAccess": "memberName"}  # callee kind -> name key
+_SELECTOR = re.compile(r"[0-9a-fA-F]{8}")  # a definition's functionSelector, checked at load
 
 
 class FunctionRow(NamedTuple):
@@ -171,6 +172,7 @@ class FunctionRow(NamedTuple):
     calls: frozenset[tuple[str, int]]  # (callee name or "", argument count)
     parameter_list: object  # the definition's "parameters" value
     src: object  # the definition's "src" value
+    selector: int | None  # its "functionSelector", which solc 0.8 writes on callable ones
 
     @property
     def parameters(self) -> tuple[tuple[str, str], ...]:  # (name, type string), "" where absent
@@ -221,7 +223,8 @@ class Ast:
         # every node is checked by now, so reading the table cannot fail
         self.functions = [
             FunctionRow(get(fn, "name") or "", get(fn, "visibility"), frozenset(map(call, body)),
-                        fn.get("parameters"), fn.get("src"))
+                        fn.get("parameters"), fn.get("src"),
+                        int(selector, 16) if (selector := fn.get("functionSelector")) else None)
             for fn, body in functions]
         self.state_variables = [_declaration(node) for node in declared
                                 if node.get("stateVariable") is not False]
@@ -238,6 +241,9 @@ class Ast:
             if not (value is None or isinstance(value, str)):
                 _json_string(value, f"{key} of AST node {kind}")
         if kind == "FunctionDefinition":
+            selector = node.get("functionSelector")
+            if not (selector is None or type(selector) is str and _SELECTOR.fullmatch(selector)):
+                raise MissingArtifact(f"functionSelector of AST node {kind} is not 8 hex digits")
             push(None)
         for value in reversed(node.values()):
             if type(value) is dict:
@@ -284,8 +290,8 @@ def _declarations(node: dict) -> list[dict]:
 def _from_legacy(doc: dict) -> dict:
     """A legacy AST (a node's kind is its ``name``, its attributes are under
     ``attributes`` and its child nodes are the list ``children``) in the
-    modern shape, with only what the walk reads. Each node is checked as it
-    is copied, in document pre-order, so the first bad node is the one named."""
+    modern shape, with what the walk reads but ``functionSelector``. Each node is
+    checked as it is copied, in document pre-order, so the first bad node is named."""
     if not ("name" in doc and ("children" in doc or "attributes" in doc)):
         raise MissingArtifact("unrecognized AST JSON shape")
     renamed = {("Identifier", "name"): "value", ("MemberAccess", "memberName"): "member_name",

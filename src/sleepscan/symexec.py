@@ -77,8 +77,8 @@ The clock is read on entering a block: before step 0, then once 256 steps
 have passed since the last read, so a passed deadline is noticed at most one
 block late.
 
-A path runs until it ends: at a fork the taken state goes on the worklist and
-the fallthrough, which the worklist would give back next, runs on in place.
+At a fork the taken state waits on the worklist, and the fallthrough runs on in
+place, as the worklist would give it back next, if the path budget allows it.
 """
 
 from __future__ import annotations
@@ -343,15 +343,14 @@ class Engine:
                 # only a block's last op may fork or end the path
                 if successors is None:  # fell through to the next block
                     state.pc = instrs[-1].next_pc
-                elif not successors:
-                    break
                 elif len(successors) == 1:
                     state = successors[0]
-                else:
-                    # a fork: the fallthrough, which the worklist would give
-                    # back next, runs on, and the taken side waits
-                    worklist.append(successors[0])
-                    state = successors[1]
+                elif successors and self.paths_finished < max_paths:
+                    worklist.append(successors[0])  # a fork: the taken side waits, and the
+                    state = successors[1]  # fallthrough, given back next anyway, runs on
+                else:  # ended, or forked once a bad JUMPI's taken side spent the path budget
+                    worklist += successors
+                    break
         self.steps_used = steps
         return self
 

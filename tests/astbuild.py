@@ -29,8 +29,11 @@ def parameter(name, type_string, span):
 
 
 def function(name, visibility, params, statements, span, body_span,
-             returns=None):
-    return {
+             returns=None, selector=None):
+    """``selector``: the int solc 0.8 writes, as 8 hex digits, on a
+    public or external definition; pass the value the dispatcher pushes, so
+    the two agree. None writes no field, as solc 0.4 does."""
+    node = {
         "nodeType": "FunctionDefinition",
         "src": _src(span),
         "name": name,
@@ -42,6 +45,9 @@ def function(name, visibility, params, statements, span, body_span,
         "body": {"nodeType": "Block", "src": _src(body_span),
                  "statements": statements},
     }
+    if selector is not None:
+        node["functionSelector"] = f"{selector:08x}"
+    return node
 
 
 def identifier(name, span):

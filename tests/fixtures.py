@@ -183,8 +183,12 @@ def transfer_family(name: str, *, pragma: str = "^0.8.17",
     internal ``_ownerOf``, as OpenZeppelin 5 does. ``inline_owner``: the
     transfer reads ``_owners[tokenId]`` itself, as solmate does.
     ``library_push``: ``transferFrom`` starts by pushing a library's address,
-    the zero address as if unlinked, with a ``PUSH20`` and dropping it.
+    the zero address as if unlinked, with a ``PUSH20`` and dropping it. The
+    AST carries ``functionSelector`` unless ``pragma`` is solc 0.4's, which
+    wrote none.
     """
+    owner_selector, transfer_selector = ((None, None) if pragma.startswith("^0.4")
+                                         else (SEL_OWNER_OF, SEL_TRANSFER_FROM))
     src = Source()
     src.add(f"// SPDX-License-Identifier: MIT\npragma solidity {pragma};\n\n")
     contract_span_start = len(src.text)
@@ -281,7 +285,8 @@ def transfer_family(name: str, *, pragma: str = "^0.8.17",
         [ab.parameter("tokenId", "uint256", owner_fn_span)],
         [owner_return],
         owner_fn_span, owner_fn_span,
-        returns=[ab.parameter("", "address", owner_fn_span)])
+        returns=[ab.parameter("", "address", owner_fn_span)],
+        selector=owner_selector)
     body_statements = [ab.emit_event("Transfer", ["from", "to", "tokenId"],
                                      emit_span)]
     contract_nodes = [
@@ -298,7 +303,8 @@ def transfer_family(name: str, *, pragma: str = "^0.8.17",
     if internal_call:
         contract_nodes.append(ab.function(
             "transferFrom", "external", addr_params,
-            [ab.call_statement("_transfer", tf_span)], tf_span, tf_span))
+            [ab.call_statement("_transfer", tf_span)], tf_span, tf_span,
+            selector=transfer_selector))
         contract_nodes.append(ab.function(
             "_transfer", "internal",
             [ab.parameter("from", "address", tr_span),
@@ -308,7 +314,8 @@ def transfer_family(name: str, *, pragma: str = "^0.8.17",
     else:
         contract_nodes.append(ab.function(
             "transferFrom", "external", addr_params,
-            body_statements, tf_span, tf_span))
+            body_statements, tf_span, tf_span,
+            selector=transfer_selector))
     ast = ab.source_unit(unit_span, [ab.contract(name, contract_span,
                                                  contract_nodes)])
 
@@ -495,7 +502,8 @@ def chubby_bunny() -> Fixture:
                     [ab.parameter("tokenId", "uint256", base_owner_span)],
                     [ab.return_statement(base_ret, "owner")],
                     base_owner_span, base_owner_span,
-                    returns=[ab.parameter("", "address", base_owner_span)]),
+                    returns=[ab.parameter("", "address", base_owner_span)],
+                    selector=SEL_OWNER_OF),
     ])
     derived_contract = ab.contract(name, derived_span, [
         ab.state_var("punks", "mapping(uint256 => struct ChubbyBunny.Punk)",
@@ -504,14 +512,15 @@ def chubby_bunny() -> Fixture:
                     [ab.parameter("tokenId", "uint256", derived_owner_span)],
                     [ab.return_statement(derived_ret, "punkHolder")],
                     derived_owner_span, derived_owner_span,
-                    returns=[ab.parameter("", "address", derived_owner_span)]),
+                    returns=[ab.parameter("", "address", derived_owner_span)],
+                    selector=SEL_OWNER_OF),
         ab.function("transferFrom", "external",
                     [ab.parameter("from", "address", tf_span),
                      ab.parameter("to", "address", tf_span),
                      ab.parameter("tokenId", "uint256", tf_span)],
                     [ab.emit_event("Transfer", ["from", "to", "tokenId"],
                                    emit_span)],
-                    tf_span, tf_span),
+                    tf_span, tf_span, selector=SEL_TRANSFER_FROM),
     ])
     ast = ab.source_unit(unit_span, [base_contract, derived_contract])
 
@@ -587,6 +596,7 @@ def batch_airdrop() -> Fixture:
     cond_span = src.span("i < count")
     if_span = src.span("_owners[i] == address(0)")
     emit_span = src.span("emit Transfer(from, to, i);")
+    selector = selector_of("batchTransfer(uint256,address,address)")
 
     ast = ab.source_unit(unit_span, [ab.contract(name, contract_span, [
         ab.state_var("_owners", "mapping(uint256 => address)", var_span),
@@ -595,10 +605,9 @@ def batch_airdrop() -> Fixture:
                      ab.parameter("from", "address", fn_span),
                      ab.parameter("to", "address", fn_span)],
                     [ab.emit_event("Transfer", ["from", "to", "i"], emit_span)],
-                    fn_span, fn_span),
+                    fn_span, fn_span, selector=selector),
     ])])
 
-    selector = selector_of("batchTransfer(uint256,address,address)")
     a = Asm()
     _dispatcher_head(a, False)
     _dispatcher_entry(a, selector, "bt")
@@ -689,14 +698,15 @@ def orderly_museum() -> Fixture:
                     [ab.parameter("tokenId", "uint256", owner_fn_span)],
                     [ab.return_statement(ret_span, "owner")],
                     owner_fn_span, owner_fn_span,
-                    returns=[ab.parameter("", "address", owner_fn_span)]),
+                    returns=[ab.parameter("", "address", owner_fn_span)],
+                    selector=SEL_OWNER_OF),
         ab.function("transferFrom", "external",
                     [ab.parameter("from", "address", tf_span),
                      ab.parameter("to", "address", tf_span),
                      ab.parameter("tokenId", "uint256", tf_span)],
                     [ab.emit_event("Transfer", ["from", "to", "tokenId"],
                                    emit_span)],
-                    tf_span, tf_span),
+                    tf_span, tf_span, selector=SEL_TRANSFER_FROM),
     ])])
 
     a = Asm()
@@ -794,14 +804,15 @@ def relisted_art() -> Fixture:
                     [ab.parameter("tokenId", "uint256", owner_fn_span)],
                     [ab.return_statement(ret_span, "owner")],
                     owner_fn_span, owner_fn_span,
-                    returns=[ab.parameter("", "address", owner_fn_span)]),
+                    returns=[ab.parameter("", "address", owner_fn_span)],
+                    selector=SEL_OWNER_OF),
         ab.function("transferFrom", "external",
                     [ab.parameter("from", "address", tf_span),
                      ab.parameter("to", "address", tf_span),
                      ab.parameter("tokenId", "uint256", tf_span)],
                     [ab.emit_event("Transfer", ["from", "to", "tokenId"],
                                    emit_span)],
-                    tf_span, tf_span),
+                    tf_span, tf_span, selector=SEL_TRANSFER_FROM),
     ])])
 
     a = Asm()
@@ -871,6 +882,7 @@ def bridge_relay() -> Fixture:
     call_span = src.span("_vault.call")
     check_span = src.span('require(ok, "bridge failed");')
     emit_span = src.span("emit Transfer(from, to, tokenId);")
+    selector = selector_of("bridgeTransfer(address,address,uint256)")
 
     ast = ab.source_unit(unit_span, [ab.contract(name, contract_span, [
         ab.state_var("_vault", "address", var_span),
@@ -880,10 +892,9 @@ def bridge_relay() -> Fixture:
                      ab.parameter("tokenId", "uint256", fn_span)],
                     [ab.emit_event("Transfer", ["from", "to", "tokenId"],
                                    emit_span)],
-                    fn_span, fn_span),
+                    fn_span, fn_span, selector=selector),
     ])])
 
-    selector = selector_of("bridgeTransfer(address,address,uint256)")
     a = Asm()
     _dispatcher_head(a, False)
     _dispatcher_entry(a, selector, "bt")
@@ -950,6 +961,7 @@ def steady_mint() -> Fixture:
     balance_span = src.span("_balances[to] += 1;")
     emit1_span = src.span("emit Transfer(address(0), _treasury, tokenId);")
     emit2_span = src.span("emit Transfer(_treasury, to, tokenId);")
+    selector = selector_of("mint(address,uint256)")
 
     ast = ab.source_unit(unit_span, [ab.contract(name, contract_span, [
         ab.state_var("_treasury", "address", var0_span),
@@ -963,10 +975,9 @@ def steady_mint() -> Fixture:
                                    emit1_span),
                      ab.emit_event("Transfer", ["_treasury", "to", "tokenId"],
                                    emit2_span)],
-                    fn_span, fn_span),
+                    fn_span, fn_span, selector=selector),
     ])])
 
-    selector = selector_of("mint(address,uint256)")
     a = Asm()
     _dispatcher_head(a, False)
     _dispatcher_entry(a, selector, "m")
@@ -1042,7 +1053,7 @@ def quiet_islands() -> Fixture:
                      ab.parameter("tokenId", "uint256", fn_span)],
                     [ab.emit_event("Transfer", ["from", "to", "tokenId"],
                                    emit_span)],
-                    fn_span, fn_span),
+                    fn_span, fn_span, selector=SEL_TRANSFER_FROM),
     ])])
 
     a = Asm()
@@ -1122,28 +1133,29 @@ def market_hub(heavy_branches: int = 12, heavy_count: int = 18) -> Fixture:
     contract_span = (contract_start, len(src.text) - contract_start, 0)
     unit_span = (0, len(src.text), 0)
 
+    quotes = [selector_of(f"quote{k}(uint256)") for k in range(heavy_count)]
+    transfers = [selector_of(f"transfer{tag}(address,uint256)") for tag in ("A", "B")]
     nodes = [ab.state_var("_owners", "mapping(uint256 => address)", var_span)]
     for k in range(heavy_count):
         nodes.append(ab.function(
             f"quote{k}", "external",
             [ab.parameter("basis", "uint256", heavy_spans[k])],
-            [], heavy_spans[k], heavy_spans[k]))
-    for tag, span in zip(("A", "B"), light_spans):
+            [], heavy_spans[k], heavy_spans[k], selector=quotes[k]))
+    for tag, span, selector in zip(("A", "B"), light_spans, transfers):
         nodes.append(ab.function(
             f"transfer{tag}", "external",
             [ab.parameter("to", "address", span),
              ab.parameter("tokenId", "uint256", span)],
             [ab.emit_event("Transfer", ["msg.sender", "to", "tokenId"], span)],
-            span, span))
+            span, span, selector=selector))
     ast = ab.source_unit(unit_span, [ab.contract(name, contract_span, nodes)])
 
     a = Asm()
     _dispatcher_head(a, False)
     for k in range(heavy_count):
-        _dispatcher_entry(a, selector_of(f"quote{k}(uint256)"), f"q{k}")
-    for tag in ("A", "B"):
-        _dispatcher_entry(a, selector_of(f"transfer{tag}(address,uint256)"),
-                          f"t{tag}")
+        _dispatcher_entry(a, quotes[k], f"q{k}")
+    for tag, selector in zip(("A", "B"), transfers):
+        _dispatcher_entry(a, selector, f"t{tag}")
     _dispatcher_fallback(a, False)
 
     for k in range(heavy_count):
@@ -1201,7 +1213,7 @@ def deep_chain(length: int, consumer: str) -> Fixture:
                      (("from", "address"), ("to", "address"), ("tokenId", "uint256"))],
                     [ab.emit_event("Transfer", ["from", "to", "tokenId"],
                                    src.span("emit Transfer(from, to, tokenId);"))],
-                    fn_span, fn_span),
+                    fn_span, fn_span, selector=SEL_TRANSFER_FROM),
     ])])
 
     a = Asm(fn_span)
@@ -1227,6 +1239,17 @@ def deep_chain(length: int, consumer: str) -> Fixture:
     a.op("STOP")
     code, spans = a.assemble()
     return Fixture(name, src.text, ast, code, evmasm.srcmap_text(spans))
+
+
+# --------------------------------------------------------------------------
+# an AST as a compiler older than ``functionSelector`` writes it
+
+
+def without_selectors(ast: dict) -> dict:
+    """A copy of ``ast`` with no ``functionSelector``, as a compiler older
+    than the field writes it."""
+    return json.loads(json.dumps(ast), object_hook=lambda node: {
+        key: value for key, value in node.items() if key != "functionSelector"})
 
 
 # --------------------------------------------------------------------------

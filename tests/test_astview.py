@@ -1,11 +1,14 @@
 """Selectors, type canonicalization, pruning closure and owner binding."""
 
 import copy
+import dataclasses
 import json
 
 import astbuild as ab
 import fixtures as corpus
+import oracle_keccak
 import pytest
+import typed_fixtures
 
 from sleepscan import astview, ingestion
 from sleepscan.astview import (
@@ -18,6 +21,7 @@ from sleepscan.astview import (
     select_target_functions,
     with_selectors,
 )
+from sleepscan.detectors import UNRESTRICTED_FROM
 from sleepscan.ingestion import Ast, CompilationUnit, load_all, load_compilation
 from sleepscan.pipeline import RunConfig, analyze_path
 
@@ -190,8 +194,22 @@ def test_pruning_on_market_hub(corpus_dir):
 
 
 @pytest.mark.parametrize("prune", [True, False], ids=["pruned", "unpruned"])
-def test_only_explored_functions_are_hashed(corpus_dir, monkeypatch, prune):
-    infos = function_infos(load_compilation(corpus_dir / "MarketHub"))
+def test_no_function_is_hashed_where_the_compiler_wrote_its_selector(corpus_dir, monkeypatch,
+                                                                      prune):
+    batches = []
+    monkeypatch.setattr(astview, "keccak256_many", batches.append)
+    (report,) = analyze_path(str(corpus_dir / "MarketHub"), RunConfig(prune=prune))
+    assert "error" not in report and report["functions_analyzed"] == (2 if prune else 20)
+    assert batches == []
+
+
+@pytest.mark.parametrize("prune", [True, False], ids=["pruned", "unpruned"])
+def test_only_explored_functions_are_hashed(tmp_path, monkeypatch, prune):
+    """Where the AST has no ``functionSelector``, the explored signatures
+    are hashed, in one batch."""
+    hub = corpus.market_hub()
+    directory = dataclasses.replace(hub, ast=corpus.without_selectors(hub.ast)).write(tmp_path)
+    infos = function_infos(load_compilation(directory))
     explored = [f"{f.name}({','.join(canonical_type(t) for _, t in f.function.parameters)})"
                 for f in infos if f.visibility in EXTERNALLY_CALLABLE
                 and (f.emits_transfer or not prune)]
@@ -204,7 +222,7 @@ def test_only_explored_functions_are_hashed(corpus_dir, monkeypatch, prune):
         return keccak256_many(messages)
 
     monkeypatch.setattr(astview, "keccak256_many", recording)
-    (report,) = analyze_path(str(corpus_dir / "MarketHub"), RunConfig(prune=prune))
+    (report,) = analyze_path(str(directory), RunConfig(prune=prune))
     assert "error" not in report
     assert batches == [[s.encode("ascii") for s in dict.fromkeys(explored)]]
 
@@ -365,3 +383,99 @@ def test_transfer_without_emit_marks_the_function(tmp_path, corpus_docs, fixture
     assert "EmitStatement" in json.dumps(corpus_docs)
     assert "EmitStatement" not in json.dumps(without)
     assert _reports(tmp_path, without, True) == fixture_reports[True]
+
+
+# --------------------------------------------------------------------------
+# the selector the compiler wrote, and the hash it stands in for
+
+# every corpus fixture and three MarketHub shapes, as directories, and a wide
+# hub of 62 callable functions as standard JSON, as the benchmark lays them out
+_WRITTEN = {
+    **{f.name: f for f in corpus.build_corpus()},
+    **{f"MarketHub-{b}x{c}": corpus.market_hub(b, c) for b, c in ((1, 4), (3, 9), (6, 19))},
+    "wide-json": corpus.market_hub(1, 60),
+}
+
+
+def _write(directory, case: str, strip: bool = False):
+    """``case``'s artifact, with every ``functionSelector`` stripped if ``strip``."""
+    fixture = _WRITTEN[case]
+    if strip:
+        fixture = dataclasses.replace(fixture, ast=corpus.without_selectors(fixture.ast))
+    if case != "wide-json":
+        return fixture.write(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / "wide.json"
+    path.write_text(json.dumps(corpus.standard_json_artifact(fixture)))
+    return path
+
+
+def _oracle_selector(signature: str) -> int:
+    return int.from_bytes(oracle_keccak.keccak256(signature.encode("ascii"))[:4], "big")
+
+
+@pytest.mark.parametrize("case", _WRITTEN)
+def test_a_written_selector_is_the_hash_of_the_canonical_signature(tmp_path, case):
+    """Every callable row of a solc 0.8 AST carries ``functionSelector``, the
+    reference Keccak's first 4 bytes of its canonical signature; no internal
+    row does, and FreeMintable04, a solc 0.4 AST, has none at all."""
+    (unit,) = load_all(_write(tmp_path, case))
+    written = case != "FreeMintable04"
+    callable_rows = [fn for fn in unit.ast.functions if fn.visibility in EXTERNALLY_CALLABLE]
+    assert callable_rows
+    for fn in unit.ast.functions:
+        if not (written and fn in callable_rows):
+            assert fn.selector is None
+            continue
+        signature = f"{fn.name}({','.join(canonical_type(t) for _, t in fn.parameters)})"
+        assert fn.selector == _oracle_selector(signature), signature
+
+
+@pytest.mark.parametrize("prune", [True, False], ids=["pruned", "unpruned"])
+@pytest.mark.parametrize("case", _WRITTEN)
+def test_a_written_selector_changes_no_report(tmp_path, case, prune):
+    """The field only saves a hash: the reports without timings are the same
+    with every ``functionSelector`` and with none."""
+    reports = []
+    for strip in (False, True):
+        path = _write(tmp_path / ("stripped" if strip else "written"), case, strip)
+        reports.append(analyze_path(str(path), RunConfig(prune=prune)))
+        for report in reports[-1]:
+            assert "error" not in report and report["functions_analyzed"]
+            report.pop("timings")
+    assert reports[0] == reports[1]
+
+
+_TYPED = {"struct": "move((address,address,uint256))",
+          "value-type": "transferFrom(address,address,uint256)"}
+
+
+@pytest.mark.parametrize("kind", _TYPED)
+def test_a_struct_or_value_type_parameter_is_explored_at_its_written_selector(tmp_path, kind):
+    """The ABI type of a struct or user-defined value type is not its type
+    string; the selector the compiler wrote is the dispatcher's, so the
+    target is explored and gets its verdict."""
+    fixture = typed_fixtures.typed_transfer(kind)
+    selector = _oracle_selector(_TYPED[kind])
+    (target,) = [fn for fn in Ast(fixture.ast).functions if fn.name != "ownerOf"]
+    assert target.selector == selector
+    assert fixture.bytecode.count(b"\x63" + selector.to_bytes(4, "big")) == 1  # its entry
+    (report,) = analyze_path(str(fixture.write(tmp_path)), RunConfig())
+    assert (report["functions_analyzed"], report["functions_skipped"]) == (1, [])
+    assert [(f["type"], f["function"]) for f in report["findings"]] == [
+        (UNRESTRICTED_FROM, target.name)]
+
+
+@pytest.mark.parametrize("render", [corpus.without_selectors, ab.legacy],
+                         ids=["no-field", "legacy"])
+@pytest.mark.parametrize("kind", _TYPED)
+def test_without_the_field_such_a_target_is_skipped(tmp_path, kind, render):
+    """The known limit of an AST without ``functionSelector`` (a legacy one
+    is read without it): the hash of the signature's type strings is not a
+    selector the dispatcher has, so the target is listed as skipped."""
+    fixture = typed_fixtures.typed_transfer(kind)
+    fixture = dataclasses.replace(fixture, ast=render(fixture.ast))
+    (report,) = analyze_path(str(fixture.write(tmp_path)), RunConfig())
+    assert "error" not in report and report["findings"] == []
+    assert report["functions_skipped"] == [
+        "move" if kind == "struct" else "transferFrom"]

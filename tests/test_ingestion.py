@@ -641,6 +641,17 @@ def test_a_standard_json_contract_that_does_not_load_fails_only_itself(tmp_path,
     """One file holds GuardedGallery.sol and FreeMintable.sol; GuardedGallery
     alone loses its AST, or its version (no metadata, and no pragma in either
     source), or gets a bad entry or AST node."""
+    alone, *reports = _standard_json_with_one_bad_contract(tmp_path, rewrite)
+    assert [r["contract"] for r in reports] == ["GuardedGallery", "FreeMintable"]
+    assert reports[0]["error"] == error
+    assert reports[1] == alone
+    assert [f["type"] for f in alone["findings"]] == [UNRESTRICTED_FROM]
+
+
+def _standard_json_with_one_bad_contract(tmp_path, rewrite) -> list[dict]:
+    """FreeMintable's report alone, then the reports of one file holding
+    GuardedGallery.sol and FreeMintable.sol, after ``rewrite(doc)``; without
+    timings."""
     guarded, free = corpus.guarded_gallery(), corpus.free_mintable()
     doc = corpus.standard_json_artifact(free)
     (tmp_path / "alone.json").write_text(json.dumps(doc))
@@ -649,14 +660,59 @@ def test_a_standard_json_contract_that_does_not_load_fails_only_itself(tmp_path,
     doc["sources"][f"{guarded.name}.sol"] = {**other["sources"][f"{guarded.name}.sol"], "id": 1}
     rewrite(doc)
     (tmp_path / "both.json").write_text(json.dumps(doc))
-    alone, *reports = (report for name in ("alone", "both")
-                       for report in analyze_path(str(tmp_path / f"{name}.json"), RunConfig()))
-    for report in (alone, *reports):
+    reports = [report for name in ("alone", "both")
+               for report in analyze_path(str(tmp_path / f"{name}.json"), RunConfig())]
+    for report in reports:
         report.pop("timings", None)
-    assert [r["contract"] for r in reports] == ["GuardedGallery", "FreeMintable"]
-    assert reports[0]["error"] == error
-    assert reports[1] == alone
-    assert [f["type"] for f in alone["findings"]] == [UNRESTRICTED_FROM]
+    return reports
+
+
+# not a string of exactly 8 hex digits
+_BAD_SELECTORS = [0x23B872DD, "23b872d", "023b872dd", "23b872dg", "+3b872dd", " 3b872dd",
+                  "3_b872dd", "0x23b872", "", True, ["23b872dd"]]
+_BAD_SELECTOR = ("MissingArtifact: functionSelector of AST node FunctionDefinition "
+                 "is not 8 hex digits")
+
+
+def _with_selector(ast: dict, value) -> dict:
+    """``ast`` with the ``functionSelector`` of its transferFrom set to ``value``."""
+    (function,) = [node for contract in ast["nodes"] for node in contract["nodes"]
+                   if node.get("name") == "transferFrom"]
+    function["functionSelector"] = value
+    return ast
+
+
+@pytest.mark.parametrize("layout", ["directory", "standard-json"])
+@pytest.mark.parametrize("value", _BAD_SELECTORS, ids=repr)
+def test_a_malformed_function_selector_fails_its_source(tmp_path, value, layout):
+    """As any bad attribute the walk reads: GuardedGallery's AST fails, and
+    FreeMintable beside it gets its report as if alone."""
+    if layout == "directory":
+        alone, free, guarded = _with_one_bad_file(
+            tmp_path, "ast.json",
+            lambda data: json.dumps(_with_selector(json.loads(data), value)).encode())
+    else:
+        alone, guarded, free = _standard_json_with_one_bad_contract(
+            tmp_path,
+            lambda doc: _with_selector(doc["sources"]["GuardedGallery.sol"]["ast"], value))
+    assert guarded["contract"] == "GuardedGallery" and guarded["error"] == _BAD_SELECTOR
+    assert free == alone and "error" not in alone
+
+
+@pytest.mark.parametrize("value,selector", [("23B872DD", 0x23B872DD), (None, None)],
+                         ids=["upper-case", "null"])
+def test_an_upper_case_or_null_function_selector_loads(value, selector):
+    """Hex digits of either case are a selector; null reads as absent, as
+    for every attribute the walk reads."""
+    ast = _with_selector(corpus.guarded_gallery().ast, value)
+    assert [fn.selector for fn in Ast(ast).functions] == [corpus.SEL_OWNER_OF, selector]
+
+
+def test_a_legacy_ast_is_read_without_its_function_selectors():
+    """The legacy rewrite does not copy ``functionSelector``, malformed or
+    not, so a legacy AST's selectors are hashed."""
+    ast = _with_selector(corpus.guarded_gallery().ast, "not hex")
+    assert [fn.selector for fn in Ast(ab.legacy(ast)).functions] == [None, None]
 
 
 def _generate(doc: dict, name: str, file_id: int | None, item: str = "0:5:2"):

@@ -171,6 +171,23 @@ def test_runs_match_steps_on_generated_programs(program, max_steps, max_paths, l
     _compare(_unit(code, spans), [(FN, 0)], (OWNER_CODE,), budget, explorations=3)
 
 
+def test_a_fork_waits_once_a_bad_jumpi_has_spent_the_path_budget():
+    """A symbolic JUMPI to a non-JUMPDEST ends its taken side, the one path
+    the budget allows; its fallthrough then forks at a good JUMPI. Both sides
+    wait, so the path budget ends them as it does in the per-step loop, and the
+    side the engine would run on in place does not reach the step budget."""
+    a = Asm()
+    a.jumpdest("top").push(4).op("CALLDATALOAD").push(8, width=2).op("JUMPI")  # pc 8: PUSH1
+    a.push(4).op("CALLDATALOAD").push_label("top").op("JUMPI").op("STOP")
+    code, spans = a.assemble()
+    budget = ExplorationBudget(max_steps=9, max_paths=1, loop_bound=1)
+    _compare(_unit(code, spans), [(FN, 0)], (OWNER_CODE,), budget)
+    result = Engine(_unit(code, spans), build_cfg(disassemble(code)), FN, (OWNER_CODE,),
+                    budget).explore(0)
+    assert list(result.ends.items()) == [((END_REVERT, "jump to non-JUMPDEST 8 at 7"), 1),
+                                         ((END_BUDGET, "path budget"), 2)]
+
+
 # --------------------------------------------------------------------------
 # the corpus
 
