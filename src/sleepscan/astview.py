@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 
 from sleepscan.ingestion import Ast, CompilationUnit, FunctionRow, Span
-from sleepscan.keccak import keccak256_many
+from sleepscan.keccak import keccak256
 
 EXTERNALLY_CALLABLE = ("external", "public")
 
@@ -81,19 +81,18 @@ def function_infos(unit: CompilationUnit) -> list[CallableRow]:
 
 def with_selectors(rows: list[CallableRow]) -> list[FunctionInfo]:
     """The info of the first row of each signature, with its canonical parameter
-    types and its selector: the compiler's, else its signature's (one batched hash
-    for the rows without one). An override and its base, or an interface declaration
-    and its implementation, share one dispatcher entry. Only ``rows`` are read."""
+    types and its selector: the compiler's, else the first 4 bytes of its
+    signature's Keccak-256 hash. An override and its base, or an interface
+    declaration and its implementation, share one dispatcher entry. Only ``rows``
+    are read."""
     parameters = [row.function.parameters for row in rows]  # read for these rows alone
     canonical = {t: canonical_type(t) for t in {t for ps in parameters for _, t in ps}}
     firsts: dict[str, tuple[CallableRow, tuple[tuple[str, str], ...]]] = {}
     for row, row_parameters in zip(rows, parameters):
         params = tuple((name, canonical[type_string]) for name, type_string in row_parameters)
         firsts.setdefault(f"{row.name}({','.join(t for _, t in params)})", (row, params))
-    bare = [s for s, (row, _) in firsts.items() if row.function.selector is None]
-    digests = keccak256_many([s.encode("ascii") for s in bare]) if bare else []
-    selectors = {s: int.from_bytes(d[:4], "big") for s, d in zip(bare, digests)}
-    return [FunctionInfo(row.name, selectors.get(s, row.function.selector), params)
+    return [FunctionInfo(row.name, int.from_bytes(keccak256(s.encode("ascii"))[:4], "big")
+                         if row.function.selector is None else row.function.selector, params)
             for s, (row, params) in firsts.items()]
 
 

@@ -196,17 +196,17 @@ def test_pruning_on_market_hub(corpus_dir):
 @pytest.mark.parametrize("prune", [True, False], ids=["pruned", "unpruned"])
 def test_no_function_is_hashed_where_the_compiler_wrote_its_selector(corpus_dir, monkeypatch,
                                                                       prune):
-    batches = []
-    monkeypatch.setattr(astview, "keccak256_many", batches.append)
+    hashed = []
+    monkeypatch.setattr(astview, "keccak256", hashed.append)
     (report,) = analyze_path(str(corpus_dir / "MarketHub"), RunConfig(prune=prune))
     assert "error" not in report and report["functions_analyzed"] == (2 if prune else 20)
-    assert batches == []
+    assert hashed == []
 
 
 @pytest.mark.parametrize("prune", [True, False], ids=["pruned", "unpruned"])
 def test_only_explored_functions_are_hashed(tmp_path, monkeypatch, prune):
-    """Where the AST has no ``functionSelector``, the explored signatures
-    are hashed, in one batch."""
+    """Where the AST has no ``functionSelector``, each explored signature
+    is hashed once, in first-row order."""
     hub = corpus.market_hub()
     directory = dataclasses.replace(hub, ast=corpus.without_selectors(hub.ast)).write(tmp_path)
     infos = function_infos(load_compilation(directory))
@@ -214,17 +214,17 @@ def test_only_explored_functions_are_hashed(tmp_path, monkeypatch, prune):
                 for f in infos if f.visibility in EXTERNALLY_CALLABLE
                 and (f.emits_transfer or not prune)]
     assert len(explored) == (2 if prune else 20)
-    batches = []
-    keccak256_many = astview.keccak256_many
+    hashed = []
+    keccak256 = astview.keccak256
 
-    def recording(messages):
-        batches.append(list(messages))
-        return keccak256_many(messages)
+    def recording(message):
+        hashed.append(message)
+        return keccak256(message)
 
-    monkeypatch.setattr(astview, "keccak256_many", recording)
+    monkeypatch.setattr(astview, "keccak256", recording)
     (report,) = analyze_path(str(directory), RunConfig(prune=prune))
     assert "error" not in report
-    assert batches == [[s.encode("ascii") for s in dict.fromkeys(explored)]]
+    assert hashed == [s.encode("ascii") for s in dict.fromkeys(explored)]
 
 
 def _wide_hub(tmp_path):
@@ -444,6 +444,20 @@ def test_a_written_selector_changes_no_report(tmp_path, case, prune):
             assert "error" not in report and report["functions_analyzed"]
             report.pop("timings")
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("strip", [False, True], ids=["written", "stripped"])
+def test_pruning_keeps_every_finding(tmp_path, corpus_docs, fixture_reports, strip):
+    """A pruned run finds what a ``--no-prune`` run finds, on every fixture.
+    Stripped of ``functionSelector``, both sides hash every explored signature."""
+    reports = fixture_reports
+    if strip:
+        docs = _with_asts(corpus_docs, corpus.without_selectors)
+        reports = {prune: _reports(tmp_path, docs, prune) for prune in (True, False)}
+    pruned, unpruned = ({name: r["findings"] for name, r in reports[prune].items()}
+                        for prune in (True, False))
+    assert len(pruned) == 14 and pruned == unpruned
+    assert sum(map(len, pruned.values())) == 9  # the acceptance verdicts
 
 
 _TYPED = {"struct": "move((address,address,uint256))",
